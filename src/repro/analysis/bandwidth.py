@@ -99,7 +99,6 @@ def bandwidth_overhead(
         stats.remaining_consumptions
         + stats.svb_hits
         + stats.cold_misses
-        + stats.capacity_misses
         + stats.writes
     )
     pin_bytes = offchip_events * (DATA_PAYLOAD_BYTES + CONTROL_PAYLOAD_BYTES)

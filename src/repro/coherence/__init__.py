@@ -5,23 +5,24 @@ on a 16-node DSM.  This package provides:
 
 * :mod:`repro.coherence.messages` — coherence message vocabulary with size
   accounting (used for the bandwidth results of Figure 11).
-* :mod:`repro.coherence.directory` — per-block directory entries (owner,
-  sharers, state) extended with the CMOB pointers TSE adds.
-* :mod:`repro.coherence.protocol` — a functional MESI-style protocol that
-  classifies every read as hit / cold miss / capacity miss / coherent read
-  miss ("consumption") and emits the message sequence each transaction needs.
+* :mod:`repro.coherence.directory` — home-node mapping and the per-block
+  CMOB pointers TSE adds to the directory.
+* :mod:`repro.coherence.protocol` — a functional protocol over infinite
+  caches that classifies every read as hit / cold miss / coherent read miss
+  ("consumption"), plus :func:`~repro.coherence.protocol.transaction_messages`,
+  the message sequence each transaction needs.
 """
 
-from repro.coherence.directory import Directory, DirectoryEntry, DirectoryState
+from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.messages import CoherenceMessage, MessageType
-from repro.coherence.protocol import AccessResult, CoherenceProtocol
+from repro.coherence.protocol import AccessResult, CoherenceProtocol, transaction_messages
 
 __all__ = [
     "CoherenceMessage",
     "MessageType",
     "Directory",
     "DirectoryEntry",
-    "DirectoryState",
     "AccessResult",
     "CoherenceProtocol",
+    "transaction_messages",
 ]

@@ -1,28 +1,20 @@
 """Directory state for the DSM coherence protocol.
 
 Each cache block has a *home node* (address-interleaved) whose directory
-tracks the block's global state: uncached, shared (with a sharer bit vector),
-or modified (with a single owner).  TSE extends each entry with a small list
-of CMOB pointers identifying where recent consumers recorded the block in
-their coherence-miss order (Section 3.2).
+serializes the block's coherence transactions.  Which nodes hold the block
+and who wrote it last live in the protocol's per-block state
+(:mod:`repro.coherence.protocol`); a directory entry holds what TSE adds: a
+small list of CMOB pointers identifying where recent consumers recorded the
+block in their coherence-miss order (Section 3.2).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.stats import StatsRegistry, publish_counters
 from repro.common.types import BlockAddress, NodeId
-
-
-class DirectoryState(enum.Enum):
-    """Global state of a block as seen by its home directory."""
-
-    UNCACHED = "uncached"
-    SHARED = "shared"
-    MODIFIED = "modified"
 
 
 #: Directory-resident pointer into a node's CMOB: ``(node, offset)``.
@@ -35,16 +27,9 @@ CMOBPointer = Tuple[NodeId, int]
 
 @dataclass(slots=True)
 class DirectoryEntry:
-    """Directory state for one block."""
+    """Directory state for one block (created when TSE first records a pointer)."""
 
-    state: DirectoryState = DirectoryState.UNCACHED
-    owner: Optional[NodeId] = None
-    sharers: Set[NodeId] = field(default_factory=set)
-    #: Nodes that have written the block at least once (used to classify
-    #: cold vs. coherent misses precisely).
-    ever_written: bool = False
-    #: Most recent ``(node, offset)`` CMOB pointers, newest first (TSE
-    #: extension).
+    #: Most recent ``(node, offset)`` CMOB pointers, newest first.
     cmob_pointers: List[CMOBPointer] = field(default_factory=list)
 
     def record_cmob_pointer(self, node: NodeId, offset: int, max_pointers: int) -> None:
@@ -98,13 +83,6 @@ class Directory:
             entry = DirectoryEntry()
             self._entries[address] = entry
         return entry
-
-    def lookup(self, address: BlockAddress) -> Optional[DirectoryEntry]:
-        """Return the entry if the block has ever been referenced."""
-        return self._entries.get(address)
-
-    def num_entries(self) -> int:
-        return len(self._entries)
 
     # -- TSE extension -------------------------------------------------------
     def record_cmob_pointer(self, address: BlockAddress, node: NodeId, offset: int) -> None:

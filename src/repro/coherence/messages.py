@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.common.types import BlockAddress, NodeId
 
@@ -114,8 +114,3 @@ class CoherenceMessage:
     def is_local(self) -> bool:
         """True when source and destination are the same node (no hop cost)."""
         return self.src == self.dst
-
-
-def total_bytes(messages: List[CoherenceMessage], header_bytes: int = 16) -> int:
-    """Sum of wire sizes for a list of messages."""
-    return sum(m.size_bytes(header_bytes) for m in messages)

@@ -1,68 +1,57 @@
 """Functional directory coherence protocol.
 
 The protocol processes the globally interleaved access trace one access at a
-time, maintaining per-node cache contents and per-block directory state, and
-classifies each read as a hit, cold miss, capacity miss, or coherent read
-miss.  Coherent read misses that are not spin accesses are the *consumptions*
-that the Temporal Streaming Engine targets (Section 5).
+time and classifies each read as a hit, cold miss, or coherent read miss.
+Coherent read misses that are not spin accesses are the *consumptions* that
+the Temporal Streaming Engine targets (Section 5).
 
-Two cache models are supported:
+There is one cache model: infinite caches.  Every node retains every block
+it has referenced until another node's write invalidates it, so the only
+read misses are cold misses and coherence misses — exactly the misses the
+paper's trace studies count ("their detrimental effect is aggravated as
+cache sizes increase").
 
-* ``infinite`` (default) — every node retains every block it has referenced
-  until another node's write invalidates it.  This isolates coherence misses
-  exactly, matching the paper's focus ("their detrimental effect is
-  aggravated as cache sizes increase").
-* ``finite`` — per-node L2-sized set-associative caches, so capacity misses
-  also occur.  Used for ablations.
+State is one ``(version, last_writer, held_version)`` triple per block: the
+version is incremented on each write, and ``held_version`` maps every node
+holding a copy to the version it holds — always the current one, because a
+write invalidates every other copy.  A read miss is
 
-Classification rule (version-based): every block carries a version number
-incremented on each write.  A read miss is
+* a **cold miss** when the block has never been written by a remote node;
+* a **coherent read miss** when the block's current version was produced by
+  a different node than the reader and the reader does not hold it.
 
-* a **cold miss** when the block has never been written by any remote node and
-  the reader has never held it;
-* a **coherent read miss** when the block's current version was produced by a
-  different node than the reader and the reader has not yet observed that
-  version;
-* a **capacity miss** (finite mode only) when the reader observed the current
-  version before but evicted the block.
+:meth:`CoherenceProtocol.read_ints`, :meth:`~CoherenceProtocol.write_ints`
+and :meth:`~CoherenceProtocol.install_copy` are the whole state machine;
+:meth:`~CoherenceProtocol.process` is an object view over them, and
+:func:`transaction_messages` derives a transaction's baseline message
+sequence from the same block state for traffic accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.coherence.directory import Directory, DirectoryEntry, DirectoryState
+from repro.coherence.directory import Directory
 from repro.coherence.messages import CoherenceMessage, MessageType
-from repro.common.config import CacheConfig
 from repro.common.stats import StatsRegistry, publish_counters
-from repro.common.types import (
-    AccessType,
-    BlockAddress,
-    Consumption,
-    MemoryAccess,
-    MissClass,
-    NodeId,
-)
-from repro.memory.cache import Cache, LineState
+from repro.common.types import BlockAddress, Consumption, MemoryAccess, MissClass, NodeId
 
-#: Small-int read-classification codes returned by the columnar fast path
-#: (:meth:`CoherenceProtocol.read_ints`); writes have no code — the caller
+#: Small-int read-classification codes returned by
+#: :meth:`CoherenceProtocol.read_ints`; writes have no code — the caller
 #: already knows the access was a write.
 READ_HIT = 0
 READ_COHERENT = 1
 READ_SPIN_COHERENT = 2
 READ_COLD = 3
-READ_CAPACITY = 4
 
-#: MissClass -> fast-path read code (used by the message-emitting adapter).
-READ_CODE_OF_MISS = {
-    MissClass.HIT: READ_HIT,
-    MissClass.COHERENT_READ_MISS: READ_COHERENT,
-    MissClass.SPIN_COHERENT_MISS: READ_SPIN_COHERENT,
-    MissClass.COLD_MISS: READ_COLD,
-    MissClass.CAPACITY_MISS: READ_CAPACITY,
-}
+#: Read code -> MissClass, for the object view.
+_MISS_CLASS_OF_READ = (
+    MissClass.HIT,
+    MissClass.COHERENT_READ_MISS,
+    MissClass.SPIN_COHERENT_MISS,
+    MissClass.COLD_MISS,
+)
 
 
 @dataclass(slots=True)
@@ -74,8 +63,6 @@ class AccessResult:
         miss_class: Hit/miss classification.
         producer: Node whose write produced the version being read (only
             meaningful for coherent read misses).
-        messages: Coherence messages generated by the transaction (empty when
-            message emission is disabled for speed).
         is_consumption: True when this access counts as a consumption
             (coherent read miss, not a spin).
     """
@@ -83,7 +70,6 @@ class AccessResult:
     access: MemoryAccess
     miss_class: MissClass
     producer: Optional[NodeId] = None
-    messages: List[CoherenceMessage] = field(default_factory=list)
 
     @property
     def is_consumption(self) -> bool:
@@ -96,33 +82,16 @@ class _BlockState:
 
     version: int = 0
     last_writer: Optional[NodeId] = None
-    #: version of the block each node has observed (and still holds, in
-    #: infinite mode). Missing key == never held.
+    #: Version of the block each holder has observed (always the current
+    #: version).  Missing key == no copy.
     held_version: Dict[NodeId, int] = field(default_factory=dict)
-    #: Lazily linked directory entry for this block (one dict probe saved on
-    #: every fast-path miss/write).  Entries are created once and never
-    #: replaced, so the link cannot go stale.
-    entry: Optional[DirectoryEntry] = None
 
 
 class CoherenceProtocol:
-    """Functional MESI-style directory protocol with miss classification."""
+    """Functional directory protocol with miss classification."""
 
-    def __init__(
-        self,
-        num_nodes: int,
-        cache_model: str = "infinite",
-        l2_config: Optional[CacheConfig] = None,
-        emit_messages: bool = False,
-        cmob_pointers_per_block: int = 2,
-    ) -> None:
-        if cache_model not in ("infinite", "finite"):
-            raise ValueError(f"unknown cache_model {cache_model!r}")
-        if cache_model == "finite" and l2_config is None:
-            raise ValueError("finite cache model requires an l2_config")
+    def __init__(self, num_nodes: int, cmob_pointers_per_block: int = 2) -> None:
         self.num_nodes = num_nodes
-        self.cache_model = cache_model
-        self.emit_messages = emit_messages
         self.directory = Directory(num_nodes, cmob_pointers_per_block)
         self._stats = StatsRegistry(prefix="protocol")
         # Per-access classification counts, kept as plain ints on the hot
@@ -130,15 +99,10 @@ class CoherenceProtocol:
         self._n_read_hits = 0
         self._n_coherent_read_misses = 0
         self._n_spin_coherent_misses = 0
-        self._n_capacity_misses = 0
         self._n_cold_misses = 0
         self._n_write_hits = 0
         self._n_write_misses = 0
         self._blocks: Dict[BlockAddress, _BlockState] = {}
-        self._caches: Optional[List[Cache]] = None
-        if cache_model == "finite":
-            assert l2_config is not None
-            self._caches = [Cache(l2_config, name=f"l2.n{i}") for i in range(num_nodes)]
 
     @property
     def stats(self) -> StatsRegistry:
@@ -147,393 +111,155 @@ class CoherenceProtocol:
             "read_hits": self._n_read_hits,
             "coherent_read_misses": self._n_coherent_read_misses,
             "spin_coherent_misses": self._n_spin_coherent_misses,
-            "capacity_misses": self._n_capacity_misses,
             "cold_misses": self._n_cold_misses,
             "write_hits": self._n_write_hits,
             "write_misses": self._n_write_misses,
         })
 
-    # ------------------------------------------------------------------ utils
-    def _block(self, address: BlockAddress) -> _BlockState:
-        state = self._blocks.get(address)
-        if state is None:
-            state = _BlockState()
-            self._blocks[address] = state
-        return state
-
-    def _holds(self, node: NodeId, address: BlockAddress, block: _BlockState) -> bool:
-        """Does ``node`` currently hold a valid, current-version copy?"""
-        held = block.held_version.get(node)
-        if held is None or held != block.version:
-            return False
-        if self._caches is not None:
-            return self._caches[node].contains(address)
-        return True
-
-    def _fill(self, node: NodeId, address: BlockAddress, block: _BlockState, writable: bool) -> None:
-        """Install the current version of the block in the node's cache."""
-        block.held_version[node] = block.version
-        if self._caches is not None:
-            state = LineState.MODIFIED if writable else LineState.SHARED
-            self._caches[node].fill(address, state)
-
-    def _invalidate_others(self, writer: NodeId, address: BlockAddress, block: _BlockState) -> List[NodeId]:
-        """Invalidate every copy other than the writer's; return invalidated nodes."""
-        invalidated = []
-        for node in list(block.held_version.keys()):
-            if node == writer:
-                continue
-            del block.held_version[node]
-            if self._caches is not None:
-                self._caches[node].invalidate(address)
-            invalidated.append(node)
-        return invalidated
-
-    # -------------------------------------------------------------- processing
-    def process(self, access: MemoryAccess) -> AccessResult:
-        """Process one access and return its classification and messages."""
-        if access.is_write:
-            return self._process_write(access)
-        return self._process_read(access)
-
-    def process_trace(self, accesses) -> List[AccessResult]:
-        """Process an iterable of accesses; convenience for tests/examples."""
-        return [self.process(a) for a in accesses]
-
-    def _process_read(self, access: MemoryAccess) -> AccessResult:
-        node, address = access.node, access.address
-        block = self._block(address)
-        entry = self.directory.entry(address)
-        home = self.directory.home_of(address)
-        messages: List[CoherenceMessage] = []
-
-        if self._holds(node, address, block):
+    # ------------------------------------------------------------ state machine
+    #
+    # ``read_ints`` / ``write_ints`` take raw (node, block) ints, so the
+    # chunked replay loops call them with no per-access allocation.
+    # ``TSESimulator._replay_chunk_fast_slim`` inlines these exact bodies.
+    def read_ints(self, node: NodeId, address: BlockAddress, is_spin: bool) -> int:
+        """Classify (and apply) one read; returns a ``READ_*`` code."""
+        block = self._blocks.get(address)
+        if block is None:
+            self._blocks[address] = block = _BlockState()
+        version = block.version
+        held = block.held_version
+        if held.get(node) == version:
             self._n_read_hits += 1
-            return AccessResult(access, MissClass.HIT)
-
-        held = block.held_version.get(node)
-        remote_producer = (
-            block.version > 0
-            and block.last_writer is not None
-            and block.last_writer != node
-        )
-
-        if remote_producer and (held is None or held < block.version):
+            return READ_HIT
+        held[node] = version
+        # version > 0 implies last_writer is set (only writes bump versions).
+        if version > 0 and block.last_writer != node:
             # The version being read was produced by another node.
-            if access.is_spin:
-                miss_class = MissClass.SPIN_COHERENT_MISS
+            if is_spin:
                 self._n_spin_coherent_misses += 1
-            else:
-                miss_class = MissClass.COHERENT_READ_MISS
-                self._n_coherent_read_misses += 1
-            producer = block.last_writer
-            if self.emit_messages:
-                messages.append(
-                    CoherenceMessage(MessageType.READ_REQUEST, node, home, address)
-                )
-                owner_has_copy = producer is not None and producer in block.held_version
-                if owner_has_copy and producer != home:
-                    messages.append(
-                        CoherenceMessage(MessageType.FORWARD_REQUEST, home, producer, address)
-                    )
-                    messages.append(
-                        CoherenceMessage(
-                            MessageType.DATA_REPLY_COHERENT, producer, node, address
-                        )
-                    )
-                else:
-                    messages.append(
-                        CoherenceMessage(MessageType.DATA_REPLY_COHERENT, home, node, address)
-                    )
-            # Reading downgrades a modified owner to shared.
-            if entry.owner is not None and entry.owner != node and self._caches is not None:
-                self._caches[entry.owner].downgrade(address)
-            entry.owner = None
-            entry.sharers.add(node)
-            entry.state = DirectoryState.SHARED
-            self._fill(node, address, block, writable=False)
-            return AccessResult(access, miss_class, producer=producer, messages=messages)
+                return READ_SPIN_COHERENT
+            self._n_coherent_read_misses += 1
+            return READ_COHERENT
+        self._n_cold_misses += 1
+        return READ_COLD
 
-        # Miss on data this node has already observed (finite caches only) or
-        # on never-written data: capacity or cold.
-        if held is not None and held == block.version:
-            miss_class = MissClass.CAPACITY_MISS
-            self._n_capacity_misses += 1
-        else:
-            miss_class = MissClass.COLD_MISS
-            self._n_cold_misses += 1
-        if self.emit_messages:
-            messages.append(CoherenceMessage(MessageType.READ_REQUEST, node, home, address))
-            messages.append(CoherenceMessage(MessageType.DATA_REPLY, home, node, address))
-        entry.sharers.add(node)
-        if entry.state is DirectoryState.UNCACHED:
-            entry.state = DirectoryState.SHARED
-        self._fill(node, address, block, writable=False)
-        return AccessResult(access, miss_class, messages=messages)
+    def write_ints(self, node: NodeId, address: BlockAddress) -> bool:
+        """Apply one write (or atomic); returns True on a write hit.
 
-    def _process_write(self, access: MemoryAccess) -> AccessResult:
-        node, address = access.node, access.address
-        block = self._block(address)
-        entry = self.directory.entry(address)
-        home = self.directory.home_of(address)
-        messages: List[CoherenceMessage] = []
-
-        had_copy = self._holds(node, address, block)
-        invalidated = self._invalidate_others(node, address, block)
-
-        if self.emit_messages:
-            if had_copy and not invalidated:
-                pass  # silent upgrade of an exclusive copy
-            else:
-                req = (
-                    MessageType.UPGRADE_REQUEST if had_copy else MessageType.READ_EXCLUSIVE_REQUEST
-                )
-                messages.append(CoherenceMessage(req, node, home, address))
-                for victim in invalidated:
-                    if victim == home:
-                        continue
-                    messages.append(
-                        CoherenceMessage(MessageType.INVALIDATE, home, victim, address)
-                    )
-                    messages.append(
-                        CoherenceMessage(MessageType.INVALIDATE_ACK, victim, node, address)
-                    )
-                if not had_copy:
-                    messages.append(
-                        CoherenceMessage(MessageType.DATA_REPLY, home, node, address)
-                    )
-
-        block.version += 1
-        block.last_writer = node
-        entry.state = DirectoryState.MODIFIED
-        entry.owner = node
-        entry.sharers = {node}
-        entry.ever_written = True
-        self._fill(node, address, block, writable=True)
-        if had_copy:
+        The writer ends up holding the sole copy of the new version: every
+        other copy is invalidated.
+        """
+        block = self._blocks.get(address)
+        if block is None:
+            self._blocks[address] = block = _BlockState()
+        held = block.held_version
+        hit = node in held
+        if hit:
             self._n_write_hits += 1
         else:
             self._n_write_misses += 1
-        return AccessResult(access, MissClass.WRITE_MISS if not had_copy else MissClass.HIT,
-                            messages=messages)
-
-    # ----------------------------------------------------- columnar fast path
-    #
-    # ``read_ints`` / ``write_ints`` are the (block, node, type)-ints entry
-    # points used by the chunked replay loop when message emission is off:
-    # the same classification state machine as ``_process_read`` /
-    # ``_process_write``, with no ``MemoryAccess`` / ``AccessResult``
-    # allocation and no directory-entry lookups on the read-hit path (a hit
-    # implies a prior fill, so the entry already exists).  Equivalence with
-    # the object path is locked in by ``tests/test_perf_infra.py``.
-    def read_ints(self, node: NodeId, address: BlockAddress, is_spin: bool) -> int:
-        """Classify (and apply) one read; returns a ``READ_*`` code."""
-        caches = self._caches
-        block = self._blocks.get(address)
-        if block is None:
-            block = _BlockState()
-            self._blocks[address] = block
-            held = None
-        else:
-            held = block.held_version.get(node)
-            if held == block.version and (
-                caches is None or caches[node].contains(address)
-            ):
-                self._n_read_hits += 1
-                return READ_HIT
-
-        version = block.version
-        entry = block.entry
-        if entry is None:
-            entries = self.directory._entries
-            entry = entries.get(address)
-            if entry is None:
-                entry = DirectoryEntry()
-                entries[address] = entry
-            block.entry = entry
-        if (
-            version > 0
-            and block.last_writer is not None
-            and block.last_writer != node
-            and (held is None or held < version)
-        ):
-            # The version being read was produced by another node.
-            if is_spin:
-                code = READ_SPIN_COHERENT
-                self._n_spin_coherent_misses += 1
-            else:
-                code = READ_COHERENT
-                self._n_coherent_read_misses += 1
-            if entry.owner is not None and entry.owner != node and caches is not None:
-                caches[entry.owner].downgrade(address)
-            entry.owner = None
-            entry.sharers.add(node)
-            entry.state = DirectoryState.SHARED
-        else:
-            if held is not None and held == version:
-                code = READ_CAPACITY
-                self._n_capacity_misses += 1
-            else:
-                code = READ_COLD
-                self._n_cold_misses += 1
-            entry.sharers.add(node)
-            if entry.state is DirectoryState.UNCACHED:
-                entry.state = DirectoryState.SHARED
-        # Inline _fill: install the current version in the node's cache.
-        block.held_version[node] = version
-        if caches is not None:
-            caches[node].fill(address, LineState.SHARED)
-        return code
-
-    def write_ints(self, node: NodeId, address: BlockAddress) -> None:
-        """Apply one write (or atomic); counters classify hit vs. miss."""
-        caches = self._caches
-        block = self._blocks.get(address)
-        if block is None:
-            block = _BlockState()
-            self._blocks[address] = block
-        held_map = block.held_version
-        version = block.version
-        if (
-            caches is None
-            and block.last_writer == node
-            and len(held_map) == 1
-            and held_map.get(node) == version
-        ):
-            # Private rewrite: the writer already owns the sole current-
-            # version copy, so its last write left the directory entry at
-            # exactly (MODIFIED, owner=node, sharers={node}, ever_written)
-            # and no reader has touched the block since (any remote read
-            # would have grown ``held_map``).  Only the version moves.
-            version += 1
-            block.version = version
-            held_map[node] = version
-            self._n_write_hits += 1
-            return None
-        had_copy = held_map.get(node) == block.version and (
-            caches is None or caches[node].contains(address)
-        )
-        if held_map:
-            # Invalidate every copy other than the writer's (the common cases
-            # hold one or two copies; fall back to the general loop).
-            size = len(held_map)
-            if size == 1:
-                if node not in held_map:
-                    if caches is not None:
-                        for victim in held_map:
-                            caches[victim].invalidate(address)
-                    held_map.clear()
-            elif size == 2 and node in held_map:
-                # Migratory hand-off: exactly one other holder to invalidate.
-                for victim in held_map:
-                    if victim != node:
-                        break
-                del held_map[victim]
-                if caches is not None:
-                    caches[victim].invalidate(address)
-            else:
-                for victim in list(held_map):
-                    if victim == node:
-                        continue
-                    del held_map[victim]
-                    if caches is not None:
-                        caches[victim].invalidate(address)
-        entry = block.entry
-        if entry is None:
-            entries = self.directory._entries
-            entry = entries.get(address)
-            if entry is None:
-                entry = DirectoryEntry()
-                entries[address] = entry
-            block.entry = entry
         version = block.version + 1
         block.version = version
         block.last_writer = node
-        entry.state = DirectoryState.MODIFIED
-        entry.owner = node
-        entry.sharers = {node}
-        entry.ever_written = True
-        # Inline _fill: install the freshly written version.
-        held_map[node] = version
-        if caches is not None:
-            caches[node].fill(address, LineState.MODIFIED)
-        if had_copy:
-            self._n_write_hits += 1
-        else:
-            self._n_write_misses += 1
-        return None
-
-    def install_copy_ints(self, node: NodeId, address: BlockAddress) -> None:
-        """Fast-path :meth:`install_copy` for the infinite cache model.
-
-        Same state transitions, no cache-hierarchy bookkeeping (there is
-        none to do without finite caches) and direct dict access.
-        """
-        blocks = self._blocks
-        block = blocks.get(address)
-        if block is None:
-            block = _BlockState()
-            blocks[address] = block
-        entry = block.entry
-        if entry is None:
-            entries = self.directory._entries
-            entry = entries.get(address)
-            if entry is None:
-                entry = DirectoryEntry()
-                entries[address] = entry
-            block.entry = entry
-        state = entry.state
-        if state is DirectoryState.MODIFIED:
-            if entry.owner != node:
-                entry.owner = None
-                entry.state = DirectoryState.SHARED
-        elif state is DirectoryState.UNCACHED:
-            entry.state = DirectoryState.SHARED
-        entry.sharers.add(node)
-        block.held_version[node] = block.version
+        held.clear()
+        held[node] = version
+        return hit
 
     def install_copy(self, node: NodeId, address: BlockAddress) -> None:
         """Install a clean shared copy of the current version at ``node``.
 
-        Used when a streamed block moves from the SVB to the cache: the node
-        obtains the data without going through a demand miss, so the protocol
-        records it as a sharer of the current version directly.
+        Used when a streamed or prefetched block moves from its buffer to
+        the cache: the node obtains the data without a demand miss, so it
+        becomes a holder of the current version directly.
         """
-        block = self._block(address)
-        entry = self.directory.entry(address)
-
-        if entry.owner is not None and entry.owner != node and self._caches is not None:
-            self._caches[entry.owner].downgrade(address)
-        if entry.state is DirectoryState.MODIFIED and entry.owner != node:
-            entry.owner = None
-            entry.state = DirectoryState.SHARED
-        elif entry.state is DirectoryState.UNCACHED:
-            entry.state = DirectoryState.SHARED
-        entry.sharers.add(node)
-        self._fill(node, address, block, writable=False)
-
-    # ------------------------------------------------------------- inspection
-    def block_info(self, address: BlockAddress) -> Tuple[Optional[NodeId], int]:
-        """``(last_writer, version)`` of a block in one lookup (hot path)."""
         block = self._blocks.get(address)
         if block is None:
-            return None, 0
-        return block.last_writer, block.version
+            self._blocks[address] = block = _BlockState()
+        block.held_version[node] = block.version
 
+    # -------------------------------------------------------------- object view
+    def process(self, access: MemoryAccess) -> AccessResult:
+        """Process one access object through the int state machine."""
+        node, address = access.node, access.address
+        if access.is_write:
+            hit = self.write_ints(node, address)
+            return AccessResult(access, MissClass.HIT if hit else MissClass.WRITE_MISS)
+        code = self.read_ints(node, address, access.is_spin)
+        if code == READ_COHERENT or code == READ_SPIN_COHERENT:
+            producer = self._blocks[address].last_writer
+            return AccessResult(access, _MISS_CLASS_OF_READ[code], producer)
+        return AccessResult(access, _MISS_CLASS_OF_READ[code])
+
+    def process_trace(self, accesses) -> List[AccessResult]:
+        """Process an iterable of accesses; convenience for analyses and tests."""
+        return [self.process(a) for a in accesses]
+
+    # ------------------------------------------------------------- inspection
     def version_of(self, address: BlockAddress) -> int:
         block = self._blocks.get(address)
         return block.version if block is not None else 0
 
-    def last_writer_of(self, address: BlockAddress) -> Optional[NodeId]:
-        block = self._blocks.get(address)
-        return block.last_writer if block is not None else None
-
     def holders_of(self, address: BlockAddress) -> List[NodeId]:
-        """Nodes currently holding a valid copy of the block."""
+        """Nodes currently holding a copy of the block."""
         block = self._blocks.get(address)
-        if block is None:
+        return list(block.held_version) if block is not None else []
+
+
+def transaction_messages(
+    protocol: CoherenceProtocol,
+    node: NodeId,
+    address: BlockAddress,
+    read_code: Optional[int] = None,
+) -> List[CoherenceMessage]:
+    """Baseline protocol messages of one transaction, derived from block state.
+
+    For a read, pass the ``READ_*`` code :meth:`CoherenceProtocol.read_ints`
+    returned and call *after* the read.  For a write, leave ``read_code``
+    as None and call *before* :meth:`CoherenceProtocol.write_ints`: the
+    messages depend on the holder set the write is about to invalidate.
+
+    * Cold read: request to the home, data reply from the home.
+    * Coherent (or spin) read: the home forwards the request to the
+      producer, which still holds its copy (only a write invalidates one,
+      and a write makes its writer the producer), and the producer replies
+      cache-to-cache (three hops) — unless the producer is the home itself
+      (two hops).
+    * Write miss: read-exclusive request and data reply from the home;
+      write hit by a sharer: upgrade request.  Either way the home
+      invalidates every other holder except itself, and each victim acks
+      the writer.  A write by the sole holder is silent.
+    """
+    home = protocol.directory.home_of(address)
+    if read_code is not None:
+        if read_code == READ_HIT:
             return []
-        return [n for n in block.held_version if self._holds(n, address, block)]
+        request = CoherenceMessage(MessageType.READ_REQUEST, node, home, address)
+        if read_code == READ_COLD:
+            return [request, CoherenceMessage(MessageType.DATA_REPLY, home, node, address)]
+        producer = protocol._blocks[address].last_writer
+        if producer != home:
+            return [
+                request,
+                CoherenceMessage(MessageType.FORWARD_REQUEST, home, producer, address),
+                CoherenceMessage(MessageType.DATA_REPLY_COHERENT, producer, node, address),
+            ]
+        return [request, CoherenceMessage(MessageType.DATA_REPLY_COHERENT, home, node, address)]
+
+    block = protocol._blocks.get(address)
+    holders = block.held_version if block is not None else {}
+    had_copy = node in holders
+    if had_copy and len(holders) == 1:
+        return []  # silent upgrade of an exclusive copy
+    kind = MessageType.UPGRADE_REQUEST if had_copy else MessageType.READ_EXCLUSIVE_REQUEST
+    messages = [CoherenceMessage(kind, node, home, address)]
+    for victim in holders:
+        if victim == node or victim == home:
+            continue
+        messages.append(CoherenceMessage(MessageType.INVALIDATE, home, victim, address))
+        messages.append(CoherenceMessage(MessageType.INVALIDATE_ACK, victim, node, address))
+    if not had_copy:
+        messages.append(CoherenceMessage(MessageType.DATA_REPLY, home, node, address))
+    return messages
 
 
 def extract_consumptions(

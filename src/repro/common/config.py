@@ -558,7 +558,8 @@ class TSEConfig:
         cmob_entry_bytes: Size of one CMOB entry (6-byte physical address in
             the paper's storage accounting, Section 5.4).
         cmob_pointers_per_block: Number of recent-consumer CMOB pointers the
-            directory stores per block (paper compares 1-4, selects 2).
+            directory stores per block (paper compares 1-4, selects 2); at
+            least ``compared_streams``.
         compared_streams: Number of streams fetched and compared per stream
             head (equals cmob_pointers_per_block in the hardware).
         stream_lookahead: Number of blocks kept in flight / resident in the
@@ -587,6 +588,10 @@ class TSEConfig:
             raise ValueError("cmob_capacity must be positive")
         if self.compared_streams <= 0:
             raise ValueError("compared_streams must be positive")
+        if self.cmob_pointers_per_block < self.compared_streams:
+            # The directory must retain at least as many pointers as the
+            # engine compares streams.
+            raise ValueError("cmob_pointers_per_block must be at least compared_streams")
         if self.stream_lookahead < 0:
             raise ValueError("stream_lookahead must be non-negative")
         if self.svb_entries <= 0:

@@ -152,7 +152,6 @@ class MissClass(enum.Enum):
 
     HIT = "hit"
     COLD_MISS = "cold"
-    CAPACITY_MISS = "capacity"
     #: Coherent read miss: another node produced the block since this node
     #: last held it.  These are the "consumptions" that TSE targets.
     COHERENT_READ_MISS = "coherent_read"

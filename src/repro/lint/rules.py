@@ -257,8 +257,8 @@ class NondeterminismSources(Rule):
     title = "nondeterminism sources"
 
     _RESULT_PLANE = (
-        "tse", "workloads", "experiments", "coherence", "memory",
-        "system", "prefetch", "interconnect", "node",
+        "tse", "workloads", "experiments", "coherence", "system",
+        "prefetch", "interconnect", "node",
     )
     _CLOCK_ATTRS = ("time", "monotonic", "perf_counter", "process_time", "now")
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from repro.coherence.protocol import CoherenceProtocol
+from repro.coherence.protocol import READ_COHERENT, READ_SPIN_COHERENT, CoherenceProtocol
 from repro.common.config import DEFAULT_WARMUP_FRACTION
 from repro.common.stats import ratio
-from repro.common.types import AccessTrace, MissClass
+from repro.common.types import AccessTrace
 from repro.prefetch.base import PrefetchBuffer, Prefetcher
 
 
@@ -77,7 +77,7 @@ def evaluate_prefetcher(
             baseline prefetchers are measured over the same window.
     """
     num_nodes = trace.num_nodes
-    protocol = CoherenceProtocol(num_nodes, cache_model="infinite")
+    protocol = CoherenceProtocol(num_nodes)
     prefetchers = [prefetcher_factory() for _ in range(num_nodes)]
     buffers = [PrefetchBuffer(buffer_entries) for _ in range(num_nodes)]
     stats = PrefetcherStats(technique=prefetchers[0].name, workload=trace.name)
@@ -98,7 +98,7 @@ def evaluate_prefetcher(
             # Writes invalidate prefetched copies everywhere (clean-only buffers).
             for buffer in buffers:
                 buffer.invalidate(access.address)
-            protocol.process(access)
+            protocol.write_ints(node, access.address)
             continue
 
         if not access.is_spin and buffers[node].consume(access.address):
@@ -109,13 +109,13 @@ def evaluate_prefetcher(
                     buffers[node].insert(candidate)
             continue
 
-        result = protocol.process(access)
-        if result.miss_class is MissClass.COHERENT_READ_MISS:
+        code = protocol.read_ints(node, access.address, access.is_spin)
+        if code == READ_COHERENT:
             stats.remaining_consumptions += 1
             for candidate in prefetchers[node].on_consumption(access.address, access.pc):
                 if candidate > 0:
                     buffers[node].insert(candidate)
-        elif result.miss_class is MissClass.SPIN_COHERENT_MISS:
+        elif code == READ_SPIN_COHERENT:
             stats.spin_misses += 1
 
     for node in range(num_nodes):

@@ -92,10 +92,6 @@ class TemporalStreamingSystem:
         directory: Directory,
         message_sink: Optional[Callable[[CoherenceMessage], None]] = None,
     ) -> None:
-        if directory.cmob_pointers_per_block < config.compared_streams:
-            # The directory must retain at least as many pointers as the
-            # engine wants to compare.
-            directory.cmob_pointers_per_block = config.compared_streams
         self.num_nodes = num_nodes
         self.config = config
         self.directory = directory

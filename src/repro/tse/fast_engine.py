@@ -88,8 +88,6 @@ class FastTemporalStreamingSystem:
         message_sink: Optional[Callable[[CoherenceMessage], None]] = None,
         blocks_map: Optional[Dict] = None,
     ) -> None:
-        if directory.cmob_pointers_per_block < config.compared_streams:
-            directory.cmob_pointers_per_block = config.compared_streams
         self.num_nodes = num_nodes
         self.config = config
         self.directory = directory
@@ -675,13 +673,6 @@ class FastTemporalStreamingSystem:
                         delivered += d
                         discarded += x
         return delivered, discarded
-
-    def offchip_miss(self, node: NodeId, address: BlockAddress) -> Delivery:
-        """A capacity (non-coherent, non-cold) off-chip miss."""
-        clock = self._clocks[node] + 1
-        self._clocks[node] = clock
-        return self._miss_scan(node, address, clock, self._slots[node],
-                               self._svbs[node])
 
     def consume(self, node: NodeId, address: BlockAddress) -> Delivery:
         """A coherent read miss: the fused consumption event.

@@ -19,14 +19,16 @@ The replay loop is the hottest code in the repository: every experiment point
 replays hundreds of thousands of accesses through it.  ``_replay_chunk``
 therefore consumes packed :class:`~repro.common.chunk.TraceChunk` columns
 directly — raw node / block / type-code ints classified through lookup
-tables and the coherence protocol's ``read_ints`` / ``write_ints`` fast
-path, with the common read-hit outcome inlined in the loop, counters in
+tables and the coherence protocol's ``read_ints`` / ``write_ints`` state
+machine, with the common read-hit outcome inlined in the loop, counters in
 plain local ints (synced into :class:`TSEStats` at chunk end), outcomes
 recorded into parallel ``array`` buffers, and the cyclic GC paused for the
-duration of a run (the loop allocates no reference cycles).  The legacy
-object path (``AccessTrace`` / ``MemoryAccess`` iterables) packs into a
-chunk and replays through the same loop, so all ingestion paths are
-bit-identical.
+duration of a run (the loop allocates no reference cycles).  ``AccessTrace``
+and ``MemoryAccess`` iterables pack into chunks and replay through the same
+loop, so all ingestion paths are bit-identical.  Traffic accounting does
+not change the replay either: it adds the messages
+:func:`~repro.coherence.protocol.transaction_messages` derives from the same
+block state around each miss and write.
 """
 
 from __future__ import annotations
@@ -38,13 +40,12 @@ from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.coherence.protocol import (
-    READ_CAPACITY,
-    READ_CODE_OF_MISS,
     READ_COHERENT,
     READ_COLD,
     READ_SPIN_COHERENT,
     CoherenceProtocol,
     _BlockState,
+    transaction_messages,
 )
 from repro.common.chunk import ChunkedTrace, TraceChunk, stream_chunk_size
 from repro.common.config import (
@@ -60,7 +61,6 @@ from repro.common.types import (
     TYPE_IS_WRITE,
     TYPE_SPIN_READ,
     AccessTrace,
-    AccessType,
     MemoryAccess,
 )
 from repro.interconnect.network import TrafficAccountant
@@ -69,14 +69,17 @@ from repro.tse.fast_engine import FastTemporalStreamingSystem
 
 
 class Outcome(enum.IntEnum):
-    """Per-access outcome codes recorded for the timing model."""
+    """Per-access outcome codes recorded for the timing model.
+
+    The values are stable because reference outputs sum them; 5 is
+    unassigned.
+    """
 
     OTHER = 0
     CONSUMPTION = 1
     SVB_HIT = 2
     SPIN = 3
     COLD_MISS = 4
-    CAPACITY_MISS = 5
     WRITE = 6
 
 
@@ -99,9 +102,8 @@ class TSEStats:
     reads: int = 0
     writes: int = 0
     accesses: int = 0
-    #: Cold / capacity misses (not targeted by TSE).
+    #: Cold misses (not targeted by TSE).
     cold_misses: int = 0
-    capacity_misses: int = 0
     #: Histogram of realized stream lengths weighted by hits (Figure 13).
     stream_length_hist: Histogram = field(default_factory=lambda: Histogram("stream_length"))
     #: Traffic accounting, present when the simulator was asked to track it.
@@ -156,8 +158,6 @@ class TSESimulator:
         self,
         num_nodes: int,
         tse_config: Optional[TSEConfig] = None,
-        cache_model: str = "infinite",
-        l2_config=None,
         account_traffic: bool = False,
         interconnect_config: Optional[InterconnectConfig] = None,
         record_outcomes: bool = False,
@@ -187,11 +187,7 @@ class TSESimulator:
         self._node_access_counts = [0] * num_nodes
         self.tse_config = tse_config if tse_config is not None else TSEConfig.paper_default()
         self.protocol = CoherenceProtocol(
-            num_nodes,
-            cache_model=cache_model,
-            l2_config=l2_config,
-            emit_messages=account_traffic,
-            cmob_pointers_per_block=self.tse_config.cmob_pointers_per_block,
+            num_nodes, cmob_pointers_per_block=self.tse_config.cmob_pointers_per_block
         )
         self.traffic: Optional[TrafficAccountant] = None
         sink = None
@@ -290,11 +286,6 @@ class TSESimulator:
             self._replay(accesses)
         return self.finalize()
 
-    #: Legacy alias for the default chunk size; the live value is read from
-    #: :func:`repro.common.config.stream_chunk_size` (``REPRO_STREAM_CHUNK``)
-    #: on every streaming run.
-    STREAM_CHUNK = 16384
-
     def run_chunks(
         self,
         chunks: Iterable[TraceChunk],
@@ -392,55 +383,14 @@ class TSESimulator:
         """Restart measurement (end of warm-up) without touching simulator state."""
         self.stats = TSEStats(workload=workload or self.stats.workload)
 
-    def step(self, access: MemoryAccess) -> None:
-        """Process a single access.
-
-        Shares the chunked replay loop with :meth:`run` so both paths stay
-        identical; the per-segment local binding makes this convenience
-        entry point slower per access than batched replay — drive whole
-        traces through :meth:`run` when throughput matters.
-        """
-        self._replay((access,))
-
     def _replay(self, accesses: Sequence[MemoryAccess]) -> None:
         """Replay a segment of ``MemoryAccess`` objects.
 
         Thin adapter: packs the objects into a :class:`TraceChunk` and hands
-        it to :meth:`_replay_chunk`, so the object path and the columnar
-        path share one replay implementation.
+        it to :meth:`_replay_chunk`, so object traces and packed chunks
+        share one replay implementation.
         """
         self._replay_chunk(TraceChunk.from_accesses(accesses))
-
-    def _message_adapters(self):
-        """(read, write) callables for the message-emitting (traffic) path.
-
-        They reconstruct minimal accesses for the object-path protocol
-        methods and feed the resulting messages to the traffic accountant,
-        returning the same int classification codes as the fast path.
-        """
-        process_read = self.protocol._process_read
-        process_write = self.protocol._process_write
-        traffic = self.traffic
-        record_all = traffic.record_all if traffic is not None else None
-        code_of = READ_CODE_OF_MISS
-        read_type = AccessType.READ
-        spin_type = AccessType.SPIN_READ
-        write_type = AccessType.WRITE
-
-        def read_ints(node: int, address: int, is_spin: bool) -> int:
-            result = process_read(
-                MemoryAccess(node, address, spin_type if is_spin else read_type)
-            )
-            if record_all is not None:
-                record_all(result.messages)
-            return code_of[result.miss_class]
-
-        def write_ints(node: int, address: int) -> None:
-            result = process_write(MemoryAccess(node, address, write_type))
-            if record_all is not None:
-                record_all(result.messages)
-
-        return read_ints, write_ints
 
     def _replay_chunk(self, chunk: TraceChunk) -> None:
         """Replay one packed chunk through the mode's replay plane.
@@ -459,8 +409,8 @@ class TSESimulator:
 
         Operates on the raw columns — int node / block / type-code per
         access, classified through lookup tables and the protocol's
-        ``read_ints`` / ``write_ints`` fast path (no attribute loads, no
-        enum dispatch, no per-access allocation).  Counters are accumulated
+        ``read_ints`` / ``write_ints`` (no attribute loads, no enum
+        dispatch, no per-access allocation).  Counters are accumulated
         in local ints and synced into ``self.stats`` once at the end of the
         chunk; outcome recording appends to the preallocated parallel
         arrays.
@@ -479,30 +429,25 @@ class TSESimulator:
         # ---- bind everything the loop touches to locals ----
         tse = self.tse
         protocol = self.protocol
-        if protocol.emit_messages:
-            read_ints, write_ints = self._message_adapters()
-        else:
-            read_ints = protocol.read_ints
-            write_ints = protocol.write_ints
+        read_ints = protocol.read_ints
+        write_ints = protocol.write_ints
+        install_copy = protocol.install_copy
+        # Traffic accounting: a write's messages depend on the holders it is
+        # about to invalidate, a read's on the state the read left.
+        record_messages = self.traffic.record_all if self.traffic is not None else None
+        messages_of = transaction_messages
         tse_on_write = tse.on_write
         tse_on_svb_hit = tse.on_svb_hit
         tse_on_consumption = tse.on_consumption
         residency = tse._svb_residency
-        install_copy = (
-            protocol.install_copy_ints if protocol._caches is None
-            else protocol.install_copy
-        )
         deliver_fetches = self._deliver_fetches
         node_counts = self._node_access_counts
         engines = [node.engine for node in tse.nodes]
         svb_maps = [engine.svb._entries for engine in engines]
-        # Read-hit shortcut: with the infinite cache model, "the node holds
-        # the current version" is one dict probe — inlined here so the
-        # overwhelmingly common outcome never leaves the loop.  Finite
-        # caches also require a cache-residency check; leave that to
-        # ``read_ints``.
+        # Read-hit shortcut: "the node holds the current version" is one
+        # dict probe — inlined here so the overwhelmingly common outcome
+        # never leaves the loop.
         blocks_map = protocol._blocks
-        inline_hits = protocol._caches is None
         record = self.record_outcomes
         codes_append = self.outcome_codes.append
         leads_append = self.outcome_leads.append
@@ -512,14 +457,12 @@ class TSESimulator:
         read_coherent = READ_COHERENT
         read_spin = READ_SPIN_COHERENT
         read_cold = READ_COLD
-        read_capacity = READ_CAPACITY
 
         outcome_write = int(Outcome.WRITE)
         outcome_svb_hit = int(Outcome.SVB_HIT)
         outcome_consumption = int(Outcome.CONSUMPTION)
         outcome_spin = int(Outcome.SPIN)
         outcome_cold = int(Outcome.COLD_MISS)
-        outcome_capacity = int(Outcome.CAPACITY_MISS)
         outcome_other = int(Outcome.OTHER)
 
         # ---- local counters, synced into TSEStats at the end ----
@@ -529,7 +472,6 @@ class TSESimulator:
         n_consumptions = 0
         n_spin = 0
         n_cold = 0
-        n_capacity = 0
         n_discards = 0
         n_inline_hits = 0
 
@@ -550,6 +492,8 @@ class TSESimulator:
                 # blocks no SVB holds.
                 if address in residency:
                     n_discards += tse_on_write(node, address)
+                if record_messages is not None:
+                    record_messages(messages_of(protocol, node, address))
                 write_ints(node, address)
                 if record:
                     codes_append(outcome_write)
@@ -574,20 +518,21 @@ class TSESimulator:
                         continue
                     # Entry vanished between probe and consume (should not
                     # happen in the functional model); fall through.
-                if inline_hits:
-                    block_state = blocks_map.get(address)
-                    if (
-                        block_state is not None
-                        and block_state.held_version.get(node) == block_state.version
-                    ):
-                        n_inline_hits += 1
-                        if record:
-                            codes_append(outcome_other)
-                            leads_append(0)
-                        continue
+                block_state = blocks_map.get(address)
+                if (
+                    block_state is not None
+                    and block_state.held_version.get(node) == block_state.version
+                ):
+                    n_inline_hits += 1
+                    if record:
+                        codes_append(outcome_other)
+                        leads_append(0)
+                    continue
                 code = read_ints(node, address, False)
             else:
                 code = read_ints(node, address, True)
+            if record_messages is not None:
+                record_messages(messages_of(protocol, node, address, code))
 
             if code == read_coherent:
                 n_consumptions += 1
@@ -616,14 +561,6 @@ class TSESimulator:
                 if record:
                     codes_append(outcome_cold)
                     leads_append(0)
-            elif code == read_capacity:
-                n_capacity += 1
-                fetches = engines[node].on_offchip_miss(address)
-                if fetches:
-                    deliver_fetches(node, fetches, fill_time=node_access_index)
-                if record:
-                    codes_append(outcome_capacity)
-                    leads_append(0)
             else:
                 if record:
                     codes_append(outcome_other)
@@ -638,7 +575,6 @@ class TSESimulator:
         stats.remaining_consumptions += n_consumptions
         stats.spin_misses += n_spin
         stats.cold_misses += n_cold
-        stats.capacity_misses += n_capacity
         stats.discarded_blocks += n_discards
         if n_inline_hits:
             protocol._n_read_hits += n_inline_hits
@@ -649,23 +585,17 @@ class TSESimulator:
         Same column decoding as :meth:`_replay_chunk_exact`, but every TSE
         event goes through the fast engine's fused handlers — delivery
         happens inside the event, so there is no fetch-batch plumbing and
-        no outcome recording (rejected at construction).  On the dominant
-        configuration (infinite cache model, no message emission) the
-        coherence protocol itself is inlined as a slim shadow: miss
-        classification in this model depends only on each block's
-        ``version`` / ``last_writer`` / ``held_version``, so the
-        directory-entry occupancy bookkeeping (sharers sets, entry states,
-        owner fields) that nothing downstream reads is skipped entirely and
-        the classification probe shares one dict lookup with the read-hit
-        shortcut.  Classification counters are synced into the protocol at
-        chunk end, so ``protocol.stats`` stays truthful.
+        no outcome recording (rejected at construction).  Without traffic
+        accounting (the sweep-scale configuration fast mode exists for) the
+        coherence protocol is inlined too: see
+        :meth:`_replay_chunk_fast_slim`.  This loop is the traffic-accounting
+        one; it calls the protocol and adds each transaction's messages.
         """
         nodes_col = chunk.nodes
         n = len(nodes_col)
         if n == 0:
             return
-        protocol = self.protocol
-        if protocol._caches is None and not protocol.emit_messages:
+        if self.traffic is None:
             self._replay_chunk_fast_slim(chunk)
             return
         nodes_col = nodes_col.tolist()
@@ -673,31 +603,25 @@ class TSESimulator:
         types_col = chunk.types.tolist()
 
         fast = self.fast
-        if protocol.emit_messages:
-            read_ints, write_ints = self._message_adapters()
-        else:
-            read_ints = protocol.read_ints
-            write_ints = protocol.write_ints
+        protocol = self.protocol
+        read_ints = protocol.read_ints
+        write_ints = protocol.write_ints
+        install_copy = protocol.install_copy
+        record_messages = self.traffic.record_all
+        messages_of = transaction_messages
         consume = fast.consume
         hit = fast.hit
         invalidate = fast.invalidate
-        capacity_miss = fast.offchip_miss
         residency = fast._svb_residency
         svbs = fast._svbs
         clocks = fast._clocks
-        install_copy = (
-            protocol.install_copy_ints if protocol._caches is None
-            else protocol.install_copy
-        )
         blocks_map = protocol._blocks
-        inline_hits = protocol._caches is None
 
         is_write_table = TYPE_IS_WRITE
         spin_code = TYPE_SPIN_READ
         read_coherent = READ_COHERENT
         read_spin = READ_SPIN_COHERENT
         read_cold = READ_COLD
-        read_capacity = READ_CAPACITY
 
         n_reads = 0
         n_writes = 0
@@ -705,7 +629,6 @@ class TSESimulator:
         n_consumptions = 0
         n_spin = 0
         n_cold = 0
-        n_capacity = 0
         n_fetched = 0
         n_discards = 0
         n_inline_hits = 0
@@ -715,6 +638,7 @@ class TSESimulator:
                 n_writes += 1
                 if address in residency:
                     n_discards += invalidate(address)
+                record_messages(messages_of(protocol, node, address))
                 write_ints(node, address)
                 continue
 
@@ -728,17 +652,17 @@ class TSESimulator:
                     n_discards += x
                     install_copy(node, address)
                     continue
-                if inline_hits:
-                    block_state = blocks_map.get(address)
-                    if (
-                        block_state is not None
-                        and block_state.held_version.get(node) == block_state.version
-                    ):
-                        n_inline_hits += 1
-                        continue
+                block_state = blocks_map.get(address)
+                if (
+                    block_state is not None
+                    and block_state.held_version.get(node) == block_state.version
+                ):
+                    n_inline_hits += 1
+                    continue
                 code = read_ints(node, address, False)
             else:
                 code = read_ints(node, address, True)
+            record_messages(messages_of(protocol, node, address, code))
 
             if code == read_coherent:
                 n_consumptions += 1
@@ -751,11 +675,6 @@ class TSESimulator:
                 n_cold += 1
                 # Only the LRU time base advances (see the exact loop).
                 clocks[node] += 1
-            elif code == read_capacity:
-                n_capacity += 1
-                d, x = capacity_miss(node, address)
-                n_fetched += d
-                n_discards += x
 
         stats = self.stats
         stats.accesses += n
@@ -765,29 +684,25 @@ class TSESimulator:
         stats.remaining_consumptions += n_consumptions
         stats.spin_misses += n_spin
         stats.cold_misses += n_cold
-        stats.capacity_misses += n_capacity
         stats.blocks_fetched += n_fetched
         stats.discarded_blocks += n_discards
         if n_inline_hits:
             protocol._n_read_hits += n_inline_hits
 
     def _replay_chunk_fast_slim(self, chunk: TraceChunk) -> None:
-        """Fast-plane replay with the coherence protocol inlined (slim shadow).
+        """Fast-plane replay with the coherence protocol inlined.
 
-        Only reachable with the infinite cache model and message emission
-        off (the sweep-scale configuration fast mode exists for).  In that
-        model ``read_ints`` / ``write_ints`` classify purely from the
-        per-block ``(version, last_writer, held_version)`` triple; the
-        directory-entry side effects they also perform (sharers sets,
-        entry state/owner, ``ever_written``) are never read back — not by
-        classification, not by the fast TSE plane (which only follows
-        ``cmob_pointers``), not by any reported statistic.  Inlining the
-        triple updates here removes two function calls and one duplicate
-        block-map probe per access and all per-access set/enum traffic,
-        while keeping the classification sequence — and therefore every
-        tolerance-banded aggregate — identical to the generic fast loop.
-        Capacity misses cannot occur in this model (a held current version
-        is always a hit), so the capacity branch is absent.
+        Reached when traffic accounting is off (the sweep-scale
+        configuration fast mode exists for).  The loop inlines
+        :meth:`~repro.coherence.protocol.CoherenceProtocol.read_ints`,
+        :meth:`~repro.coherence.protocol.CoherenceProtocol.write_ints` and
+        :meth:`~repro.coherence.protocol.CoherenceProtocol.install_copy`
+        exactly: the same updates to each block's ``(version, last_writer,
+        held_version)`` triple, the same classification, the same counters.
+        That removes two function calls and one duplicate block-map probe per
+        access, while the classification sequence stays identical to the
+        traffic-accounting loop's.  Counters are synced into the protocol at
+        chunk end, so ``protocol.stats`` stays truthful.
         """
         nodes_col = chunk.nodes
         n = len(nodes_col)
@@ -829,44 +744,20 @@ class TSESimulator:
                 n_writes += 1
                 if address in residency:
                     n_discards += invalidate(address)
-                # --- write_ints, slim: version/holder updates only ---
+                # --- write_ints ---
                 block = blocks_get(address)
                 if block is None:
                     blocks_map[address] = block = block_state_cls()
                 held_map = block.held_version
-                version = block.version
-                if (
-                    block.last_writer == node
-                    and len(held_map) == 1
-                    and held_map.get(node) == version
-                ):
-                    # Private rewrite: only the version moves.
-                    block.version = version + 1
-                    held_map[node] = version + 1
-                    n_write_hits += 1
-                    continue
-                if held_map.get(node) == version:
+                if node in held_map:
                     n_write_hits += 1
                 else:
                     n_write_misses += 1
-                if held_map:
-                    # Invalidate every copy other than the writer's.
-                    size = len(held_map)
-                    if size == 1:
-                        if node not in held_map:
-                            held_map.clear()
-                    elif size == 2 and node in held_map:
-                        for victim in held_map:
-                            if victim != node:
-                                break
-                        del held_map[victim]
-                    else:
-                        for victim in list(held_map):
-                            if victim != node:
-                                del held_map[victim]
-                block.version = version + 1
+                version = block.version + 1
+                block.version = version
                 block.last_writer = node
-                held_map[node] = version + 1
+                held_map.clear()
+                held_map[node] = version
                 continue
 
             n_reads += 1
@@ -877,13 +768,13 @@ class TSESimulator:
                     d, x = hit(node, address)
                     n_fetched += d
                     n_discards += x
-                    # install_copy, slim: the node now holds the version.
+                    # --- install_copy ---
                     block = blocks_get(address)
                     if block is None:
                         blocks_map[address] = block = block_state_cls()
                     block.held_version[node] = block.version
                     continue
-                # --- read_ints, slim ---
+                # --- read_ints ---
                 block = blocks_get(address)
                 if block is None:
                     blocks_map[address] = block = block_state_cls()

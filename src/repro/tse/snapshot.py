@@ -52,15 +52,16 @@ __all__ = [
 ]
 
 #: Version of the snapshot payload format.  Bump whenever the pickled
-#: simulator's internal representation changes incompatibly (e.g. the PR 5
-#: move to byte-packed CMOB rings and stream-queue FIFOs, which is format 2;
-#: format 1 was the PR 3 list-backed layout).  The version participates in
+#: simulator's internal representation changes incompatibly.  Format 1 was
+#: the list-backed layout, format 2 the byte-packed CMOB rings and
+#: stream-queue FIFOs, and format 3 drops the finite-cache model and the
+#: directory's sharer/owner state.  The version participates in
 #: :func:`snapshot_key`, so persisted pre-refactor snapshots simply never
 #: match — a restore falls back to a cold ramp instead of unpickling an
 #: object whose attributes no longer exist — and it is embedded in the
 #: payload itself so a payload from a mismatched writer is rejected loudly
 #: by :func:`restore` rather than half-restored.
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
 
 
 class SnapshotFormatError(RuntimeError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coherence import CoherenceProtocol, Directory, MessageType
+from repro.coherence import CoherenceProtocol, Directory, MessageType, transaction_messages
 from repro.coherence.messages import CoherenceMessage
 from repro.coherence.protocol import extract_consumptions
 from repro.common.types import AccessType, MemoryAccess, MissClass
@@ -114,31 +114,67 @@ class TestMissClassification:
             assert protocol.version_of(3) == expected
 
 
-class TestFiniteCacheModel:
-    def test_capacity_miss_classified(self):
-        from repro.common.config import CacheConfig
-
-        tiny_l2 = CacheConfig(size_bytes=4 * 64, associativity=1, block_size=64)
-        protocol = CoherenceProtocol(num_nodes=1, cache_model="finite", l2_config=tiny_l2)
-        protocol.process(write(0, 0))
-        # Evict block 0 by filling its (direct-mapped) set with a conflicting block.
-        protocol.process(read(0, 4))
-        result = protocol.process(read(0, 0))
-        assert result.miss_class is MissClass.CAPACITY_MISS
-
-    def test_finite_model_requires_l2_config(self):
-        with pytest.raises(ValueError):
-            CoherenceProtocol(num_nodes=1, cache_model="finite")
+#: Transaction -> its exact baseline message list, on 4 nodes; block 10's
+#: home is node 2.  Each case replays its setup accesses, then derives the
+#: messages of its last access.
+MESSAGE_TABLE = {
+    "read_hit": ([read(0, 10), read(0, 10)], []),
+    "cold_read": ([read(0, 10)], [
+        (MessageType.READ_REQUEST, 0, 2),
+        (MessageType.DATA_REPLY, 2, 0),
+    ]),
+    "coherent_read_three_hop": ([write(1, 10), read(0, 10)], [
+        (MessageType.READ_REQUEST, 0, 2),
+        (MessageType.FORWARD_REQUEST, 2, 1),
+        (MessageType.DATA_REPLY_COHERENT, 1, 0),
+    ]),
+    "coherent_read_producer_is_home": ([write(2, 10), read(0, 10)], [
+        (MessageType.READ_REQUEST, 0, 2),
+        (MessageType.DATA_REPLY_COHERENT, 2, 0),
+    ]),
+    "spin_coherent_miss": ([write(1, 10), read(0, 10, spin=True)], [
+        (MessageType.READ_REQUEST, 0, 2),
+        (MessageType.FORWARD_REQUEST, 2, 1),
+        (MessageType.DATA_REPLY_COHERENT, 1, 0),
+    ]),
+    "write_miss_unread_block": ([write(0, 10)], [
+        (MessageType.READ_EXCLUSIVE_REQUEST, 0, 2),
+        (MessageType.DATA_REPLY, 2, 0),
+    ]),
+    "write_miss_invalidates_sharers": ([write(1, 10), read(3, 10), write(0, 10)], [
+        (MessageType.READ_EXCLUSIVE_REQUEST, 0, 2),
+        (MessageType.INVALIDATE, 2, 1),
+        (MessageType.INVALIDATE_ACK, 1, 0),
+        (MessageType.INVALIDATE, 2, 3),
+        (MessageType.INVALIDATE_ACK, 3, 0),
+        (MessageType.DATA_REPLY, 2, 0),
+    ]),
+    # Sharers 2 (the home) and 3 lose their copies; the home needs no
+    # invalidate pair.
+    "sharer_upgrade_skips_home": ([read(0, 10), read(2, 10), read(3, 10), write(0, 10)], [
+        (MessageType.UPGRADE_REQUEST, 0, 2),
+        (MessageType.INVALIDATE, 2, 3),
+        (MessageType.INVALIDATE_ACK, 3, 0),
+    ]),
+    "private_rewrite": ([write(0, 10), write(0, 10)], []),
+}
 
 
 class TestMessagesAndExtraction:
-    def test_coherent_miss_generates_three_hop_messages(self):
-        protocol = CoherenceProtocol(num_nodes=4, emit_messages=True)
-        protocol.process(write(1, 10))
-        result = protocol.process(read(0, 10))
-        types = [m.msg_type for m in result.messages]
-        assert MessageType.READ_REQUEST in types
-        assert MessageType.DATA_REPLY_COHERENT in types
+    @pytest.mark.parametrize("case", sorted(MESSAGE_TABLE))
+    def test_transaction_messages(self, case):
+        accesses, expected = MESSAGE_TABLE[case]
+        protocol = CoherenceProtocol(num_nodes=4)
+        protocol.process_trace(accesses[:-1])
+        last = accesses[-1]
+        if last.is_write:
+            messages = transaction_messages(protocol, last.node, last.address)
+            protocol.write_ints(last.node, last.address)
+        else:
+            code = protocol.read_ints(last.node, last.address, last.is_spin)
+            messages = transaction_messages(protocol, last.node, last.address, code)
+        assert [(m.msg_type, m.src, m.dst) for m in messages] == expected
+        assert all(m.address == last.address for m in messages)
 
     def test_message_sizes_include_data_payload(self):
         control = CoherenceMessage(MessageType.READ_REQUEST, 0, 1, 5)

@@ -80,8 +80,8 @@ class TestChunkedEmission:
 
 class TestChunkedReplay:
     def test_fast_path_protocol_counters_match_object_path(self):
-        """read_ints/write_ints publish the same classification counters as
-        the object-path protocol methods (the traffic-accounting run)."""
+        """Traffic accounting leaves the protocol's classification counters
+        exactly as a run without it."""
         config = TSEConfig.paper_default(lookahead=8)
         chunked = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
         fast = TSESimulator(4, config)

@@ -59,6 +59,7 @@ class TestTSEConfig:
     @pytest.mark.parametrize("field,value", [
         ("cmob_capacity", 0), ("compared_streams", 0), ("svb_entries", 0),
         ("stream_queues", 0), ("stream_lookahead", -1),
+        ("cmob_pointers_per_block", 1), ("cmob_pointers_per_block", 0),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):

@@ -2,11 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import CacheConfig
+from repro.coherence.protocol import READ_HIT, CoherenceProtocol
 from repro.common.stats import Histogram
 from repro.common.types import block_of, block_to_address
 from repro.interconnect.torus import TorusTopology
-from repro.memory import Cache, LineState
 from repro.tse.cmob import CMOB
 from repro.tse.svb import StreamedValueBuffer
 
@@ -26,24 +25,31 @@ class TestBlockMappingProperties:
         assert same_block == same_base
 
 
-class TestCacheProperties:
-    @given(st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_occupancy_bounded_and_fills_resident(self, blocks):
-        cache = Cache(CacheConfig(size_bytes=64 * 16, associativity=2, block_size=64))
-        for block in blocks:
-            cache.fill(block, LineState.SHARED)
-            assert cache.contains(block)  # the just-filled block is always resident
-            assert cache.occupancy() <= cache.capacity_blocks
+class TestCoherenceProperties:
+    """Infinite caches: every copy is current, so no read is a capacity miss."""
 
-    @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=100))
-    @settings(max_examples=50, deadline=None)
-    def test_invalidate_always_removes(self, blocks):
-        cache = Cache(CacheConfig(size_bytes=64 * 8, associativity=2, block_size=64))
-        for block in blocks:
-            cache.fill(block)
-            cache.invalidate(block)
-            assert not cache.contains(block)
+    steps = st.tuples(
+        st.sampled_from(("read", "spin", "write", "install")),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=7),
+    )
+
+    @given(st.integers(min_value=2, max_value=4), st.lists(steps, max_size=120))
+    @settings(max_examples=80, deadline=None)
+    def test_copies_are_current_and_hits_are_holders(self, num_nodes, trace):
+        protocol = CoherenceProtocol(num_nodes)
+        for op, node, address in trace:
+            node %= num_nodes
+            holder = node in protocol.holders_of(address)
+            if op == "write":
+                assert protocol.write_ints(node, address) == holder
+            elif op == "install":
+                protocol.install_copy(node, address)
+            else:
+                code = protocol.read_ints(node, address, op == "spin")
+                assert (code == READ_HIT) == holder
+            for block in protocol._blocks.values():
+                assert all(v == block.version for v in block.held_version.values())
 
 
 class TestCMOBProperties:
