@@ -28,10 +28,12 @@ def throughputs(artifact: dict) -> Dict[str, float]:
     """Extract {series: rate} from either artifact schema.
 
     Functional-simulator series are keyed by workload name, with the
-    REPRO_FAST_MODE plane (when present) as ``<workload>.fast``; the
-    service scheduler's campaign throughput (PR 4, ``service_throughput``)
-    is keyed ``service`` in jobs/s; the events-enabled submission rate
-    (PR 9, ``events_overhead``) is keyed ``service.events_on``; the
+    REPRO_FAST_MODE plane (when present) as ``<workload>.fast`` and the
+    traffic-accounted exact replay (when present) as ``<workload>.traffic``;
+    the service scheduler's campaign throughput (PR 4,
+    ``service_throughput``) is keyed ``service`` in jobs/s; the
+    events-enabled submission rate (PR 9, ``events_overhead``) is keyed
+    ``service.events_on``; the
     checksummed-store submission rate (PR 10, ``store_integrity``) is
     keyed ``service.checksums_on``.  Series absent on either side are
     skipped, so older artifacts compare cleanly.
@@ -45,9 +47,10 @@ def throughputs(artifact: dict) -> Dict[str, float]:
             if entry.get("accesses_per_s")
         }
         for workload, entry in per_class.items():
-            fast = entry.get("fast_mode") or {}
-            if fast.get("accesses_per_s"):
-                series[f"{workload}.fast"] = float(fast["accesses_per_s"])
+            for suffix, field in (("fast", "fast_mode"), ("traffic", "traffic")):
+                plane = entry.get(field) or {}
+                if plane.get("accesses_per_s"):
+                    series[f"{workload}.{suffix}"] = float(plane["accesses_per_s"])
     else:
         value = functional.get("accesses_per_s")
         workload = functional.get("workload", "db2")

@@ -29,6 +29,11 @@ seconds of wall clock):
             "fast_mode": {            # same point through REPRO_FAST_MODE
               "wallclock_s": <s>, "accesses_per_s": <n / s>,
               "speedup_vs_exact": <exact wallclock / fast wallclock>
+            },
+            "traffic": {              # same exact point, traffic accounted
+              "wallclock_s": <best of two, 4x4 torus accountant attached>,
+              "accesses_per_s": <n / s>,
+              "slowdown_vs_exact": <traffic wallclock / exact wallclock>
             }
           }, ...
         },
@@ -151,26 +156,34 @@ def _functional_throughput():
     replayed through the columnar fast path at its paper lookahead.  db2's
     numbers are duplicated at the top level for continuity with the
     db2-only series PR 1 started.  Each class is then replayed once more
-    through REPRO_FAST_MODE so the fast plane's throughput is tracked (and
-    regression-gated) alongside the exact plane's.
+    through REPRO_FAST_MODE, and once more through the exact plane with
+    traffic accounting on (Figure 11's configuration), so the fast plane's
+    and the traffic plane's throughputs are tracked (and regression-gated)
+    alongside the exact plane's.
     """
     from repro.common.chunk import stream_chunk_size
     from repro.common.config import (
         DEFAULT_WARMUP_FRACTION,
         PAPER_LOOKAHEAD,
+        SystemConfig,
         TSEConfig,
     )
     from repro.experiments.runner import trace_for
     from repro.tse.simulator import run_tse_on_trace
 
     accesses = min(BENCH_ACCESSES, 80_000)
+    interconnect = SystemConfig.isca2005().interconnect
     per_class = {}
     for workload in BENCH_WORKLOADS:
         lookahead = PAPER_LOOKAHEAD.get(workload, 8)
         trace = trace_for(workload, accesses, 42)
         config = TSEConfig.paper_default(lookahead=lookahead)
         timings = {}
-        for mode in ("exact", "fast"):
+        for series, mode, traffic in (
+            ("exact", "exact", False),
+            ("fast", "fast", False),
+            ("traffic", "exact", True),
+        ):
             # Best of two: single runs swing ±35% on shared containers,
             # which is too noisy for a 25%-threshold regression gate.
             samples = []
@@ -179,10 +192,13 @@ def _functional_throughput():
                 run_tse_on_trace(
                     trace, config,
                     warmup_fraction=DEFAULT_WARMUP_FRACTION, mode=mode,
+                    account_traffic=traffic,
+                    interconnect_config=interconnect if traffic else None,
                 )
                 samples.append(time.perf_counter() - start)
-            timings[mode] = min(samples)
+            timings[series] = min(samples)
         elapsed, fast_elapsed = timings["exact"], timings["fast"]
+        traffic_elapsed = timings["traffic"]
         per_class[workload] = {
             "accesses": accesses,
             "lookahead": lookahead,
@@ -195,6 +211,15 @@ def _functional_throughput():
                 ),
                 "speedup_vs_exact": (
                     round(elapsed / fast_elapsed, 3) if fast_elapsed > 0 else 0.0
+                ),
+            },
+            "traffic": {
+                "wallclock_s": round(traffic_elapsed, 3),
+                "accesses_per_s": (
+                    round(accesses / traffic_elapsed) if traffic_elapsed > 0 else 0
+                ),
+                "slowdown_vs_exact": (
+                    round(traffic_elapsed / elapsed, 3) if elapsed > 0 else 0.0
                 ),
             },
         }

@@ -12,11 +12,14 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_hotpath.py db2 --mode both --top 12
     PYTHONPATH=src python benchmarks/profile_hotpath.py apache --accesses 160000 --top 30
     PYTHONPATH=src python benchmarks/profile_hotpath.py em3d --sort tottime
+    PYTHONPATH=src python benchmarks/profile_hotpath.py db2 --traffic
 
 ``--mode fast`` profiles the REPRO_FAST_MODE batched plane instead of the
 exact pipeline; ``--mode both`` profiles each plane once and prints a
 side-by-side top-N table (ranked by the fast plane's self time), so the
-residual fast-mode bottleneck is visible at a glance.
+residual fast-mode bottleneck is visible at a glance.  ``--traffic``
+attaches the traffic accountant (Figure 11's configuration), so the traffic
+plane is profiled together with the replay plane it rides on.
 
 Note that ``cProfile`` charges ~0.5µs per function call, which inflates
 call-heavy code relative to slice/``memcmp``-heavy code — confirm any
@@ -32,27 +35,28 @@ import pstats
 import time
 
 
-def _run_once(trace, config, mode: str) -> float:
-    """One uncached replay; returns wall-clock seconds."""
+def _replay(trace, config, mode: str, traffic: bool) -> None:
+    """One uncached replay, traffic-accounted on request."""
     from repro.common.config import DEFAULT_WARMUP_FRACTION
     from repro.tse.simulator import run_tse_on_trace
 
-    start = time.perf_counter()
     run_tse_on_trace(
-        trace, config, warmup_fraction=DEFAULT_WARMUP_FRACTION, mode=mode
+        trace, config, warmup_fraction=DEFAULT_WARMUP_FRACTION, mode=mode,
+        account_traffic=traffic,
     )
+
+
+def _run_once(trace, config, mode: str, traffic: bool) -> float:
+    """One uncached replay; returns wall-clock seconds."""
+    start = time.perf_counter()
+    _replay(trace, config, mode, traffic)
     return time.perf_counter() - start
 
 
-def _profile_once(trace, config, mode: str) -> pstats.Stats:
-    from repro.common.config import DEFAULT_WARMUP_FRACTION
-    from repro.tse.simulator import run_tse_on_trace
-
+def _profile_once(trace, config, mode: str, traffic: bool) -> pstats.Stats:
     profile = cProfile.Profile()
     profile.enable()
-    run_tse_on_trace(
-        trace, config, warmup_fraction=DEFAULT_WARMUP_FRACTION, mode=mode
-    )
+    _replay(trace, config, mode, traffic)
     profile.disable()
     return pstats.Stats(profile)
 
@@ -103,6 +107,9 @@ def main() -> int:
                         default="exact",
                         help="replay pipeline to profile; 'both' prints a "
                         "side-by-side top-N self-time table")
+    parser.add_argument("--traffic", action="store_true",
+                        help="attach the traffic accountant (Figure 11's "
+                        "configuration) to the profiled replay")
     parser.add_argument("--top", type=int, default=20,
                         help="number of functions to print (default 20)")
     parser.add_argument("--sort", choices=("cumulative", "tottime"),
@@ -125,9 +132,10 @@ def main() -> int:
     # overhead (and a throughput comparison when profiling both planes).
     elapsed = {}
     for mode in modes:
-        elapsed[mode] = _run_once(trace, config, mode)
+        elapsed[mode] = _run_once(trace, config, mode, args.traffic)
+        label = f"{mode}, traffic" if args.traffic else mode
         print(
-            f"{args.workload} [{mode}]: {args.accesses} accesses in "
+            f"{args.workload} [{label}]: {args.accesses} accesses in "
             f"{elapsed[mode]:.3f}s ({args.accesses / elapsed[mode]:,.0f} "
             f"accesses/s, lookahead {lookahead})"
         )
@@ -136,12 +144,12 @@ def main() -> int:
     print()
 
     if args.mode == "both":
-        exact_stats = _profile_once(trace, config, "exact")
-        fast_stats = _profile_once(trace, config, "fast")
+        exact_stats = _profile_once(trace, config, "exact", args.traffic)
+        fast_stats = _profile_once(trace, config, "fast", args.traffic)
         print(_side_by_side(exact_stats, fast_stats, args.top))
         return 0
 
-    stats = _profile_once(trace, config, args.mode)
+    stats = _profile_once(trace, config, args.mode, args.traffic)
     out = io.StringIO()
     stats.stream = out
     stats.sort_stats(args.sort).print_stats(args.top)

@@ -75,6 +75,12 @@ def bandwidth_overhead(
 
     ``stats`` must come from a :class:`TSESimulator` created with
     ``account_traffic=True`` (its ``traffic`` field holds the byte volumes).
+
+    The two halves cover different windows.  The traffic volumes span the
+    whole trace, warm-up included (the simulator's warm-up reset leaves its
+    traffic accountant running), and are divided by the whole trace's
+    estimated time.  ``pin_overhead_ratio`` uses the TSE counters, which
+    cover only the measured window after warm-up.
     """
     system = system if system is not None else SystemConfig.isca2005()
     if stats.traffic is None:

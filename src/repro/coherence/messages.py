@@ -1,18 +1,20 @@
-"""Coherence and streaming message types with size accounting.
+"""Coherence and streaming message vocabulary with size accounting.
 
 Interconnect bandwidth overhead (Figure 11) is computed from the byte volume
 of messages crossing the network bisection, so every message type declares
 its payload size.  Sizes follow the paper's accounting: 64-byte data blocks,
 6-byte address entries for streamed addresses, small control messages.
+
+Messages are never built as objects.  Each :class:`MessageType` has a small
+int *kind* (its position in :data:`MESSAGE_TYPES`, exported below as one
+constant per type), emitters pass ``(kind, src, dst)`` to the traffic
+accountant, and :data:`PAYLOAD_BYTES` gives each kind's payload size.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
-
-from repro.common.types import BlockAddress, NodeId
+from typing import Tuple
 
 #: Control-message payload (request/ack): address + type + ids.
 CONTROL_PAYLOAD_BYTES = 8
@@ -48,15 +50,6 @@ class MessageType(enum.Enum):
     STREAMED_DATA_REPLY = "streamed_data_reply"
 
     @property
-    def carries_data(self) -> bool:
-        return self in (
-            MessageType.DATA_REPLY,
-            MessageType.DATA_REPLY_COHERENT,
-            MessageType.WRITEBACK,
-            MessageType.STREAMED_DATA_REPLY,
-        )
-
-    @property
     def is_tse_overhead(self) -> bool:
         """True for messages added by TSE beyond the baseline protocol.
 
@@ -74,43 +67,37 @@ class MessageType(enum.Enum):
         )
 
 
-@dataclass
-class CoherenceMessage:
-    """One message traversing the interconnect.
+#: Every message type in kind order: kind ``k`` is ``MESSAGE_TYPES[k]``.
+MESSAGE_TYPES: Tuple[MessageType, ...] = tuple(MessageType)
 
-    Attributes:
-        msg_type: Kind of message.
-        src: Sending node.
-        dst: Receiving node.
-        address: Block the message concerns (stream messages use the head).
-        num_addresses: For ADDRESS_STREAM messages, how many address entries
-            the packet carries.
-        payload_bytes: Explicit payload override; computed from the type when
-            left at None.
-    """
+# One small-int kind per type, in enum order, for the emitting hot paths.
+(
+    READ_REQUEST,
+    READ_EXCLUSIVE_REQUEST,
+    UPGRADE_REQUEST,
+    DATA_REPLY,
+    DATA_REPLY_COHERENT,
+    FORWARD_REQUEST,
+    INVALIDATE,
+    INVALIDATE_ACK,
+    WRITEBACK,
+    WRITEBACK_ACK,
+    DOWNGRADE,
+    CMOB_POINTER_UPDATE,
+    STREAM_REQUEST,
+    ADDRESS_STREAM,
+    STREAMED_DATA_REQUEST,
+    STREAMED_DATA_REPLY,
+) = range(len(MESSAGE_TYPES))
 
-    msg_type: MessageType
-    src: NodeId
-    dst: NodeId
-    address: BlockAddress = 0
-    num_addresses: int = 0
-    payload_bytes: Optional[int] = None
+_DATA_KINDS = (DATA_REPLY, DATA_REPLY_COHERENT, WRITEBACK, STREAMED_DATA_REPLY)
 
-    def size_bytes(self, header_bytes: int = 16) -> int:
-        """Total wire size including the routing header."""
-        if self.payload_bytes is not None:
-            payload = self.payload_bytes
-        elif self.msg_type.carries_data:
-            payload = DATA_PAYLOAD_BYTES + CONTROL_PAYLOAD_BYTES
-        elif self.msg_type is MessageType.ADDRESS_STREAM:
-            payload = CONTROL_PAYLOAD_BYTES + self.num_addresses * STREAM_ADDRESS_BYTES
-        elif self.msg_type is MessageType.CMOB_POINTER_UPDATE:
-            payload = CONTROL_PAYLOAD_BYTES + CMOB_POINTER_BYTES
-        else:
-            payload = CONTROL_PAYLOAD_BYTES
-        return header_bytes + payload
-
-    @property
-    def is_local(self) -> bool:
-        """True when source and destination are the same node (no hop cost)."""
-        return self.src == self.dst
+#: Payload bytes of one message, per kind, excluding the routing header.
+#: An ADDRESS_STREAM message adds :data:`STREAM_ADDRESS_BYTES` per address
+#: it carries on top of its control payload.
+PAYLOAD_BYTES: Tuple[int, ...] = tuple(
+    DATA_PAYLOAD_BYTES + CONTROL_PAYLOAD_BYTES if kind in _DATA_KINDS
+    else CONTROL_PAYLOAD_BYTES + CMOB_POINTER_BYTES if kind == CMOB_POINTER_UPDATE
+    else CONTROL_PAYLOAD_BYTES
+    for kind in range(len(MESSAGE_TYPES))
+)

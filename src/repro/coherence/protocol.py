@@ -23,17 +23,26 @@ write invalidates every other copy.  A read miss is
 :meth:`CoherenceProtocol.read_ints`, :meth:`~CoherenceProtocol.write_ints`
 and :meth:`~CoherenceProtocol.install_copy` are the whole state machine;
 :meth:`~CoherenceProtocol.process` is an object view over them, and
-:func:`transaction_messages` derives a transaction's baseline message
-sequence from the same block state for traffic accounting.
+:func:`transaction_messages` emits a transaction's baseline messages,
+derived from the same block state, for traffic accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.coherence.directory import Directory
-from repro.coherence.messages import CoherenceMessage, MessageType
+from repro.coherence.messages import (
+    DATA_REPLY,
+    DATA_REPLY_COHERENT,
+    FORWARD_REQUEST,
+    INVALIDATE,
+    INVALIDATE_ACK,
+    READ_EXCLUSIVE_REQUEST,
+    READ_REQUEST,
+    UPGRADE_REQUEST,
+)
 from repro.common.stats import StatsRegistry, publish_counters
 from repro.common.types import BlockAddress, Consumption, MemoryAccess, MissClass, NodeId
 
@@ -209,14 +218,19 @@ def transaction_messages(
     protocol: CoherenceProtocol,
     node: NodeId,
     address: BlockAddress,
+    emit: Callable[[int, NodeId, NodeId], None],
     read_code: Optional[int] = None,
-) -> List[CoherenceMessage]:
-    """Baseline protocol messages of one transaction, derived from block state.
+) -> None:
+    """Emit the baseline protocol messages of one transaction.
 
-    For a read, pass the ``READ_*`` code :meth:`CoherenceProtocol.read_ints`
-    returned and call *after* the read.  For a write, leave ``read_code``
-    as None and call *before* :meth:`CoherenceProtocol.write_ints`: the
-    messages depend on the holder set the write is about to invalidate.
+    Each message goes to ``emit(kind, src, dst)`` as a small-int kind from
+    :mod:`repro.coherence.messages`; the traffic plane passes
+    :meth:`~repro.interconnect.network.TrafficAccountant.emit`, which
+    counts it.  For a read, pass the ``READ_*`` code
+    :meth:`CoherenceProtocol.read_ints` returned and call *after* the read.
+    For a write, leave ``read_code`` as None and call *before*
+    :meth:`CoherenceProtocol.write_ints`: the messages depend on the holder
+    set the write is about to invalidate.
 
     * Cold read: request to the home, data reply from the home.
     * Coherent (or spin) read: the home forwards the request to the
@@ -232,34 +246,32 @@ def transaction_messages(
     home = protocol.directory.home_of(address)
     if read_code is not None:
         if read_code == READ_HIT:
-            return []
-        request = CoherenceMessage(MessageType.READ_REQUEST, node, home, address)
+            return
+        emit(READ_REQUEST, node, home)
         if read_code == READ_COLD:
-            return [request, CoherenceMessage(MessageType.DATA_REPLY, home, node, address)]
+            emit(DATA_REPLY, home, node)
+            return
         producer = protocol._blocks[address].last_writer
         if producer != home:
-            return [
-                request,
-                CoherenceMessage(MessageType.FORWARD_REQUEST, home, producer, address),
-                CoherenceMessage(MessageType.DATA_REPLY_COHERENT, producer, node, address),
-            ]
-        return [request, CoherenceMessage(MessageType.DATA_REPLY_COHERENT, home, node, address)]
+            emit(FORWARD_REQUEST, home, producer)
+            emit(DATA_REPLY_COHERENT, producer, node)
+        else:
+            emit(DATA_REPLY_COHERENT, home, node)
+        return
 
     block = protocol._blocks.get(address)
     holders = block.held_version if block is not None else {}
     had_copy = node in holders
     if had_copy and len(holders) == 1:
-        return []  # silent upgrade of an exclusive copy
-    kind = MessageType.UPGRADE_REQUEST if had_copy else MessageType.READ_EXCLUSIVE_REQUEST
-    messages = [CoherenceMessage(kind, node, home, address)]
+        return  # silent upgrade of an exclusive copy
+    emit(UPGRADE_REQUEST if had_copy else READ_EXCLUSIVE_REQUEST, node, home)
     for victim in holders:
         if victim == node or victim == home:
             continue
-        messages.append(CoherenceMessage(MessageType.INVALIDATE, home, victim, address))
-        messages.append(CoherenceMessage(MessageType.INVALIDATE_ACK, victim, node, address))
+        emit(INVALIDATE, home, victim)
+        emit(INVALIDATE_ACK, victim, node)
     if not had_copy:
-        messages.append(CoherenceMessage(MessageType.DATA_REPLY, home, node, address))
-    return messages
+        emit(DATA_REPLY, home, node)
 
 
 def extract_consumptions(

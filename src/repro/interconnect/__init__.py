@@ -1,6 +1,6 @@
-"""2D torus interconnect model: topology, routing, latency and bandwidth."""
+"""2D torus interconnect model: topology, routing and traffic accounting."""
 
-from repro.interconnect.network import Network, TrafficAccountant
+from repro.interconnect.network import TrafficAccountant
 from repro.interconnect.torus import TorusTopology
 
-__all__ = ["TorusTopology", "Network", "TrafficAccountant"]
+__all__ = ["TorusTopology", "TrafficAccountant"]

@@ -1,139 +1,114 @@
-"""Interconnect latency and traffic accounting.
+"""Interconnect traffic accounting.
 
-The :class:`Network` answers "how long does this message take" for the timing
-model, and the :class:`TrafficAccountant` accumulates byte volumes — total,
-per message category, and across the bisection — for the bandwidth overhead
-results (Figure 11 and the Section 5.4 pin-bandwidth discussion).
+The :class:`TrafficAccountant` accumulates byte volumes — total, per message
+category, and across the bisection — for the bandwidth overhead results
+(Figure 11 and the Section 5.4 pin-bandwidth discussion).  Message latency
+for the timing model lives in :mod:`repro.node.latency`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
-from repro.coherence.messages import CoherenceMessage, MessageType
+from repro.coherence.messages import (
+    ADDRESS_STREAM,
+    MESSAGE_TYPES,
+    PAYLOAD_BYTES,
+    STREAM_ADDRESS_BYTES,
+)
 from repro.common.config import InterconnectConfig
-from repro.common.stats import StatsRegistry
 from repro.common.types import NodeId
 from repro.interconnect.torus import TorusTopology
 
 
-class Network:
-    """Latency model for the 2D torus.
-
-    Message latency = hops x hop_latency + serialization of the payload over
-    a link whose bandwidth is the bisection bandwidth divided by the number
-    of bisection links (a standard first-order approximation).
-    """
-
-    def __init__(self, config: InterconnectConfig) -> None:
-        self.config = config
-        self.topology = TorusTopology.from_config(config)
-        # A width x height torus has 2*height wrap+direct links crossing the
-        # X bisection (2 per row: one direct, one wrap-around).
-        self._bisection_links = max(2 * config.height, 1)
-        self._link_bandwidth_gbps = config.bisection_bandwidth_gbps / self._bisection_links
-
-    def hop_count(self, src: NodeId, dst: NodeId) -> int:
-        return self.topology.hop_count(src, dst)
-
-    def message_latency_ns(self, message: CoherenceMessage) -> float:
-        """End-to-end latency of one message in nanoseconds."""
-        hops = self.topology.hop_count(message.src, message.dst)
-        if hops == 0:
-            return 0.0
-        propagation = hops * self.config.hop_latency_ns
-        bytes_on_wire = message.size_bytes(self.config.header_bytes)
-        serialization = bytes_on_wire / self._link_bandwidth_gbps  # GB/s == bytes/ns
-        return propagation + serialization
-
-    def round_trip_ns(self, src: NodeId, dst: NodeId, data_bytes: int = 64) -> float:
-        """Request/response round trip latency between two nodes."""
-        request = CoherenceMessage(MessageType.READ_REQUEST, src, dst)
-        reply = CoherenceMessage(MessageType.DATA_REPLY, dst, src, payload_bytes=data_bytes)
-        return self.message_latency_ns(request) + self.message_latency_ns(reply)
-
-
-@dataclass
-class TrafficTotals:
-    """Accumulated traffic volumes in bytes."""
-
-    total_bytes: int = 0
-    bisection_bytes: int = 0
-    by_type: Dict[MessageType, int] = field(default_factory=dict)
-
-    def add(self, msg_type: MessageType, size: int, crosses_bisection: bool) -> None:
-        self.total_bytes += size
-        if crosses_bisection:
-            self.bisection_bytes += size
-        self.by_type[msg_type] = self.by_type.get(msg_type, 0) + size
-
-
 class TrafficAccountant:
-    """Accumulates message traffic, split into baseline and TSE-overhead.
+    """Counts interconnect messages and folds them into byte volumes.
 
     Figure 11 reports the *overhead* bandwidth: traffic added by TSE beyond
     the baseline system.  Correctly streamed data blocks replace baseline
     coherent-read fills one-for-one, so they are not overhead; discarded
     (erroneously streamed) blocks, streamed address packets, stream requests
     and CMOB pointer updates are.
+
+    Emitters pass small-int message kinds from
+    :mod:`repro.coherence.messages` to :meth:`emit` (and ADDRESS_STREAM
+    packets to :meth:`emit_addresses`); each call is one increment in a
+    flat count table, with no message object and no routing query.
+    :meth:`snapshot` folds counts x sizes once: node-local messages are
+    dropped and bisection bytes come from a per-pair table built once from
+    the torus.
+
+    Counts accumulate from construction to :meth:`snapshot`.  A simulator's
+    warm-up reset restarts its TSE counters but not this accountant, so the
+    traffic volumes cover the whole trace, warm-up window included.
     """
 
     def __init__(self, config: InterconnectConfig) -> None:
         self.config = config
-        self.topology = TorusTopology.from_config(config)
-        self.stats = StatsRegistry(prefix="traffic")
-        self.baseline = TrafficTotals()
-        self.overhead = TrafficTotals()
+        topology = TorusTopology.from_config(config)
+        n = topology.num_nodes
+        self._num_nodes = n
+        #: Message counts, flat-indexed ``(kind * n + src) * n + dst``.
+        self._counts = [0] * (len(MESSAGE_TYPES) * n * n)
+        #: Addresses carried by ADDRESS_STREAM messages, per ``src * n + dst``.
+        self._addresses = [0] * (n * n)
+        #: ``src * n + dst`` indices of the node pairs whose messages travel
+        #: the network, and of those whose route crosses the bisection.
+        self._remote_pairs = [
+            src * n + dst for src in range(n) for dst in range(n) if src != dst
+        ]
+        self._crossing_pairs = [
+            src * n + dst for src in range(n) for dst in range(n)
+            if topology.crosses_bisection(src, dst)
+        ]
 
-    def record(self, message: CoherenceMessage, overhead: Optional[bool] = None) -> None:
-        """Record one message.
+    def emit(self, kind: int, src: NodeId, dst: NodeId) -> None:
+        """Count one message of ``kind`` from ``src`` to ``dst``."""
+        n = self._num_nodes
+        self._counts[(kind * n + src) * n + dst] += 1
 
-        Args:
-            message: The message to account for.
-            overhead: Force the overhead/baseline classification; when None
-                the message type's ``is_tse_overhead`` property decides.
-        """
-        if message.is_local:
-            return
-        size = message.size_bytes(self.config.header_bytes)
-        crosses = self.topology.crosses_bisection(message.src, message.dst)
-        is_overhead = message.msg_type.is_tse_overhead if overhead is None else overhead
-        target = self.overhead if is_overhead else self.baseline
-        target.add(message.msg_type, size, crosses)
-
-    def record_all(self, messages: Iterable[CoherenceMessage]) -> None:
-        for message in messages:
-            self.record(message)
-
-    # ------------------------------------------------------------- reporting
-    def overhead_ratio(self) -> float:
-        """Overhead traffic as a fraction of baseline traffic (Figure 11 labels)."""
-        if not self.baseline.total_bytes:
-            return 0.0
-        return self.overhead.total_bytes / self.baseline.total_bytes
-
-    def bisection_bandwidth_gbps(self, elapsed_ns: float, overhead_only: bool = True) -> float:
-        """Average bisection bandwidth in GB/s over an interval.
-
-        Bytes / ns == GB/s, so the conversion is direct.
-        """
-        if elapsed_ns <= 0:
-            return 0.0
-        volume = self.overhead.bisection_bytes if overhead_only else (
-            self.overhead.bisection_bytes + self.baseline.bisection_bytes
-        )
-        return volume / elapsed_ns
+    def emit_addresses(self, src: NodeId, dst: NodeId, count: int) -> None:
+        """Count one ADDRESS_STREAM message carrying ``count`` addresses."""
+        n = self._num_nodes
+        self._counts[(ADDRESS_STREAM * n + src) * n + dst] += 1
+        self._addresses[src * n + dst] += count
 
     def snapshot(self) -> Dict[str, float]:
-        """Flat dictionary of traffic volumes for the experiment harness."""
-        out: Dict[str, float] = {
-            "baseline.total_bytes": float(self.baseline.total_bytes),
-            "baseline.bisection_bytes": float(self.baseline.bisection_bytes),
-            "overhead.total_bytes": float(self.overhead.total_bytes),
-            "overhead.bisection_bytes": float(self.overhead.bisection_bytes),
-            "overhead.ratio": self.overhead_ratio(),
+        """Flat dictionary of traffic volumes for the experiment harness.
+
+        Baseline and overhead totals, their bisection shares, the overhead
+        ratio, and ``overhead.<type>_bytes`` for each overhead type that
+        sent at least one message between distinct nodes.
+        """
+        pairs = self._num_nodes ** 2
+        header = self.config.header_bytes
+        remote = self._remote_pairs
+        crossing = self._crossing_pairs
+        addresses = self._addresses
+        totals = {False: [0, 0], True: [0, 0]}  # is overhead -> [total, bisection]
+        by_type: Dict[str, float] = {}
+        for kind, msg_type in enumerate(MESSAGE_TYPES):
+            row = self._counts[kind * pairs:(kind + 1) * pairs]
+            size = header + PAYLOAD_BYTES[kind]
+            volume = size * sum(row[pair] for pair in remote)
+            bisection = size * sum(row[pair] for pair in crossing)
+            if kind == ADDRESS_STREAM:
+                volume += STREAM_ADDRESS_BYTES * sum(addresses[pair] for pair in remote)
+                bisection += STREAM_ADDRESS_BYTES * sum(
+                    addresses[pair] for pair in crossing
+                )
+            target = totals[msg_type.is_tse_overhead]
+            target[0] += volume
+            target[1] += bisection
+            if msg_type.is_tse_overhead and volume:
+                by_type[f"overhead.{msg_type.value}_bytes"] = float(volume)
+        baseline_total, baseline_bisection = totals[False]
+        overhead_total, overhead_bisection = totals[True]
+        return {
+            "baseline.total_bytes": float(baseline_total),
+            "baseline.bisection_bytes": float(baseline_bisection),
+            "overhead.total_bytes": float(overhead_total),
+            "overhead.bisection_bytes": float(overhead_bisection),
+            "overhead.ratio": overhead_total / baseline_total if baseline_total else 0.0,
+            **by_type,
         }
-        for msg_type, volume in self.overhead.by_type.items():
-            out[f"overhead.{msg_type.value}_bytes"] = float(volume)
-        return out

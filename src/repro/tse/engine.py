@@ -25,20 +25,27 @@ reads).  Refills are driven by the engine's *eligibility* set — only queues
 with a FIFO actually at or below the refill threshold are visited, so the
 common consumption pays a single empty-set check.
 
-Message objects are only constructed when a message sink is attached
-(traffic accounting); the common no-sink path pays nothing for them.
-Counters are plain ints published into the ``StatsRegistry`` lazily.
+Messages are counted only when a traffic accountant is attached; each
+sink site is one ``emit`` call behind a None check, and the common
+accounting-free path pays only that check.  Counters are plain ints
+published into the ``StatsRegistry`` lazily.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.coherence.directory import Directory, DirectoryEntry
-from repro.coherence.messages import CoherenceMessage, MessageType
+from repro.coherence.messages import (
+    CMOB_POINTER_UPDATE,
+    STREAM_REQUEST,
+    STREAMED_DATA_REPLY,
+    STREAMED_DATA_REQUEST,
+)
 from repro.common.config import TSEConfig
 from repro.common.stats import StatsRegistry, publish_counters
 from repro.common.types import BlockAddress, NodeId
+from repro.interconnect.network import TrafficAccountant
 from repro.tse.cmob import CMOB
 from repro.tse.layout import SLOT_BYTEORDER, SLOT_BYTES, SLOT_SHIFT
 from repro.tse.stream_engine import CandidateStream, FetchBatch, StreamEngine
@@ -67,22 +74,14 @@ class NodeTSE:
                          entry_bytes=config.cmob_entry_bytes)
         self.engine = StreamEngine(config, node_id=node_id)
 
-    def record_order(self, address: BlockAddress) -> int:
-        """Append a consumption (or useful streamed hit) to the CMOB."""
-        return self.cmob.append(address)
-
-    def read_stream(self, start_offset: int, count: int):
-        """Serve a stream request against this node's CMOB (packed window)."""
-        return self.cmob.read_stream(start_offset, count)
-
 
 class TemporalStreamingSystem:
     """System-wide TSE: all node controllers plus the directory extension.
 
     The class is *functional*: it decides which blocks get streamed where and
-    emits the corresponding messages, but charges no latency — the timing
-    model layers latency on top, and the trace-driven simulator uses it
-    directly for coverage/discard studies.
+    counts the corresponding messages into ``traffic`` (when given), but
+    charges no latency — the timing model layers latency on top, and the
+    trace-driven simulator uses it directly for coverage/discard studies.
     """
 
     def __init__(
@@ -90,7 +89,7 @@ class TemporalStreamingSystem:
         num_nodes: int,
         config: TSEConfig,
         directory: Directory,
-        message_sink: Optional[Callable[[CoherenceMessage], None]] = None,
+        traffic: Optional[TrafficAccountant] = None,
     ) -> None:
         self.num_nodes = num_nodes
         self.config = config
@@ -99,9 +98,9 @@ class TemporalStreamingSystem:
         #: Direct CMOB references (one attribute hop saved per stream read).
         self._cmobs = [node.cmob for node in self.nodes]
         self._stats = StatsRegistry(prefix="tse")
-        self._message_sink = message_sink
+        self._traffic = traffic
         #: System-wide count of SVB entries per block address, maintained by
-        #: the system-level entry points (deliver_block / on_svb_hit /
+        #: the system-level entry points (deliver_all / on_svb_hit /
         #: on_write / drain) so writes to blocks no SVB holds — the vast
         #: majority — skip the per-node invalidate loop entirely.
         self._svb_residency: Dict[BlockAddress, int] = {}
@@ -143,51 +142,6 @@ class TemporalStreamingSystem:
         """Does the node's SVB currently hold the block? (no side effects)"""
         return self.nodes[node_id].engine.lookup(address) is not None
 
-    # --------------------------------------------------------------- recording
-    def _record_and_update_pointer(self, node_id: NodeId, address: BlockAddress) -> int:
-        """Record the order and push the CMOB pointer to the home directory.
-
-        One pointer is recorded per consumption and per SVB hit, so the CMOB
-        append and the directory pointer-list update are inlined here.
-
-        KEEP IN SYNC: ``on_consumption`` and ``on_svb_hit`` inline this body
-        (as they do ``StreamEngine.accept_streams``) on the replay hot path;
-        behavioral changes here must be mirrored in both.
-        """
-        directory = self.directory
-        # Inline CMOB.append (one call per consumption/hit).
-        cmob = self._cmobs[node_id]
-        offset = cmob._appended
-        data = cmob._data
-        slot = (offset % cmob.capacity) << _SHIFT
-        if slot == len(data):
-            data += address.to_bytes(_SLOT, _ORDER)
-        else:
-            data[slot:slot + _SLOT] = address.to_bytes(_SLOT, _ORDER)
-        cmob._appended = offset + 1
-        entries = directory._entries
-        entry = entries.get(address)
-        if entry is None:
-            entry = DirectoryEntry()
-            entries[address] = entry
-        pointers = entry.cmob_pointers
-        for i in range(len(pointers)):
-            if pointers[i][0] == node_id:
-                del pointers[i]
-                break
-        pointers.insert(0, (node_id, offset))
-        keep = directory.cmob_pointers_per_block
-        if len(pointers) > keep:
-            del pointers[keep:]
-        directory._n_cmob_pointer_updates += 1
-        if self._message_sink is not None:
-            home = directory.home_of(address)
-            self._message_sink(
-                CoherenceMessage(MessageType.CMOB_POINTER_UPDATE, node_id, home, address)
-            )
-        self._n_cmob_appends += 1
-        return offset
-
     # ------------------------------------------------------------ consumptions
     def on_consumption(self, node_id: NodeId, address: BlockAddress) -> StreamDelivery:
         """A coherent read miss (consumption) occurred at ``node_id``.
@@ -201,7 +155,7 @@ class TemporalStreamingSystem:
         Returns ``(queue_id, fetch_batches)``.
         """
         engine = self.nodes[node_id].engine
-        sink = self._message_sink
+        traffic = self._traffic
         directory = self.directory
         queue_id = -1
 
@@ -225,7 +179,7 @@ class TemporalStreamingSystem:
         streams: List[CandidateStream] = []
         cmobs = self._cmobs
         if pointers:
-            home = directory.home_of(address) if sink is not None else -1
+            home = directory.home_of(address) if traffic is not None else -1
             queue_depth = self.config.queue_depth
             for pointer_node, pointer_offset in pointers:
                 # The stream starts *after* the head (its data already came
@@ -235,24 +189,12 @@ class TemporalStreamingSystem:
                 start = pointer_offset + 1
                 window = bytearray()
                 count = cmobs[pointer_node].extend_into(window, start, queue_depth)
-                if sink is not None:
-                    sink(
-                        CoherenceMessage(
-                            MessageType.STREAM_REQUEST, home, pointer_node, address
-                        )
-                    )
+                if traffic is not None:
+                    traffic.emit(STREAM_REQUEST, home, pointer_node)
                 if not count:
                     continue
-                if sink is not None:
-                    sink(
-                        CoherenceMessage(
-                            MessageType.ADDRESS_STREAM,
-                            pointer_node,
-                            node_id,
-                            address,
-                            num_addresses=count,
-                        )
-                    )
+                if traffic is not None:
+                    traffic.emit_addresses(pointer_node, node_id, count)
                 streams.append((pointer_node, start + count, window))
                 self._n_streams_forwarded += 1
 
@@ -356,13 +298,8 @@ class TemporalStreamingSystem:
         if len(dir_pointers) > keep:
             del dir_pointers[keep:]
         directory._n_cmob_pointer_updates += 1
-        if sink is not None:
-            sink(
-                CoherenceMessage(
-                    MessageType.CMOB_POINTER_UPDATE, node_id,
-                    directory.home_of(address), address,
-                )
-            )
+        if traffic is not None:
+            traffic.emit(CMOB_POINTER_UPDATE, node_id, directory.home_of(address))
         self._n_cmob_appends += 1
 
         # (4) Service any refills that the new fetches made necessary.
@@ -414,8 +351,8 @@ class TemporalStreamingSystem:
             residency[address] = count - 1
         self._n_svb_hits += 1
         # Record the hit in the CMOB and push the pointer home (a hit
-        # replaces the miss one-for-one) — ``_record_and_update_pointer``
-        # inlined, as in ``on_consumption``.
+        # replaces the miss one-for-one), inlined as in ``on_consumption``
+        # step 3.
         directory = self.directory
         cmob = self._cmobs[node_id]
         offset = cmob._appended
@@ -441,13 +378,8 @@ class TemporalStreamingSystem:
         if len(dir_pointers) > keep:
             del dir_pointers[keep:]
         directory._n_cmob_pointer_updates += 1
-        if self._message_sink is not None:
-            self._message_sink(
-                CoherenceMessage(
-                    MessageType.CMOB_POINTER_UPDATE, node_id,
-                    directory.home_of(address), address,
-                )
-            )
+        if self._traffic is not None:
+            self._traffic.emit(CMOB_POINTER_UPDATE, node_id, directory.home_of(address))
         self._n_cmob_appends += 1
         if engine._refill_dirty:
             refill_fetches = self._service_refills(node_id)
@@ -498,7 +430,7 @@ class TemporalStreamingSystem:
         if not dirty:
             return []
         fetches: List[FetchBatch] = []
-        sink = self._message_sink
+        traffic = self._traffic
         cmobs = self._cmobs
         config = self.config
         threshold = config.refill_threshold
@@ -555,22 +487,10 @@ class TemporalStreamingSystem:
                     pos[i] = 0
                 was_live = p < len(fifo)
                 count = cmobs[source_node].extend_into(fifo, next_offset, depth)
-                if sink is not None:
-                    sink(
-                        CoherenceMessage(
-                            MessageType.STREAM_REQUEST, node_id, source_node, 0
-                        )
-                    )
+                if traffic is not None:
+                    traffic.emit(STREAM_REQUEST, node_id, source_node)
                     if count:
-                        sink(
-                            CoherenceMessage(
-                                MessageType.ADDRESS_STREAM,
-                                source_node,
-                                node_id,
-                                0,
-                                num_addresses=count,
-                            )
-                        )
+                        traffic.emit_addresses(source_node, node_id, count)
                 pending[i] = False
                 src_next[i] = next_offset + count
                 if not was_live and count:
@@ -593,47 +513,6 @@ class TemporalStreamingSystem:
         return fetches
 
     # ----------------------------------------------------------- data streaming
-    def deliver_block(
-        self,
-        node_id: NodeId,
-        address: BlockAddress,
-        queue_id: int,
-        producer: Optional[NodeId] = None,
-        fill_time: float = 0.0,
-        version: int = 0,
-    ) -> Optional[object]:
-        """Stream one data block into the consumer's SVB.
-
-        Emits the streamed-data request/reply messages and returns the SVB
-        entry displaced by the fill (if any) so the caller can count the
-        discard.
-        """
-        sink = self._message_sink
-        if sink is not None:
-            home = self.directory.home_of(address)
-            source = producer if producer is not None else home
-            sink(
-                CoherenceMessage(
-                    MessageType.STREAMED_DATA_REQUEST, node_id, home, address
-                )
-            )
-            sink(
-                CoherenceMessage(
-                    MessageType.STREAMED_DATA_REPLY, source, node_id, address
-                )
-            )
-        self._n_blocks_streamed += 1
-        engine = self.nodes[node_id].engine
-        refreshed = address in engine.svb._entries
-        victim = engine.install_block(
-            address, queue_id, fill_time=fill_time, version=version
-        )
-        if not refreshed:
-            self._svb_residency[address] = self._svb_residency.get(address, 0) + 1
-        if victim is not None:
-            self._residency_drop(victim[0])
-        return victim
-
     def deliver_all(
         self,
         node_id: NodeId,
@@ -641,49 +520,35 @@ class TemporalStreamingSystem:
         fill_time: float,
         blocks_map: Dict,
     ) -> Tuple[int, int]:
-        """Deliver the fetched block batches into ``node_id``'s SVB.
+        """Stream the fetched block batches into ``node_id``'s SVB.
 
-        Batch counterpart of :meth:`deliver_block`: one call per replay
-        event instead of one per block, consuming the engine's per-queue
+        One call per replay event, consuming the engine's per-queue
         ``(queue_id, [addresses])`` batches in order, with the SVB fill, LRU
-        eviction, residency bookkeeping and victim notification inlined on
-        the message-free path.  ``blocks_map`` is the protocol's per-block
-        state dict (for the stored block version).  Returns
-        ``(delivered, discarded)``.
+        eviction, residency bookkeeping and victim notification inlined.
+        Re-delivering a resident block refreshes its LRU position and queue
+        binding; a fill into a full SVB evicts the LRU entry, which is a
+        discard.  With traffic accounting on, each delivered block also
+        counts a streamed-data request to its home and a reply from its
+        producer (the home when the block was never written); ``blocks_map``
+        is the protocol's per-block state dict that names the producer.
+        Returns ``(delivered, discarded)``.
         """
-        if self._message_sink is not None:
-            delivered = 0
-            discarded = 0
-            for queue_id, addresses in batches:
-                for address in addresses:
-                    block_state = blocks_map.get(address)
-                    if block_state is None:
-                        producer, version = None, 0
-                    else:
-                        producer, version = block_state.last_writer, block_state.version
-                    victim = self.deliver_block(
-                        node_id, address, queue_id,
-                        producer=producer, version=version, fill_time=fill_time,
-                    )
-                    delivered += 1
-                    if victim is not None:
-                        discarded += 1
-            return delivered, discarded
-
         engine = self.nodes[node_id].engine
         svb = engine.svb
         entries = svb._entries
         capacity = svb.capacity
         residency = self._svb_residency
         queues = engine._queues
+        traffic = self._traffic
         delivered = 0
         discarded = 0
         for queue_id, addresses in batches:
             delivered += len(addresses)
+            if traffic is not None:
+                self._count_deliveries(traffic, node_id, addresses, blocks_map)
             for address in addresses:
-                # The stored block version is message-path bookkeeping (the
-                # streamed-data reply's payload identity); the fast path
-                # records 0 — nothing in the replay reads it back.
+                # Entries store version 0: nothing in the replay reads a
+                # streamed block's version back.
                 if address in entries:
                     # Refresh: new LRU position and queue binding, no victim,
                     # no residency change (plain dicts keep insertion order).
@@ -709,6 +574,23 @@ class TemporalStreamingSystem:
                 residency[address] = residency.get(address, 0) + 1
         self._n_blocks_streamed += delivered
         return delivered, discarded
+
+    def _count_deliveries(
+        self,
+        traffic: TrafficAccountant,
+        node_id: NodeId,
+        addresses: List[BlockAddress],
+        blocks_map: Dict,
+    ) -> None:
+        """Count the streamed-data request/reply pair of each delivered block."""
+        home_of = self.directory.home_of
+        emit = traffic.emit
+        for address in addresses:
+            home = home_of(address)
+            block_state = blocks_map.get(address)
+            producer = block_state.last_writer if block_state is not None else None
+            emit(STREAMED_DATA_REQUEST, node_id, home)
+            emit(STREAMED_DATA_REPLY, home if producer is None else producer, node_id)
 
     # -------------------------------------------------------------- end of run
     def drain(self) -> Dict[NodeId, int]:

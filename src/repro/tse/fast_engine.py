@@ -46,12 +46,18 @@ recording (the timing model's input) intentionally requires it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.coherence.directory import Directory, DirectoryEntry
-from repro.coherence.messages import CoherenceMessage, MessageType
+from repro.coherence.messages import (
+    CMOB_POINTER_UPDATE,
+    STREAM_REQUEST,
+    STREAMED_DATA_REPLY,
+    STREAMED_DATA_REQUEST,
+)
 from repro.common.config import TSEConfig, fast_refill_factor
 from repro.common.types import BlockAddress, NodeId
+from repro.interconnect.network import TrafficAccountant
 from repro.tse.cmob import CMOB
 from repro.tse.layout import SLOT_BYTEORDER, SLOT_BYTES, SLOT_SHIFT
 from repro.tse.stream_engine import _lcp, _window_unpacker
@@ -85,13 +91,13 @@ class FastTemporalStreamingSystem:
         num_nodes: int,
         config: TSEConfig,
         directory: Directory,
-        message_sink: Optional[Callable[[CoherenceMessage], None]] = None,
+        traffic: Optional[TrafficAccountant] = None,
         blocks_map: Optional[Dict] = None,
     ) -> None:
         self.num_nodes = num_nodes
         self.config = config
         self.directory = directory
-        self._message_sink = message_sink
+        self._traffic = traffic
         #: Protocol block-state map, used only on the traffic path to name
         #: the streamed-data producer (the exact plane does the same lookup
         #: in ``deliver_all``).
@@ -129,7 +135,7 @@ class FastTemporalStreamingSystem:
         self._probe_window8 = max(config.stream_lookahead, 1) << _SHIFT
         #: CMOB window depth per stream read: deep on the message-free path,
         #: the exact plane's ``queue_depth`` when traffic is accounted.
-        if message_sink is None:
+        if traffic is None:
             self._depth = config.queue_depth * fast_refill_factor()
         else:
             self._depth = config.queue_depth
@@ -175,16 +181,11 @@ class FastTemporalStreamingSystem:
             pos[i] = 0
         nxt = queue._src_next[i]
         count = self.cmobs[src].extend_into(fifo, nxt, self._depth)
-        sink = self._message_sink
-        if sink is not None:
-            sink(CoherenceMessage(MessageType.STREAM_REQUEST, node, src, 0))
+        traffic = self._traffic
+        if traffic is not None:
+            traffic.emit(STREAM_REQUEST, node, src)
             if count:
-                sink(
-                    CoherenceMessage(
-                        MessageType.ADDRESS_STREAM, src, node, 0,
-                        num_addresses=count,
-                    )
-                )
+                traffic.emit_addresses(src, node, count)
         if count:
             queue._src_next[i] = nxt + count
             self._n_refills_serviced += 1
@@ -213,7 +214,7 @@ class FastTemporalStreamingSystem:
         larger CMOB window reads, which is the point of the deep-window
         batching — but that cadence under-reports the modeled hardware's
         refill control traffic (``STREAM_REQUEST``/``ADDRESS_STREAM``) by
-        20-70% on the commercial workloads.  When a message sink is
+        20-70% on the commercial workloads.  When a traffic accountant is
         attached this per-event pass reproduces the exact plane's
         half-empty top-up (including its standing requests against
         exhausted recording frontiers), keeping Figure 11's overhead
@@ -262,7 +263,7 @@ class FastTemporalStreamingSystem:
         selected = queue._selected
         capacity = self._svb_capacity
         residency = self._svb_residency
-        sink = self._message_sink
+        traffic = self._traffic
         entry = (queue, queue.queue_id)
         delivered = 0
         discarded = 0
@@ -315,8 +316,8 @@ class FastTemporalStreamingSystem:
                 for address in window:
                     if address in svb:
                         continue
-                    if sink is not None:
-                        self._emit_delivery(node, address)
+                    if traffic is not None:
+                        self._count_delivery(traffic, node, address)
                     svb[address] = entry
                     residency[address] = residency.get(address, 0) + 1
                     delivered += 1
@@ -340,8 +341,8 @@ class FastTemporalStreamingSystem:
                     for address in window:
                         if address in svb:
                             continue
-                        if sink is not None:
-                            self._emit_delivery(node, address)
+                        if traffic is not None:
+                            self._count_delivery(traffic, node, address)
                         svb[address] = entry
                         residency[address] = residency.get(address, 0) + 1
                         delivered += 1
@@ -398,8 +399,8 @@ class FastTemporalStreamingSystem:
                 for address in window:
                     if address in svb:
                         continue
-                    if sink is not None:
-                        self._emit_delivery(node, address)
+                    if traffic is not None:
+                        self._count_delivery(traffic, node, address)
                     svb[address] = entry
                     residency[address] = residency.get(address, 0) + 1
                     delivered += 1
@@ -450,8 +451,8 @@ class FastTemporalStreamingSystem:
                 for address in window:
                     if address in svb:
                         continue
-                    if sink is not None:
-                        self._emit_delivery(node, address)
+                    if traffic is not None:
+                        self._count_delivery(traffic, node, address)
                     svb[address] = entry
                     residency[address] = residency.get(address, 0) + 1
                     delivered += 1
@@ -510,22 +511,15 @@ class FastTemporalStreamingSystem:
                 residency[lru] = c - 1
         return over
 
-    def _emit_delivery(self, node: NodeId, address: BlockAddress) -> None:
-        """Streamed-data request/reply messages for one delivered block."""
-        sink = self._message_sink
+    def _count_delivery(
+        self, traffic: TrafficAccountant, node: NodeId, address: BlockAddress
+    ) -> None:
+        """Count the streamed-data request/reply pair of one delivered block."""
         home = self.directory.home_of(address)
         block_state = self._blocks_map.get(address)
         producer = block_state.last_writer if block_state is not None else None
-        sink(
-            CoherenceMessage(MessageType.STREAMED_DATA_REQUEST, node, home, address)
-        )
-        sink(
-            CoherenceMessage(
-                MessageType.STREAMED_DATA_REPLY,
-                producer if producer is not None else home,
-                node, address,
-            )
-        )
+        traffic.emit(STREAMED_DATA_REQUEST, node, home)
+        traffic.emit(STREAMED_DATA_REPLY, home if producer is None else producer, node)
 
     # ------------------------------------------------------------------ events
     def _miss_scan(
@@ -685,15 +679,15 @@ class FastTemporalStreamingSystem:
         self._clocks[node] = clock
         slots = self._slots[node]
         svb = self._svbs[node]
-        sink = self._message_sink
+        traffic = self._traffic
 
         # (0) The miss may confirm a stalled stream or realign an active one.
         delivered, discarded = self._miss_scan(node, address, clock, slots, svb)
 
         # (1) Locate candidate streams via the directory's CMOB pointers,
         # building the queue's FIFO columns directly (no intermediate
-        # window tuples).  The message-free loop is kept free of per-
-        # pointer sink checks.
+        # window tuples).  The accounting-free loop is kept free of per-
+        # pointer traffic checks.
         directory = self.directory
         entries = directory._entries
         entry = entries.get(address)
@@ -706,7 +700,7 @@ class FastTemporalStreamingSystem:
                     pointers = pointers[:compared]
                 cmobs = self.cmobs
                 depth = self._depth
-                if sink is None:
+                if traffic is None:
                     for pnode, poff in pointers:
                         # The stream starts after the head (its data already
                         # came via the baseline coherence reply); one deep
@@ -729,18 +723,9 @@ class FastTemporalStreamingSystem:
                         start = poff + 1
                         window = bytearray()
                         count = cmobs[pnode].extend_into(window, start, depth)
-                        sink(
-                            CoherenceMessage(
-                                MessageType.STREAM_REQUEST, home, pnode, address
-                            )
-                        )
+                        traffic.emit(STREAM_REQUEST, home, pnode)
                         if count:
-                            sink(
-                                CoherenceMessage(
-                                    MessageType.ADDRESS_STREAM, pnode, node,
-                                    address, num_addresses=count,
-                                )
-                            )
+                            traffic.emit_addresses(pnode, node, count)
                             if fifo_data is None:
                                 fifo_data = [window]
                                 src_nodes = [pnode]
@@ -835,15 +820,9 @@ class FastTemporalStreamingSystem:
             if len(pointers) > keep:
                 del pointers[keep:]
         directory._n_cmob_pointer_updates += 1
-        if sink is not None:
-            sink(
-                CoherenceMessage(
-                    MessageType.CMOB_POINTER_UPDATE, node,
-                    directory.home_of(address), address,
-                )
-            )
         self._n_cmob_appends += 1
-        if sink is not None:
+        if traffic is not None:
+            traffic.emit(CMOB_POINTER_UPDATE, node, directory.home_of(address))
             self._topup_refills(node, slots)
         return delivered, discarded
 
@@ -915,13 +894,8 @@ class FastTemporalStreamingSystem:
             if len(pointers) > keep:
                 del pointers[keep:]
         directory._n_cmob_pointer_updates += 1
-        if self._message_sink is not None:
-            self._message_sink(
-                CoherenceMessage(
-                    MessageType.CMOB_POINTER_UPDATE, node,
-                    directory.home_of(address), address,
-                )
-            )
+        if self._traffic is not None:
+            self._traffic.emit(CMOB_POINTER_UPDATE, node, directory.home_of(address))
             self._topup_refills(node, self._slots[node])
         self._n_cmob_appends += 1
         return delivered, discarded

@@ -26,9 +26,10 @@ recorded into parallel ``array`` buffers, and the cyclic GC paused for the
 duration of a run (the loop allocates no reference cycles).  ``AccessTrace``
 and ``MemoryAccess`` iterables pack into chunks and replay through the same
 loop, so all ingestion paths are bit-identical.  Traffic accounting does
-not change the replay either: it adds the messages
-:func:`~repro.coherence.protocol.transaction_messages` derives from the same
-block state around each miss and write.
+not change the replay either: around each miss and write,
+:func:`~repro.coherence.protocol.transaction_messages` counts the messages
+it derives from the same block state into the accountant, and the TSE
+planes count theirs at their sink sites.
 """
 
 from __future__ import annotations
@@ -152,7 +153,15 @@ class TSEStats:
 
 
 class TSESimulator:
-    """Replays a trace through the coherence protocol with TSE attached."""
+    """Replays a trace through the coherence protocol with TSE attached.
+
+    With ``account_traffic`` the simulator owns a
+    :class:`~repro.interconnect.network.TrafficAccountant` that counts from
+    the first access.  The warm-up reset (:meth:`reset_stats`) restarts the
+    :class:`TSEStats` counters but not the accountant, so ``stats.traffic``
+    covers the whole trace, warm-up window included, while every other
+    counter covers only the measured window.
+    """
 
     def __init__(
         self,
@@ -190,13 +199,11 @@ class TSESimulator:
             num_nodes, cmob_pointers_per_block=self.tse_config.cmob_pointers_per_block
         )
         self.traffic: Optional[TrafficAccountant] = None
-        sink = None
         if account_traffic:
             icfg = interconnect_config if interconnect_config is not None else (
                 self._default_interconnect(num_nodes)
             )
             self.traffic = TrafficAccountant(icfg)
-            sink = self.traffic.record
         #: Exactly one replay plane is built; ``tse`` is the exact plane,
         #: ``fast`` the batched one (the unused plane is None).
         self.tse: Optional[TemporalStreamingSystem] = None
@@ -204,11 +211,11 @@ class TSESimulator:
         if self.mode == MODE_FAST:
             self.fast = FastTemporalStreamingSystem(
                 num_nodes, self.tse_config, self.protocol.directory,
-                message_sink=sink, blocks_map=self.protocol._blocks,
+                traffic=self.traffic, blocks_map=self.protocol._blocks,
             )
         else:
             self.tse = TemporalStreamingSystem(
-                num_nodes, self.tse_config, self.protocol.directory, message_sink=sink
+                num_nodes, self.tse_config, self.protocol.directory, traffic=self.traffic
             )
         self.stats = TSEStats()
 
@@ -380,7 +387,10 @@ class TSESimulator:
         return self.finalize()
 
     def reset_stats(self, workload: str = "") -> None:
-        """Restart measurement (end of warm-up) without touching simulator state."""
+        """Restart measurement (end of warm-up) without touching simulator state.
+
+        The traffic accountant is simulator state here: its counts run on.
+        """
         self.stats = TSEStats(workload=workload or self.stats.workload)
 
     def _replay(self, accesses: Sequence[MemoryAccess]) -> None:
@@ -434,7 +444,7 @@ class TSESimulator:
         install_copy = protocol.install_copy
         # Traffic accounting: a write's messages depend on the holders it is
         # about to invalidate, a read's on the state the read left.
-        record_messages = self.traffic.record_all if self.traffic is not None else None
+        emit = self.traffic.emit if self.traffic is not None else None
         messages_of = transaction_messages
         tse_on_write = tse.on_write
         tse_on_svb_hit = tse.on_svb_hit
@@ -492,8 +502,8 @@ class TSESimulator:
                 # blocks no SVB holds.
                 if address in residency:
                     n_discards += tse_on_write(node, address)
-                if record_messages is not None:
-                    record_messages(messages_of(protocol, node, address))
+                if emit is not None:
+                    messages_of(protocol, node, address, emit)
                 write_ints(node, address)
                 if record:
                     codes_append(outcome_write)
@@ -531,8 +541,8 @@ class TSESimulator:
                 code = read_ints(node, address, False)
             else:
                 code = read_ints(node, address, True)
-            if record_messages is not None:
-                record_messages(messages_of(protocol, node, address, code))
+            if emit is not None:
+                messages_of(protocol, node, address, emit, code)
 
             if code == read_coherent:
                 n_consumptions += 1
@@ -589,7 +599,7 @@ class TSESimulator:
         accounting (the sweep-scale configuration fast mode exists for) the
         coherence protocol is inlined too: see
         :meth:`_replay_chunk_fast_slim`.  This loop is the traffic-accounting
-        one; it calls the protocol and adds each transaction's messages.
+        one; it calls the protocol and counts each transaction's messages.
         """
         nodes_col = chunk.nodes
         n = len(nodes_col)
@@ -607,7 +617,7 @@ class TSESimulator:
         read_ints = protocol.read_ints
         write_ints = protocol.write_ints
         install_copy = protocol.install_copy
-        record_messages = self.traffic.record_all
+        emit = self.traffic.emit
         messages_of = transaction_messages
         consume = fast.consume
         hit = fast.hit
@@ -638,7 +648,7 @@ class TSESimulator:
                 n_writes += 1
                 if address in residency:
                     n_discards += invalidate(address)
-                record_messages(messages_of(protocol, node, address))
+                messages_of(protocol, node, address, emit)
                 write_ints(node, address)
                 continue
 
@@ -662,7 +672,7 @@ class TSESimulator:
                 code = read_ints(node, address, False)
             else:
                 code = read_ints(node, address, True)
-            record_messages(messages_of(protocol, node, address, code))
+            messages_of(protocol, node, address, emit, code)
 
             if code == read_coherent:
                 n_consumptions += 1

@@ -54,14 +54,15 @@ __all__ = [
 #: Version of the snapshot payload format.  Bump whenever the pickled
 #: simulator's internal representation changes incompatibly.  Format 1 was
 #: the list-backed layout, format 2 the byte-packed CMOB rings and
-#: stream-queue FIFOs, and format 3 drops the finite-cache model and the
-#: directory's sharer/owner state.  The version participates in
+#: stream-queue FIFOs, format 3 drops the finite-cache model and the
+#: directory's sharer/owner state, and format 4 gives both TSE planes a
+#: traffic accountant in place of a message sink.  The version participates in
 #: :func:`snapshot_key`, so persisted pre-refactor snapshots simply never
 #: match — a restore falls back to a cold ramp instead of unpickling an
 #: object whose attributes no longer exist — and it is embedded in the
 #: payload itself so a payload from a mismatched writer is rejected loudly
 #: by :func:`restore` rather than half-restored.
-SNAPSHOT_FORMAT = 3
+SNAPSHOT_FORMAT = 4
 
 
 class SnapshotFormatError(RuntimeError):
@@ -71,9 +72,8 @@ class SnapshotFormatError(RuntimeError):
 def capture(simulator: TSESimulator) -> bytes:
     """Serialize a simulator's complete functional state.
 
-    Only message-free simulators can be captured: a traffic-accounting run
-    holds an interconnect sink whose accounting is not part of the warm
-    state contract.  The payload embeds :data:`SNAPSHOT_FORMAT`.
+    Only simulators without traffic accounting can be captured: a traffic
+    accountant's counts are not part of the warm state contract.  The payload embeds :data:`SNAPSHOT_FORMAT`.
     """
     if simulator.traffic is not None:
         raise ValueError("cannot snapshot a traffic-accounting simulator")

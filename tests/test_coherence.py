@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.coherence import CoherenceProtocol, Directory, MessageType, transaction_messages
-from repro.coherence.messages import CoherenceMessage
+from repro.coherence import (
+    CoherenceProtocol,
+    Directory,
+    MessageType,
+    messages,
+    transaction_messages,
+)
+from repro.coherence.messages import MESSAGE_TYPES, PAYLOAD_BYTES
 from repro.coherence.protocol import extract_consumptions
+from repro.common.config import InterconnectConfig
 from repro.common.types import AccessType, MemoryAccess, MissClass
+from repro.interconnect import TrafficAccountant
 
 
 def read(node, address, spin=False):
@@ -167,25 +175,36 @@ class TestMessagesAndExtraction:
         protocol = CoherenceProtocol(num_nodes=4)
         protocol.process_trace(accesses[:-1])
         last = accesses[-1]
+        sent = []
+
+        def emit(kind, src, dst):
+            sent.append((MESSAGE_TYPES[kind], src, dst))
+
         if last.is_write:
-            messages = transaction_messages(protocol, last.node, last.address)
+            transaction_messages(protocol, last.node, last.address, emit)
             protocol.write_ints(last.node, last.address)
         else:
             code = protocol.read_ints(last.node, last.address, last.is_spin)
-            messages = transaction_messages(protocol, last.node, last.address, code)
-        assert [(m.msg_type, m.src, m.dst) for m in messages] == expected
-        assert all(m.address == last.address for m in messages)
+            transaction_messages(protocol, last.node, last.address, emit, code)
+        assert sent == expected
+
+    def test_kinds_index_message_types(self):
+        for kind, msg_type in enumerate(MESSAGE_TYPES):
+            assert getattr(messages, msg_type.name) == kind
 
     def test_message_sizes_include_data_payload(self):
-        control = CoherenceMessage(MessageType.READ_REQUEST, 0, 1, 5)
-        data = CoherenceMessage(MessageType.DATA_REPLY, 1, 0, 5)
-        assert data.size_bytes() > control.size_bytes()
-        assert data.size_bytes() >= 64
+        control = PAYLOAD_BYTES[messages.READ_REQUEST]
+        data = PAYLOAD_BYTES[messages.DATA_REPLY]
+        assert data > control
+        assert data >= 64
 
     def test_address_stream_size_scales_with_entries(self):
-        short = CoherenceMessage(MessageType.ADDRESS_STREAM, 0, 1, 5, num_addresses=4)
-        long = CoherenceMessage(MessageType.ADDRESS_STREAM, 0, 1, 5, num_addresses=32)
-        assert long.size_bytes() - short.size_bytes() == 28 * 6
+        def address_stream_bytes(count):
+            accountant = TrafficAccountant(InterconnectConfig())
+            accountant.emit_addresses(0, 1, count)
+            return accountant.snapshot()["overhead.address_stream_bytes"]
+
+        assert address_stream_bytes(32) - address_stream_bytes(4) == 28 * 6
 
     def test_tse_overhead_flag(self):
         assert MessageType.ADDRESS_STREAM.is_tse_overhead

@@ -1,10 +1,13 @@
 """Unit tests for the torus topology and traffic accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.coherence.messages import CoherenceMessage, MessageType
+from repro.coherence import messages
+from repro.coherence.messages import MESSAGE_TYPES, PAYLOAD_BYTES, STREAM_ADDRESS_BYTES
 from repro.common.config import InterconnectConfig
-from repro.interconnect import Network, TorusTopology, TrafficAccountant
+from repro.interconnect import TorusTopology, TrafficAccountant
 
 
 class TestTorusTopology:
@@ -60,55 +63,82 @@ class TestTorusTopology:
             TorusTopology(2, 2).coordinate_of(9)
 
 
-class TestNetwork:
-    def test_local_message_is_free(self):
-        network = Network(InterconnectConfig())
-        message = CoherenceMessage(MessageType.READ_REQUEST, 3, 3, 0)
-        assert network.message_latency_ns(message) == 0.0
+def _reference_snapshot(topology, header_bytes, sent):
+    """Per-message reference: sum each message's wire size, one at a time."""
+    totals = {False: [0, 0], True: [0, 0]}  # is overhead -> [total, bisection]
+    by_type = {}
+    for kind, src, dst, carried in sent:
+        if src == dst:
+            continue
+        size = header_bytes + PAYLOAD_BYTES[kind]
+        if kind == messages.ADDRESS_STREAM:
+            size += STREAM_ADDRESS_BYTES * carried
+        msg_type = MESSAGE_TYPES[kind]
+        target = totals[msg_type.is_tse_overhead]
+        target[0] += size
+        if topology.crosses_bisection(src, dst):
+            target[1] += size
+        if msg_type.is_tse_overhead:
+            key = f"overhead.{msg_type.value}_bytes"
+            by_type[key] = by_type.get(key, 0.0) + size
+    (baseline, baseline_cut), (overhead, overhead_cut) = totals[False], totals[True]
+    return {
+        "baseline.total_bytes": float(baseline),
+        "baseline.bisection_bytes": float(baseline_cut),
+        "overhead.total_bytes": float(overhead),
+        "overhead.bisection_bytes": float(overhead_cut),
+        "overhead.ratio": overhead / baseline if baseline else 0.0,
+        **by_type,
+    }
 
-    def test_latency_scales_with_hops(self):
-        network = Network(InterconnectConfig())
-        one_hop = CoherenceMessage(MessageType.READ_REQUEST, 0, 1, 0)
-        two_hop = CoherenceMessage(MessageType.READ_REQUEST, 0, 2, 0)
-        assert network.message_latency_ns(two_hop) > network.message_latency_ns(one_hop)
 
-    def test_round_trip_includes_both_directions(self):
-        network = Network(InterconnectConfig())
-        assert network.round_trip_ns(0, 5) > 2 * 25.0
+@st.composite
+def _torus_and_messages(draw):
+    width, height = draw(st.sampled_from([(2, 2), (4, 2), (4, 4)]))
+    nodes = st.integers(min_value=0, max_value=width * height - 1)
+    message = st.tuples(
+        st.integers(min_value=0, max_value=len(MESSAGE_TYPES) - 1),
+        nodes, nodes, st.integers(min_value=1, max_value=16),
+    )
+    return width, height, draw(st.lists(message, max_size=60))
 
 
 class TestTrafficAccountant:
-    def _msg(self, msg_type, src=0, dst=2, n=0):
-        return CoherenceMessage(msg_type, src, dst, 100, num_addresses=n)
-
-    def test_baseline_vs_overhead_split(self):
+    def test_snapshot_matches_hand_computed_byte_table(self):
+        # 4x4 torus, 16-byte headers; the bisection splits columns {0, 1}
+        # from {2, 3}, so node n sits left of it exactly when n % 4 < 2.
         accountant = TrafficAccountant(InterconnectConfig())
-        accountant.record(self._msg(MessageType.DATA_REPLY))
-        accountant.record(self._msg(MessageType.ADDRESS_STREAM, n=8))
-        assert accountant.baseline.total_bytes > 0
-        assert accountant.overhead.total_bytes > 0
-        assert accountant.overhead_ratio() > 0
+        accountant.emit(messages.DATA_REPLY, 5, 5)           # local: dropped
+        accountant.emit(messages.STREAM_REQUEST, 6, 6)       # local: dropped
+        accountant.emit_addresses(3, 3, 5)                   # local: dropped
+        accountant.emit(messages.READ_REQUEST, 0, 1)         # 16 + 8, same half
+        accountant.emit(messages.DATA_REPLY, 0, 2)           # 16 + 72, crosses
+        accountant.emit(messages.CMOB_POINTER_UPDATE, 4, 7)  # 16 + 14, crosses
+        accountant.emit_addresses(1, 0, 8)                   # 16 + 8 + 6*8, same half
+        accountant.emit_addresses(2, 0, 1)                   # 16 + 8 + 6*1, crosses
+        assert accountant.snapshot() == {
+            "baseline.total_bytes": 24.0 + 88.0,
+            "baseline.bisection_bytes": 88.0,
+            "overhead.total_bytes": 30.0 + 72.0 + 30.0,
+            "overhead.bisection_bytes": 30.0 + 30.0,
+            "overhead.ratio": (30 + 72 + 30) / (24 + 88),
+            # Only the overhead types that reached another node get a key.
+            "overhead.cmob_pointer_update_bytes": 30.0,
+            "overhead.address_stream_bytes": 72.0 + 30.0,
+        }
 
-    def test_local_messages_ignored(self):
-        accountant = TrafficAccountant(InterconnectConfig())
-        accountant.record(CoherenceMessage(MessageType.DATA_REPLY, 1, 1, 0))
-        assert accountant.baseline.total_bytes == 0
-
-    def test_bisection_bytes_only_for_crossing_routes(self):
-        accountant = TrafficAccountant(InterconnectConfig())
-        accountant.record(CoherenceMessage(MessageType.DATA_REPLY, 0, 1, 0))  # same half
-        assert accountant.baseline.bisection_bytes == 0
-        accountant.record(CoherenceMessage(MessageType.DATA_REPLY, 0, 2, 0))  # crosses
-        assert accountant.baseline.bisection_bytes > 0
-
-    def test_bandwidth_conversion(self):
-        accountant = TrafficAccountant(InterconnectConfig())
-        accountant.record(CoherenceMessage(MessageType.STREAMED_DATA_REPLY, 0, 2, 0))
-        gbps = accountant.bisection_bandwidth_gbps(elapsed_ns=100.0)
-        assert gbps == pytest.approx(accountant.overhead.bisection_bytes / 100.0)
-
-    def test_override_classification(self):
-        accountant = TrafficAccountant(InterconnectConfig())
-        accountant.record(self._msg(MessageType.STREAMED_DATA_REPLY), overhead=False)
-        assert accountant.overhead.total_bytes == 0
-        assert accountant.baseline.total_bytes > 0
+    @given(_torus_and_messages())
+    @settings(max_examples=60, deadline=None)
+    def test_folded_snapshot_equals_per_message_sum(self, case):
+        width, height, sent = case
+        config = InterconnectConfig(width=width, height=height)
+        accountant = TrafficAccountant(config)
+        for kind, src, dst, carried in sent:
+            if kind == messages.ADDRESS_STREAM:
+                accountant.emit_addresses(src, dst, carried)
+            else:
+                accountant.emit(kind, src, dst)
+        expected = _reference_snapshot(
+            TorusTopology(width, height), config.header_bytes, sent
+        )
+        assert accountant.snapshot() == expected

@@ -1,10 +1,17 @@
 """Integration tests for the TSE system glue and the trace-driven simulator."""
 
+import functools
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.coherence.directory import Directory
+from repro.coherence.messages import MESSAGE_TYPES, MessageType
 from repro.common.config import TSEConfig
 from repro.common.types import AccessTrace, AccessType, MemoryAccess
+from repro.experiments.runner import trace_for
+from repro.interconnect import TrafficAccountant
 from repro.tse.engine import TemporalStreamingSystem
 from repro.tse.simulator import Outcome, TSESimulator
 
@@ -29,6 +36,19 @@ def migratory_trace(rounds=6, blocks=(100, 101, 102, 103, 104, 105), num_nodes=4
             accesses.append((node, block, AccessType.READ))
             accesses.append((node, block, AccessType.WRITE))
     return make_trace(accesses, num_nodes=num_nodes)
+
+
+class RecordingAccountant:
+    """Traffic accountant stand-in that lists every emitted message."""
+
+    def __init__(self):
+        self.sent = []
+
+    def emit(self, kind, src, dst):
+        self.sent.append((MESSAGE_TYPES[kind], src, dst))
+
+    def emit_addresses(self, src, dst, count):
+        self.sent.append((MessageType.ADDRESS_STREAM, src, dst, count))
 
 
 class TestTemporalStreamingSystem:
@@ -64,9 +84,7 @@ class TestTemporalStreamingSystem:
         for address in (10, 11, 12):
             tse.on_consumption(0, address)
         _, fetches = tse.on_consumption(1, 10)
-        for fetch_queue, addresses in fetches:
-            for address in addresses:
-                tse.deliver_block(1, address, fetch_queue)
+        assert tse.deliver_all(1, fetches, 0.0, {}) == (2, 0)
         appended_before = tse.nodes[1].cmob.appended
         entry, _ = tse.on_svb_hit(1, 11)
         assert entry is not None
@@ -78,9 +96,7 @@ class TestTemporalStreamingSystem:
         for address in (10, 11, 12):
             tse.on_consumption(0, address)
         _, fetches = tse.on_consumption(1, 10)
-        for fetch_queue, addresses in fetches:
-            for address in addresses:
-                tse.deliver_block(1, address, fetch_queue)
+        assert tse.deliver_all(1, fetches, 0.0, {}) == (2, 0)
         invalidated = tse.on_write(0, 11)
         assert invalidated == 1
         assert not tse.svb_probe(1, 11)
@@ -88,13 +104,21 @@ class TestTemporalStreamingSystem:
     def test_message_sink_sees_tse_messages(self):
         config = TSEConfig(cmob_capacity=64, svb_entries=8, stream_lookahead=2)
         directory = Directory(2, config.cmob_pointers_per_block)
-        messages = []
-        tse = TemporalStreamingSystem(2, config, directory, message_sink=messages.append)
+        recorder = RecordingAccountant()
+        tse = TemporalStreamingSystem(2, config, directory, traffic=recorder)
         tse.on_consumption(0, 10)
-        tse.on_consumption(1, 10)
-        kinds = {m.msg_type.value for m in messages}
-        assert "cmob_pointer_update" in kinds
-        assert "stream_request" in kinds
+        tse.on_consumption(0, 11)
+        _, fetches = tse.on_consumption(1, 10)
+        tse.deliver_all(1, fetches, 0.0, {})
+        assert recorder.sent == [
+            (MessageType.CMOB_POINTER_UPDATE, 0, 0),  # block 10's home is node 0
+            (MessageType.CMOB_POINTER_UPDATE, 0, 1),
+            (MessageType.STREAM_REQUEST, 0, 0),       # home -> the recorded consumer
+            (MessageType.ADDRESS_STREAM, 0, 1, 1),    # node 0's CMOB window {11}
+            (MessageType.CMOB_POINTER_UPDATE, 1, 0),
+            (MessageType.STREAMED_DATA_REQUEST, 1, 1),
+            (MessageType.STREAMED_DATA_REPLY, 1, 1),  # never written: the home replies
+        ]
 
 
 class TestTSESimulator:
@@ -165,3 +189,69 @@ class TestTSESimulator:
         trace = migratory_trace(rounds=12)
         stats = TSESimulator(4, TSEConfig.paper_default()).run(trace)
         assert stats.stream_length_hist.count == pytest.approx(stats.svb_hits, abs=1)
+
+
+_BATTERY_PATH = (
+    pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "reference_battery.py"
+)
+_spec = importlib.util.spec_from_file_location("reference_battery", _BATTERY_PATH)
+reference_battery = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference_battery)
+
+#: Reference-battery cells that reach every traffic sink site: the paper
+#: geometry, the general N-FIFO path, SVB evictions inside ``deliver_all``
+#: and stale CMOB pointers after wraparound.
+OBSERVED_CONFIGS = ("paper", "four_streams", "tiny_svb", "tiny_cmob_wrap")
+
+
+@functools.lru_cache(maxsize=None)
+def _db2_trace():
+    return trace_for("db2", 12_000, 42, 16)
+
+
+def _observed(stats):
+    """Every simulated statistic of a run except its traffic volumes."""
+    row = {k: v for k, v in stats.as_dict().items() if not k.startswith("traffic.")}
+    row["stream_lengths"] = sorted(stats.stream_length_hist.buckets().items())
+    return row
+
+
+class TestTrafficAccounting:
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    @pytest.mark.parametrize("label", OBSERVED_CONFIGS)
+    def test_traffic_accounting_only_observes(self, label, mode, monkeypatch):
+        """Counting messages never changes what the replay does.
+
+        An exact run is identical with and without an accountant.  The fast
+        plane switches to the exact plane's refill cadence whenever an
+        accountant is attached (``queue_depth`` windows plus the half-empty
+        top-up, which keep its traffic inside the ±5% band), so its
+        reference is a traffic-on run whose accountant counts nothing.
+        """
+        config = dict(reference_battery.CONFIGS)[label]
+        trace = _db2_trace()
+        counted = TSESimulator(16, config, account_traffic=True, mode=mode).run(
+            trace, warmup_fraction=0.3
+        )
+        assert counted.traffic["overhead.total_bytes"] > 0
+        if mode == "fast":
+            monkeypatch.setattr(TrafficAccountant, "emit", lambda *message: None)
+            monkeypatch.setattr(TrafficAccountant, "emit_addresses", lambda *packet: None)
+        reference = TSESimulator(
+            16, config, account_traffic=mode == "fast", mode=mode
+        ).run(trace, warmup_fraction=0.3)
+        assert _observed(counted) == _observed(reference)
+
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_traffic_volumes_include_the_warmup_window(self, mode):
+        trace = _db2_trace()
+        config = TSEConfig.paper_default()
+        whole = TSESimulator(16, config, account_traffic=True, mode=mode).run(
+            trace, warmup_fraction=0.0
+        )
+        measured = TSESimulator(16, config, account_traffic=True, mode=mode).run(
+            trace, warmup_fraction=0.3
+        )
+        # The warm-up reset restarts the TSE counters but not the accountant.
+        assert measured.total_consumptions < whole.total_consumptions
+        assert measured.traffic == whole.traffic
