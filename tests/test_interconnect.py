@@ -104,6 +104,27 @@ def _torus_and_messages(draw):
 
 
 class TestTrafficAccountant:
+    def test_baseline_vs_overhead_split(self):
+        accountant = TrafficAccountant(InterconnectConfig())
+        accountant.emit(messages.DATA_REPLY, 0, 2)
+        accountant.emit_addresses(0, 2, 8)
+        snapshot = accountant.snapshot()
+        assert snapshot["baseline.total_bytes"] > 0
+        assert snapshot["overhead.total_bytes"] > 0
+        assert snapshot["overhead.ratio"] > 0
+
+    def test_local_messages_ignored(self):
+        accountant = TrafficAccountant(InterconnectConfig())
+        accountant.emit(messages.DATA_REPLY, 1, 1)
+        assert accountant.snapshot()["baseline.total_bytes"] == 0
+
+    def test_bisection_bytes_only_for_crossing_routes(self):
+        accountant = TrafficAccountant(InterconnectConfig())
+        accountant.emit(messages.DATA_REPLY, 0, 1)  # same half
+        assert accountant.snapshot()["baseline.bisection_bytes"] == 0
+        accountant.emit(messages.DATA_REPLY, 0, 2)  # crosses
+        assert accountant.snapshot()["baseline.bisection_bytes"] > 0
+
     def test_snapshot_matches_hand_computed_byte_table(self):
         # 4x4 torus, 16-byte headers; the bisection splits columns {0, 1}
         # from {2, 3}, so node n sits left of it exactly when n % 4 < 2.
