@@ -28,8 +28,10 @@ def throughputs(artifact: dict) -> Dict[str, float]:
     """Extract {series: rate} from either artifact schema.
 
     Functional-simulator series are keyed by workload name, with the
-    REPRO_FAST_MODE plane (when present) as ``<workload>.fast`` and the
-    traffic-accounted exact replay (when present) as ``<workload>.traffic``;
+    REPRO_FAST_MODE plane (when present) as ``<workload>.fast``, the
+    traffic-accounted exact replay (when present) as ``<workload>.traffic``
+    and the timing model's cold base-vs-TSE compare (when present) as
+    ``<workload>.timing``;
     the service scheduler's campaign throughput (PR 4,
     ``service_throughput``) is keyed ``service`` in jobs/s; the
     events-enabled submission rate (PR 9, ``events_overhead``) is keyed
@@ -47,7 +49,9 @@ def throughputs(artifact: dict) -> Dict[str, float]:
             if entry.get("accesses_per_s")
         }
         for workload, entry in per_class.items():
-            for suffix, field in (("fast", "fast_mode"), ("traffic", "traffic")):
+            for suffix, field in (
+                ("fast", "fast_mode"), ("traffic", "traffic"), ("timing", "timing"),
+            ):
                 plane = entry.get(field) or {}
                 if plane.get("accesses_per_s"):
                     series[f"{workload}.{suffix}"] = float(plane["accesses_per_s"])

@@ -34,6 +34,12 @@ seconds of wall clock):
               "wallclock_s": <best of two, 4x4 torus accountant attached>,
               "accesses_per_s": <n / s>,
               "slowdown_vs_exact": <traffic wallclock / exact wallclock>
+            },
+            "timing": {               # Figure 14's base-vs-TSE compare
+              "wallclock_s": <best of two cold TimingSimulator.compare
+                              calls, each on a fresh copy of the trace
+                              (empty label cache), paper lookahead>,
+              "accesses_per_s": <n / s>
             }
           }, ...
         },
@@ -157,11 +163,12 @@ def _functional_throughput():
     numbers are duplicated at the top level for continuity with the
     db2-only series PR 1 started.  Each class is then replayed once more
     through REPRO_FAST_MODE, and once more through the exact plane with
-    traffic accounting on (Figure 11's configuration), so the fast plane's
-    and the traffic plane's throughputs are tracked (and regression-gated)
-    alongside the exact plane's.
+    traffic accounting on (Figure 11's configuration), and the timing
+    model compares base and TSE on it (Figure 14), so the fast plane's,
+    the traffic plane's and the timing model's throughputs are tracked
+    (and regression-gated) alongside the exact plane's.
     """
-    from repro.common.chunk import stream_chunk_size
+    from repro.common.chunk import ChunkedTrace, stream_chunk_size
     from repro.common.config import (
         DEFAULT_WARMUP_FRACTION,
         PAPER_LOOKAHEAD,
@@ -169,10 +176,12 @@ def _functional_throughput():
         TSEConfig,
     )
     from repro.experiments.runner import trace_for
+    from repro.system.timing import TimingSimulator
     from repro.tse.simulator import run_tse_on_trace
 
     accesses = min(BENCH_ACCESSES, 80_000)
-    interconnect = SystemConfig.isca2005().interconnect
+    system = SystemConfig.isca2005()
+    interconnect = system.interconnect
     per_class = {}
     for workload in BENCH_WORKLOADS:
         lookahead = PAPER_LOOKAHEAD.get(workload, 8)
@@ -197,6 +206,14 @@ def _functional_throughput():
                 )
                 samples.append(time.perf_counter() - start)
             timings[series] = min(samples)
+        samples = []
+        for _ in range(2):
+            # A fresh trace object per sample: no label cache survives.
+            fresh = ChunkedTrace.from_payload(trace.to_payload())
+            start = time.perf_counter()
+            TimingSimulator(system, config).compare(fresh)
+            samples.append(time.perf_counter() - start)
+        timing_elapsed = min(samples)
         elapsed, fast_elapsed = timings["exact"], timings["fast"]
         traffic_elapsed = timings["traffic"]
         per_class[workload] = {
@@ -220,6 +237,12 @@ def _functional_throughput():
                 ),
                 "slowdown_vs_exact": (
                     round(traffic_elapsed / elapsed, 3) if elapsed > 0 else 0.0
+                ),
+            },
+            "timing": {
+                "wallclock_s": round(timing_elapsed, 3),
+                "accesses_per_s": (
+                    round(accesses / timing_elapsed) if timing_elapsed > 0 else 0
                 ),
             },
         }

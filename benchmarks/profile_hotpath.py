@@ -13,13 +13,17 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_hotpath.py apache --accesses 160000 --top 30
     PYTHONPATH=src python benchmarks/profile_hotpath.py em3d --sort tottime
     PYTHONPATH=src python benchmarks/profile_hotpath.py db2 --traffic
+    PYTHONPATH=src python benchmarks/profile_hotpath.py db2 --timing
 
 ``--mode fast`` profiles the REPRO_FAST_MODE batched plane instead of the
 exact pipeline; ``--mode both`` profiles each plane once and prints a
 side-by-side top-N table (ranked by the fast plane's self time), so the
 residual fast-mode bottleneck is visible at a glance.  ``--traffic``
 attaches the traffic accountant (Figure 11's configuration), so the traffic
-plane is profiled together with the replay plane it rides on.
+plane is profiled together with the replay plane it rides on.  ``--timing``
+profiles the timing model instead (Figure 14): one cold
+``TimingSimulator.compare`` — base labels, the TSE label run and both
+timing walks — on a fresh copy of the trace, so no label cache helps.
 
 Note that ``cProfile`` charges ~0.5µs per function call, which inflates
 call-heavy code relative to slice/``memcmp``-heavy code — confirm any
@@ -35,28 +39,38 @@ import pstats
 import time
 
 
-def _replay(trace, config, mode: str, traffic: bool) -> None:
-    """One uncached replay, traffic-accounted on request."""
+def _replay(trace, config, mode: str, traffic: bool, timing: bool = False) -> None:
+    """One uncached replay, traffic-accounted on request; with ``timing``,
+    one cold base-vs-TSE compare on a fresh copy of the trace."""
     from repro.common.config import DEFAULT_WARMUP_FRACTION
     from repro.tse.simulator import run_tse_on_trace
 
+    if timing:
+        from repro.common.chunk import ChunkedTrace
+        from repro.system.timing import TimingSimulator
+
+        fresh = ChunkedTrace.from_payload(trace.to_payload())
+        TimingSimulator(tse_config=config).compare(fresh)
+        return
     run_tse_on_trace(
         trace, config, warmup_fraction=DEFAULT_WARMUP_FRACTION, mode=mode,
         account_traffic=traffic,
     )
 
 
-def _run_once(trace, config, mode: str, traffic: bool) -> float:
-    """One uncached replay; returns wall-clock seconds."""
+def _run_once(trace, config, mode: str, traffic: bool, timing: bool = False) -> float:
+    """One uncached run; returns wall-clock seconds."""
     start = time.perf_counter()
-    _replay(trace, config, mode, traffic)
+    _replay(trace, config, mode, traffic, timing)
     return time.perf_counter() - start
 
 
-def _profile_once(trace, config, mode: str, traffic: bool) -> pstats.Stats:
+def _profile_once(
+    trace, config, mode: str, traffic: bool, timing: bool = False
+) -> pstats.Stats:
     profile = cProfile.Profile()
     profile.enable()
-    _replay(trace, config, mode, traffic)
+    _replay(trace, config, mode, traffic, timing)
     profile.disable()
     return pstats.Stats(profile)
 
@@ -110,12 +124,19 @@ def main() -> int:
     parser.add_argument("--traffic", action="store_true",
                         help="attach the traffic accountant (Figure 11's "
                         "configuration) to the profiled replay")
+    parser.add_argument("--timing", action="store_true",
+                        help="profile one cold timing-model compare (Figure "
+                        "14's base and TSE labels and walks) instead of a "
+                        "replay; the timing model runs the exact plane")
     parser.add_argument("--top", type=int, default=20,
                         help="number of functions to print (default 20)")
     parser.add_argument("--sort", choices=("cumulative", "tottime"),
                         default="cumulative",
                         help="ranking order (default cumulative)")
     args = parser.parse_args()
+    if args.timing and (args.mode != "exact" or args.traffic):
+        parser.error("--timing profiles the exact-plane timing model; "
+                     "it takes neither --mode nor --traffic")
 
     from repro.common.config import PAPER_LOOKAHEAD, TSEConfig
     from repro.experiments.runner import trace_for
@@ -132,8 +153,10 @@ def main() -> int:
     # overhead (and a throughput comparison when profiling both planes).
     elapsed = {}
     for mode in modes:
-        elapsed[mode] = _run_once(trace, config, mode, args.traffic)
-        label = f"{mode}, traffic" if args.traffic else mode
+        elapsed[mode] = _run_once(trace, config, mode, args.traffic, args.timing)
+        label = "timing compare" if args.timing else (
+            f"{mode}, traffic" if args.traffic else mode
+        )
         print(
             f"{args.workload} [{label}]: {args.accesses} accesses in "
             f"{elapsed[mode]:.3f}s ({args.accesses / elapsed[mode]:,.0f} "
@@ -149,7 +172,7 @@ def main() -> int:
         print(_side_by_side(exact_stats, fast_stats, args.top))
         return 0
 
-    stats = _profile_once(trace, config, args.mode, args.traffic)
+    stats = _profile_once(trace, config, args.mode, args.traffic, args.timing)
     out = io.StringIO()
     stats.stream = out
     stats.sort_stats(args.sort).print_stats(args.top)

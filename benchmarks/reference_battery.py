@@ -3,14 +3,15 @@
 Runs a fixed matrix of simulations — every workload under several TSE
 configurations (including wraparound-heavy tiny CMOBs, single/many compared
 streams, tiny SVBs), traffic-accounting runs, outcome-recording runs, the
-warm-state snapshot path, and a timing comparison — and writes every result
-as JSON.  Two trees produce byte-identical files exactly when their
-simulators are bit-identical, so a perf refactor is verified the way PR 3
-was::
+warm-state snapshot path, timing comparisons (Figure 14 / Table 3) and the
+baseline prefetchers (Figure 12) — and writes every result as JSON.  Two
+trees produce byte-identical files exactly when their simulators are
+bit-identical.  Run this one script against both trees' ``src/`` so both
+sides run the same matrix::
 
-    # in the reference tree (e.g. a worktree at the base commit)
-    PYTHONPATH=src python benchmarks/reference_battery.py /tmp/ref.json
-    # in the working tree
+    # the reference tree's sources (e.g. a checkout of the base commit)
+    PYTHONPATH=/path/to/base/src python benchmarks/reference_battery.py /tmp/ref.json
+    # the working tree's sources
     PYTHONPATH=src python benchmarks/reference_battery.py /tmp/new.json
     diff /tmp/ref.json /tmp/new.json
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 
 from repro.common.config import InterconnectConfig, TSEConfig
 from repro.experiments.runner import trace_for
@@ -90,16 +92,33 @@ def warm_cell(workload: str) -> dict:
     return {"cold": cold.as_dict(), "warm": warm.as_dict(), "restored": again.as_dict()}
 
 
-def timing_cell(workload: str) -> dict:
+def timing_cell(workload: str, config: TSEConfig = TSEConfig.paper_default()) -> dict:
     from repro.system.timing import TimingSimulator
 
     trace = trace_for(workload, ACCESSES, SEED, NUM_NODES)
-    comparison = TimingSimulator(tse_config=TSEConfig.paper_default()).compare(trace)
+    comparison = TimingSimulator(tse_config=config).compare(trace)
     return {
         "speedup": comparison.speedup,
         "breakdowns": comparison.normalized_breakdowns(),
         "table3": comparison.table3_row(),
     }
+
+
+def prefetch_cell(workload: str) -> dict:
+    """Figure 12's baselines: stride and G/DC / G/AC GHB, 32-entry buffer."""
+    from repro.prefetch import GHBPrefetcher, StridePrefetcher, evaluate_prefetcher
+
+    trace = trace_for(workload, ACCESSES, SEED, NUM_NODES)
+    factories = {
+        "stride": lambda: StridePrefetcher(degree=8),
+        "ghb_dc": lambda: GHBPrefetcher(mode="G/DC", history_entries=512, degree=8),
+        "ghb_ac": lambda: GHBPrefetcher(mode="G/AC", history_entries=512, degree=8),
+    }
+    cells = {}
+    for label, factory in factories.items():
+        stats = evaluate_prefetcher(trace, factory, buffer_entries=32)
+        cells[label] = {**asdict(stats), **stats.as_dict()}
+    return cells
 
 
 def main() -> int:
@@ -115,8 +134,19 @@ def main() -> int:
     print("traffic done", flush=True)
     battery["warm"] = {w: warm_cell(w) for w in ("em3d", "db2")}
     print("warm done", flush=True)
-    battery["timing"] = {w: timing_cell(w) for w in ("db2", "moldyn")}
+    battery["timing"] = {w: timing_cell(w) for w in ("db2", "moldyn", "em3d", "apache")}
+    # A 4-entry SVB evicts streamed blocks before use; at lookahead 1 a
+    # streamed block often arrives after its consumer asks for it, which is
+    # the walk's partial-coverage path.
+    battery["timing"]["db2_svb4"] = timing_cell(
+        "db2", TSEConfig.paper_default().with_(svb_entries=4)
+    )
+    battery["timing"]["jbb_lookahead1"] = timing_cell(
+        "jbb", TSEConfig.paper_default(lookahead=1)
+    )
     print("timing done", flush=True)
+    battery["prefetch"] = {w: prefetch_cell(w) for w in ("em3d", "db2", "apache")}
+    print("prefetch done", flush=True)
     with open(out_path, "w") as handle:
         json.dump(battery, handle, indent=1, sort_keys=True, default=str)
         handle.write("\n")

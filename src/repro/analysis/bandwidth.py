@@ -15,13 +15,14 @@ sufficient to express traffic volumes as bandwidths of the right magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.coherence.messages import (
     CMOB_POINTER_BYTES,
     CONTROL_PAYLOAD_BYTES,
     DATA_PAYLOAD_BYTES,
 )
+from repro.common.chunk import ChunkedTrace, trace_chunks
 from repro.common.config import SystemConfig
 from repro.common.stats import ratio
 from repro.common.types import AccessTrace
@@ -49,26 +50,34 @@ class BandwidthResult:
     fraction_of_peak: float = 0.0
 
 
-def estimate_elapsed_ns(trace: AccessTrace, system: SystemConfig) -> float:
+def estimate_elapsed_ns(
+    trace: "Union[AccessTrace, ChunkedTrace]", system: SystemConfig
+) -> float:
     """Estimate the trace's execution time from per-node instruction counts.
 
     Nodes execute concurrently, so elapsed time follows the largest per-node
-    retired-instruction count at the configured base IPC.
+    retired-instruction count at the configured base IPC.  It reads the
+    packed ``timestamps`` columns; no object view is built.
     """
+    columns = [chunk.timestamps for chunk in trace_chunks(trace)]
+    # The trailing accesses carry the final per-node timestamps; scanning a
+    # bounded suffix finds the maximum without touching the whole trace.
     max_instructions = 0
-    for access in trace.accesses[-1 : -min(len(trace), 4096) - 1 : -1]:
-        # The trailing accesses carry the final per-node timestamps; scanning
-        # a bounded suffix finds the maximum without touching the whole trace.
-        max_instructions = max(max_instructions, access.timestamp)
-    if max_instructions == 0 and len(trace):
-        max_instructions = max(a.timestamp for a in trace)
+    left = 4096
+    for column in reversed(columns):
+        if left <= 0:
+            break
+        max_instructions = max(max_instructions, max(column[-left:], default=0))
+        left -= len(column)
+    if max_instructions == 0:
+        max_instructions = max((max(column, default=0) for column in columns), default=0)
     cycles = max_instructions / system.processor.base_ipc
     return cycles / system.clock_ghz
 
 
 def bandwidth_overhead(
     stats: TSEStats,
-    trace: AccessTrace,
+    trace: "Union[AccessTrace, ChunkedTrace]",
     system: Optional[SystemConfig] = None,
 ) -> BandwidthResult:
     """Compute Figure 11's bandwidth overhead from a traffic-accounted TSE run.

@@ -23,11 +23,12 @@ constructing a :class:`~repro.common.types.MemoryAccess`.
 Consumers choose their view:
 
 * the functional simulator replays raw columns chunk-at-a-time
-  (:meth:`repro.tse.simulator.TSESimulator.run` fast path);
-* legacy/object consumers (timing walk, analysis, tests) use the **thin
-  object view** — :meth:`TraceChunk.iter_accesses` /
-  :attr:`ChunkedTrace.accesses` — which materializes ``MemoryAccess``
-  objects on demand, bit-identical to the v2 engine's old output.
+  (:meth:`repro.tse.simulator.TSESimulator.run` fast path), and so do the
+  timing model and the prefetcher harness (through :func:`trace_chunks`);
+* legacy/object consumers (analysis, tests) use the **thin object view**
+  — :meth:`TraceChunk.iter_accesses` / :attr:`ChunkedTrace.accesses` —
+  which materializes ``MemoryAccess`` objects on demand, bit-identical to
+  the v2 engine's old output.
 
 Chunk size comes from :func:`repro.common.config.stream_chunk_size`
 (``REPRO_STREAM_CHUNK``).
@@ -36,7 +37,7 @@ Chunk size comes from :func:`repro.common.config.stream_chunk_size`
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.common.config import stream_chunk_size
 from repro.common.types import (
@@ -45,7 +46,7 @@ from repro.common.types import (
     MemoryAccess,
 )
 
-__all__ = ["TraceChunk", "ChunkedTrace", "PackedAccess", "stream_chunk_size"]
+__all__ = ["TraceChunk", "ChunkedTrace", "PackedAccess", "stream_chunk_size", "trace_chunks"]
 
 #: The packed access record emitted by workload primitives.
 PackedAccess = Tuple[int, int, int, int, int, int]
@@ -240,3 +241,14 @@ class ChunkedTrace:
             f"ChunkedTrace(name={self.name!r}, accesses={self._length}, "
             f"chunks={len(self._chunks)}, num_nodes={self.num_nodes})"
         )
+
+
+def trace_chunks(trace: "Union[ChunkedTrace, Iterable[MemoryAccess]]") -> Sequence[TraceChunk]:
+    """A trace's packed chunks, for consumers that read columns only.
+
+    A :class:`ChunkedTrace` hands over its own chunks; an object trace
+    (:class:`~repro.common.types.AccessTrace`) is packed into one chunk.
+    """
+    if isinstance(trace, ChunkedTrace):
+        return trace.chunks()
+    return [TraceChunk.from_accesses(trace)]

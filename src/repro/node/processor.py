@@ -19,14 +19,36 @@ read misses when at least one is outstanding), reported in Table 3.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.stats import ratio
-from repro.common.types import MemoryAccess
 from repro.node.latency import LatencyModel
 from repro.tse.simulator import Outcome
+
+#: One in-flight off-chip miss: ``(instruction, completion, is_consumption)``.
+_Miss = Tuple[int, float, bool]
+_instruction_of = itemgetter(0)
+_completion_of = itemgetter(1)
+_NEVER = float("inf")
+
+
+def _settle(
+    outstanding: List[_Miss], clock: float, latest: float
+) -> Tuple[List[_Miss], float]:
+    """Drop the misses completed by ``clock``; return the rest and the
+    earliest remaining completion (infinity when none remain).
+
+    ``latest`` bounds every outstanding completion from above, so once the
+    clock has reached it nothing remains.
+    """
+    if latest <= clock:
+        return [], _NEVER
+    pending = [miss for miss in outstanding if miss[1] > clock]
+    return pending, min([miss[1] for miss in pending], default=_NEVER)
 
 
 @dataclass
@@ -57,25 +79,6 @@ class NodeTimingResult:
         """Average outstanding coherent read misses while at least one is outstanding."""
         return ratio(self.mlp_area, self.mlp_busy_time, default=1.0)
 
-    def merge(self, other: "NodeTimingResult") -> None:
-        self.busy_cycles += other.busy_cycles
-        self.coherent_read_stall_cycles += other.coherent_read_stall_cycles
-        self.other_stall_cycles += other.other_stall_cycles
-        self.fully_covered += other.fully_covered
-        self.partially_covered += other.partially_covered
-        self.uncovered += other.uncovered
-        self.mlp_area += other.mlp_area
-        self.mlp_busy_time += other.mlp_busy_time
-
-
-@dataclass
-class _OutstandingMiss:
-    """One in-flight off-chip miss tracked by the interval model."""
-
-    completion: float
-    instruction: int
-    is_consumption: bool
-
 
 class ProcessorModel:
     """Interval-based timing walk over one node's labelled access sequence."""
@@ -92,49 +95,59 @@ class ProcessorModel:
         self._rob = system.processor.rob_entries
         self._mshrs = system.l2.mshrs
 
-    # ----------------------------------------------------------------- helpers
-    def _charge_wait(
-        self, result: NodeTimingResult, clock: float, target: float, coherent: bool
-    ) -> float:
-        """Advance the clock to ``target``, charging the wait to a stall bucket."""
-        wait = target - clock
-        if wait <= 0:
-            return clock
-        if coherent:
-            result.coherent_read_stall_cycles += wait
-        else:
-            result.other_stall_cycles += wait
-        return target
-
-    @staticmethod
-    def _drain_completed(outstanding: List[_OutstandingMiss], clock: float) -> None:
-        outstanding[:] = [m for m in outstanding if m.completion > clock]
-
-    # -------------------------------------------------------------------- walk
     def run_node(
         self,
         node: int,
-        accesses: Sequence[MemoryAccess],
-        outcomes: Sequence[Tuple[int, int]],
+        timestamps: Sequence[int],
+        deps: Sequence[int],
+        codes: Sequence[int],
+        leads: Sequence[int],
         tse_enabled: bool = False,
     ) -> NodeTimingResult:
         """Walk one node's accesses with their outcome labels.
 
         Args:
             node: Node id (for the result record).
-            accesses: The node's accesses in program order.
-            outcomes: Parallel (Outcome, lead_instructions) labels produced by
-                the functional simulator for the same accesses.
+            timestamps: The node's per-access retire times, in program order.
+            deps: Parallel dependent flags (nonzero = pointer chase).
+            codes: Parallel :class:`~repro.tse.simulator.Outcome` codes
+                produced by the functional simulator for the same accesses.
+            leads: Parallel lead counts; meaningful only for SVB hits.
             tse_enabled: True when the labels come from a TSE run (SVB hits
                 appear and partial coverage must be computed).
         """
-        result = NodeTimingResult(node=node)
-        if len(accesses) != len(outcomes):
-            raise ValueError("accesses and outcomes must be parallel sequences")
+        if not len(timestamps) == len(deps) == len(codes) == len(leads):
+            raise ValueError("timestamps, deps, codes and leads must be parallel columns")
+
+        # Latencies are pure functions of the configuration: read them once.
+        latency = self.latency
+        coherent_latency = latency.coherent_read_cycles
+        remote_latency = latency.remote_memory_cycles
+        fetch = latency.stream_fetch_cycles + latency.block_serialization_cycles
+        spin_stall = coherent_latency * self.SPIN_STALL_FRACTION
+        ipc = self._ipc
+        rob = self._rob
+        mshrs = self._mshrs
+        other_code = int(Outcome.OTHER)
+        write_code = int(Outcome.WRITE)
+        spin_code = int(Outcome.SPIN)
+        svb_hit_code = int(Outcome.SVB_HIT)
+        consumption_code = int(Outcome.CONSUMPTION)
+
+        # Result fields accumulate in locals, in program order.
+        busy_cycles = 0.0
+        coherent_stall = 0.0
+        other_stall = 0.0
+        fully_covered = partially_covered = uncovered = 0
+        mlp_area = 0.0
+        mlp_busy_time = 0.0
 
         clock = 0.0
         previous_timestamp = 0
-        outstanding: List[_OutstandingMiss] = []
+        # In instruction order; ``next_done`` is the earliest completion, so
+        # a drain is due only once the clock has reached it.
+        outstanding: List[_Miss] = []
+        next_done = _NEVER
         last_miss_completion = 0.0
         # MLP bookkeeping: each consumption is outstanding for exactly its
         # latency; mlp_busy_time is the union of those intervals, tracked
@@ -143,30 +156,20 @@ class ProcessorModel:
         # Wall-clock at which each of the node's earlier accesses was reached;
         # used to reconstruct when a streamed block's fetch was issued.
         wallclock_history: List[float] = []
+        reached = wallclock_history.append
 
-        # Outcome codes compared as plain ints: the labels arrive as raw
-        # array values and constructing an enum member per access dominates
-        # the walk otherwise.
-        other_code = int(Outcome.OTHER)
-        write_code = int(Outcome.WRITE)
-        spin_code = int(Outcome.SPIN)
-        svb_hit_code = int(Outcome.SVB_HIT)
-        consumption_code = int(Outcome.CONSUMPTION)
-        ipc = self._ipc
-
-        for access, (outcome_code, lead) in zip(accesses, outcomes):
-            outcome = int(outcome_code)
+        for timestamp, dependent, outcome, lead in zip(timestamps, deps, codes, leads):
             # Busy time for the instructions since the previous access.
-            gap_instructions = access.timestamp - previous_timestamp
+            gap_instructions = timestamp - previous_timestamp
             if gap_instructions < 0:
                 gap_instructions = 0
             busy = gap_instructions / ipc
             clock += busy
-            result.busy_cycles += busy
-            previous_timestamp = access.timestamp
-            wallclock_history.append(clock)
-            if outstanding:
-                self._drain_completed(outstanding, clock)
+            busy_cycles += busy
+            previous_timestamp = timestamp
+            reached(clock)
+            if next_done <= clock:
+                outstanding, next_done = _settle(outstanding, clock, last_miss_completion)
 
             if outcome == other_code or outcome == write_code:
                 # Cache hits retire at full speed; write latency is hidden by
@@ -174,9 +177,7 @@ class ProcessorModel:
                 continue
 
             if outcome == spin_code:
-                result.other_stall_cycles += (
-                    self.latency.coherent_read_cycles * self.SPIN_STALL_FRACTION
-                )
+                other_stall += spin_stall
                 continue
 
             if outcome == svb_hit_code:
@@ -185,94 +186,111 @@ class ProcessorModel:
                 # latency.  If it has already arrived the consumption is fully
                 # hidden, otherwise the remainder stalls the processor
                 # (partial coverage, Table 3).
-                request_index = len(wallclock_history) - 1 - int(lead)
+                request_index = len(wallclock_history) - 1 - lead
                 if 0 <= request_index < len(wallclock_history):
                     request_clock = wallclock_history[request_index]
                 else:
                     request_clock = clock
-                fetch = self.latency.stream_fetch_cycles + self.latency.block_serialization_cycles
                 arrival = request_clock + fetch
                 remaining = arrival - clock
                 if remaining <= 0:
-                    result.fully_covered += 1
+                    fully_covered += 1
                 else:
-                    result.partially_covered += 1
-                    if access.dependent:
+                    partially_covered += 1
+                    if dependent:
                         # Pointer-chasing code needs the data immediately.
-                        clock = self._charge_wait(result, clock, arrival, coherent=True)
+                        coherent_stall += remaining
+                        clock = arrival
                     else:
                         # Independent consumers keep executing; the in-flight
                         # streamed block behaves like an outstanding miss and
                         # its residual latency overlaps with other work.
-                        outstanding.append(
-                            _OutstandingMiss(
-                                completion=arrival,
-                                instruction=access.timestamp,
-                                is_consumption=True,
-                            )
-                        )
-                        outstanding.sort(key=lambda m: m.instruction)
-                        last_miss_completion = max(last_miss_completion, arrival)
+                        insort(outstanding, (timestamp, arrival, True), key=_instruction_of)
+                        if arrival < next_done:
+                            next_done = arrival
+                        if arrival > last_miss_completion:
+                            last_miss_completion = arrival
                 continue
 
             # --- true off-chip misses ----------------------------------------
             is_consumption = outcome == consumption_code
-            latency = (
-                self.latency.coherent_read_cycles
-                if is_consumption
-                else self.latency.remote_memory_cycles
-            )
+            miss_latency = coherent_latency if is_consumption else remote_latency
 
             # Dependence: pointer-chasing accesses wait for the previous miss.
-            if access.dependent and last_miss_completion > clock:
-                clock = self._charge_wait(
-                    result, clock, last_miss_completion, coherent=is_consumption
-                )
-                self._drain_completed(outstanding, clock)
+            if dependent and last_miss_completion > clock:
+                if is_consumption:
+                    coherent_stall += last_miss_completion - clock
+                else:
+                    other_stall += last_miss_completion - clock
+                clock = last_miss_completion
+                if next_done <= clock:
+                    outstanding, next_done = _settle(outstanding, clock, last_miss_completion)
 
-            # MSHR limit.
-            while len(outstanding) >= self._mshrs:
-                earliest = min(outstanding, key=lambda m: m.completion)
-                clock = self._charge_wait(result, clock, earliest.completion, coherent=True)
-                self._drain_completed(outstanding, clock)
+            # MSHR limit: wait for the earliest completion.
+            while len(outstanding) >= mshrs:
+                wait = next_done - clock
+                if wait > 0:
+                    coherent_stall += wait
+                    clock = next_done
+                outstanding, next_done = _settle(outstanding, clock, last_miss_completion)
 
             # ROB window: the oldest outstanding miss must retire before an
             # instruction more than `rob` younger can issue.
-            while outstanding and (
-                access.timestamp - outstanding[0].instruction > self._rob
-            ):
-                oldest = outstanding[0]
-                clock = self._charge_wait(
-                    result, clock, oldest.completion, coherent=oldest.is_consumption
-                )
-                self._drain_completed(outstanding, clock)
+            while outstanding and timestamp - outstanding[0][0] > rob:
+                _, oldest_completion, oldest_is_consumption = outstanding[0]
+                wait = oldest_completion - clock
+                if wait > 0:
+                    if oldest_is_consumption:
+                        coherent_stall += wait
+                    else:
+                        other_stall += wait
+                    clock = oldest_completion
+                outstanding, next_done = _settle(outstanding, clock, last_miss_completion)
 
-            completion = clock + latency
-            outstanding.append(
-                _OutstandingMiss(
-                    completion=completion,
-                    instruction=access.timestamp,
-                    is_consumption=is_consumption,
-                )
-            )
-            outstanding.sort(key=lambda m: m.instruction)
-            last_miss_completion = max(last_miss_completion, completion)
+            completion = clock + miss_latency
+            insort(outstanding, (timestamp, completion, is_consumption), key=_instruction_of)
+            if completion < next_done:
+                next_done = completion
+            if completion > last_miss_completion:
+                last_miss_completion = completion
             if is_consumption:
-                result.uncovered += 1
-                # MLP: this consumption is outstanding for exactly `latency`;
-                # the busy-time denominator is the union of such intervals.
-                result.mlp_area += latency
-                covered_from = max(clock, mlp_cover_end)
+                uncovered += 1
+                # MLP: this consumption is outstanding for exactly its
+                # latency; the busy-time denominator is the union of such
+                # intervals.
+                mlp_area += miss_latency
+                covered_from = clock if clock > mlp_cover_end else mlp_cover_end
                 if completion > covered_from:
-                    result.mlp_busy_time += completion - covered_from
-                mlp_cover_end = max(mlp_cover_end, completion)
+                    mlp_busy_time += completion - covered_from
+                if completion > mlp_cover_end:
+                    mlp_cover_end = completion
             # Dependent misses stall the processor for their full latency
             # (the next instruction needs the data).
-            if access.dependent:
-                clock = self._charge_wait(result, clock, completion, coherent=is_consumption)
-                self._drain_completed(outstanding, clock)
+            if dependent:
+                if is_consumption:
+                    coherent_stall += completion - clock
+                else:
+                    other_stall += completion - clock
+                clock = completion
+                outstanding, next_done = _settle(outstanding, clock, last_miss_completion)
 
         # Drain: the remaining outstanding misses stall the end of the interval.
-        for miss in sorted(outstanding, key=lambda m: m.completion):
-            clock = self._charge_wait(result, clock, miss.completion, coherent=miss.is_consumption)
-        return result
+        for _, completion, is_consumption in sorted(outstanding, key=_completion_of):
+            wait = completion - clock
+            if wait > 0:
+                if is_consumption:
+                    coherent_stall += wait
+                else:
+                    other_stall += wait
+                clock = completion
+        return NodeTimingResult(
+            node=node,
+            busy_cycles=busy_cycles,
+            coherent_read_stall_cycles=coherent_stall,
+            other_stall_cycles=other_stall,
+            fully_covered=fully_covered,
+            partially_covered=partially_covered,
+            uncovered=uncovered,
+            mlp_area=mlp_area,
+            mlp_busy_time=mlp_busy_time,
+        )

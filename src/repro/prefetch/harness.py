@@ -10,12 +10,13 @@ comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Union
 
 from repro.coherence.protocol import READ_COHERENT, READ_SPIN_COHERENT, CoherenceProtocol
+from repro.common.chunk import ChunkedTrace, trace_chunks
 from repro.common.config import DEFAULT_WARMUP_FRACTION
 from repro.common.stats import ratio
-from repro.common.types import AccessTrace
+from repro.common.types import TYPE_IS_WRITE, TYPE_SPIN_READ, AccessTrace
 from repro.prefetch.base import PrefetchBuffer, Prefetcher
 
 
@@ -60,7 +61,7 @@ class PrefetcherStats:
 
 
 def evaluate_prefetcher(
-    trace: AccessTrace,
+    trace: "Union[AccessTrace, ChunkedTrace]",
     prefetcher_factory: Callable[[], Prefetcher],
     buffer_entries: int = 32,
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
@@ -68,7 +69,8 @@ def evaluate_prefetcher(
     """Run one baseline prefetcher over a trace.
 
     Args:
-        trace: The interleaved multi-node access trace.
+        trace: The interleaved multi-node access trace; its packed columns
+            are replayed (an object trace is packed into one chunk).
         prefetcher_factory: Builds a fresh per-node prefetcher.
         buffer_entries: Prefetch-buffer capacity (32 = the 2 KB SVB).
         warmup_fraction: Fraction of the trace excluded from statistics
@@ -86,37 +88,54 @@ def evaluate_prefetcher(
     # activity is excluded from the reported rates.
     baseline_fills = [0] * num_nodes
     baseline_discards = [0] * num_nodes
+    read_ints = protocol.read_ints
+    write_ints = protocol.write_ints
+    install_copy = protocol.install_copy
+    is_write = TYPE_IS_WRITE
+    spin_read = TYPE_SPIN_READ
 
-    for index, access in enumerate(trace):
-        if index == warmup_count and warmup_count > 0:
-            stats = PrefetcherStats(technique=prefetchers[0].name, workload=trace.name)
-            baseline_fills = [b.fills for b in buffers]
-            baseline_discards = [b.discards for b in buffers]
-        node = access.node
+    # A write probes each buffer's entries before calling invalidate: nearly
+    # every buffer misses, and the probe is cheaper than the call.
+    resident = [(buffer, buffer._entries) for buffer in buffers]
 
-        if access.is_write:
-            # Writes invalidate prefetched copies everywhere (clean-only buffers).
-            for buffer in buffers:
-                buffer.invalidate(access.address)
-            protocol.write_ints(node, access.address)
-            continue
+    index = 0
+    for chunk in trace_chunks(trace):
+        for node, address, type_code, pc in zip(
+            chunk.nodes.tolist(), chunk.blocks.tolist(), chunk.types.tolist(),
+            chunk.pcs.tolist(),
+        ):
+            if index == warmup_count and warmup_count > 0:
+                stats = PrefetcherStats(technique=prefetchers[0].name, workload=trace.name)
+                baseline_fills = [b.fills for b in buffers]
+                baseline_discards = [b.discards for b in buffers]
+            index += 1
 
-        if not access.is_spin and buffers[node].consume(access.address):
-            stats.buffer_hits += 1
-            protocol.install_copy(node, access.address)
-            for candidate in prefetchers[node].on_hit(access.address):
-                if candidate > 0:
-                    buffers[node].insert(candidate)
-            continue
+            if is_write[type_code]:
+                # Writes invalidate prefetched copies everywhere (clean-only
+                # buffers).
+                for buffer, entries in resident:
+                    if address in entries:
+                        buffer.invalidate(address)
+                write_ints(node, address)
+                continue
 
-        code = protocol.read_ints(node, access.address, access.is_spin)
-        if code == READ_COHERENT:
-            stats.remaining_consumptions += 1
-            for candidate in prefetchers[node].on_consumption(access.address, access.pc):
-                if candidate > 0:
-                    buffers[node].insert(candidate)
-        elif code == READ_SPIN_COHERENT:
-            stats.spin_misses += 1
+            is_spin = type_code == spin_read
+            if not is_spin and buffers[node].consume(address):
+                stats.buffer_hits += 1
+                install_copy(node, address)
+                for candidate in prefetchers[node].on_hit(address):
+                    if candidate > 0:
+                        buffers[node].insert(candidate)
+                continue
+
+            code = read_ints(node, address, is_spin)
+            if code == READ_COHERENT:
+                stats.remaining_consumptions += 1
+                for candidate in prefetchers[node].on_consumption(address, pc):
+                    if candidate > 0:
+                        buffers[node].insert(candidate)
+            elif code == READ_SPIN_COHERENT:
+                stats.spin_misses += 1
 
     for node in range(num_nodes):
         buffers[node].drain()

@@ -4,7 +4,9 @@ Mirrors the paper's methodology split: the functional trace-driven simulator
 (:mod:`repro.tse.simulator`) decides *which* misses TSE eliminates, and this
 timing model decides *how much time* that saves, by replaying each node's
 labelled access sequence through the interval-based processor model with the
-Table 1 latencies.
+Table 1 latencies.  The base system's labels need no TSE at all: they are
+the coherence classification of each access.  Both the labelling and the
+walk read the trace's packed columns.
 
 Outputs map directly onto the paper's results:
 
@@ -17,16 +19,52 @@ Outputs map directly onto the paper's results:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.common.chunk import ChunkedTrace
+from repro.coherence.protocol import CoherenceProtocol
+from repro.common.chunk import ChunkedTrace, trace_chunks
 from repro.common.config import SystemConfig, TSEConfig
 from repro.common.stats import ratio
-from repro.common.types import AccessTrace
+from repro.common.types import TYPE_IS_WRITE, TYPE_SPIN_READ, AccessTrace
 from repro.node.latency import LatencyModel
 from repro.node.processor import NodeTimingResult, ProcessorModel
-from repro.tse.simulator import TSESimulator, TSEStats
+from repro.tse.simulator import Outcome, TSESimulator, TSEStats
+
+#: ``READ_*`` code of :meth:`CoherenceProtocol.read_ints` -> base-system
+#: outcome: a hit, a consumption, a spin coherent miss, a cold miss.
+_BASE_OUTCOME_OF_READ = (
+    int(Outcome.OTHER), int(Outcome.CONSUMPTION), int(Outcome.SPIN), int(Outcome.COLD_MISS),
+)
+
+
+def _coherence_labels(trace: "Union[AccessTrace, ChunkedTrace]") -> array:
+    """Base-system outcome codes: the coherence classification of each access.
+
+    Without TSE nothing streams, so every read is labelled by the read code
+    alone and every write is ``Outcome.WRITE``.
+    """
+    protocol = CoherenceProtocol(trace.num_nodes)
+    read_ints = protocol.read_ints
+    write_ints = protocol.write_ints
+    is_write = TYPE_IS_WRITE
+    spin_read = TYPE_SPIN_READ
+    outcome_of_read = _BASE_OUTCOME_OF_READ
+    write_code = int(Outcome.WRITE)
+    codes = array("B")
+    label = codes.append
+    for chunk in trace_chunks(trace):
+        for node, block, type_code in zip(
+            chunk.nodes.tolist(), chunk.blocks.tolist(), chunk.types.tolist()
+        ):
+            if is_write[type_code]:
+                write_ints(node, block)
+                label(write_code)
+            else:
+                label(outcome_of_read[read_ints(node, block, type_code == spin_read)])
+    return codes
 
 
 @dataclass
@@ -118,53 +156,43 @@ class TimingSimulator:
 
     # ---------------------------------------------------------------- plumbing
     def _label_trace(
-        self, trace: "Union[AccessTrace, ChunkedTrace]", tse_enabled: bool,
-        warmup_fraction: float
-    ) -> Tuple[TSEStats, Sequence[int], Sequence[int]]:
-        """Run the functional simulator to label each access with its outcome.
+        self, trace: "Union[AccessTrace, ChunkedTrace]", tse_enabled: bool
+    ) -> Tuple[Optional[TSEStats], Sequence[int], Optional[Sequence[int]]]:
+        """Label each access with its outcome code (and, under TSE, its lead).
 
-        A packed :class:`ChunkedTrace` is labelled through the columnar
-        replay fast path; the timing walk itself reads the thin object view.
-        Label runs are memoized on the trace object, keyed by the exact
-        TSE configuration used.  The base-system labeling uses a degenerate
-        configuration whose behaviour is independent of the interesting TSE
-        knobs (lookahead, SVB size, ...), so every configuration sweep over
-        the same trace shares a single base run — and repeated ``compare()``
-        calls (Figure 14 + Table 3) reuse both label runs outright.
+        The base system is the coherence classification alone: one pass of
+        :meth:`~repro.coherence.protocol.CoherenceProtocol.read_ints` /
+        ``write_ints`` over the packed columns, every lead 0 (returned as
+        None), no functional stats.  Its labels depend on no TSE knob, so
+        every configuration sweep over the same trace shares one base run.
+        The TSE labels come from an exact-plane functional run with outcome
+        recording.  Both are memoized on the trace object — the TSE run
+        keyed by its configuration — so repeated ``compare()`` calls
+        (Figure 14 + Table 3) reuse them outright.
         """
-        if tse_enabled:
-            config = self.tse_config
-        else:
-            # A degenerate TSE that never finds streams behaves as the base
-            # system while reusing the same classification machinery.
-            config = self.tse_config.with_(
-                compared_streams=1,
-                cmob_pointers_per_block=1,
-                stream_lookahead=0,
-                queue_depth=1,
-                refill_threshold=1,
-            )
-        del warmup_fraction  # the timing walk measures the whole trace
         cache: Dict = getattr(trace, "_label_cache", None)
         if cache is None:
             cache = {}
             trace._label_cache = cache  # type: ignore[attr-defined]
         # The trace length guards against AccessTrace.append/extend after a
         # cached label run: a grown trace gets a fresh labeling.
-        key = (config, len(trace))
+        key = (self.tse_config if tse_enabled else "base", len(trace))
         cached = cache.get(key)
         if cached is None:
-            # Outcome labeling needs per-access fill times, which only the
-            # exact plane records: pin mode explicitly so an ambient
-            # REPRO_FAST_MODE never reaches the timing model.  (Fast-mode
-            # sweeps still speed up their functional runs; timing
-            # comparisons are exact by construction.)
-            simulator = TSESimulator(
-                trace.num_nodes, tse_config=config, record_outcomes=True,
-                mode="exact",
-            )
-            stats = simulator.run(trace, warmup_fraction=0.0)
-            cached = (stats, simulator.outcome_codes, simulator.outcome_leads)
+            if tse_enabled:
+                # Outcome labeling needs per-access fill times, which only
+                # the exact plane records: pin mode explicitly so an ambient
+                # REPRO_FAST_MODE never reaches the timing model.  (Fast-mode
+                # sweeps still speed up their functional runs; timing
+                # comparisons are exact by construction.)
+                simulator = TSESimulator(
+                    trace.num_nodes, tse_config=self.tse_config,
+                    record_outcomes=True, mode="exact",
+                )
+                stats = simulator.run(trace, warmup_fraction=0.0)
+                cached = (stats, simulator.outcome_codes, simulator.outcome_leads)
+            else:
+                cached = (None, _coherence_labels(trace), None)
             cache[key] = cached
         return cached
 
@@ -172,33 +200,52 @@ class TimingSimulator:
         self,
         trace: "Union[AccessTrace, ChunkedTrace]",
         codes: Sequence[int],
-        leads: Sequence[int],
+        leads: Optional[Sequence[int]],
         tse_enabled: bool,
         label: str,
     ) -> TimingResult:
-        per_node_accesses: List[List] = [[] for _ in range(trace.num_nodes)]
-        per_node_outcomes: List[List[Tuple[int, int]]] = [[] for _ in range(trace.num_nodes)]
-        for access, code, lead in zip(trace.accesses, codes, leads):
-            per_node_accesses[access.node].append(access)
-            per_node_outcomes[access.node].append((code, lead))
+        """Split the labelled trace into per-node columns and walk each node.
+
+        ``leads`` is None when every lead is 0 (the base system).
+        """
+        columns: List[Tuple[List[int], List[int], List[int], List[int]]] = [
+            ([], [], [], []) for _ in range(trace.num_nodes)
+        ]
+        start = 0
+        for chunk in trace_chunks(trace):
+            stop = start + len(chunk)
+            for node, timestamp, dep, code, lead in zip(
+                chunk.nodes, chunk.timestamps, chunk.deps, codes[start:stop],
+                repeat(0) if leads is None else leads[start:stop],
+            ):
+                timestamps, deps, node_codes, node_leads = columns[node]
+                timestamps.append(timestamp)
+                deps.append(dep)
+                node_codes.append(code)
+                node_leads.append(lead)
+            start = stop
         result = TimingResult(label=label, workload=trace.name)
-        for node in range(trace.num_nodes):
+        for node, (timestamps, deps, node_codes, node_leads) in enumerate(columns):
             result.per_node.append(
                 self._processor.run_node(
-                    node, per_node_accesses[node], per_node_outcomes[node], tse_enabled
+                    node, timestamps, deps, node_codes, node_leads, tse_enabled
                 )
             )
         return result
 
     # --------------------------------------------------------------------- API
     def run_base(self, trace: "Union[AccessTrace, ChunkedTrace]") -> TimingResult:
-        """Time the baseline system (no TSE) on a trace."""
-        _, codes, leads = self._label_trace(trace, tse_enabled=False, warmup_fraction=0.0)
+        """Time the baseline system (no TSE) on a trace.
+
+        Its labels are the coherence classification of each access, from
+        one ``read_ints`` / ``write_ints`` pass over the packed columns.
+        """
+        _, codes, leads = self._label_trace(trace, tse_enabled=False)
         return self._run_timing(trace, codes, leads, tse_enabled=False, label="base")
 
     def run_tse(self, trace: "Union[AccessTrace, ChunkedTrace]") -> Tuple[TimingResult, TSEStats]:
         """Time the TSE-equipped system; also returns the functional stats."""
-        stats, codes, leads = self._label_trace(trace, tse_enabled=True, warmup_fraction=0.0)
+        stats, codes, leads = self._label_trace(trace, tse_enabled=True)
         timing = self._run_timing(trace, codes, leads, tse_enabled=True, label="tse")
         return timing, stats
 

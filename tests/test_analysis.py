@@ -5,9 +5,11 @@ import pytest
 from repro.analysis.bandwidth import bandwidth_overhead, estimate_elapsed_ns
 from repro.analysis.correlation import cumulative_correlation, temporal_correlation
 from repro.analysis.streams import fraction_of_hits_from_short_streams, stream_length_cdf
+from repro.common.chunk import ChunkedTrace, TraceChunk
 from repro.common.config import SystemConfig, TSEConfig
 from repro.common.stats import Histogram
 from repro.common.types import AccessTrace, AccessType, Consumption, MemoryAccess
+from repro.experiments.runner import trace_for
 from repro.tse.simulator import TSESimulator
 
 
@@ -115,3 +117,42 @@ class TestBandwidth:
         for i in range(100):
             long.append(MemoryAccess(0, i, AccessType.READ, timestamp=i * 10))
         assert estimate_elapsed_ns(long, system) > estimate_elapsed_ns(short, system)
+
+    @staticmethod
+    def _object_view_elapsed(accesses, system):
+        """The estimate computed over ``MemoryAccess`` objects: the maximum
+        of the last 4096 timestamps, or of all of them when those are 0."""
+        max_instructions = max((a.timestamp for a in accesses[-4096:]), default=0)
+        if max_instructions == 0 and accesses:
+            max_instructions = max(a.timestamp for a in accesses)
+        return max_instructions / system.processor.base_ipc / system.clock_ghz
+
+    def test_elapsed_time_reads_the_timestamp_columns(self):
+        system = SystemConfig.isca2005()
+        accesses = ChunkedTrace.from_payload(trace_for("db2", 20_000, 42).to_payload()).accesses
+        # 3000-access chunks: the 4096-access suffix spans the last three.
+        trace = ChunkedTrace(num_nodes=16)
+        for start in range(0, len(accesses), 3000):
+            trace.append_chunk(TraceChunk.from_accesses(accesses[start:start + 3000]))
+        elapsed = estimate_elapsed_ns(trace, system)
+        assert trace._accesses is None
+        assert elapsed == self._object_view_elapsed(accesses, system)
+
+    def test_elapsed_time_falls_back_to_the_whole_trace(self):
+        system = SystemConfig.small(4)
+        trace = ChunkedTrace(num_nodes=4)
+        early = TraceChunk()
+        early.extend_packed((0, block, 0, 0, 10 * block, 0) for block in range(100))
+        late = TraceChunk()
+        late.extend_packed((1, block, 0, 0, 0, 0) for block in range(5000))
+        trace.append_chunk(early)
+        trace.append_chunk(late)
+        elapsed = estimate_elapsed_ns(trace, system)
+        assert elapsed == self._object_view_elapsed(trace.accesses, system) > 0
+
+    def test_bandwidth_overhead_builds_no_object_view(self):
+        # A private copy: trace_for's traces are shared across tests.
+        trace = ChunkedTrace.from_payload(trace_for("db2", 8_000, 42).to_payload())
+        stats = self._traffic_stats(trace)
+        bandwidth_overhead(stats, trace, SystemConfig.isca2005())
+        assert trace._accesses is None

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.common.chunk import ChunkedTrace
 from repro.common.types import AccessTrace, AccessType, MemoryAccess
+from repro.experiments.runner import trace_for
 from repro.prefetch import GHBPrefetcher, PrefetchBuffer, StridePrefetcher, evaluate_prefetcher
 
 
@@ -130,3 +132,14 @@ class TestEvaluationHarness:
         assert result.total_consumptions == result.buffer_hits + result.remaining_consumptions
         assert result.discarded_blocks >= 0
         assert 0.0 <= result.coverage <= 1.0
+
+    @pytest.mark.parametrize("warmup_fraction", [0.0, 0.3])
+    def test_packed_and_object_traces_agree(self, warmup_fraction):
+        # A private copy: trace_for's traces are shared across tests.
+        trace = ChunkedTrace.from_payload(trace_for("db2", 6_000, 42).to_payload())
+        factory = lambda: GHBPrefetcher(mode="G/DC", degree=8)  # noqa: E731
+        packed = evaluate_prefetcher(trace, factory, warmup_fraction=warmup_fraction)
+        assert trace._accesses is None  # the harness reads the columns
+        objects = AccessTrace(list(trace.accesses), num_nodes=trace.num_nodes,
+                              name=trace.name)
+        assert evaluate_prefetcher(objects, factory, warmup_fraction=warmup_fraction) == packed
