@@ -29,9 +29,10 @@ def throughputs(artifact: dict) -> Dict[str, float]:
 
     Functional-simulator series are keyed by workload name, with the
     REPRO_FAST_MODE plane (when present) as ``<workload>.fast``, the
-    traffic-accounted exact replay (when present) as ``<workload>.traffic``
-    and the timing model's cold base-vs-TSE compare (when present) as
-    ``<workload>.timing``;
+    traffic-accounted exact replay (when present) as ``<workload>.traffic``,
+    the timing model's cold base-vs-TSE compare (when present) as
+    ``<workload>.timing`` and the once-per-trace coherence classification
+    (when present) as ``<workload>.classify``;
     the service scheduler's campaign throughput (PR 4,
     ``service_throughput``) is keyed ``service`` in jobs/s; the
     events-enabled submission rate (PR 9, ``events_overhead``) is keyed
@@ -51,6 +52,7 @@ def throughputs(artifact: dict) -> Dict[str, float]:
         for workload, entry in per_class.items():
             for suffix, field in (
                 ("fast", "fast_mode"), ("traffic", "traffic"), ("timing", "timing"),
+                ("classify", "classify"),
             ):
                 plane = entry.get(field) or {}
                 if plane.get("accesses_per_s"):

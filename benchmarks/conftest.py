@@ -24,16 +24,24 @@ seconds of wall clock):
         "per_class": {
           "<workload>": {             # one per class: em3d / db2 / apache
             "accesses": <n>, "lookahead": <paper lookahead>,
-            "wallclock_s": <best of two uncached paper-default runs>,
+            "wallclock_s": <best of two uncached paper-default runs, each
+                            on a fresh copy of the trace, so each pays
+                            the trace's coherence classification>,
             "accesses_per_s": <n / wallclock_s>,
             "fast_mode": {            # same point through REPRO_FAST_MODE
               "wallclock_s": <s>, "accesses_per_s": <n / s>,
               "speedup_vs_exact": <exact wallclock / fast wallclock>
             },
             "traffic": {              # same exact point, traffic accounted
-              "wallclock_s": <best of two, 4x4 torus accountant attached>,
+              "wallclock_s": <best of two, 4x4 torus accountant attached,
+                              fresh trace copy per sample>,
               "accesses_per_s": <n / s>,
               "slowdown_vs_exact": <traffic wallclock / exact wallclock>
+            },
+            "classify": {             # the once-per-trace coherence pass
+              "wallclock_s": <best of two trace_codes() calls, each on a
+                              fresh copy of the trace>,
+              "accesses_per_s": <n / s>
             },
             "timing": {               # Figure 14's base-vs-TSE compare
               "wallclock_s": <best of two cold TimingSimulator.compare
@@ -166,8 +174,12 @@ def _functional_throughput():
     traffic accounting on (Figure 11's configuration), and the timing
     model compares base and TSE on it (Figure 14), so the fast plane's,
     the traffic plane's and the timing model's throughputs are tracked
-    (and regression-gated) alongside the exact plane's.
+    (and regression-gated) alongside the exact plane's.  Every sample runs
+    on a fresh copy of the trace, so it pays the trace's coherence
+    classification itself (the no-sharing case); the classification pass
+    alone is the ``classify`` series.
     """
+    from repro.coherence.protocol import trace_codes
     from repro.common.chunk import ChunkedTrace, stream_chunk_size
     from repro.common.config import (
         DEFAULT_WARMUP_FRACTION,
@@ -187,35 +199,38 @@ def _functional_throughput():
         lookahead = PAPER_LOOKAHEAD.get(workload, 8)
         trace = trace_for(workload, accesses, 42)
         config = TSEConfig.paper_default(lookahead=lookahead)
+
+        def replay(mode, traffic=False):
+            return lambda fresh: run_tse_on_trace(
+                fresh, config,
+                warmup_fraction=DEFAULT_WARMUP_FRACTION, mode=mode,
+                account_traffic=traffic,
+                interconnect_config=interconnect if traffic else None,
+            )
+
         timings = {}
-        for series, mode, traffic in (
-            ("exact", "exact", False),
-            ("fast", "fast", False),
-            ("traffic", "exact", True),
+        for series, measure in (
+            ("exact", replay("exact")),
+            ("fast", replay("fast")),
+            ("traffic", replay("exact", traffic=True)),
+            ("timing", lambda fresh: TimingSimulator(system, config).compare(fresh)),
+            ("classify", trace_codes),
         ):
             # Best of two: single runs swing ±35% on shared containers,
             # which is too noisy for a 25%-threshold regression gate.
             samples = []
             for _ in range(2):
+                # A fresh trace object per sample: no label cache or code
+                # column survives.
+                fresh = ChunkedTrace.from_payload(trace.to_payload())
                 start = time.perf_counter()
-                run_tse_on_trace(
-                    trace, config,
-                    warmup_fraction=DEFAULT_WARMUP_FRACTION, mode=mode,
-                    account_traffic=traffic,
-                    interconnect_config=interconnect if traffic else None,
-                )
+                measure(fresh)
                 samples.append(time.perf_counter() - start)
             timings[series] = min(samples)
-        samples = []
-        for _ in range(2):
-            # A fresh trace object per sample: no label cache survives.
-            fresh = ChunkedTrace.from_payload(trace.to_payload())
-            start = time.perf_counter()
-            TimingSimulator(system, config).compare(fresh)
-            samples.append(time.perf_counter() - start)
-        timing_elapsed = min(samples)
         elapsed, fast_elapsed = timings["exact"], timings["fast"]
         traffic_elapsed = timings["traffic"]
+        timing_elapsed = timings["timing"]
+        classify_elapsed = timings["classify"]
         per_class[workload] = {
             "accesses": accesses,
             "lookahead": lookahead,
@@ -243,6 +258,12 @@ def _functional_throughput():
                 "wallclock_s": round(timing_elapsed, 3),
                 "accesses_per_s": (
                     round(accesses / timing_elapsed) if timing_elapsed > 0 else 0
+                ),
+            },
+            "classify": {
+                "wallclock_s": round(classify_elapsed, 3),
+                "accesses_per_s": (
+                    round(accesses / classify_elapsed) if classify_elapsed > 0 else 0
                 ),
             },
         }

@@ -1,7 +1,8 @@
 """Profile one functional replay and print the hottest functions.
 
 The standing tool for "where is the next bottleneck": runs a single
-uncached paper-default replay of one workload under ``cProfile`` and prints
+uncached paper-default replay of one workload (its coherence
+classification included) under ``cProfile`` and prints
 the top cumulative (and top self-time) functions, so future perf PRs start
 from measurements instead of ad-hoc scripts.
 
@@ -41,19 +42,20 @@ import time
 
 def _replay(trace, config, mode: str, traffic: bool, timing: bool = False) -> None:
     """One uncached replay, traffic-accounted on request; with ``timing``,
-    one cold base-vs-TSE compare on a fresh copy of the trace."""
+    one cold base-vs-TSE compare.  Either runs on a fresh copy of the trace,
+    so it pays the trace's coherence classification and no memo helps."""
+    from repro.common.chunk import ChunkedTrace
     from repro.common.config import DEFAULT_WARMUP_FRACTION
     from repro.tse.simulator import run_tse_on_trace
 
+    fresh = ChunkedTrace.from_payload(trace.to_payload())
     if timing:
-        from repro.common.chunk import ChunkedTrace
         from repro.system.timing import TimingSimulator
 
-        fresh = ChunkedTrace.from_payload(trace.to_payload())
         TimingSimulator(tse_config=config).compare(fresh)
         return
     run_tse_on_trace(
-        trace, config, warmup_fraction=DEFAULT_WARMUP_FRACTION, mode=mode,
+        fresh, config, warmup_fraction=DEFAULT_WARMUP_FRACTION, mode=mode,
         account_traffic=traffic,
     )
 

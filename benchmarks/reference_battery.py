@@ -2,9 +2,11 @@
 
 Runs a fixed matrix of simulations — every workload under several TSE
 configurations (including wraparound-heavy tiny CMOBs, single/many compared
-streams, tiny SVBs), traffic-accounting runs, outcome-recording runs, the
-warm-state snapshot path, timing comparisons (Figure 14 / Table 3) and the
-baseline prefetchers (Figure 12) — and writes every result as JSON.  Two
+streams, tiny SVBs), outcome-recording runs, bare runs (no recording, no
+traffic: the loop every sweep runs), column-less streamed input,
+traffic-accounting runs, the warm-state snapshot path, timing comparisons
+(Figure 14 / Table 3) and the baseline prefetchers (Figure 12) — and writes
+every result as JSON.  Two
 trees produce byte-identical files exactly when their simulators are
 bit-identical.  Run this one script against both trees' ``src/`` so both
 sides run the same matrix::
@@ -31,6 +33,8 @@ from repro.common.config import InterconnectConfig, TSEConfig
 from repro.experiments.runner import trace_for
 from repro.tse.simulator import TSESimulator
 from repro.tse.snapshot import warm_tse_run
+from repro.workloads import get_workload
+from repro.workloads.base import WorkloadParams
 
 ACCESSES = 20_000
 SEED = 42
@@ -51,18 +55,42 @@ CONFIGS = (
     ("deep_lookahead", TSEConfig.paper_default(lookahead=24)),
 )
 
+#: Cells replayed bare as well: no outcome recording, no traffic.
+BARE_CONFIGS = ("paper", "tiny_cmob_wrap")
+
+
+def _stats_row(simulator: TSESimulator, stats) -> dict:
+    row = stats.as_dict()
+    row["stream_length_hist"] = sorted(stats.stream_length_hist._buckets.items())
+    row["tse_counters"] = dict(sorted(simulator.tse.stats.snapshot().items()))
+    return row
+
 
 def functional_cell(workload: str, config: TSEConfig) -> dict:
     trace = trace_for(workload, ACCESSES, SEED, NUM_NODES)
     simulator = TSESimulator(NUM_NODES, tse_config=config, record_outcomes=True)
-    stats = simulator.run(trace, warmup_fraction=0.3)
-    row = stats.as_dict()
-    row["stream_length_hist"] = sorted(stats.stream_length_hist._buckets.items())
+    row = _stats_row(simulator, simulator.run(trace, warmup_fraction=0.3))
     row["outcome_codes_sum"] = sum(simulator.outcome_codes)
     row["outcome_leads_sum"] = sum(simulator.outcome_leads)
     row["outcome_len"] = len(simulator.outcome_codes)
-    row["tse_counters"] = dict(sorted(simulator.tse.stats.snapshot().items()))
     return row
+
+
+def bare_cell(workload: str, config: TSEConfig) -> dict:
+    trace = trace_for(workload, ACCESSES, SEED, NUM_NODES)
+    simulator = TSESimulator(NUM_NODES, tse_config=config)
+    return _stats_row(simulator, simulator.run(trace, warmup_fraction=0.3))
+
+
+def streamed_cell(workload: str) -> dict:
+    """``run_chunks`` over a generator's chunks: input without a trace
+    object, warm-up ending inside a chunk."""
+    params = WorkloadParams(num_nodes=NUM_NODES, seed=SEED, target_accesses=ACCESSES)
+    chunks = get_workload(workload, params).stream_chunks(chunk_size=4096)
+    simulator = TSESimulator(NUM_NODES, tse_config=TSEConfig.paper_default())
+    return _stats_row(
+        simulator, simulator.run_chunks(chunks, name=workload, warmup_accesses=6_000)
+    )
 
 
 def traffic_cell(workload: str) -> dict:
@@ -128,8 +156,12 @@ def main() -> int:
         cells = {}
         for label, config in CONFIGS:
             cells[label] = functional_cell(workload, config)
+            if label in BARE_CONFIGS:
+                cells[f"{label}_bare"] = bare_cell(workload, config)
         battery[workload] = cells
         print(f"{workload}: functional done", flush=True)
+    battery["streamed"] = {w: streamed_cell(w) for w in ("em3d", "db2")}
+    print("streamed done", flush=True)
     battery["traffic"] = {w: traffic_cell(w) for w in ("em3d", "db2", "apache")}
     print("traffic done", flush=True)
     battery["warm"] = {w: warm_cell(w) for w in ("em3d", "db2")}

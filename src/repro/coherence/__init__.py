@@ -10,8 +10,10 @@ on a 16-node DSM.  This package provides:
   CMOB pointers TSE adds to the directory.
 * :mod:`repro.coherence.protocol` — a functional protocol over infinite
   caches that classifies every read as hit / cold miss / coherent read miss
-  ("consumption"), plus :func:`~repro.coherence.protocol.transaction_messages`,
-  which emits the messages each transaction needs.
+  ("consumption"); :func:`~repro.coherence.protocol.trace_codes`, which
+  classifies a trace once into memoized per-chunk code columns; and
+  :func:`~repro.coherence.protocol.transaction_messages`, which emits the
+  messages each transaction needs.
 """
 
 from repro.coherence.directory import Directory, DirectoryEntry

@@ -20,17 +20,26 @@ write invalidates every other copy.  A read miss is
 * a **coherent read miss** when the block's current version was produced by
   a different node than the reader and the reader does not hold it.
 
-:meth:`CoherenceProtocol.read_ints`, :meth:`~CoherenceProtocol.write_ints`
-and :meth:`~CoherenceProtocol.install_copy` are the whole state machine;
-:meth:`~CoherenceProtocol.process` is an object view over them, and
-:func:`transaction_messages` emits a transaction's baseline messages,
-derived from the same block state, for traffic accounting.
+:meth:`CoherenceProtocol.read_ints` and :meth:`~CoherenceProtocol.write_ints`
+are the whole state machine; :meth:`~CoherenceProtocol.process` is an
+object view over them, and :func:`transaction_messages` emits a
+transaction's baseline messages, derived from the same block state, for
+traffic accounting.
+
+A read served from a TSE stream buffer or a prefetch buffer leaves the
+reader holding the current version — the copy the base system's demand
+miss would have installed — so the block state, and with it the base
+system's classification of every access, does not depend on TSE or on any
+prefetcher.  :func:`coherence_codes` therefore classifies a trace once,
+into one code column per chunk, and :func:`trace_codes` memoizes the
+columns on the trace for every replay, the timing model's base labels and
+the prefetcher harness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.coherence.directory import Directory
 from repro.coherence.messages import (
@@ -43,16 +52,27 @@ from repro.coherence.messages import (
     READ_REQUEST,
     UPGRADE_REQUEST,
 )
+from repro.common.chunk import ChunkedTrace, TraceChunk, trace_chunks
 from repro.common.stats import StatsRegistry, publish_counters
-from repro.common.types import BlockAddress, Consumption, MemoryAccess, MissClass, NodeId
+from repro.common.types import (
+    TYPE_IS_WRITE,
+    TYPE_SPIN_READ,
+    AccessTrace,
+    BlockAddress,
+    Consumption,
+    MemoryAccess,
+    MissClass,
+    NodeId,
+)
 
 #: Small-int read-classification codes returned by
-#: :meth:`CoherenceProtocol.read_ints`; writes have no code — the caller
-#: already knows the access was a write.
+#: :meth:`CoherenceProtocol.read_ints`.
 READ_HIT = 0
 READ_COHERENT = 1
 READ_SPIN_COHERENT = 2
 READ_COLD = 3
+#: The one write code of a :func:`coherence_codes` column.
+WRITE = 4
 
 #: Read code -> MissClass, for the object view.
 _MISS_CLASS_OF_READ = (
@@ -128,8 +148,8 @@ class CoherenceProtocol:
     # ------------------------------------------------------------ state machine
     #
     # ``read_ints`` / ``write_ints`` take raw (node, block) ints, so the
-    # chunked replay loops call them with no per-access allocation.
-    # ``TSESimulator._replay_chunk_fast_slim`` inlines these exact bodies.
+    # classifier and the traffic-accounting replay call them with no
+    # per-access allocation.
     def read_ints(self, node: NodeId, address: BlockAddress, is_spin: bool) -> int:
         """Classify (and apply) one read; returns a ``READ_*`` code."""
         block = self._blocks.get(address)
@@ -174,18 +194,6 @@ class CoherenceProtocol:
         held[node] = version
         return hit
 
-    def install_copy(self, node: NodeId, address: BlockAddress) -> None:
-        """Install a clean shared copy of the current version at ``node``.
-
-        Used when a streamed or prefetched block moves from its buffer to
-        the cache: the node obtains the data without a demand miss, so it
-        becomes a holder of the current version directly.
-        """
-        block = self._blocks.get(address)
-        if block is None:
-            self._blocks[address] = block = _BlockState()
-        block.held_version[node] = block.version
-
     # -------------------------------------------------------------- object view
     def process(self, access: MemoryAccess) -> AccessResult:
         """Process one access object through the int state machine."""
@@ -212,6 +220,49 @@ class CoherenceProtocol:
         """Nodes currently holding a copy of the block."""
         block = self._blocks.get(address)
         return list(block.held_version) if block is not None else []
+
+
+def coherence_codes(
+    protocol: CoherenceProtocol, chunks: Iterable[TraceChunk]
+) -> Iterator[bytes]:
+    """Classify chunks in trace order; yield each chunk's code column.
+
+    A column holds one code per access: the ``READ_*`` code
+    :meth:`CoherenceProtocol.read_ints` returns for a read, :data:`WRITE`
+    for a write.  ``protocol`` carries the block state from one chunk to
+    the next and ends in the trace's final state.
+    """
+    read_ints = protocol.read_ints
+    write_ints = protocol.write_ints
+    is_write = TYPE_IS_WRITE
+    spin_read = TYPE_SPIN_READ
+    for chunk in chunks:
+        codes = bytearray()
+        label = codes.append
+        for node, block, type_code in zip(
+            chunk.nodes.tolist(), chunk.blocks.tolist(), chunk.types.tolist()
+        ):
+            if is_write[type_code]:
+                write_ints(node, block)
+                label(WRITE)
+            else:
+                label(read_ints(node, block, type_code == spin_read))
+        yield bytes(codes)
+
+
+def trace_codes(trace: "Union[AccessTrace, ChunkedTrace]") -> List[bytes]:
+    """A trace's code columns, one per :func:`~repro.common.chunk.trace_chunks`
+    chunk, classified once.
+
+    Memoized on the trace object and keyed by its length, so a trace that
+    grows after a classification is classified afresh.
+    """
+    memo = getattr(trace, "_coherence_codes", None)
+    if memo is None or memo[0] != len(trace):
+        protocol = CoherenceProtocol(trace.num_nodes)
+        memo = (len(trace), list(coherence_codes(protocol, trace_chunks(trace))))
+        trace._coherence_codes = memo
+    return memo[1]
 
 
 def transaction_messages(

@@ -54,10 +54,12 @@ def trace_for(
 
     Traces are deterministic in (workload, target_accesses, seed, num_nodes),
     so caching them lets one experiment sweep many TSE configurations without
-    regenerating the workload each time.  The trace is columnar
-    (:class:`~repro.common.chunk.ChunkedTrace`): the functional simulator
-    replays its packed chunks directly, while object consumers (timing walk,
-    analysis) use the materialized ``.accesses`` view.
+    regenerating the workload each time — and, because the cached trace
+    object carries its memoized coherence code columns, without classifying
+    it again.  The trace is columnar (:class:`~repro.common.chunk.ChunkedTrace`):
+    the functional simulator, the timing model and the prefetcher harness
+    read its packed chunks directly, while object consumers (the Figure 6
+    correlation analysis) iterate its thin ``MemoryAccess`` view.
     """
     payload = _PRELOADED.pop((workload, target_accesses, seed, num_nodes), None)
     if payload is not None:

@@ -1,10 +1,11 @@
 """Trace-driven evaluation harness for the baseline prefetchers.
 
-Replays a trace through the coherence protocol (to classify consumptions,
-exactly as for TSE), gives each node its own prefetcher instance and
-SVB-sized prefetch buffer, and reports coverage and discards on the same
-definitions as the TSE simulator so Figure 12's bars are directly
-comparable.
+Replays a trace against its memoized coherence code columns (the same
+classification of consumptions the TSE simulator reads), gives each node
+its own prefetcher instance and SVB-sized prefetch buffer, and reports
+coverage and discards on the same definitions as the TSE simulator so
+Figure 12's bars are directly comparable.  A buffer hit installs the copy
+the base system's miss would, so the columns hold with prefetching on.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Union
 
-from repro.coherence.protocol import READ_COHERENT, READ_SPIN_COHERENT, CoherenceProtocol
+from repro.coherence.protocol import READ_COHERENT, READ_SPIN_COHERENT, WRITE, trace_codes
 from repro.common.chunk import ChunkedTrace, trace_chunks
 from repro.common.config import DEFAULT_WARMUP_FRACTION
 from repro.common.stats import ratio
-from repro.common.types import TYPE_IS_WRITE, TYPE_SPIN_READ, AccessTrace
+from repro.common.types import TYPE_SPIN_READ, AccessTrace
 from repro.prefetch.base import PrefetchBuffer, Prefetcher
 
 
@@ -70,7 +71,8 @@ def evaluate_prefetcher(
 
     Args:
         trace: The interleaved multi-node access trace; its packed columns
-            are replayed (an object trace is packed into one chunk).
+            and code columns are replayed (an object trace is packed into
+            one chunk).
         prefetcher_factory: Builds a fresh per-node prefetcher.
         buffer_entries: Prefetch-buffer capacity (32 = the 2 KB SVB).
         warmup_fraction: Fraction of the trace excluded from statistics
@@ -79,7 +81,6 @@ def evaluate_prefetcher(
             baseline prefetchers are measured over the same window.
     """
     num_nodes = trace.num_nodes
-    protocol = CoherenceProtocol(num_nodes)
     prefetchers = [prefetcher_factory() for _ in range(num_nodes)]
     buffers = [PrefetchBuffer(buffer_entries) for _ in range(num_nodes)]
     stats = PrefetcherStats(technique=prefetchers[0].name, workload=trace.name)
@@ -88,10 +89,7 @@ def evaluate_prefetcher(
     # activity is excluded from the reported rates.
     baseline_fills = [0] * num_nodes
     baseline_discards = [0] * num_nodes
-    read_ints = protocol.read_ints
-    write_ints = protocol.write_ints
-    install_copy = protocol.install_copy
-    is_write = TYPE_IS_WRITE
+    write = WRITE
     spin_read = TYPE_SPIN_READ
 
     # A write probes each buffer's entries before calling invalidate: nearly
@@ -99,9 +97,9 @@ def evaluate_prefetcher(
     resident = [(buffer, buffer._entries) for buffer in buffers]
 
     index = 0
-    for chunk in trace_chunks(trace):
-        for node, address, type_code, pc in zip(
-            chunk.nodes.tolist(), chunk.blocks.tolist(), chunk.types.tolist(),
+    for chunk, codes in zip(trace_chunks(trace), trace_codes(trace)):
+        for code, node, address, type_code, pc in zip(
+            codes, chunk.nodes.tolist(), chunk.blocks.tolist(), chunk.types.tolist(),
             chunk.pcs.tolist(),
         ):
             if index == warmup_count and warmup_count > 0:
@@ -110,25 +108,21 @@ def evaluate_prefetcher(
                 baseline_discards = [b.discards for b in buffers]
             index += 1
 
-            if is_write[type_code]:
+            if code == write:
                 # Writes invalidate prefetched copies everywhere (clean-only
                 # buffers).
                 for buffer, entries in resident:
                     if address in entries:
                         buffer.invalidate(address)
-                write_ints(node, address)
                 continue
 
-            is_spin = type_code == spin_read
-            if not is_spin and buffers[node].consume(address):
+            if type_code != spin_read and buffers[node].consume(address):
                 stats.buffer_hits += 1
-                install_copy(node, address)
                 for candidate in prefetchers[node].on_hit(address):
                     if candidate > 0:
                         buffers[node].insert(candidate)
                 continue
 
-            code = read_ints(node, address, is_spin)
             if code == READ_COHERENT:
                 stats.remaining_consumptions += 1
                 for candidate in prefetchers[node].on_consumption(address, pc):

@@ -5,8 +5,9 @@ Mirrors the paper's methodology split: the functional trace-driven simulator
 timing model decides *how much time* that saves, by replaying each node's
 labelled access sequence through the interval-based processor model with the
 Table 1 latencies.  The base system's labels need no TSE at all: they are
-the coherence classification of each access.  Both the labelling and the
-walk read the trace's packed columns.
+the coherence classification of each access, read from the trace's memoized
+code columns.  Both the labelling and the walk read the trace's packed
+columns.
 
 Outputs map directly onto the paper's results:
 
@@ -19,52 +20,25 @@ Outputs map directly onto the paper's results:
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.coherence.protocol import CoherenceProtocol
+from repro.coherence.protocol import trace_codes
 from repro.common.chunk import ChunkedTrace, trace_chunks
 from repro.common.config import SystemConfig, TSEConfig
 from repro.common.stats import ratio
-from repro.common.types import TYPE_IS_WRITE, TYPE_SPIN_READ, AccessTrace
+from repro.common.types import AccessTrace
 from repro.node.latency import LatencyModel
 from repro.node.processor import NodeTimingResult, ProcessorModel
 from repro.tse.simulator import Outcome, TSESimulator, TSEStats
 
-#: ``READ_*`` code of :meth:`CoherenceProtocol.read_ints` -> base-system
-#: outcome: a hit, a consumption, a spin coherent miss, a cold miss.
-_BASE_OUTCOME_OF_READ = (
-    int(Outcome.OTHER), int(Outcome.CONSUMPTION), int(Outcome.SPIN), int(Outcome.COLD_MISS),
-)
-
-
-def _coherence_labels(trace: "Union[AccessTrace, ChunkedTrace]") -> array:
-    """Base-system outcome codes: the coherence classification of each access.
-
-    Without TSE nothing streams, so every read is labelled by the read code
-    alone and every write is ``Outcome.WRITE``.
-    """
-    protocol = CoherenceProtocol(trace.num_nodes)
-    read_ints = protocol.read_ints
-    write_ints = protocol.write_ints
-    is_write = TYPE_IS_WRITE
-    spin_read = TYPE_SPIN_READ
-    outcome_of_read = _BASE_OUTCOME_OF_READ
-    write_code = int(Outcome.WRITE)
-    codes = array("B")
-    label = codes.append
-    for chunk in trace_chunks(trace):
-        for node, block, type_code in zip(
-            chunk.nodes.tolist(), chunk.blocks.tolist(), chunk.types.tolist()
-        ):
-            if is_write[type_code]:
-                write_ints(node, block)
-                label(write_code)
-            else:
-                label(outcome_of_read[read_ints(node, block, type_code == spin_read)])
-    return codes
+#: Coherence code (:func:`~repro.coherence.protocol.coherence_codes`) ->
+#: base-system outcome: a hit, a consumption, a spin coherent miss, a cold
+#: miss, a write.  A 256-byte ``bytes.translate`` table.
+_BASE_OUTCOME_OF_CODE = bytes((
+    Outcome.OTHER, Outcome.CONSUMPTION, Outcome.SPIN, Outcome.COLD_MISS, Outcome.WRITE,
+)).ljust(256, b"\0")
 
 
 @dataclass
@@ -160,15 +134,16 @@ class TimingSimulator:
     ) -> Tuple[Optional[TSEStats], Sequence[int], Optional[Sequence[int]]]:
         """Label each access with its outcome code (and, under TSE, its lead).
 
-        The base system is the coherence classification alone: one pass of
-        :meth:`~repro.coherence.protocol.CoherenceProtocol.read_ints` /
-        ``write_ints`` over the packed columns, every lead 0 (returned as
-        None), no functional stats.  Its labels depend on no TSE knob, so
-        every configuration sweep over the same trace shares one base run.
-        The TSE labels come from an exact-plane functional run with outcome
-        recording.  Both are memoized on the trace object — the TSE run
-        keyed by its configuration — so repeated ``compare()`` calls
-        (Figure 14 + Table 3) reuse them outright.
+        The base system is the coherence classification alone: the trace's
+        memoized code columns (:func:`~repro.coherence.protocol.trace_codes`)
+        translated to outcome codes, every lead 0 (returned as None), no
+        functional stats.  Its labels depend on no TSE knob, so every
+        configuration sweep over the same trace shares one base run.  The
+        TSE labels come from an exact-plane functional run with outcome
+        recording, which reads the same code columns.  Both are memoized on
+        the trace object — the TSE run keyed by its configuration — so
+        repeated ``compare()`` calls (Figure 14 + Table 3) reuse them
+        outright.
         """
         cache: Dict = getattr(trace, "_label_cache", None)
         if cache is None:
@@ -192,7 +167,8 @@ class TimingSimulator:
                 stats = simulator.run(trace, warmup_fraction=0.0)
                 cached = (stats, simulator.outcome_codes, simulator.outcome_leads)
             else:
-                cached = (None, _coherence_labels(trace), None)
+                base = b"".join(trace_codes(trace)).translate(_BASE_OUTCOME_OF_CODE)
+                cached = (None, base, None)
             cache[key] = cached
         return cached
 
@@ -237,8 +213,8 @@ class TimingSimulator:
     def run_base(self, trace: "Union[AccessTrace, ChunkedTrace]") -> TimingResult:
         """Time the baseline system (no TSE) on a trace.
 
-        Its labels are the coherence classification of each access, from
-        one ``read_ints`` / ``write_ints`` pass over the packed columns.
+        Its labels are the coherence classification of each access, read
+        from the trace's memoized code columns.
         """
         _, codes, leads = self._label_trace(trace, tse_enabled=False)
         return self._run_timing(trace, codes, leads, tse_enabled=False, label="base")

@@ -18,18 +18,26 @@ trace-based analysis (Figures 6–13) and cycle-accurate simulation
 The replay loop is the hottest code in the repository: every experiment point
 replays hundreds of thousands of accesses through it.  ``_replay_chunk``
 therefore consumes packed :class:`~repro.common.chunk.TraceChunk` columns
-directly — raw node / block / type-code ints classified through lookup
-tables and the coherence protocol's ``read_ints`` / ``write_ints`` state
-machine, with the common read-hit outcome inlined in the loop, counters in
-plain local ints (synced into :class:`TSEStats` at chunk end), outcomes
-recorded into parallel ``array`` buffers, and the cyclic GC paused for the
-duration of a run (the loop allocates no reference cycles).  ``AccessTrace``
-and ``MemoryAccess`` iterables pack into chunks and replay through the same
-loop, so all ingestion paths are bit-identical.  Traffic accounting does
-not change the replay either: around each miss and write,
+directly — raw node / block / type-code ints plus the chunk's coherence code
+column, with counters in plain local ints (synced into :class:`TSEStats` at
+chunk end), outcomes recorded into parallel ``array`` buffers, and the
+cyclic GC paused for the duration of a run (the loop allocates no reference
+cycles).
+
+The loop runs no coherence of its own.  An SVB hit installs exactly the copy
+the base system's coherent read miss would, so the coherence state evolves
+the same way with TSE as without it, and the base system's classification
+of every access is a property of the trace alone.
+:func:`~repro.coherence.protocol.trace_codes` classifies a trace once and
+memoizes one code column per chunk on it; every replay of that trace, under
+any configuration and on either plane, reads those columns.  Column-less
+inputs (:meth:`TSESimulator.run_chunks`, :meth:`TSESimulator.run_stream`)
+are classified on the way in by the same generator.  Only traffic
+accounting steps a live protocol, because a transaction's messages depend
+on the holder set and the producer: around each miss and write,
 :func:`~repro.coherence.protocol.transaction_messages` counts the messages
-it derives from the same block state into the accountant, and the TSE
-planes count theirs at their sink sites.
+it derives from that state into the accountant, and the TSE planes count
+theirs at their sink sites.
 """
 
 from __future__ import annotations
@@ -37,18 +45,20 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import islice, takewhile, tee
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.coherence.protocol import (
     READ_COHERENT,
-    READ_COLD,
+    READ_HIT,
     READ_SPIN_COHERENT,
+    WRITE,
     CoherenceProtocol,
-    _BlockState,
+    coherence_codes,
+    trace_codes,
     transaction_messages,
 )
-from repro.common.chunk import ChunkedTrace, TraceChunk, stream_chunk_size
+from repro.common.chunk import ChunkedTrace, TraceChunk, stream_chunk_size, trace_chunks
 from repro.common.config import (
     DEFAULT_WARMUP_FRACTION,
     MODE_EXACT,
@@ -58,12 +68,7 @@ from repro.common.config import (
     resolve_mode,
 )
 from repro.common.stats import Histogram, ratio
-from repro.common.types import (
-    TYPE_IS_WRITE,
-    TYPE_SPIN_READ,
-    AccessTrace,
-    MemoryAccess,
-)
+from repro.common.types import TYPE_SPIN_READ, AccessTrace, MemoryAccess
 from repro.interconnect.network import TrafficAccountant
 from repro.tse.engine import TemporalStreamingSystem
 from repro.tse.fast_engine import FastTemporalStreamingSystem
@@ -153,7 +158,7 @@ class TSEStats:
 
 
 class TSESimulator:
-    """Replays a trace through the coherence protocol with TSE attached.
+    """Replays a trace's packed and code columns with TSE attached.
 
     With ``account_traffic`` the simulator owns a
     :class:`~repro.interconnect.network.TrafficAccountant` that counts from
@@ -195,6 +200,8 @@ class TSESimulator:
         self.outcome_leads = array("q")  # repro-lint: disable=RL004
         self._node_access_counts = [0] * num_nodes
         self.tse_config = tse_config if tse_config is not None else TSEConfig.paper_default()
+        #: Owns the directory the TSE planes keep CMOB pointers in.  Its block
+        #: state is stepped only when traffic is accounted.
         self.protocol = CoherenceProtocol(
             num_nodes, cmob_pointers_per_block=self.tse_config.cmob_pointers_per_block
         )
@@ -254,11 +261,11 @@ class TSESimulator:
 
         Args:
             trace: The interleaved multi-node access trace: a packed
-                :class:`~repro.common.chunk.ChunkedTrace` (the fast path —
-                replayed column-at-a-time with no object materialization), a
-                materialized :class:`AccessTrace`, or any iterable of
-                :class:`MemoryAccess` (e.g. ``workload.stream()``), which is
-                consumed in bounded-size chunks without materializing it.
+                :class:`~repro.common.chunk.ChunkedTrace` or a materialized
+                :class:`AccessTrace` (both replayed against the trace's
+                memoized code columns, :func:`trace_codes`), or any
+                iterable of :class:`MemoryAccess` (e.g. ``workload.stream()``),
+                which is consumed through :meth:`run_stream`.
             warmup_fraction: Fraction of the trace processed before statistics
                 are reset — mirroring the paper's methodology of warming
                 caches, CMOBs and directory state before measurement
@@ -269,29 +276,18 @@ class TSESimulator:
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if isinstance(trace, ChunkedTrace):
-            return self.run_chunks(
-                trace.chunks(),
-                name=trace.name,
-                warmup_accesses=int(len(trace) * warmup_fraction),
+        if isinstance(trace, (ChunkedTrace, AccessTrace)):
+            return self._run(
+                zip(trace_chunks(trace), trace_codes(trace)),
+                trace.name,
+                int(len(trace) * warmup_fraction),
             )
-        if not isinstance(trace, AccessTrace):
-            if warmup_fraction:
-                raise ValueError(
-                    "warmup_fraction needs a materialized AccessTrace; "
-                    "use run_stream(..., warmup_accesses=N) for streams"
-                )
-            return self.run_stream(trace)
-        self.stats.workload = trace.name
-        accesses = trace.accesses
-        warmup_count = int(len(trace) * warmup_fraction)
-        if warmup_count > 0:
-            self._replay(accesses[:warmup_count])
-            self.reset_stats(trace.name)
-            self._replay(accesses[warmup_count:])
-        else:
-            self._replay(accesses)
-        return self.finalize()
+        if warmup_fraction:
+            raise ValueError(
+                "warmup_fraction needs a materialized AccessTrace; "
+                "use run_stream(..., warmup_accesses=N) for streams"
+            )
+        return self.run_stream(trace)
 
     def run_chunks(
         self,
@@ -299,11 +295,60 @@ class TSESimulator:
         name: str = "stream",
         warmup_accesses: int = 0,
     ) -> TSEStats:
-        """Replay packed chunks (the columnar fast path).
+        """Replay packed chunks that begin a trace, e.g. ``stream_chunks()``.
+
+        The chunks carry no code column, so :func:`coherence_codes`
+        classifies each one just before it is replayed, starting from empty
+        caches, and at most one chunk is held at a time.  Statistics reset
+        at exactly ``warmup_accesses`` (splitting a chunk if necessary), so
+        this is bit-identical to :meth:`run` over the equivalent trace.
+        """
+        chunks, ahead = tee(chunks)
+        classified = coherence_codes(CoherenceProtocol(self.num_nodes), ahead)
+        return self._run(zip(chunks, classified), name, warmup_accesses)
+
+    def run_stream(
+        self,
+        accesses: Iterable[MemoryAccess],
+        name: str = "stream",
+        warmup_accesses: int = 0,
+    ) -> TSEStats:
+        """Replay a ``MemoryAccess`` stream without materializing it.
+
+        Equivalent to :meth:`run` on the materialized trace, bit for bit:
+        the stream is packed into chunks and replayed through
+        :meth:`run_chunks`, holding at most one chunk of accesses at a time —
+        workload generators emit traces lazily via ``workload.stream()``, so
+        arbitrarily long runs fit in memory.
+
+        Args:
+            accesses: The interleaved access stream.
+            name: Workload label recorded in the statistics.
+            warmup_accesses: Number of leading accesses replayed before the
+                statistics are reset (the stream-length analogue of ``run``'s
+                ``warmup_fraction``).
+        """
+        chunk_size = stream_chunk_size()
+        iterator = iter(accesses)
+        # Chunks of ``chunk_size`` accesses until the stream runs dry.
+        chunks = iter(
+            lambda: TraceChunk.from_accesses(islice(iterator, chunk_size)), None
+        )
+        return self.run_chunks(
+            takewhile(len, chunks), name=name, warmup_accesses=warmup_accesses
+        )
+
+    def _run(
+        self,
+        columns: Iterable[Tuple[TraceChunk, bytes]],
+        name: str,
+        warmup_accesses: int = 0,
+    ) -> TSEStats:
+        """Replay ``(chunk, code column)`` pairs and finalize the run.
 
         Chunk boundaries are invisible to the results: statistics reset at
-        exactly ``warmup_accesses`` (splitting a chunk if necessary), so this
-        is bit-identical to :meth:`run` over the equivalent object trace.
+        exactly ``warmup_accesses``, splitting a chunk and its column if
+        necessary.
         """
         if warmup_accesses < 0:
             raise ValueError("warmup_accesses must be non-negative")
@@ -319,71 +364,28 @@ class TSESimulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            for chunk in chunks:
+            for chunk, codes in columns:
                 if measuring:
-                    replay(chunk)
+                    replay(chunk, codes)
                     continue
                 size = len(chunk)
                 if warm_left >= size:
-                    replay(chunk)
+                    replay(chunk, codes)
                     warm_left -= size
                     if warm_left == 0:
                         self.reset_stats(name)
                         measuring = True
                 else:
-                    replay(chunk.slice(0, warm_left))
+                    replay(chunk.slice(0, warm_left), codes[:warm_left])
                     self.reset_stats(name)
                     measuring = True
-                    replay(chunk.slice(warm_left))
+                    replay(chunk.slice(warm_left), codes[warm_left:])
         finally:
             if gc_was_enabled:
                 gc.enable()
         if not measuring:
             # Warm-up swallowed the whole trace: measurement window is empty.
             self.reset_stats(name)
-        return self.finalize()
-
-    def run_stream(
-        self,
-        accesses: Iterable[MemoryAccess],
-        name: str = "stream",
-        warmup_accesses: int = 0,
-    ) -> TSEStats:
-        """Replay a ``MemoryAccess`` stream without materializing it.
-
-        Equivalent to :meth:`run` on the materialized trace, bit for bit
-        (the replay loop is shared), but holds at most one packed chunk of
-        accesses at a time — workload generators emit traces lazily via
-        ``workload.stream()``, so arbitrarily long runs fit in memory.
-
-        Args:
-            accesses: The interleaved access stream.
-            name: Workload label recorded in the statistics.
-            warmup_accesses: Number of leading accesses replayed before the
-                statistics are reset (the stream-length analogue of ``run``'s
-                ``warmup_fraction``).
-        """
-        if warmup_accesses < 0:
-            raise ValueError("warmup_accesses must be non-negative")
-        self.stats.workload = name
-        chunk_size = stream_chunk_size()
-        iterator = iter(accesses)
-        remaining_warmup = warmup_accesses
-        while remaining_warmup > 0:
-            chunk = TraceChunk.from_accesses(
-                islice(iterator, min(chunk_size, remaining_warmup))
-            )
-            if not len(chunk):
-                break
-            self._replay_chunk(chunk)
-            remaining_warmup -= len(chunk)
-        if warmup_accesses > 0:
-            self.reset_stats(name)
-        while True:
-            chunk = TraceChunk.from_accesses(islice(iterator, chunk_size))
-            if not len(chunk):
-                break
-            self._replay_chunk(chunk)
         return self.finalize()
 
     def reset_stats(self, workload: str = "") -> None:
@@ -393,58 +395,49 @@ class TSESimulator:
         """
         self.stats = TSEStats(workload=workload or self.stats.workload)
 
-    def _replay(self, accesses: Sequence[MemoryAccess]) -> None:
-        """Replay a segment of ``MemoryAccess`` objects.
-
-        Thin adapter: packs the objects into a :class:`TraceChunk` and hands
-        it to :meth:`_replay_chunk`, so object traces and packed chunks
-        share one replay implementation.
-        """
-        self._replay_chunk(TraceChunk.from_accesses(accesses))
-
-    def _replay_chunk(self, chunk: TraceChunk) -> None:
-        """Replay one packed chunk through the mode's replay plane.
+    def _replay_chunk(self, chunk: TraceChunk, codes: bytes) -> None:
+        """Replay one packed chunk and its code column through the mode's plane.
 
         One dispatch per chunk (16k accesses by default): the exact loop
         (:meth:`_replay_chunk_exact`, bit-reproducible) or the fast loop
         (:meth:`_replay_chunk_fast`, batched orchestration).
         """
         if self.fast is not None:
-            self._replay_chunk_fast(chunk)
+            self._replay_chunk_fast(chunk, codes)
         else:
-            self._replay_chunk_exact(chunk)
+            self._replay_chunk_exact(chunk, codes)
 
-    def _replay_chunk_exact(self, chunk: TraceChunk) -> None:
+    def _replay_chunk_exact(self, chunk: TraceChunk, codes: bytes) -> None:
         """Replay one packed chunk; the hot loop of the whole repository.
 
         Operates on the raw columns — int node / block / type-code per
-        access, classified through lookup tables and the protocol's
-        ``read_ints`` / ``write_ints`` (no attribute loads, no enum
-        dispatch, no per-access allocation).  Counters are accumulated
-        in local ints and synced into ``self.stats`` once at the end of the
-        chunk; outcome recording appends to the preallocated parallel
-        arrays.
+        access plus the chunk's code column, which alone says whether an
+        access is a write, a read hit, a consumption, a spin miss or a cold
+        miss (no attribute loads, no enum dispatch, no per-access
+        allocation).  Only a non-spin read's SVB probe can override the
+        code.  Counters are accumulated in local ints and synced into
+        ``self.stats`` once at the end of the chunk; outcome recording
+        appends to the preallocated parallel arrays.
         """
-        nodes_col = chunk.nodes
-        n = len(nodes_col)
+        n = len(codes)
         if n == 0:
             return
         # Box each column once (C-level tolist) instead of once per access
         # inside the zip — block addresses are large ints, so per-element
         # array iteration would allocate a fresh object for every access.
-        nodes_col = nodes_col.tolist()
+        nodes_col = chunk.nodes.tolist()
         blocks_col = chunk.blocks.tolist()
         types_col = chunk.types.tolist()
 
         # ---- bind everything the loop touches to locals ----
         tse = self.tse
         protocol = self.protocol
+        # Traffic accounting steps the live protocol, whose state names each
+        # transaction's messages: a write's depend on the holders it is about
+        # to invalidate, a read's on the block's producer.
+        emit = self.traffic.emit if self.traffic is not None else None
         read_ints = protocol.read_ints
         write_ints = protocol.write_ints
-        install_copy = protocol.install_copy
-        # Traffic accounting: a write's messages depend on the holders it is
-        # about to invalidate, a read's on the state the read left.
-        emit = self.traffic.emit if self.traffic is not None else None
         messages_of = transaction_messages
         tse_on_write = tse.on_write
         tse_on_svb_hit = tse.on_svb_hit
@@ -454,19 +447,15 @@ class TSESimulator:
         node_counts = self._node_access_counts
         engines = [node.engine for node in tse.nodes]
         svb_maps = [engine.svb._entries for engine in engines]
-        # Read-hit shortcut: "the node holds the current version" is one
-        # dict probe — inlined here so the overwhelmingly common outcome
-        # never leaves the loop.
-        blocks_map = protocol._blocks
         record = self.record_outcomes
         codes_append = self.outcome_codes.append
         leads_append = self.outcome_leads.append
 
-        is_write_table = TYPE_IS_WRITE
         spin_code = TYPE_SPIN_READ
+        write = WRITE
+        read_hit = READ_HIT
         read_coherent = READ_COHERENT
         read_spin = READ_SPIN_COHERENT
-        read_cold = READ_COLD
 
         outcome_write = int(Outcome.WRITE)
         outcome_svb_hit = int(Outcome.SVB_HIT)
@@ -476,24 +465,22 @@ class TSESimulator:
         outcome_other = int(Outcome.OTHER)
 
         # ---- local counters, synced into TSEStats at the end ----
-        n_reads = 0
         n_writes = 0
         n_svb_hits = 0
         n_consumptions = 0
         n_spin = 0
         n_cold = 0
         n_discards = 0
-        n_inline_hits = 0
 
         # Per-node access clocks feed only the recorded SVB fill times and
         # hit leads; without outcome recording nothing observable reads
         # them, so the non-recording replay skips the bookkeeping entirely.
         node_access_index = 0
-        for type_code, node, address in zip(types_col, nodes_col, blocks_col):
+        for code, type_code, node, address in zip(codes, types_col, nodes_col, blocks_col):
             if record:
                 node_access_index = node_counts[node] + 1
                 node_counts[node] = node_access_index
-            if is_write_table[type_code]:
+            if code == write:
                 n_writes += 1
                 # Writes invalidate matching SVB entries everywhere;
                 # invalidated streamed blocks were never consumed, so they
@@ -504,43 +491,36 @@ class TSESimulator:
                     n_discards += tse_on_write(node, address)
                 if emit is not None:
                     messages_of(protocol, node, address, emit)
-                write_ints(node, address)
+                    write_ints(node, address)
                 if record:
                     codes_append(outcome_write)
                     leads_append(0)
                 continue
 
-            n_reads += 1
-
-            if type_code != spin_code:
-                # Spin reads never count as consumptions and are not streamed.
-                if address in svb_maps[node]:
-                    entry, fetches = tse_on_svb_hit(node, address)
-                    if entry is not None:
-                        n_svb_hits += 1
-                        install_copy(node, address)
-                        if fetches:
-                            deliver_fetches(node, fetches, fill_time=node_access_index)
-                        if record:
-                            lead = int(node_access_index - entry[2])
-                            codes_append(outcome_svb_hit)
-                            leads_append(lead if lead > 0 else 0)
-                        continue
-                    # Entry vanished between probe and consume (should not
-                    # happen in the functional model); fall through.
-                block_state = blocks_map.get(address)
-                if (
-                    block_state is not None
-                    and block_state.held_version.get(node) == block_state.version
-                ):
-                    n_inline_hits += 1
+            if emit is not None:
+                # The live protocol steps through the base system, where
+                # every read is a demand read: an SVB hit leaves the reader
+                # holding the copy the miss would have brought.
+                read_ints(node, address, type_code == spin_code)
+            # Spin reads never count as consumptions and are not streamed.
+            if type_code != spin_code and address in svb_maps[node]:
+                entry, fetches = tse_on_svb_hit(node, address)
+                if entry is not None:
+                    n_svb_hits += 1
+                    if fetches:
+                        deliver_fetches(node, fetches, fill_time=node_access_index)
                     if record:
-                        codes_append(outcome_other)
-                        leads_append(0)
+                        lead = int(node_access_index - entry[2])
+                        codes_append(outcome_svb_hit)
+                        leads_append(lead if lead > 0 else 0)
                     continue
-                code = read_ints(node, address, False)
-            else:
-                code = read_ints(node, address, True)
+                # Entry vanished between probe and consume (should not
+                # happen in the functional model); fall through.
+            if code == read_hit:
+                if record:
+                    codes_append(outcome_other)
+                    leads_append(0)
+                continue
             if emit is not None:
                 messages_of(protocol, node, address, emit, code)
 
@@ -557,7 +537,7 @@ class TSESimulator:
                 if record:
                     codes_append(outcome_spin)
                     leads_append(0)
-            elif code == read_cold:
+            else:
                 n_cold += 1
                 # A cold miss implies the block's version is 0 (never
                 # written): every FIFO/stall-head address originates from a
@@ -571,53 +551,38 @@ class TSESimulator:
                 if record:
                     codes_append(outcome_cold)
                     leads_append(0)
-            else:
-                if record:
-                    codes_append(outcome_other)
-                    leads_append(0)
 
         # ---- sync ----
         stats = self.stats
         stats.accesses += n
-        stats.reads += n_reads
+        stats.reads += n - n_writes
         stats.writes += n_writes
         stats.svb_hits += n_svb_hits
         stats.remaining_consumptions += n_consumptions
         stats.spin_misses += n_spin
         stats.cold_misses += n_cold
         stats.discarded_blocks += n_discards
-        if n_inline_hits:
-            protocol._n_read_hits += n_inline_hits
 
-    def _replay_chunk_fast(self, chunk: TraceChunk) -> None:
+    def _replay_chunk_fast(self, chunk: TraceChunk, codes: bytes) -> None:
         """Fast-plane replay of one packed chunk (``REPRO_FAST_MODE``).
 
-        Same column decoding as :meth:`_replay_chunk_exact`, but every TSE
-        event goes through the fast engine's fused handlers — delivery
-        happens inside the event, so there is no fetch-batch plumbing and
-        no outcome recording (rejected at construction).  Without traffic
-        accounting (the sweep-scale configuration fast mode exists for) the
-        coherence protocol is inlined too: see
-        :meth:`_replay_chunk_fast_slim`.  This loop is the traffic-accounting
-        one; it calls the protocol and counts each transaction's messages.
+        Shaped like :meth:`_replay_chunk_exact`, but every TSE event goes
+        through the fast engine's fused handlers — delivery happens inside
+        the event, so there is no fetch-batch plumbing and no outcome
+        recording (rejected at construction).
         """
-        nodes_col = chunk.nodes
-        n = len(nodes_col)
+        n = len(codes)
         if n == 0:
             return
-        if self.traffic is None:
-            self._replay_chunk_fast_slim(chunk)
-            return
-        nodes_col = nodes_col.tolist()
+        nodes_col = chunk.nodes.tolist()
         blocks_col = chunk.blocks.tolist()
         types_col = chunk.types.tolist()
 
         fast = self.fast
         protocol = self.protocol
+        emit = self.traffic.emit if self.traffic is not None else None
         read_ints = protocol.read_ints
         write_ints = protocol.write_ints
-        install_copy = protocol.install_copy
-        emit = self.traffic.emit
         messages_of = transaction_messages
         consume = fast.consume
         hit = fast.hit
@@ -625,15 +590,13 @@ class TSESimulator:
         residency = fast._svb_residency
         svbs = fast._svbs
         clocks = fast._clocks
-        blocks_map = protocol._blocks
 
-        is_write_table = TYPE_IS_WRITE
         spin_code = TYPE_SPIN_READ
+        write = WRITE
+        read_hit = READ_HIT
         read_coherent = READ_COHERENT
         read_spin = READ_SPIN_COHERENT
-        read_cold = READ_COLD
 
-        n_reads = 0
         n_writes = 0
         n_svb_hits = 0
         n_consumptions = 0
@@ -641,38 +604,29 @@ class TSESimulator:
         n_cold = 0
         n_fetched = 0
         n_discards = 0
-        n_inline_hits = 0
 
-        for type_code, node, address in zip(types_col, nodes_col, blocks_col):
-            if is_write_table[type_code]:
+        for code, type_code, node, address in zip(codes, types_col, nodes_col, blocks_col):
+            if code == write:
                 n_writes += 1
                 if address in residency:
                     n_discards += invalidate(address)
-                messages_of(protocol, node, address, emit)
-                write_ints(node, address)
+                if emit is not None:
+                    messages_of(protocol, node, address, emit)
+                    write_ints(node, address)
                 continue
 
-            n_reads += 1
-
-            if type_code != spin_code:
-                if address in svbs[node]:
-                    n_svb_hits += 1
-                    d, x = hit(node, address)
-                    n_fetched += d
-                    n_discards += x
-                    install_copy(node, address)
-                    continue
-                block_state = blocks_map.get(address)
-                if (
-                    block_state is not None
-                    and block_state.held_version.get(node) == block_state.version
-                ):
-                    n_inline_hits += 1
-                    continue
-                code = read_ints(node, address, False)
-            else:
-                code = read_ints(node, address, True)
-            messages_of(protocol, node, address, emit, code)
+            if emit is not None:
+                read_ints(node, address, type_code == spin_code)
+            if type_code != spin_code and address in svbs[node]:
+                n_svb_hits += 1
+                d, x = hit(node, address)
+                n_fetched += d
+                n_discards += x
+                continue
+            if code == read_hit:
+                continue
+            if emit is not None:
+                messages_of(protocol, node, address, emit, code)
 
             if code == read_coherent:
                 n_consumptions += 1
@@ -681,14 +635,14 @@ class TSESimulator:
                 n_discards += x
             elif code == read_spin:
                 n_spin += 1
-            elif code == read_cold:
+            else:
                 n_cold += 1
                 # Only the LRU time base advances (see the exact loop).
                 clocks[node] += 1
 
         stats = self.stats
         stats.accesses += n
-        stats.reads += n_reads
+        stats.reads += n - n_writes
         stats.writes += n_writes
         stats.svb_hits += n_svb_hits
         stats.remaining_consumptions += n_consumptions
@@ -696,157 +650,6 @@ class TSESimulator:
         stats.cold_misses += n_cold
         stats.blocks_fetched += n_fetched
         stats.discarded_blocks += n_discards
-        if n_inline_hits:
-            protocol._n_read_hits += n_inline_hits
-
-    def _replay_chunk_fast_slim(self, chunk: TraceChunk) -> None:
-        """Fast-plane replay with the coherence protocol inlined.
-
-        Reached when traffic accounting is off (the sweep-scale
-        configuration fast mode exists for).  The loop inlines
-        :meth:`~repro.coherence.protocol.CoherenceProtocol.read_ints`,
-        :meth:`~repro.coherence.protocol.CoherenceProtocol.write_ints` and
-        :meth:`~repro.coherence.protocol.CoherenceProtocol.install_copy`
-        exactly: the same updates to each block's ``(version, last_writer,
-        held_version)`` triple, the same classification, the same counters.
-        That removes two function calls and one duplicate block-map probe per
-        access, while the classification sequence stays identical to the
-        traffic-accounting loop's.  Counters are synced into the protocol at
-        chunk end, so ``protocol.stats`` stays truthful.
-        """
-        nodes_col = chunk.nodes
-        n = len(nodes_col)
-        if n == 0:
-            return
-        nodes_col = nodes_col.tolist()
-        blocks_col = chunk.blocks.tolist()
-        types_col = chunk.types.tolist()
-
-        fast = self.fast
-        protocol = self.protocol
-        consume = fast.consume
-        hit = fast.hit
-        invalidate = fast.invalidate
-        residency = fast._svb_residency
-        svbs = fast._svbs
-        clocks = fast._clocks
-        blocks_map = protocol._blocks
-        blocks_get = blocks_map.get
-        block_state_cls = _BlockState
-
-        is_write_table = TYPE_IS_WRITE
-        spin_code = TYPE_SPIN_READ
-
-        n_reads = 0
-        n_writes = 0
-        n_svb_hits = 0
-        n_consumptions = 0
-        n_spin = 0
-        n_cold = 0
-        n_fetched = 0
-        n_discards = 0
-        n_inline_hits = 0
-        n_write_hits = 0
-        n_write_misses = 0
-
-        for type_code, node, address in zip(types_col, nodes_col, blocks_col):
-            if is_write_table[type_code]:
-                n_writes += 1
-                if address in residency:
-                    n_discards += invalidate(address)
-                # --- write_ints ---
-                block = blocks_get(address)
-                if block is None:
-                    blocks_map[address] = block = block_state_cls()
-                held_map = block.held_version
-                if node in held_map:
-                    n_write_hits += 1
-                else:
-                    n_write_misses += 1
-                version = block.version + 1
-                block.version = version
-                block.last_writer = node
-                held_map.clear()
-                held_map[node] = version
-                continue
-
-            n_reads += 1
-
-            if type_code != spin_code:
-                if address in svbs[node]:
-                    n_svb_hits += 1
-                    d, x = hit(node, address)
-                    n_fetched += d
-                    n_discards += x
-                    # --- install_copy ---
-                    block = blocks_get(address)
-                    if block is None:
-                        blocks_map[address] = block = block_state_cls()
-                    block.held_version[node] = block.version
-                    continue
-                # --- read_ints ---
-                block = blocks_get(address)
-                if block is None:
-                    blocks_map[address] = block = block_state_cls()
-                    block.held_version[node] = 0
-                    n_cold += 1
-                    clocks[node] += 1
-                    continue
-                version = block.version
-                held_map = block.held_version
-                if held_map.get(node) == version:
-                    n_inline_hits += 1
-                    continue
-                held_map[node] = version
-                # version > 0 implies last_writer is set (only writes bump
-                # versions); a held == version copy already hit above.
-                if version > 0 and block.last_writer != node:
-                    n_consumptions += 1
-                    d, x = consume(node, address)
-                    n_fetched += d
-                    n_discards += x
-                else:
-                    n_cold += 1
-                    clocks[node] += 1
-            else:
-                # Spin read: installs a copy like any read, but a coherent
-                # miss counts as a spin miss and is never a consumption.
-                block = blocks_get(address)
-                if block is None:
-                    blocks_map[address] = block = block_state_cls()
-                    block.held_version[node] = 0
-                    n_cold += 1
-                    clocks[node] += 1
-                    continue
-                version = block.version
-                held_map = block.held_version
-                if held_map.get(node) == version:
-                    n_inline_hits += 1
-                    continue
-                held_map[node] = version
-                if version > 0 and block.last_writer != node:
-                    n_spin += 1
-                else:
-                    n_cold += 1
-                    clocks[node] += 1
-
-        stats = self.stats
-        stats.accesses += n
-        stats.reads += n_reads
-        stats.writes += n_writes
-        stats.svb_hits += n_svb_hits
-        stats.remaining_consumptions += n_consumptions
-        stats.spin_misses += n_spin
-        stats.cold_misses += n_cold
-        stats.blocks_fetched += n_fetched
-        stats.discarded_blocks += n_discards
-        # Keep the protocol's own classification counters truthful.
-        protocol._n_read_hits += n_inline_hits
-        protocol._n_coherent_read_misses += n_consumptions
-        protocol._n_spin_coherent_misses += n_spin
-        protocol._n_cold_misses += n_cold
-        protocol._n_write_hits += n_write_hits
-        protocol._n_write_misses += n_write_misses
 
     def finalize(self) -> TSEStats:
         """Account for end-of-run leftovers and collect distributions."""

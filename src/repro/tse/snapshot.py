@@ -15,9 +15,11 @@ This module fixes both with the columnar backbone:
   captured implicitly by splitting the packed chunk list at the warm
   boundary;
 * the *simulator side* (directory entries and CMOB pointers, per-node CMOB
-  contents, stream queues, SVBs, protocol block versions, per-node access
-  clocks) is captured by pickling the whole :class:`TSESimulator` after the
-  ramp has been replayed once.
+  contents, stream queues, SVBs, per-node access clocks) is captured by
+  pickling the whole :class:`TSESimulator` after the ramp has been replayed
+  once.  Coherence state is not part of it: both windows read the trace's
+  memoized code columns
+  (:func:`~repro.coherence.protocol.trace_codes`), split at the boundary.
 
 Every subsequent run of the same ``(workload, warm size, seed, nodes,
 config)`` point restores the simulator from the cached snapshot and replays
@@ -35,6 +37,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, MutableMapping, Optional, Tuple
 
+from repro.coherence.protocol import trace_codes
 from repro.common.chunk import TraceChunk
 from repro.common.config import MODE_EXACT, TSEConfig, mode_key, resolve_mode
 from repro.tse.simulator import TSESimulator, TSEStats
@@ -55,14 +58,15 @@ __all__ = [
 #: simulator's internal representation changes incompatibly.  Format 1 was
 #: the list-backed layout, format 2 the byte-packed CMOB rings and
 #: stream-queue FIFOs, format 3 drops the finite-cache model and the
-#: directory's sharer/owner state, and format 4 gives both TSE planes a
-#: traffic accountant in place of a message sink.  The version participates in
-#: :func:`snapshot_key`, so persisted pre-refactor snapshots simply never
-#: match — a restore falls back to a cold ramp instead of unpickling an
-#: object whose attributes no longer exist — and it is embedded in the
-#: payload itself so a payload from a mismatched writer is rejected loudly
-#: by :func:`restore` rather than half-restored.
-SNAPSHOT_FORMAT = 4
+#: directory's sharer/owner state, format 4 gives both TSE planes a
+#: traffic accountant in place of a message sink, and format 5 leaves the
+#: protocol's block state empty (a bare replay reads code columns).  The
+#: version participates in :func:`snapshot_key`, so persisted pre-refactor
+#: snapshots simply never match — a restore falls back to a cold ramp
+#: instead of unpickling an object whose attributes no longer exist — and it
+#: is embedded in the payload itself so a payload from a mismatched writer
+#: is rejected loudly by :func:`restore` rather than half-restored.
+SNAPSHOT_FORMAT = 5
 
 
 class SnapshotFormatError(RuntimeError):
@@ -225,24 +229,24 @@ def snapshot_info() -> Dict[str, int]:
     }
 
 
-def _split_chunks(
-    chunks, warm_accesses: int
-) -> Tuple[List[TraceChunk], List[TraceChunk]]:
-    """Split a chunk sequence at exactly ``warm_accesses`` accesses."""
-    warm: List[TraceChunk] = []
-    measure: List[TraceChunk] = []
+def _split_columns(
+    columns, warm_accesses: int
+) -> Tuple[List[Tuple[TraceChunk, bytes]], List[Tuple[TraceChunk, bytes]]]:
+    """Split ``(chunk, code column)`` pairs at exactly ``warm_accesses``."""
+    warm: List[Tuple[TraceChunk, bytes]] = []
+    measure: List[Tuple[TraceChunk, bytes]] = []
     remaining = warm_accesses
-    for chunk in chunks:
+    for chunk, codes in columns:
         if remaining <= 0:
-            measure.append(chunk)
+            measure.append((chunk, codes))
             continue
         size = len(chunk)
         if size <= remaining:
-            warm.append(chunk)
+            warm.append((chunk, codes))
             remaining -= size
         else:
-            warm.append(chunk.slice(0, remaining))
-            measure.append(chunk.slice(remaining))
+            warm.append((chunk.slice(0, remaining), codes[:remaining]))
+            measure.append((chunk.slice(remaining), codes[remaining:]))
             remaining = 0
     return warm, measure
 
@@ -282,7 +286,11 @@ def warm_tse_run(
     config = tse_config if tse_config is not None else TSEConfig.paper_default()
     resolved_mode = resolve_mode(mode)
     trace = trace_for(workload, warm_accesses + measure_accesses, seed, num_nodes)
-    warm_chunks, measure_chunks = _split_chunks(trace.chunks(), warm_accesses)
+    # The ramp and the measurement window read the trace's memoized code
+    # columns, so the window's classification continues the ramp's.
+    warm_columns, measure_columns = _split_columns(
+        zip(trace.chunks(), trace_codes(trace)), warm_accesses
+    )
 
     store = snapshot_store if snapshot_store is not None else _SNAPSHOTS
     key = snapshot_key(workload, warm_accesses, len(trace), seed, num_nodes,
@@ -301,10 +309,10 @@ def warm_tse_run(
                 store.pop(key, None)
     if simulator is None:
         simulator = TSESimulator(num_nodes, tse_config=config, mode=resolved_mode)
-        for chunk in warm_chunks:
-            simulator._replay_chunk(chunk)
+        for chunk, codes in warm_columns:
+            simulator._replay_chunk(chunk, codes)
         if use_snapshot:
             _MISSES += 1
             store[key] = capture(simulator)
     simulator.reset_stats(workload)
-    return simulator.run_chunks(measure_chunks, name=workload)
+    return simulator._run(measure_columns, workload)

@@ -103,12 +103,6 @@ class TestMissClassification:
             assert result.miss_class is MissClass.COHERENT_READ_MISS
             protocol.process(write(writer, 42))
 
-    def test_install_copy_prevents_future_consumption(self):
-        protocol = CoherenceProtocol(num_nodes=2)
-        protocol.process(write(1, 10))
-        protocol.install_copy(0, 10)
-        assert protocol.process(read(0, 10)).miss_class is MissClass.HIT
-
     def test_holders_tracking(self):
         protocol = CoherenceProtocol(num_nodes=3)
         protocol.process(write(0, 7))

@@ -1,20 +1,35 @@
 """Columnar trace backbone regressions: packed chunks, views, snapshots.
 
-Locks in the three contracts the columnar rewrite (PR 3) rests on:
+Locks in the contracts the columnar replay rests on:
 
 1. chunked emission <-> legacy ``MemoryAccess`` view bit-identity for every
    registered workload;
 2. the chunked replay fast path produces results bit-identical to the
    object path;
-3. warm-state snapshot/restore determinism: same seed => same post-restore
+3. a trace's coherence classification does not depend on TSE: the live
+   protocol of a traffic-accounted replay follows the trace's code column
+   access for access, on both planes;
+4. warm-state snapshot/restore determinism: same seed => same post-restore
    results, identical to replaying the warm ramp.
 """
 
-import pytest
+import functools
+import importlib.util
+import pathlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.coherence.protocol import WRITE, CoherenceProtocol, coherence_codes, trace_codes
 from repro.common.chunk import ChunkedTrace, TraceChunk, stream_chunk_size
 from repro.common.config import DEFAULT_STREAM_CHUNK, TSEConfig
-from repro.common.types import ACCESS_TYPE_CODE
+from repro.common.types import (
+    ACCESS_TYPE_CODE,
+    TYPE_ATOMIC,
+    TYPE_READ,
+    TYPE_SPIN_READ,
+    TYPE_WRITE,
+)
 from repro.tse.simulator import TSESimulator
 from repro.tse.snapshot import (
     capture,
@@ -27,6 +42,46 @@ from repro.workloads import available_workloads, get_workload
 from repro.workloads.base import WorkloadParams
 
 SMALL = WorkloadParams(num_nodes=4, seed=11, target_accesses=4_000)
+
+_BATTERY = (
+    pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "reference_battery.py"
+)
+_spec = importlib.util.spec_from_file_location("reference_battery", _BATTERY)
+reference_battery = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference_battery)
+
+
+@functools.lru_cache(maxsize=None)
+def small_trace(name: str) -> ChunkedTrace:
+    return get_workload(name, SMALL).generate_chunked(chunk_size=512)
+
+
+def columns_of(trace: ChunkedTrace):
+    """``(chunk, code column)`` pairs, the input of ``_replay_chunk``."""
+    return list(zip(trace.chunks(), trace_codes(trace)))
+
+
+def assert_live_protocol_follows_the_column(trace, config, mode):
+    """A traffic-accounted replay steps a live protocol.  At every read it
+    must return the code the trace's column holds at that position, and it
+    must end in the state a plain classification pass ends in."""
+    simulator = TSESimulator(trace.num_nodes, config, account_traffic=True, mode=mode)
+    protocol = simulator.protocol
+    live_read = protocol.read_ints
+    returned = []
+
+    def read_ints(node, address, is_spin):
+        code = live_read(node, address, is_spin)
+        returned.append(code)
+        return code
+
+    protocol.read_ints = read_ints
+    simulator.run(trace, warmup_fraction=0.3)
+    column = b"".join(trace_codes(trace))
+    assert returned == [code for code in column if code != WRITE]
+    classifier = CoherenceProtocol(trace.num_nodes)
+    assert b"".join(coherence_codes(classifier, trace.chunks())) == column
+    assert protocol._blocks == classifier._blocks
 
 
 class TestChunkedEmission:
@@ -79,17 +134,6 @@ class TestChunkedEmission:
 
 
 class TestChunkedReplay:
-    def test_fast_path_protocol_counters_match_object_path(self):
-        """Traffic accounting leaves the protocol's classification counters
-        exactly as a run without it."""
-        config = TSEConfig.paper_default(lookahead=8)
-        chunked = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
-        fast = TSESimulator(4, config)
-        fast.run(chunked, warmup_fraction=0.3)
-        slow = TSESimulator(4, config, account_traffic=True)
-        slow.run(chunked, warmup_fraction=0.3)
-        assert fast.protocol.stats.snapshot() == slow.protocol.stats.snapshot()
-
     def test_chunked_run_equals_object_run(self):
         """TSESimulator.run on ChunkedTrace == run on the AccessTrace view."""
         config = TSEConfig.paper_default(lookahead=8)
@@ -110,6 +154,79 @@ class TestChunkedReplay:
         a = TSESimulator(4, config).run(coarse, warmup_fraction=0.3)
         b = TSESimulator(4, config).run(fine, warmup_fraction=0.3)
         assert a.as_dict() == b.as_dict()
+
+
+@st.composite
+def shared_sequences(draw):
+    """A 2-8-node trace with adversarial sharing: producer/consumer rounds
+    over one small block sequence (repeated consumption orders are what let
+    streams form and hit), plus writes, reads, spins and atomics by any
+    node at random positions."""
+    num_nodes = draw(st.integers(min_value=2, max_value=8))
+    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    block = st.integers(min_value=1, max_value=40)
+    blocks = draw(st.lists(block, min_size=2, max_size=12, unique=True))
+    steps = []
+    rounds = st.tuples(node, node, st.integers(min_value=0, max_value=2))
+    for writer, reader, turn in draw(st.lists(rounds, min_size=1, max_size=24)):
+        order = blocks[turn:] + blocks[:turn]
+        steps += [(writer, address, TYPE_WRITE) for address in order]
+        steps += [(reader, address, TYPE_READ) for address in order]
+    noise = st.tuples(st.integers(min_value=0, max_value=len(steps)), node, block,
+                      st.sampled_from((TYPE_READ, TYPE_WRITE, TYPE_SPIN_READ, TYPE_ATOMIC)))
+    for position, *access in sorted(draw(st.lists(noise, max_size=60)), reverse=True):
+        steps.insert(position, tuple(access))
+    return num_nodes, steps
+
+
+class TestCodeColumn:
+    @pytest.mark.parametrize("mode", ("exact", "fast"))
+    @pytest.mark.parametrize("label, config", reference_battery.CONFIGS,
+                             ids=[label for label, _ in reference_battery.CONFIGS])
+    @pytest.mark.parametrize("name", available_workloads())
+    def test_traffic_replay_protocol_follows_the_column(self, name, label, config, mode):
+        assert_live_protocol_follows_the_column(small_trace(name), config, mode)
+
+    @given(
+        case=shared_sequences(),
+        chunk_size=st.integers(min_value=16, max_value=128),
+        cmob_capacity=st.integers(min_value=1, max_value=24),
+        svb_entries=st.integers(min_value=1, max_value=4),
+        lookahead=st.integers(min_value=1, max_value=8),
+        compared_streams=st.integers(min_value=1, max_value=2),
+        mode=st.sampled_from(("exact", "fast")),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_sharing_follows_the_column(
+        self, case, chunk_size, cmob_capacity, svb_entries, lookahead,
+        compared_streams, mode,
+    ):
+        """CMOBs that wrap, 1-4-entry SVBs, streams that form and hit."""
+        num_nodes, steps = case
+        records = [(node, block, type_code, 0, tick, 0)
+                   for tick, (node, block, type_code) in enumerate(steps)]
+        trace = ChunkedTrace(num_nodes=num_nodes, name="random")
+        for start in range(0, len(records), chunk_size):
+            chunk = TraceChunk()
+            chunk.extend_packed(records[start:start + chunk_size])
+            trace.append_chunk(chunk)
+        config = TSEConfig(
+            cmob_capacity=cmob_capacity, svb_entries=svb_entries,
+            stream_lookahead=lookahead, compared_streams=compared_streams,
+            cmob_pointers_per_block=2,
+        )
+        assert_live_protocol_follows_the_column(trace, config, mode)
+
+    def test_column_is_memoized_until_the_trace_grows(self):
+        trace = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
+        first = trace_codes(trace)
+        assert trace_codes(trace) is first
+        extra = TraceChunk()
+        extra.extend_packed([(0, 10, 0, 0, 0, 0)])
+        trace.append_chunk(extra)
+        grown = trace_codes(trace)
+        assert grown is not first and grown[:-1] == first
+        assert len(grown[-1]) == 1
 
 
 class TestWarmSnapshots:
@@ -160,14 +277,14 @@ class TestWarmSnapshots:
         """Mutating a restored simulator leaves the snapshot's source alone."""
         config = TSEConfig.paper_default(lookahead=8)
         chunked = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
-        chunks = chunked.chunks()
+        columns = columns_of(chunked)
         simulator = TSESimulator(4, config)
-        simulator._replay_chunk(chunks[0])
+        simulator._replay_chunk(*columns[0])
         payload = capture(simulator)
         twin = restore(payload)
-        for chunk in chunks[1:]:
-            twin._replay_chunk(chunk)
-        assert simulator.stats.accesses == len(chunks[0])
+        for chunk, codes in columns[1:]:
+            twin._replay_chunk(chunk, codes)
+        assert simulator.stats.accesses == len(columns[0][0])
         assert twin.stats.accesses == len(chunked)
 
     def test_traffic_simulator_cannot_snapshot(self):
@@ -236,6 +353,43 @@ class TestSnapshotFormatVersioning:
         assert isinstance(restore(snap._SNAPSHOTS[key]), TSESimulator)
         clear_snapshots()
 
+    def test_format4_payload_in_persistent_store_falls_back_to_cold_ramp(self, tmp_path):
+        """A format-4 payload — a bare simulator that still carried the
+        protocol's block state — is never restored: under its own key it
+        never matches, and under the current key it is rejected, the ramp is
+        recomputed bit for bit, and the entry is replaced."""
+        import pickle
+
+        from repro.experiments.runner import trace_for
+        from repro.tse import snapshot as snap
+        from repro.tse.snapshot import SNAPSHOT_FORMAT, PersistentSnapshotStore
+
+        config = TSEConfig.paper_default(lookahead=8)
+        reference = warm_tse_run(
+            "db2", config, warm_accesses=self.WARM,
+            measure_accesses=self.MEASURE, use_snapshot=False,
+        )
+        trace = trace_for("db2", self.WARM + self.MEASURE, 42, 16)
+        warm, _ = snap._split_columns(columns_of(trace), self.WARM)
+        legacy = TSESimulator(16, config)
+        for chunk, codes in warm:
+            legacy._replay_chunk(chunk, codes)
+        list(coherence_codes(legacy.protocol, (chunk for chunk, _ in warm)))
+        payload = pickle.dumps((4, legacy), protocol=pickle.HIGHEST_PROTOCOL)
+
+        key = snap.snapshot_key("db2", self.WARM, len(trace), 42, 16, config)
+        store = PersistentSnapshotStore(tmp_path / "snapshots.sqlite")
+        store[key.replace(f"({SNAPSHOT_FORMAT},", "(4,", 1)] = payload
+        store[key] = payload
+        healed = warm_tse_run(
+            "db2", config, warm_accesses=self.WARM, measure_accesses=self.MEASURE,
+            snapshot_store=store,
+        )
+        assert healed.as_dict() == reference.as_dict()
+        assert healed.stream_length_hist.buckets() == reference.stream_length_hist.buckets()
+        assert pickle.loads(store[key])[0] == SNAPSHOT_FORMAT
+        assert not restore(store[key]).protocol._blocks
+
 
 class TestPackedCMOBDeterminism:
     """Array-backed (byte-packed) CMOB determinism under heavy wraparound."""
@@ -267,16 +421,16 @@ class TestPackedCMOBDeterminism:
         deterministic: the restored twin replays to identical results."""
         config = TSEConfig(cmob_capacity=97, svb_entries=8, stream_lookahead=8)
         chunked = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
-        chunks = chunked.chunks()
+        columns = columns_of(chunked)
         reference = TSESimulator(4, config)
         twin_source = TSESimulator(4, config)
-        for chunk in chunks[:2]:
-            reference._replay_chunk(chunk)
-            twin_source._replay_chunk(chunk)
+        for chunk, codes in columns[:2]:
+            reference._replay_chunk(chunk, codes)
+            twin_source._replay_chunk(chunk, codes)
         twin = restore(capture(twin_source))
-        for chunk in chunks[2:]:
-            reference._replay_chunk(chunk)
-            twin._replay_chunk(chunk)
+        for chunk, codes in columns[2:]:
+            reference._replay_chunk(chunk, codes)
+            twin._replay_chunk(chunk, codes)
         assert reference.finalize().as_dict() == twin.finalize().as_dict()
 
 

@@ -29,7 +29,7 @@ class TestCoherenceProperties:
     """Infinite caches: every copy is current, so no read is a capacity miss."""
 
     steps = st.tuples(
-        st.sampled_from(("read", "spin", "write", "install")),
+        st.sampled_from(("read", "spin", "write")),
         st.integers(min_value=0, max_value=3),
         st.integers(min_value=0, max_value=7),
     )
@@ -43,8 +43,6 @@ class TestCoherenceProperties:
             holder = node in protocol.holders_of(address)
             if op == "write":
                 assert protocol.write_ints(node, address) == holder
-            elif op == "install":
-                protocol.install_copy(node, address)
             else:
                 code = protocol.read_ints(node, address, op == "spin")
                 assert (code == READ_HIT) == holder
