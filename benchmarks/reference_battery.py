@@ -5,8 +5,9 @@ configurations (including wraparound-heavy tiny CMOBs, single/many compared
 streams, tiny SVBs), outcome-recording runs, bare runs (no recording, no
 traffic: the loop every sweep runs), column-less streamed input,
 traffic-accounting runs, the warm-state snapshot path, timing comparisons
-(Figure 14 / Table 3) and the baseline prefetchers (Figure 12) — and writes
-every result as JSON.  Two
+(Figure 14 / Table 3), the baseline prefetchers (Figure 12), Figure 6's
+correlation rows and a digest of the traces' ``MemoryAccess`` view — and
+writes every result as JSON.  Two
 trees produce byte-identical files exactly when their simulators are
 bit-identical.  Run this one script against both trees' ``src/`` so both
 sides run the same matrix::
@@ -25,6 +26,7 @@ single-FIFO short-circuit and the general N-FIFO agreement path.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from dataclasses import asdict
@@ -149,6 +151,26 @@ def prefetch_cell(workload: str) -> dict:
     return cells
 
 
+def correlation_rows() -> list:
+    """Figure 6's cumulative correlation rows."""
+    from repro.experiments import fig06_correlation
+
+    return fig06_correlation.run(
+        workloads=("em3d", "moldyn", "db2", "apache", "jbb"),
+        target_accesses=ACCESSES, seed=SEED,
+    )
+
+
+def objects_cell(workload: str) -> dict:
+    """sha256 of the trace's ``MemoryAccess`` view, one field tuple per access."""
+    accesses = trace_for(workload, ACCESSES, SEED, NUM_NODES).accesses
+    digest = hashlib.sha256()
+    for a in accesses:
+        fields = (a.node, a.address, a.access_type.value, a.pc, a.timestamp, a.dependent)
+        digest.update(repr(fields).encode())
+    return {"accesses": len(accesses), "sha256": digest.hexdigest()}
+
+
 def main() -> int:
     out_path = sys.argv[1] if len(sys.argv) > 1 else "battery.json"
     battery: dict = {"accesses": ACCESSES, "seed": SEED, "nodes": NUM_NODES}
@@ -179,6 +201,10 @@ def main() -> int:
     print("timing done", flush=True)
     battery["prefetch"] = {w: prefetch_cell(w) for w in ("em3d", "db2", "apache")}
     print("prefetch done", flush=True)
+    battery["correlation"] = correlation_rows()
+    print("correlation done", flush=True)
+    battery["objects"] = {w: objects_cell(w) for w in ("em3d", "db2")}
+    print("objects done", flush=True)
     with open(out_path, "w") as handle:
         json.dump(battery, handle, indent=1, sort_keys=True, default=str)
         handle.write("\n")

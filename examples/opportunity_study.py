@@ -17,7 +17,7 @@ from typing import Dict
 
 from repro.analysis.correlation import temporal_correlation
 from repro.analysis.streams import fraction_of_hits_from_short_streams
-from repro.coherence.protocol import CoherenceProtocol, extract_consumptions
+from repro.coherence.protocol import trace_consumptions
 from repro.common.config import DEFAULT_WARMUP_FRACTION, PAPER_LOOKAHEAD, TSEConfig
 from repro.experiments.cache import cached_tse_run
 from repro.experiments.runner import run_parallel, trace_for
@@ -29,10 +29,8 @@ def study(workload: str, _config: object = None) -> Dict[str, object]:
     trace = trace_for(workload, TARGET_ACCESSES, 42)
 
     # --- temporal correlation (Figure 6) --------------------------------
-    protocol = CoherenceProtocol(trace.num_nodes)
-    consumptions = extract_consumptions(protocol.process_trace(trace), trace.num_nodes)
     correlation = temporal_correlation(
-        consumptions,
+        trace_consumptions(trace),
         measure_from_global_index=int(len(trace) * DEFAULT_WARMUP_FRACTION),
         workload=workload,
     )

@@ -19,7 +19,7 @@ from repro.workloads.base import WorkloadParams
 def main() -> None:
     workload = sys.argv[1] if len(sys.argv) > 1 else "oracle"
     params = WorkloadParams(num_nodes=16, seed=42, target_accesses=100_000)
-    trace = get_workload(workload, params).generate()
+    trace = get_workload(workload, params).generate_chunked()
 
     print(f"Comparing forwarding techniques on {workload} "
           f"({len(trace)} accesses, 16 nodes)\n")

@@ -15,17 +15,16 @@ sufficient to express traffic volumes as bandwidths of the right magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.coherence.messages import (
     CMOB_POINTER_BYTES,
     CONTROL_PAYLOAD_BYTES,
     DATA_PAYLOAD_BYTES,
 )
-from repro.common.chunk import ChunkedTrace, trace_chunks
+from repro.common.chunk import ChunkedTrace
 from repro.common.config import SystemConfig
 from repro.common.stats import ratio
-from repro.common.types import AccessTrace
 from repro.tse.simulator import TSEStats
 
 
@@ -50,16 +49,14 @@ class BandwidthResult:
     fraction_of_peak: float = 0.0
 
 
-def estimate_elapsed_ns(
-    trace: "Union[AccessTrace, ChunkedTrace]", system: SystemConfig
-) -> float:
+def estimate_elapsed_ns(trace: ChunkedTrace, system: SystemConfig) -> float:
     """Estimate the trace's execution time from per-node instruction counts.
 
     Nodes execute concurrently, so elapsed time follows the largest per-node
     retired-instruction count at the configured base IPC.  It reads the
-    packed ``timestamps`` columns; no object view is built.
+    packed ``timestamps`` columns.
     """
-    columns = [chunk.timestamps for chunk in trace_chunks(trace)]
+    columns = [chunk.timestamps for chunk in trace.chunks()]
     # The trailing accesses carry the final per-node timestamps; scanning a
     # bounded suffix finds the maximum without touching the whole trace.
     max_instructions = 0
@@ -77,7 +74,7 @@ def estimate_elapsed_ns(
 
 def bandwidth_overhead(
     stats: TSEStats,
-    trace: "Union[AccessTrace, ChunkedTrace]",
+    trace: ChunkedTrace,
     system: Optional[SystemConfig] = None,
 ) -> BandwidthResult:
     """Compute Figure 11's bandwidth overhead from a traffic-accounted TSE run.

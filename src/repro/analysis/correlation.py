@@ -71,7 +71,7 @@ def temporal_correlation(
     Args:
         per_node_consumptions: One consumption sequence per node, each in the
             node's program order (as produced by
-            :func:`repro.coherence.protocol.extract_consumptions`).
+            :func:`repro.coherence.protocol.trace_consumptions`).
         max_distance: Window (in order positions) searched around the
             reference for the next consumption's address.
         workload: Label copied into the result.

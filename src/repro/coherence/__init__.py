@@ -11,20 +11,21 @@ on a 16-node DSM.  This package provides:
 * :mod:`repro.coherence.protocol` — a functional protocol over infinite
   caches that classifies every read as hit / cold miss / coherent read miss
   ("consumption"); :func:`~repro.coherence.protocol.trace_codes`, which
-  classifies a trace once into memoized per-chunk code columns; and
+  classifies a trace once into memoized per-chunk code columns;
+  :func:`~repro.coherence.protocol.trace_consumptions`, which reads the
+  per-node consumption orders off those columns; and
   :func:`~repro.coherence.protocol.transaction_messages`, which emits the
   messages each transaction needs.
 """
 
 from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.messages import MessageType
-from repro.coherence.protocol import AccessResult, CoherenceProtocol, transaction_messages
+from repro.coherence.protocol import CoherenceProtocol, transaction_messages
 
 __all__ = [
     "MessageType",
     "Directory",
     "DirectoryEntry",
-    "AccessResult",
     "CoherenceProtocol",
     "transaction_messages",
 ]

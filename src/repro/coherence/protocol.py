@@ -21,8 +21,7 @@ write invalidates every other copy.  A read miss is
   a different node than the reader and the reader does not hold it.
 
 :meth:`CoherenceProtocol.read_ints` and :meth:`~CoherenceProtocol.write_ints`
-are the whole state machine; :meth:`~CoherenceProtocol.process` is an
-object view over them, and :func:`transaction_messages` emits a
+are the whole state machine, and :func:`transaction_messages` emits a
 transaction's baseline messages, derived from the same block state, for
 traffic accounting.
 
@@ -32,14 +31,15 @@ miss would have installed — so the block state, and with it the base
 system's classification of every access, does not depend on TSE or on any
 prefetcher.  :func:`coherence_codes` therefore classifies a trace once,
 into one code column per chunk, and :func:`trace_codes` memoizes the
-columns on the trace for every replay, the timing model's base labels and
-the prefetcher harness.
+columns on the trace for every replay, the timing model's base labels, the
+prefetcher harness and :func:`trace_consumptions` (Figure 6's per-node
+consumption orders).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.coherence.directory import Directory
 from repro.coherence.messages import (
@@ -52,16 +52,13 @@ from repro.coherence.messages import (
     READ_REQUEST,
     UPGRADE_REQUEST,
 )
-from repro.common.chunk import ChunkedTrace, TraceChunk, trace_chunks
+from repro.common.chunk import ChunkedTrace, TraceChunk
 from repro.common.stats import StatsRegistry, publish_counters
 from repro.common.types import (
     TYPE_IS_WRITE,
     TYPE_SPIN_READ,
-    AccessTrace,
     BlockAddress,
     Consumption,
-    MemoryAccess,
-    MissClass,
     NodeId,
 )
 
@@ -73,36 +70,6 @@ READ_SPIN_COHERENT = 2
 READ_COLD = 3
 #: The one write code of a :func:`coherence_codes` column.
 WRITE = 4
-
-#: Read code -> MissClass, for the object view.
-_MISS_CLASS_OF_READ = (
-    MissClass.HIT,
-    MissClass.COHERENT_READ_MISS,
-    MissClass.SPIN_COHERENT_MISS,
-    MissClass.COLD_MISS,
-)
-
-
-@dataclass(slots=True)
-class AccessResult:
-    """Outcome of one access processed by the protocol.
-
-    Attributes:
-        access: The access that was processed.
-        miss_class: Hit/miss classification.
-        producer: Node whose write produced the version being read (only
-            meaningful for coherent read misses).
-        is_consumption: True when this access counts as a consumption
-            (coherent read miss, not a spin).
-    """
-
-    access: MemoryAccess
-    miss_class: MissClass
-    producer: Optional[NodeId] = None
-
-    @property
-    def is_consumption(self) -> bool:
-        return self.miss_class is MissClass.COHERENT_READ_MISS
 
 
 @dataclass(slots=True)
@@ -194,23 +161,6 @@ class CoherenceProtocol:
         held[node] = version
         return hit
 
-    # -------------------------------------------------------------- object view
-    def process(self, access: MemoryAccess) -> AccessResult:
-        """Process one access object through the int state machine."""
-        node, address = access.node, access.address
-        if access.is_write:
-            hit = self.write_ints(node, address)
-            return AccessResult(access, MissClass.HIT if hit else MissClass.WRITE_MISS)
-        code = self.read_ints(node, address, access.is_spin)
-        if code == READ_COHERENT or code == READ_SPIN_COHERENT:
-            producer = self._blocks[address].last_writer
-            return AccessResult(access, _MISS_CLASS_OF_READ[code], producer)
-        return AccessResult(access, _MISS_CLASS_OF_READ[code])
-
-    def process_trace(self, accesses) -> List[AccessResult]:
-        """Process an iterable of accesses; convenience for analyses and tests."""
-        return [self.process(a) for a in accesses]
-
     # ------------------------------------------------------------- inspection
     def version_of(self, address: BlockAddress) -> int:
         block = self._blocks.get(address)
@@ -250,9 +200,8 @@ def coherence_codes(
         yield bytes(codes)
 
 
-def trace_codes(trace: "Union[AccessTrace, ChunkedTrace]") -> List[bytes]:
-    """A trace's code columns, one per :func:`~repro.common.chunk.trace_chunks`
-    chunk, classified once.
+def trace_codes(trace: ChunkedTrace) -> List[bytes]:
+    """A trace's code columns, one per chunk, classified once.
 
     Memoized on the trace object and keyed by its length, so a trace that
     grows after a classification is classified afresh.
@@ -260,9 +209,38 @@ def trace_codes(trace: "Union[AccessTrace, ChunkedTrace]") -> List[bytes]:
     memo = getattr(trace, "_coherence_codes", None)
     if memo is None or memo[0] != len(trace):
         protocol = CoherenceProtocol(trace.num_nodes)
-        memo = (len(trace), list(coherence_codes(protocol, trace_chunks(trace))))
+        memo = (len(trace), list(coherence_codes(protocol, trace.chunks())))
         trace._coherence_codes = memo
     return memo[1]
+
+
+def trace_consumptions(trace: ChunkedTrace) -> List[List[Consumption]]:
+    """Split a trace's consumptions into per-node sequences.
+
+    Walks the trace's memoized code columns (:func:`trace_codes`): every
+    ``READ_COHERENT`` code is a consumption, and its producer is the block's
+    last writer, the node of the block's most recent ``WRITE`` code.  Each
+    node's list is in the node's program order (which, because the trace is
+    globally interleaved, is also its trace order); the per-node ``index``
+    matches the CMOB slot the consumption would occupy.
+    """
+    per_node: List[List[Consumption]] = [[] for _ in range(trace.num_nodes)]
+    last_writer: Dict[BlockAddress, NodeId] = {}
+    global_index = 0
+    for chunk, codes in zip(trace.chunks(), trace_codes(trace)):
+        for code, node, block, timestamp in zip(
+            codes, chunk.nodes.tolist(), chunk.blocks.tolist(), chunk.timestamps.tolist()
+        ):
+            if code == WRITE:
+                last_writer[block] = node
+            elif code == READ_COHERENT:
+                consumptions = per_node[node]
+                consumptions.append(Consumption(
+                    node, block, len(consumptions), global_index, timestamp,
+                    last_writer[block],
+                ))
+            global_index += 1
+    return per_node
 
 
 def transaction_messages(
@@ -323,31 +301,3 @@ def transaction_messages(
         emit(INVALIDATE_ACK, victim, node)
     if not had_copy:
         emit(DATA_REPLY, home, node)
-
-
-def extract_consumptions(
-    results: List[AccessResult], num_nodes: int
-) -> List[List[Consumption]]:
-    """Split classified results into per-node consumption sequences.
-
-    Each node's list is ordered by the node's program order (which, because
-    the trace is globally interleaved, is also its appearance order in the
-    results).  The per-node ``index`` matches the CMOB slot the consumption
-    would occupy.
-    """
-    per_node: List[List[Consumption]] = [[] for _ in range(num_nodes)]
-    for global_index, result in enumerate(results):
-        if not result.is_consumption:
-            continue
-        node = result.access.node
-        per_node[node].append(
-            Consumption(
-                node=node,
-                address=result.access.address,
-                index=len(per_node[node]),
-                global_index=global_index,
-                timestamp=result.access.timestamp,
-                producer=result.producer,
-            )
-        )
-    return per_node

@@ -2,8 +2,7 @@
 
 This package provides the vocabulary types (addresses, accesses, node ids),
 configuration dataclasses encoding the paper's Table 1 / Table 2 parameters,
-deterministic random-number helpers, statistics counters and the
-discrete-event queue used by the timing simulator.
+deterministic random-number helpers and statistics counters.
 """
 
 from repro.common.config import (
@@ -14,7 +13,6 @@ from repro.common.config import (
     SystemConfig,
     TSEConfig,
 )
-from repro.common.events import Event, EventQueue
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, Histogram, StatsRegistry
 from repro.common.types import (
@@ -44,7 +42,5 @@ __all__ = [
     "Counter",
     "Histogram",
     "StatsRegistry",
-    "Event",
-    "EventQueue",
     "DeterministicRNG",
 ]

@@ -20,15 +20,11 @@ workload primitives append to their batch lists.  Tuples of ints are what
 keeps generation allocation-light; the chunk packs them without ever
 constructing a :class:`~repro.common.types.MemoryAccess`.
 
-Consumers choose their view:
-
-* the functional simulator replays raw columns chunk-at-a-time
-  (:meth:`repro.tse.simulator.TSESimulator.run` fast path), and so do the
-  timing model and the prefetcher harness (through :func:`trace_chunks`);
-* legacy/object consumers (analysis, tests) use the **thin object view**
-  — :meth:`TraceChunk.iter_accesses` / :attr:`ChunkedTrace.accesses` —
-  which materializes ``MemoryAccess`` objects on demand, bit-identical to
-  the v2 engine's old output.
+Every consumer reads the columns through :meth:`ChunkedTrace.chunks`: the
+functional simulator, the coherence classifier, the timing model, the
+bandwidth estimate and the prefetcher harness.
+:attr:`ChunkedTrace.accesses` decodes the columns into ``MemoryAccess``
+objects on demand; nothing in the package reads it.
 
 Chunk size comes from :func:`repro.common.config.stream_chunk_size`
 (``REPRO_STREAM_CHUNK``).
@@ -37,16 +33,12 @@ Chunk size comes from :func:`repro.common.config.stream_chunk_size`
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.config import stream_chunk_size
-from repro.common.types import (
-    ACCESS_TYPE_CODE,
-    ACCESS_TYPE_FROM_CODE,
-    MemoryAccess,
-)
+from repro.common.types import ACCESS_TYPE_FROM_CODE, MemoryAccess
 
-__all__ = ["TraceChunk", "ChunkedTrace", "PackedAccess", "stream_chunk_size", "trace_chunks"]
+__all__ = ["TraceChunk", "ChunkedTrace", "PackedAccess", "stream_chunk_size"]
 
 #: The packed access record emitted by workload primitives.
 PackedAccess = Tuple[int, int, int, int, int, int]
@@ -93,18 +85,6 @@ class TraceChunk:
             ts_append(timestamp)
             deps_append(1 if dep else 0)
 
-    @classmethod
-    def from_accesses(cls, accesses: Iterable[MemoryAccess]) -> "TraceChunk":
-        """Pack :class:`MemoryAccess` objects into columns (legacy ingestion)."""
-        chunk = cls()
-        code_of = ACCESS_TYPE_CODE
-        chunk.extend_packed(
-            (a.node, a.address, code_of[a.access_type], a.pc, a.timestamp,
-             1 if a.dependent else 0)
-            for a in accesses
-        )
-        return chunk
-
     # ------------------------------------------------------------------ slicing
     def slice(self, start: int, stop: Optional[int] = None) -> "TraceChunk":
         """A new chunk holding ``[start:stop]`` of every column."""
@@ -116,17 +96,6 @@ class TraceChunk:
         )
 
     # -------------------------------------------------------------- object view
-    def access_at(self, index: int) -> MemoryAccess:
-        """Materialize one access (the thin object view, element-wise)."""
-        return MemoryAccess(
-            node=self.nodes[index],
-            address=self.blocks[index],
-            access_type=ACCESS_TYPE_FROM_CODE[self.types[index]],
-            pc=self.pcs[index],
-            timestamp=self.timestamps[index],
-            dependent=bool(self.deps[index]),
-        )
-
     def iter_accesses(self) -> Iterator[MemoryAccess]:
         """Materialize the chunk's accesses one at a time."""
         decode = ACCESS_TYPE_FROM_CODE
@@ -154,11 +123,7 @@ class TraceChunk:
 class ChunkedTrace:
     """An ordered, interleaved multi-node trace stored as packed chunks.
 
-    Drop-in replacement for :class:`~repro.common.types.AccessTrace` in the
-    experiment harness: the functional simulator consumes :meth:`chunks`
-    directly, while object consumers read :attr:`accesses` (materialized
-    lazily, then cached) or iterate the trace, which yields thin
-    ``MemoryAccess`` views chunk by chunk.
+    The one trace type: every consumer reads :meth:`chunks`.
     """
 
     def __init__(self, num_nodes: int = 1, name: str = "trace") -> None:
@@ -184,9 +149,12 @@ class ChunkedTrace:
 
     # -------------------------------------------------------------- consumption
     def chunks(self) -> Sequence[TraceChunk]:
-        """The packed chunks, in trace order (the fast-path view)."""
+        """The packed chunks, in trace order."""
         return self._chunks
 
+    # No caller in the package reads this view.  perfbench's ``figures``
+    # workload times it as its ``chunk.materialize`` step, so removing it
+    # waits for a change that redefines that benchmark.
     @property
     def accesses(self) -> List[MemoryAccess]:
         """Materialized object view (cached after the first request)."""
@@ -199,27 +167,6 @@ class ChunkedTrace:
 
     def __len__(self) -> int:
         return self._length
-
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        for chunk in self._chunks:
-            yield from chunk.iter_accesses()
-
-    def __getitem__(self, idx):
-        return self.accesses[idx]
-
-    def per_node(self) -> List[List[MemoryAccess]]:
-        """Split the interleaved trace into per-node access sequences."""
-        buckets: List[List[MemoryAccess]] = [[] for _ in range(self.num_nodes)]
-        for access in self:
-            buckets[access.node].append(access)
-        return buckets
-
-    def footprint(self) -> int:
-        """Number of distinct block addresses touched by the trace."""
-        blocks: set = set()
-        for chunk in self._chunks:
-            blocks.update(chunk.blocks)
-        return len(blocks)
 
     # ------------------------------------------------------------- serialization
     def to_payload(self) -> Tuple[int, str, List[Tuple[array, ...]]]:
@@ -241,14 +188,3 @@ class ChunkedTrace:
             f"ChunkedTrace(name={self.name!r}, accesses={self._length}, "
             f"chunks={len(self._chunks)}, num_nodes={self.num_nodes})"
         )
-
-
-def trace_chunks(trace: "Union[ChunkedTrace, Iterable[MemoryAccess]]") -> Sequence[TraceChunk]:
-    """A trace's packed chunks, for consumers that read columns only.
-
-    A :class:`ChunkedTrace` hands over its own chunks; an object trace
-    (:class:`~repro.common.types.AccessTrace`) is packed into one chunk.
-    """
-    if isinstance(trace, ChunkedTrace):
-        return trace.chunks()
-    return [TraceChunk.from_accesses(trace)]

@@ -8,8 +8,8 @@ light wrapper types document intent at module boundaries.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 #: A full byte address in the simulated physical address space.
 Address = int
@@ -54,20 +54,12 @@ class AccessType(enum.Enum):
 
 #: Small-int encoding of :class:`AccessType` used by the columnar trace
 #: backbone: packed ``TraceChunk`` columns store one of these codes per
-#: access, and the hot loops classify through the parallel lookup tables
-#: below instead of enum dispatch.
+#: access, and the hot loops classify through :data:`TYPE_IS_WRITE`
+#: instead of enum dispatch.
 TYPE_READ = 0
 TYPE_WRITE = 1
 TYPE_SPIN_READ = 2
 TYPE_ATOMIC = 3
-
-#: AccessType -> small-int code.
-ACCESS_TYPE_CODE: dict = {
-    AccessType.READ: TYPE_READ,
-    AccessType.WRITE: TYPE_WRITE,
-    AccessType.SPIN_READ: TYPE_SPIN_READ,
-    AccessType.ATOMIC: TYPE_ATOMIC,
-}
 
 #: Small-int code -> AccessType (the object view's decode table).
 ACCESS_TYPE_FROM_CODE = (
@@ -77,10 +69,8 @@ ACCESS_TYPE_FROM_CODE = (
     AccessType.ATOMIC,
 )
 
-#: Indexed by type code: mirrors AccessType.is_read / is_write / is_spin.
-TYPE_IS_READ = (True, False, True, False)
+#: Indexed by type code: mirrors AccessType.is_write.
 TYPE_IS_WRITE = (False, True, False, True)
-TYPE_IS_SPIN = (False, False, True, False)
 
 
 def block_of(address: Address, block_size: int = DEFAULT_BLOCK_SIZE) -> BlockAddress:
@@ -109,9 +99,9 @@ def block_to_address(block: BlockAddress, block_size: int = DEFAULT_BLOCK_SIZE) 
 class MemoryAccess:
     """A single shared-memory access issued by one node.
 
-    Workload generators emit sequences of these; the coherence simulator
-    classifies each read as a hit, cold miss, or coherent read miss
-    (a *consumption* in the paper's terminology).
+    The object view of one row of a packed trace:
+    :attr:`~repro.common.chunk.ChunkedTrace.accesses` decodes the columns
+    into these.
 
     Attributes:
         node: Node issuing the access.
@@ -147,20 +137,6 @@ class MemoryAccess:
         return self.access_type.is_spin
 
 
-class MissClass(enum.Enum):
-    """Classification of a read access by the coherence substrate."""
-
-    HIT = "hit"
-    COLD_MISS = "cold"
-    #: Coherent read miss: another node produced the block since this node
-    #: last held it.  These are the "consumptions" that TSE targets.
-    COHERENT_READ_MISS = "coherent_read"
-    #: Coherence miss that is part of a spin; excluded from consumptions.
-    SPIN_COHERENT_MISS = "spin_coherent"
-    #: Upgrade / write misses (handled by relaxed consistency in the paper).
-    WRITE_MISS = "write"
-
-
 @dataclass(slots=True)
 class Consumption:
     """A coherent read miss that TSE may target.
@@ -183,48 +159,3 @@ class Consumption:
     global_index: int
     timestamp: int = 0
     producer: Optional[NodeId] = None
-
-
-@dataclass
-class AccessTrace:
-    """An ordered, interleaved multi-node trace of shared-memory accesses.
-
-    The trace preserves the global interleaving produced by the workload
-    generator (round-robin quanta by default) which the coherence simulator
-    uses to determine produce/consume relationships between nodes.
-    """
-
-    accesses: List[MemoryAccess] = field(default_factory=list)
-    num_nodes: int = 1
-    name: str = "trace"
-
-    def append(self, access: MemoryAccess) -> None:
-        if access.node < 0 or access.node >= self.num_nodes:
-            raise ValueError(
-                f"access node {access.node} outside [0, {self.num_nodes})"
-            )
-        self.accesses.append(access)
-
-    def extend(self, accesses: Iterable[MemoryAccess]) -> None:
-        for access in accesses:
-            self.append(access)
-
-    def __len__(self) -> int:
-        return len(self.accesses)
-
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        return iter(self.accesses)
-
-    def __getitem__(self, idx: int) -> MemoryAccess:
-        return self.accesses[idx]
-
-    def per_node(self) -> List[List[MemoryAccess]]:
-        """Split the interleaved trace into per-node access sequences."""
-        buckets: List[List[MemoryAccess]] = [[] for _ in range(self.num_nodes)]
-        for access in self.accesses:
-            buckets[access.node].append(access)
-        return buckets
-
-    def footprint(self) -> int:
-        """Number of distinct block addresses touched by the trace."""
-        return len({a.address for a in self.accesses})

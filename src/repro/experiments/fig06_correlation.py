@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.analysis.correlation import cumulative_correlation, temporal_correlation
-from repro.coherence.protocol import CoherenceProtocol, extract_consumptions
+from repro.coherence.protocol import trace_consumptions
 from repro.experiments.runner import (
     DEFAULT_TARGET_ACCESSES,
     DEFAULT_WARMUP_FRACTION,
@@ -35,11 +35,8 @@ def _point(
 ) -> Dict[str, object]:
     """Correlation analysis for one workload (one sweep point)."""
     trace = trace_for(workload, target_accesses, seed)
-    protocol = CoherenceProtocol(trace.num_nodes)
-    results = protocol.process_trace(trace)
-    consumptions = extract_consumptions(results, trace.num_nodes)
     correlation = temporal_correlation(
-        consumptions,
+        trace_consumptions(trace),
         max_distance=max(distances),
         workload=workload,
         # Warm the history on the shared warm-up window, as the paper

@@ -57,9 +57,9 @@ def trace_for(
     regenerating the workload each time — and, because the cached trace
     object carries its memoized coherence code columns, without classifying
     it again.  The trace is columnar (:class:`~repro.common.chunk.ChunkedTrace`):
-    the functional simulator, the timing model and the prefetcher harness
-    read its packed chunks directly, while object consumers (the Figure 6
-    correlation analysis) iterate its thin ``MemoryAccess`` view.
+    the functional simulator, the timing model, the prefetcher harness and
+    the Figure 6 correlation analysis all read its packed chunks and their
+    code columns.
     """
     payload = _PRELOADED.pop((workload, target_accesses, seed, num_nodes), None)
     if payload is not None:

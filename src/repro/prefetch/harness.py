@@ -11,13 +11,13 @@ the base system's miss would, so the columns hold with prefetching on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Union
+from typing import Callable, Dict
 
 from repro.coherence.protocol import READ_COHERENT, READ_SPIN_COHERENT, WRITE, trace_codes
-from repro.common.chunk import ChunkedTrace, trace_chunks
+from repro.common.chunk import ChunkedTrace
 from repro.common.config import DEFAULT_WARMUP_FRACTION
 from repro.common.stats import ratio
-from repro.common.types import TYPE_SPIN_READ, AccessTrace
+from repro.common.types import TYPE_SPIN_READ
 from repro.prefetch.base import PrefetchBuffer, Prefetcher
 
 
@@ -62,7 +62,7 @@ class PrefetcherStats:
 
 
 def evaluate_prefetcher(
-    trace: "Union[AccessTrace, ChunkedTrace]",
+    trace: ChunkedTrace,
     prefetcher_factory: Callable[[], Prefetcher],
     buffer_entries: int = 32,
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
@@ -71,8 +71,7 @@ def evaluate_prefetcher(
 
     Args:
         trace: The interleaved multi-node access trace; its packed columns
-            and code columns are replayed (an object trace is packed into
-            one chunk).
+            and code columns are replayed.
         prefetcher_factory: Builds a fresh per-node prefetcher.
         buffer_entries: Prefetch-buffer capacity (32 = the 2 KB SVB).
         warmup_fraction: Fraction of the trace excluded from statistics
@@ -97,7 +96,7 @@ def evaluate_prefetcher(
     resident = [(buffer, buffer._entries) for buffer in buffers]
 
     index = 0
-    for chunk, codes in zip(trace_chunks(trace), trace_codes(trace)):
+    for chunk, codes in zip(trace.chunks(), trace_codes(trace)):
         for code, node, address, type_code, pc in zip(
             codes, chunk.nodes.tolist(), chunk.blocks.tolist(), chunk.types.tolist(),
             chunk.pcs.tolist(),

@@ -19,7 +19,6 @@ from repro.common.config import (
     SystemConfig,
     TSEConfig,
 )
-from repro.common.types import AccessTrace
 from repro.system.timing import TimingComparison, TimingSimulator
 from repro.tse.simulator import TSESimulator, TSEStats
 from repro.workloads import get_workload
@@ -101,7 +100,7 @@ class DSMSystem:
     # -------------------------------------------------------------------- runs
     def analyze(
         self,
-        trace: AccessTrace,
+        trace: ChunkedTrace,
         tse_config: Optional[TSEConfig] = None,
         warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
         account_traffic: bool = False,
@@ -116,7 +115,7 @@ class DSMSystem:
         )
         return simulator.run(trace, warmup_fraction=warmup_fraction)
 
-    def time(self, trace: AccessTrace, tse_config: Optional[TSEConfig] = None) -> TimingComparison:
+    def time(self, trace: ChunkedTrace, tse_config: Optional[TSEConfig] = None) -> TimingComparison:
         """Timing comparison (base vs. TSE) for one trace."""
         config = tse_config if tse_config is not None else self.tse_config_for(trace.name)
         simulator = TimingSimulator(self.system, config)

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.coherence.protocol import trace_codes
-from repro.common.chunk import ChunkedTrace, trace_chunks
+from repro.common.chunk import ChunkedTrace
 from repro.common.config import SystemConfig, TSEConfig
 from repro.common.stats import ratio
-from repro.common.types import AccessTrace
 from repro.node.latency import LatencyModel
 from repro.node.processor import NodeTimingResult, ProcessorModel
 from repro.tse.simulator import Outcome, TSESimulator, TSEStats
@@ -130,7 +129,7 @@ class TimingSimulator:
 
     # ---------------------------------------------------------------- plumbing
     def _label_trace(
-        self, trace: "Union[AccessTrace, ChunkedTrace]", tse_enabled: bool
+        self, trace: ChunkedTrace, tse_enabled: bool
     ) -> Tuple[Optional[TSEStats], Sequence[int], Optional[Sequence[int]]]:
         """Label each access with its outcome code (and, under TSE, its lead).
 
@@ -149,8 +148,8 @@ class TimingSimulator:
         if cache is None:
             cache = {}
             trace._label_cache = cache  # type: ignore[attr-defined]
-        # The trace length guards against AccessTrace.append/extend after a
-        # cached label run: a grown trace gets a fresh labeling.
+        # The trace length guards against append_chunk after a cached label
+        # run: a grown trace gets a fresh labeling.
         key = (self.tse_config if tse_enabled else "base", len(trace))
         cached = cache.get(key)
         if cached is None:
@@ -174,7 +173,7 @@ class TimingSimulator:
 
     def _run_timing(
         self,
-        trace: "Union[AccessTrace, ChunkedTrace]",
+        trace: ChunkedTrace,
         codes: Sequence[int],
         leads: Optional[Sequence[int]],
         tse_enabled: bool,
@@ -188,7 +187,7 @@ class TimingSimulator:
             ([], [], [], []) for _ in range(trace.num_nodes)
         ]
         start = 0
-        for chunk in trace_chunks(trace):
+        for chunk in trace.chunks():
             stop = start + len(chunk)
             for node, timestamp, dep, code, lead in zip(
                 chunk.nodes, chunk.timestamps, chunk.deps, codes[start:stop],
@@ -210,7 +209,7 @@ class TimingSimulator:
         return result
 
     # --------------------------------------------------------------------- API
-    def run_base(self, trace: "Union[AccessTrace, ChunkedTrace]") -> TimingResult:
+    def run_base(self, trace: ChunkedTrace) -> TimingResult:
         """Time the baseline system (no TSE) on a trace.
 
         Its labels are the coherence classification of each access, read
@@ -219,13 +218,13 @@ class TimingSimulator:
         _, codes, leads = self._label_trace(trace, tse_enabled=False)
         return self._run_timing(trace, codes, leads, tse_enabled=False, label="base")
 
-    def run_tse(self, trace: "Union[AccessTrace, ChunkedTrace]") -> Tuple[TimingResult, TSEStats]:
+    def run_tse(self, trace: ChunkedTrace) -> Tuple[TimingResult, TSEStats]:
         """Time the TSE-equipped system; also returns the functional stats."""
         stats, codes, leads = self._label_trace(trace, tse_enabled=True)
         timing = self._run_timing(trace, codes, leads, tse_enabled=True, label="tse")
         return timing, stats
 
-    def compare(self, trace: "Union[AccessTrace, ChunkedTrace]") -> "TimingComparison":
+    def compare(self, trace: ChunkedTrace) -> "TimingComparison":
         """Run base and TSE on the same trace and package the comparison."""
         base = self.run_base(trace)
         tse, functional = self.run_tse(trace)

@@ -31,13 +31,13 @@ of every access is a property of the trace alone.
 :func:`~repro.coherence.protocol.trace_codes` classifies a trace once and
 memoizes one code column per chunk on it; every replay of that trace, under
 any configuration and on either plane, reads those columns.  Column-less
-inputs (:meth:`TSESimulator.run_chunks`, :meth:`TSESimulator.run_stream`)
-are classified on the way in by the same generator.  Only traffic
-accounting steps a live protocol, because a transaction's messages depend
-on the holder set and the producer: around each miss and write,
-:func:`~repro.coherence.protocol.transaction_messages` counts the messages
-it derives from that state into the accountant, and the TSE planes count
-theirs at their sink sites.
+input (:meth:`TSESimulator.run_chunks`, e.g. over a workload's
+``stream_chunks()``) is classified on the way in by the same generator.
+Only traffic accounting steps a live protocol, because a transaction's
+messages depend on the holder set and the producer: around each miss and
+write, :func:`~repro.coherence.protocol.transaction_messages` counts the
+messages it derives from that state into the accountant, and the TSE
+planes count theirs at their sink sites.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice, takewhile, tee
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from itertools import tee
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.coherence.protocol import (
     READ_COHERENT,
@@ -58,7 +58,7 @@ from repro.coherence.protocol import (
     trace_codes,
     transaction_messages,
 )
-from repro.common.chunk import ChunkedTrace, TraceChunk, stream_chunk_size, trace_chunks
+from repro.common.chunk import ChunkedTrace, TraceChunk
 from repro.common.config import (
     DEFAULT_WARMUP_FRACTION,
     MODE_EXACT,
@@ -68,7 +68,7 @@ from repro.common.config import (
     resolve_mode,
 )
 from repro.common.stats import Histogram, ratio
-from repro.common.types import TYPE_SPIN_READ, AccessTrace, MemoryAccess
+from repro.common.types import TYPE_SPIN_READ
 from repro.interconnect.network import TrafficAccountant
 from repro.tse.engine import TemporalStreamingSystem
 from repro.tse.fast_engine import FastTemporalStreamingSystem
@@ -252,42 +252,27 @@ class TSESimulator:
         self.stats.discarded_blocks += discarded
 
     # --------------------------------------------------------------------- run
-    def run(
-        self,
-        trace: Union[AccessTrace, ChunkedTrace, Iterable[MemoryAccess]],
-        warmup_fraction: float = 0.0,
-    ) -> TSEStats:
-        """Replay a whole trace (or access stream) and return the statistics.
+    def run(self, trace: ChunkedTrace, warmup_fraction: float = 0.0) -> TSEStats:
+        """Replay a whole trace and return the statistics.
 
         Args:
-            trace: The interleaved multi-node access trace: a packed
-                :class:`~repro.common.chunk.ChunkedTrace` or a materialized
-                :class:`AccessTrace` (both replayed against the trace's
-                memoized code columns, :func:`trace_codes`), or any
-                iterable of :class:`MemoryAccess` (e.g. ``workload.stream()``),
-                which is consumed through :meth:`run_stream`.
+            trace: The interleaved multi-node access trace, replayed against
+                its memoized code columns (:func:`trace_codes`).
             warmup_fraction: Fraction of the trace processed before statistics
                 are reset — mirroring the paper's methodology of warming
                 caches, CMOBs and directory state before measurement
                 (Section 4).  State (CMOB contents, SVB, directory pointers)
-                carries over; only the counters restart.  A fraction needs a
-                known length, so it requires a materialized trace; for
-                streams use :meth:`run_stream` with ``warmup_accesses``.
+                carries over; only the counters restart.  For chunks without
+                a trace object use :meth:`run_chunks` with
+                ``warmup_accesses``.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if isinstance(trace, (ChunkedTrace, AccessTrace)):
-            return self._run(
-                zip(trace_chunks(trace), trace_codes(trace)),
-                trace.name,
-                int(len(trace) * warmup_fraction),
-            )
-        if warmup_fraction:
-            raise ValueError(
-                "warmup_fraction needs a materialized AccessTrace; "
-                "use run_stream(..., warmup_accesses=N) for streams"
-            )
-        return self.run_stream(trace)
+        return self._run(
+            zip(trace.chunks(), trace_codes(trace)),
+            trace.name,
+            int(len(trace) * warmup_fraction),
+        )
 
     def run_chunks(
         self,
@@ -299,44 +284,14 @@ class TSESimulator:
 
         The chunks carry no code column, so :func:`coherence_codes`
         classifies each one just before it is replayed, starting from empty
-        caches, and at most one chunk is held at a time.  Statistics reset
-        at exactly ``warmup_accesses`` (splitting a chunk if necessary), so
+        caches, and at most one chunk is held at a time: a workload's
+        ``stream_chunks()`` replays in bounded memory.  Statistics reset at
+        exactly ``warmup_accesses`` (splitting a chunk if necessary), so
         this is bit-identical to :meth:`run` over the equivalent trace.
         """
         chunks, ahead = tee(chunks)
         classified = coherence_codes(CoherenceProtocol(self.num_nodes), ahead)
         return self._run(zip(chunks, classified), name, warmup_accesses)
-
-    def run_stream(
-        self,
-        accesses: Iterable[MemoryAccess],
-        name: str = "stream",
-        warmup_accesses: int = 0,
-    ) -> TSEStats:
-        """Replay a ``MemoryAccess`` stream without materializing it.
-
-        Equivalent to :meth:`run` on the materialized trace, bit for bit:
-        the stream is packed into chunks and replayed through
-        :meth:`run_chunks`, holding at most one chunk of accesses at a time —
-        workload generators emit traces lazily via ``workload.stream()``, so
-        arbitrarily long runs fit in memory.
-
-        Args:
-            accesses: The interleaved access stream.
-            name: Workload label recorded in the statistics.
-            warmup_accesses: Number of leading accesses replayed before the
-                statistics are reset (the stream-length analogue of ``run``'s
-                ``warmup_fraction``).
-        """
-        chunk_size = stream_chunk_size()
-        iterator = iter(accesses)
-        # Chunks of ``chunk_size`` accesses until the stream runs dry.
-        chunks = iter(
-            lambda: TraceChunk.from_accesses(islice(iterator, chunk_size)), None
-        )
-        return self.run_chunks(
-            takewhile(len, chunks), name=name, warmup_accesses=warmup_accesses
-        )
 
     def _run(
         self,
@@ -673,7 +628,7 @@ class TSESimulator:
 
 
 def run_tse_on_trace(
-    trace: Union[AccessTrace, ChunkedTrace],
+    trace: ChunkedTrace,
     tse_config: Optional[TSEConfig] = None,
     account_traffic: bool = False,
     interconnect_config: Optional[InterconnectConfig] = None,

@@ -12,10 +12,11 @@ Every workload is a **mixture of composable primitives**
 (:mod:`repro.workloads.primitives`: shared templates, pointer-chase chains,
 strided sweeps, zipf-reuse churn pools, producer->consumer partitioned
 sweeps) assembled by a request- or phase-combinator
-(:mod:`repro.workloads.engine`) that also provides generator-based streaming
-emission: ``workload.stream()`` yields accesses one batch at a time, so
-traces need not be materialized in memory, while ``workload.generate()``
-returns the familiar :class:`~repro.common.types.AccessTrace`.
+(:mod:`repro.workloads.engine`) that also emits the trace as packed
+columns: ``workload.stream_chunks()`` yields one
+:class:`~repro.common.chunk.TraceChunk` at a time, so a trace need not be
+materialized in memory, while ``workload.generate_chunked()`` returns the
+whole :class:`~repro.common.chunk.ChunkedTrace`.
 
 The generators are calibrated (see ``tests/test_stream_lengths.py`` and
 EXPERIMENTS.md) so the temporal-correlation and stream-length behaviour of

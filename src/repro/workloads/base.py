@@ -12,7 +12,6 @@ from repro.common.types import (
     TYPE_READ,
     TYPE_SPIN_READ,
     TYPE_WRITE,
-    AccessTrace,
     BlockAddress,
     NodeId,
 )
@@ -91,9 +90,6 @@ class AddressSpace:
 def interleave(per_node: List[list], quantum: int) -> Iterator:
     """Round-robin interleave per-node access lists, ``quantum`` at a time.
 
-    Element-type agnostic: works on packed access records (the engine's
-    emission path) and on :class:`MemoryAccess` objects alike.
-
     Approximates the concurrent execution of one phase across the machine:
     all nodes progress together, none races a full phase ahead, and the
     phase ends with an implicit barrier (every list drained).
@@ -127,18 +123,12 @@ class Workload(abc.ABC):
         #: Per-node retired-instruction counters used for access timestamps.
         self._node_time: List[int] = [0] * self.params.num_nodes
 
-    # ------------------------------------------------------------------- API
-    @abc.abstractmethod
-    def generate(self) -> AccessTrace:
-        """Produce the globally interleaved access trace."""
-
     # -------------------------------------------------------------- utilities
     #
     # The emitters produce *packed access records* — plain tuples
     # ``(node, block, type_code, pc, timestamp, dependent)`` — which the
     # engine packs straight into :class:`~repro.common.chunk.TraceChunk`
-    # columns; the object view (``stream()`` / ``generate()``) wraps the same
-    # tuples in :class:`MemoryAccess` lazily, so both paths are bit-identical.
+    # columns.
     def _access(
         self,
         node: NodeId,
@@ -181,9 +171,6 @@ class Workload(abc.ABC):
 
     def atomic(self, node: NodeId, address: BlockAddress, pc: int = 0):
         return self._access(node, address, TYPE_ATOMIC, pc, work=2)
-
-    def _new_trace(self) -> AccessTrace:
-        return AccessTrace(num_nodes=self.params.num_nodes, name=self.name)
 
 
 # --------------------------------------------------------------------- registry

@@ -13,14 +13,13 @@ concrete workload only has to
 Traces are emitted as a **stream of batches** — one request, or one
 interleaved phase, at a time — where a batch is a list of *packed access
 records* (see :mod:`repro.common.chunk`).  The emission loop fills packed
-:class:`~repro.common.chunk.TraceChunk` columns directly
-(:meth:`MixtureWorkload.stream_chunks` / :meth:`generate_chunked`): no
-``MemoryAccess`` objects exist on the columnar path.  The legacy object API
-is preserved as a thin view: ``stream()`` yields ``MemoryAccess`` objects
-wrapped around the same records and ``generate()`` materializes them into an
-:class:`~repro.common.types.AccessTrace`.  Every path consumes identical RNG
-draws and stops at the first batch boundary after the access target is
-crossed, so chunked and object emission are bit-identical.
+:class:`~repro.common.chunk.TraceChunk` columns directly:
+:meth:`MixtureWorkload.stream_chunks` yields them one at a time (bounded
+memory, for :meth:`~repro.tse.simulator.TSESimulator.run_chunks`) and
+:meth:`MixtureWorkload.generate_chunked` collects them into a
+:class:`~repro.common.chunk.ChunkedTrace`.  Both stop at the first batch
+boundary after the access target is crossed, so they emit the same
+accesses whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import abc
 from typing import Iterator, List, Optional
 
 from repro.common.chunk import ChunkedTrace, TraceChunk, stream_chunk_size
-from repro.common.types import ACCESS_TYPE_FROM_CODE, AccessTrace, MemoryAccess
 from repro.workloads.base import Workload, WorkloadParams, interleave
 
 __all__ = [
@@ -44,8 +42,7 @@ class MixtureWorkload(Workload):
     """Base for every Workload Engine v2 workload.
 
     Subclasses allocate primitives in :meth:`build` and produce work in
-    :meth:`batches`; this class provides the chunked / streaming /
-    materializing trace APIs on top.
+    :meth:`batches`; this class provides the chunked trace APIs on top.
     """
 
     def __init__(self, params: Optional[WorkloadParams] = None) -> None:
@@ -73,8 +70,8 @@ class MixtureWorkload(Workload):
         Batches are packed straight into column arrays; chunk boundaries are
         independent of batch boundaries (a chunk is yielded as soon as it
         reaches ``chunk_size``), and emission stops at the first batch
-        boundary after the access target is crossed — the same "finish the
-        transaction you are in" semantics ``stream()`` has.
+        boundary after the access target is crossed ("finish the
+        transaction you are in").
         """
         target = target_accesses if target_accesses is not None else self.params.target_accesses
         size = chunk_size if chunk_size is not None else stream_chunk_size()
@@ -100,33 +97,6 @@ class MixtureWorkload(Workload):
         trace = ChunkedTrace(num_nodes=self.params.num_nodes, name=self.name)
         for chunk in self.stream_chunks(target_accesses, chunk_size):
             trace.append_chunk(chunk)
-        return trace
-
-    # -------------------------------------------------------------- object view
-    def stream(self, target_accesses: Optional[int] = None) -> Iterator[MemoryAccess]:
-        """Yield accesses as ``MemoryAccess`` objects (thin view over emission).
-
-        The generator holds at most one batch in memory, so arbitrarily long
-        traces can be replayed through the TSE simulator without
-        materializing an :class:`AccessTrace`.
-        """
-        target = target_accesses if target_accesses is not None else self.params.target_accesses
-        decode = ACCESS_TYPE_FROM_CODE
-        emitted = 0
-        for batch in self.batches():
-            for node, block, type_code, pc, timestamp, dep in batch:
-                yield MemoryAccess(
-                    node=node, address=block, access_type=decode[type_code],
-                    pc=pc, timestamp=timestamp, dependent=bool(dep),
-                )
-            emitted += len(batch)
-            if emitted >= target:
-                return
-
-    def generate(self) -> AccessTrace:
-        """Materialize the stream into an interleaved :class:`AccessTrace`."""
-        trace = self._new_trace()
-        trace.extend(self.stream())
         return trace
 
 

@@ -4,9 +4,26 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.chunk import ChunkedTrace, TraceChunk
 from repro.common.config import SystemConfig, TSEConfig
 from repro.workloads import get_workload
 from repro.workloads.base import WorkloadParams
+
+
+def _column_trace(rows, num_nodes, name="synthetic"):
+    chunk = TraceChunk()
+    chunk.extend_packed(rows)
+    trace = ChunkedTrace(num_nodes=num_nodes, name=name)
+    trace.append_chunk(chunk)
+    return trace
+
+
+@pytest.fixture(scope="session")
+def column_trace():
+    """Builder for hand-written traces: ``column_trace(rows, num_nodes,
+    name="synthetic")`` packs ``(node, block, type_code, pc, timestamp,
+    dep)`` rows into a one-chunk :class:`ChunkedTrace`."""
+    return _column_trace
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +40,7 @@ def small_traces(small_params):
     from repro.workloads import ALL_WORKLOADS
 
     return {
-        name: get_workload(name, small_params).generate()
+        name: get_workload(name, small_params).generate_chunked()
         for name in ALL_WORKLOADS
     }
 
@@ -32,7 +49,7 @@ def small_traces(small_params):
 def medium_trace():
     """A 16-node em3d trace big enough for end-to-end coverage checks."""
     params = WorkloadParams(num_nodes=16, seed=11, target_accesses=60_000)
-    return get_workload("em3d", params).generate()
+    return get_workload("em3d", params).generate_chunked()
 
 
 @pytest.fixture()

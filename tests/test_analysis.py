@@ -8,9 +8,11 @@ from repro.analysis.streams import fraction_of_hits_from_short_streams, stream_l
 from repro.common.chunk import ChunkedTrace, TraceChunk
 from repro.common.config import SystemConfig, TSEConfig
 from repro.common.stats import Histogram
-from repro.common.types import AccessTrace, AccessType, Consumption, MemoryAccess
+from repro.common.types import TYPE_READ, Consumption
 from repro.experiments.runner import trace_for
 from repro.tse.simulator import TSESimulator
+from repro.workloads import get_workload
+from repro.workloads.base import WorkloadParams
 
 
 def consumption_sequences(sequences):
@@ -108,35 +110,34 @@ class TestBandwidth:
         assert 0 <= result.pin_overhead_ratio < 0.5
         assert result.overhead_ratio >= 0
 
-    def test_elapsed_time_scales_with_trace_length(self):
+    def test_elapsed_time_scales_with_trace_length(self, column_trace):
         system = SystemConfig.small(4)
-        short = AccessTrace(num_nodes=4)
-        long = AccessTrace(num_nodes=4)
-        for i in range(10):
-            short.append(MemoryAccess(0, i, AccessType.READ, timestamp=i * 10))
-        for i in range(100):
-            long.append(MemoryAccess(0, i, AccessType.READ, timestamp=i * 10))
+        short = column_trace([(0, i, TYPE_READ, 0, i * 10, 0) for i in range(10)], 4)
+        long = column_trace([(0, i, TYPE_READ, 0, i * 10, 0) for i in range(100)], 4)
         assert estimate_elapsed_ns(long, system) > estimate_elapsed_ns(short, system)
 
     @staticmethod
-    def _object_view_elapsed(accesses, system):
-        """The estimate computed over ``MemoryAccess`` objects: the maximum
+    def _flat_elapsed(timestamps, system):
+        """The estimate computed over one flat timestamp list: the maximum
         of the last 4096 timestamps, or of all of them when those are 0."""
-        max_instructions = max((a.timestamp for a in accesses[-4096:]), default=0)
-        if max_instructions == 0 and accesses:
-            max_instructions = max(a.timestamp for a in accesses)
+        max_instructions = max(timestamps[-4096:], default=0)
+        if max_instructions == 0 and timestamps:
+            max_instructions = max(timestamps)
         return max_instructions / system.processor.base_ipc / system.clock_ghz
+
+    @staticmethod
+    def _timestamps(trace):
+        return [t for chunk in trace.chunks() for t in chunk.timestamps]
 
     def test_elapsed_time_reads_the_timestamp_columns(self):
         system = SystemConfig.isca2005()
-        accesses = ChunkedTrace.from_payload(trace_for("db2", 20_000, 42).to_payload()).accesses
+        params = WorkloadParams(num_nodes=16, seed=42, target_accesses=20_000)
         # 3000-access chunks: the 4096-access suffix spans the last three.
-        trace = ChunkedTrace(num_nodes=16)
-        for start in range(0, len(accesses), 3000):
-            trace.append_chunk(TraceChunk.from_accesses(accesses[start:start + 3000]))
+        trace = get_workload("db2", params).generate_chunked(chunk_size=3000)
+        assert [len(chunk) for chunk in trace.chunks()[-3:]] == [3000, 3000, 2023]
         elapsed = estimate_elapsed_ns(trace, system)
         assert trace._accesses is None
-        assert elapsed == self._object_view_elapsed(accesses, system)
+        assert elapsed == self._flat_elapsed(self._timestamps(trace), system)
 
     def test_elapsed_time_falls_back_to_the_whole_trace(self):
         system = SystemConfig.small(4)
@@ -148,7 +149,7 @@ class TestBandwidth:
         trace.append_chunk(early)
         trace.append_chunk(late)
         elapsed = estimate_elapsed_ns(trace, system)
-        assert elapsed == self._object_view_elapsed(trace.accesses, system) > 0
+        assert elapsed == self._flat_elapsed(self._timestamps(trace), system) > 0
 
     def test_bandwidth_overhead_builds_no_object_view(self):
         # A private copy: trace_for's traces are shared across tests.

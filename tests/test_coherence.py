@@ -10,19 +10,34 @@ from repro.coherence import (
     transaction_messages,
 )
 from repro.coherence.messages import MESSAGE_TYPES, PAYLOAD_BYTES
-from repro.coherence.protocol import extract_consumptions
+from repro.coherence.protocol import (
+    READ_COHERENT,
+    READ_COLD,
+    READ_HIT,
+    READ_SPIN_COHERENT,
+    WRITE,
+    trace_consumptions,
+)
 from repro.common.config import InterconnectConfig
-from repro.common.types import AccessType, MemoryAccess, MissClass
+from repro.common.types import TYPE_READ, TYPE_SPIN_READ, TYPE_WRITE
 from repro.interconnect import TrafficAccountant
 
 
 def read(node, address, spin=False):
-    kind = AccessType.SPIN_READ if spin else AccessType.READ
-    return MemoryAccess(node=node, address=address, access_type=kind)
+    return (node, address, TYPE_SPIN_READ if spin else TYPE_READ)
 
 
 def write(node, address):
-    return MemoryAccess(node=node, address=address, access_type=AccessType.WRITE)
+    return (node, address, TYPE_WRITE)
+
+
+def step(protocol, access):
+    """Apply one ``(node, address, type_code)`` access; return its code."""
+    node, address, type_code = access
+    if type_code == TYPE_WRITE:
+        protocol.write_ints(node, address)
+        return WRITE
+    return protocol.read_ints(node, address, type_code == TYPE_SPIN_READ)
 
 
 class TestDirectory:
@@ -59,60 +74,53 @@ class TestDirectory:
 class TestMissClassification:
     def test_first_read_of_unwritten_block_is_cold(self):
         protocol = CoherenceProtocol(num_nodes=2)
-        result = protocol.process(read(0, 10))
-        assert result.miss_class is MissClass.COLD_MISS
+        assert step(protocol, read(0, 10)) == READ_COLD
 
     def test_reread_is_hit(self):
         protocol = CoherenceProtocol(num_nodes=2)
-        protocol.process(read(0, 10))
-        assert protocol.process(read(0, 10)).miss_class is MissClass.HIT
+        step(protocol, read(0, 10))
+        assert step(protocol, read(0, 10)) == READ_HIT
 
     def test_read_after_remote_write_is_consumption(self):
         protocol = CoherenceProtocol(num_nodes=2)
-        protocol.process(write(1, 10))
-        result = protocol.process(read(0, 10))
-        assert result.miss_class is MissClass.COHERENT_READ_MISS
-        assert result.producer == 1
-        assert result.is_consumption
+        step(protocol, write(1, 10))
+        assert step(protocol, read(0, 10)) == READ_COHERENT
+        assert protocol._blocks[10].last_writer == 1  # the producer
 
     def test_read_after_own_write_is_hit(self):
         protocol = CoherenceProtocol(num_nodes=2)
-        protocol.process(write(0, 10))
-        assert protocol.process(read(0, 10)).miss_class is MissClass.HIT
+        step(protocol, write(0, 10))
+        assert step(protocol, read(0, 10)) == READ_HIT
 
     def test_spin_read_excluded_from_consumptions(self):
         protocol = CoherenceProtocol(num_nodes=2)
-        protocol.process(write(1, 10))
-        result = protocol.process(read(0, 10, spin=True))
-        assert result.miss_class is MissClass.SPIN_COHERENT_MISS
-        assert not result.is_consumption
+        step(protocol, write(1, 10))
+        assert step(protocol, read(0, 10, spin=True)) == READ_SPIN_COHERENT
 
     def test_write_invalidates_remote_copies(self):
         protocol = CoherenceProtocol(num_nodes=2)
-        protocol.process(write(1, 10))
-        protocol.process(read(0, 10))        # node 0 now shares the block
-        protocol.process(write(1, 10))       # node 1 writes again
-        result = protocol.process(read(0, 10))
-        assert result.miss_class is MissClass.COHERENT_READ_MISS
+        step(protocol, write(1, 10))
+        step(protocol, read(0, 10))          # node 0 now shares the block
+        step(protocol, write(1, 10))         # node 1 writes again
+        assert step(protocol, read(0, 10)) == READ_COHERENT
 
     def test_migratory_pattern_produces_consumption_chain(self):
         protocol = CoherenceProtocol(num_nodes=3)
-        protocol.process(write(0, 42))
+        step(protocol, write(0, 42))
         for reader, writer in ((1, 1), (2, 2), (0, 0)):
-            result = protocol.process(read(reader, 42))
-            assert result.miss_class is MissClass.COHERENT_READ_MISS
-            protocol.process(write(writer, 42))
+            assert step(protocol, read(reader, 42)) == READ_COHERENT
+            step(protocol, write(writer, 42))
 
     def test_holders_tracking(self):
         protocol = CoherenceProtocol(num_nodes=3)
-        protocol.process(write(0, 7))
-        protocol.process(read(1, 7))
+        step(protocol, write(0, 7))
+        step(protocol, read(1, 7))
         assert set(protocol.holders_of(7)) == {0, 1}
 
     def test_version_increments_per_write(self):
         protocol = CoherenceProtocol(num_nodes=2)
         for expected in range(1, 4):
-            protocol.process(write(0, 3))
+            step(protocol, write(0, 3))
             assert protocol.version_of(3) == expected
 
 
@@ -167,19 +175,20 @@ class TestMessagesAndExtraction:
     def test_transaction_messages(self, case):
         accesses, expected = MESSAGE_TABLE[case]
         protocol = CoherenceProtocol(num_nodes=4)
-        protocol.process_trace(accesses[:-1])
-        last = accesses[-1]
+        for access in accesses[:-1]:
+            step(protocol, access)
+        node, address, type_code = accesses[-1]
         sent = []
 
         def emit(kind, src, dst):
             sent.append((MESSAGE_TYPES[kind], src, dst))
 
-        if last.is_write:
-            transaction_messages(protocol, last.node, last.address, emit)
-            protocol.write_ints(last.node, last.address)
+        if type_code == TYPE_WRITE:
+            transaction_messages(protocol, node, address, emit)
+            protocol.write_ints(node, address)
         else:
-            code = protocol.read_ints(last.node, last.address, last.is_spin)
-            transaction_messages(protocol, last.node, last.address, emit, code)
+            code = protocol.read_ints(node, address, type_code == TYPE_SPIN_READ)
+            transaction_messages(protocol, node, address, emit, code)
         assert sent == expected
 
     def test_kinds_index_message_types(self):
@@ -204,11 +213,11 @@ class TestMessagesAndExtraction:
         assert MessageType.ADDRESS_STREAM.is_tse_overhead
         assert not MessageType.READ_REQUEST.is_tse_overhead
 
-    def test_extract_consumptions_orders_and_indexes(self):
-        protocol = CoherenceProtocol(num_nodes=2)
+    def test_trace_consumptions_orders_and_indexes(self, column_trace):
         accesses = [write(1, 10), write(1, 11), read(0, 10), read(0, 11)]
-        results = [protocol.process(a) for a in accesses]
-        per_node = extract_consumptions(results, 2)
+        trace = column_trace([(n, a, t, 0, 0, 0) for n, a, t in accesses], 2)
+        per_node = trace_consumptions(trace)
         assert [c.address for c in per_node[0]] == [10, 11]
         assert [c.index for c in per_node[0]] == [0, 1]
+        assert [c.producer for c in per_node[0]] == [1, 1]
         assert per_node[1] == []

@@ -2,13 +2,13 @@
 
 Locks in the contracts the columnar replay rests on:
 
-1. chunked emission <-> legacy ``MemoryAccess`` view bit-identity for every
-   registered workload;
-2. the chunked replay fast path produces results bit-identical to the
-   object path;
+1. chunk size never changes what a workload emits, and the
+   ``ChunkedTrace.accesses`` view decodes every column exactly;
+2. chunk boundaries are invisible to the replay;
 3. a trace's coherence classification does not depend on TSE: the live
    protocol of a traffic-accounted replay follows the trace's code column
-   access for access, on both planes;
+   access for access, on both planes, and the per-node consumption orders
+   read off the column equal a one-access-at-a-time protocol walk;
 4. warm-state snapshot/restore determinism: same seed => same post-restore
    results, identical to replaying the warm ramp.
 """
@@ -20,15 +20,25 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coherence.protocol import WRITE, CoherenceProtocol, coherence_codes, trace_codes
+from repro.coherence import protocol as coherence
+from repro.coherence.protocol import (
+    READ_COHERENT,
+    WRITE,
+    CoherenceProtocol,
+    coherence_codes,
+    trace_codes,
+    trace_consumptions,
+)
 from repro.common.chunk import ChunkedTrace, TraceChunk, stream_chunk_size
 from repro.common.config import DEFAULT_STREAM_CHUNK, TSEConfig
 from repro.common.types import (
-    ACCESS_TYPE_CODE,
+    ACCESS_TYPE_FROM_CODE,
     TYPE_ATOMIC,
+    TYPE_IS_WRITE,
     TYPE_READ,
     TYPE_SPIN_READ,
     TYPE_WRITE,
+    Consumption,
 )
 from repro.tse.simulator import TSESimulator
 from repro.tse.snapshot import (
@@ -54,6 +64,44 @@ _spec.loader.exec_module(reference_battery)
 @functools.lru_cache(maxsize=None)
 def small_trace(name: str) -> ChunkedTrace:
     return get_workload(name, SMALL).generate_chunked(chunk_size=512)
+
+
+def one_chunk_trace(name: str) -> ChunkedTrace:
+    """The SMALL trace packed as a single chunk."""
+    return get_workload(name, SMALL).generate_chunked(chunk_size=1 << 30)
+
+
+def records(trace: ChunkedTrace):
+    """The trace's ``(node, block, type_code, pc, timestamp, dep)`` rows."""
+    return [row for chunk in trace.chunks() for row in zip(*chunk.to_payload())]
+
+
+def random_trace(num_nodes, steps, chunk_size):
+    """``(node, block, type_code)`` steps packed into ``chunk_size`` chunks."""
+    rows = [(node, block, type_code, 0, tick, 0)
+            for tick, (node, block, type_code) in enumerate(steps)]
+    trace = ChunkedTrace(num_nodes=num_nodes, name="random")
+    for start in range(0, len(rows), chunk_size):
+        chunk = TraceChunk()
+        chunk.extend_packed(rows[start:start + chunk_size])
+        trace.append_chunk(chunk)
+    return trace
+
+
+def stepwise_consumptions(trace: ChunkedTrace):
+    """Reference for ``trace_consumptions``: step the protocol one access at
+    a time and read the block's last writer at each coherent read."""
+    protocol = CoherenceProtocol(trace.num_nodes)
+    per_node = [[] for _ in range(trace.num_nodes)]
+    for global_index, (node, block, type_code, _, timestamp, _) in enumerate(records(trace)):
+        if TYPE_IS_WRITE[type_code]:
+            protocol.write_ints(node, block)
+        elif protocol.read_ints(node, block, type_code == TYPE_SPIN_READ) == READ_COHERENT:
+            per_node[node].append(Consumption(
+                node, block, len(per_node[node]), global_index, timestamp,
+                protocol._blocks[block].last_writer,
+            ))
+    return per_node
 
 
 def columns_of(trace: ChunkedTrace):
@@ -86,12 +134,12 @@ def assert_live_protocol_follows_the_column(trace, config, mode):
 
 class TestChunkedEmission:
     @pytest.mark.parametrize("name", available_workloads())
-    def test_chunked_equals_object_view_per_workload(self, name):
-        """stream_chunks() packs exactly the accesses stream() yields."""
-        objects = list(get_workload(name, SMALL).stream())
-        chunked = get_workload(name, SMALL).generate_chunked(chunk_size=512)
-        assert chunked.accesses == objects
-        assert len(chunked) == len(objects)
+    def test_chunk_size_does_not_change_emission(self, name):
+        """512-access chunks pack exactly the accesses one chunk holds."""
+        one_chunk = one_chunk_trace(name)
+        assert len(one_chunk.chunks()) == 1
+        assert records(small_trace(name)) == records(one_chunk)
+        assert len(small_trace(name)) == len(one_chunk)
 
     def test_chunk_sizes_are_fixed(self):
         chunked = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
@@ -99,23 +147,26 @@ class TestChunkedEmission:
         assert all(len(chunk) == 512 for chunk in chunks[:-1])
         assert 0 < len(chunks[-1]) <= 512
 
-    def test_chunk_columns_encode_types(self):
-        chunked = get_workload("apache", SMALL).generate_chunked(chunk_size=512)
-        for chunk in chunked.chunks():
-            for access, code in zip(chunk.iter_accesses(), chunk.types):
-                assert ACCESS_TYPE_CODE[access.access_type] == code
+    @pytest.mark.parametrize("name", ("em3d", "apache", "oracle"))
+    def test_accesses_decode_every_column(self, name):
+        trace = get_workload(name, SMALL).generate_chunked(chunk_size=512)
+        rows = records(trace)
+        assert {row[2] for row in rows} >= {TYPE_READ, TYPE_WRITE}
+        decoded = [
+            (a.node, a.address, a.access_type, a.pc, a.timestamp, a.dependent)
+            for a in trace.accesses
+        ]
+        assert decoded == [
+            (node, block, ACCESS_TYPE_FROM_CODE[type_code], pc, timestamp, bool(dep))
+            for node, block, type_code, pc, timestamp, dep in rows
+        ]
 
     def test_payload_round_trip(self):
         chunked = get_workload("em3d", SMALL).generate_chunked(chunk_size=512)
         rebuilt = ChunkedTrace.from_payload(chunked.to_payload())
-        assert rebuilt.accesses == chunked.accesses
+        assert records(rebuilt) == records(chunked)
         assert rebuilt.num_nodes == chunked.num_nodes
         assert rebuilt.name == chunked.name
-
-    def test_from_accesses_round_trip(self):
-        objects = list(get_workload("ocean", SMALL).stream())
-        chunk = TraceChunk.from_accesses(objects)
-        assert list(chunk.iter_accesses()) == objects
 
     def test_chunk_node_validation(self):
         trace = ChunkedTrace(num_nodes=2)
@@ -134,17 +185,16 @@ class TestChunkedEmission:
 
 
 class TestChunkedReplay:
-    def test_chunked_run_equals_object_run(self):
-        """TSESimulator.run on ChunkedTrace == run on the AccessTrace view."""
+    def test_chunked_run_equals_one_chunk_run(self):
+        """TSESimulator.run on 512-access chunks == run on one chunk."""
         config = TSEConfig.paper_default(lookahead=8)
         chunked = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
-        object_trace = get_workload("db2", SMALL).generate()
         from_chunks = TSESimulator(4, config).run(chunked, warmup_fraction=0.3)
-        from_objects = TSESimulator(4, config).run(object_trace, warmup_fraction=0.3)
-        assert from_chunks.as_dict() == from_objects.as_dict()
+        from_one = TSESimulator(4, config).run(one_chunk_trace("db2"), warmup_fraction=0.3)
+        assert from_chunks.as_dict() == from_one.as_dict()
         assert (
             from_chunks.stream_length_hist.buckets()
-            == from_objects.stream_length_hist.buckets()
+            == from_one.stream_length_hist.buckets()
         )
 
     def test_chunk_boundaries_are_invisible(self):
@@ -203,13 +253,7 @@ class TestCodeColumn:
     ):
         """CMOBs that wrap, 1-4-entry SVBs, streams that form and hit."""
         num_nodes, steps = case
-        records = [(node, block, type_code, 0, tick, 0)
-                   for tick, (node, block, type_code) in enumerate(steps)]
-        trace = ChunkedTrace(num_nodes=num_nodes, name="random")
-        for start in range(0, len(records), chunk_size):
-            chunk = TraceChunk()
-            chunk.extend_packed(records[start:start + chunk_size])
-            trace.append_chunk(chunk)
+        trace = random_trace(num_nodes, steps, chunk_size)
         config = TSEConfig(
             cmob_capacity=cmob_capacity, svb_entries=svb_entries,
             stream_lookahead=lookahead, compared_streams=compared_streams,
@@ -227,6 +271,32 @@ class TestCodeColumn:
         grown = trace_codes(trace)
         assert grown is not first and grown[:-1] == first
         assert len(grown[-1]) == 1
+
+
+class TestTraceConsumptions:
+    @pytest.mark.parametrize("name", available_workloads())
+    def test_matches_a_stepwise_protocol_walk(self, name):
+        # A fresh trace: small_trace's are shared, and this one must be
+        # classified by trace_consumptions itself.
+        trace = get_workload(name, SMALL).generate_chunked(chunk_size=512)
+        assert trace_consumptions(trace) == stepwise_consumptions(trace)
+
+    @given(case=shared_sequences(), chunk_size=st.integers(min_value=16, max_value=128))
+    @settings(max_examples=60, deadline=None)
+    def test_random_sharing_matches_a_stepwise_protocol_walk(self, case, chunk_size):
+        num_nodes, steps = case
+        trace = random_trace(num_nodes, steps, chunk_size)
+        assert trace_consumptions(trace) == stepwise_consumptions(trace)
+
+    def test_second_call_reuses_the_memo(self, monkeypatch):
+        trace = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
+        first = trace_consumptions(trace)
+
+        def reclassify(*_):
+            raise AssertionError("the trace was classified again")
+
+        monkeypatch.setattr(coherence, "coherence_codes", reclassify)
+        assert trace_consumptions(trace) == first
 
 
 class TestWarmSnapshots:
@@ -394,16 +464,15 @@ class TestSnapshotFormatVersioning:
 class TestPackedCMOBDeterminism:
     """Array-backed (byte-packed) CMOB determinism under heavy wraparound."""
 
-    def test_wraparound_heavy_run_matches_object_path(self):
+    def test_wraparound_heavy_run_matches_one_chunk_run(self):
         """A CMOB far smaller than the trace working set exercises constant
         stale-pointer truncation and ring overwrite; the packed ring must be
-        bit-identical to the object replay path through all of it."""
+        bit-identical across chunk boundaries through all of it."""
         config = TSEConfig(cmob_capacity=97, svb_entries=8, stream_lookahead=8)
         chunked = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
-        object_trace = get_workload("db2", SMALL).generate()
-        fast = TSESimulator(4, config).run(chunked, warmup_fraction=0.3)
-        slow = TSESimulator(4, config).run(object_trace, warmup_fraction=0.3)
-        assert fast.as_dict() == slow.as_dict()
+        from_chunks = TSESimulator(4, config).run(chunked, warmup_fraction=0.3)
+        from_one = TSESimulator(4, config).run(one_chunk_trace("db2"), warmup_fraction=0.3)
+        assert from_chunks.as_dict() == from_one.as_dict()
 
     def test_packed_ring_grows_lazily_and_caps(self):
         from repro.tse.cmob import CMOB
@@ -443,5 +512,5 @@ class TestParallelPreload:
         runner.trace_for.cache_clear()
         runner._seed_preloaded_traces({("db2", 4_000, 7, 4): payload})
         rebuilt = runner.trace_for("db2", 4_000, 7, 4)
-        assert rebuilt.accesses == trace.accesses
+        assert records(rebuilt) == records(trace)
         runner.trace_for.cache_clear()

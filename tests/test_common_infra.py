@@ -1,8 +1,7 @@
-"""Unit tests for stats, events and RNG infrastructure."""
+"""Unit tests for stats and RNG infrastructure."""
 
 import pytest
 
-from repro.common.events import EventQueue
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, Histogram, StatsRegistry, ratio
 
@@ -74,47 +73,6 @@ class TestStatsRegistry:
         assert ratio(1, 2) == 0.5
         assert ratio(1, 0) == 0.0
         assert ratio(1, 0, default=1.0) == 1.0
-
-
-class TestEventQueue:
-    def test_events_fire_in_time_order(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(10, lambda: fired.append("b"))
-        queue.schedule(5, lambda: fired.append("a"))
-        queue.schedule(15, lambda: fired.append("c"))
-        queue.run()
-        assert fired == ["a", "b", "c"]
-        assert queue.now == 15
-
-    def test_simultaneous_events_fire_in_schedule_order(self):
-        queue = EventQueue()
-        fired = []
-        for label in ("first", "second", "third"):
-            queue.schedule(5, lambda l=label: fired.append(l))
-        queue.run()
-        assert fired == ["first", "second", "third"]
-
-    def test_cancelled_event_does_not_fire(self):
-        queue = EventQueue()
-        fired = []
-        event = queue.schedule(1, lambda: fired.append("x"))
-        event.cancel()
-        queue.run()
-        assert fired == []
-
-    def test_run_until_horizon(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(1, lambda: fired.append(1))
-        queue.schedule(100, lambda: fired.append(2))
-        queue.run(until=10)
-        assert fired == [1]
-        assert queue.now == 10
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().schedule(-1, lambda: None)
 
 
 class TestDeterministicRNG:

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.common.types import (
-    AccessTrace,
+    TYPE_READ,
+    TYPE_WRITE,
     AccessType,
-    MemoryAccess,
     block_of,
     block_to_address,
 )
@@ -52,39 +52,22 @@ class TestBlockMapping:
 
 
 class TestMemoryAccess:
-    def test_access_properties(self):
-        read = MemoryAccess(node=0, address=5, access_type=AccessType.READ)
-        write = MemoryAccess(node=0, address=5, access_type=AccessType.WRITE)
+    def test_access_properties(self, column_trace):
+        trace = column_trace([(0, 5, TYPE_READ, 0, 1, 0), (0, 5, TYPE_WRITE, 0, 2, 0)], 1)
+        read, write = trace.accesses
         assert read.is_read and not read.is_write
         assert write.is_write and not write.is_read
 
-    def test_default_dependent_flag(self):
-        access = MemoryAccess(node=0, address=1, access_type=AccessType.READ)
+    def test_default_dependent_flag(self, column_trace):
+        (access,) = column_trace([(0, 1, TYPE_READ, 0, 1, 0)], 1).accesses
         assert access.dependent is False
 
 
-class TestAccessTrace:
-    def test_append_and_len(self):
-        trace = AccessTrace(num_nodes=2)
-        trace.append(MemoryAccess(node=0, address=1, access_type=AccessType.READ))
-        trace.append(MemoryAccess(node=1, address=2, access_type=AccessType.WRITE))
+class TestChunkedTrace:
+    def test_append_and_len(self, column_trace):
+        trace = column_trace([(0, 1, TYPE_READ, 0, 1, 0), (1, 2, TYPE_WRITE, 0, 1, 0)], 2)
         assert len(trace) == 2
 
-    def test_append_rejects_out_of_range_node(self):
-        trace = AccessTrace(num_nodes=2)
+    def test_append_rejects_out_of_range_node(self, column_trace):
         with pytest.raises(ValueError):
-            trace.append(MemoryAccess(node=2, address=1, access_type=AccessType.READ))
-
-    def test_per_node_split_preserves_order(self):
-        trace = AccessTrace(num_nodes=2)
-        for i in range(6):
-            trace.append(MemoryAccess(node=i % 2, address=i, access_type=AccessType.READ))
-        per_node = trace.per_node()
-        assert [a.address for a in per_node[0]] == [0, 2, 4]
-        assert [a.address for a in per_node[1]] == [1, 3, 5]
-
-    def test_footprint_counts_distinct_blocks(self):
-        trace = AccessTrace(num_nodes=1)
-        for address in (1, 2, 2, 3, 3, 3):
-            trace.append(MemoryAccess(node=0, address=address, access_type=AccessType.READ))
-        assert trace.footprint() == 3
+            column_trace([(2, 1, TYPE_READ, 0, 1, 0)], 2)

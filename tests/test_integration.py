@@ -9,7 +9,7 @@ prefetchers, and the timing model turns coverage into speedup.
 import pytest
 
 from repro.analysis.correlation import temporal_correlation
-from repro.coherence.protocol import CoherenceProtocol, extract_consumptions
+from repro.coherence.protocol import trace_consumptions
 from repro.common.config import PAPER_LOOKAHEAD, TSEConfig
 from repro.prefetch import StridePrefetcher, evaluate_prefetcher
 from repro.system.dsm import DSMSystem
@@ -29,7 +29,7 @@ def traces_16():
     traces = {}
     for name, target in sizes.items():
         params = WorkloadParams(num_nodes=16, seed=5, target_accesses=target)
-        traces[name] = get_workload(name, params).generate()
+        traces[name] = get_workload(name, params).generate_chunked()
     return traces
 
 
@@ -77,10 +77,9 @@ class TestCorrelationShape:
     def test_em3d_more_correlated_than_db2(self, traces_16):
         fractions = {}
         for name, trace in traces_16.items():
-            protocol = CoherenceProtocol(trace.num_nodes)
-            consumptions = extract_consumptions(protocol.process_trace(trace), trace.num_nodes)
             result = temporal_correlation(
-                consumptions, measure_from_global_index=int(len(trace) * 0.3), workload=name
+                trace_consumptions(trace),
+                measure_from_global_index=int(len(trace) * 0.3), workload=name,
             )
             fractions[name] = result.cumulative_fraction(8)
         assert fractions["em3d"] > fractions["db2"]

@@ -6,10 +6,7 @@ invisible in the results: parallel == serial, cached == uncached, bit for
 bit.  These tests lock that in on small traces.
 """
 
-import pytest
-
 from repro.common.config import SystemConfig, TSEConfig
-from repro.common.events import EventQueue
 from repro.experiments import fig07_compared_streams, fig08_lookahead
 from repro.experiments.cache import cache_info, cached_tse_run, clear_cache
 from repro.experiments.runner import run_parallel, trace_for
@@ -107,7 +104,7 @@ class TestTimingLabelCacheDeterminism:
         second = TimingSimulator(system, config).compare(cached_trace)  # cache hit
 
         params = WorkloadParams(num_nodes=16, seed=42, target_accesses=ACCESSES)
-        fresh_trace = get_workload("db2", params).generate()  # no label cache
+        fresh_trace = get_workload("db2", params).generate_chunked()  # no label cache
         assert not hasattr(fresh_trace, "_label_cache")
         uncached = TimingSimulator(system, config).compare(fresh_trace)
 
@@ -132,13 +129,13 @@ class TestTimingLabelCacheDeterminism:
 
 class TestStreamingIngestionDeterminism:
     def test_stream_run_equals_materialized_run(self):
-        """run_stream on workload.stream() == run on the materialized trace."""
+        """run_chunks on workload.stream_chunks() == run on the materialized trace."""
         config = TSEConfig.paper_default(lookahead=8)
         params = WorkloadParams(num_nodes=16, seed=42, target_accesses=ACCESSES)
-        trace = get_workload("db2", params).generate()
+        trace = get_workload("db2", params).generate_chunked()
         direct = TSESimulator(16, config).run(trace, warmup_fraction=0.3)
-        streamed = TSESimulator(16, config).run_stream(
-            get_workload("db2", params).stream(),
+        streamed = TSESimulator(16, config).run_chunks(
+            get_workload("db2", params).stream_chunks(),
             name=trace.name,
             warmup_accesses=int(len(trace) * 0.3),
         )
@@ -147,41 +144,3 @@ class TestStreamingIngestionDeterminism:
             streamed.stream_length_hist.buckets()
             == direct.stream_length_hist.buckets()
         )
-
-    def test_run_accepts_plain_iterables(self):
-        """run() ingests any access iterable without materializing a trace."""
-        config = TSEConfig.paper_default()
-        params = WorkloadParams(num_nodes=4, seed=3, target_accesses=4_000)
-        trace = get_workload("apache", params).generate()
-        from_trace = TSESimulator(4, config).run(trace)
-        from_iter = TSESimulator(4, config).run(iter(trace.accesses))
-        expected = dict(from_trace.as_dict(), workload="stream")
-        assert from_iter.as_dict() == expected
-
-    def test_warmup_fraction_rejected_for_streams(self):
-        with pytest.raises(ValueError):
-            TSESimulator(4, TSEConfig.paper_default()).run(iter(()), warmup_fraction=0.3)
-
-
-class TestEventQueueLiveLen:
-    def test_len_tracks_schedule_cancel_pop(self):
-        queue = EventQueue()
-        events = [queue.schedule(i + 1.0, lambda: None) for i in range(5)]
-        assert len(queue) == 5
-        events[2].cancel()
-        assert len(queue) == 4
-        events[2].cancel()  # double-cancel must not double-count
-        assert len(queue) == 4
-        assert queue.step()  # executes event 0
-        assert len(queue) == 3
-        queue.run()
-        assert len(queue) == 0
-
-    def test_cancel_after_execution_does_not_recount(self):
-        queue = EventQueue()
-        event = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        queue.step()
-        assert len(queue) == 1
-        event.cancel()  # already executed: must not affect the live count
-        assert len(queue) == 1

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.common.chunk import ChunkedTrace
-from repro.common.types import AccessTrace, AccessType, MemoryAccess
-from repro.experiments.runner import trace_for
+from repro.common.types import TYPE_READ, TYPE_WRITE
 from repro.prefetch import GHBPrefetcher, PrefetchBuffer, StridePrefetcher, evaluate_prefetcher
+from repro.workloads import get_workload
+from repro.workloads.base import WorkloadParams
 
 
 class TestPrefetchBuffer:
@@ -97,49 +97,53 @@ class TestGHBPrefetcher:
         assert GHBPrefetcher(mode="G/AC").on_consumption(42) == []
 
 
-class TestEvaluationHarness:
-    @staticmethod
-    def _strided_migratory_trace(num_nodes=2, rounds=20):
-        """Node 0 writes a block range; node 1 reads it with unit stride."""
-        trace = AccessTrace(num_nodes=num_nodes, name="strided")
-        t = [0] * num_nodes
-        for round_index in range(rounds):
-            base = 1000
-            for offset in range(16):
-                t[0] += 5
-                trace.append(MemoryAccess(0, base + offset, AccessType.WRITE, timestamp=t[0]))
-            for offset in range(16):
-                t[1] += 5
-                trace.append(MemoryAccess(1, base + offset, AccessType.READ, timestamp=t[1]))
-        return trace
+def db2_trace(chunk_size):
+    params = WorkloadParams(num_nodes=16, seed=42, target_accesses=6_000)
+    return get_workload("db2", params).generate_chunked(chunk_size=chunk_size)
 
-    def test_stride_prefetcher_covers_strided_consumptions(self):
-        trace = self._strided_migratory_trace()
+
+@pytest.fixture(scope="module")
+def strided_migratory_trace(column_trace):
+    """Node 0 writes a block range; node 1 reads it with unit stride."""
+    rows = []
+    t = [0, 0]
+    for round_index in range(20):
+        base = 1000
+        for offset in range(16):
+            t[0] += 5
+            rows.append((0, base + offset, TYPE_WRITE, 0, t[0], 0))
+        for offset in range(16):
+            t[1] += 5
+            rows.append((1, base + offset, TYPE_READ, 0, t[1], 0))
+    return column_trace(rows, 2, "strided")
+
+
+class TestEvaluationHarness:
+    def test_stride_prefetcher_covers_strided_consumptions(self, strided_migratory_trace):
+        trace = strided_migratory_trace
         result = evaluate_prefetcher(trace, lambda: StridePrefetcher(degree=8), warmup_fraction=0.2)
         assert result.total_consumptions > 0
         assert result.coverage > 0.5
 
-    def test_ghb_ac_covers_repeating_sequences(self):
-        trace = self._strided_migratory_trace()
+    def test_ghb_ac_covers_repeating_sequences(self, strided_migratory_trace):
+        trace = strided_migratory_trace
         result = evaluate_prefetcher(
             trace, lambda: GHBPrefetcher(mode="G/AC", degree=8), warmup_fraction=0.2
         )
         assert result.coverage > 0.3
 
-    def test_counts_are_consistent(self):
-        trace = self._strided_migratory_trace()
+    def test_counts_are_consistent(self, strided_migratory_trace):
+        trace = strided_migratory_trace
         result = evaluate_prefetcher(trace, lambda: StridePrefetcher(degree=8))
         assert result.total_consumptions == result.buffer_hits + result.remaining_consumptions
         assert result.discarded_blocks >= 0
         assert 0.0 <= result.coverage <= 1.0
 
     @pytest.mark.parametrize("warmup_fraction", [0.0, 0.3])
-    def test_packed_and_object_traces_agree(self, warmup_fraction):
-        # A private copy: trace_for's traces are shared across tests.
-        trace = ChunkedTrace.from_payload(trace_for("db2", 6_000, 42).to_payload())
+    def test_chunk_boundaries_are_invisible(self, warmup_fraction):
+        one_chunk = db2_trace(chunk_size=1 << 30)
         factory = lambda: GHBPrefetcher(mode="G/DC", degree=8)  # noqa: E731
-        packed = evaluate_prefetcher(trace, factory, warmup_fraction=warmup_fraction)
-        assert trace._accesses is None  # the harness reads the columns
-        objects = AccessTrace(list(trace.accesses), num_nodes=trace.num_nodes,
-                              name=trace.name)
-        assert evaluate_prefetcher(objects, factory, warmup_fraction=warmup_fraction) == packed
+        packed = evaluate_prefetcher(one_chunk, factory, warmup_fraction=warmup_fraction)
+        assert one_chunk._accesses is None  # the harness reads the columns
+        fine = db2_trace(chunk_size=512)
+        assert evaluate_prefetcher(fine, factory, warmup_fraction=warmup_fraction) == packed

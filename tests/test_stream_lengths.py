@@ -38,7 +38,7 @@ def stream_hist(name):
     """Stream-length histogram for one workload at the paper configuration."""
     if name not in _hist_cache:
         params = WorkloadParams(num_nodes=16, seed=42, target_accesses=ACCESSES)
-        trace = get_workload(name, params).generate()
+        trace = get_workload(name, params).generate_chunked()
         simulator = TSESimulator(
             16, TSEConfig.paper_default(lookahead=PAPER_LOOKAHEAD.get(name, 8))
         )

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.common.chunk import ChunkedTrace
 from repro.common.config import SystemConfig, TSEConfig
-from repro.common.types import AccessTrace
 from repro.experiments.runner import trace_for
 from repro.node.latency import LatencyModel
 from repro.node.processor import ProcessorModel
 from repro.system.timing import TimingSimulator
 from repro.tse.simulator import Outcome, TSESimulator
-from repro.workloads import ALL_WORKLOADS
+from repro.workloads import ALL_WORKLOADS, get_workload
+from repro.workloads.base import WorkloadParams
 
 
 @pytest.fixture()
@@ -238,19 +237,21 @@ class TestTimingSimulator:
         assert 0.0 <= row["full_coverage"] <= 1.0
 
 
+def db2_trace(chunk_size):
+    params = WorkloadParams(num_nodes=16, seed=42, target_accesses=6_000)
+    return get_workload("db2", params).generate_chunked(chunk_size=chunk_size)
+
+
 class TestColumnarInputs:
-    def test_compare_reads_columns_and_matches_an_object_trace(self):
-        # A private copy: trace_for's traces are shared across tests.
-        trace = ChunkedTrace.from_payload(trace_for("db2", 6_000, 42).to_payload())
+    def test_compare_reads_columns_and_ignores_chunk_boundaries(self):
+        trace = db2_trace(chunk_size=1 << 30)
         config = TSEConfig.paper_default().with_(svb_entries=4)
         packed = TimingSimulator(tse_config=config).compare(trace)
         assert trace._accesses is None  # labels and walks read the columns
-        objects = AccessTrace(list(trace.accesses), num_nodes=trace.num_nodes,
-                              name=trace.name)
-        unpacked = TimingSimulator(tse_config=config).compare(objects)
-        assert unpacked.base.per_node == packed.base.per_node
-        assert unpacked.tse.per_node == packed.tse.per_node
-        assert unpacked.functional.as_dict() == packed.functional.as_dict()
+        fine = TimingSimulator(tse_config=config).compare(db2_trace(chunk_size=512))
+        assert fine.base.per_node == packed.base.per_node
+        assert fine.tse.per_node == packed.tse.per_node
+        assert fine.functional.as_dict() == packed.functional.as_dict()
 
 
 #: The degenerate TSE configuration the base system was labelled with

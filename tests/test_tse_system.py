@@ -9,33 +9,42 @@ import pytest
 from repro.coherence.directory import Directory
 from repro.coherence.messages import MESSAGE_TYPES, MessageType
 from repro.common.config import TSEConfig
-from repro.common.types import AccessTrace, AccessType, MemoryAccess
+from repro.common.types import TYPE_READ, TYPE_WRITE
 from repro.experiments.runner import trace_for
 from repro.interconnect import TrafficAccountant
 from repro.tse.engine import TemporalStreamingSystem
 from repro.tse.simulator import Outcome, TSESimulator
 
 
-def make_trace(accesses, num_nodes=4, name="synthetic"):
-    trace = AccessTrace(num_nodes=num_nodes, name=name)
-    timestamp = [0] * num_nodes
-    for node, address, kind in accesses:
-        timestamp[node] += 10
-        trace.append(
-            MemoryAccess(node=node, address=address, access_type=kind, timestamp=timestamp[node])
-        )
-    return trace
+@pytest.fixture(scope="module")
+def make_trace(column_trace):
+    """Builder: ``(node, address, type_code)`` accesses -> a trace whose
+    nodes each retire one access every 10 instructions."""
+    def build(accesses, num_nodes=4, name="synthetic"):
+        timestamp = [0] * num_nodes
+        rows = []
+        for node, address, kind in accesses:
+            timestamp[node] += 10
+            rows.append((node, address, kind, 0, timestamp[node], 0))
+        return column_trace(rows, num_nodes, name)
+
+    return build
 
 
-def migratory_trace(rounds=6, blocks=(100, 101, 102, 103, 104, 105), num_nodes=4):
-    """Each round, a different node reads then writes the same block sequence."""
-    accesses = []
-    for round_index in range(rounds):
-        node = round_index % num_nodes
-        for block in blocks:
-            accesses.append((node, block, AccessType.READ))
-            accesses.append((node, block, AccessType.WRITE))
-    return make_trace(accesses, num_nodes=num_nodes)
+@pytest.fixture(scope="module")
+def migratory_trace(make_trace):
+    """Builder: each round, a different node reads then writes the same
+    block sequence."""
+    def build(rounds=6, blocks=(100, 101, 102, 103, 104, 105), num_nodes=4):
+        accesses = []
+        for round_index in range(rounds):
+            node = round_index % num_nodes
+            for block in blocks:
+                accesses.append((node, block, TYPE_READ))
+                accesses.append((node, block, TYPE_WRITE))
+        return make_trace(accesses, num_nodes=num_nodes)
+
+    return build
 
 
 class RecordingAccountant:
@@ -122,14 +131,14 @@ class TestTemporalStreamingSystem:
 
 
 class TestTSESimulator:
-    def test_migratory_trace_gets_high_coverage(self):
+    def test_migratory_trace_gets_high_coverage(self, migratory_trace):
         trace = migratory_trace(rounds=12)
         simulator = TSESimulator(4, TSEConfig.paper_default(lookahead=8))
         stats = simulator.run(trace, warmup_fraction=0.25)
         assert stats.total_consumptions > 0
         assert stats.coverage > 0.6
 
-    def test_random_trace_gets_low_coverage(self):
+    def test_random_trace_gets_low_coverage(self, make_trace):
         import random
 
         rng = random.Random(3)
@@ -137,20 +146,20 @@ class TestTSESimulator:
         for _ in range(3000):
             node = rng.randrange(4)
             block = rng.randrange(400)
-            kind = AccessType.WRITE if rng.random() < 0.3 else AccessType.READ
+            kind = TYPE_WRITE if rng.random() < 0.3 else TYPE_READ
             accesses.append((node, block, kind))
         trace = make_trace(accesses)
         stats = TSESimulator(4, TSEConfig.paper_default()).run(trace, warmup_fraction=0.25)
         assert stats.coverage < 0.3
 
-    def test_consumption_accounting_consistency(self):
+    def test_consumption_accounting_consistency(self, migratory_trace):
         trace = migratory_trace(rounds=10)
         stats = TSESimulator(4, TSEConfig.paper_default()).run(trace)
         assert stats.total_consumptions == stats.svb_hits + stats.remaining_consumptions
         assert stats.blocks_fetched >= stats.svb_hits
         assert stats.discarded_blocks <= stats.blocks_fetched
 
-    def test_outcomes_parallel_to_trace(self):
+    def test_outcomes_parallel_to_trace(self, migratory_trace):
         trace = migratory_trace(rounds=5)
         simulator = TSESimulator(4, TSEConfig.paper_default(), record_outcomes=True)
         simulator.run(trace)
@@ -159,33 +168,33 @@ class TestTSESimulator:
         assert Outcome.WRITE in codes
         assert Outcome.CONSUMPTION in codes or Outcome.SVB_HIT in codes
 
-    def test_warmup_resets_counters_but_keeps_state(self):
+    def test_warmup_resets_counters_but_keeps_state(self, migratory_trace):
         trace = migratory_trace(rounds=12)
         warm = TSESimulator(4, TSEConfig.paper_default()).run(trace, warmup_fraction=0.5)
         cold = TSESimulator(4, TSEConfig.paper_default()).run(trace, warmup_fraction=0.0)
         assert warm.accesses < cold.accesses
         assert warm.coverage >= cold.coverage
 
-    def test_invalid_warmup_fraction_rejected(self):
+    def test_invalid_warmup_fraction_rejected(self, migratory_trace):
         trace = migratory_trace(rounds=2)
         with pytest.raises(ValueError):
             TSESimulator(4).run(trace, warmup_fraction=1.5)
 
-    def test_zero_lookahead_behaves_as_base_system(self):
+    def test_zero_lookahead_behaves_as_base_system(self, migratory_trace):
         trace = migratory_trace(rounds=8)
         config = TSEConfig(stream_lookahead=0, queue_depth=1, refill_threshold=1)
         stats = TSESimulator(4, config).run(trace)
         assert stats.svb_hits == 0
         assert stats.coverage == 0.0
 
-    def test_traffic_accounting_present_when_enabled(self):
+    def test_traffic_accounting_present_when_enabled(self, migratory_trace):
         trace = migratory_trace(rounds=8)
         simulator = TSESimulator(4, TSEConfig.paper_default(), account_traffic=True)
         stats = simulator.run(trace)
         assert stats.traffic is not None
         assert stats.traffic["baseline.total_bytes"] > 0
 
-    def test_stream_length_histogram_weighted_by_hits(self):
+    def test_stream_length_histogram_weighted_by_hits(self, migratory_trace):
         trace = migratory_trace(rounds=12)
         stats = TSESimulator(4, TSEConfig.paper_default()).run(trace)
         assert stats.stream_length_hist.count == pytest.approx(stats.svb_hits, abs=1)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.coherence.protocol import CoherenceProtocol, extract_consumptions
-from repro.common.types import AccessType
+from repro.coherence.protocol import trace_consumptions
+from repro.common.types import TYPE_ATOMIC, TYPE_READ, TYPE_SPIN_READ
 from repro.workloads import (
     ALL_WORKLOADS,
     COMMERCIAL_WORKLOADS,
@@ -12,6 +12,11 @@ from repro.workloads import (
     get_workload,
 )
 from repro.workloads.base import AddressSpace, WorkloadParams
+
+
+def records(trace):
+    """The trace's ``(node, block, type_code, pc, timestamp, dep)`` rows."""
+    return [row for chunk in trace.chunks() for row in zip(*chunk.to_payload())]
 
 
 class TestRegistry:
@@ -55,38 +60,35 @@ class TestEveryWorkload:
     def test_trace_reaches_target_and_stays_in_bounds(self, name, small_traces):
         trace = small_traces[name]
         assert len(trace) >= 8_000
-        assert all(0 <= a.node < trace.num_nodes for a in trace.accesses[:2000])
+        assert all(0 <= row[0] < trace.num_nodes for row in records(trace)[:2000])
 
     def test_deterministic_for_same_seed(self, name):
         params = WorkloadParams(num_nodes=4, seed=3, target_accesses=3000)
-        first = get_workload(name, params).generate()
-        second = get_workload(name, params).generate()
-        assert [(a.node, a.address, a.access_type) for a in first] == [
-            (a.node, a.address, a.access_type) for a in second
-        ]
+        first = get_workload(name, params).generate_chunked()
+        second = get_workload(name, params).generate_chunked()
+        assert [row[:3] for row in records(first)] == [row[:3] for row in records(second)]
 
     def test_different_seeds_differ(self, name):
-        a = get_workload(name, WorkloadParams(num_nodes=4, seed=1, target_accesses=3000)).generate()
-        b = get_workload(name, WorkloadParams(num_nodes=4, seed=2, target_accesses=3000)).generate()
-        assert [(x.node, x.address) for x in a] != [(x.node, x.address) for x in b]
+        a = get_workload(name, WorkloadParams(num_nodes=4, seed=1, target_accesses=3000))
+        b = get_workload(name, WorkloadParams(num_nodes=4, seed=2, target_accesses=3000))
+        assert [row[:2] for row in records(a.generate_chunked())] != [
+            row[:2] for row in records(b.generate_chunked())
+        ]
 
     def test_timestamps_monotonic_per_node(self, name, small_traces):
         trace = small_traces[name]
         last = {}
-        for access in trace:
-            assert access.timestamp >= last.get(access.node, 0)
-            last[access.node] = access.timestamp
+        for node, _, _, _, timestamp, _ in records(trace):
+            assert timestamp >= last.get(node, 0)
+            last[node] = timestamp
 
     def test_produces_consumptions(self, name, small_traces):
-        trace = small_traces[name]
-        protocol = CoherenceProtocol(trace.num_nodes)
-        results = protocol.process_trace(trace)
-        consumptions = extract_consumptions(results, trace.num_nodes)
+        consumptions = trace_consumptions(small_traces[name])
         assert sum(len(c) for c in consumptions) > 50
 
     def test_every_node_participates(self, name, small_traces):
         trace = small_traces[name]
-        nodes_seen = {a.node for a in trace}
+        nodes_seen = {row[0] for row in records(trace)}
         assert nodes_seen == set(range(trace.num_nodes))
 
 
@@ -100,36 +102,36 @@ class TestSmallMachines:
         params = WorkloadParams(
             num_nodes=num_nodes, seed=3, target_accesses=4_000, scale=0.25
         )
-        trace = get_workload(name, params).generate()
-        protocol = CoherenceProtocol(num_nodes)
-        consumptions = extract_consumptions(protocol.process_trace(trace), num_nodes)
+        consumptions = trace_consumptions(get_workload(name, params).generate_chunked())
         assert sum(len(c) for c in consumptions) > 0
+
+
+READ_TYPES = (TYPE_READ, TYPE_SPIN_READ)
 
 
 class TestSharingCharacter:
     def test_scientific_reads_not_dependent(self, small_traces):
         trace = small_traces["em3d"]
-        assert not any(a.dependent for a in trace.accesses[:2000])
+        assert not any(row[5] for row in records(trace)[:2000])
 
     def test_commercial_has_dependent_chains(self, small_traces):
         trace = small_traces["db2"]
-        assert any(a.dependent for a in trace.accesses if a.is_read)
+        assert any(row[5] for row in records(trace) if row[2] in READ_TYPES)
 
     def test_commercial_has_spin_and_atomic_accesses(self, small_traces):
         trace = small_traces["oracle"]
-        kinds = {a.access_type for a in trace}
-        assert AccessType.ATOMIC in kinds
+        kinds = {row[2] for row in records(trace)}
+        assert TYPE_ATOMIC in kinds
 
     def test_ocean_boundary_reads_are_bursty(self, small_traces):
         """Consecutive boundary reads carry small instruction gaps (bursts)."""
         trace = small_traces["ocean"]
-        per_node = trace.per_node()[0]
-        reads = [a for a in per_node if a.is_read]
-        gaps = [b.timestamp - a.timestamp for a, b in zip(reads, reads[1:])]
+        reads = [row[4] for row in records(trace) if row[0] == 0 and row[2] in READ_TYPES]
+        gaps = [b - a for a, b in zip(reads, reads[1:])]
         assert min(gaps) <= 30
 
     def test_oltp_transactions_are_contiguous_per_node(self, small_traces):
         """OLTP dispatches whole transactions to one node at a time."""
-        trace = small_traces["db2"]
-        switches = sum(1 for a, b in zip(trace.accesses, trace.accesses[1:]) if a.node != b.node)
-        assert switches < len(trace) / 5
+        nodes = [row[0] for row in records(small_traces["db2"])]
+        switches = sum(1 for a, b in zip(nodes, nodes[1:]) if a != b)
+        assert switches < len(nodes) / 5
