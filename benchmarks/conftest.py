@@ -34,7 +34,9 @@ seconds of wall clock):
             },
             "traffic": {              # same exact point, traffic accounted
               "wallclock_s": <best of two, 4x4 torus accountant attached,
-                              fresh trace copy per sample>,
+                              fresh trace copy per sample; the run is the
+                              trace's replay record, so it also records
+                              the timing model's outcome columns>,
               "accesses_per_s": <n / s>,
               "slowdown_vs_exact": <traffic wallclock / exact wallclock>
             },
@@ -46,7 +48,7 @@ seconds of wall clock):
             "timing": {               # Figure 14's base-vs-TSE compare
               "wallclock_s": <best of two cold TimingSimulator.compare
                               calls, each on a fresh copy of the trace
-                              (empty label cache), paper lookahead>,
+                              (no replay record), paper lookahead>,
               "accesses_per_s": <n / s>
             }
           }, ...
@@ -171,7 +173,8 @@ def _functional_throughput():
     numbers are duplicated at the top level for continuity with the
     db2-only series PR 1 started.  Each class is then replayed once more
     through REPRO_FAST_MODE, and once more through the exact plane with
-    traffic accounting on (Figure 11's configuration), and the timing
+    traffic accounting on (Figure 11's configuration; that replay is the
+    trace's replay record, so it records outcomes too), and the timing
     model compares base and TSE on it (Figure 14), so the fast plane's,
     the traffic plane's and the timing model's throughputs are tracked
     (and regression-gated) alongside the exact plane's.  Every sample runs
@@ -220,8 +223,8 @@ def _functional_throughput():
             # which is too noisy for a 25%-threshold regression gate.
             samples = []
             for _ in range(2):
-                # A fresh trace object per sample: no label cache or code
-                # column survives.
+                # A fresh trace object per sample: no replay record or
+                # code column survives.
                 fresh = ChunkedTrace.from_payload(trace.to_payload())
                 start = time.perf_counter()
                 measure(fresh)

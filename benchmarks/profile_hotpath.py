@@ -21,10 +21,13 @@ exact pipeline; ``--mode both`` profiles each plane once and prints a
 side-by-side top-N table (ranked by the fast plane's self time), so the
 residual fast-mode bottleneck is visible at a glance.  ``--traffic``
 attaches the traffic accountant (Figure 11's configuration), so the traffic
-plane is profiled together with the replay plane it rides on.  ``--timing``
-profiles the timing model instead (Figure 14): one cold
-``TimingSimulator.compare`` — base labels, the TSE label run and both
-timing walks — on a fresh copy of the trace, so no label cache helps.
+plane is profiled together with the replay plane it rides on; that replay
+is the trace's replay record, so it records the timing model's outcome
+columns too.  ``--timing`` profiles the timing model instead (Figure 14):
+one cold ``TimingSimulator.compare`` — base labels, the TSE label run and
+both timing walks — on a fresh copy of the trace, so no replay record
+helps.  In a figure run the TSE label run is skipped: a traffic-accounted
+replay of the same trace and configuration already holds its labels.
 
 Note that ``cProfile`` charges ~0.5µs per function call, which inflates
 call-heavy code relative to slice/``memcmp``-heavy code — confirm any

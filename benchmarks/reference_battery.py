@@ -5,10 +5,11 @@ configurations (including wraparound-heavy tiny CMOBs, single/many compared
 streams, tiny SVBs), outcome-recording runs, bare runs (no recording, no
 traffic: the loop every sweep runs), column-less streamed input,
 traffic-accounting runs, the warm-state snapshot path, timing comparisons
-(Figure 14 / Table 3), the baseline prefetchers (Figure 12), Figure 6's
-correlation rows and a digest of the traces' ``MemoryAccess`` view — and
-writes every result as JSON.  Two
-trees produce byte-identical files exactly when their simulators are
+(Figure 14 / Table 3), a traffic-accounted run and a timing comparison
+sharing one trace object in either order, the baseline prefetchers
+(Figure 12), Figure 6's correlation rows and a digest of the traces'
+``MemoryAccess`` view — and writes every result as JSON.  Two trees
+produce byte-identical files exactly when their simulators are
 bit-identical.  Run this one script against both trees' ``src/`` so both
 sides run the same matrix::
 
@@ -134,6 +135,43 @@ def timing_cell(workload: str, config: TSEConfig = TSEConfig.paper_default()) ->
     }
 
 
+def shared_cell(workload: str) -> dict:
+    """Figure 11's traffic-accounted replay and Figure 14's ``compare()`` on
+    one trace object, in both orders, each order on a fresh copy."""
+    from repro.common.chunk import ChunkedTrace
+    from repro.common.config import SystemConfig
+    from repro.system.timing import TimingSimulator
+    from repro.tse.simulator import run_tse_on_trace
+
+    source = trace_for(workload, ACCESSES, SEED, NUM_NODES)
+    interconnect = SystemConfig.isca2005().interconnect
+
+    def stats_row(stats) -> dict:
+        return {**stats.as_dict(),
+                "stream_length_hist": sorted(stats.stream_length_hist.buckets().items())}
+
+    def traffic(trace) -> dict:
+        return stats_row(run_tse_on_trace(
+            trace, TSEConfig.paper_default(), account_traffic=True,
+            interconnect_config=interconnect,
+        ))
+
+    def timing(trace) -> dict:
+        comparison = TimingSimulator().compare(trace)
+        return {
+            "functional": stats_row(comparison.functional),
+            "table3": comparison.table3_row(),
+            "breakdowns": comparison.normalized_breakdowns(),
+        }
+
+    cells = {}
+    for order, steps in (("traffic_first", (traffic, timing)),
+                         ("timing_first", (timing, traffic))):
+        trace = ChunkedTrace.from_payload(source.to_payload())
+        cells[order] = {step.__name__: step(trace) for step in steps}
+    return cells
+
+
 def prefetch_cell(workload: str) -> dict:
     """Figure 12's baselines: stride and G/DC / G/AC GHB, 32-entry buffer."""
     from repro.prefetch import GHBPrefetcher, StridePrefetcher, evaluate_prefetcher
@@ -199,6 +237,8 @@ def main() -> int:
         "jbb", TSEConfig.paper_default(lookahead=1)
     )
     print("timing done", flush=True)
+    battery["shared"] = {w: shared_cell(w) for w in ("em3d", "db2", "apache", "jbb")}
+    print("shared done", flush=True)
     battery["prefetch"] = {w: prefetch_cell(w) for w in ("em3d", "db2", "apache")}
     print("prefetch done", flush=True)
     battery["correlation"] = correlation_rows()

@@ -308,9 +308,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.end_headers()
         subscription = bus.subscribe(campaign_id)
-        terminal_grace = False
         try:
             while True:
+                # The scheduler commits the terminal status and
+                # campaign.finished in one transaction, so a drain after a
+                # terminal status read holds every event the log will ever
+                # carry (none more for a pre-events store or disabled events).
+                record = service.store.campaign(campaign_id)
+                terminal = record is not None and record["status"] in (
+                    "done", "failed", "cancelled", "superseded"
+                )
                 finished = False
                 while True:
                     batch = log.after(campaign_id, cursor, limit=500)
@@ -322,25 +329,8 @@ class _Handler(BaseHTTPRequestHandler):
                     if len(batch) < 500:
                         break
                 self.wfile.flush()
-                if finished or not follow:
+                if finished or terminal or not follow:
                     return
-                record = service.store.campaign(campaign_id)
-                if record is not None and record["status"] in (
-                    "done", "failed", "cancelled", "superseded"
-                ):
-                    # The scheduler writes the terminal status *before*
-                    # publishing campaign.finished, so give the in-flight
-                    # append one poll interval to land before concluding
-                    # the log will never carry it (pre-events store, or
-                    # events disabled — then nothing more ever arrives).
-                    if terminal_grace or not bus.enabled:
-                        return
-                    terminal_grace = True
-                    try:
-                        subscription.get(timeout=poll)
-                    except queue.Empty:
-                        pass
-                    continue
                 try:
                     subscription.get(timeout=poll)
                 except queue.Empty:

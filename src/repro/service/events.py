@@ -172,29 +172,32 @@ class EventLog:
         """Append a batch of events in one transaction (one seq range)."""
         if not entries:
             return []
+        return self._write(lambda conn: self.insert(conn, campaign_id, entries))
+
+    def insert(
+        self, conn: sqlite3.Connection, campaign_id: int,
+        entries: Sequence[Tuple[str, Dict[str, Any]]],
+    ) -> List[Event]:
+        """Append ``entries`` in the caller's open transaction on the file."""
         now = time.time()
-
-        def mutate(conn: sqlite3.Connection) -> List[Event]:
-            base = conn.execute(
-                "SELECT COALESCE(MAX(seq), 0) AS top FROM events "
-                "WHERE campaign_id = ?", (campaign_id,)
-            ).fetchone()["top"]
-            events = [
-                Event(campaign_id, base + offset + 1, type, data, now)
-                for offset, (type, data) in enumerate(entries)
-            ]
-            conn.executemany(
-                "INSERT INTO events (campaign_id, seq, type, data_json, "
-                "created) VALUES (?, ?, ?, ?, ?)",
-                [
-                    (event.campaign_id, event.seq, event.type,
-                     json.dumps(event.data, sort_keys=True), event.created)
-                    for event in events
-                ],
-            )
-            return events
-
-        return self._write(mutate)
+        base = conn.execute(
+            "SELECT COALESCE(MAX(seq), 0) AS top FROM events "
+            "WHERE campaign_id = ?", (campaign_id,)
+        ).fetchone()["top"]
+        events = [
+            Event(campaign_id, base + offset + 1, type, data, now)
+            for offset, (type, data) in enumerate(entries)
+        ]
+        conn.executemany(
+            "INSERT INTO events (campaign_id, seq, type, data_json, "
+            "created) VALUES (?, ?, ?, ?, ?)",
+            [
+                (event.campaign_id, event.seq, event.type,
+                 json.dumps(event.data, sort_keys=True), event.created)
+                for event in events
+            ],
+        )
+        return events
 
     # --------------------------------------------------------------- reading
     def after(
@@ -274,19 +277,21 @@ class EventBus:
         if not self.enabled or self.log is None or not entries:
             return []
         events = self.log.append_many(campaign_id, entries)
-        from repro.service import faults
-
-        directive = faults.fire(
-            "events.notify", context=f"{campaign_id}:{entries[0][0]}"
-        )
-        if directive == "drop":
-            return events
-        notifies = 2 if directive == "duplicate" else 1
-        for _ in range(notifies):
-            self._notify(campaign_id)
+        self.notify(campaign_id, entries[0][0])
         return events
 
-    def _notify(self, campaign_id: int) -> None:
+    def notify(self, campaign_id: int, type: str) -> None:
+        """Wake the campaign's subscribers after ``type`` was appended,
+        through the ``events.notify`` fault site."""
+        from repro.service import faults
+
+        directive = faults.fire("events.notify", context=f"{campaign_id}:{type}")
+        if directive == "drop":
+            return
+        for _ in range(2 if directive == "duplicate" else 1):
+            self._wake(campaign_id)
+
+    def _wake(self, campaign_id: int) -> None:
         with self._lock:
             subscribers = list(self._subscribers.get(campaign_id, ()))
         for subscriber in subscribers:

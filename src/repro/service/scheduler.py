@@ -651,14 +651,16 @@ class Scheduler:
 
     def _finish(self, run: CampaignRun) -> None:
         run.done.set()
-        self.store.set_campaign_status(run.id, run.status)
-        # The terminal event, published after the status write: a stream
-        # that has seen campaign.finished can trust the stored status.
-        self.events.publish(run.id, events_module.CAMPAIGN_FINISHED, {
+        finished = [(events_module.CAMPAIGN_FINISHED, {
             "status": run.status, "total": run.total, "cached": run.cached,
             "computed": run.computed, "failed": run.failed,
             "quarantined": run.quarantined,
-        })
+        })] if self.events.enabled else []
+        # The terminal status and campaign.finished commit in one
+        # transaction: a stream that reads either can trust the other.
+        self.store.set_campaign_status(run.id, run.status, finished)
+        if finished:
+            self.events.notify(run.id, events_module.CAMPAIGN_FINISHED)
 
     # ----------------------------------------------------------- fleet plane
     def lease_next(

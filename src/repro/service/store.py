@@ -55,7 +55,7 @@ import os
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import service_store_override
 
@@ -418,12 +418,23 @@ class ResultStore:
 
         return self._write(mutate)
 
-    def set_campaign_status(self, campaign_id: int, status: str) -> None:
+    def set_campaign_status(
+        self, campaign_id: int, status: str,
+        events: Sequence[Tuple[str, Dict[str, Any]]] = (),
+    ) -> None:
+        """Write ``status``; ``events`` are appended to the event log in the
+        same transaction, so a reader sees both or neither."""
         finished = time.time() if status in ("done", "failed", "cancelled") else None
-        self._write(lambda conn: conn.execute(
-            "UPDATE campaigns SET status = ?, finished = ? WHERE id = ?",
-            (status, finished, campaign_id),
-        ))
+
+        def mutate(conn: sqlite3.Connection) -> None:
+            conn.execute(
+                "UPDATE campaigns SET status = ?, finished = ? WHERE id = ?",
+                (status, finished, campaign_id),
+            )
+            if events:
+                self.event_log.insert(conn, campaign_id, events)
+
+        self._write(mutate)
 
     def campaigns(self) -> List[Dict[str, Any]]:
         with self._connect() as conn:

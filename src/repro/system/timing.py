@@ -6,7 +6,10 @@ timing model decides *how much time* that saves, by replaying each node's
 labelled access sequence through the interval-based processor model with the
 Table 1 latencies.  The base system's labels need no TSE at all: they are
 the coherence classification of each access, read from the trace's memoized
-code columns.  Both the labelling and the walk read the trace's packed
+code columns.  The TSE system's labels are the outcome columns of the
+trace's exact-plane replay record (:func:`~repro.tse.simulator.replay_record`),
+which a traffic-accounted replay of the same configuration (Figure 11)
+already holds.  Both the labelling and the walk read the trace's packed
 columns.
 
 Outputs map directly onto the paper's results:
@@ -30,7 +33,7 @@ from repro.common.config import SystemConfig, TSEConfig
 from repro.common.stats import ratio
 from repro.node.latency import LatencyModel
 from repro.node.processor import NodeTimingResult, ProcessorModel
-from repro.tse.simulator import Outcome, TSESimulator, TSEStats
+from repro.tse.simulator import Outcome, TSEStats, replay_record
 
 #: Coherence code (:func:`~repro.coherence.protocol.coherence_codes`) ->
 #: base-system outcome: a hit, a consumption, a spin coherent miss, a cold
@@ -136,40 +139,15 @@ class TimingSimulator:
         The base system is the coherence classification alone: the trace's
         memoized code columns (:func:`~repro.coherence.protocol.trace_codes`)
         translated to outcome codes, every lead 0 (returned as None), no
-        functional stats.  Its labels depend on no TSE knob, so every
-        configuration sweep over the same trace shares one base run.  The
-        TSE labels come from an exact-plane functional run with outcome
-        recording, which reads the same code columns.  Both are memoized on
-        the trace object — the TSE run keyed by its configuration — so
-        repeated ``compare()`` calls (Figure 14 + Table 3) reuse them
-        outright.
+        functional stats.  Under TSE, the labels and the warm-up-0 stats
+        come from the trace's exact-plane replay record for this
+        configuration (:func:`~repro.tse.simulator.replay_record`), which a
+        Figure 11 replay or an earlier ``compare()`` may already hold.
         """
-        cache: Dict = getattr(trace, "_label_cache", None)
-        if cache is None:
-            cache = {}
-            trace._label_cache = cache  # type: ignore[attr-defined]
-        # The trace length guards against append_chunk after a cached label
-        # run: a grown trace gets a fresh labeling.
-        key = (self.tse_config if tse_enabled else "base", len(trace))
-        cached = cache.get(key)
-        if cached is None:
-            if tse_enabled:
-                # Outcome labeling needs per-access fill times, which only
-                # the exact plane records: pin mode explicitly so an ambient
-                # REPRO_FAST_MODE never reaches the timing model.  (Fast-mode
-                # sweeps still speed up their functional runs; timing
-                # comparisons are exact by construction.)
-                simulator = TSESimulator(
-                    trace.num_nodes, tse_config=self.tse_config,
-                    record_outcomes=True, mode="exact",
-                )
-                stats = simulator.run(trace, warmup_fraction=0.0)
-                cached = (stats, simulator.outcome_codes, simulator.outcome_leads)
-            else:
-                base = b"".join(trace_codes(trace)).translate(_BASE_OUTCOME_OF_CODE)
-                cached = (None, base, None)
-            cache[key] = cached
-        return cached
+        if not tse_enabled:
+            return None, b"".join(trace_codes(trace)).translate(_BASE_OUTCOME_OF_CODE), None
+        record = replay_record(trace, self.tse_config)
+        return record.whole, record.outcome_codes, record.outcome_leads
 
     def _run_timing(
         self,

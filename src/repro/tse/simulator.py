@@ -38,13 +38,20 @@ messages depend on the holder set and the producer: around each miss and
 write, :func:`~repro.coherence.protocol.transaction_messages` counts the
 messages it derives from that state into the accountant, and the TSE
 planes count theirs at their sink sites.
+
+Figure 11's traffic-accounted replay and the timing model's outcome labels
+(Figure 14, Table 3) replay the same trace under the same configuration.
+:func:`replay_record` memoizes one exact-plane replay per trace and
+configuration that serves both: the measured window with its traffic, the
+warm-up-0 window, and the outcome columns.  Bare replays (no traffic, no
+outcomes), the loop every sweep runs, never read or write it.
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from itertools import tee
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -225,6 +232,7 @@ class TSESimulator:
                 num_nodes, self.tse_config, self.protocol.directory, traffic=self.traffic
             )
         self.stats = TSEStats()
+        self.warmup_stats = TSEStats()
 
     @property
     def outcomes(self) -> List[Tuple[int, int]]:
@@ -346,8 +354,10 @@ class TSESimulator:
     def reset_stats(self, workload: str = "") -> None:
         """Restart measurement (end of warm-up) without touching simulator state.
 
-        The traffic accountant is simulator state here: its counts run on.
+        The replaced counters become ``warmup_stats``.  The traffic
+        accountant is simulator state here: its counts run on.
         """
+        self.warmup_stats = self.stats
         self.stats = TSEStats(workload=workload or self.stats.workload)
 
     def _replay_chunk(self, chunk: TraceChunk, codes: bytes) -> None:
@@ -627,6 +637,78 @@ class TSESimulator:
         return self.stats
 
 
+#: The int counters of :class:`TSEStats`: a window's count is the sum of
+#: its parts' counts.
+_COUNTERS = tuple(f.name for f in fields(TSEStats) if f.type == "int")
+
+
+@dataclass(frozen=True)
+class ReplayRecord:
+    """One exact-plane replay of a trace under one TSE configuration.
+
+    Both windows come from the one replay.  Every counter is an additive
+    int, so the warm-up-0 window is the warm-up counters plus the measured
+    ones; the stream-length histogram and the traffic counts already span
+    the whole trace.  Each view equals its standalone run's and is shared:
+    treat it as read-only.
+    """
+
+    #: After ``warmup_accesses``, with traffic attached when accounted.
+    measured: TSEStats
+    #: From the first access, as a bare warm-up-0 run reports it (no traffic).
+    whole: TSEStats
+    #: The resolved interconnect traffic was accounted on, or None.
+    interconnect: Optional[InterconnectConfig]
+    warmup_accesses: int
+    #: :attr:`TSESimulator.outcome_codes` / ``outcome_leads`` of the replay.
+    outcome_codes: array
+    outcome_leads: array
+
+
+def replay_record(
+    trace: ChunkedTrace,
+    tse_config: TSEConfig,
+    interconnect: Optional[InterconnectConfig] = None,
+    warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
+) -> ReplayRecord:
+    """The trace's replay record for ``tse_config``, replaying only when needed.
+
+    Memoized on the trace object and keyed by the configuration and the
+    trace's length (a trace grown by ``append_chunk`` replays afresh), the
+    way :func:`trace_codes` is.  Any record serves a request without
+    ``interconnect`` (outcomes and the warm-up-0 window).  A traffic request
+    is served only by a record that accounted traffic on the same
+    interconnect with the same warm-up boundary.  Otherwise one exact
+    replay records outcomes, accounts traffic if asked, keeps both windows
+    and replaces the record.
+    """
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError("warmup_fraction must be in [0, 1)")
+    memo = getattr(trace, "_replay_records", None)
+    if memo is None or memo[0] != len(trace):
+        memo = trace._replay_records = (len(trace), {})  # type: ignore[attr-defined]
+    warmup = int(len(trace) * warmup_fraction)
+    record = memo[1].get(tse_config)
+    if record is None or interconnect is not None and (
+        record.interconnect != interconnect or record.warmup_accesses != warmup
+    ):
+        simulator = TSESimulator(
+            trace.num_nodes, tse_config, account_traffic=interconnect is not None,
+            interconnect_config=interconnect, record_outcomes=True, mode=MODE_EXACT,
+        )
+        measured = simulator.run(trace, warmup_fraction)
+        warm = simulator.warmup_stats
+        whole = replace(measured, traffic=None, **{
+            name: getattr(warm, name) + getattr(measured, name)
+            for name in _COUNTERS
+        })
+        record = memo[1][tse_config] = ReplayRecord(
+            measured, whole, interconnect, warmup,
+            simulator.outcome_codes, simulator.outcome_leads,
+        )
+    return record
+
+
 def run_tse_on_trace(
     trace: ChunkedTrace,
     tse_config: Optional[TSEConfig] = None,
@@ -642,10 +724,21 @@ def run_tse_on_trace(
     ``warmup_fraction=0.0`` to measure from the first access.  ``mode``
     selects the replay plane (``None`` resolves the ambient mode /
     ``REPRO_FAST_MODE``, as everywhere).
+
+    A traffic-accounted exact run is the measured window of the trace's
+    :func:`replay_record`, so a later ``TimingSimulator.compare`` under the
+    same configuration replays nothing; the result is shared, read-only.
+    Every other run replays afresh.
     """
+    config = tse_config if tse_config is not None else TSEConfig.paper_default()
+    if account_traffic and resolve_mode(mode) == MODE_EXACT:
+        interconnect = interconnect_config if interconnect_config is not None else (
+            TSESimulator._default_interconnect(trace.num_nodes)
+        )
+        return replay_record(trace, config, interconnect, warmup_fraction).measured
     simulator = TSESimulator(
         trace.num_nodes,
-        tse_config=tse_config,
+        tse_config=config,
         account_traffic=account_traffic,
         interconnect_config=interconnect_config,
         mode=mode,

@@ -60,3 +60,20 @@ def paper_system() -> SystemConfig:
 @pytest.fixture()
 def paper_tse() -> TSEConfig:
     return TSEConfig.paper_default()
+
+
+@pytest.fixture()
+def replays(monkeypatch):
+    """Every ``TSESimulator._run`` call made during the test, in order: one
+    entry per replay of a trace (the simulator that replayed it)."""
+    from repro.tse.simulator import TSESimulator
+
+    calls = []
+    run = TSESimulator._run
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(TSESimulator, "_run", counted)
+    return calls

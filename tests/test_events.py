@@ -14,10 +14,12 @@ campaign breakdown, worker liveness, and the CLI event formatter.
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
 
+from repro.common import sqlitedb
 from repro.service import faults
 from repro.service.api import make_server
 from repro.service.cli import format_event_line
@@ -346,6 +348,36 @@ class TestSSEStream:
             assert len(
                 [e for e in events if e["event"] == JOB_COMPLETED]
             ) == run.total
+        finally:
+            live.close()
+
+    def test_terminal_status_never_outruns_campaign_finished(
+        self, tmp_path, monkeypatch
+    ):
+        """A stream that reads the terminal status still delivers
+        ``campaign.finished``, however slowly the event's insert lands."""
+        poll = 0.05
+        monkeypatch.setenv("REPRO_EVENTS_POLL", str(poll))
+        connect = sqlitedb.connect
+
+        def slow_connect(path, row_factory=None):
+            conn = connect(path, row_factory=row_factory)
+            conn.create_function("stall", 0, lambda: time.sleep(20 * poll))
+            return conn
+
+        monkeypatch.setattr(sqlitedb, "connect", slow_connect)
+        live = _LiveServer(tmp_path)
+        try:
+            with live.service.store._connect() as conn:
+                conn.execute(
+                    "CREATE TRIGGER stall_finished BEFORE INSERT ON events "
+                    f"WHEN NEW.type = '{CAMPAIGN_FINISHED}' "
+                    "BEGIN SELECT stall(); END"
+                )
+            run = live.service.submit(tiny_campaign(), wait=False)
+            events = list(follow_campaign(live.url, run.id))
+            assert events[-1]["event"] == CAMPAIGN_FINISHED
+            _expect_exact_stream(events, live.service.store.event_log, run.id)
         finally:
             live.close()
 

@@ -1,7 +1,7 @@
 """Determinism regression tests for the performance subsystem (PR 1).
 
 The fast paths added for the sensitivity sweeps — the shared result cache,
-the parallel experiment runner, and the timing-label cache — must be
+the parallel experiment runner, and the timing model's replay record — must be
 invisible in the results: parallel == serial, cached == uncached, bit for
 bit.  These tests lock that in on small traces.
 """
@@ -93,20 +93,23 @@ class TestResultCacheDeterminism:
         assert a is not b
 
 
-class TestTimingLabelCacheDeterminism:
-    def test_cached_compare_equals_uncached_compare(self):
-        """compare() on a label-cached trace == compare() on a fresh trace."""
+class TestTimingRecordDeterminism:
+    def test_cached_compare_equals_uncached_compare(self, replays):
+        """compare() served by a replay record == compare() on a fresh trace."""
         config = TSEConfig.paper_default(lookahead=8)
         system = SystemConfig.isca2005()
 
         cached_trace = trace_for("db2", ACCESSES, 42)
         first = TimingSimulator(system, config).compare(cached_trace)
-        second = TimingSimulator(system, config).compare(cached_trace)  # cache hit
+        replayed = len(replays)
+        second = TimingSimulator(system, config).compare(cached_trace)  # record hit
+        assert len(replays) == replayed  # nothing replayed
 
         params = WorkloadParams(num_nodes=16, seed=42, target_accesses=ACCESSES)
-        fresh_trace = get_workload("db2", params).generate_chunked()  # no label cache
-        assert not hasattr(fresh_trace, "_label_cache")
+        fresh_trace = get_workload("db2", params).generate_chunked()  # no record
+        assert not hasattr(fresh_trace, "_replay_records")
         uncached = TimingSimulator(system, config).compare(fresh_trace)
+        assert len(replays) == replayed + 1
 
         for comparison in (second, uncached):
             assert comparison.speedup == first.speedup
@@ -116,14 +119,13 @@ class TestTimingLabelCacheDeterminism:
             assert comparison.tse.full_coverage == first.tse.full_coverage
             assert comparison.tse.partial_coverage == first.tse.partial_coverage
 
-    def test_base_label_shared_across_tse_configs(self):
-        """The base run is TSE-config independent, so sweeps share one."""
+    def test_base_label_shared_across_tse_configs(self, replays):
+        """The base run is TSE-config independent and replays nothing."""
         trace = trace_for("em3d", ACCESSES, 42)
         system = SystemConfig.isca2005()
         base_a = TimingSimulator(system, TSEConfig.paper_default(lookahead=4)).run_base(trace)
-        cache_size = len(trace._label_cache)
         base_b = TimingSimulator(system, TSEConfig.paper_default(lookahead=24)).run_base(trace)
-        assert len(trace._label_cache) == cache_size  # no new label run
+        assert not replays  # no label run
         assert base_b.total_cycles == base_a.total_cycles
 
 
