@@ -53,7 +53,6 @@ from repro.coherence.messages import (
     UPGRADE_REQUEST,
 )
 from repro.common.chunk import ChunkedTrace, TraceChunk
-from repro.common.stats import StatsRegistry, publish_counters
 from repro.common.types import (
     TYPE_IS_WRITE,
     TYPE_SPIN_READ,
@@ -89,28 +88,7 @@ class CoherenceProtocol:
     def __init__(self, num_nodes: int, cmob_pointers_per_block: int = 2) -> None:
         self.num_nodes = num_nodes
         self.directory = Directory(num_nodes, cmob_pointers_per_block)
-        self._stats = StatsRegistry(prefix="protocol")
-        # Per-access classification counts, kept as plain ints on the hot
-        # path and published into the registry lazily via ``stats``.
-        self._n_read_hits = 0
-        self._n_coherent_read_misses = 0
-        self._n_spin_coherent_misses = 0
-        self._n_cold_misses = 0
-        self._n_write_hits = 0
-        self._n_write_misses = 0
         self._blocks: Dict[BlockAddress, _BlockState] = {}
-
-    @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry, synchronized with the plain-int counters on read."""
-        return publish_counters(self._stats, {
-            "read_hits": self._n_read_hits,
-            "coherent_read_misses": self._n_coherent_read_misses,
-            "spin_coherent_misses": self._n_spin_coherent_misses,
-            "cold_misses": self._n_cold_misses,
-            "write_hits": self._n_write_hits,
-            "write_misses": self._n_write_misses,
-        })
 
     # ------------------------------------------------------------ state machine
     #
@@ -125,18 +103,12 @@ class CoherenceProtocol:
         version = block.version
         held = block.held_version
         if held.get(node) == version:
-            self._n_read_hits += 1
             return READ_HIT
         held[node] = version
         # version > 0 implies last_writer is set (only writes bump versions).
         if version > 0 and block.last_writer != node:
             # The version being read was produced by another node.
-            if is_spin:
-                self._n_spin_coherent_misses += 1
-                return READ_SPIN_COHERENT
-            self._n_coherent_read_misses += 1
-            return READ_COHERENT
-        self._n_cold_misses += 1
+            return READ_SPIN_COHERENT if is_spin else READ_COHERENT
         return READ_COLD
 
     def write_ints(self, node: NodeId, address: BlockAddress) -> bool:
@@ -150,26 +122,12 @@ class CoherenceProtocol:
             self._blocks[address] = block = _BlockState()
         held = block.held_version
         hit = node in held
-        if hit:
-            self._n_write_hits += 1
-        else:
-            self._n_write_misses += 1
         version = block.version + 1
         block.version = version
         block.last_writer = node
         held.clear()
         held[node] = version
         return hit
-
-    # ------------------------------------------------------------- inspection
-    def version_of(self, address: BlockAddress) -> int:
-        block = self._blocks.get(address)
-        return block.version if block is not None else 0
-
-    def holders_of(self, address: BlockAddress) -> List[NodeId]:
-        """Nodes currently holding a copy of the block."""
-        block = self._blocks.get(address)
-        return list(block.held_version) if block is not None else []
 
 
 def coherence_codes(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 #: Fallback chunk size when ``REPRO_STREAM_CHUNK`` is unset: large enough to
 #: amortize the replay loop's per-segment local binding, small enough that a
@@ -368,29 +368,9 @@ def _env_mode() -> str:
     return MODE_FAST if env in ("1", "true", "yes", "on", "fast") else MODE_EXACT
 
 
-#: Process-ambient mode override (set by :func:`set_sim_mode` /
-#: :func:`sim_mode_context`); ``None`` defers to the environment.
+#: Process-ambient mode override (installed by :func:`sim_mode_context`);
+#: ``None`` defers to the environment.
 _AMBIENT_MODE: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Run-level simulation knobs that are not part of the modelled system.
-
-    ``TSEConfig``/``SystemConfig`` describe the *hardware*; ``SimConfig``
-    describes *how* the simulator executes it.  Currently one knob: the
-    replay pipeline (:data:`MODE_EXACT` vs :data:`MODE_FAST`).
-    """
-
-    fast_mode: bool = False
-
-    @property
-    def mode(self) -> str:
-        return MODE_FAST if self.fast_mode else MODE_EXACT
-
-    @classmethod
-    def from_env(cls) -> "SimConfig":
-        return cls(fast_mode=_env_mode() == MODE_FAST)
 
 
 def _validate_mode(mode: str) -> str:
@@ -399,37 +379,23 @@ def _validate_mode(mode: str) -> str:
     return mode
 
 
-def resolve_mode(mode: Union[str, SimConfig, None] = None) -> str:
+def resolve_mode(mode: Optional[str] = None) -> str:
     """Resolve an explicit, ambient, or environment-selected simulation mode.
 
-    Precedence: an explicit ``mode`` argument (a mode string or a
-    :class:`SimConfig`), then the process-ambient mode installed by
-    :func:`set_sim_mode` / :func:`sim_mode_context` (the service layer wraps
-    job execution in it), then ``REPRO_FAST_MODE``.  Every keyed consumer
+    Precedence: an explicit ``mode`` argument, then the process-ambient mode
+    installed by :func:`sim_mode_context` (the service layer wraps job
+    execution in it), then ``REPRO_FAST_MODE``.  Every keyed consumer
     (result cache, service store, snapshots) resolves the mode *before*
     building its key, so fast and exact results can never collide.
     """
     if mode is not None:
-        if isinstance(mode, SimConfig):
-            return mode.mode
         return _validate_mode(mode)
     if _AMBIENT_MODE is not None:
         return _AMBIENT_MODE
     return _env_mode()
 
 
-def set_sim_mode(mode: Union[str, SimConfig, None]) -> None:
-    """Install (or with ``None`` clear) the process-ambient simulation mode."""
-    global _AMBIENT_MODE
-    if mode is None:
-        _AMBIENT_MODE = None
-    elif isinstance(mode, SimConfig):
-        _AMBIENT_MODE = mode.mode
-    else:
-        _AMBIENT_MODE = _validate_mode(mode)
-
-
-def mode_key(mode: Union[str, SimConfig, None] = None) -> Tuple[Any, ...]:
+def mode_key(mode: Optional[str] = None) -> Tuple[Any, ...]:
     """Determinism-key component naming the resolved simulation mode.
 
     Exact mode renders as ``("mode", "exact")`` — byte-identical to the
@@ -449,17 +415,18 @@ def mode_key(mode: Union[str, SimConfig, None] = None) -> Tuple[Any, ...]:
 
 
 @contextmanager
-def sim_mode_context(mode: Union[str, SimConfig, None]) -> Iterator[str]:
-    """Scoped :func:`set_sim_mode`: restores the previous ambient mode on exit.
+def sim_mode_context(mode: Optional[str]) -> Iterator[str]:
+    """Install the process-ambient simulation mode for a scope.
 
-    This is how the mode reaches experiment point functions without
-    signature changes: ``Job.execute`` wraps the point call, and
-    ``cached_tse_run`` / ``run_tse_on_trace`` resolve the ambient mode when
-    no explicit one is passed.
+    ``None`` clears it (the environment decides); the previous ambient mode
+    is restored on exit.  This is how the mode reaches experiment point
+    functions without signature changes: ``Job.execute`` wraps the point
+    call, and ``cached_tse_run`` / ``run_tse_on_trace`` resolve the ambient
+    mode when no explicit one is passed.
     """
     global _AMBIENT_MODE
     previous = _AMBIENT_MODE
-    set_sim_mode(mode)
+    _AMBIENT_MODE = None if mode is None else _validate_mode(mode)
     try:
         yield resolve_mode()
     finally:

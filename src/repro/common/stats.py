@@ -192,9 +192,9 @@ def ratio(numerator: float, denominator: float, default: float = 0.0) -> float:
 def publish_counters(registry: StatsRegistry, values: Mapping[str, int]) -> StatsRegistry:
     """Publish plain-int hot-path counters into a registry and return it.
 
-    Hot-path components accumulate activity in plain integer attributes and
-    expose a ``stats`` property that calls this helper, so the registry is
-    only touched when somebody actually reads the statistics.
+    The TSE system layer (``TemporalStreamingSystem.stats``) accumulates its
+    activity in plain integer attributes and calls this helper when the
+    property is read, so the replay's hot path never touches the registry.
     """
     for name, value in values.items():
         registry.counter(name).value = value

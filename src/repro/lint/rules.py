@@ -453,8 +453,7 @@ class PackedLayoutConsistency(Rule):
                         "little", "big"
                     ):
                         flag(side, "inline byte order comparison — use "
-                                   "repro.tse.layout.SLOT_BYTEORDER / "
-                                   "NEEDS_BYTESWAP")
+                                   "repro.tse.layout.SLOT_BYTEORDER")
         return findings
 
 

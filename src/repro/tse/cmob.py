@@ -7,9 +7,11 @@ for each block, pointers into the CMOBs of its most recent consumers; on a
 subsequent miss those pointers let TSE read the sub-sequence that followed
 the block last time — the candidate stream.
 
-Offsets handed out by :meth:`CMOB.append` are *monotonic append counts*, not
-physical slot indices, so stale pointers (overwritten after wrap-around) are
-detected rather than silently returning unrelated addresses.
+The offsets :meth:`TemporalStreamingSystem._record
+<repro.tse.engine.TemporalStreamingSystem._record>` hands to the directory
+are *monotonic append counts*, not physical slot indices, so stale pointers
+(overwritten after wrap-around) are detected rather than silently returning
+unrelated addresses.
 
 Storage is a flat circular buffer of 64-bit entries grown lazily up to
 ``capacity`` slots, held as a packed little-endian byte buffer
@@ -19,15 +21,15 @@ run at ``memcmp``/``memmem`` speed without boxing an int per element (the
 ``array`` module's rich comparison unpacks every item), which is what makes
 the stream engine's window-at-a-time agreement checks and miss probes
 C-fast.  The monotonic append count doubles as the validity watermark
-(``oldest_valid_offset = appended - capacity``).  Stream reads are served as
-packed windows — one or two slice copies, never a per-offset loop — and the
-refill path appends a window straight onto a destination buffer
-(:meth:`extend_into`), so a 32–64 address refill is a single ``memcpy``-class
-operation end to end.
+(offsets below ``appended - capacity`` have been overwritten).  Stream reads
+append a packed window straight onto a destination buffer
+(:meth:`CMOB.extend_into`) with one or two slice copies, never a per-offset
+loop, so a 32–64 address read is a single ``memcpy``-class operation end to
+end.
 
 Wrap-around semantics of window reads (locked by tests):
 
-* a *stale* start offset (older than :attr:`oldest_valid_offset`) yields an
+* a *stale* start offset (older than ``appended - capacity``) yields an
   **empty** window — never a partial window resynchronized to the oldest
   resident entry, because the entries that replaced the overwritten ones
   belong to an unrelated, much later part of the order;
@@ -35,82 +37,29 @@ Wrap-around semantics of window reads (locked by tests):
 * a valid start is truncated at the append watermark: every returned entry
   is resident and positionally exact, so windows may be shorter than
   requested but are never silently padded or misaligned.
-
-Appends and stream reads sit on the simulator's hot path, so activity is
-accumulated in plain integer attributes and published into the
-:class:`~repro.common.stats.StatsRegistry` lazily, when ``stats`` is read.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterable, Optional, Union
+from repro.common.types import NodeId
+from repro.tse.layout import SLOT_SHIFT
 
-from repro.common.stats import StatsRegistry, publish_counters
-from repro.common.types import BlockAddress, NodeId
-from repro.tse.layout import (
-    NEEDS_BYTESWAP,
-    SLOT_BYTEORDER,
-    SLOT_BYTES,
-    SLOT_CODE,
-    SLOT_SHIFT,
-)
-
-#: Typecode of the unpacked view of CMOB windows: unsigned 64-bit addresses.
-#: (Alias of the shared slot layout in :mod:`repro.tse.layout`.)
-CMOB_TYPECODE = SLOT_CODE
-
-#: Bytes per packed CMOB entry (alias of the shared slot layout).
-ENTRY_WIDTH = SLOT_BYTES
-
-# Short aliases used on the hot paths below.
-_SLOT = SLOT_BYTES
+# Short alias used on the hot path below.
 _SHIFT = SLOT_SHIFT
-_ORDER = SLOT_BYTEORDER
-
-#: The packed layout is explicitly little-endian, so the ``array``-based
-#: pack/unpack helpers byteswap on big-endian hosts (see layout module).
-_NEEDS_SWAP = NEEDS_BYTESWAP
-
-
-def pack_window(addresses: Iterable[int]) -> bytearray:
-    """Pack an iterable of block addresses into the FIFO byte layout."""
-    packed = array(CMOB_TYPECODE, addresses)
-    if _NEEDS_SWAP:
-        packed.byteswap()
-    return bytearray(packed.tobytes())
-
-
-def unpack_window(window: "Union[bytes, bytearray, memoryview]") -> "array[int]":
-    """Unpack a byte window back into an ``array('Q')`` of addresses."""
-    unpacked = array(CMOB_TYPECODE)
-    unpacked.frombytes(bytes(window))
-    if _NEEDS_SWAP:
-        unpacked.byteswap()
-    return unpacked
 
 
 class CMOB:
     """A fixed-capacity circular buffer of block addresses with monotonic offsets."""
 
-    __slots__ = (
-        "capacity",
-        "node_id",
-        "entry_bytes",
-        "_stats",
-        "_data",
-        "_appended",
-        "_n_stream_reads",
-        "_n_addresses_streamed",
-    )
+    __slots__ = ("capacity", "node_id", "entry_bytes", "_data", "_appended")
 
     def __init__(self, capacity: int, node_id: NodeId = 0, entry_bytes: int = 6) -> None:
         if capacity <= 0:
             raise ValueError("CMOB capacity must be positive")
         self.capacity = capacity
         self.node_id = node_id
+        #: Modelled size of one entry (a 6-byte physical address).
         self.entry_bytes = entry_bytes
-        self._stats = StatsRegistry(prefix=f"cmob.n{node_id}")
         #: Physical storage, grown lazily up to ``capacity`` packed entries:
         #: slot ``offset % capacity`` is appended exactly when the buffer
         #: first reaches it, so ``len(_data) == SLOT_BYTES * min(appended, capacity)``
@@ -121,108 +70,20 @@ class CMOB:
         #: offset.  Doubles as the validity watermark: offsets below
         #: ``_appended - capacity`` have been overwritten.
         self._appended = 0
-        self._n_stream_reads = 0
-        self._n_addresses_streamed = 0
-
-    @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry, synchronized with the plain-int counters on read."""
-        return publish_counters(self._stats, {
-            "appends": self._appended,
-            "stream_reads": self._n_stream_reads,
-            "addresses_streamed": self._n_addresses_streamed,
-        })
-
-    # ------------------------------------------------------------------ append
-    def append(self, address: BlockAddress) -> int:
-        """Append a miss address; return its monotonic offset.
-
-        The offset is what the node sends to the directory as the CMOB
-        pointer for this block (Section 3.1 step 4).
-        """
-        offset = self._appended
-        data = self._data
-        slot = (offset % self.capacity) << _SHIFT
-        if slot == len(data):
-            data += address.to_bytes(_SLOT, _ORDER)
-        else:
-            data[slot:slot + _SLOT] = address.to_bytes(_SLOT, _ORDER)
-        self._appended = offset + 1
-        return offset
-
-    @property
-    def appended(self) -> int:
-        """Total number of entries ever appended."""
-        return self._appended
-
-    @property
-    def oldest_valid_offset(self) -> int:
-        """Smallest monotonic offset still resident (not yet overwritten)."""
-        return max(0, self._appended - self.capacity)
-
-    def __len__(self) -> int:
-        """Number of entries currently resident."""
-        return min(self._appended, self.capacity)
-
-    # -------------------------------------------------------------------- reads
-    def is_valid_offset(self, offset: int) -> bool:
-        """Is the entry at ``offset`` still resident (not overwritten, not future)?"""
-        return self.oldest_valid_offset <= offset < self._appended
-
-    def read(self, offset: int) -> Optional[BlockAddress]:
-        """Read the entry at a monotonic offset; None if stale or out of range."""
-        if not self.is_valid_offset(offset):
-            return None
-        slot = (offset % self.capacity) << _SHIFT
-        return int.from_bytes(self._data[slot:slot + _SLOT], _ORDER)
-
-    def read_stream(self, start_offset: int, count: int) -> array:
-        """Read up to ``count`` addresses starting at ``start_offset``.
-
-        This models the protocol controller reading a stream of subsequent
-        addresses from the CMOB (Section 3.2 step 3).  The returned packed
-        ``array('Q')`` window is a fresh snapshot (safe against later
-        wrap-around overwrites); it may be shorter than ``count`` when the
-        order ends, and is empty when the start is stale or in the future.
-        The engine's hot paths use :meth:`extend_into` instead, which keeps
-        the window in the packed byte form end to end.
-        """
-        window = array(CMOB_TYPECODE)
-        if count <= 0:
-            return window
-        self._n_stream_reads += 1
-        end = self._appended
-        capacity = self.capacity
-        if start_offset < 0 or start_offset < end - capacity or start_offset >= end:
-            return window
-        stop = start_offset + count
-        if stop > end:
-            stop = end
-        lo = (start_offset % capacity) << _SHIFT
-        hi = lo + ((stop - start_offset) << _SHIFT)
-        data = self._data
-        cap8 = capacity << _SHIFT
-        if hi <= cap8:
-            window.frombytes(bytes(data[lo:hi]))
-        else:
-            window.frombytes(bytes(data[lo:]) + bytes(data[: hi - cap8]))
-        if _NEEDS_SWAP:
-            window.byteswap()
-        self._n_addresses_streamed += len(window)
-        return window
 
     def extend_into(self, dest: bytearray, start_offset: int, count: int) -> int:
         """Append a packed stream window directly onto ``dest``; return its length.
 
-        The batched-refill primitive: one or two ``memcpy``-class extends
-        straight into a stream-queue FIFO buffer, with no intermediate
-        window object and no per-address reads.  Returns the number of
-        *addresses* appended (window truncation rules as in
-        :meth:`read_stream`).
+        This models the protocol controller reading a stream of subsequent
+        addresses from the CMOB (Section 3.2 step 3): one or two
+        ``memcpy``-class extends straight into a stream-queue FIFO buffer,
+        with no intermediate window object and no per-address reads.
+        Returns the number of *addresses* appended: at most ``count``,
+        fewer when the order ends, and none when the start is stale or in
+        the future (see the module docstring).
         """
         if count <= 0:
             return 0
-        self._n_stream_reads += 1
         end = self._appended
         capacity = self.capacity
         if start_offset < 0 or start_offset < end - capacity or start_offset >= end:
@@ -240,21 +101,4 @@ class CMOB:
         else:
             dest += data[lo:]
             dest += data[: hi - cap8]
-        self._n_addresses_streamed += n
         return n
-
-    # ---------------------------------------------------------------- reporting
-    @property
-    def storage_bytes(self) -> int:
-        """Modelled storage footprint of the CMOB in bytes (6-byte entries)."""
-        return self.capacity * self.entry_bytes
-
-    def utilization(self) -> float:
-        """Fraction of the CMOB currently holding live entries."""
-        return len(self) / self.capacity
-
-    def __repr__(self) -> str:
-        return (
-            f"CMOB(node={self.node_id}, capacity={self.capacity}, "
-            f"appended={self._appended})"
-        )

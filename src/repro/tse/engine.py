@@ -25,6 +25,9 @@ reads).  Refills are driven by the engine's *eligibility* set — only queues
 with a FIFO actually at or below the refill threshold are visited, so the
 common consumption pays a single empty-set check.
 
+Every step runs inline on the replay's hot path: the system layer works on
+the engines' queues, FIFOs and SVB dicts directly, and both recording events
+(a consumption and an SVB hit) share one :meth:`TemporalStreamingSystem._record`.
 Messages are counted only when a traffic accountant is attached; each
 sink site is one ``emit`` call behind a None check, and the common
 accounting-free path pays only that check.  Counters are plain ints
@@ -72,7 +75,7 @@ class NodeTSE:
         self.node_id = node_id
         self.cmob = CMOB(config.cmob_capacity, node_id=node_id,
                          entry_bytes=config.cmob_entry_bytes)
-        self.engine = StreamEngine(config, node_id=node_id)
+        self.engine = StreamEngine(config)
 
 
 class TemporalStreamingSystem:
@@ -135,12 +138,43 @@ class TemporalStreamingSystem:
         else:
             residency[address] = count - 1
 
-    def node(self, node_id: NodeId) -> NodeTSE:
-        return self.nodes[node_id]
+    def _record(
+        self, node_id: NodeId, address: BlockAddress, dir_entry: Optional[DirectoryEntry]
+    ) -> None:
+        """Record a consumption or SVB hit in the order (Figure 3, steps 3-4).
 
-    def svb_probe(self, node_id: NodeId, address: BlockAddress) -> bool:
-        """Does the node's SVB currently hold the block? (no side effects)"""
-        return self.nodes[node_id].engine.lookup(address) is not None
+        Appends ``address`` to ``node_id``'s CMOB and pushes the new CMOB
+        pointer to the block's home directory: the node's older pointer is
+        dropped, the new one goes first, and at most
+        ``cmob_pointers_per_block`` are kept.  ``dir_entry`` is the block's
+        directory entry when the caller already looked it up, or None when
+        the block has none yet.
+        """
+        cmob = self._cmobs[node_id]
+        offset = cmob._appended
+        data = cmob._data
+        slot = (offset % cmob.capacity) << _SHIFT
+        if slot == len(data):
+            data += address.to_bytes(_SLOT, _ORDER)
+        else:
+            data[slot:slot + _SLOT] = address.to_bytes(_SLOT, _ORDER)
+        cmob._appended = offset + 1
+        directory = self.directory
+        if dir_entry is None:
+            dir_entry = DirectoryEntry()
+            directory._entries[address] = dir_entry
+        pointers = dir_entry.cmob_pointers
+        for i in range(len(pointers)):
+            if pointers[i][0] == node_id:
+                del pointers[i]
+                break
+        pointers.insert(0, (node_id, offset))
+        keep = directory.cmob_pointers_per_block
+        if len(pointers) > keep:
+            del pointers[keep:]
+        if self._traffic is not None:
+            self._traffic.emit(CMOB_POINTER_UPDATE, node_id, directory.home_of(address))
+        self._n_cmob_appends += 1
 
     # ------------------------------------------------------------ consumptions
     def on_consumption(self, node_id: NodeId, address: BlockAddress) -> StreamDelivery:
@@ -150,7 +184,8 @@ class TemporalStreamingSystem:
         stream location through the directory's CMOB pointers, stream
         forwarding from the source CMOBs (one packed window read per
         pointer), stream-queue allocation and the initial block fetches,
-        and finally the CMOB append + pointer update for the miss itself.
+        and finally the miss's own CMOB append and pointer update
+        (:meth:`_record`).
 
         Returns ``(queue_id, fetch_batches)``.
         """
@@ -162,12 +197,10 @@ class TemporalStreamingSystem:
         # (0) The miss may confirm a stalled stream or realign an active one.
         fetches = engine.on_offchip_miss(address)
 
-        # (1) Locate candidate streams via the directory (Figure 4, step 2).
-        # Direct slice of the entry's pointer list (read-only) — the public
-        # ``cmob_pointers`` accessor copies the whole list first.
+        # (1) Locate candidate streams via the directory (Figure 4, step 2),
+        # reading the entry's pointer list in place.
         compared = self.config.compared_streams
-        dir_entries = directory._entries
-        dir_entry = dir_entries.get(address)
+        dir_entry = directory._entries.get(address)
         if dir_entry is None:
             pointers = ()
         else:
@@ -198,10 +231,11 @@ class TemporalStreamingSystem:
                 streams.append((pointer_node, start + count, window))
                 self._n_streams_forwarded += 1
 
-        # (2) Hand the streams to the consumer's engine (Figure 4, step 4) —
-        # ``accept_streams`` inlined: allocate (reclaiming the LRU victim
-        # when all queues are busy), bulk-populate the FIFOs with the packed
-        # windows, derive the state once, and fetch the agreed prefix.
+        # (2) Hand the streams to the consumer's engine (Figure 4, step 4):
+        # allocate a queue (reclaiming the least recently active one when
+        # all are busy, Section 5.3), bulk-populate its FIFOs with the
+        # packed windows, derive the state once, and fetch the agreed
+        # prefix.
         if streams:
             engine._activity_clock += 1
             queues = engine._queues
@@ -219,7 +253,6 @@ class TemporalStreamingSystem:
                 engine.retired_queue_hits.append(queue.total_hits)
                 engine._scan_queues.pop(victim_id, None)
                 engine._refill_dirty.discard(victim_id)
-                engine._n_queue_reclaims += 1
             queue_id = engine._next_queue_id
             if queue is not None:
                 queue.reset(queue_id, address, engine_config.stream_lookahead)
@@ -229,7 +262,6 @@ class TemporalStreamingSystem:
             queues[queue_id] = queue
             engine._scan_queues[queue_id] = queue
             engine._next_queue_id = queue_id + 1
-            engine._n_queue_allocations += 1
             fifo_data = queue._fifo_data
             fifo_pos = queue._fifo_pos
             src_nodes = queue._src_nodes
@@ -253,7 +285,6 @@ class TemporalStreamingSystem:
                 )
             else:
                 queue._recompute_state()
-            engine._n_streams_accepted += n_streams
             batch = engine._fetch_from(queue)
             if batch:
                 fetches.append((queue_id, batch))
@@ -273,34 +304,9 @@ class TemporalStreamingSystem:
         else:
             self._n_no_stream_found += 1
 
-        # (3) Record the miss in the consumer's CMOB and push the pointer to
-        # the home directory (Figure 3, steps 3-4) — inlined, reusing the
-        # directory entry already looked up in step 1.
-        cmob = cmobs[node_id]
-        offset = cmob._appended
-        data = cmob._data
-        slot = (offset % cmob.capacity) << _SHIFT
-        if slot == len(data):
-            data += address.to_bytes(_SLOT, _ORDER)
-        else:
-            data[slot:slot + _SLOT] = address.to_bytes(_SLOT, _ORDER)
-        cmob._appended = offset + 1
-        if dir_entry is None:
-            dir_entry = DirectoryEntry()
-            dir_entries[address] = dir_entry
-        dir_pointers = dir_entry.cmob_pointers
-        for i in range(len(dir_pointers)):
-            if dir_pointers[i][0] == node_id:
-                del dir_pointers[i]
-                break
-        dir_pointers.insert(0, (node_id, offset))
-        keep = directory.cmob_pointers_per_block
-        if len(dir_pointers) > keep:
-            del dir_pointers[keep:]
-        directory._n_cmob_pointer_updates += 1
-        if traffic is not None:
-            traffic.emit(CMOB_POINTER_UPDATE, node_id, directory.home_of(address))
-        self._n_cmob_appends += 1
+        # (3) Record the miss (Figure 3, steps 3-4), reusing the directory
+        # entry looked up in step 1.
+        self._record(node_id, address, dir_entry)
 
         # (4) Service any refills that the new fetches made necessary.
         if engine._refill_dirty:
@@ -321,17 +327,13 @@ class TemporalStreamingSystem:
         Returns ``(entry, follow_on_fetch_batches)``.
         """
         engine = self.nodes[node_id].engine
-        # Inline the engine's hit handling (consume entry, credit the queue,
-        # extend the stream): the hit path runs once per eliminated miss.
+        # Consume the entry, credit its queue and extend the stream, inline:
+        # the hit path runs once per eliminated miss.
         clock = engine._activity_clock + 1
         engine._activity_clock = clock
-        svb = engine.svb
-        entry = svb._entries.pop(address, None)
+        entry = engine.svb._entries.pop(address, None)
         if entry is None:
-            svb._n_misses += 1
             return None, []
-        svb._n_hits += 1
-        engine._n_svb_hits += 1
         queue = engine._queues.get(entry[1])
         fetches: List[FetchBatch] = []
         if queue is not None:
@@ -350,37 +352,8 @@ class TemporalStreamingSystem:
         else:
             residency[address] = count - 1
         self._n_svb_hits += 1
-        # Record the hit in the CMOB and push the pointer home (a hit
-        # replaces the miss one-for-one), inlined as in ``on_consumption``
-        # step 3.
-        directory = self.directory
-        cmob = self._cmobs[node_id]
-        offset = cmob._appended
-        data = cmob._data
-        slot = (offset % cmob.capacity) << _SHIFT
-        if slot == len(data):
-            data += address.to_bytes(_SLOT, _ORDER)
-        else:
-            data[slot:slot + _SLOT] = address.to_bytes(_SLOT, _ORDER)
-        cmob._appended = offset + 1
-        dir_entries = directory._entries
-        dir_entry = dir_entries.get(address)
-        if dir_entry is None:
-            dir_entry = DirectoryEntry()
-            dir_entries[address] = dir_entry
-        dir_pointers = dir_entry.cmob_pointers
-        for i in range(len(dir_pointers)):
-            if dir_pointers[i][0] == node_id:
-                del dir_pointers[i]
-                break
-        dir_pointers.insert(0, (node_id, offset))
-        keep = directory.cmob_pointers_per_block
-        if len(dir_pointers) > keep:
-            del dir_pointers[keep:]
-        directory._n_cmob_pointer_updates += 1
-        if self._traffic is not None:
-            self._traffic.emit(CMOB_POINTER_UPDATE, node_id, directory.home_of(address))
-        self._n_cmob_appends += 1
+        # A hit replaces the miss one-for-one, so it is recorded like one.
+        self._record(node_id, address, self.directory._entries.get(address))
         if engine._refill_dirty:
             refill_fetches = self._service_refills(node_id)
             if refill_fetches:
@@ -479,7 +452,6 @@ class TemporalStreamingSystem:
             for i, source_node, next_offset in eligible:
                 fifo = data[i]
                 p = pos[i]
-                engine._n_refill_requests += 1
                 if p > _COMPACT_THRESHOLD:
                     # Shed the consumed prefix before growing the array.
                     del fifo[:p]
@@ -558,7 +530,6 @@ class TemporalStreamingSystem:
                 if len(entries) >= capacity:
                     lru_address = next(iter(entries))
                     victim = entries.pop(lru_address)
-                    svb._n_evictions += 1
                     owner = queues.get(victim[1])
                     if owner is not None:
                         owner.on_block_lost()
@@ -570,7 +541,6 @@ class TemporalStreamingSystem:
                         residency[victim_address] = count - 1
                     discarded += 1
                 entries[address] = (address, queue_id, fill_time, 0)
-                svb._n_fills += 1
                 residency[address] = residency.get(address, 0) + 1
         self._n_blocks_streamed += delivered
         return delivered, discarded

@@ -819,7 +819,6 @@ class FastTemporalStreamingSystem:
             keep = directory.cmob_pointers_per_block
             if len(pointers) > keep:
                 del pointers[keep:]
-        directory._n_cmob_pointer_updates += 1
         self._n_cmob_appends += 1
         if traffic is not None:
             traffic.emit(CMOB_POINTER_UPDATE, node, directory.home_of(address))
@@ -893,7 +892,6 @@ class FastTemporalStreamingSystem:
             keep = directory.cmob_pointers_per_block
             if len(pointers) > keep:
                 del pointers[keep:]
-        directory._n_cmob_pointer_updates += 1
         if self._traffic is not None:
             self._traffic.emit(CMOB_POINTER_UPDATE, node, directory.home_of(address))
             self._topup_refills(node, self._slots[node])

@@ -22,7 +22,6 @@ module remains the only place the numbers appear.
 from __future__ import annotations
 
 import struct
-import sys
 
 #: Bytes per packed slot: one 64-bit block address.
 SLOT_BYTES = 8
@@ -40,10 +39,6 @@ SLOT_FORMAT = "<Q"
 
 #: Byte order of the packed layout (``int.to_bytes``/``from_bytes`` arg).
 SLOT_BYTEORDER = "little"
-
-#: True on hosts whose native order differs from the packed layout (the
-#: ``array``-based pack/unpack helpers byteswap there).
-NEEDS_BYTESWAP = sys.byteorder != SLOT_BYTEORDER
 
 
 def window_format(count: int) -> str:

@@ -1,17 +1,23 @@
 """Per-node stream engine.
 
-The stream engine owns the node's stream queues and SVB.  It reacts to four
-events (Section 3.3):
+The stream engine owns the node's stream queues and SVB.  The system layer
+(:class:`~repro.tse.engine.TemporalStreamingSystem`) drives it through the
+four events of Section 3.3:
 
-* an address stream arriving for a recent consumption (allocate a queue,
-  start fetching while the FIFO heads agree);
-* an SVB hit (retrieve the next block of the corresponding stream);
-* an off-chip miss (check stalled queues for a matching FIFO head and resume
-  the matching stream);
-* a write by any node (invalidate the corresponding SVB entry).
+* an address stream arriving for a recent consumption: the system layer
+  allocates a queue (reclaiming the least recently active one when all are
+  busy), fills its FIFOs with the forwarded windows, and calls
+  :meth:`StreamEngine._fetch_from` to fetch while the FIFO heads agree;
+* an SVB hit: the system layer consumes the entry, credits its queue and
+  calls ``_fetch_from`` for the next block of the stream;
+* an off-chip miss (:meth:`StreamEngine.on_offchip_miss`): stalled queues
+  check the miss address against their FIFO heads and resume the matching
+  stream; active queues drop it when it sits just ahead;
+* a write by any node (:meth:`StreamEngine.on_invalidate`): the matching SVB
+  entry is invalidated.
 
-The engine itself is policy only: the system layer (``repro.tse.engine``)
-performs the actual block "transfers" and accounts for traffic and latency.
+The engine itself is policy only: the system layer performs the actual
+block "transfers" and accounts for traffic and latency.
 
 Performance notes: the compare plane is **window-at-a-time** over the packed
 byte FIFOs (8 bytes per address, the CMOB window layout):
@@ -33,8 +39,7 @@ pruned from the scan set the first time a pass visits them.  The full
 census.  The refill-dirty set holds only queues whose FIFOs are actually
 *eligible* for a refill (``StreamQueue.needs_refill`` checked at each
 mutation site), so the system layer's refill service runs only when there is
-real work.  Activity counters are plain ints, published into the
-``StatsRegistry`` lazily when ``stats`` is read.
+real work.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ import struct
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import TSEConfig
-from repro.common.stats import StatsRegistry, publish_counters
 from repro.common.types import BlockAddress, NodeId
 from repro.tse.layout import (
     SLOT_BYTEORDER,
@@ -56,9 +60,7 @@ from repro.tse.stream_queue import (
     STATE_ACTIVE,
     STATE_DRAINED,
     STATE_STALLED,
-    QueueState,
     StreamQueue,
-    _as_fifo,
 )
 from repro.tse.svb import StreamedValueBuffer, SVBEntry
 
@@ -68,20 +70,17 @@ _SLOT = SLOT_BYTES
 _SHIFT = SLOT_SHIFT
 _ORDER = SLOT_BYTEORDER
 
-_ACTIVE = QueueState.ACTIVE
-_STALLED = QueueState.STALLED
-
 #: A batch of blocks the engine wants streamed into the SVB, all fetched by
 #: one queue in one event: ``(queue_id, [address, ...])``.  Batches preserve
 #: the exact per-block fetch order of the old per-block tuples; they are
 #: flattened in order by the system layer's ``deliver_all``.
 FetchBatch = Tuple[int, List[BlockAddress]]
 
-#: One candidate stream handed to :meth:`StreamEngine.accept_streams`:
-#: ``(source_node, next_offset, addresses)`` — the CMOB it came from, the
+#: One candidate stream forwarded to a consumer's engine (Figure 4, step 4):
+#: ``(source_node, next_offset, window)`` — the CMOB it came from, the
 #: monotonic offset of the next address to request on refill, and the
-#: forwarded addresses themselves (a packed window or plain iterable).
-CandidateStream = Tuple[NodeId, int, object]
+#: packed CMOB window that becomes the FIFO storage.
+CandidateStream = Tuple[NodeId, int, bytearray]
 
 #: Single-address unpack for the take==1 fast path (a freed lookahead slot).
 _U1 = struct.Struct(SLOT_FORMAT).unpack_from
@@ -122,11 +121,9 @@ def _lcp(d0: bytearray, p0: int, d1: bytearray, p1: int, limit: int) -> int:
 class StreamEngine:
     """Manages stream queues and decides which blocks to fetch."""
 
-    def __init__(self, config: TSEConfig, node_id: NodeId = 0) -> None:
+    def __init__(self, config: TSEConfig) -> None:
         self.config = config
-        self.node_id = node_id
-        self._stats = StatsRegistry(prefix=f"stream_engine.n{node_id}")
-        self.svb = StreamedValueBuffer(config.svb_entries, node_id=node_id)
+        self.svb = StreamedValueBuffer(config.svb_entries)
         self._queues: Dict[int, StreamQueue] = {}
         #: Queues that may still react to misses/refills, in allocation order.
         #: Strict subset of ``_queues``: zombies (drained, no refill pending)
@@ -146,124 +143,14 @@ class StreamEngine:
         #: Hit counts of queues that have been reclaimed, kept so the
         #: stream-length distribution (Figure 13) covers the whole run.
         self.retired_queue_hits: List[int] = []
-        # Hot-path activity counters (see module docstring).
-        self._n_queue_reclaims = 0
-        self._n_queue_allocations = 0
-        self._n_streams_accepted = 0
-        self._n_fetch_requests = 0
-        self._n_svb_hits = 0
-        self._n_stalls_resolved = 0
-        self._n_refill_requests = 0
 
-    @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry, synchronized with the plain-int counters on read."""
-        return publish_counters(self._stats, {
-            "queue_reclaims": self._n_queue_reclaims,
-            "queue_allocations": self._n_queue_allocations,
-            "streams_accepted": self._n_streams_accepted,
-            "fetch_requests": self._n_fetch_requests,
-            "svb_hits": self._n_svb_hits,
-            "stalls_resolved": self._n_stalls_resolved,
-            "refill_requests": self._n_refill_requests,
-        })
-
-    # ----------------------------------------------------------------- queues
-    def _allocate_queue(self, head: BlockAddress) -> StreamQueue:
-        """Allocate a stream queue, reclaiming the least-recently-active one
-        when all queues are busy (thrashing protection, Section 5.3)."""
-        queues = self._queues
-        queue: Optional[StreamQueue] = None
-        if len(queues) >= self.config.stream_queues:
-            victim_id = -1
-            victim_active = -1
-            for queue_id, victim in queues.items():
-                active = victim.last_active
-                if victim_id < 0 or active < victim_active:
-                    victim_id = queue_id
-                    victim_active = active
-            queue = queues.pop(victim_id)
-            self.retired_queue_hits.append(queue.total_hits)
-            self._scan_queues.pop(victim_id, None)
-            self._refill_dirty.discard(victim_id)
-            self._n_queue_reclaims += 1
-        new_id = self._next_queue_id
-        if queue is not None:
-            # Reuse the reclaimed queue object in place (allocation pooling).
-            queue.reset(new_id, head, self.config.stream_lookahead)
-        else:
-            queue = StreamQueue(new_id, head, self.config.stream_lookahead)
-        queue.last_active = self._activity_clock
-        queues[new_id] = queue
-        self._scan_queues[new_id] = queue
-        self._next_queue_id += 1
-        self._n_queue_allocations += 1
-        return queue
-
-    def queue(self, queue_id: int) -> Optional[StreamQueue]:
-        return self._queues.get(queue_id)
-
-    def active_queues(self) -> List[StreamQueue]:
-        return [q for q in self._queues.values() if q.state is _ACTIVE]
-
-    def stalled_queues(self) -> List[StreamQueue]:
-        return [q for q in self._queues.values() if q.state is _STALLED]
-
-    def _tick(self) -> None:
-        self._activity_clock += 1
-
-    # ----------------------------------------------------------------- streams
-    def accept_streams(
-        self,
-        head: BlockAddress,
-        streams: List[CandidateStream],
-    ) -> Tuple[int, List[BlockAddress]]:
-        """A set of candidate streams (one per recent consumer) has arrived.
-
-        Args:
-            head: The consumption address the streams follow.
-            streams: ``(source_node, next_offset, addresses)`` triples read
-                from remote CMOBs (packed windows or plain lists).
-
-        Returns:
-            The new queue's id and the initial fetch batch for it (empty
-            when the streams disagree immediately or are empty).
-        """
-        self._activity_clock += 1
-        if not streams:
-            return -1, []
-        queue = self._allocate_queue(head)
-        # Bulk-populate the fresh queue: the engine owns the forwarded
-        # windows, so they become the FIFO storage directly, and the state
-        # is derived once after all FIFOs are in place.
-        # KEEP IN SYNC: ``TemporalStreamingSystem.on_consumption`` inlines
-        # this whole method (allocation included) on the replay hot path;
-        # behavioral changes here must be mirrored there.
-        fifo_data = queue._fifo_data
-        fifo_pos = queue._fifo_pos
-        src_nodes = queue._src_nodes
-        src_next = queue._src_next
-        refill_pending = queue._refill_pending
-        for source_node, next_offset, addresses in streams:
-            fifo_data.append(_as_fifo(addresses))
-            fifo_pos.append(0)
-            src_nodes.append(source_node)
-            src_next.append(next_offset)
-            refill_pending.append(False)
-        queue._recompute_state()
-        self._n_streams_accepted += len(streams)
-        batch = self._fetch_from(queue)
-        # A short window can leave a fresh FIFO at or below the refill
-        # threshold even before (or without) any pops.
-        if queue.needs_refill(self._refill_threshold):
-            self._refill_dirty.add(queue.queue_id)
-        return queue.queue_id, batch
-
+    # ------------------------------------------------------------------ fetches
     def _fetch_from(self, queue: StreamQueue) -> List[BlockAddress]:
         """Pop the agreed window for a queue and return its fetch batch.
 
-        Window-at-a-time equivalent of repeatedly calling ``pop_next`` until
-        the lookahead is reached or the heads stop agreeing: the agreed
+        Pops the addresses every followed FIFO agrees on, one lookahead
+        credit per fetched block, until the lookahead is reached or the
+        heads stop agreeing (the queue then stalls).  The agreed
         prefix of the compared FIFOs is found with packed-slice comparisons
         (binary-searching the divergence index when a whole window
         disagrees), popped with cursor arithmetic, and filtered against the
@@ -389,8 +276,6 @@ class StreamEngine:
                     or (not pending[1] and src_nodes[1] >= 0 and n1 - p1 <= threshold8)
                 ):
                     self._refill_dirty.add(queue.queue_id)
-            if batch:
-                self._n_fetch_requests += len(batch)
             return batch
         if selected is not None or len(data) == 1:
             # One followed FIFO (selected after a stall, or a single
@@ -432,8 +317,6 @@ class StreamEngine:
                     and size - p <= self._refill_threshold8
                 ):
                     self._refill_dirty.add(queue.queue_id)
-            if batch:
-                self._n_fetch_requests += len(batch)
             return batch
         # General comparing case (3+ FIFOs): agreed prefix against the first
         # live FIFO, window-at-a-time, re-deriving the live set whenever the
@@ -495,47 +378,7 @@ class StreamEngine:
             queue.in_flight += len(batch)
             if queue.needs_refill(self._refill_threshold):
                 self._refill_dirty.add(queue.queue_id)
-        if batch:
-            self._n_fetch_requests += len(batch)
         return batch
-
-    # --------------------------------------------------------------------- SVB
-    def install_block(self, address: BlockAddress, queue_id: int,
-                      fill_time: float = 0.0, version: int = 0) -> Optional[SVBEntry]:
-        """A streamed block has arrived; place it in the SVB.
-
-        Returns the SVB entry displaced by the fill (a discard), if any.
-        """
-        victim = self.svb.insert(address, queue_id, fill_time, version)
-        if victim is not None:
-            owner = self._queues.get(victim[1])
-            if owner is not None:
-                owner.on_block_lost()
-        return victim
-
-    def lookup(self, address: BlockAddress) -> Optional[SVBEntry]:
-        """Probe the SVB (no side effects); used by the timing model's L1-miss path."""
-        return self.svb.probe(address)
-
-    def on_svb_hit(self, address: BlockAddress) -> Tuple[Optional[SVBEntry], List[FetchBatch]]:
-        """The processor hit in the SVB: consume the entry, extend the stream.
-
-        Returns the consumed entry and any follow-on fetch batches for the
-        corresponding stream queue.
-        """
-        clock = self._activity_clock + 1
-        self._activity_clock = clock
-        entry = self.svb.consume(address)
-        if entry is None:
-            return None, []
-        self._n_svb_hits += 1
-        queue = self._queues.get(entry[1])
-        if queue is None:
-            return entry, []
-        queue.on_hit()
-        queue.last_active = clock
-        batch = self._fetch_from(queue)
-        return entry, [(queue.queue_id, batch)] if batch else []
 
     # ------------------------------------------------------------------ misses
     def on_offchip_miss(self, address: BlockAddress) -> List[FetchBatch]:
@@ -564,7 +407,6 @@ class StreamEngine:
                     heads = tuple(queue.heads())
                     queue._stall_heads = heads
                 if address in heads and queue._resolve_stall(address):
-                    self._n_stalls_resolved += 1
                     queue.last_active = self._activity_clock
                     batch = self._fetch_from(queue)
                     if batch:

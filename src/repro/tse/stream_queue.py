@@ -21,27 +21,29 @@ and off-chip miss consults it), so the layout is flat and packed:
   in CPython.)
 * stream sources are two parallel int lists (``_src_nodes`` /
   ``_src_next``), not per-FIFO objects;
-* refill requests are plain tuples
-  ``(queue_id, fifo_index, source_node, next_offset, count)``;
+* refill bookkeeping is one outstanding-request flag per FIFO
+  (``_refill_pending``), served by the system layer's refill service;
 * the queue state is a cached small int (:data:`STATE_ACTIVE` ...),
-  maintained on every FIFO mutation instead of being recomputed through an
-  enum property on every read (the replay loop consults queue state once per
-  off-chip miss per queue);
+  maintained on every FIFO mutation instead of being recomputed on every
+  read (the replay loop consults queue state once per off-chip miss per
+  queue);
 * refill *eligibility* is checked at mutation sites (:meth:`needs_refill`)
   rather than by rescanning every changed queue on every event — the
   engine's refill service only ever visits queues that are actually low.
 
-Public methods keep *address-count* semantics (``pending``, ``lookahead``,
-``refill_requests`` thresholds); the byte layout is internal.
+The system layer and the engine populate, pop and refill the FIFOs in place
+(``TemporalStreamingSystem.on_consumption``, ``StreamEngine._fetch_from``,
+``TemporalStreamingSystem._service_refills``); the methods here are the
+queue-local steps they share.  Thresholds and windows are counted in
+*addresses* (``lookahead``, the ``needs_refill`` threshold,
+``skip_address``'s search window); the byte layout is internal.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
-from repro.common.types import BlockAddress, NodeId
-from repro.tse.cmob import pack_window
+from repro.common.types import BlockAddress
 from repro.tse.layout import SLOT_BYTEORDER, SLOT_BYTES, SLOT_SHIFT
 
 # Short aliases of the shared slot-layout constants (repro.tse.layout, the
@@ -54,40 +56,20 @@ _MASK = SLOT_BYTES - 1
 _ORDER = SLOT_BYTEORDER
 
 
-class QueueState(enum.Enum):
-    """Lifecycle of a stream queue."""
-
-    #: FIFO heads agree (or only one stream present): blocks may be fetched.
-    ACTIVE = "active"
-    #: FIFO heads disagree: fetching paused, waiting for a confirming miss.
-    STALLED = "stalled"
-    #: All FIFOs exhausted: the queue can be reclaimed.
-    DRAINED = "drained"
-
-
-#: Int encoding of :class:`QueueState` kept in :attr:`StreamQueue.state_code`.
+#: Lifecycle of a stream queue, cached as a small int in
+#: :attr:`StreamQueue.state_code`.  FIFO heads agree (or only one stream is
+#: present): blocks may be fetched.
 STATE_ACTIVE = 0
+#: FIFO heads disagree: fetching paused, waiting for a confirming miss.
 STATE_STALLED = 1
+#: All FIFOs exhausted: the queue can be reclaimed.
 STATE_DRAINED = 2
-
-_STATE_ENUM = (QueueState.ACTIVE, QueueState.STALLED, QueueState.DRAINED)
-
-#: A refill request: ask ``source_node`` for ``count`` more addresses
-#: starting at ``next_offset``, destined for ``(queue_id, fifo_index)``.
-RefillRequest = Tuple[int, int, NodeId, int, int]
 
 #: Consumed FIFO prefixes longer than this many *bytes* are compacted away on
 #: refill.  Kept small: compacting a packed buffer is one cheap ``memmove``,
 #: and short FIFOs keep the engine's whole-buffer miss probes effectively
 #: free.
 _COMPACT_THRESHOLD = 512
-
-
-def _as_fifo(addresses: "Union[bytearray, Iterable[int]]") -> bytearray:
-    """Coerce a candidate stream into packed FIFO storage."""
-    if type(addresses) is bytearray:
-        return addresses
-    return pack_window(addresses)
 
 
 class StreamQueue:
@@ -168,69 +150,6 @@ class StreamQueue:
         self.state_code = STATE_DRAINED
         self._stall_heads = None
 
-    # -------------------------------------------------------------- population
-    def add_stream(
-        self,
-        addresses: Iterable[BlockAddress],
-        source_node: int = -1,
-        next_offset: int = 0,
-    ) -> int:
-        """Add one candidate stream (a FIFO); returns its index.
-
-        ``addresses`` may be any iterable of block addresses; a packed
-        ``bytearray`` window (e.g. from the CMOB refill path) becomes the
-        FIFO storage directly, without copying.
-        """
-        self._fifo_data.append(_as_fifo(addresses))
-        self._fifo_pos.append(0)
-        self._src_nodes.append(source_node)
-        self._src_next.append(next_offset)
-        self._refill_pending.append(False)
-        self._recompute_state()
-        return len(self._fifo_data) - 1
-
-    def extend_stream(self, fifo_index: int, addresses: Iterable[BlockAddress],
-                      new_next_offset: Optional[int] = None) -> None:
-        """Append refill addresses to an existing FIFO."""
-        if not 0 <= fifo_index < len(self._fifo_data):
-            raise IndexError(f"no FIFO {fifo_index} in queue {self.queue_id}")
-        data = self._fifo_data[fifo_index]
-        pos = self._fifo_pos[fifo_index]
-        if pos > _COMPACT_THRESHOLD:
-            # Shed the consumed prefix before growing the buffer further.
-            del data[:pos]
-            pos = 0
-            self._fifo_pos[fifo_index] = 0
-        was_live = pos < len(data)
-        packed = _as_fifo(addresses)
-        data += packed
-        self._refill_pending[fifo_index] = False
-        if new_next_offset is not None and self._src_nodes[fifo_index] >= 0:
-            self._src_next[fifo_index] = new_next_offset
-        # Appending to a live FIFO changes neither its head nor the set of
-        # non-empty FIFOs, so the cached state is still valid.
-        if not was_live and len(packed):
-            self._recompute_state()
-
-    @property
-    def num_streams(self) -> int:
-        return len(self._fifo_data)
-
-    # -------------------------------------------------------------- inspection
-    def _live_fifos(self) -> List[int]:
-        """Indices of FIFOs still being followed (all, or just the selected one)."""
-        if self._selected is not None:
-            return [self._selected]
-        return list(range(len(self._fifo_data)))
-
-    def pending(self, fifo_index: Optional[int] = None) -> int:
-        """Number of addresses still queued in a FIFO (or the selected/first)."""
-        if not self._fifo_data:
-            return 0
-        if fifo_index is None:
-            fifo_index = self._selected if self._selected is not None else 0
-        return (len(self._fifo_data[fifo_index]) - self._fifo_pos[fifo_index]) >> _SHIFT
-
     def _recompute_state(self) -> None:
         """Refresh :attr:`state_code` after a FIFO mutation (single pass)."""
         selected = self._selected
@@ -261,11 +180,6 @@ class StreamQueue:
         self.state_code = STATE_DRAINED if non_empty == 0 else STATE_ACTIVE
         self._stall_heads = None
 
-    @property
-    def state(self) -> QueueState:
-        """Enum view of :attr:`state_code` (object API compatibility)."""
-        return _STATE_ENUM[self.state_code]
-
     def heads(self) -> List[BlockAddress]:
         """Current FIFO heads of all live, non-empty FIFOs."""
         data = self._fifo_data
@@ -282,116 +196,22 @@ class StreamQueue:
             if pos[i] < len(data[i])
         ]
 
-    # ------------------------------------------------------------------- fetch
-    def next_agreed(self) -> Optional[BlockAddress]:
-        """Return the agreed next address if the queue is ACTIVE, else None."""
-        if self.state_code != STATE_ACTIVE:
-            return None
-        data = self._fifo_data
-        pos = self._fifo_pos
-        if self._selected is not None:
-            i = self._selected
-            p = pos[i]
-            return int.from_bytes(data[i][p:p + _SLOT], _ORDER)
-        for i in range(len(data)):
-            p = pos[i]
-            if p < len(data[i]):
-                return int.from_bytes(data[i][p:p + _SLOT], _ORDER)
-        return None
-
-    def can_fetch(self) -> bool:
-        """May the engine fetch another block for this queue right now?"""
-        return self.in_flight < self.lookahead and self.state_code == STATE_ACTIVE
-
-    def pop_next(self) -> Optional[BlockAddress]:
-        """Pop the agreed next address from every live FIFO and mark it in flight.
-
-        Returns None unless the queue is ACTIVE (heads agree), so callers may
-        drive the fetch loop off the return value alone.  The engine's
-        window-at-a-time ``_fetch_from`` pops agreed *prefixes* instead;
-        this per-element entry point remains for direct queue use.
-        """
-        if self.state_code != STATE_ACTIVE:
-            return None
-        data = self._fifo_data
-        pos = self._fifo_pos
-        selected = self._selected
-        if selected is not None:
-            fifo = data[selected]
-            p = pos[selected]
-            address = int.from_bytes(fifo[p:p + _SLOT], _ORDER)
-            p += _SLOT
-            pos[selected] = p
-            if p == len(fifo):
-                self.state_code = STATE_DRAINED
-                self._stall_heads = None
-        else:
-            # An ACTIVE comparing queue has matching heads on every
-            # non-empty FIFO; exhausted FIFOs are simply skipped.  The new
-            # state is derived in the same pass: advance each matching FIFO
-            # and compare the post-advance heads as they appear.
-            packed: Optional[bytes] = None
-            non_empty = 0
-            first_head = b""
-            stalled = False
-            for i in range(len(data)):
-                fifo = data[i]
-                p = pos[i]
-                size = len(fifo)
-                if p < size:
-                    head = fifo[p:p + _SLOT]
-                    if packed is None:
-                        packed = head
-                    if head == packed:
-                        p += _SLOT
-                        pos[i] = p
-                        if p == size:
-                            continue
-                        head = fifo[p:p + _SLOT]
-                    if non_empty == 0:
-                        first_head = head
-                    elif head != first_head:
-                        stalled = True
-                    non_empty += 1
-            if packed is None:
-                return None
-            address = int.from_bytes(packed, _ORDER)
-            if stalled:
-                self.state_code = STATE_STALLED
-            else:
-                self.state_code = STATE_DRAINED if non_empty == 0 else STATE_ACTIVE
-            self._stall_heads = None
-        self.in_flight += 1
-        self.total_fetched += 1
-        return address
-
-    # --------------------------------------------------------------------- hits
-    def on_hit(self) -> None:
-        """The processor consumed one of this queue's streamed blocks."""
-        if self.in_flight > 0:
-            self.in_flight -= 1
-        self.total_hits += 1
-
+    # -------------------------------------------------------------- accounting
     def on_block_lost(self) -> None:
         """A fetched block left the SVB without being used (evict/invalidate)."""
         if self.in_flight > 0:
             self.in_flight -= 1
 
     # ----------------------------------------------------------- stall handling
-    def try_resolve_stall(self, miss_address: BlockAddress) -> bool:
-        """A consumption missed on ``miss_address`` while this queue is stalled.
+    def _resolve_stall(self, miss_address: BlockAddress) -> bool:
+        """A consumption missed on ``miss_address`` while this queue is STALLED.
 
         If the address matches one FIFO head, that FIFO is selected, the
-        other FIFOs are discarded, and the matched address is dropped (the
-        processor already missed on it, so streaming it would be wasted).
-        Returns True when the stall was resolved.
+        other FIFOs are no longer followed, and the matched address is
+        dropped (the processor already missed on it, so streaming it would
+        be wasted).  Returns True when the stall was resolved.  The caller
+        has already checked that the queue is STALLED.
         """
-        if self.state_code != STATE_STALLED:
-            return False
-        return self._resolve_stall(miss_address)
-
-    def _resolve_stall(self, miss_address: BlockAddress) -> bool:
-        """Stall resolution body; caller has already verified STALLED state."""
         # STALLED implies no FIFO is selected yet: scan all of them.
         data = self._fifo_data
         pos = self._fifo_pos
@@ -474,37 +294,3 @@ class StreamQueue:
             ):
                 return True
         return False
-
-    def refill_requests(self, threshold: int, count: int) -> List[RefillRequest]:
-        """Refill requests for live FIFOs running low (Section 3.3: half empty)."""
-        requests: List[RefillRequest] = []
-        selected = self._selected
-        if selected is not None:
-            indices: Tuple[int, ...] = (selected,)
-        else:
-            indices = tuple(range(len(self._fifo_data)))
-        pending = self._refill_pending
-        src_nodes = self._src_nodes
-        data = self._fifo_data
-        pos = self._fifo_pos
-        queue_id = self.queue_id
-        threshold8 = threshold << _SHIFT
-        for i in indices:
-            if pending[i]:
-                continue
-            source_node = src_nodes[i]
-            if source_node < 0:
-                continue
-            if len(data[i]) - pos[i] <= threshold8:
-                pending[i] = True
-                requests.append(
-                    (queue_id, i, source_node, self._src_next[i], count)
-                )
-        return requests
-
-    def __repr__(self) -> str:
-        return (
-            f"StreamQueue(id={self.queue_id}, head={self.head:#x}, "
-            f"state={self.state.value}, streams={self.num_streams}, "
-            f"in_flight={self.in_flight})"
-        )

@@ -11,25 +11,28 @@ polluting the caches with mispredicted blocks and provides a small window
 that tolerates slight reordering between the stream and the processor's
 actual access sequence.
 
-The buffer sits on the replay fast path (every delivered block is one
-insert; every non-spin read is one membership probe), so entries are plain
-tuples ``(address, queue_id, fill_time, version)`` — see :data:`SVBEntry` —
-kept in an insertion-ordered dict used as the LRU.
+The buffer sits on the replay fast path, so it is a plain container: entries
+are tuples ``(address, queue_id, fill_time, version)`` — see
+:data:`SVBEntry` — in an insertion-ordered dict used as the LRU, most
+recently filled last.  The system layer fills it and consumes hits straight
+from that dict (:meth:`TemporalStreamingSystem.deliver_all
+<repro.tse.engine.TemporalStreamingSystem.deliver_all>` and ``on_svb_hit``);
+the buffer itself only answers membership, invalidates a written block and
+drains at the end of a run.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.stats import StatsRegistry, publish_counters
 from repro.common.types import BlockAddress
 
 #: One streamed block resident in the SVB: ``(address, queue_id, fill_time,
 #: version)``.  ``fill_time`` is the simulation time (or trace index) at
 #: which the block was streamed in; the timing model uses it to decide
 #: whether the block arrived early enough (full coverage) or was still in
-#: flight (partial coverage).  ``version`` is the block version when fetched
-#: (invalidation safety-net for tests).
+#: flight (partial coverage).  ``version`` is always 0: nothing reads a
+#: streamed block's version back.
 SVBEntry = Tuple[BlockAddress, int, float, int]
 
 
@@ -40,128 +43,24 @@ class StreamedValueBuffer:
     in the paper's sensitivity study.
     """
 
-    __slots__ = (
-        "capacity",
-        "node_id",
-        "block_size",
-        "_stats",
-        "_entries",
-        "_n_fills",
-        "_n_evictions",
-        "_n_hits",
-        "_n_misses",
-        "_n_invalidations",
-        "_n_queue_flushes",
-    )
+    __slots__ = ("capacity", "_entries")
 
-    def __init__(self, capacity_entries: int, node_id: int = 0, block_size: int = 64) -> None:
+    def __init__(self, capacity_entries: int) -> None:
         if capacity_entries <= 0:
             raise ValueError("SVB capacity must be positive")
         self.capacity = capacity_entries
-        self.node_id = node_id
-        self.block_size = block_size
-        self._stats = StatsRegistry(prefix=f"svb.n{node_id}")
         # Insertion-ordered dict as an LRU: most-recently-filled at the end.
         self._entries: Dict[BlockAddress, SVBEntry] = {}
-        # Hot-path activity counters, published into the registry lazily.
-        self._n_fills = 0
-        self._n_evictions = 0
-        self._n_hits = 0
-        self._n_misses = 0
-        self._n_invalidations = 0
-        self._n_queue_flushes = 0
-
-    @property
-    def stats(self) -> StatsRegistry:
-        """Statistics registry, synchronized with the plain-int counters on read."""
-        return publish_counters(self._stats, {
-            "fills": self._n_fills,
-            "evictions": self._n_evictions,
-            "hits": self._n_hits,
-            "misses": self._n_misses,
-            "invalidations": self._n_invalidations,
-            "queue_flushes": self._n_queue_flushes,
-        })
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __contains__(self, address: BlockAddress) -> bool:
         return address in self._entries
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.capacity * self.block_size
-
-    # ------------------------------------------------------------------ insert
-    def insert(self, address: BlockAddress, queue_id: int,
-               fill_time: float = 0.0, version: int = 0) -> Optional[SVBEntry]:
-        """Insert a streamed block; return the LRU victim evicted, if any.
-
-        An evicted entry is an unused streamed block — the caller records it
-        as a discard.  Re-inserting an address refreshes its LRU position and
-        queue binding without producing a victim.
-        """
-        entries = self._entries
-        if address in entries:
-            # Move to the MRU end by delete + re-insert (plain dicts keep
-            # insertion order).
-            del entries[address]
-            entries[address] = (address, queue_id, fill_time, version)
-            return None
-        victim: Optional[SVBEntry] = None
-        if len(entries) >= self.capacity:
-            lru_address = next(iter(entries))
-            victim = entries.pop(lru_address)
-            self._n_evictions += 1
-        entries[address] = (address, queue_id, fill_time, version)
-        self._n_fills += 1
-        return victim
-
-    # ------------------------------------------------------------------- probe
-    def probe(self, address: BlockAddress) -> Optional[SVBEntry]:
-        """Look up a block without consuming it (no LRU update)."""
-        return self._entries.get(address)
-
-    def consume(self, address: BlockAddress) -> Optional[SVBEntry]:
-        """Hit: remove the entry (it moves to the L1 cache) and return it.
-
-        Returns None on a miss.  The stream engine uses the returned entry's
-        queue id to retrieve the next block of that stream.
-        """
-        entry = self._entries.pop(address, None)
-        if entry is None:
-            self._n_misses += 1
-            return None
-        self._n_hits += 1
-        return entry
-
-    # -------------------------------------------------------------- invalidate
     def invalidate(self, address: BlockAddress) -> Optional[SVBEntry]:
         """Invalidate a block on a write by any processor; return the entry."""
-        entry = self._entries.pop(address, None)
-        if entry is not None:
-            self._n_invalidations += 1
-        return entry
-
-    def invalidate_queue(self, queue_id: int) -> List[SVBEntry]:
-        """Drop every entry fetched by a given stream queue (queue reclaimed)."""
-        doomed = [a for a, e in self._entries.items() if e[1] == queue_id]
-        removed = []
-        for address in doomed:
-            removed.append(self._entries.pop(address))
-        if removed:
-            self._n_queue_flushes += len(removed)
-        return removed
+        return self._entries.pop(address, None)
 
     def drain(self) -> List[SVBEntry]:
         """Remove and return every entry (end-of-simulation discard accounting)."""
         remaining = list(self._entries.values())
         self._entries.clear()
         return remaining
-
-    def resident_addresses(self) -> List[BlockAddress]:
-        return list(self._entries.keys())
-
-    def __repr__(self) -> str:
-        return f"SVB(node={self.node_id}, {len(self)}/{self.capacity} entries)"

@@ -1,11 +1,17 @@
-"""Shared fixtures: small deterministic traces and configurations."""
+"""Shared fixtures: small deterministic traces, systems and configurations."""
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from repro.coherence.directory import Directory
 from repro.common.chunk import ChunkedTrace, TraceChunk
 from repro.common.config import SystemConfig, TSEConfig
+from repro.tse.engine import TemporalStreamingSystem
+from repro.tse.layout import SLOT_BYTEORDER, SLOT_BYTES
 from repro.workloads import get_workload
 from repro.workloads.base import WorkloadParams
 
@@ -24,6 +30,54 @@ def column_trace():
     name="synthetic")`` packs ``(node, block, type_code, pc, timestamp,
     dep)`` rows into a one-chunk :class:`ChunkedTrace`."""
     return _column_trace
+
+
+def _tse_system(num_nodes=2, traffic=None, **overrides):
+    fields = dict(
+        cmob_capacity=1024, svb_entries=16, stream_queues=4,
+        stream_lookahead=4, compared_streams=2,
+    )
+    fields.update(overrides)
+    config = TSEConfig(**fields)
+    directory = Directory(num_nodes, config.cmob_pointers_per_block)
+    return TemporalStreamingSystem(num_nodes, config, directory, traffic=traffic)
+
+
+@pytest.fixture(scope="session")
+def tse_system():
+    """Builder for small exact-plane systems: ``tse_system(num_nodes=2,
+    traffic=None, **fields)``.  Lookahead 4 (stream windows of 8, a refill
+    threshold of 4), two compared streams, four queues, a 16-entry SVB and a
+    1024-entry CMOB; keyword arguments override any ``TSEConfig`` field."""
+    return _tse_system
+
+
+def _cmob_window(cmob, start, count):
+    dest = bytearray()
+    n = cmob.extend_into(dest, start, count)
+    assert len(dest) == n * SLOT_BYTES
+    return [
+        int.from_bytes(dest[i:i + SLOT_BYTES], SLOT_BYTEORDER)
+        for i in range(0, len(dest), SLOT_BYTES)
+    ]
+
+
+@pytest.fixture(scope="session")
+def cmob_window():
+    """Reader ``cmob_window(cmob, start, count)``: the addresses of the
+    window ``CMOB.extend_into`` copies, as a list."""
+    return _cmob_window
+
+
+@pytest.fixture(scope="session")
+def battery_configs():
+    """The reference battery's TSE configurations, by label, read from
+    ``benchmarks/reference_battery.py`` (which lives outside any package)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "reference_battery.py"
+    spec = importlib.util.spec_from_file_location("reference_battery", path)
+    battery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(battery)
+    return dict(battery.CONFIGS)
 
 
 @pytest.fixture(scope="session")

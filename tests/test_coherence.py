@@ -47,29 +47,6 @@ class TestDirectory:
         assert directory.home_of(5) == 1
         assert directory.home_of(7) == 3
 
-    def test_cmob_pointers_newest_first_and_bounded(self):
-        directory = Directory(num_nodes=4, cmob_pointers_per_block=2)
-        directory.record_cmob_pointer(10, node=0, offset=5)
-        directory.record_cmob_pointer(10, node=1, offset=9)
-        directory.record_cmob_pointer(10, node=2, offset=12)
-        pointers = directory.cmob_pointers(10)
-        assert len(pointers) == 2
-        assert pointers[0] == (2, 12)  # (node, offset), newest first
-        assert pointers[1] == (1, 9)
-
-    def test_same_node_pointer_refreshes_in_place(self):
-        directory = Directory(num_nodes=4, cmob_pointers_per_block=2)
-        directory.record_cmob_pointer(10, node=0, offset=5)
-        directory.record_cmob_pointer(10, node=1, offset=7)
-        directory.record_cmob_pointer(10, node=0, offset=20)
-        pointers = directory.cmob_pointers(10)
-        assert pointers == [(0, 20), (1, 7)]
-
-    def test_pointer_storage_bits_formula(self):
-        directory = Directory(num_nodes=16, cmob_pointers_per_block=2)
-        # 2 pointers x (log2(16) + log2(2^18)) = 2 x (4 + 18) = 44 bits.
-        assert directory.pointer_storage_bits(cmob_capacity=1 << 18) == 44
-
 
 class TestMissClassification:
     def test_first_read_of_unwritten_block_is_cold(self):
@@ -115,13 +92,13 @@ class TestMissClassification:
         protocol = CoherenceProtocol(num_nodes=3)
         step(protocol, write(0, 7))
         step(protocol, read(1, 7))
-        assert set(protocol.holders_of(7)) == {0, 1}
+        assert set(protocol._blocks[7].held_version) == {0, 1}
 
     def test_version_increments_per_write(self):
         protocol = CoherenceProtocol(num_nodes=2)
         for expected in range(1, 4):
             step(protocol, write(0, 3))
-            assert protocol.version_of(3) == expected
+            assert protocol._blocks[3].version == expected
 
 
 #: Transaction -> its exact baseline message list, on 4 nodes; block 10's

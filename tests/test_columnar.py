@@ -424,10 +424,12 @@ class TestSnapshotFormatVersioning:
         clear_snapshots()
 
     def test_format4_payload_in_persistent_store_falls_back_to_cold_ramp(self, tmp_path):
-        """A format-4 payload — a bare simulator that still carried the
-        protocol's block state — is never restored: under its own key it
-        never matches, and under the current key it is rejected, the ramp is
-        recomputed bit for bit, and the entry is replaced."""
+        """A legacy payload is never restored: under its own key it never
+        matches, and under the current key it is rejected, the ramp is
+        recomputed bit for bit, and the entry is replaced.  Format 4 is a
+        bare simulator that still carried the protocol's block state;
+        format 5 one whose components still carried statistics
+        registries."""
         import pickle
 
         from repro.experiments.runner import trace_for
@@ -441,24 +443,26 @@ class TestSnapshotFormatVersioning:
         )
         trace = trace_for("db2", self.WARM + self.MEASURE, 42, 16)
         warm, _ = snap._split_columns(columns_of(trace), self.WARM)
-        legacy = TSESimulator(16, config)
-        for chunk, codes in warm:
-            legacy._replay_chunk(chunk, codes)
-        list(coherence_codes(legacy.protocol, (chunk for chunk, _ in warm)))
-        payload = pickle.dumps((4, legacy), protocol=pickle.HIGHEST_PROTOCOL)
-
         key = snap.snapshot_key("db2", self.WARM, len(trace), 42, 16, config)
-        store = PersistentSnapshotStore(tmp_path / "snapshots.sqlite")
-        store[key.replace(f"({SNAPSHOT_FORMAT},", "(4,", 1)] = payload
-        store[key] = payload
-        healed = warm_tse_run(
-            "db2", config, warm_accesses=self.WARM, measure_accesses=self.MEASURE,
-            snapshot_store=store,
-        )
-        assert healed.as_dict() == reference.as_dict()
-        assert healed.stream_length_hist.buckets() == reference.stream_length_hist.buckets()
-        assert pickle.loads(store[key])[0] == SNAPSHOT_FORMAT
-        assert not restore(store[key]).protocol._blocks
+        for legacy_format in (4, 5):
+            legacy = TSESimulator(16, config)
+            for chunk, codes in warm:
+                legacy._replay_chunk(chunk, codes)
+            if legacy_format == 4:
+                list(coherence_codes(legacy.protocol, (chunk for chunk, _ in warm)))
+            payload = pickle.dumps((legacy_format, legacy), protocol=pickle.HIGHEST_PROTOCOL)
+
+            store = PersistentSnapshotStore(tmp_path / f"snapshots-{legacy_format}.sqlite")
+            store[key.replace(f"({SNAPSHOT_FORMAT},", f"({legacy_format},", 1)] = payload
+            store[key] = payload
+            healed = warm_tse_run(
+                "db2", config, warm_accesses=self.WARM, measure_accesses=self.MEASURE,
+                snapshot_store=store,
+            )
+            assert healed.as_dict() == reference.as_dict()
+            assert healed.stream_length_hist.buckets() == reference.stream_length_hist.buckets()
+            assert pickle.loads(store[key])[0] == SNAPSHOT_FORMAT
+            assert not restore(store[key]).protocol._blocks
 
 
 class TestPackedCMOBDeterminism:
@@ -475,14 +479,17 @@ class TestPackedCMOBDeterminism:
         assert from_chunks.as_dict() == from_one.as_dict()
 
     def test_packed_ring_grows_lazily_and_caps(self):
-        from repro.tse.cmob import CMOB
+        from repro.coherence.directory import Directory
+        from repro.tse.engine import TemporalStreamingSystem
 
-        cmob = CMOB(capacity=16)
+        config = TSEConfig(cmob_capacity=16)
+        tse = TemporalStreamingSystem(2, config, Directory(2))
+        cmob = tse.nodes[0].cmob
         for address in range(10):
-            cmob.append(address)
+            tse.on_consumption(0, address)
         assert len(cmob._data) == 10 * 8
         for address in range(10, 40):
-            cmob.append(address)
+            tse.on_consumption(0, address)
         assert len(cmob._data) == 16 * 8  # capped at capacity entries
 
     def test_snapshot_round_trips_packed_state(self):

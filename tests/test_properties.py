@@ -6,8 +6,6 @@ from repro.coherence.protocol import READ_HIT, CoherenceProtocol
 from repro.common.stats import Histogram
 from repro.common.types import block_of, block_to_address
 from repro.interconnect.torus import TorusTopology
-from repro.tse.cmob import CMOB
-from repro.tse.svb import StreamedValueBuffer
 
 addresses = st.integers(min_value=0, max_value=1 << 20)
 
@@ -40,7 +38,8 @@ class TestCoherenceProperties:
         protocol = CoherenceProtocol(num_nodes)
         for op, node, address in trace:
             node %= num_nodes
-            holder = node in protocol.holders_of(address)
+            block = protocol._blocks.get(address)
+            holder = block is not None and node in block.held_version
             if op == "write":
                 assert protocol.write_ints(node, address) == holder
             else:
@@ -51,44 +50,55 @@ class TestCoherenceProperties:
 
 
 class TestCMOBProperties:
+    """A node's consumptions, recorded through ``on_consumption``, read back
+    from its CMOB exactly as long as they are resident."""
+
     @given(st.lists(addresses, min_size=1, max_size=300), st.integers(min_value=1, max_value=64))
     @settings(max_examples=50, deadline=None)
-    def test_resident_suffix_is_readable_in_order(self, appended, capacity):
-        cmob = CMOB(capacity=capacity)
+    def test_resident_suffix_is_readable_in_order(
+        self, tse_system, cmob_window, appended, capacity
+    ):
+        tse = tse_system(cmob_capacity=capacity)
         for address in appended:
-            cmob.append(address)
-        start = cmob.oldest_valid_offset
-        resident = list(cmob.read_stream(start, len(appended)))
+            tse.on_consumption(0, address)
+        start = max(0, len(appended) - capacity)
+        resident = cmob_window(tse.nodes[0].cmob, start, len(appended))
         assert resident == appended[start:]
 
     @given(st.lists(addresses, min_size=1, max_size=200), st.integers(min_value=1, max_value=32))
     @settings(max_examples=50, deadline=None)
-    def test_stale_offsets_never_return_data(self, appended, capacity):
-        cmob = CMOB(capacity=capacity)
+    def test_stale_offsets_never_return_data(
+        self, tse_system, cmob_window, appended, capacity
+    ):
+        tse = tse_system(cmob_capacity=capacity)
         for address in appended:
-            cmob.append(address)
-        for offset in range(cmob.oldest_valid_offset):
-            assert cmob.read(offset) is None
+            tse.on_consumption(0, address)
+        for offset in range(len(appended) - capacity):
+            assert cmob_window(tse.nodes[0].cmob, offset, capacity) == []
 
 
 class TestSVBProperties:
+    """Blocks delivered through ``deliver_all`` and consumed through
+    ``on_svb_hit``."""
+
     @given(st.lists(addresses, min_size=1, max_size=200), st.integers(min_value=1, max_value=32))
     @settings(max_examples=50, deadline=None)
-    def test_size_never_exceeds_capacity(self, blocks, capacity):
-        svb = StreamedValueBuffer(capacity_entries=capacity)
+    def test_size_never_exceeds_capacity(self, tse_system, blocks, capacity):
+        tse = tse_system(svb_entries=capacity)
+        entries = tse.nodes[0].engine.svb._entries
         for block in blocks:
-            svb.insert(block, queue_id=0)
-            assert len(svb) <= capacity
+            tse.deliver_all(0, [(0, [block])], 0.0, {})
+            assert len(entries) <= capacity
+            assert tse._svb_residency == dict.fromkeys(entries, 1)
 
     @given(st.lists(addresses, min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)
-    def test_consume_removes_exactly_once(self, blocks):
-        svb = StreamedValueBuffer(capacity_entries=1 << 12)
-        for block in blocks:
-            svb.insert(block, queue_id=0)
+    def test_consume_removes_exactly_once(self, tse_system, blocks):
+        tse = tse_system(svb_entries=1 << 12)
+        tse.deliver_all(0, [(0, blocks)], 0.0, {})
         for block in set(blocks):
-            assert svb.consume(block) is not None
-            assert svb.consume(block) is None
+            assert tse.on_svb_hit(0, block)[0] is not None
+            assert tse.on_svb_hit(0, block) == (None, [])
 
 
 class TestTorusProperties:

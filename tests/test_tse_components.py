@@ -1,310 +1,492 @@
-"""Unit tests for the TSE building blocks: CMOB, SVB, stream queues, engine."""
+"""The TSE mechanisms of Section 3, driven through the system-level events.
+
+Every test builds a small :class:`TemporalStreamingSystem` (the ``tse_system``
+fixture in ``conftest.py``) and drives it the way the replay does —
+``on_consumption``, ``on_svb_hit``, ``deliver_all``, ``on_write`` and
+``drain`` — so the code under test is the code behind every figure: CMOB
+recording with directory pointers, stream location and forwarding,
+stream-queue comparison that stalls on disagreement, the lookahead-bounded
+fetch, refills, queue reclamation and the SVB.
+"""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.common.config import TSEConfig
+from repro.coherence.messages import (
+    ADDRESS_STREAM,
+    CMOB_POINTER_UPDATE,
+    MESSAGE_TYPES,
+)
 from repro.tse.cmob import CMOB
-from repro.tse.stream_engine import StreamEngine
-from repro.tse.stream_queue import QueueState, StreamQueue
+from repro.tse.layout import SLOT_BYTES
+from repro.tse.stream_queue import STATE_ACTIVE, STATE_DRAINED, STATE_STALLED
 from repro.tse.svb import StreamedValueBuffer
 
 
-class TestCMOB:
-    def test_append_returns_monotonic_offsets(self):
-        cmob = CMOB(capacity=8)
-        assert [cmob.append(a) for a in (10, 11, 12)] == [0, 1, 2]
-        assert cmob.appended == 3
+class Messages:
+    """Traffic accountant stand-in listing ``(kind, src, dst)`` messages."""
 
-    def test_read_stream_follows_order(self):
-        cmob = CMOB(capacity=16)
-        for address in range(100, 110):
-            cmob.append(address)
-        assert list(cmob.read_stream(3, 4)) == [103, 104, 105, 106]
+    def __init__(self):
+        self.sent = []
 
-    def test_read_stream_truncates_at_end(self):
-        cmob = CMOB(capacity=16)
-        for address in range(100, 105):
-            cmob.append(address)
-        assert list(cmob.read_stream(3, 10)) == [103, 104]
+    def emit(self, kind, src, dst):
+        self.sent.append((kind, src, dst))
 
-    def test_wraparound_invalidates_stale_offsets(self):
-        cmob = CMOB(capacity=4)
-        for address in range(10):
-            cmob.append(address)
-        assert not cmob.is_valid_offset(2)
-        assert cmob.read(2) is None
-        assert list(cmob.read_stream(2, 4)) == []
-        assert list(cmob.read_stream(7, 4)) == [7, 8, 9]
+    def emit_addresses(self, src, dst, count):
+        self.sent.append((ADDRESS_STREAM, src, dst))
 
-    def test_len_caps_at_capacity(self):
-        cmob = CMOB(capacity=4)
-        for address in range(10):
-            cmob.append(address)
-        assert len(cmob) == 4
-        assert cmob.utilization() == 1.0
 
-    def test_storage_bytes(self):
-        assert CMOB(capacity=1000, entry_bytes=6).storage_bytes == 6000
+def batches(fetches):
+    return [(queue_id, list(addresses)) for queue_id, addresses in fetches]
 
-    def test_invalid_capacity_rejected(self):
+
+def consume(tse, node, address):
+    """A consumption at ``node``; its fetches are delivered, as in the replay."""
+    queue_id, fetches = tse.on_consumption(node, address)
+    tse.deliver_all(node, fetches, 0.0, {})
+    return queue_id, batches(fetches)
+
+
+def record(tse, node, addresses):
+    for address in addresses:
+        consume(tse, node, address)
+
+
+def hit(tse, node, address):
+    """An SVB hit at ``node``; its follow-on fetches are delivered."""
+    entry, fetches = tse.on_svb_hit(node, address)
+    tse.deliver_all(node, fetches, 0.0, {})
+    return entry, batches(fetches)
+
+
+def of_queue(fetched, queue_id):
+    """The addresses fetched for one queue, in fetch order."""
+    return [a for q, addresses in fetched for a in addresses if q == queue_id]
+
+
+def pointers(tse, address):
+    entry = tse.directory._entries.get(address)
+    return list(entry.cmob_pointers) if entry is not None else []
+
+
+def queue_state(tse, node, queue_id):
+    return tse.nodes[node].engine._queues[queue_id].state_code
+
+
+def resident(tse, node):
+    return set(tse.nodes[node].engine.svb._entries)
+
+
+def model_window(order, capacity, start, count):
+    """Plain-list model: the resident, positionally exact part of ``order``."""
+    if count <= 0 or start < max(0, len(order) - capacity) or start >= len(order):
+        return []
+    return order[start:start + count]
+
+
+def recorded(tse_system, order, capacity):
+    """Node 0 of a fresh system records ``order``; returns its CMOB."""
+    tse = tse_system(cmob_capacity=capacity)
+    record(tse, 0, order)
+    return tse.nodes[0].cmob
+
+
+class TestRecording:
+    """Consumptions and SVB hits are appended to the CMOB, and the new
+    pointer is pushed to the directory (Figure 3)."""
+
+    def test_consumptions_append_in_order_with_monotonic_offsets(self, tse_system, cmob_window):
+        tse = tse_system()
+        record(tse, 0, [10, 11, 12])
+        cmob = tse.nodes[0].cmob
+        assert cmob_window(cmob, 0, 3) == [10, 11, 12]
+        assert [pointers(tse, a) for a in (10, 11, 12)] == [[(0, 0)], [(0, 1)], [(0, 2)]]
+        assert tse.stats.snapshot()["tse.cmob_appends"] == 3
+
+    def test_pointers_are_newest_first_and_capped(self, tse_system):
+        tse = tse_system(num_nodes=3)
+        for node in (0, 1, 2):
+            consume(tse, node, 10)
+        assert pointers(tse, 10) == [(2, 0), (1, 0)]
+
+    def test_a_node_keeps_one_pointer_refreshed_in_place(self, tse_system):
+        tse = tse_system(num_nodes=3, cmob_pointers_per_block=4)
+        consume(tse, 0, 10)
+        consume(tse, 1, 10)
+        consume(tse, 0, 10)
+        assert pointers(tse, 10) == [(0, 1), (1, 0)]
+
+    def test_cap_holds_with_many_recorders(self, tse_system):
+        tse = tse_system(num_nodes=4, cmob_pointers_per_block=3)
+        for node in (0, 1, 2, 3, 1):
+            consume(tse, node, 10)
+        assert pointers(tse, 10) == [(1, 1), (3, 0), (2, 0)]
+
+    def test_svb_hit_is_recorded_like_a_consumption(self, tse_system, cmob_window):
+        tse = tse_system()
+        record(tse, 0, [10, 11, 12])
+        consume(tse, 1, 10)
+        entry, _ = hit(tse, 1, 11)
+        assert entry is not None
+        assert cmob_window(tse.nodes[1].cmob, 0, 4) == [10, 11]
+        assert pointers(tse, 11) == [(1, 1), (0, 1)]
+
+    def test_svb_hit_sends_its_pointer_home(self, tse_system):
+        messages = Messages()
+        tse = tse_system(num_nodes=4, traffic=messages)
+        record(tse, 0, [10, 11, 12])
+        consume(tse, 1, 10)
+        del messages.sent[:]
+        hit(tse, 1, 11)  # block 11's home is node 3
+        assert messages.sent == [(CMOB_POINTER_UPDATE, 1, 3)]
+
+    def test_stale_pointer_forwards_no_stream(self, tse_system):
+        tse = tse_system(cmob_capacity=4)
+        record(tse, 0, range(10, 20))  # offsets 6..9 (16..19) stay resident
+        assert consume(tse, 1, 10) == (-1, [])
+        assert tse.stats.snapshot()["tse.no_stream_found"] == 11
+        queue_id, fetched = consume(tse, 1, 16)
+        assert fetched == [(queue_id, [17, 18, 19])]
+
+
+class TestCMOBWindows:
+    """``extend_into`` against a plain-list model of the appended order: a
+    stale or future start yields nothing, a valid start is truncated at the
+    watermark, and windows cross the physical end of the ring."""
+
+    ORDER = list(range(100, 113))  # 13 appends into 5 slots: offsets 8..12 resident
+
+    @pytest.fixture(scope="class")
+    def cmob(self, tse_system):
+        return recorded(tse_system, self.ORDER, capacity=5)
+
+    def test_every_window_matches_the_model(self, cmob_window, cmob):
+        for start in range(-2, 16):
+            for count in (-1, 0, 1, 3, 5, 100):
+                assert cmob_window(cmob, start, count) == model_window(
+                    self.ORDER, 5, start, count
+                ), (start, count)
+
+    def test_stale_start_is_empty_not_resynchronized(self, cmob_window, cmob):
+        assert cmob_window(cmob, 7, 4) == []
+        assert cmob_window(cmob, 0, 100) == []
+
+    def test_future_start_is_empty(self, cmob_window, cmob):
+        assert cmob_window(cmob, 13, 4) == []
+        assert cmob_window(cmob, 999, 4) == []
+
+    def test_window_truncated_at_the_watermark(self, cmob_window, cmob):
+        assert cmob_window(cmob, 11, 100) == [111, 112]
+        assert cmob_window(cmob, 12, 1) == [112]
+
+    def test_window_spans_the_ring_boundary(self, cmob_window, cmob):
+        # Offsets 8..12 sit in slots 3, 4, 0, 1, 2.
+        assert cmob_window(cmob, 8, 5) == [108, 109, 110, 111, 112]
+        assert cmob_window(cmob, 9, 2) == [109, 110]
+
+    def test_negative_start_is_empty_before_the_ring_wraps(self, tse_system, cmob_window):
+        cmob = recorded(tse_system, [100, 101, 102], capacity=16)
+        assert cmob_window(cmob, -1, 2) == []
+        assert cmob_window(cmob, 0, 2) == [100, 101]
+
+    def test_ring_grows_lazily_up_to_capacity(self, tse_system):
+        cmob = recorded(tse_system, list(range(10)), capacity=16)
+        assert len(cmob._data) == 10 * SLOT_BYTES
+        tse = tse_system(cmob_capacity=16)
+        record(tse, 0, range(40))
+        assert len(tse.nodes[0].cmob._data) == 16 * SLOT_BYTES
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=120),
+        st.integers(min_value=1, max_value=24),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_windows_match_the_model_for_any_order(self, tse_system, cmob_window, order, capacity):
+        cmob = recorded(tse_system, order, capacity)
+        for start in range(-1, len(order) + 2):
+            for count in (1, 3, capacity + 2):
+                assert cmob_window(cmob, start, count) == model_window(
+                    order, capacity, start, count
+                )
+
+    def test_invalid_capacities_rejected(self):
         with pytest.raises(ValueError):
             CMOB(capacity=0)
+        with pytest.raises(ValueError):
+            StreamedValueBuffer(0)
 
 
-class TestCMOBWindowBoundaries:
-    """Wrap-around edge semantics of window reads, locked explicitly.
+class TestStreamCompare:
+    """Candidate streams are compared head by head: blocks are fetched while
+    the heads agree, and a disagreement stalls the queue until a miss
+    matches one head (Section 3.3)."""
 
-    The contract (documented in ``repro.tse.cmob``): a stale start yields an
-    *empty* window — never a partial window resynchronized to the oldest
-    resident entry — a future start yields nothing, and a valid start is
-    truncated at the append watermark.
-    """
+    def test_single_stream_fetches_up_to_the_lookahead(self, tse_system):
+        tse = tse_system()
+        record(tse, 0, range(10, 31))
+        queue_id, fetched = consume(tse, 1, 10)
+        assert fetched[0] == (queue_id, [11, 12, 13, 14])
+        assert queue_state(tse, 1, queue_id) == STATE_ACTIVE
 
-    def _wrapped(self, capacity=4, appended=10):
-        cmob = CMOB(capacity=capacity)
-        for address in range(100, 100 + appended):
-            cmob.append(address)
-        return cmob
+    def _stalled(self, tse_system):
+        """Nodes 0 and 1 recorded sequences that agree on 11, 12 after 10."""
+        tse = tse_system(num_nodes=3)
+        record(tse, 0, [10, 11, 12, 13, 20, 21])
+        record(tse, 1, [10, 11, 12, 14, 30, 31])
+        queue_id, fetched = consume(tse, 2, 10)
+        return tse, queue_id, fetched
 
-    def test_start_exactly_at_oldest_valid_offset(self):
-        cmob = self._wrapped()  # offsets 6..9 resident
-        assert cmob.oldest_valid_offset == 6
-        assert list(cmob.read_stream(6, 4)) == [106, 107, 108, 109]
+    def test_agreed_prefix_is_fetched_then_the_queue_stalls(self, tse_system):
+        tse, queue_id, fetched = self._stalled(tse_system)
+        assert of_queue(fetched, queue_id) == [11, 12]
+        assert queue_state(tse, 2, queue_id) == STATE_STALLED
 
-    def test_stale_start_truncates_to_empty_not_partial(self):
-        cmob = self._wrapped()
-        # Offset 5 was overwritten; a partial window starting at the oldest
-        # resident entry (106...) would be positionally wrong data.
-        assert list(cmob.read_stream(5, 4)) == []
-        assert list(cmob.read_stream(0, 100)) == []
+    def test_disagreeing_heads_fetch_nothing(self, tse_system):
+        tse = tse_system(num_nodes=3)
+        record(tse, 0, [10, 11, 12, 13])
+        record(tse, 1, [10, 20, 21, 22])
+        queue_id, fetched = consume(tse, 2, 10)
+        assert fetched == []
+        assert queue_state(tse, 2, queue_id) == STATE_STALLED
 
-    def test_future_start_yields_empty(self):
-        cmob = self._wrapped()
-        assert list(cmob.read_stream(10, 4)) == []
-        assert list(cmob.read_stream(999, 4)) == []
+    def test_miss_on_a_head_selects_its_stream_and_drops_the_head(self, tse_system):
+        tse, queue_id, _ = self._stalled(tse_system)
+        _, fetched = consume(tse, 2, 14)
+        # The lookahead has two free slots: the selected stream resumes
+        # after the head the processor already missed on.
+        assert fetched[0] == (queue_id, [30, 31])
+        assert queue_state(tse, 2, queue_id) == STATE_DRAINED
 
-    def test_window_truncated_at_append_watermark(self):
-        cmob = self._wrapped()
-        assert list(cmob.read_stream(8, 100)) == [108, 109]
-        assert list(cmob.read_stream(9, 1)) == [109]
+    def test_miss_on_no_head_leaves_the_queue_stalled(self, tse_system):
+        tse, queue_id, _ = self._stalled(tse_system)
+        _, fetched = consume(tse, 2, 99)
+        assert of_queue(fetched, queue_id) == []
+        assert queue_state(tse, 2, queue_id) == STATE_STALLED
 
-    def test_window_spans_physical_ring_boundary(self):
-        # capacity 4: offsets 6..9 live in slots 2,3,0,1 — a window from
-        # offset 6 crosses the physical wrap point.
-        cmob = self._wrapped()
-        assert list(cmob.read_stream(6, 3)) == [106, 107, 108]
-        assert list(cmob.read_stream(7, 3)) == [107, 108, 109]
+    def test_three_streams_fetch_only_what_all_agree_on(self, tse_system):
+        tse = tse_system(num_nodes=4, compared_streams=3, cmob_pointers_per_block=3)
+        record(tse, 0, [10, 11, 12, 13, 14])
+        record(tse, 1, [10, 11, 12, 13, 15])
+        record(tse, 2, [10, 11, 12, 16, 17])
+        queue_id, fetched = consume(tse, 3, 10)
+        assert of_queue(fetched, queue_id) == [11, 12]
+        assert queue_state(tse, 3, queue_id) == STATE_STALLED
+        _, fetched = consume(tse, 3, 13)
+        # Two heads were 13; FIFOs follow the pointers, newest first, so
+        # node 1's stream is selected over node 0's.
+        assert fetched[0] == (queue_id, [15])
 
-    def test_non_positive_count_yields_empty(self):
-        cmob = self._wrapped()
-        assert list(cmob.read_stream(6, 0)) == []
-        assert list(cmob.read_stream(6, -3)) == []
+    def test_stream_drains_when_its_source_has_nothing_more(self, tse_system):
+        tse = tse_system()
+        record(tse, 0, [10, 11])
+        queue_id, fetched = consume(tse, 1, 10)
+        assert fetched == [(queue_id, [11])]
+        assert queue_state(tse, 1, queue_id) == STATE_DRAINED
 
-    def test_negative_start_yields_empty_even_before_wrap(self):
-        # On a not-yet-full ring ``appended - capacity`` is negative; a
-        # negative start must still be rejected, not wrapped into live data.
-        cmob = CMOB(capacity=16)
-        for address in (100, 101, 102):
-            cmob.append(address)
-        assert list(cmob.read_stream(-1, 2)) == []
-        dest = bytearray()
-        assert cmob.extend_into(dest, -1, 2) == 0
-        assert dest == bytearray()
 
-    def test_extend_into_matches_read_stream_everywhere(self):
-        """The batched refill primitive and the window read agree at every
-        start offset, including stale, wrapping, and future ones."""
-        from repro.tse.cmob import unpack_window
+class TestLookaheadAndRefill:
+    """At most ``stream_lookahead`` streamed blocks are in flight per queue;
+    a FIFO at or below the refill threshold reads the next CMOB window."""
 
-        cmob = self._wrapped(capacity=5, appended=13)
-        for start in range(-1, 15):
-            window = list(cmob.read_stream(start, 4))
-            dest = bytearray()
-            count = cmob.extend_into(dest, start, 4)
-            assert count == len(window)
-            assert list(unpack_window(dest)) == window
+    def _streaming(self, tse_system, tail=()):
+        tse = tse_system()
+        record(tse, 0, list(range(10, 41)) + list(tail))
+        queue_id, fetched = consume(tse, 1, 10)
+        return tse, queue_id, fetched
+
+    def test_each_hit_frees_one_lookahead_slot(self, tse_system):
+        tse, queue_id, _ = self._streaming(tse_system)
+        entry, fetched = hit(tse, 1, 11)
+        assert entry[:2] == (11, queue_id)
+        assert fetched == [(queue_id, [15])]
+        assert hit(tse, 1, 12)[1] == [(queue_id, [16])]
+
+    def test_refill_is_requested_at_the_threshold(self, tse_system):
+        tse, queue_id, _ = self._streaming(tse_system)
+        # Window 11..18, four fetched: four pending == the threshold.
+        assert tse.stats.snapshot()["tse.refills_serviced"] == 1
+        follow_on = []
+        for address in (11, 12, 13, 14, 15):
+            follow_on += of_queue(hit(tse, 1, address)[1], queue_id)
+        assert follow_on == [15, 16, 17, 18, 19]
+
+    def test_refill_reads_the_next_window_from_the_source(self, tse_system):
+        messages = Messages()
+        tse = tse_system(traffic=messages)
+        record(tse, 0, range(10, 41))
+        del messages.sent[:]
+        tse.on_consumption(1, 10)  # block 10's home is node 0
+        kinds = [(MESSAGE_TYPES[kind].name, src, dst) for kind, src, dst in messages.sent]
+        assert kinds == [
+            ("STREAM_REQUEST", 0, 0),        # the home asks the recorded consumer
+            ("ADDRESS_STREAM", 0, 1),        # the first window, 11..18
+            ("CMOB_POINTER_UPDATE", 1, 0),   # the miss is recorded
+            ("STREAM_REQUEST", 1, 0),        # the refill at the threshold
+            ("ADDRESS_STREAM", 0, 1),        # the next window, 19..26
+        ]
+
+    def test_each_compared_fifo_is_refilled(self, tse_system):
+        tse = tse_system(num_nodes=3)
+        record(tse, 0, range(10, 41))
+        record(tse, 1, range(10, 41))
+        before = tse.stats.snapshot()["tse.refills_serviced"]
+        queue_id, _ = consume(tse, 2, 10)
+        assert tse.stats.snapshot()["tse.refills_serviced"] == before + 2
+        follow_on = []
+        for address in (11, 12, 13, 14, 15):
+            follow_on += of_queue(hit(tse, 2, address)[1], queue_id)
+        # Both refilled windows agree, so the queue streams on past 18.
+        assert follow_on == [15, 16, 17, 18, 19]
+        assert queue_state(tse, 2, queue_id) == STATE_ACTIVE
+
+    def test_next_refill_waits_until_the_fifo_is_back_at_the_threshold(self, tse_system):
+        tse, _, _ = self._streaming(tse_system)
+        # 15..26 pending after the first refill; each hit pops one more.
+        refills = []
+        for address in range(11, 20):
+            hit(tse, 1, address)
+            refills.append(tse.stats.snapshot()["tse.refills_serviced"])
+        assert refills == [1, 1, 1, 1, 1, 1, 1, 2, 2]
+
+    def test_miss_inside_the_lookahead_window_realigns_the_stream(self, tse_system):
+        # 16 is recorded again last, so its own pointer forwards nothing.
+        tse, queue_id, _ = self._streaming(tse_system, tail=[16])
+        assert consume(tse, 1, 16) == (-1, [])
+        follow_on = []
+        for address in (11, 12, 13):
+            follow_on += of_queue(hit(tse, 1, address)[1], queue_id)
+        assert follow_on == [15, 17, 18]
+
+    def test_miss_beyond_the_lookahead_window_is_not_skipped(self, tse_system):
+        tse, queue_id, _ = self._streaming(tse_system, tail=[19])
+        consume(tse, 1, 19)  # pending 15, 16, 17, 18 | 19 ...
+        follow_on = []
+        for address in (11, 12, 13, 14, 15):
+            follow_on += of_queue(hit(tse, 1, address)[1], queue_id)
+        assert follow_on == [15, 16, 17, 18, 19]
+
+    def test_miss_realigns_every_compared_stream(self, tse_system):
+        tse = tse_system(num_nodes=3)
+        # 16 is recorded again last on both sources: its pointers forward nothing.
+        record(tse, 0, list(range(10, 31)) + [16])
+        record(tse, 1, list(range(10, 31)) + [16])
+        queue_id, fetched = consume(tse, 2, 10)
+        assert of_queue(fetched, queue_id) == [11, 12, 13, 14]
+        assert consume(tse, 2, 16) == (-1, [])
+        follow_on = []
+        for address in (11, 12):
+            follow_on += of_queue(hit(tse, 2, address)[1], queue_id)
+        # Both FIFOs dropped 16, so they still agree.
+        assert follow_on == [15, 17]
+        assert queue_state(tse, 2, queue_id) == STATE_ACTIVE
+
+    def test_blocks_already_in_the_svb_are_not_refetched(self, tse_system):
+        tse = tse_system(num_nodes=3)
+        record(tse, 0, range(10, 20))
+        record(tse, 2, [30, 12, 13, 14, 15, 16])
+        consume(tse, 1, 30)  # streams 12..15 into node 1's SVB
+        queue_id, fetched = consume(tse, 1, 10)
+        # 11 is new; 12..15 are resident and use no lookahead; 16..18 fill it.
+        assert of_queue(fetched, queue_id) == [11, 16, 17, 18]
+
+
+class TestQueueReclaim:
+    def test_least_recently_active_queue_is_reclaimed(self, tse_system):
+        tse = tse_system(num_nodes=4, stream_queues=2)
+        record(tse, 0, range(10, 16))
+        record(tse, 2, range(20, 26))
+        record(tse, 3, range(30, 36))
+        first, _ = consume(tse, 1, 10)
+        second, _ = consume(tse, 1, 20)
+        hit(tse, 1, 11)  # the first queue is now the more recently active
+        third, fetched = consume(tse, 1, 30)
+        engine = tse.nodes[1].engine
+        assert sorted(engine._queues) == [first, third]
+        assert engine.retired_queue_hits == [0]
+        assert fetched[0] == (third, [31, 32, 33, 34])
+        # The reclaimed queue's blocks stay usable but stream nothing more.
+        entry, follow_on = hit(tse, 1, 21)
+        assert entry[:2] == (21, second) and follow_on == []
+        # Retired and live queues: the reclaimed one's later hit counts nowhere.
+        assert sorted(engine.stream_length_samples()) == [0, 0, 1]
 
 
 class TestSVB:
-    def test_insert_probe_consume(self):
-        svb = StreamedValueBuffer(capacity_entries=4)
-        svb.insert(10, queue_id=1)
-        assert svb.probe(10) is not None
-        entry = svb.consume(10)
-        assert entry[1] == 1  # queue id
-        assert svb.probe(10) is None
+    """The SVB is an LRU of streamed blocks: fills past capacity evict the
+    least recently filled block (a discard), writes invalidate a block in
+    every SVB, and the end of a run drains what was never used."""
 
-    def test_lru_eviction_returns_victim(self):
-        svb = StreamedValueBuffer(capacity_entries=2)
-        svb.insert(1, queue_id=0)
-        svb.insert(2, queue_id=0)
-        victim = svb.insert(3, queue_id=0)
-        assert victim is not None and victim[0] == 1  # victim address
-        assert len(svb) == 2
+    def test_fills_past_capacity_evict_lru_blocks_and_free_their_slots(self, tse_system):
+        tse = tse_system(svb_entries=2)
+        record(tse, 0, range(10, 31))
+        queue_id, fetches = tse.on_consumption(1, 10)
+        assert tse.deliver_all(1, fetches, 0.0, {}) == (4, 2)
+        assert resident(tse, 1) == {13, 14}
+        # Two evicted blocks and one hit leave one block in flight.
+        assert hit(tse, 1, 13)[1] == [(queue_id, [15, 16, 17])]
 
-    def test_reinsert_refreshes_without_victim(self):
-        svb = StreamedValueBuffer(capacity_entries=2)
-        svb.insert(1, queue_id=0)
-        svb.insert(2, queue_id=0)
-        assert svb.insert(1, queue_id=5) is None
-        victim = svb.insert(3, queue_id=0)
-        assert victim[0] == 2  # 1 was refreshed, so 2 is now LRU
+    def test_redelivery_refreshes_without_a_victim(self, tse_system):
+        tse = tse_system(svb_entries=2, stream_lookahead=2)
+        record(tse, 0, range(10, 20))
+        queue_id, _ = consume(tse, 1, 10)
+        assert resident(tse, 1) == {11, 12}
+        assert tse.deliver_all(1, [(queue_id, [11])], 5.0, {}) == (1, 0)
+        assert tse.deliver_all(1, [(queue_id, [13])], 6.0, {}) == (1, 1)
+        assert resident(tse, 1) == {11, 13}
+        entry, _ = hit(tse, 1, 11)
+        assert entry == (11, queue_id, 5.0, 0)
 
-    def test_invalidate_on_write(self):
-        svb = StreamedValueBuffer(capacity_entries=4)
-        svb.insert(7, queue_id=0)
-        assert svb.invalidate(7) is not None
-        assert svb.invalidate(7) is None
+    def test_known_duplicate_fetch_in_one_event(self, tse_system):
+        """Pins a known defect, not intended behaviour.  An event's fetch
+        batches are delivered after the event, so when one consumption
+        resumes a stalled queue and allocates a queue for its own stream,
+        both queues fetch the same blocks: four deliveries for two blocks,
+        all counted as fetched.  The second delivery only rebinds the SVB
+        entry to the new queue.  The fix moves results, and this test
+        changes with it."""
+        tse = tse_system(num_nodes=3)
+        record(tse, 0, [10, 11, 12, 13, 20, 21])
+        record(tse, 1, [10, 11, 12, 14, 30, 31])
+        stalled, _ = consume(tse, 2, 10)
+        # The miss on 14 resumes the stalled queue (30, 31) and allocates a
+        # queue for 14's own stream, which fetches 30, 31 again.
+        fresh, fetches = tse.on_consumption(2, 14)
+        assert batches(fetches)[:2] == [(stalled, [30, 31]), (fresh, [30, 31])]
+        assert tse.deliver_all(2, fetches, 0.0, {}) == (4, 0)
+        assert hit(tse, 2, 30)[0][1] == fresh
 
-    def test_invalidate_queue_flushes_only_that_queue(self):
-        svb = StreamedValueBuffer(capacity_entries=8)
-        svb.insert(1, queue_id=0)
-        svb.insert(2, queue_id=1)
-        removed = svb.invalidate_queue(0)
-        assert [e[0] for e in removed] == [1]
-        assert 2 in svb
+    def test_hit_consumes_the_entry_exactly_once(self, tse_system):
+        tse = tse_system()
+        record(tse, 0, range(10, 20))
+        consume(tse, 1, 10)
+        assert hit(tse, 1, 11)[0] is not None
+        assert tse.on_svb_hit(1, 11) == (None, [])
+        assert 11 not in tse.nodes[1].engine.svb
 
-    def test_drain_returns_all_unconsumed(self):
-        svb = StreamedValueBuffer(capacity_entries=8)
-        for address in range(5):
-            svb.insert(address, queue_id=0)
-        assert len(svb.drain()) == 5
-        assert len(svb) == 0
+    def test_write_invalidates_the_block_in_every_svb(self, tse_system):
+        tse = tse_system(num_nodes=4)
+        record(tse, 0, range(10, 15))
+        consume(tse, 1, 10)
+        consume(tse, 2, 10)
+        assert 12 in resident(tse, 1) and 12 in resident(tse, 2)
+        assert tse.on_write(3, 12) == 2
+        assert 12 not in resident(tse, 1) | resident(tse, 2)
+        assert tse.on_write(3, 12) == 0
+        assert tse.stats.snapshot()["tse.svb_invalidations"] == 2
 
+    def test_invalidation_frees_the_owners_slot(self, tse_system):
+        tse = tse_system()
+        record(tse, 0, range(10, 31))
+        queue_id, _ = consume(tse, 1, 10)
+        tse.on_write(0, 12)
+        # One invalidated block and one hit: two slots free.
+        assert hit(tse, 1, 11)[1] == [(queue_id, [15, 16])]
 
-class TestStreamQueue:
-    def _queue_with_streams(self, *streams, lookahead=4):
-        queue = StreamQueue(queue_id=0, head=99, lookahead=lookahead)
-        for i, stream in enumerate(streams):
-            queue.add_stream(list(stream), source_node=i, next_offset=len(stream))
-        return queue
-
-    def test_single_stream_is_active(self):
-        queue = self._queue_with_streams([1, 2, 3])
-        assert queue.state is QueueState.ACTIVE
-        assert queue.next_agreed() == 1
-
-    def test_agreeing_streams_active_disagreeing_stalled(self):
-        agreeing = self._queue_with_streams([1, 2, 3], [1, 2, 4])
-        assert agreeing.state is QueueState.ACTIVE
-        disagreeing = self._queue_with_streams([1, 2, 3], [5, 6, 7])
-        assert disagreeing.state is QueueState.STALLED
-
-    def test_pop_next_consumes_from_all_fifos(self):
-        queue = self._queue_with_streams([1, 2, 3], [1, 2, 4])
-        assert queue.pop_next() == 1
-        assert queue.pop_next() == 2
-        # Heads now disagree (3 vs 4): the queue stalls.
-        assert queue.state is QueueState.STALLED
-        assert queue.pop_next() is None
-
-    def test_lookahead_bounds_in_flight(self):
-        queue = self._queue_with_streams(list(range(1, 10)), lookahead=2)
-        assert queue.pop_next() is not None
-        assert queue.pop_next() is not None
-        assert not queue.can_fetch()
-        queue.on_hit()
-        assert queue.can_fetch()
-
-    def test_stall_resolution_selects_matching_stream(self):
-        queue = self._queue_with_streams([1, 2, 3], [5, 6, 7])
-        assert queue.try_resolve_stall(5)
-        assert queue.state is QueueState.ACTIVE
-        # The matched address was dropped; the stream resumes after it.
-        assert queue.next_agreed() == 6
-
-    def test_stall_resolution_ignores_non_matching_miss(self):
-        queue = self._queue_with_streams([1, 2, 3], [5, 6, 7])
-        assert not queue.try_resolve_stall(99)
-        assert queue.state is QueueState.STALLED
-
-    def test_skip_address_realigns_within_window(self):
-        queue = self._queue_with_streams([1, 2, 3, 4], lookahead=4)
-        assert queue.skip_address(2)
-        assert queue.pop_next() == 1
-        assert queue.pop_next() == 3
-
-    def test_drained_after_exhausting_fifos(self):
-        queue = self._queue_with_streams([1], lookahead=4)
-        queue.pop_next()
-        assert queue.state is QueueState.DRAINED
-
-    def test_refill_requests_when_low(self):
-        queue = self._queue_with_streams([1, 2], lookahead=4)
-        requests = queue.refill_requests(threshold=4, count=8)
-        assert len(requests) == 1
-        # (queue_id, fifo_index, source_node, next_offset, count)
-        assert requests[0][4] == 8
-        # A second call while the refill is pending asks for nothing.
-        assert queue.refill_requests(threshold=4, count=8) == []
-
-    def test_extend_stream_applies_refill(self):
-        queue = self._queue_with_streams([1], lookahead=4)
-        queue.extend_stream(0, [2, 3], new_next_offset=10)
-        assert queue.pending(0) == 3
-
-
-class TestStreamEngine:
-    def _engine(self, **overrides):
-        config = TSEConfig(
-            cmob_capacity=1024, svb_entries=8, stream_queues=2,
-            stream_lookahead=4, compared_streams=2, **overrides
-        )
-        return StreamEngine(config, node_id=0)
-
-    def test_accept_streams_fetches_up_to_lookahead(self):
-        engine = self._engine()
-        queue_id, batch = engine.accept_streams(99, [(1, 10, [1, 2, 3, 4, 5, 6])])
-        assert queue_id >= 0
-        assert batch == [1, 2, 3, 4]
-
-    def test_disagreeing_streams_fetch_nothing(self):
-        engine = self._engine()
-        streams = [
-            (1, 0, [1, 2, 3]),
-            (2, 0, [7, 8, 9]),
-        ]
-        _, fetches = engine.accept_streams(99, streams)
-        assert fetches == []
-        assert len(engine.stalled_queues()) == 1
-
-    def test_svb_hit_extends_stream(self):
-        engine = self._engine()
-        queue_id, batch = engine.accept_streams(99, [(1, 0, [1, 2, 3, 4, 5, 6])])
-        for address in batch:
-            engine.install_block(address, queue_id)
-        _, more = engine.on_svb_hit(1)
-        assert [(q, list(a)) for q, a in more] == [(queue_id, [5])]
-
-    def test_offchip_miss_resolves_stall(self):
-        engine = self._engine()
-        streams = [
-            (1, 0, [1, 2, 3]),
-            (2, 0, [7, 8, 9]),
-        ]
-        queue_id, _ = engine.accept_streams(99, streams)
-        fetches = engine.on_offchip_miss(7)
-        assert [(q, list(a)) for q, a in fetches] == [(queue_id, [8, 9])]
-
-    def test_queue_reclaim_records_retired_hits(self):
-        engine = self._engine()
-        for head in range(3):  # 3 allocations with only 2 queues
-            engine.accept_streams(head, [(1, 0, [head * 10 + 1, head * 10 + 2])])
-        assert len(engine.retired_queue_hits) == 1
-
-    def test_install_block_evicts_and_notifies_owner(self):
-        engine = self._engine()
-        # Three queues, four fetches each: twelve fills overflow the 8-entry SVB.
-        victims = []
-        for base in (1, 100, 200):
-            queue_id, batch = engine.accept_streams(base, [(1, 0, list(range(base + 1, base + 20)))])
-            victims.extend(engine.install_block(a, queue_id) for a in batch)
-        assert any(v is not None for v in victims)
-
-    def test_invalidate_removes_block_and_frees_slot(self):
-        engine = self._engine()
-        queue_id, batch = engine.accept_streams(99, [(1, 0, [1, 2, 3, 4, 5])])
-        for address in batch:
-            engine.install_block(address, queue_id)
-        assert engine.on_invalidate(1) is not None
-        assert engine.lookup(1) is None
+    def test_drain_discards_every_unconsumed_block(self, tse_system):
+        tse = tse_system(num_nodes=3)
+        record(tse, 0, range(10, 20))
+        consume(tse, 1, 10)
+        hit(tse, 1, 11)
+        assert tse.drain() == {0: 0, 1: 4, 2: 0}
+        assert resident(tse, 1) == set()
+        assert tse.on_write(0, 12) == 0

@@ -1,8 +1,6 @@
 """Integration tests for the TSE system glue and the trace-driven simulator."""
 
 import functools
-import importlib.util
-import pathlib
 
 import pytest
 
@@ -72,9 +70,9 @@ class TestTemporalStreamingSystem:
     def test_consumption_records_order_and_pointer(self):
         tse, directory = self._system()
         tse.on_consumption(0, 50)
-        assert tse.nodes[0].cmob.appended == 1
-        pointers = directory.cmob_pointers(50)
-        assert len(pointers) == 1 and pointers[0][0] == 0  # (node, offset)
+        assert tse.nodes[0].cmob._appended == 1
+        pointers = directory._entries[50].cmob_pointers
+        assert pointers == [(0, 0)]  # (node, offset)
 
     def test_stream_located_from_recorded_order(self):
         tse, _ = self._system()
@@ -94,11 +92,11 @@ class TestTemporalStreamingSystem:
             tse.on_consumption(0, address)
         _, fetches = tse.on_consumption(1, 10)
         assert tse.deliver_all(1, fetches, 0.0, {}) == (2, 0)
-        appended_before = tse.nodes[1].cmob.appended
+        appended_before = tse.nodes[1].cmob._appended
         entry, _ = tse.on_svb_hit(1, 11)
         assert entry is not None
-        assert tse.nodes[1].cmob.appended == appended_before + 1
-        assert any(node == 1 for node, _ in directory.cmob_pointers(11))
+        assert tse.nodes[1].cmob._appended == appended_before + 1
+        assert directory._entries[11].cmob_pointers[0] == (1, appended_before)
 
     def test_write_invalidates_streamed_blocks_everywhere(self):
         tse, _ = self._system()
@@ -108,7 +106,7 @@ class TestTemporalStreamingSystem:
         assert tse.deliver_all(1, fetches, 0.0, {}) == (2, 0)
         invalidated = tse.on_write(0, 11)
         assert invalidated == 1
-        assert not tse.svb_probe(1, 11)
+        assert 11 not in tse.nodes[1].engine.svb
 
     def test_message_sink_sees_tse_messages(self):
         config = TSEConfig(cmob_capacity=64, svb_entries=8, stream_lookahead=2)
@@ -200,13 +198,6 @@ class TestTSESimulator:
         assert stats.stream_length_hist.count == pytest.approx(stats.svb_hits, abs=1)
 
 
-_BATTERY_PATH = (
-    pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "reference_battery.py"
-)
-_spec = importlib.util.spec_from_file_location("reference_battery", _BATTERY_PATH)
-reference_battery = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reference_battery)
-
 #: Reference-battery cells that reach every traffic sink site: the paper
 #: geometry, the general N-FIFO path, SVB evictions inside ``deliver_all``
 #: and stale CMOB pointers after wraparound.
@@ -228,7 +219,7 @@ def _observed(stats):
 class TestTrafficAccounting:
     @pytest.mark.parametrize("mode", ["exact", "fast"])
     @pytest.mark.parametrize("label", OBSERVED_CONFIGS)
-    def test_traffic_accounting_only_observes(self, label, mode, monkeypatch):
+    def test_traffic_accounting_only_observes(self, label, mode, battery_configs, monkeypatch):
         """Counting messages never changes what the replay does.
 
         An exact run is identical with and without an accountant.  The fast
@@ -237,7 +228,7 @@ class TestTrafficAccounting:
         top-up, which keep its traffic inside the ±5% band), so its
         reference is a traffic-on run whose accountant counts nothing.
         """
-        config = dict(reference_battery.CONFIGS)[label]
+        config = battery_configs[label]
         trace = _db2_trace()
         counted = TSESimulator(16, config, account_traffic=True, mode=mode).run(
             trace, warmup_fraction=0.3
