@@ -21,9 +21,12 @@ exact pipeline; ``--mode both`` profiles each plane once and prints a
 side-by-side top-N table (ranked by the fast plane's self time), so the
 residual fast-mode bottleneck is visible at a glance.  ``--traffic``
 attaches the traffic accountant (Figure 11's configuration), so the traffic
-plane is profiled together with the replay plane it rides on; that replay
-is the trace's replay record, so it records the timing model's outcome
-columns too.  ``--timing`` profiles the timing model instead (Figure 14):
+plane is profiled together with the replay plane it rides on: the trace's
+one fold pass (``trace_traffic``, which counts the base system's messages
+and classifies the trace in the same pass), then a replay that takes back
+the messages of the reads its SVB hits served and counts TSE's own.  That
+replay is the trace's replay record, so it records the timing model's
+outcome columns too.  ``--timing`` profiles the timing model instead (Figure 14):
 one cold ``TimingSimulator.compare`` — base labels, the TSE label run and
 both timing walks — on a fresh copy of the trace, so no replay record
 helps.  In a figure run the TSE label run is skipped: a traffic-accounted

@@ -4,7 +4,9 @@ Runs a fixed matrix of simulations — every workload under several TSE
 configurations (including wraparound-heavy tiny CMOBs, single/many compared
 streams, tiny SVBs), outcome-recording runs, bare runs (no recording, no
 traffic: the loop every sweep runs), column-less streamed input,
-traffic-accounting runs, the warm-state snapshot path, timing comparisons
+traffic-accounting runs (over a trace and over streamed input, under
+evicting and wrapping configurations, and for an 8-node trace on its own
+torus and on a larger one), the warm-state snapshot path, timing comparisons
 (Figure 14 / Table 3), a traffic-accounted run and a timing comparison
 sharing one trace object in either order, the baseline prefetchers
 (Figure 12), Figure 6's correlation rows and a digest of the traces'
@@ -96,15 +98,42 @@ def streamed_cell(workload: str) -> dict:
     )
 
 
-def traffic_cell(workload: str) -> dict:
-    trace = trace_for(workload, ACCESSES, SEED, NUM_NODES)
+#: The 4x4 torus the 16-node traffic cells are accounted on.
+TORUS_4X4 = InterconnectConfig(width=4, height=4)
+
+
+def traffic_cell(
+    workload: str,
+    config: TSEConfig = TSEConfig.paper_default(),
+    num_nodes: int = NUM_NODES,
+    interconnect=TORUS_4X4,
+) -> dict:
+    """A traffic-accounted run; ``interconnect=None`` accounts on the
+    simulator's default torus for ``num_nodes``."""
+    trace = trace_for(workload, ACCESSES, SEED, num_nodes)
+    simulator = TSESimulator(
+        num_nodes,
+        tse_config=config,
+        account_traffic=True,
+        interconnect_config=interconnect,
+    )
+    return _stats_row(simulator, simulator.run(trace, warmup_fraction=0.3))
+
+
+def streamed_traffic_cell(workload: str) -> dict:
+    """``run_chunks`` with traffic: the messages of column-less input are
+    counted as it is classified, and warm-up ends inside a chunk."""
+    params = WorkloadParams(num_nodes=NUM_NODES, seed=SEED, target_accesses=ACCESSES)
+    chunks = get_workload(workload, params).stream_chunks(chunk_size=4096)
     simulator = TSESimulator(
         NUM_NODES,
         tse_config=TSEConfig.paper_default(),
         account_traffic=True,
-        interconnect_config=InterconnectConfig(width=4, height=4),
+        interconnect_config=TORUS_4X4,
     )
-    return simulator.run(trace, warmup_fraction=0.3).as_dict()
+    return _stats_row(
+        simulator, simulator.run_chunks(chunks, name=workload, warmup_accesses=6_000)
+    )
 
 
 def warm_cell(workload: str) -> dict:
@@ -223,6 +252,21 @@ def main() -> int:
     battery["streamed"] = {w: streamed_cell(w) for w in ("em3d", "db2")}
     print("streamed done", flush=True)
     battery["traffic"] = {w: traffic_cell(w) for w in ("em3d", "db2", "apache")}
+    # Evictions and stale CMOB pointers change which blocks are delivered.
+    configs = dict(CONFIGS)
+    battery["traffic_configs"] = {
+        label: {w: traffic_cell(w, configs[label]) for w in ("em3d", "db2", "apache")}
+        for label in ("tiny_cmob_wrap", "tiny_svb")
+    }
+    battery["traffic_streamed"] = {w: streamed_traffic_cell(w) for w in ("em3d", "db2")}
+    # An 8-node trace on its default 2x4 torus and on the larger 4x4 one.
+    battery["traffic_8node"] = {
+        w: {
+            "default_torus": traffic_cell(w, num_nodes=8, interconnect=None),
+            "torus_4x4": traffic_cell(w, num_nodes=8),
+        }
+        for w in ("db2", "apache")
+    }
     print("traffic done", flush=True)
     battery["warm"] = {w: warm_cell(w) for w in ("em3d", "db2")}
     print("warm done", flush=True)

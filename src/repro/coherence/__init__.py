@@ -13,9 +13,11 @@ on a 16-node DSM.  This package provides:
   ("consumption"); :func:`~repro.coherence.protocol.trace_codes`, which
   classifies a trace once into memoized per-chunk code columns;
   :func:`~repro.coherence.protocol.trace_consumptions`, which reads the
-  per-node consumption orders off those columns; and
+  per-node consumption orders off those columns;
   :func:`~repro.coherence.protocol.transaction_messages`, which emits the
-  messages each transaction needs.
+  messages each transaction needs; and
+  :func:`~repro.coherence.protocol.trace_traffic`, which counts them over
+  a trace once.
 """
 
 from repro.coherence.directory import Directory, DirectoryEntry

@@ -21,9 +21,9 @@ write invalidates every other copy.  A read miss is
   a different node than the reader and the reader does not hold it.
 
 :meth:`CoherenceProtocol.read_ints` and :meth:`~CoherenceProtocol.write_ints`
-are the whole state machine, and :func:`transaction_messages` emits a
-transaction's baseline messages, derived from the same block state, for
-traffic accounting.
+are the whole state machine, and :func:`transaction_messages` is the
+message table: it emits a transaction's baseline messages, derived from the
+same block state, for traffic accounting.
 
 A read served from a TSE stream buffer or a prefetch buffer leaves the
 reader holding the current version — the copy the base system's demand
@@ -34,6 +34,13 @@ into one code column per chunk, and :func:`trace_codes` memoizes the
 columns on the trace for every replay, the timing model's base labels, the
 prefetcher harness and :func:`trace_consumptions` (Figure 6's per-node
 consumption orders).
+
+The base system's messages are a property of the trace for the same
+reason.  Given a message sink, the classification pass feeds it every
+transaction's messages, and :func:`trace_traffic` memoizes the count table
+one such pass produces.  A traffic-accounted replay starts from that table
+and takes back only the messages of the coherent reads TSE served from its
+stream buffers (:func:`coherent_read_messages`).
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from repro.coherence.directory import Directory
 from repro.coherence.messages import (
     DATA_REPLY,
     DATA_REPLY_COHERENT,
@@ -85,16 +91,14 @@ class _BlockState:
 class CoherenceProtocol:
     """Functional directory protocol with miss classification."""
 
-    def __init__(self, num_nodes: int, cmob_pointers_per_block: int = 2) -> None:
+    def __init__(self, num_nodes: int) -> None:
         self.num_nodes = num_nodes
-        self.directory = Directory(num_nodes, cmob_pointers_per_block)
         self._blocks: Dict[BlockAddress, _BlockState] = {}
 
     # ------------------------------------------------------------ state machine
     #
     # ``read_ints`` / ``write_ints`` take raw (node, block) ints, so the
-    # classifier and the traffic-accounting replay call them with no
-    # per-access allocation.
+    # classifier calls them with no per-access allocation.
     def read_ints(self, node: NodeId, address: BlockAddress, is_spin: bool) -> int:
         """Classify (and apply) one read; returns a ``READ_*`` code."""
         block = self._blocks.get(address)
@@ -131,17 +135,22 @@ class CoherenceProtocol:
 
 
 def coherence_codes(
-    protocol: CoherenceProtocol, chunks: Iterable[TraceChunk]
+    protocol: CoherenceProtocol,
+    chunks: Iterable[TraceChunk],
+    sink: Optional[Callable[[int, NodeId, NodeId], None]] = None,
 ) -> Iterator[bytes]:
     """Classify chunks in trace order; yield each chunk's code column.
 
     A column holds one code per access: the ``READ_*`` code
     :meth:`CoherenceProtocol.read_ints` returns for a read, :data:`WRITE`
     for a write.  ``protocol`` carries the block state from one chunk to
-    the next and ends in the trace's final state.
+    the next and ends in the trace's final state.  With a ``sink``, every
+    transaction's baseline messages go to ``sink(kind, src, dst)`` through
+    :func:`transaction_messages`, each chunk's before its column is yielded.
     """
     read_ints = protocol.read_ints
     write_ints = protocol.write_ints
+    messages_of = transaction_messages
     is_write = TYPE_IS_WRITE
     spin_read = TYPE_SPIN_READ
     for chunk in chunks:
@@ -151,10 +160,15 @@ def coherence_codes(
             chunk.nodes.tolist(), chunk.blocks.tolist(), chunk.types.tolist()
         ):
             if is_write[type_code]:
+                if sink is not None:
+                    messages_of(protocol, node, block, sink)
                 write_ints(node, block)
                 label(WRITE)
             else:
-                label(read_ints(node, block, type_code == spin_read))
+                code = read_ints(node, block, type_code == spin_read)
+                if sink is not None:
+                    messages_of(protocol, node, block, sink, code)
+                label(code)
         yield bytes(codes)
 
 
@@ -169,6 +183,33 @@ def trace_codes(trace: ChunkedTrace) -> List[bytes]:
         protocol = CoherenceProtocol(trace.num_nodes)
         memo = (len(trace), list(coherence_codes(protocol, trace.chunks())))
         trace._coherence_codes = memo
+    return memo[1]
+
+
+def trace_traffic(trace: ChunkedTrace) -> List[int]:
+    """The base system's message counts over a whole trace, counted once.
+
+    One classification pass feeds every transaction's messages
+    (:func:`transaction_messages`) into a
+    :func:`~repro.interconnect.network.count_table` for
+    ``trace.num_nodes`` nodes.  Memoized on the trace object and keyed by
+    its length, like :func:`trace_codes`; when the trace has no code
+    columns yet, the same pass memoizes them too, so a cold
+    traffic-accounted replay steps the state machine once.
+    """
+    # Imported here: repro.interconnect.network imports this package.
+    from repro.interconnect.network import count_table
+
+    memo = getattr(trace, "_traffic_counts", None)
+    if memo is None or memo[0] != len(trace):
+        counts, count = count_table(trace.num_nodes)
+        columns = list(coherence_codes(
+            CoherenceProtocol(trace.num_nodes), trace.chunks(), count
+        ))
+        codes = getattr(trace, "_coherence_codes", None)
+        if codes is None or codes[0] != len(trace):
+            trace._coherence_codes = (len(trace), columns)
+        memo = trace._traffic_counts = (len(trace), counts)
     return memo[1]
 
 
@@ -211,39 +252,34 @@ def transaction_messages(
     """Emit the baseline protocol messages of one transaction.
 
     Each message goes to ``emit(kind, src, dst)`` as a small-int kind from
-    :mod:`repro.coherence.messages`; the traffic plane passes
-    :meth:`~repro.interconnect.network.TrafficAccountant.emit`, which
-    counts it.  For a read, pass the ``READ_*`` code
-    :meth:`CoherenceProtocol.read_ints` returned and call *after* the read.
-    For a write, leave ``read_code`` as None and call *before*
+    :mod:`repro.coherence.messages`; the classification pass of
+    :func:`trace_traffic` passes a counter, and column-less traffic
+    replays pass :meth:`~repro.interconnect.network.TrafficAccountant.emit`
+    (:func:`coherence_codes`'s ``sink``).  For a read, pass the ``READ_*``
+    code :meth:`CoherenceProtocol.read_ints` returned and call *after* the
+    read.  For a write, leave ``read_code`` as None and call *before*
     :meth:`CoherenceProtocol.write_ints`: the messages depend on the holder
-    set the write is about to invalidate.
+    set the write is about to invalidate.  The home is
+    ``address % protocol.num_nodes``, as
+    :meth:`~repro.coherence.directory.Directory.home_of` computes it.
 
+    * Read hit: no messages.
     * Cold read: request to the home, data reply from the home.
-    * Coherent (or spin) read: the home forwards the request to the
-      producer, which still holds its copy (only a write invalidates one,
-      and a write makes its writer the producer), and the producer replies
-      cache-to-cache (three hops) — unless the producer is the home itself
-      (two hops).
+    * Coherent (or spin) read: :func:`coherent_read_messages`.
     * Write miss: read-exclusive request and data reply from the home;
       write hit by a sharer: upgrade request.  Either way the home
       invalidates every other holder except itself, and each victim acks
       the writer.  A write by the sole holder is silent.
     """
-    home = protocol.directory.home_of(address)
+    home = address % protocol.num_nodes
     if read_code is not None:
         if read_code == READ_HIT:
             return
-        emit(READ_REQUEST, node, home)
         if read_code == READ_COLD:
+            emit(READ_REQUEST, node, home)
             emit(DATA_REPLY, home, node)
             return
-        producer = protocol._blocks[address].last_writer
-        if producer != home:
-            emit(FORWARD_REQUEST, home, producer)
-            emit(DATA_REPLY_COHERENT, producer, node)
-        else:
-            emit(DATA_REPLY_COHERENT, home, node)
+        coherent_read_messages(emit, node, home, protocol._blocks[address].last_writer)
         return
 
     block = protocol._blocks.get(address)
@@ -259,3 +295,27 @@ def transaction_messages(
         emit(INVALIDATE_ACK, victim, node)
     if not had_copy:
         emit(DATA_REPLY, home, node)
+
+
+def coherent_read_messages(
+    emit: Callable[[int, NodeId, NodeId], None],
+    node: NodeId,
+    home: NodeId,
+    producer: NodeId,
+) -> None:
+    """Emit the baseline messages of one coherent (or spin) read miss.
+
+    The request goes to the home, which forwards it to the producer; the
+    producer still holds its copy (only a write invalidates one, and a
+    write makes its writer the producer) and replies cache-to-cache (three
+    hops) — unless the producer is the home itself (two hops).  A
+    traffic-accounted replay passes
+    :meth:`~repro.interconnect.network.TrafficAccountant.retract` to take
+    an SVB-served read's messages back out of the trace's counts.
+    """
+    emit(READ_REQUEST, node, home)
+    if producer != home:
+        emit(FORWARD_REQUEST, home, producer)
+        emit(DATA_REPLY_COHERENT, producer, node)
+    else:
+        emit(DATA_REPLY_COHERENT, home, node)

@@ -4,11 +4,23 @@ The :class:`TrafficAccountant` accumulates byte volumes — total, per message
 category, and across the bisection — for the bandwidth overhead results
 (Figure 11 and the Section 5.4 pin-bandwidth discussion).  Message latency
 for the timing model lives in :mod:`repro.node.latency`.
+
+A traffic-accounted replay does not count the base system's messages one
+by one: it adds the trace's count table
+(:func:`~repro.coherence.protocol.trace_traffic`, one classification pass
+per trace into a :func:`count_table`) with
+:meth:`TrafficAccountant.add_counts`, takes back the messages of each
+coherent read TSE served with :meth:`TrafficAccountant.retract`, and
+counts TSE's own messages with :meth:`TrafficAccountant.emit` /
+:meth:`~TrafficAccountant.emit_addresses` at their sink sites.
+
+Count tables are flat lists indexed ``(kind * n + src) * n + dst`` for an
+``n``-node system; only this module writes that layout out.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict, List, Tuple
 
 from repro.coherence.messages import (
     ADDRESS_STREAM,
@@ -19,6 +31,22 @@ from repro.coherence.messages import (
 from repro.common.config import InterconnectConfig
 from repro.common.types import NodeId
 from repro.interconnect.torus import TorusTopology
+
+
+def count_table(num_nodes: int) -> Tuple[List[int], Callable[[int, NodeId, NodeId], None]]:
+    """An empty message count table for ``num_nodes`` nodes, and its sink.
+
+    ``sink(kind, src, dst)`` counts one message into the table, at the
+    index :meth:`TrafficAccountant.emit` would use on a torus of the same
+    node count; :meth:`TrafficAccountant.add_counts` adds a filled table.
+    """
+    n = num_nodes
+    counts = [0] * (len(MESSAGE_TYPES) * n * n)
+
+    def sink(kind: int, src: NodeId, dst: NodeId) -> None:
+        counts[(kind * n + src) * n + dst] += 1
+
+    return counts, sink
 
 
 class TrafficAccountant:
@@ -33,7 +61,8 @@ class TrafficAccountant:
     Emitters pass small-int message kinds from
     :mod:`repro.coherence.messages` to :meth:`emit` (and ADDRESS_STREAM
     packets to :meth:`emit_addresses`); each call is one increment in a
-    flat count table, with no message object and no routing query.
+    flat count table, with no message object and no routing query.  A
+    whole trace's baseline counts arrive in one :meth:`add_counts`.
     :meth:`snapshot` folds counts x sizes once: node-local messages are
     dropped and bisection bytes come from a per-pair table built once from
     the torus.
@@ -67,11 +96,30 @@ class TrafficAccountant:
         n = self._num_nodes
         self._counts[(kind * n + src) * n + dst] += 1
 
+    def retract(self, kind: int, src: NodeId, dst: NodeId) -> None:
+        """Take back one counted message of ``kind`` from ``src`` to ``dst``."""
+        n = self._num_nodes
+        self._counts[(kind * n + src) * n + dst] -= 1
+
     def emit_addresses(self, src: NodeId, dst: NodeId, count: int) -> None:
         """Count one ADDRESS_STREAM message carrying ``count`` addresses."""
         n = self._num_nodes
         self._counts[(ADDRESS_STREAM * n + src) * n + dst] += 1
         self._addresses[src * n + dst] += count
+
+    def add_counts(self, counts: List[int], num_nodes: int) -> None:
+        """Add a :func:`count_table` laid out for ``num_nodes`` nodes.
+
+        Each message lands where :meth:`emit` would have counted it, also
+        when the torus has another node count.
+        """
+        n = self._num_nodes
+        table = self._counts
+        for index, count in enumerate(counts):
+            if count:
+                pair, dst = divmod(index, num_nodes)
+                kind, src = divmod(pair, num_nodes)
+                table[(kind * n + src) * n + dst] += count
 
     def snapshot(self) -> Dict[str, float]:
         """Flat dictionary of traffic volumes for the experiment harness.

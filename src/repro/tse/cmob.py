@@ -41,7 +41,6 @@ Wrap-around semantics of window reads (locked by tests):
 
 from __future__ import annotations
 
-from repro.common.types import NodeId
 from repro.tse.layout import SLOT_SHIFT
 
 # Short alias used on the hot path below.
@@ -51,15 +50,12 @@ _SHIFT = SLOT_SHIFT
 class CMOB:
     """A fixed-capacity circular buffer of block addresses with monotonic offsets."""
 
-    __slots__ = ("capacity", "node_id", "entry_bytes", "_data", "_appended")
+    __slots__ = ("capacity", "_data", "_appended")
 
-    def __init__(self, capacity: int, node_id: NodeId = 0, entry_bytes: int = 6) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("CMOB capacity must be positive")
         self.capacity = capacity
-        self.node_id = node_id
-        #: Modelled size of one entry (a 6-byte physical address).
-        self.entry_bytes = entry_bytes
         #: Physical storage, grown lazily up to ``capacity`` packed entries:
         #: slot ``offset % capacity`` is appended exactly when the buffer
         #: first reaches it, so ``len(_data) == SLOT_BYTES * min(appended, capacity)``

@@ -73,8 +73,7 @@ class NodeTSE:
     def __init__(self, config: TSEConfig, node_id: NodeId) -> None:
         self.config = config
         self.node_id = node_id
-        self.cmob = CMOB(config.cmob_capacity, node_id=node_id,
-                         entry_bytes=config.cmob_entry_bytes)
+        self.cmob = CMOB(config.cmob_capacity)
         self.engine = StreamEngine(config)
 
 
@@ -319,10 +318,10 @@ class TemporalStreamingSystem:
     def on_svb_hit(self, node_id: NodeId, address: BlockAddress):
         """The processor's access hit in the SVB.
 
-        The entry moves to the L1 (the caller updates cache/protocol state),
-        the stream engine retrieves a subsequent block from the same queue,
-        and the hit is recorded in the CMOB because it replaces the coherent
-        read miss that would have occurred without TSE (Section 3.1).
+        The entry moves to the L1, the stream engine retrieves a subsequent
+        block from the same queue, and the hit is recorded in the CMOB
+        because it replaces the coherent read miss that would have occurred
+        without TSE (Section 3.1).
 
         Returns ``(entry, follow_on_fetch_batches)``.
         """
@@ -490,7 +489,7 @@ class TemporalStreamingSystem:
         node_id: NodeId,
         batches: List[FetchBatch],
         fill_time: float,
-        blocks_map: Dict,
+        last_writer: Dict[BlockAddress, NodeId],
     ) -> Tuple[int, int]:
         """Stream the fetched block batches into ``node_id``'s SVB.
 
@@ -501,9 +500,9 @@ class TemporalStreamingSystem:
         binding; a fill into a full SVB evicts the LRU entry, which is a
         discard.  With traffic accounting on, each delivered block also
         counts a streamed-data request to its home and a reply from its
-        producer (the home when the block was never written); ``blocks_map``
-        is the protocol's per-block state dict that names the producer.
-        Returns ``(delivered, discarded)``.
+        producer: ``last_writer`` maps each block written so far to its
+        last writer, and a block it does not hold was never written, so the
+        home replies.  Returns ``(delivered, discarded)``.
         """
         engine = self.nodes[node_id].engine
         svb = engine.svb
@@ -517,15 +516,13 @@ class TemporalStreamingSystem:
         for queue_id, addresses in batches:
             delivered += len(addresses)
             if traffic is not None:
-                self._count_deliveries(traffic, node_id, addresses, blocks_map)
+                self._count_deliveries(traffic, node_id, addresses, last_writer)
             for address in addresses:
-                # Entries store version 0: nothing in the replay reads a
-                # streamed block's version back.
                 if address in entries:
                     # Refresh: new LRU position and queue binding, no victim,
                     # no residency change (plain dicts keep insertion order).
                     del entries[address]
-                    entries[address] = (address, queue_id, fill_time, 0)
+                    entries[address] = (address, queue_id, fill_time)
                     continue
                 if len(entries) >= capacity:
                     lru_address = next(iter(entries))
@@ -540,7 +537,7 @@ class TemporalStreamingSystem:
                     else:
                         residency[victim_address] = count - 1
                     discarded += 1
-                entries[address] = (address, queue_id, fill_time, 0)
+                entries[address] = (address, queue_id, fill_time)
                 residency[address] = residency.get(address, 0) + 1
         self._n_blocks_streamed += delivered
         return delivered, discarded
@@ -550,17 +547,15 @@ class TemporalStreamingSystem:
         traffic: TrafficAccountant,
         node_id: NodeId,
         addresses: List[BlockAddress],
-        blocks_map: Dict,
+        last_writer: Dict[BlockAddress, NodeId],
     ) -> None:
         """Count the streamed-data request/reply pair of each delivered block."""
         home_of = self.directory.home_of
         emit = traffic.emit
         for address in addresses:
             home = home_of(address)
-            block_state = blocks_map.get(address)
-            producer = block_state.last_writer if block_state is not None else None
             emit(STREAMED_DATA_REQUEST, node_id, home)
-            emit(STREAMED_DATA_REPLY, home if producer is None else producer, node_id)
+            emit(STREAMED_DATA_REPLY, last_writer.get(address, home), node_id)
 
     # -------------------------------------------------------------- end of run
     def drain(self) -> Dict[NodeId, int]:

@@ -92,20 +92,18 @@ class FastTemporalStreamingSystem:
         config: TSEConfig,
         directory: Directory,
         traffic: Optional[TrafficAccountant] = None,
-        blocks_map: Optional[Dict] = None,
+        last_writer: Optional[Dict[BlockAddress, NodeId]] = None,
     ) -> None:
         self.num_nodes = num_nodes
         self.config = config
         self.directory = directory
         self._traffic = traffic
-        #: Protocol block-state map, used only on the traffic path to name
-        #: the streamed-data producer (the exact plane does the same lookup
-        #: in ``deliver_all``).
-        self._blocks_map = blocks_map if blocks_map is not None else {}
-        self.cmobs = [
-            CMOB(config.cmob_capacity, node_id=i, entry_bytes=config.cmob_entry_bytes)
-            for i in range(num_nodes)
-        ]
+        #: Last writer of each block written so far, kept by the replay loop
+        #: and read only on the traffic path to name the streamed-data
+        #: producer (the exact plane does the same lookup in
+        #: ``deliver_all``).
+        self._last_writer = last_writer if last_writer is not None else {}
+        self.cmobs = [CMOB(config.cmob_capacity) for _ in range(num_nodes)]
         #: Per-node SVB: address -> (owner queue object, queue id at fetch).
         #: Plain insertion-ordered dicts double as the LRU order, exactly as
         #: the exact plane's ``StreamedValueBuffer`` storage does.
@@ -516,10 +514,8 @@ class FastTemporalStreamingSystem:
     ) -> None:
         """Count the streamed-data request/reply pair of one delivered block."""
         home = self.directory.home_of(address)
-        block_state = self._blocks_map.get(address)
-        producer = block_state.last_writer if block_state is not None else None
         traffic.emit(STREAMED_DATA_REQUEST, node, home)
-        traffic.emit(STREAMED_DATA_REPLY, home if producer is None else producer, node)
+        traffic.emit(STREAMED_DATA_REPLY, self._last_writer.get(address, home), node)
 
     # ------------------------------------------------------------------ events
     def _miss_scan(

@@ -1,8 +1,8 @@
 """Trace-driven functional simulation of a DSM with the Temporal Streaming Engine.
 
-The :class:`TSESimulator` replays a globally interleaved access trace through
-the coherence protocol and the TSE, and reports the metrics the paper's
-sensitivity studies use:
+The :class:`TSESimulator` replays a globally interleaved access trace, with
+its coherence classification, through the TSE, and reports the metrics the
+paper's sensitivity studies use:
 
 * **coverage** — fraction of consumptions eliminated by SVB hits;
 * **discards** — erroneously streamed blocks (fetched but never used),
@@ -33,11 +33,14 @@ memoizes one code column per chunk on it; every replay of that trace, under
 any configuration and on either plane, reads those columns.  Column-less
 input (:meth:`TSESimulator.run_chunks`, e.g. over a workload's
 ``stream_chunks()``) is classified on the way in by the same generator.
-Only traffic accounting steps a live protocol, because a transaction's
-messages depend on the holder set and the producer: around each miss and
-write, :func:`~repro.coherence.protocol.transaction_messages` counts the
-messages it derives from that state into the accountant, and the TSE
-planes count theirs at their sink sites.
+For the same reason the base system's messages are a property of the trace:
+a traffic-accounted :meth:`TSESimulator.run` adds the trace's memoized
+count table (:func:`~repro.coherence.protocol.trace_traffic`) to its
+accountant, and ``run_chunks`` counts each chunk's messages as it classifies
+it.  The loops then take back the messages of each coherent read an SVB hit
+served, and the TSE planes count their own messages at their sink sites.
+With accounting on, a loop keeps one last-writer dict, which names the
+producer of a served read and of each streamed block; it steps no protocol.
 
 Figure 11's traffic-accounted replay and the timing model's outcome labels
 (Figure 14, Table 3) replay the same trace under the same configuration.
@@ -55,6 +58,7 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import tee
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.coherence.directory import Directory
 from repro.coherence.protocol import (
     READ_COHERENT,
     READ_HIT,
@@ -62,8 +66,9 @@ from repro.coherence.protocol import (
     WRITE,
     CoherenceProtocol,
     coherence_codes,
+    coherent_read_messages,
     trace_codes,
-    transaction_messages,
+    trace_traffic,
 )
 from repro.common.chunk import ChunkedTrace, TraceChunk
 from repro.common.config import (
@@ -167,12 +172,15 @@ class TSEStats:
 class TSESimulator:
     """Replays a trace's packed and code columns with TSE attached.
 
-    With ``account_traffic`` the simulator owns a
-    :class:`~repro.interconnect.network.TrafficAccountant` that counts from
-    the first access.  The warm-up reset (:meth:`reset_stats`) restarts the
-    :class:`TSEStats` counters but not the accountant, so ``stats.traffic``
-    covers the whole trace, warm-up window included, while every other
-    counter covers only the measured window.
+    The simulator owns the :class:`~repro.coherence.directory.Directory`
+    the TSE planes keep CMOB pointers in.  With ``account_traffic`` it also
+    owns a :class:`~repro.interconnect.network.TrafficAccountant`, which
+    starts from the base system's messages over the whole input and from
+    there counts what TSE adds and takes back.  The warm-up reset
+    (:meth:`reset_stats`) restarts the :class:`TSEStats` counters but not
+    the accountant, so ``stats.traffic`` covers the whole trace, warm-up
+    window included, while every other counter covers only the measured
+    window.
     """
 
     def __init__(
@@ -207,29 +215,29 @@ class TSESimulator:
         self.outcome_leads = array("q")  # repro-lint: disable=RL004
         self._node_access_counts = [0] * num_nodes
         self.tse_config = tse_config if tse_config is not None else TSEConfig.paper_default()
-        #: Owns the directory the TSE planes keep CMOB pointers in.  Its block
-        #: state is stepped only when traffic is accounted.
-        self.protocol = CoherenceProtocol(
-            num_nodes, cmob_pointers_per_block=self.tse_config.cmob_pointers_per_block
-        )
+        self.directory = Directory(num_nodes, self.tse_config.cmob_pointers_per_block)
         self.traffic: Optional[TrafficAccountant] = None
         if account_traffic:
             icfg = interconnect_config if interconnect_config is not None else (
                 self._default_interconnect(num_nodes)
             )
             self.traffic = TrafficAccountant(icfg)
+        #: Last writer of each block written so far, kept by the replay
+        #: loops only when traffic is accounted: it names the producer of a
+        #: served coherent read and of each streamed block.
+        self._last_writer: Dict[int, int] = {}
         #: Exactly one replay plane is built; ``tse`` is the exact plane,
         #: ``fast`` the batched one (the unused plane is None).
         self.tse: Optional[TemporalStreamingSystem] = None
         self.fast: Optional[FastTemporalStreamingSystem] = None
         if self.mode == MODE_FAST:
             self.fast = FastTemporalStreamingSystem(
-                num_nodes, self.tse_config, self.protocol.directory,
-                traffic=self.traffic, blocks_map=self.protocol._blocks,
+                num_nodes, self.tse_config, self.directory,
+                traffic=self.traffic, last_writer=self._last_writer,
             )
         else:
             self.tse = TemporalStreamingSystem(
-                num_nodes, self.tse_config, self.protocol.directory, traffic=self.traffic
+                num_nodes, self.tse_config, self.directory, traffic=self.traffic
             )
         self.stats = TSEStats()
         self.warmup_stats = TSEStats()
@@ -254,7 +262,7 @@ class TSESimulator:
         if not fetches:
             return
         fetched, discarded = self.tse.deliver_all(
-            node, fetches, fill_time, self.protocol._blocks
+            node, fetches, fill_time, self._last_writer
         )
         self.stats.blocks_fetched += fetched
         self.stats.discarded_blocks += discarded
@@ -265,7 +273,10 @@ class TSESimulator:
 
         Args:
             trace: The interleaved multi-node access trace, replayed against
-                its memoized code columns (:func:`trace_codes`).
+                its memoized code columns (:func:`trace_codes`).  With
+                traffic accounted, the accountant starts from the trace's
+                memoized message counts (:func:`trace_traffic`), so the
+                trace must have the simulator's node count.
             warmup_fraction: Fraction of the trace processed before statistics
                 are reset — mirroring the paper's methodology of warming
                 caches, CMOBs and directory state before measurement
@@ -276,6 +287,13 @@ class TSESimulator:
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
+        if self.traffic is not None:
+            if trace.num_nodes != self.num_nodes:
+                raise ValueError(
+                    f"traffic accounting needs the trace's node count "
+                    f"({trace.num_nodes}) to equal the simulator's ({self.num_nodes})"
+                )
+            self.traffic.add_counts(trace_traffic(trace), trace.num_nodes)
         return self._run(
             zip(trace.chunks(), trace_codes(trace)),
             trace.name,
@@ -293,12 +311,15 @@ class TSESimulator:
         The chunks carry no code column, so :func:`coherence_codes`
         classifies each one just before it is replayed, starting from empty
         caches, and at most one chunk is held at a time: a workload's
-        ``stream_chunks()`` replays in bounded memory.  Statistics reset at
-        exactly ``warmup_accesses`` (splitting a chunk if necessary), so
-        this is bit-identical to :meth:`run` over the equivalent trace.
+        ``stream_chunks()`` replays in bounded memory.  With traffic
+        accounted, the same pass counts each chunk's baseline messages
+        into the accountant.  Statistics reset at exactly
+        ``warmup_accesses`` (splitting a chunk if necessary), so this is
+        bit-identical to :meth:`run` over the equivalent trace.
         """
         chunks, ahead = tee(chunks)
-        classified = coherence_codes(CoherenceProtocol(self.num_nodes), ahead)
+        sink = self.traffic.emit if self.traffic is not None else None
+        classified = coherence_codes(CoherenceProtocol(self.num_nodes), ahead, sink)
         return self._run(zip(chunks, classified), name, warmup_accesses)
 
     def _run(
@@ -396,14 +417,14 @@ class TSESimulator:
 
         # ---- bind everything the loop touches to locals ----
         tse = self.tse
-        protocol = self.protocol
-        # Traffic accounting steps the live protocol, whose state names each
-        # transaction's messages: a write's depend on the holders it is about
-        # to invalidate, a read's on the block's producer.
-        emit = self.traffic.emit if self.traffic is not None else None
-        read_ints = protocol.read_ints
-        write_ints = protocol.write_ints
-        messages_of = transaction_messages
+        # Traffic accounting started from the base system's messages; the
+        # loop takes back those of each coherent read an SVB hit served,
+        # naming the producer from the last-writer dict it keeps.
+        traffic = self.traffic
+        last_writer = self._last_writer if traffic is not None else None
+        retract = traffic.retract if traffic is not None else None
+        take_back = coherent_read_messages
+        num_nodes = self.num_nodes
         tse_on_write = tse.on_write
         tse_on_svb_hit = tse.on_svb_hit
         tse_on_consumption = tse.on_consumption
@@ -454,24 +475,22 @@ class TSESimulator:
                 # blocks no SVB holds.
                 if address in residency:
                     n_discards += tse_on_write(node, address)
-                if emit is not None:
-                    messages_of(protocol, node, address, emit)
-                    write_ints(node, address)
+                if last_writer is not None:
+                    last_writer[address] = node
                 if record:
                     codes_append(outcome_write)
                     leads_append(0)
                 continue
 
-            if emit is not None:
-                # The live protocol steps through the base system, where
-                # every read is a demand read: an SVB hit leaves the reader
-                # holding the copy the miss would have brought.
-                read_ints(node, address, type_code == spin_code)
             # Spin reads never count as consumptions and are not streamed.
             if type_code != spin_code and address in svb_maps[node]:
                 entry, fetches = tse_on_svb_hit(node, address)
                 if entry is not None:
                     n_svb_hits += 1
+                    if last_writer is not None and code == read_coherent:
+                        # The hit replaced the coherent read miss; a hit on
+                        # a block the reader holds replaced no messages.
+                        take_back(retract, node, address % num_nodes, last_writer[address])
                     if fetches:
                         deliver_fetches(node, fetches, fill_time=node_access_index)
                     if record:
@@ -486,8 +505,6 @@ class TSESimulator:
                     codes_append(outcome_other)
                     leads_append(0)
                 continue
-            if emit is not None:
-                messages_of(protocol, node, address, emit, code)
 
             if code == read_coherent:
                 n_consumptions += 1
@@ -544,11 +561,11 @@ class TSESimulator:
         types_col = chunk.types.tolist()
 
         fast = self.fast
-        protocol = self.protocol
-        emit = self.traffic.emit if self.traffic is not None else None
-        read_ints = protocol.read_ints
-        write_ints = protocol.write_ints
-        messages_of = transaction_messages
+        traffic = self.traffic
+        last_writer = self._last_writer if traffic is not None else None
+        retract = traffic.retract if traffic is not None else None
+        take_back = coherent_read_messages
+        num_nodes = self.num_nodes
         consume = fast.consume
         hit = fast.hit
         invalidate = fast.invalidate
@@ -575,23 +592,20 @@ class TSESimulator:
                 n_writes += 1
                 if address in residency:
                     n_discards += invalidate(address)
-                if emit is not None:
-                    messages_of(protocol, node, address, emit)
-                    write_ints(node, address)
+                if last_writer is not None:
+                    last_writer[address] = node
                 continue
 
-            if emit is not None:
-                read_ints(node, address, type_code == spin_code)
             if type_code != spin_code and address in svbs[node]:
                 n_svb_hits += 1
+                if last_writer is not None and code == read_coherent:
+                    take_back(retract, node, address % num_nodes, last_writer[address])
                 d, x = hit(node, address)
                 n_fetched += d
                 n_discards += x
                 continue
             if code == read_hit:
                 continue
-            if emit is not None:
-                messages_of(protocol, node, address, emit, code)
 
             if code == read_coherent:
                 n_consumptions += 1

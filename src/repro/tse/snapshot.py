@@ -60,15 +60,17 @@ __all__ = [
 #: stream-queue FIFOs, format 3 drops the finite-cache model and the
 #: directory's sharer/owner state, format 4 gives both TSE planes a
 #: traffic accountant in place of a message sink, format 5 leaves the
-#: protocol's block state empty (a bare replay reads code columns), and
-#: format 6 drops the per-component statistics registries and counters (the
-#: CMOB, SVB, stream engine, directory and protocol carry none).  The
+#: protocol's block state empty (a bare replay reads code columns), format
+#: 6 drops the per-component statistics registries and counters (the CMOB,
+#: SVB, stream engine, directory and protocol carry none), and format 7
+#: drops the simulator's protocol (it owns the directory itself), the SVB
+#: entry's version slot and the CMOB's node id and entry size.  The
 #: version participates in :func:`snapshot_key`, so persisted pre-refactor
 #: snapshots simply never match — a restore falls back to a cold ramp
 #: instead of unpickling an object whose attributes no longer exist — and it
 #: is embedded in the payload itself so a payload from a mismatched writer
 #: is rejected loudly by :func:`restore` rather than half-restored.
-SNAPSHOT_FORMAT = 6
+SNAPSHOT_FORMAT = 7
 
 
 class SnapshotFormatError(RuntimeError):

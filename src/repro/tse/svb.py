@@ -2,9 +2,9 @@
 
 A small, fully-associative buffer that holds streamed cache blocks until the
 processor consumes them (Section 3.3).  Each entry carries the block address,
-the id of the stream queue that fetched it, its fill time, and the block
-version at fetch.  Entries hold only clean data and are invalidated when any
-node (including the local one) writes the block.
+the id of the stream queue that fetched it and its fill time.  Entries hold
+only clean data and are invalidated when any node (including the local one)
+writes the block.
 
 The SVB is deliberately separate from the cache hierarchy: it avoids
 polluting the caches with mispredicted blocks and provides a small window
@@ -12,7 +12,7 @@ that tolerates slight reordering between the stream and the processor's
 actual access sequence.
 
 The buffer sits on the replay fast path, so it is a plain container: entries
-are tuples ``(address, queue_id, fill_time, version)`` — see
+are tuples ``(address, queue_id, fill_time)`` — see
 :data:`SVBEntry` — in an insertion-ordered dict used as the LRU, most
 recently filled last.  The system layer fills it and consumes hits straight
 from that dict (:meth:`TemporalStreamingSystem.deliver_all
@@ -27,13 +27,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.types import BlockAddress
 
-#: One streamed block resident in the SVB: ``(address, queue_id, fill_time,
-#: version)``.  ``fill_time`` is the simulation time (or trace index) at
+#: One streamed block resident in the SVB: ``(address, queue_id,
+#: fill_time)``.  ``fill_time`` is the simulation time (or trace index) at
 #: which the block was streamed in; the timing model uses it to decide
 #: whether the block arrived early enough (full coverage) or was still in
-#: flight (partial coverage).  ``version`` is always 0: nothing reads a
-#: streamed block's version back.
-SVBEntry = Tuple[BlockAddress, int, float, int]
+#: flight (partial coverage).
+SVBEntry = Tuple[BlockAddress, int, float]
 
 
 class StreamedValueBuffer:

@@ -5,14 +5,16 @@ Locks in the contracts the columnar replay rests on:
 1. chunk size never changes what a workload emits, and the
    ``ChunkedTrace.accesses`` view decodes every column exactly;
 2. chunk boundaries are invisible to the replay;
-3. a trace's coherence classification does not depend on TSE: the live
-   protocol of a traffic-accounted replay follows the trace's code column
-   access for access, on both planes, and the per-node consumption orders
-   read off the column equal a one-access-at-a-time protocol walk;
+3. a trace's coherence classification and base-system messages do not
+   depend on TSE: a traffic-accounted replay, on either plane, ends with
+   the base-system counts a one-access-at-a-time protocol walk sends
+   without the reads its SVB hits served, and the per-node consumption
+   orders read off the code column equal such a walk too;
 4. warm-state snapshot/restore determinism: same seed => same post-restore
    results, identical to replaying the warm ramp.
 """
 
+import collections
 import functools
 import importlib.util
 import pathlib
@@ -21,13 +23,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coherence import protocol as coherence
+from repro.coherence.messages import MESSAGE_TYPES
 from repro.coherence.protocol import (
     READ_COHERENT,
-    WRITE,
     CoherenceProtocol,
     coherence_codes,
     trace_codes,
     trace_consumptions,
+    trace_traffic,
+    transaction_messages,
 )
 from repro.common.chunk import ChunkedTrace, TraceChunk, stream_chunk_size
 from repro.common.config import DEFAULT_STREAM_CHUNK, TSEConfig
@@ -40,7 +44,7 @@ from repro.common.types import (
     TYPE_WRITE,
     Consumption,
 )
-from repro.tse.simulator import TSESimulator
+from repro.tse.simulator import Outcome, TSESimulator
 from repro.tse.snapshot import (
     capture,
     clear_snapshots,
@@ -109,27 +113,88 @@ def columns_of(trace: ChunkedTrace):
     return list(zip(trace.chunks(), trace_codes(trace)))
 
 
-def assert_live_protocol_follows_the_column(trace, config, mode):
-    """A traffic-accounted replay steps a live protocol.  At every read it
-    must return the code the trace's column holds at that position, and it
-    must end in the state a plain classification pass ends in."""
-    simulator = TSESimulator(trace.num_nodes, config, account_traffic=True, mode=mode)
-    protocol = simulator.protocol
-    live_read = protocol.read_ints
-    returned = []
+def live_protocol_counts(trace: ChunkedTrace, served):
+    """Reference for a traffic-accounted replay's base-system counts: step a
+    fresh protocol one access at a time and count every transaction's
+    messages, except those of the reads at the positions in ``served`` (the
+    reads an SVB hit served), as ``{(kind, src, dst): count}``."""
+    protocol = CoherenceProtocol(trace.num_nodes)
+    counts = collections.Counter()
 
-    def read_ints(node, address, is_spin):
-        code = live_read(node, address, is_spin)
-        returned.append(code)
-        return code
+    def emit(kind, src, dst):
+        counts[(kind, src, dst)] += 1
 
-    protocol.read_ints = read_ints
+    for position, (node, block, type_code, *_) in enumerate(records(trace)):
+        if TYPE_IS_WRITE[type_code]:
+            transaction_messages(protocol, node, block, emit)
+            protocol.write_ints(node, block)
+        else:
+            code = protocol.read_ints(node, block, type_code == TYPE_SPIN_READ)
+            if position not in served:
+                transaction_messages(protocol, node, block, emit, code)
+    return dict(counts)
+
+
+def baseline_counts(simulator: TSESimulator):
+    """The base-system message kinds of a replay's accountant, as
+    ``{(kind, src, dst): count}`` (TSE's own kinds left out)."""
+    accountant = simulator.traffic
+    n = accountant._num_nodes
+    counts = {}
+    for index, count in enumerate(accountant._counts):
+        kind, pair = divmod(index, n * n)
+        if count and not MESSAGE_TYPES[kind].is_tse_overhead:
+            counts[(kind, *divmod(pair, n))] = count
+    return counts
+
+
+def exact_served_reads(trace, config):
+    """A traffic-accounted exact replay and the positions of its SVB hits,
+    read off its outcome column."""
+    simulator = TSESimulator(
+        trace.num_nodes, config, account_traffic=True, record_outcomes=True, mode="exact"
+    )
     simulator.run(trace, warmup_fraction=0.3)
-    column = b"".join(trace_codes(trace))
-    assert returned == [code for code in column if code != WRITE]
-    classifier = CoherenceProtocol(trace.num_nodes)
-    assert b"".join(coherence_codes(classifier, trace.chunks())) == column
-    assert protocol._blocks == classifier._blocks
+    served = {
+        position for position, outcome in enumerate(simulator.outcome_codes)
+        if outcome == Outcome.SVB_HIT
+    }
+    return simulator, served
+
+
+def fast_served_reads(trace, config):
+    """A traffic-accounted fast replay and the positions of its SVB hits.
+
+    The fast plane records no outcomes, so its hit handler is wrapped, and
+    the trace is fed one access per chunk: the counters sync at each
+    chunk's end, so at a hit they count the accesses before it.  Asserts
+    that this replays what the trace's own chunks replay."""
+    single = ChunkedTrace(num_nodes=trace.num_nodes, name=trace.name)
+    for row in records(trace):
+        chunk = TraceChunk()
+        chunk.extend_packed([row])
+        single.append_chunk(chunk)
+    simulator = TSESimulator(trace.num_nodes, config, account_traffic=True, mode="fast")
+    served = set()
+    fast_hit = simulator.fast.hit
+
+    def hit(node, address):
+        served.add(simulator.warmup_stats.accesses + simulator.stats.accesses)
+        return fast_hit(node, address)
+
+    simulator.fast.hit = hit
+    simulator.run(single, warmup_fraction=0.3)
+    chunked = TSESimulator(trace.num_nodes, config, account_traffic=True, mode="fast")
+    assert chunked.run(trace, warmup_fraction=0.3).as_dict() == simulator.stats.as_dict()
+    return simulator, served
+
+
+def served_reads(trace, config, mode):
+    """A traffic-accounted replay on ``mode``'s plane and the positions of
+    the reads its SVB hits served."""
+    if mode == "exact":
+        return exact_served_reads(trace, config)
+    return fast_served_reads(trace, config)
 
 
 class TestChunkedEmission:
@@ -229,13 +294,20 @@ def shared_sequences(draw):
     return num_nodes, steps
 
 
-class TestCodeColumn:
+class TestTrafficFold:
+    """A traffic-accounted replay starts from the trace's message count
+    table (``trace_traffic``) and takes back the messages of the coherent
+    reads its SVB hits served.  Its base-system counts must equal a live
+    protocol stepped one access at a time that skips those reads."""
+
     @pytest.mark.parametrize("mode", ("exact", "fast"))
     @pytest.mark.parametrize("label, config", reference_battery.CONFIGS,
                              ids=[label for label, _ in reference_battery.CONFIGS])
     @pytest.mark.parametrize("name", available_workloads())
-    def test_traffic_replay_protocol_follows_the_column(self, name, label, config, mode):
-        assert_live_protocol_follows_the_column(small_trace(name), config, mode)
+    def test_replay_baseline_equals_a_live_protocol_count(self, name, label, config, mode):
+        trace = small_trace(name)
+        simulator, served = served_reads(trace, config, mode)
+        assert baseline_counts(simulator) == live_protocol_counts(trace, served)
 
     @given(
         case=shared_sequences(),
@@ -247,7 +319,7 @@ class TestCodeColumn:
         mode=st.sampled_from(("exact", "fast")),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_sharing_follows_the_column(
+    def test_random_sharing_baseline_equals_a_live_protocol_count(
         self, case, chunk_size, cmob_capacity, svb_entries, lookahead,
         compared_streams, mode,
     ):
@@ -259,8 +331,48 @@ class TestCodeColumn:
             stream_lookahead=lookahead, compared_streams=compared_streams,
             cmob_pointers_per_block=2,
         )
-        assert_live_protocol_follows_the_column(trace, config, mode)
+        simulator, served = served_reads(trace, config, mode)
+        assert baseline_counts(simulator) == live_protocol_counts(trace, served)
 
+    def test_fold_is_memoized_until_the_trace_grows(self):
+        trace = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
+        first = trace_traffic(trace)
+        assert trace_traffic(trace) is first
+        extra = TraceChunk()
+        extra.extend_packed([(0, 10, 0, 0, 0, 0)])  # a cold read: two messages
+        trace.append_chunk(extra)
+        grown = trace_traffic(trace)
+        assert grown is not first
+        assert sum(grown) == sum(first) + 2
+
+    @pytest.mark.parametrize("mode", ("exact", "fast"))
+    def test_cold_traffic_replay_steps_the_state_machine_once(self, mode, monkeypatch):
+        """The fold's pass also memoizes the code columns, so a traffic
+        replay of a fresh trace classifies each read exactly once."""
+        trace = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
+        reads = sum(
+            not TYPE_IS_WRITE[type_code] for chunk in trace.chunks()
+            for type_code in chunk.types.tolist()
+        )
+        classified = []
+        read_ints = CoherenceProtocol.read_ints
+
+        def counted(self, node, address, is_spin):
+            classified.append(address)
+            return read_ints(self, node, address, is_spin)
+
+        monkeypatch.setattr(CoherenceProtocol, "read_ints", counted)
+        TSESimulator(4, TSEConfig.paper_default(), account_traffic=True, mode=mode).run(
+            trace, warmup_fraction=0.3
+        )
+        assert len(classified) == reads
+        columns = trace_codes(trace)
+        assert len(classified) == reads
+        monkeypatch.setattr(CoherenceProtocol, "read_ints", read_ints)
+        assert columns == list(coherence_codes(CoherenceProtocol(4), trace.chunks()))
+
+
+class TestCodeColumn:
     def test_column_is_memoized_until_the_trace_grows(self):
         trace = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
         first = trace_codes(trace)
@@ -429,7 +541,8 @@ class TestSnapshotFormatVersioning:
         recomputed bit for bit, and the entry is replaced.  Format 4 is a
         bare simulator that still carried the protocol's block state;
         format 5 one whose components still carried statistics
-        registries."""
+        registries; format 6 one that still carried a (stateless)
+        protocol."""
         import pickle
 
         from repro.experiments.runner import trace_for
@@ -444,10 +557,11 @@ class TestSnapshotFormatVersioning:
         trace = trace_for("db2", self.WARM + self.MEASURE, 42, 16)
         warm, _ = snap._split_columns(columns_of(trace), self.WARM)
         key = snap.snapshot_key("db2", self.WARM, len(trace), 42, 16, config)
-        for legacy_format in (4, 5):
+        for legacy_format in (4, 5, 6):
             legacy = TSESimulator(16, config)
             for chunk, codes in warm:
                 legacy._replay_chunk(chunk, codes)
+            legacy.protocol = CoherenceProtocol(16)
             if legacy_format == 4:
                 list(coherence_codes(legacy.protocol, (chunk for chunk, _ in warm)))
             payload = pickle.dumps((legacy_format, legacy), protocol=pickle.HIGHEST_PROTOCOL)
@@ -462,7 +576,7 @@ class TestSnapshotFormatVersioning:
             assert healed.as_dict() == reference.as_dict()
             assert healed.stream_length_hist.buckets() == reference.stream_length_hist.buckets()
             assert pickle.loads(store[key])[0] == SNAPSHOT_FORMAT
-            assert not restore(store[key]).protocol._blocks
+            assert not hasattr(restore(store[key]), "protocol")
 
 
 class TestPackedCMOBDeterminism:

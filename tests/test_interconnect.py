@@ -8,6 +8,7 @@ from repro.coherence import messages
 from repro.coherence.messages import MESSAGE_TYPES, PAYLOAD_BYTES, STREAM_ADDRESS_BYTES
 from repro.common.config import InterconnectConfig
 from repro.interconnect import TorusTopology, TrafficAccountant
+from repro.interconnect.network import count_table
 
 
 class TestTorusTopology:
@@ -148,17 +149,25 @@ class TestTrafficAccountant:
             "overhead.address_stream_bytes": 72.0 + 30.0,
         }
 
-    @given(_torus_and_messages())
+    @given(_torus_and_messages(), st.integers(min_value=1, max_value=16))
     @settings(max_examples=60, deadline=None)
-    def test_folded_snapshot_equals_per_message_sum(self, case):
+    def test_folded_snapshot_equals_per_message_sum(self, case, table_nodes):
+        # The messages among the first ``table_nodes`` nodes arrive in one
+        # count table laid out for that many nodes, as a trace's base-system
+        # counts do; add_counts must land each where emit would have.
         width, height, sent = case
+        table_nodes = min(table_nodes, width * height)
         config = InterconnectConfig(width=width, height=height)
         accountant = TrafficAccountant(config)
+        counts, count = count_table(table_nodes)
         for kind, src, dst, carried in sent:
             if kind == messages.ADDRESS_STREAM:
                 accountant.emit_addresses(src, dst, carried)
+            elif src < table_nodes and dst < table_nodes:
+                count(kind, src, dst)
             else:
                 accountant.emit(kind, src, dst)
+        accountant.add_counts(counts, table_nodes)
         expected = _reference_snapshot(
             TorusTopology(width, height), config.header_bytes, sent
         )

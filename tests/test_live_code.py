@@ -1,4 +1,4 @@
-"""Every function of the TSE and coherence modules runs in a replay.
+"""Every function of the TSE, coherence and traffic modules runs in a replay.
 
 A small replay matrix runs under :func:`sys.setprofile`: exact bare,
 outcome-recording and traffic-accounted replays of em3d and db2 under three
@@ -25,9 +25,10 @@ import pytest
 from repro.coherence import directory, protocol
 from repro.common.chunk import ChunkedTrace
 from repro.experiments.runner import trace_for
+from repro.interconnect import network
 from repro.tse import cmob, engine, stream_engine, stream_queue, svb
 
-MODULES = (cmob, svb, stream_queue, stream_engine, engine, directory, protocol)
+MODULES = (cmob, svb, stream_queue, stream_engine, engine, directory, protocol, network)
 
 #: ``(module, qualified name)`` of each function allowed never to run in the
 #: matrix, with the reason it stays.

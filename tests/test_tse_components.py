@@ -434,7 +434,22 @@ class TestSVB:
         assert tse.deliver_all(1, [(queue_id, [13])], 6.0, {}) == (1, 1)
         assert resident(tse, 1) == {11, 13}
         entry, _ = hit(tse, 1, 11)
-        assert entry == (11, queue_id, 5.0, 0)
+        assert entry == (11, queue_id, 5.0)
+
+    def test_streamed_reply_comes_from_the_last_writer(self, tse_system):
+        """With traffic on, a delivered block counts a request to its home
+        and a reply from its last writer, or from the home when no node has
+        written it."""
+        messages = Messages()
+        tse = tse_system(num_nodes=4, traffic=messages)
+        tse.deliver_all(1, [(0, [10, 11])], 0.0, {10: 0})
+        kinds = [(MESSAGE_TYPES[kind].name, src, dst) for kind, src, dst in messages.sent]
+        assert kinds == [
+            ("STREAMED_DATA_REQUEST", 1, 2),  # block 10's home is node 2
+            ("STREAMED_DATA_REPLY", 0, 1),    # its last writer replies
+            ("STREAMED_DATA_REQUEST", 1, 3),  # block 11's home is node 3
+            ("STREAMED_DATA_REPLY", 3, 1),    # never written: the home replies
+        ]
 
     def test_known_duplicate_fetch_in_one_event(self, tse_system):
         """Pins a known defect, not intended behaviour.  An event's fetch
