@@ -6,12 +6,12 @@ streams, tiny SVBs), outcome-recording runs, bare runs (no recording, no
 traffic: the loop every sweep runs), column-less streamed input,
 traffic-accounting runs (over a trace and over streamed input, under
 evicting and wrapping configurations, and for an 8-node trace on its own
-torus and on a larger one), the warm-state snapshot path, timing comparisons
-(Figure 14 / Table 3), a traffic-accounted run and a timing comparison
-sharing one trace object in either order, the baseline prefetchers
-(Figure 12), Figure 6's correlation rows and a digest of the traces'
-``MemoryAccess`` view — and writes every result as JSON.  Two trees
-produce byte-identical files exactly when their simulators are
+torus and on a larger one), a warm-state run (measured after a replayed
+ramp), timing comparisons (Figure 14 / Table 3), a traffic-accounted run
+and a timing comparison sharing one trace object in either order, the
+baseline prefetchers (Figure 12), Figure 6's correlation rows and a digest
+of the traces' ``MemoryAccess`` view — and writes every result as JSON.
+Two trees produce byte-identical files exactly when their simulators are
 bit-identical.  Run this one script against both trees' ``src/`` so both
 sides run the same matrix::
 
@@ -36,8 +36,8 @@ from dataclasses import asdict
 
 from repro.common.config import InterconnectConfig, TSEConfig
 from repro.experiments.runner import trace_for
+from repro.tse import warm_tse_run
 from repro.tse.simulator import TSESimulator
-from repro.tse.snapshot import warm_tse_run
 from repro.workloads import get_workload
 from repro.workloads.base import WorkloadParams
 
@@ -137,19 +137,11 @@ def streamed_traffic_cell(workload: str) -> dict:
 
 
 def warm_cell(workload: str) -> dict:
-    cold = warm_tse_run(
-        workload, warm_accesses=6_000, measure_accesses=8_000,
-        seed=SEED, num_nodes=NUM_NODES, use_snapshot=False,
-    )
     warm = warm_tse_run(
         workload, warm_accesses=6_000, measure_accesses=8_000,
-        seed=SEED, num_nodes=NUM_NODES, use_snapshot=True,
+        seed=SEED, num_nodes=NUM_NODES,
     )
-    again = warm_tse_run(
-        workload, warm_accesses=6_000, measure_accesses=8_000,
-        seed=SEED, num_nodes=NUM_NODES, use_snapshot=True,
-    )
-    return {"cold": cold.as_dict(), "warm": warm.as_dict(), "restored": again.as_dict()}
+    return {"warm": warm.as_dict()}
 
 
 def timing_cell(workload: str, config: TSEConfig = TSEConfig.paper_default()) -> dict:

@@ -385,8 +385,8 @@ def resolve_mode(mode: Optional[str] = None) -> str:
     Precedence: an explicit ``mode`` argument, then the process-ambient mode
     installed by :func:`sim_mode_context` (the service layer wraps job
     execution in it), then ``REPRO_FAST_MODE``.  Every keyed consumer
-    (result cache, service store, snapshots) resolves the mode *before*
-    building its key, so fast and exact results can never collide.
+    (result cache, service store) resolves the mode *before* building its
+    key, so fast and exact results can never collide.
     """
     if mode is not None:
         return _validate_mode(mode)

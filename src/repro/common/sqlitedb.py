@@ -1,8 +1,7 @@
 """Shared sqlite connection settings for every accessor of a service DB file.
 
-Both the service result store (:mod:`repro.service.store`) and the
-persistent warm-state snapshot mapping
-(:class:`repro.tse.snapshot.PersistentSnapshotStore`) open per-operation
+Both the service result store (:mod:`repro.service.store`) and the campaign
+event log (:class:`repro.service.events.EventLog`) open per-operation
 connections to the same sqlite file from multiple threads and processes;
 this helper keeps the tuning (WAL journaling + busy timeout) in one place
 without coupling either layer to the other.

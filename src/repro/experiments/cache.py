@@ -200,12 +200,9 @@ def cached_tse_run(
 
 
 def clear_cache() -> None:
-    """Invalidate every cached result, trace, and warm-state snapshot."""
-    from repro.tse.snapshot import clear_snapshots
-
+    """Invalidate every cached result and trace."""
     _CACHE.clear()
     trace_for.cache_clear()
-    clear_snapshots()
 
 
 def cache_info() -> Dict[str, int]:
@@ -217,13 +214,13 @@ def main(argv: Optional[list] = None) -> int:
     """Cache-management entry point: ``python -m repro.experiments.cache``.
 
     ``--stats`` prints the state of every cache layer (in-process results,
-    traces, warm-state snapshots, and — when it exists — the persistent
-    service store); ``--clear`` empties them; ``--gc --keep-days N``
-    age-evicts persisted result/snapshot rows older than ``N`` days while
-    preserving campaign membership, so a later resubmission recomputes
-    exactly the evicted points.  The service's store GC is routed through
-    this entry point: clearing or collecting here is the one supported way
-    to drop persisted results and snapshots.
+    traces, and — when it exists — the persistent service store);
+    ``--clear`` empties them; ``--gc --keep-days N`` age-evicts persisted
+    result and event rows older than ``N`` days while preserving campaign
+    membership, so a later resubmission recomputes exactly the evicted
+    points.  The service's store GC is routed through this entry point:
+    clearing or collecting here is the one supported way to drop persisted
+    results.
     """
     import argparse
     import json as _json
@@ -255,7 +252,6 @@ def main(argv: Optional[list] = None) -> int:
         parser.error("--keep-days must be non-negative")
 
     from repro.service.store import ResultStore, default_store_path
-    from repro.tse.snapshot import snapshot_info
 
     store_path = args.store if args.store is not None else default_store_path()
     store = ResultStore(store_path) if ResultStore.exists(store_path) else None
@@ -279,7 +275,6 @@ def main(argv: Optional[list] = None) -> int:
         stats = {
             "results": cache_info(),
             "traces": trace_for.cache_info()._asdict(),
-            "snapshots": snapshot_info(),
             "store": store.stats() if store is not None
             else f"no store at {store_path}",
         }

@@ -13,28 +13,23 @@ per workload:
 * **cold** — the plain in-window warm-up every experiment uses
   (:data:`~repro.common.config.DEFAULT_WARMUP_FRACTION`);
 * **warm** — a full-size warm ramp replayed *outside* the measurement
-  window through :func:`repro.tse.snapshot.warm_tse_run`, whose cached
-  post-ramp snapshot makes repeated warm runs nearly free.
+  window through :func:`repro.tse.simulator.warm_tse_run`.
 
 Run as a module for the table::
 
     PYTHONPATH=src python -m repro.experiments.warm_state
 
 or as the ``warm_state`` service preset (``python -m repro.service submit
-warm_state``), where the post-ramp snapshots persist in the service store
-(:class:`~repro.tse.snapshot.PersistentSnapshotStore`) and are shared
-across worker processes and restarts.
+warm_state``).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.config import DEFAULT_WARMUP_FRACTION, PAPER_LOOKAHEAD, TSEConfig
 from repro.experiments.runner import SweepSpec, run_sweep, sweep_main
-from repro.tse.simulator import TSESimulator
-from repro.tse.snapshot import warm_tse_run
+from repro.tse.simulator import TSESimulator, warm_tse_run
 from repro.workloads.base import SCIENTIFIC_WORKLOADS
 
 #: Default measurement window: the benchmark suite's trace size.
@@ -45,13 +40,6 @@ DEFAULT_MEASURE_ACCESSES = 80_000
 DEFAULT_WARM_ACCESSES = 80_000
 
 
-@lru_cache(maxsize=8)
-def _snapshot_store(path: str):
-    from repro.tse.snapshot import PersistentSnapshotStore
-
-    return PersistentSnapshotStore(path)
-
-
 def _point(
     workload: str,
     _config: object,
@@ -59,8 +47,6 @@ def _point(
     target_accesses: int,
     seed: int,
     warm_accesses: int,
-    use_snapshot: bool = True,
-    snapshot_store_path: Optional[str] = None,
 ) -> Dict[str, object]:
     """Cold vs. warm-state coverage for one workload (``target_accesses`` is
     the measurement window)."""
@@ -78,10 +64,6 @@ def _point(
         warm_accesses=warm_accesses,
         measure_accesses=target_accesses,
         seed=seed,
-        use_snapshot=use_snapshot,
-        snapshot_store=(
-            _snapshot_store(snapshot_store_path) if snapshot_store_path else None
-        ),
     )
     return {
         "workload": workload,
@@ -107,7 +89,6 @@ def run(
     measure_accesses: int = DEFAULT_MEASURE_ACCESSES,
     warm_accesses: int = DEFAULT_WARM_ACCESSES,
     seed: int = 42,
-    use_snapshot: bool = True,
 ) -> List[Dict[str, object]]:
     """One row per workload: cold vs. warm-state coverage and the delta."""
     return run_sweep(
@@ -116,7 +97,6 @@ def run(
         target_accesses=measure_accesses,
         seed=seed,
         warm_accesses=warm_accesses,
-        use_snapshot=use_snapshot,
     )
 
 

@@ -49,7 +49,7 @@ import asyncio
 import json
 import time
 import traceback as traceback_module
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import job_retries, job_timeout, lease_ttl
@@ -316,9 +316,6 @@ class Scheduler:
         jobs = campaign.jobs()
         keys = [job.key for job in jobs]
         present = self.store.present_keys(keys)
-        # Runtime-only context: points that support it persist their warm
-        # snapshots alongside the results (never part of the job key).
-        context = (("snapshot_store_path", str(self.store.path)),)
         campaign_id = self.store.create_campaign(
             json.dumps(campaign.to_dict()), campaign.name, keys
         )
@@ -345,7 +342,7 @@ class Scheduler:
                 )
             else:
                 self._inflight[job.key] = run
-                pending.append(replace(job, context=context))
+                pending.append(job)
                 run.remaining += 1
                 run.states[job.key] = "queued"
                 job_events.append(

@@ -56,9 +56,9 @@ JOB_KEY_FIELDS: Tuple[str, ...] = (
     "mode",
 )
 
-#: Job fields deliberately *excluded* from the key: runtime-only execution
-#: context (e.g. ``snapshot_store_path``) that must never affect results.
-JOB_NON_KEY_FIELDS: Tuple[str, ...] = ("context",)
+#: Job fields deliberately *excluded* from the key (none: every field of a
+#: job can affect its result).
+JOB_NON_KEY_FIELDS: Tuple[str, ...] = ()
 
 
 def _freeze(value: Any) -> Any:
@@ -109,14 +109,7 @@ def spec_for(experiment: str) -> SweepSpec:
 
 @dataclass(frozen=True)
 class Job:
-    """One sweep point of a campaign: fully self-describing and picklable.
-
-    ``context`` carries runtime-only hints (e.g. the scheduler injects
-    ``snapshot_store_path`` so warm-state points persist their ramp
-    snapshots).  Context entries MUST NOT affect results — they are
-    excluded from :attr:`key` and only forwarded to points whose signature
-    accepts them.
-    """
+    """One sweep point of a campaign: fully self-describing and picklable."""
 
     experiment: str
     workload: str
@@ -125,7 +118,6 @@ class Job:
     seed: int
     num_nodes: int = 16
     shared: Tuple[Tuple[str, Any], ...] = ()
-    context: Tuple[Tuple[str, Any], ...] = ()
     mode: str = MODE_EXACT
 
     @property
@@ -165,14 +157,7 @@ class Job:
         }
 
     def to_wire(self) -> Dict[str, Any]:
-        """JSON-serializable form for the worker lease protocol.
-
-        ``context`` is deliberately stripped: its entries are server-local
-        runtime hints (e.g. ``snapshot_store_path`` names a file on the
-        scheduler's disk) that a remote worker can neither reach nor needs
-        — context never affects results, so the executed point is
-        identical either way.
-        """
+        """JSON-serializable form for the worker lease protocol."""
         return {
             "experiment": self.experiment,
             "workload": self.workload,
@@ -211,21 +196,12 @@ class Job:
         ``run_tse_on_trace`` the experiment performs resolves to — and is
         keyed under — exactly the mode this job's key declares.
         """
-        import inspect
-
         spec = spec_for(self.experiment)
-        kwargs = dict(self.shared)
-        if self.context:
-            accepted = inspect.signature(spec.point).parameters
-            kwargs.update({
-                name: value for name, value in dict(self.context).items()
-                if name in accepted and name not in kwargs
-            })
         with sim_mode_context(self.mode):
             result = spec.point(
                 self.workload, self.config,
                 target_accesses=self.target_accesses, seed=self.seed,
-                **kwargs,
+                **dict(self.shared),
             )
         return result if isinstance(result, list) else [result]
 

@@ -20,9 +20,8 @@ The fleet layer (PR 8) adds two tables: ``leases`` (worker batch leases
 with TTLs, so the expiry sweeper can requeue a dead worker's jobs) and
 ``job_attempts`` (per-key failure counts and captured tracebacks backing
 retry/backoff and poison-job quarantine).  The telemetry plane (PR 9)
-adds the append-only ``events`` table, owned by
-:class:`repro.service.events.EventLog` exactly as the ``snapshots`` table
-is owned by ``PersistentSnapshotStore``.
+adds the append-only ``events`` table, whose DDL
+:class:`repro.service.events.EventLog` owns.
 
 Durability layer (PR 10).  The schema is **versioned** via ``PRAGMA
 user_version`` with an ordered in-place migration framework
@@ -42,7 +41,7 @@ archives.
 
 Garbage collection is routed through the cache-management entry point:
 ``python -m repro.experiments.cache --clear [--store PATH]`` wipes
-everything, and ``--gc --keep-days N`` evicts only result/snapshot rows
+everything, and ``--gc --keep-days N`` evicts only result and event rows
 older than ``N`` days (campaign membership survives, so resubmission
 recomputes exactly the evicted points).
 """
@@ -69,7 +68,8 @@ DEFAULT_STORE = ".repro/service.sqlite"
 #: v1 = PR 4 base tables (results/campaigns/campaign_jobs);
 #: v2 = PR 8 fleet tables (leases/job_attempts);
 #: v3 = PR 10 per-row payload checksums (``results.checksum``).
-SCHEMA_VERSION = 3
+#: v4 drops the warm-state ``snapshots`` table (nothing reads it).
+SCHEMA_VERSION = 4
 
 #: Version tag of the campaign export archive format.
 EXPORT_FORMAT = 1
@@ -198,11 +198,15 @@ def _migrate_to_3(conn: sqlite3.Connection) -> None:
         )
 
 
+def _migrate_to_4(conn: sqlite3.Connection) -> None:
+    conn.execute("DROP TABLE IF EXISTS snapshots")
+
+
 #: Ordered migrations: ``_MIGRATIONS[v]`` upgrades a store from ``v - 1``
 #: to ``v``.  Each step runs in its own transaction and stamps
 #: ``user_version`` on success, so a crash mid-migration re-runs only the
 #: interrupted step (every step is written to be re-runnable).
-_MIGRATIONS = {2: _migrate_to_2, 3: _migrate_to_3}
+_MIGRATIONS = {2: _migrate_to_2, 3: _migrate_to_3, 4: _migrate_to_4}
 
 #: Lease lifecycle states. ``active`` leases are the only ones the expiry
 #: sweeper looks at; every terminal transition is recorded for ``GET
@@ -232,16 +236,12 @@ class ResultStore:
     def __init__(self, path: Optional[os.PathLike] = None,
                  checksums: bool = True) -> None:
         from repro.service.events import EventLog
-        from repro.tse.snapshot import PersistentSnapshotStore
 
         self.path = Path(path) if path is not None else default_store_path()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.checksums = checksums
         self._ensure_schema()
-        # The snapshots and events tables share this file but each table's
-        # DDL has exactly one owner: PersistentSnapshotStore (warm-state
-        # snapshot persistence) and EventLog (campaign telemetry).
-        PersistentSnapshotStore(self.path)
+        # The events table shares this file; its DDL's one owner is EventLog.
         self.event_log = EventLog(self.path)
 
     # ------------------------------------------------------ schema versioning
@@ -861,7 +861,6 @@ class ResultStore:
         with self._connect() as conn:
             results = conn.execute("SELECT COUNT(*) AS n FROM results").fetchone()["n"]
             campaigns = conn.execute("SELECT COUNT(*) AS n FROM campaigns").fetchone()["n"]
-            snapshots = conn.execute("SELECT COUNT(*) AS n FROM snapshots").fetchone()["n"]
             leases = conn.execute("SELECT COUNT(*) AS n FROM leases").fetchone()["n"]
             quarantined = conn.execute(
                 "SELECT COUNT(*) AS n FROM job_attempts WHERE quarantined = 1"
@@ -872,7 +871,6 @@ class ResultStore:
             "schema_version": self.schema_version(),
             "results": results,
             "campaigns": campaigns,
-            "snapshots": snapshots,
             "leases": leases,
             "quarantined": quarantined,
             "events": events,
@@ -880,13 +878,12 @@ class ResultStore:
         }
 
     def clear(self) -> Dict[str, int]:
-        """Drop every stored result, campaign, and snapshot (the full wipe)."""
+        """Drop every stored result, campaign, lease and event (the full wipe)."""
         def mutate(conn: sqlite3.Connection) -> Dict[str, int]:
             return {
                 "results": conn.execute("DELETE FROM results").rowcount,
                 "campaigns": conn.execute("DELETE FROM campaigns").rowcount,
                 "campaign_jobs": conn.execute("DELETE FROM campaign_jobs").rowcount,
-                "snapshots": conn.execute("DELETE FROM snapshots").rowcount,
                 "leases": conn.execute("DELETE FROM leases").rowcount,
                 "job_attempts": conn.execute("DELETE FROM job_attempts").rowcount,
                 "events": conn.execute("DELETE FROM events").rowcount,
@@ -895,7 +892,7 @@ class ResultStore:
         return self._write(mutate)
 
     def gc(self, keep_days: float) -> Dict[str, int]:
-        """Age-based eviction: drop result and snapshot rows older than
+        """Age-based eviction: drop result and event rows older than
         ``keep_days`` days.
 
         Only the *stale* rows go; campaign membership (``campaigns`` /
@@ -911,9 +908,6 @@ class ResultStore:
             counts = {
                 "results": conn.execute(
                     "DELETE FROM results WHERE created < ?", (cutoff,)
-                ).rowcount,
-                "snapshots": conn.execute(
-                    "DELETE FROM snapshots WHERE created < ?", (cutoff,)
                 ).rowcount,
                 "events": conn.execute(
                     "DELETE FROM events WHERE created < ?", (cutoff,)

@@ -17,16 +17,14 @@ Components (Section 3 of the paper):
   forwards streams, allocates queues, consumes SVB hits, serves refills and
   delivers fetched blocks into the SVBs.
 * :mod:`repro.tse.simulator` — functional trace-driven simulation of a whole
-  DSM with TSE, producing coverage / discard / traffic statistics.
-* :mod:`repro.tse.snapshot` — warm-state snapshot/restore: run a workload's
-  cold ramp once, pickle the warmed simulator, and replay only the
-  measurement window on subsequent runs.
+  DSM with TSE, producing coverage / discard / traffic statistics, and
+  :func:`~repro.tse.simulator.warm_tse_run`, which measures a window after
+  a replayed warm-up ramp.
 """
 
 from repro.tse.cmob import CMOB
 from repro.tse.engine import NodeTSE, TemporalStreamingSystem
-from repro.tse.simulator import TSESimulator, TSEStats
-from repro.tse.snapshot import warm_tse_run
+from repro.tse.simulator import TSESimulator, TSEStats, warm_tse_run
 from repro.tse.stream_engine import StreamEngine
 from repro.tse.stream_queue import StreamQueue
 from repro.tse.svb import StreamedValueBuffer, SVBEntry

@@ -148,16 +148,6 @@ class FastTemporalStreamingSystem:
         #: at the declared tolerances (measured: coverage unchanged to 4
         #: decimals on db2/apache, discard within the declared band).
         self._pump_threshold = max(1, config.stream_lookahead)
-        # Activity counters (debug/profiling visibility; not on any key).
-        self._n_cmob_appends = 0
-        self._n_streams_forwarded = 0
-        self._n_no_stream_found = 0
-        self._n_svb_hits = 0
-        self._n_svb_invalidations = 0
-        self._n_refills_serviced = 0
-        self._n_queue_reclaims = 0
-        self._n_stalls_resolved = 0
-        self._n_frontier_resumes = 0
 
     # ------------------------------------------------------------------ refills
     def _refill_one(self, node: NodeId, queue: StreamQueue, i: int) -> bool:
@@ -186,7 +176,6 @@ class FastTemporalStreamingSystem:
                 traffic.emit_addresses(src, node, count)
         if count:
             queue._src_next[i] = nxt + count
-            self._n_refills_serviced += 1
             return True
         return False
 
@@ -574,7 +563,6 @@ class FastTemporalStreamingSystem:
                     queue._selected = i
                     queue._stall_heads = None
                     queue.last_active = clock
-                    self._n_frontier_resumes += 1
                     if self._refill_one(node, queue, i):
                         queue.state_code = 0
                         d, x = self._pump(node, queue, svb)
@@ -618,7 +606,6 @@ class FastTemporalStreamingSystem:
                     queue.state_code = 0 if p < len(fifo) else 2
                     queue._stall_heads = None
                     queue.last_active = clock
-                    self._n_stalls_resolved += 1
                     if p < len(fifo):
                         d, x = self._pump(node, queue, svb)
                         delivered += d
@@ -736,7 +723,6 @@ class FastTemporalStreamingSystem:
         # assigned as fresh lists — cheaper than reset() + appends.
         if fifo_data is not None:
             n_streams = len(fifo_data)
-            self._n_streams_forwarded += n_streams
             qid = self._next_queue_id
             self._next_queue_id = qid + 1
             if len(slots) >= self._max_queues:
@@ -755,7 +741,6 @@ class FastTemporalStreamingSystem:
                 victim.total_hits = 0
                 victim._stall_heads = None
                 queue = victim
-                self._n_queue_reclaims += 1
             else:
                 queue = StreamQueue(qid, address, self._lookahead)
                 slots.append(queue)
@@ -774,8 +759,6 @@ class FastTemporalStreamingSystem:
             d, x = self._pump(node, queue, svb)
             delivered += d
             discarded += x
-        else:
-            self._n_no_stream_found += 1
 
         # (3) Record the miss in the consumer's CMOB and push the pointer
         # home (reusing the directory entry looked up in step 1).
@@ -815,7 +798,6 @@ class FastTemporalStreamingSystem:
             keep = directory.cmob_pointers_per_block
             if len(pointers) > keep:
                 del pointers[keep:]
-        self._n_cmob_appends += 1
         if traffic is not None:
             traffic.emit(CMOB_POINTER_UPDATE, node, directory.home_of(address))
             self._topup_refills(node, slots)
@@ -832,7 +814,6 @@ class FastTemporalStreamingSystem:
         self._clocks[node] = clock
         svb = self._svbs[node]
         queue, qid = svb.pop(address)
-        self._n_svb_hits += 1
         delivered = 0
         discarded = 0
         if queue.queue_id == qid:
@@ -891,7 +872,6 @@ class FastTemporalStreamingSystem:
         if self._traffic is not None:
             self._traffic.emit(CMOB_POINTER_UPDATE, node, directory.home_of(address))
             self._topup_refills(node, self._slots[node])
-        self._n_cmob_appends += 1
         return delivered, discarded
 
     def invalidate(self, address: BlockAddress) -> int:
@@ -913,7 +893,6 @@ class FastTemporalStreamingSystem:
                 count = residency.pop(address)
                 if count > 1:
                     residency[address] = count - 1
-        self._n_svb_invalidations += invalidated
         return invalidated
 
     # -------------------------------------------------------------- end of run

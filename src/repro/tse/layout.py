@@ -10,9 +10,8 @@ searches run at ``memcmp``/``memmem`` speed.
 This module is the single source of that layout.  Nothing else in the TSE
 plane may spell the slot width as a literal ``8`` (or ``<< 3``, or an
 inline ``"<Q"`` struct format): rule RL004 of ``repro.lint`` flags every
-magic width, so changing the slot layout is a one-line edit here plus a
-``SNAPSHOT_FORMAT`` bump — not a hunt through five files of byte
-arithmetic.
+magic width, so changing the slot layout is a one-line edit here — not a
+hunt through five files of byte arithmetic.
 
 Hot loops bind these constants to locals (``slot = SLOT_BYTES``) before
 entering; that keeps the per-event cost at one ``LOAD_FAST`` while the

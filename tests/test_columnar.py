@@ -1,4 +1,4 @@
-"""Columnar trace backbone regressions: packed chunks, views, snapshots.
+"""Columnar trace backbone regressions: packed chunks, views, warm runs.
 
 Locks in the contracts the columnar replay rests on:
 
@@ -10,8 +10,8 @@ Locks in the contracts the columnar replay rests on:
    the base-system counts a one-access-at-a-time protocol walk sends
    without the reads its SVB hits served, and the per-node consumption
    orders read off the code column equal such a walk too;
-4. warm-state snapshot/restore determinism: same seed => same post-restore
-   results, identical to replaying the warm ramp.
+4. a warm-state run is the measured window of one replay of ramp plus
+   window, wherever the ramp ends.
 """
 
 import collections
@@ -34,7 +34,7 @@ from repro.coherence.protocol import (
     transaction_messages,
 )
 from repro.common.chunk import ChunkedTrace, TraceChunk, stream_chunk_size
-from repro.common.config import DEFAULT_STREAM_CHUNK, TSEConfig
+from repro.common.config import DEFAULT_STREAM_CHUNK, MODE_EXACT, MODE_FAST, TSEConfig
 from repro.common.types import (
     ACCESS_TYPE_FROM_CODE,
     TYPE_ATOMIC,
@@ -44,14 +44,8 @@ from repro.common.types import (
     TYPE_WRITE,
     Consumption,
 )
+from repro.tse import warm_tse_run
 from repro.tse.simulator import Outcome, TSESimulator
-from repro.tse.snapshot import (
-    capture,
-    clear_snapshots,
-    restore,
-    snapshot_info,
-    warm_tse_run,
-)
 from repro.workloads import available_workloads, get_workload
 from repro.workloads.base import WorkloadParams
 
@@ -106,11 +100,6 @@ def stepwise_consumptions(trace: ChunkedTrace):
                 protocol._blocks[block].last_writer,
             ))
     return per_node
-
-
-def columns_of(trace: ChunkedTrace):
-    """``(chunk, code column)`` pairs, the input of ``_replay_chunk``."""
-    return list(zip(trace.chunks(), trace_codes(trace)))
 
 
 def live_protocol_counts(trace: ChunkedTrace, served):
@@ -411,172 +400,70 @@ class TestTraceConsumptions:
         assert trace_consumptions(trace) == first
 
 
-class TestWarmSnapshots:
-    WARM = 3_000
-    MEASURE = 3_000
+class TestWarmRun:
+    """``warm_tse_run`` measures a window after a replayed ramp: it equals
+    ``run_chunks`` over the same trace with the statistics reset at the
+    ramp's end, wherever that boundary falls."""
 
-    def test_snapshot_restore_matches_straight_replay(self):
-        """Restore-then-measure == warm-then-measure == plain warmup run."""
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FAST])
+    @pytest.mark.parametrize("boundary", ["zero", "inside_chunk", "chunk_boundary"])
+    def test_warm_run_matches_run_chunks(self, mode, boundary):
         from repro.experiments.runner import trace_for
 
-        clear_snapshots()
-        config = TSEConfig.paper_default(lookahead=18)
-        trace = trace_for("em3d", self.WARM + self.MEASURE, 42)
-        straight = TSESimulator(16, config).run_chunks(
-            trace.chunks(), name="em3d", warmup_accesses=self.WARM
-        )
-        cold = warm_tse_run(
-            "em3d", config, warm_accesses=self.WARM,
-            measure_accesses=self.MEASURE, use_snapshot=False,
-        )
-        miss = warm_tse_run(
-            "em3d", config, warm_accesses=self.WARM, measure_accesses=self.MEASURE,
-        )
-        hit = warm_tse_run(
-            "em3d", config, warm_accesses=self.WARM, measure_accesses=self.MEASURE,
-        )
-        for stats in (cold, miss, hit):
-            assert stats.as_dict() == straight.as_dict()
-            assert (
-                stats.stream_length_hist.buckets()
-                == straight.stream_length_hist.buckets()
-            )
-        info = snapshot_info()
-        assert info["hits"] >= 1 and info["misses"] >= 1
-
-    def test_same_seed_same_post_restore_trace(self):
-        clear_snapshots()
+        warm, measure = {
+            "zero": (0, 5_000),
+            "inside_chunk": (3_000, 3_000),
+            "chunk_boundary": (stream_chunk_size(), 2_000),
+        }[boundary]
+        # db2 streams from its first accesses, so the ramp leaves CMOB and
+        # queue state that the window reads; a short em3d ramp is all cold
+        # misses and would pass with a cold window too.
         config = TSEConfig.paper_default(lookahead=8)
-        first = warm_tse_run(
-            "db2", config, warm_accesses=self.WARM, measure_accesses=self.MEASURE,
+        trace = trace_for("db2", warm + measure, 42)
+        if boundary == "chunk_boundary":
+            assert len(trace.chunks()[0]) == warm
+        straight = TSESimulator(16, config, mode=mode).run_chunks(
+            trace.chunks(), name="db2", warmup_accesses=warm
         )
-        second = warm_tse_run(
-            "db2", config, warm_accesses=self.WARM, measure_accesses=self.MEASURE,
+        stats = warm_tse_run(
+            "db2", config, warm_accesses=warm, measure_accesses=measure, mode=mode,
         )
+        assert stats.accesses == len(trace) - warm
+        assert stats.as_dict() == straight.as_dict()
+        assert stats.stream_length_hist.buckets() == straight.stream_length_hist.buckets()
+
+    def test_same_seed_same_warm_run(self):
+        config = TSEConfig.paper_default(lookahead=8)
+        first = warm_tse_run("db2", config, warm_accesses=3_000, measure_accesses=3_000)
+        second = warm_tse_run("db2", config, warm_accesses=3_000, measure_accesses=3_000)
         assert first.as_dict() == second.as_dict()
 
-    def test_capture_restore_is_independent(self):
-        """Mutating a restored simulator leaves the snapshot's source alone."""
-        config = TSEConfig.paper_default(lookahead=8)
-        chunked = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
-        columns = columns_of(chunked)
-        simulator = TSESimulator(4, config)
-        simulator._replay_chunk(*columns[0])
-        payload = capture(simulator)
-        twin = restore(payload)
-        for chunk, codes in columns[1:]:
-            twin._replay_chunk(chunk, codes)
-        assert simulator.stats.accesses == len(columns[0][0])
-        assert twin.stats.accesses == len(chunked)
-
-    def test_traffic_simulator_cannot_snapshot(self):
-        simulator = TSESimulator(4, TSEConfig.paper_default(), account_traffic=True)
+    def test_negative_ramp_and_empty_window_rejected(self):
+        config = TSEConfig.paper_default()
         with pytest.raises(ValueError):
-            capture(simulator)
+            warm_tse_run("db2", config, warm_accesses=-1, measure_accesses=1_000)
+        with pytest.raises(ValueError):
+            warm_tse_run("db2", config, warm_accesses=1_000, measure_accesses=0)
 
+    def test_import_loads_neither_sqlite3_nor_pickle(self):
+        """Warm state lives only in the replay, so importing the TSE package
+        (as every replay does) loads no store or serialization module."""
+        import os
+        import subprocess
+        import sys
 
-class TestSnapshotFormatVersioning:
-    """Snapshots carry a format version: stale payloads fall back to the
-    cold ramp instead of unpickling garbage (PR 5 acceptance)."""
+        import repro.tse
 
-    WARM = 2_000
-    MEASURE = 2_000
-
-    def test_capture_embeds_format_and_restore_validates(self):
-        import pickle
-
-        from repro.tse.snapshot import SNAPSHOT_FORMAT, SnapshotFormatError
-
-        simulator = TSESimulator(4, TSEConfig.paper_default(lookahead=8))
-        payload = capture(simulator)
-        version, _ = pickle.loads(payload)
-        assert version == SNAPSHOT_FORMAT
-        assert isinstance(restore(payload), TSESimulator)
-        # A pre-versioning payload (raw pickled simulator) is rejected.
-        legacy = pickle.dumps(simulator, protocol=pickle.HIGHEST_PROTOCOL)
-        with pytest.raises(SnapshotFormatError):
-            restore(legacy)
-        with pytest.raises(SnapshotFormatError):
-            restore(b"not a pickle at all")
-
-    def test_snapshot_key_is_format_scoped(self):
-        from repro.tse.snapshot import SNAPSHOT_FORMAT, snapshot_key
-
-        key = snapshot_key("db2", 100, 200, 42, 16, TSEConfig.paper_default())
-        assert key.startswith(f"({SNAPSHOT_FORMAT},")
-
-    def test_bad_payload_under_current_key_falls_back_to_cold_ramp(self):
-        """Even a corrupt payload stored under the *current* key must not
-        crash or skew results: warm_tse_run recomputes the ramp and heals
-        the store entry."""
-        import pickle
-
-        from repro.tse import snapshot as snap
-
-        clear_snapshots()
-        config = TSEConfig.paper_default(lookahead=8)
-        reference = warm_tse_run(
-            "db2", config, warm_accesses=self.WARM,
-            measure_accesses=self.MEASURE, use_snapshot=False,
+        code = (
+            "import sys, repro.tse; "
+            "print(sorted({'sqlite3', 'pickle'} & set(sys.modules)))"
         )
-        from repro.experiments.runner import trace_for
-
-        trace = trace_for("db2", self.WARM + self.MEASURE, 42, 16)
-        key = snap.snapshot_key(
-            "db2", self.WARM, len(trace), 42, 16, config
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(repro.tse.__file__).parents[2])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=60,
         )
-        legacy_sim = TSESimulator(16, config)
-        snap._SNAPSHOTS[key] = pickle.dumps(legacy_sim)  # unversioned payload
-        healed = warm_tse_run(
-            "db2", config, warm_accesses=self.WARM, measure_accesses=self.MEASURE,
-        )
-        assert healed.as_dict() == reference.as_dict()
-        # The bad payload was replaced by a valid, versioned one.
-        assert isinstance(restore(snap._SNAPSHOTS[key]), TSESimulator)
-        clear_snapshots()
-
-    def test_format4_payload_in_persistent_store_falls_back_to_cold_ramp(self, tmp_path):
-        """A legacy payload is never restored: under its own key it never
-        matches, and under the current key it is rejected, the ramp is
-        recomputed bit for bit, and the entry is replaced.  Format 4 is a
-        bare simulator that still carried the protocol's block state;
-        format 5 one whose components still carried statistics
-        registries; format 6 one that still carried a (stateless)
-        protocol."""
-        import pickle
-
-        from repro.experiments.runner import trace_for
-        from repro.tse import snapshot as snap
-        from repro.tse.snapshot import SNAPSHOT_FORMAT, PersistentSnapshotStore
-
-        config = TSEConfig.paper_default(lookahead=8)
-        reference = warm_tse_run(
-            "db2", config, warm_accesses=self.WARM,
-            measure_accesses=self.MEASURE, use_snapshot=False,
-        )
-        trace = trace_for("db2", self.WARM + self.MEASURE, 42, 16)
-        warm, _ = snap._split_columns(columns_of(trace), self.WARM)
-        key = snap.snapshot_key("db2", self.WARM, len(trace), 42, 16, config)
-        for legacy_format in (4, 5, 6):
-            legacy = TSESimulator(16, config)
-            for chunk, codes in warm:
-                legacy._replay_chunk(chunk, codes)
-            legacy.protocol = CoherenceProtocol(16)
-            if legacy_format == 4:
-                list(coherence_codes(legacy.protocol, (chunk for chunk, _ in warm)))
-            payload = pickle.dumps((legacy_format, legacy), protocol=pickle.HIGHEST_PROTOCOL)
-
-            store = PersistentSnapshotStore(tmp_path / f"snapshots-{legacy_format}.sqlite")
-            store[key.replace(f"({SNAPSHOT_FORMAT},", f"({legacy_format},", 1)] = payload
-            store[key] = payload
-            healed = warm_tse_run(
-                "db2", config, warm_accesses=self.WARM, measure_accesses=self.MEASURE,
-                snapshot_store=store,
-            )
-            assert healed.as_dict() == reference.as_dict()
-            assert healed.stream_length_hist.buckets() == reference.stream_length_hist.buckets()
-            assert pickle.loads(store[key])[0] == SNAPSHOT_FORMAT
-            assert not hasattr(restore(store[key]), "protocol")
+        assert done.stdout.strip() == "[]"
 
 
 class TestPackedCMOBDeterminism:
@@ -592,6 +479,26 @@ class TestPackedCMOBDeterminism:
         from_one = TSESimulator(4, config).run(one_chunk_trace("db2"), warmup_fraction=0.3)
         assert from_chunks.as_dict() == from_one.as_dict()
 
+    def test_warm_run_carries_wrapped_packed_state(self):
+        """A ramp that wraps the 97-entry rings hands the packed CMOB and
+        FIFO state to the window intact: the warm run equals one replay
+        with the statistics reset at the ramp's end."""
+        from repro.experiments.runner import trace_for
+
+        config = TSEConfig(cmob_capacity=97, svb_entries=8, stream_lookahead=8)
+        trace = trace_for("db2", 12_000, 11, 4)
+        straight = TSESimulator(4, config)
+        expected = straight.run_chunks(trace.chunks(), name="db2", warmup_accesses=8_000)
+        # Every consumption appends one CMOB entry, so a ramp with more
+        # consumptions than the four rings hold has overwritten ring slots.
+        assert straight.warmup_stats.total_consumptions > 4 * config.cmob_capacity
+        stats = warm_tse_run(
+            "db2", config, warm_accesses=8_000, measure_accesses=4_000,
+            seed=11, num_nodes=4,
+        )
+        assert stats.as_dict() == expected.as_dict()
+        assert stats.stream_length_hist.buckets() == expected.stream_length_hist.buckets()
+
     def test_packed_ring_grows_lazily_and_caps(self):
         from repro.coherence.directory import Directory
         from repro.tse.engine import TemporalStreamingSystem
@@ -605,23 +512,6 @@ class TestPackedCMOBDeterminism:
         for address in range(10, 40):
             tse.on_consumption(0, address)
         assert len(cmob._data) == 16 * 8  # capped at capacity entries
-
-    def test_snapshot_round_trips_packed_state(self):
-        """Capture/restore across the byte-packed CMOB + FIFO state is
-        deterministic: the restored twin replays to identical results."""
-        config = TSEConfig(cmob_capacity=97, svb_entries=8, stream_lookahead=8)
-        chunked = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
-        columns = columns_of(chunked)
-        reference = TSESimulator(4, config)
-        twin_source = TSESimulator(4, config)
-        for chunk, codes in columns[:2]:
-            reference._replay_chunk(chunk, codes)
-            twin_source._replay_chunk(chunk, codes)
-        twin = restore(capture(twin_source))
-        for chunk, codes in columns[2:]:
-            reference._replay_chunk(chunk, codes)
-            twin._replay_chunk(chunk, codes)
-        assert reference.finalize().as_dict() == twin.finalize().as_dict()
 
 
 class TestParallelPreload:

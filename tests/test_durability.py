@@ -238,9 +238,9 @@ class TestTransport:
 # Versioned schema: in-place migrations and newer-build refusal.
 # --------------------------------------------------------------------------
 
-# Hand-written copies of the historical layouts (results without the v3
-# ``checksum`` column; v1 additionally lacks the fleet tables), as a PR 4-
-# or PR 8-era build would have left them — with ``user_version`` never set.
+# Hand-written copies of the historical layouts (v1 and v2 results without
+# the v3 ``checksum`` column; v1 additionally lacks the fleet tables), as
+# the builds that wrote them left them: ``user_version`` is set from v3 on.
 _V1_DDL = """
 CREATE TABLE results (
     key        TEXT PRIMARY KEY,
@@ -287,15 +287,39 @@ CREATE TABLE job_attempts (
 """
 
 
+# Every build up to v3 also created the warm-state ``snapshots`` table.
+_SNAPSHOTS_DDL = """
+CREATE TABLE snapshots (
+    key     TEXT PRIMARY KEY,
+    payload BLOB NOT NULL,
+    created REAL NOT NULL
+);
+INSERT INTO snapshots (key, payload, created) VALUES ('legacy-snap', x'00', 1.0);
+"""
+
+# The v3 layout adds the ``checksum`` column and stamps ``user_version``.
+_V3_EXTRA_DDL = """
+ALTER TABLE results ADD COLUMN checksum TEXT;
+PRAGMA user_version = 3;
+"""
+
+
 def _make_legacy_store(path, version):
     conn = sqlite3.connect(path)
-    conn.executescript(_V1_DDL + (_V2_EXTRA_DDL if version >= 2 else ""))
+    conn.executescript(
+        _V1_DDL
+        + _SNAPSHOTS_DDL
+        + (_V2_EXTRA_DDL if version >= 2 else "")
+        + (_V3_EXTRA_DDL if version >= 3 else "")
+    )
     rows_json = json.dumps([{"i": 1, "v": "legacy"}])
     conn.execute(
         "INSERT INTO results (key, job_id, experiment, workload, rows_json, "
         "created) VALUES (?, ?, ?, ?, ?, ?)",
         ("legacy-key", "legacy-job", "fig09", "db2", rows_json, 1.0),
     )
+    if version >= 3:
+        conn.execute("UPDATE results SET checksum = ?", (row_checksum(rows_json),))
     conn.commit()
     conn.close()
     return rows_json
@@ -315,12 +339,34 @@ class TestStoreSchema:
         assert store.schema_version() == SCHEMA_VERSION
         assert store.stats()["schema_version"] == SCHEMA_VERSION
 
-    @pytest.mark.parametrize("legacy_version", [1, 2])
+    def test_fresh_store_creates_no_snapshots_table(self, tmp_path):
+        path = tmp_path / "fresh.sqlite"
+        ResultStore(path)
+        conn = sqlite3.connect(path)
+        try:
+            tables = {
+                name for (name,) in conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table' "
+                    "AND name NOT LIKE 'sqlite_%'"
+                )
+            }
+        finally:
+            conn.close()
+        assert tables == {
+            "results", "campaigns", "campaign_jobs", "leases", "job_attempts", "events",
+        }
+
+    @pytest.mark.parametrize("legacy_version", [1, 2, 3])
     def test_legacy_store_migrates_in_place(self, tmp_path, legacy_version):
         path = tmp_path / "legacy.sqlite"
         rows_json = _make_legacy_store(path, legacy_version)
         store = ResultStore(path)
         assert store.schema_version() == SCHEMA_VERSION
+        # The v4 step drops the warm-state snapshots table and its rows.
+        tables = _raw_column(
+            path, "SELECT COUNT(*) FROM sqlite_master WHERE name = 'snapshots'"
+        )[0]
+        assert tables == 0
         # Data survives, the checksum backfill covers it, fleet tables exist.
         assert store.get_result("legacy-key") == json.loads(rows_json)
         checksum = _raw_column(

@@ -2,7 +2,9 @@
 
 A small replay matrix runs under :func:`sys.setprofile`: exact bare,
 outcome-recording and traffic-accounted replays of em3d and db2 under three
-of the reference battery's configurations, one warm-snapshot restore, one
+of the reference battery's configurations, one fast-plane replay, one
+``run_chunks`` over streamed chunks, one traffic-accounted
+``run_tse_on_trace`` on the default interconnect, one ``warm_tse_run``, one
 ``TimingSimulator.compare`` and one ``trace_consumptions``.  The test fails
 on any function defined in the modules below that never ran, naming its
 qualified name, so a method that only tests reach (a second copy of code
@@ -26,9 +28,12 @@ from repro.coherence import directory, protocol
 from repro.common.chunk import ChunkedTrace
 from repro.experiments.runner import trace_for
 from repro.interconnect import network
-from repro.tse import cmob, engine, stream_engine, stream_queue, svb
+from repro.tse import cmob, engine, simulator, stream_engine, stream_queue, svb
 
-MODULES = (cmob, svb, stream_queue, stream_engine, engine, directory, protocol, network)
+MODULES = (
+    cmob, svb, stream_queue, stream_engine, engine, simulator,
+    directory, protocol, network,
+)
 
 #: ``(module, qualified name)`` of each function allowed never to run in the
 #: matrix, with the reason it stays.
@@ -74,10 +79,11 @@ def _fresh(workload: str) -> ChunkedTrace:
 
 
 def _replay_matrix(configs) -> None:
-    from repro.common.config import InterconnectConfig, TSEConfig
+    from repro.common.config import MODE_FAST, InterconnectConfig, TSEConfig
     from repro.system.timing import TimingSimulator
-    from repro.tse.simulator import TSESimulator
-    from repro.tse.snapshot import warm_tse_run
+    from repro.tse.simulator import TSESimulator, run_tse_on_trace, warm_tse_run
+    from repro.workloads import get_workload
+    from repro.workloads.base import WorkloadParams
 
     interconnect = InterconnectConfig(width=4, height=4)
     for workload in WORKLOADS:
@@ -87,15 +93,20 @@ def _replay_matrix(configs) -> None:
                 {"record_outcomes": True},
                 {"account_traffic": True, "interconnect_config": interconnect},
             ):
-                simulator = TSESimulator(NUM_NODES, tse_config=config, **options)
-                simulator.run(_fresh(workload), warmup_fraction=0.3)
-                simulator.tse.stats.snapshot()
-    store: dict = {}
-    for _ in range(2):  # the second run restores the first run's snapshot
-        warm_tse_run(
-            "db2", TSEConfig.paper_default(), warm_accesses=6_000,
-            measure_accesses=8_000, snapshot_store=store,
-        )
+                replay = TSESimulator(NUM_NODES, tse_config=config, **options)
+                replay.run(_fresh(workload), warmup_fraction=0.3)
+                replay.tse.stats.snapshot()
+    paper = TSEConfig.paper_default()
+    TSESimulator(NUM_NODES, paper, mode=MODE_FAST).run(_fresh("db2"), warmup_fraction=0.3)
+    params = WorkloadParams(num_nodes=NUM_NODES, seed=42, target_accesses=ACCESSES)
+    TSESimulator(NUM_NODES, paper).run_chunks(
+        get_workload("db2", params).stream_chunks(chunk_size=4096),
+        name="db2", warmup_accesses=6_000,
+    )
+    run_tse_on_trace(_fresh("em3d"), paper, account_traffic=True)
+    warm_tse_run(
+        "db2", paper, warm_accesses=6_000, measure_accesses=8_000,
+    ).as_dict()
     TimingSimulator().compare(_fresh("em3d"))
     protocol.trace_consumptions(_fresh("db2"))
 

@@ -91,7 +91,7 @@ class TestStoreGC:
         store.create_campaign("{}", "camp", ["old", "new"])
         _backdate(store, ["old"])
         counts = store.gc(keep_days=7)
-        assert counts == {"results": 1, "snapshots": 0, "events": 0}
+        assert counts == {"results": 1, "events": 0}
         assert store.get_result("old") is None
         assert store.get_result("new") == [{"row": "new"}]
         # Campaign membership is never evicted: the table can still be
@@ -102,23 +102,6 @@ class TestStoreGC:
     def test_gc_negative_days_rejected(self, store):
         with pytest.raises(ValueError):
             store.gc(keep_days=-1)
-
-    def test_gc_evicts_stale_snapshots(self, store):
-        import time as _time
-
-        from repro.tse.snapshot import PersistentSnapshotStore
-
-        snaps = PersistentSnapshotStore(store.path)
-        snaps["snap-old"] = b"payload"
-        snaps["snap-new"] = b"payload"
-        with store._connect() as conn:
-            conn.execute(
-                "UPDATE snapshots SET created = ? WHERE key = 'snap-old'",
-                (_time.time() - 30 * 86400.0,),
-            )
-        counts = store.gc(keep_days=7)
-        assert counts == {"results": 0, "snapshots": 1, "events": 0}
-        assert "snap-old" not in snaps and "snap-new" in snaps
 
     def test_resubmission_recomputes_exactly_the_evicted_points(self, tmp_path):
         """ISSUE acceptance: after an age GC, resubmitting the same campaign
@@ -152,7 +135,7 @@ class TestStoreGC:
         assert cache_main(["--gc", "--keep-days", "7",
                            "--store", str(store.path)]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["gc"]["evicted"] == {"results": 1, "snapshots": 0, "events": 0}
+        assert out["gc"]["evicted"] == {"results": 1, "events": 0}
         assert store.stats()["results"] == 1
 
     def test_cache_cli_gc_requires_keep_days(self, tmp_path):
@@ -228,6 +211,27 @@ class TestCampaignSpec:
             spec_for("os")  # arbitrary module import must be refused
         with pytest.raises(ValueError):
             spec_for("repro.experiments.nonexistent")
+
+    def test_every_job_field_is_in_its_key(self):
+        """A job carries no runtime-only field: changing any one field
+        changes the key, so jobs that may compute different rows never
+        share a store row."""
+        import dataclasses
+
+        job = Job("repro.experiments.fig09_svb", "db2", None, ACCESSES, 42)
+        changed = {
+            "experiment": "repro.experiments.fig10_cmob",
+            "workload": "em3d",
+            "config": TSEConfig.paper_default(lookahead=4),
+            "target_accesses": ACCESSES + 1,
+            "seed": 43,
+            "num_nodes": 4,
+            "shared": (("lookahead", 8),),
+            "mode": "fast",
+        }
+        assert set(changed) == {field.name for field in dataclasses.fields(Job)}
+        for name, value in changed.items():
+            assert dataclasses.replace(job, **{name: value}).key != job.key, name
 
     def test_preset_defaults_compile(self):
         for name in preset_names():
@@ -684,7 +688,7 @@ class TestCacheCLI:
         assert cache_main(["--stats", "--store", str(store.path)]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["store"]["results"] == 1
-        assert "snapshots" in stats and "traces" in stats
+        assert "traces" in stats and "snapshots" not in stats
 
         assert cache_main(["--clear", "--store", str(store.path)]) == 0
         cleared = json.loads(capsys.readouterr().out)
@@ -702,9 +706,9 @@ class TestCacheCLI:
 
 
 class TestWarmStatePreset:
-    def test_snapshots_persist_in_service_store(self, tmp_path):
-        """The warm_state preset stores its post-ramp snapshots (runtime
-        context, never part of the job key) so restarts skip the ramp."""
+    def test_preset_stores_its_rows(self, tmp_path):
+        """The warm_state preset completes and stores its row under the
+        campaign's job key."""
         camp = preset_campaign(
             "warm_state", workloads=("em3d",), target_accesses=2_000,
             shared=(("warm_accesses", 2_000),),
@@ -714,36 +718,5 @@ class TestWarmStatePreset:
             run = service.submit(camp, wait=True)
             assert run.status == "done" and run.computed == 1
         store = ResultStore(store_path)
-        assert store.stats()["snapshots"] == 1
-        # The context injection must not have changed the job key.
-        assert store.present_keys([job.key for job in camp.jobs()])
-
-
-class TestPersistentSnapshots:
-    def test_warm_run_shares_snapshots_through_store(self, tmp_path):
-        from repro.tse.snapshot import PersistentSnapshotStore, warm_tse_run
-
-        path = tmp_path / "snaps.sqlite"
-        snapshot_store = PersistentSnapshotStore(path)
-        config = TSEConfig.paper_default(lookahead=8)
-        kwargs = dict(warm_accesses=2_000, measure_accesses=2_000, seed=42)
-
-        reference = warm_tse_run("em3d", config, use_snapshot=False, **kwargs)
-        first = warm_tse_run("em3d", config, snapshot_store=snapshot_store, **kwargs)
-        assert len(snapshot_store) == 1
-        # A fresh mapping over the same file restores instead of re-ramping.
-        reopened = PersistentSnapshotStore(path)
-        second = warm_tse_run("em3d", config, snapshot_store=reopened, **kwargs)
-        assert first.as_dict() == reference.as_dict() == second.as_dict()
-
-    def test_mapping_protocol(self, tmp_path):
-        from repro.tse.snapshot import PersistentSnapshotStore
-
-        snaps = PersistentSnapshotStore(tmp_path / "snaps.sqlite")
-        snaps["a"] = b"payload"
-        snaps["a"] = b"ignored"  # first write wins
-        assert snaps["a"] == b"payload"
-        assert list(snaps) == ["a"] and len(snaps) == 1
-        del snaps["a"]
-        with pytest.raises(KeyError):
-            snaps["a"]
+        keys = [job.key for job in camp.jobs()]
+        assert store.present_keys(keys) == set(keys)

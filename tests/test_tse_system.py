@@ -161,8 +161,8 @@ class TestTSESimulator:
         trace = migratory_trace(rounds=5)
         simulator = TSESimulator(4, TSEConfig.paper_default(), record_outcomes=True)
         simulator.run(trace)
-        assert len(simulator.outcomes) == len(trace)
-        codes = {Outcome(code) for code, _ in simulator.outcomes}
+        assert len(simulator.outcome_codes) == len(simulator.outcome_leads) == len(trace)
+        codes = {Outcome(code) for code in simulator.outcome_codes}
         assert Outcome.WRITE in codes
         assert Outcome.CONSUMPTION in codes or Outcome.SVB_HIT in codes
 
