@@ -7,9 +7,13 @@ environment variable (or pass larger ``target_accesses`` through the
 experiment modules directly) for higher-fidelity runs.
 
 After a **full** benchmark session at the **default** trace size the suite
-writes ``BENCH_core.json`` at the repo root so future PRs can track the
-performance curve (subset or size-overridden runs leave the artifact
-untouched — their numbers would not be comparable).  Schema (all times are
+writes a fresh trajectory artifact to the git-ignored
+``.benchmarks/BENCH_core.json`` (subset or size-overridden runs write
+nothing — their numbers would not be comparable).  The committed
+``BENCH_core.json`` at the repo root is the baseline CI's benchmarks job
+gates the fresh file against (``check_bench_regression.py``), so no test
+run can move it: a PR moves the baseline only by copying the fresh file
+over it on purpose and saying so in CHANGES.md.  Schema (all times are
 seconds of wall clock):
 
     {
@@ -317,5 +321,6 @@ def pytest_sessionfinish(session, exitstatus):
         "store_integrity": dict(_integrity_metrics) or None,
         "pr1_reference": PR1_REFERENCE,
     }
-    out_path = Path(__file__).resolve().parent.parent / "BENCH_core.json"
+    out_path = Path(__file__).resolve().parent.parent / ".benchmarks" / "BENCH_core.json"
+    out_path.parent.mkdir(exist_ok=True)
     out_path.write_text(json.dumps(artifact, indent=2) + "\n")

@@ -36,7 +36,6 @@ from dataclasses import asdict
 
 from repro.common.config import InterconnectConfig, TSEConfig
 from repro.experiments.runner import trace_for
-from repro.tse import warm_tse_run
 from repro.tse.simulator import TSESimulator
 from repro.workloads import get_workload
 from repro.workloads.base import WorkloadParams
@@ -137,9 +136,11 @@ def streamed_traffic_cell(workload: str) -> dict:
 
 
 def warm_cell(workload: str) -> dict:
-    warm = warm_tse_run(
-        workload, warm_accesses=6_000, measure_accesses=8_000,
-        seed=SEED, num_nodes=NUM_NODES,
+    """An 8,000-access window measured after a 6,000-access ramp replayed
+    on the same simulator (the warm-state study's replay)."""
+    warm = TSESimulator(NUM_NODES).run_chunks(
+        trace_for(workload, 14_000, SEED, NUM_NODES).chunks(),
+        name=workload, warmup_accesses=6_000,
     )
     return {"warm": warm.as_dict()}
 

@@ -7,7 +7,6 @@ table.  The benchmark suite under ``benchmarks/`` regenerates each result
 through these entry points.
 """
 
-from repro.experiments.cache import cache_info, cached_tse_run, clear_cache
 from repro.experiments.runner import (
     DEFAULT_TARGET_ACCESSES,
     WORKLOADS,
@@ -22,7 +21,4 @@ __all__ = [
     "trace_for",
     "format_table",
     "run_parallel",
-    "cached_tse_run",
-    "cache_info",
-    "clear_cache",
 ]

@@ -13,7 +13,9 @@ per workload:
 * **cold** — the plain in-window warm-up every experiment uses
   (:data:`~repro.common.config.DEFAULT_WARMUP_FRACTION`);
 * **warm** — a full-size warm ramp replayed *outside* the measurement
-  window through :func:`repro.tse.simulator.warm_tse_run`.
+  window: one ``warm_accesses + target_accesses`` trace replayed by
+  ``run_chunks`` with the statistics reset at the ramp's end, so CMOB,
+  queue and directory state carry over into the window.
 
 Run as a module for the table::
 
@@ -29,7 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.common.config import DEFAULT_WARMUP_FRACTION, PAPER_LOOKAHEAD, TSEConfig
 from repro.experiments.runner import SweepSpec, run_sweep, sweep_main
-from repro.tse.simulator import TSESimulator, warm_tse_run
+from repro.tse.simulator import TSESimulator
 from repro.workloads.base import SCIENTIFIC_WORKLOADS
 
 #: Default measurement window: the benchmark suite's trace size.
@@ -52,18 +54,19 @@ def _point(
     the measurement window)."""
     from repro.experiments.runner import trace_for
 
+    if warm_accesses < 0 or target_accesses <= 0:
+        raise ValueError("warm_accesses must be >= 0 and target_accesses > 0")
+
     lookahead = PAPER_LOOKAHEAD.get(workload, 8)
     config = TSEConfig.paper_default(lookahead=lookahead)
     cold = TSESimulator(16, tse_config=config).run(
         trace_for(workload, target_accesses, seed),
         warmup_fraction=DEFAULT_WARMUP_FRACTION,
     )
-    warm = warm_tse_run(
-        workload,
-        config,
-        warm_accesses=warm_accesses,
-        measure_accesses=target_accesses,
-        seed=seed,
+    warm = TSESimulator(16, tse_config=config).run_chunks(
+        trace_for(workload, warm_accesses + target_accesses, seed).chunks(),
+        name=workload,
+        warmup_accesses=warm_accesses,
     )
     return {
         "workload": workload,

@@ -10,11 +10,13 @@ makes them *durable and submittable*.  Four parts:
 * :mod:`repro.service.store` — a persistent ``sqlite3`` result store, so
   completed points survive restarts and resubmitted campaigns recompute
   nothing;
-* :mod:`repro.service.scheduler` — an ``asyncio`` scheduler over the
-  existing process pool with priority queues, per-trace job batching,
-  progress, cancellation, crash-resume from the store, per-job
-  retry/backoff with poison-job quarantine, and the server side of the
-  remote-worker lease protocol (TTL leases + expiry sweeper);
+* :mod:`repro.service.scheduler` — an ``asyncio`` scheduler with priority
+  queues, per-trace job batching, progress, cancellation, crash-resume
+  from the store, per-job retry/backoff with poison-job quarantine, and
+  one execution path: local slots (running batches on the process pool)
+  and remote workers take batches as leases through the same grant and
+  settle through the same ``complete_lease`` (TTL leases + expiry sweeper
+  for the remote ones);
 * :mod:`repro.service.worker` — the fleet side: ``python -m repro.service
   work --url ...`` lease-protocol workers that can be killed at any
   instruction without losing completed results;

@@ -144,21 +144,6 @@ class EventLog:
 
         return connect(self.path, row_factory=sqlite3.Row)
 
-    def _write(self, mutate, attempts: int = 6):
-        """Retrying ``BEGIN IMMEDIATE`` transaction (the store's idiom)."""
-        from repro.common.sqlitedb import locked_error
-
-        for attempt in range(attempts):
-            try:
-                with self._connect() as conn:
-                    conn.execute("BEGIN IMMEDIATE")
-                    return mutate(conn)
-            except sqlite3.OperationalError as exc:
-                if attempt + 1 >= attempts or not locked_error(exc):
-                    raise
-                time.sleep(0.05 * (attempt + 1))
-        raise AssertionError("unreachable")  # pragma: no cover
-
     # ------------------------------------------------------------- appending
     def append(
         self, campaign_id: int, type: str, data: Dict[str, Any],
@@ -170,9 +155,11 @@ class EventLog:
         self, campaign_id: int, entries: Sequence[Tuple[str, Dict[str, Any]]],
     ) -> List[Event]:
         """Append a batch of events in one transaction (one seq range)."""
+        from repro.common.sqlitedb import write
+
         if not entries:
             return []
-        return self._write(lambda conn: self.insert(conn, campaign_id, entries))
+        return write(self._connect, lambda conn: self.insert(conn, campaign_id, entries))
 
     def insert(
         self, conn: sqlite3.Connection, campaign_id: int,

@@ -1,46 +1,41 @@
-"""Async campaign scheduler: local pool plus a fault-tolerant worker fleet.
+"""Async campaign scheduler: one lease path for local slots and remote workers.
 
-The scheduler is an ``asyncio`` front-end: campaigns are compiled to job
-lists, jobs already present in the persistent store are skipped outright
-(resubmission is near-free), and the remaining jobs are **batched by trace
-identity** — every job that replays the same ``(workload, target_accesses,
-seed, num_nodes)`` trace is grouped into one batch so a worker generates
-(or inherits) that packed trace once and sweeps every configuration over
-it, exactly like ``run_parallel``'s preloading.
+Campaigns compile to job lists; jobs already in the persistent store are
+skipped (resubmission is near-free), and the rest are **batched by trace
+identity** — every job that replays the same ``(workload,
+target_accesses, seed, num_nodes)`` trace shares one batch, so its holder
+generates that packed trace once, exactly like ``run_parallel``.
 
-Batches flow through one priority queue (campaign priority first,
-submission order second) to **two competing execution planes**:
+Batches wait in one priority queue (campaign priority, then submission
+order) and leave it only as **leases** (:meth:`Scheduler.lease_next`), to a
+*local slot* — one task per ``max_workers``, running its batch on the
+process pool (a thread at ``max_workers <= 1``) under a ``job_timeout ×
+len(batch)`` budget — or to a *remote worker* that leases over HTTP and
+heartbeats.  Both settle through :meth:`Scheduler.complete_lease` with the
+same outcome dicts (:func:`job_outcome`).  A grant commits the lease row
+with its events in one store transaction; a settle commits the result
+rows, the lease's terminal status and its ``job.completed`` /
+``lease.done`` events in one.  The holder kind is only a telemetry tag
+(``job.started`` for local grants, ``job.leased`` for remote ones).  The
+sweeper (:meth:`Scheduler.sweep`) requeues a remote lease whose TTL passed,
+so a crashed worker costs one TTL; a local lease never expires while its
+batch runs (only the timeout budget, when set, cuts it short).
+``local_compute=False`` (``serve --remote-only``) leaves every batch to
+the fleet; the store-backed read API answers either way.
 
-* the *local pool* — worker tasks driving ``ProcessPoolExecutor`` slots
-  (inline thread fallback at ``max_workers <= 1``), exactly as in PR 4;
-* the *fleet* — remote workers that lease queued batches over the HTTP API
-  (:meth:`Scheduler.lease_next`), heartbeat to stay alive, and post
-  per-job outcomes back (:meth:`Scheduler.complete_lease`).  Leases carry
-  TTLs persisted in the store; the expiry sweeper requeues a dead worker's
-  jobs, so a crashed worker costs one TTL, never a stranded campaign.
+Failure handling is per job, with persistent accounting: every failed
+attempt (raised error, pool death, timeout, a lease that expired or came
+back without the job) bumps the job's ``job_attempts`` row; a failed job
+is requeued after a deterministic jittered backoff (:func:`backoff_delay`,
+seeded from the job key); after ``job_retries`` attempts it is
+**quarantined** with its traceback and the campaign completes degraded.
+A fresh submission resets the attempt budget.
 
-Graceful degradation falls out of the shared queue: with no workers
-registered the local pool drains everything (``local_compute=False`` —
-``serve --remote-only`` — parks batches until a worker leases them), and
-the store-backed read API keeps answering while compute is down.
-
-Failure handling is per job, with persistent accounting:
-
-* every failed attempt (raised error, batch-level pool death, per-job
-  timeout, lease expiry) bumps the job's row in the store's
-  ``job_attempts`` table;
-* a failed job is requeued after a deterministic exponential backoff with
-  jitter (:func:`backoff_delay`, seeded via :mod:`repro.common.rng` from
-  the job key — schedules are reproducible under test);
-* after ``job_retries`` attempts the job is **quarantined**: marked
-  ``failed`` with its captured traceback, and the campaign completes
-  degraded instead of hanging.  A fresh submission resets the attempt
-  budget, so quarantine is per-submission, never a permanent ban.
-
-Results are written to the store the moment they exist, so a crash loses
-at most in-flight work: on restart, :meth:`Scheduler.resume` re-submits
-every campaign that never reached a terminal status, and only the missing
-points run (locked in by ``tests/test_service.py``).
+Results are stored the moment a lease settles, so a crash loses at most
+in-flight work: :meth:`Scheduler.resume` re-submits every campaign that
+never reached a terminal status, and only the missing points run.  Lease
+time comes from one injected ``clock``, so ``tests/test_scheduler_model.py``
+drives expiry without sleeping.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ import json
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import job_retries, job_timeout, lease_ttl
 from repro.common.rng import backoff_delay
@@ -62,57 +57,47 @@ from repro.service.metrics import MetricsRegistry
 from repro.service.spec import Campaign, Job
 from repro.service.store import LEASE_EXPIRED, ResultStore
 
-#: One job outcome:
-#: (key, job_id, workload, rows, error, traceback, duration_s).
-Outcome = Tuple[
-    str, str, str, Optional[List[Dict[str, object]]], Optional[str],
-    Optional[str], float,
-]
-
 #: Per-job states the breakdown in ``GET /campaigns/<id>`` reports.
 JOB_STATES: Tuple[str, ...] = (
     "queued", "leased", "running", "completed", "retrying", "quarantined",
 )
 
 
-def execute_batch(jobs: Sequence[Job]) -> List[Outcome]:
-    """Run one batch of jobs (in a pool process, a thread, or a worker).
+def job_outcome(
+    job: Job, compute: Callable[[], List[Dict[str, object]]],
+) -> Dict[str, Any]:
+    """Run ``compute`` for ``job`` and wrap its rows, or its error and
+    traceback, as the outcome dict every lease holder settles with.
 
-    Jobs in a batch share a trace identity, so the first job generates the
-    packed trace and the rest sweep their configurations over the cached
-    copy (``trace_for``'s lru_cache / the shared result cache).
-
-    Failures are isolated per job: each outcome carries either the job's
-    rows or an error string plus the captured traceback, so one bad point
-    never discards its batchmates' completed work.  Each outcome also
-    times its job (telemetry only — the duration feeds the latency
-    histogram and completion events, never a result row).
+    The duration is telemetry only: it feeds the latency histogram and
+    ``job.completed`` events, never a result row.
     """
-    outcomes: List[Outcome] = []
-    for job in jobs:
-        started = time.time()
-        try:
-            rows = job.execute()
-            outcomes.append((
-                job.key, job.job_id, job.workload, rows, None, None,
-                time.time() - started,
-            ))
-        except Exception as exc:
-            outcomes.append((
-                job.key, job.job_id, job.workload, None,
-                f"{type(exc).__name__}: {exc}", traceback_module.format_exc(),
-                time.time() - started,
-            ))
-    return outcomes
+    outcome: Dict[str, Any] = {
+        "key": job.key, "job_id": job.job_id,
+        "workload": job.workload, "experiment": job.experiment,
+    }
+    started = time.time()
+    try:
+        outcome["rows"] = compute()
+        outcome["error"] = None
+    except Exception as exc:
+        outcome["rows"] = None
+        outcome["error"] = f"{type(exc).__name__}: {exc}"
+        outcome["traceback"] = traceback_module.format_exc()
+    outcome["duration_s"] = time.time() - started
+    return outcome
+
+
+def execute_batch(jobs: Sequence[Job]) -> List[Dict[str, Any]]:
+    """Run one local batch (in a pool process or a thread).  Its jobs share
+    a trace, which the first generates and the rest reuse (``trace_for``'s
+    lru_cache); failures are isolated per job."""
+    return [job_outcome(job, job.execute) for job in jobs]
 
 
 # backoff_delay lives in repro.common.rng (shared with the HTTP transport's
 # reconnect plane since PR 10) and is re-exported here via the import above,
 # so `from repro.service.scheduler import backoff_delay` keeps working.
-
-
-class JobTimeout(Exception):
-    """A batch exceeded its per-job execution-time budget."""
 
 
 @dataclass
@@ -179,13 +164,17 @@ class CampaignRun:
 
 @dataclass
 class Lease:
-    """One live remote lease: the scheduler-side view of a leased batch."""
+    """One live lease: the scheduler-side view of a granted batch."""
 
     id: int
     worker: str
     run: CampaignRun
     jobs: List[Job]
     expires: float
+    #: Held by a local slot: never expired by the sweeper, since the slot
+    #: lives in this process and holds it until its batch returns (or its
+    #: timeout budget, when one is set, fails it).
+    local: bool = False
 
 
 def _batch_jobs(jobs: Sequence[Job], batch_size: int) -> List[List[Job]]:
@@ -203,7 +192,7 @@ def _batch_jobs(jobs: Sequence[Job], batch_size: int) -> List[List[Job]]:
 
 class Scheduler:
     """Priority-queued async scheduler with store-backed memoization,
-    per-job retry/quarantine, and a leased remote-worker plane."""
+    per-job retry/quarantine, and one lease path for every holder."""
 
     def __init__(
         self,
@@ -218,8 +207,11 @@ class Scheduler:
         sweep_interval: Optional[float] = None,
         events: Optional[EventBus] = None,
         metrics: Optional[MetricsRegistry] = None,
+        clock: Callable[[], float] = time.time,
     ) -> None:
         self.store = store
+        #: Lease time source (grants, heartbeats, expiry).
+        self.clock = clock
         #: Telemetry plane: a disabled bus when none is injected (direct
         #: Scheduler construction in tests); Service wires the real one.
         self.events = events if events is not None else EventBus(enabled=False)
@@ -235,10 +227,10 @@ class Scheduler:
             "repro_jobs_quarantined_total", "jobs quarantined as poison"
         )
         self._m_leases_granted = self.metrics.counter(
-            "repro_leases_granted_total", "fleet leases granted, by worker"
+            "repro_leases_granted_total", "leases granted, by holder"
         )
         self._m_leases_done = self.metrics.counter(
-            "repro_leases_completed_total", "fleet leases settled by a post"
+            "repro_leases_completed_total", "leases settled by their holder"
         )
         self._m_leases_expired = self.metrics.counter(
             "repro_leases_expired_total", "fleet leases expired by the sweeper"
@@ -253,7 +245,7 @@ class Scheduler:
             "repro_accesses_total",
             "trace accesses replayed by completed jobs, by workload",
         )
-        #: Worker ids already announced via a worker.registered event.
+        #: Holder ids already announced via a worker.registered event.
         self._seen_workers: set = set()
         self.max_workers = (
             max_workers if max_workers is not None else default_parallel_workers()
@@ -279,8 +271,11 @@ class Scheduler:
         self._queue: "asyncio.PriorityQueue[Tuple[int, int, CampaignRun, List[Job]]]" = (
             asyncio.PriorityQueue()
         )
+        #: Set whenever a batch is queued; idle local slots wait on it.
+        self._queued = asyncio.Event()
         self._seq = 0
-        self._workers: List[asyncio.Task] = []
+        #: Local slot name -> its task.
+        self._slots: Dict[str, asyncio.Task] = {}
         self._sweeper: Optional[asyncio.Task] = None
         self._retry_timers: Dict[int, asyncio.TimerHandle] = {}
         self._timer_seq = 0
@@ -292,16 +287,9 @@ class Scheduler:
         self._inflight: Dict[str, CampaignRun] = {}
         #: key -> runs waiting on another run's in-flight computation.
         self._waiters: Dict[str, List[CampaignRun]] = {}
-        #: Graceful drain (SIGTERM on ``serve``): no new leases are
-        #: granted, local workers stop starting batches, in-flight work
-        #: settles under :meth:`drain`'s deadline.
+        #: Graceful drain (SIGTERM on ``serve``): no lease is granted to
+        #: any holder, live leases settle under :meth:`drain`'s deadline.
         self.draining = False
-        #: Local batches currently executing (drain waits for zero).
-        self._active_batches = 0
-        #: Batches dequeued while draining: parked, never executed.  Their
-        #: campaigns keep a non-terminal store status, so the next serve's
-        #: ``resume()`` recomputes exactly the unfinished points.
-        self._parked: List[Tuple[CampaignRun, List[Job]]] = []
 
     # ----------------------------------------------------------- submission
     async def submit(self, campaign: Campaign) -> CampaignRun:
@@ -388,17 +376,30 @@ class Scheduler:
     def _enqueue(self, run: CampaignRun, batch: List[Job]) -> None:
         self._seq += 1
         self._queue.put_nowait((-run.campaign.priority, self._seq, run, batch))
+        self._queued.set()
 
-    # ------------------------------------------------------------ execution
+    # ---------------------------------------------------------- local slots
     def _ensure_workers(self) -> None:
         if self.local_compute:
-            alive = [task for task in self._workers if not task.done()]
-            want = max(1, self.max_workers)
-            while len(alive) < want:
-                alive.append(asyncio.create_task(self._worker()))
-            self._workers = alive
+            for index in range(max(1, self.max_workers)):
+                name = f"local-{index + 1}"
+                slot = self._slots.get(name)
+                if slot is None or slot.done():
+                    self._slots[name] = asyncio.create_task(self._slot(name))
         if self._sweeper is None or self._sweeper.done():
             self._sweeper = asyncio.create_task(self._sweep_leases())
+
+    async def _slot(self, name: str) -> None:
+        """One local slot: lease the next batch like a fleet worker, run
+        it, settle it; idle while nothing can be granted (empty queue or
+        a draining scheduler)."""
+        while True:
+            lease = self.lease_next(name, local=True)
+            if lease is None:
+                self._queued.clear()
+                await self._queued.wait()
+            else:
+                await self._run_local(lease)
 
     def _pool(self):
         if self._executor is None and not self._executor_broken:
@@ -410,18 +411,14 @@ class Scheduler:
                 self._executor_broken = True
         return self._executor
 
-    async def _execute(self, batch: List[Job]):
-        loop = asyncio.get_running_loop()
-        if self.max_workers <= 1:
-            # In-process execution, but on the default thread pool: the
-            # event loop (and with it the HTTP front-end) stays responsive
-            # while a batch computes.
-            return await loop.run_in_executor(None, execute_batch, batch)
-        pool = self._pool()
-        if pool is None:
-            return await loop.run_in_executor(None, execute_batch, batch)
+    async def _execute(self, batch: List[Job]) -> List[Dict[str, Any]]:
+        # At max_workers <= 1 (or once the pool broke) the batch runs on
+        # the default thread pool: in process, but the event loop (and
+        # with it the HTTP front-end) stays responsive while it computes.
         from concurrent.futures.process import BrokenProcessPool
 
+        loop = asyncio.get_running_loop()
+        pool = self._pool() if self.max_workers > 1 else None
         try:
             return await loop.run_in_executor(pool, execute_batch, batch)
         except BrokenProcessPool:
@@ -429,120 +426,39 @@ class Scheduler:
             self._executor_broken = True
             return await loop.run_in_executor(None, execute_batch, batch)
 
-    async def _execute_with_timeout(self, batch: List[Job]):
-        """Batch execution under the per-job timeout budget.
+    async def _run_local(self, lease: Lease) -> None:
+        """Run a local lease's batch and settle it like a worker's post.
 
-        The budget is ``job_timeout * len(batch)`` — coarse on purpose: a
-        pool slot cannot be interrupted between a batch's jobs, so the
-        enforceable unit is the batch, and the budget scales with its
-        share of per-job allowances.  On expiry the underlying future is
-        abandoned (its eventual result is discarded) and every unresolved
-        job goes through the failure path, counting one attempt each.
-        """
-        if self.job_timeout_s is None:
-            return await self._execute(batch)
-        budget = self.job_timeout_s * len(batch)
+        A pool slot cannot be interrupted between jobs, so the timeout
+        budget, ``job_timeout × len(batch)``, covers the batch; a timeout, a
+        dead pool or a failed settle costs each job one attempt.  ``close()``
+        cancels it unsettled, leaving the campaign to ``resume()``."""
+        budget = (
+            None if self.job_timeout_s is None
+            else self.job_timeout_s * len(lease.jobs)
+        )
         try:
-            return await asyncio.wait_for(self._execute(batch), timeout=budget)
+            outcomes = await asyncio.wait_for(self._execute(lease.jobs), budget)
+            self.complete_lease(lease.id, outcomes)
+            return
         except asyncio.TimeoutError:
-            raise JobTimeout(
-                f"JobTimeout: batch of {len(batch)} exceeded "
+            error = (
+                f"JobTimeout: batch of {len(lease.jobs)} exceeded "
                 f"{budget:.1f}s ({self.job_timeout_s:.1f}s/job)"
             )
-
-    async def _worker(self) -> None:
-        while True:
-            try:
-                _, _, run, batch = await self._queue.get()
-            except asyncio.CancelledError:
-                return
-            if self.draining:
-                # Park instead of executing (or re-queueing, which would
-                # spin): the campaign stays non-terminal in the store and
-                # the next process's resume() picks the work back up.
-                self._parked.append((run, batch))
-                self._queue.task_done()
-                continue
-            aborted = False
-            self._active_batches += 1
-            try:
-                if run.cancelled:
-                    self._hand_over_cancelled_batch(run, batch)
-                    continue
-                # Jobs whose results landed while this batch waited (a late
-                # fleet post after a lease expired and was requeued) are
-                # settled from the store — completed work is never redone.
-                present = self.store.present_keys([job.key for job in batch])
-                todo: List[Job] = []
-                for job in batch:
-                    if job.key in present:
-                        self._settle_success(run, job, plane="store")
-                    else:
-                        todo.append(job)
-                if not todo:
-                    continue
-                for job in todo:
-                    run.states[job.key] = "running"
-                self.events.publish_many(run.id, [
-                    (events_module.JOB_STARTED,
-                     {**job.summary(), "plane": "local"})
-                    for job in todo
-                ])
-                resolved = 0
-                try:
-                    outcomes = await self._execute_with_timeout(todo)
-                    for key, job_id, workload, rows, error, tb, took in outcomes:
-                        if error is not None:
-                            self._handle_failure(run, todo[resolved], error, tb)
-                        else:
-                            faults.fire("scheduler.store_result", context=key)
-                            self.store.put_result(
-                                key, job_id, run.campaign.experiment, workload,
-                                rows,
-                            )
-                            self._settle_success(
-                                run, todo[resolved], plane="local",
-                                duration_s=took, rows=rows,
-                            )
-                        resolved += 1
-                except asyncio.CancelledError:
-                    # close() aborted this batch mid-flight: the campaign is
-                    # NOT complete — leave its store status non-terminal so
-                    # a later resume() picks it up, and let the cancellation
-                    # propagate.
-                    aborted = True
-                    raise
-                except Exception as exc:
-                    # Batch-level failure (pool death, store write error,
-                    # timeout budget): every job not already resolved above
-                    # counts one failed attempt.
-                    message = f"{type(exc).__name__}: {exc}"
-                    for job in todo[resolved:]:
-                        self._handle_failure(run, job, message, None)
-            finally:
-                self._active_batches -= 1
-                self._queue.task_done()
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        self.complete_lease(
+            lease.id, [{"key": job.key, "error": error} for job in lease.jobs]
+        )
 
     # ------------------------------------------------------------ settlement
-    def _settle_success(
-        self,
-        run: CampaignRun,
-        job: Job,
-        plane: str = "local",
+    def _credit(
+        self, run: CampaignRun, job: Job, plane: str,
         duration_s: Optional[float] = None,
-        rows: Optional[List[Dict[str, object]]] = None,
     ) -> None:
-        """One job's rows are in the store: credit the owner and waiters.
-
-        Emits exactly one ``job.completed`` event per (run, key) — the
-        accounting guarantees each key settles through exactly one path
-        (local outcome, fleet post, store settle after a requeue), and a
-        duplicated fleet post never reaches here (its lease is already
-        popped, so it takes the store-only path in
-        :meth:`complete_lease`).  The event carries the stored rows, so
-        the CI events-smoke job can assert streamed completions match
-        store rows bit-for-bit.
-        """
+        """One job's rows are in the store: credit the owner and waiters
+        (the caller commits the one ``job.completed`` event of the key)."""
         self._inflight.pop(job.key, None)
         run.computed += 1
         run.states[job.key] = "completed"
@@ -550,13 +466,6 @@ class Scheduler:
         self._m_accesses.inc(float(job.target_accesses), workload=job.workload)
         if duration_s is not None:
             self._m_job_seconds.observe(duration_s, plane=plane)
-        if self.events.enabled:
-            if rows is None:
-                rows = self.store.get_result(job.key)
-            self.events.publish(run.id, events_module.JOB_COMPLETED, {
-                **job.summary(), "plane": plane,
-                "duration_s": duration_s, "rows": rows,
-            })
         self._settle_waiters(job.key)
         self._account(run, 1)
 
@@ -567,9 +476,13 @@ class Scheduler:
         error: str,
         traceback_text: Optional[str],
     ) -> None:
-        """One failed attempt: retry with backoff, or quarantine."""
+        """One failed attempt: retry with backoff, or quarantine.  A
+        cancelled run retries nothing itself: its waiters take the job over."""
         attempts = self.store.record_attempt(job.key, error, traceback_text)
-        if attempts < self.max_attempts and not run.cancelled:
+        if attempts < self.max_attempts and run.cancelled:
+            self._hand_over_cancelled_batch(run, [job])
+            return
+        if attempts < self.max_attempts:
             delay = backoff_delay(job.key, attempts, base=self.retry_base)
             run.states[job.key] = "retrying"
             self._m_retried.inc()
@@ -659,68 +572,75 @@ class Scheduler:
         if finished:
             self.events.notify(run.id, events_module.CAMPAIGN_FINISHED)
 
-    # ----------------------------------------------------------- fleet plane
+    # ---------------------------------------------------------------- leases
     def lease_next(
-        self, worker: str, max_jobs: Optional[int] = None,
+        self, worker: str, max_jobs: Optional[int] = None, local: bool = False,
     ) -> Optional[Lease]:
-        """Grant the next queued batch to a remote worker, or ``None``.
-
-        The fleet competes with the local pool for the same priority
-        queue; a granted batch is tracked in memory *and* as a TTL'd row
-        in the store, so the sweeper can requeue it if the worker dies.
-
-        A draining scheduler grants nothing: workers see an empty queue
-        (``lease_id: null``), finish what they hold, and idle out.
-        """
-        if self.draining:
-            return None
-        while True:
+        """Grant the next queued batch to a local slot (``local=True``) or a
+        remote worker, or ``None``: every batch leaves the queue here.  A
+        cancelled run's batch is handed over instead; ``max_jobs`` splits a
+        batch and requeues the tail.  A draining scheduler grants nothing,
+        so holders idle out and the batches stay queued."""
+        while not self.draining:
             try:
                 _, _, run, batch = self._queue.get_nowait()
             except asyncio.QueueEmpty:
                 return None
-            self._queue.task_done()
             if run.cancelled:
                 self._hand_over_cancelled_batch(run, batch)
                 continue
             if max_jobs is not None and len(batch) > max_jobs > 0:
-                head, tail = batch[:max_jobs], batch[max_jobs:]
-                self._enqueue(run, tail)
-                batch = head
-            lease_id = self.store.create_lease(
-                worker, [job.key for job in batch], self.lease_ttl_s
-            )
-            lease = Lease(
-                id=lease_id, worker=worker, run=run, jobs=batch,
-                expires=time.time() + self.lease_ttl_s,
-            )
-            self.leases[lease_id] = lease
-            self._m_leases_granted.inc(worker=worker)
-            lease_events: List[Tuple[str, Dict[str, Any]]] = []
+                self._enqueue(run, batch[max_jobs:])
+                batch = batch[:max_jobs]
+            return self._grant(worker, run, batch, local)
+        return None
+
+    def _grant(
+        self, worker: str, run: CampaignRun, batch: List[Job], local: bool,
+    ) -> Lease:
+        """Commit a lease of ``batch`` to ``worker``: its store row (with
+        the TTL the sweeper checks) and its events in one transaction."""
+        now = self.clock()
+        entries: List[Tuple[str, Dict[str, Any]]] = []
+        if self.events.enabled:
             if worker not in self._seen_workers:
-                self._seen_workers.add(worker)
-                lease_events.append(
+                entries.append(
                     (events_module.WORKER_REGISTERED, {"worker": worker})
                 )
-            lease_events.append((events_module.LEASE_GRANTED, {
-                "lease_id": lease_id, "worker": worker,
-                "jobs": len(batch), "ttl_s": self.lease_ttl_s,
+            entries.append((events_module.LEASE_GRANTED, {
+                "worker": worker, "jobs": len(batch), "ttl_s": self.lease_ttl_s,
             }))
-            for job in batch:
-                run.states[job.key] = "leased"
-                lease_events.append((events_module.JOB_LEASED, {
-                    **job.summary(), "lease_id": lease_id, "worker": worker,
-                }))
-            self.events.publish_many(run.id, lease_events)
-            self._ensure_workers()  # the sweeper must be alive from now on
-            return lease
+            kind, tag = (
+                (events_module.JOB_STARTED, {"plane": "local"}) if local
+                else (events_module.JOB_LEASED, {"worker": worker})
+            )
+            entries += [(kind, {**job.summary(), **tag}) for job in batch]
+        lease_id = self.store.create_lease(
+            worker, [job.key for job in batch], self.lease_ttl_s, now=now,
+            campaign_id=run.id, events=entries,
+        )
+        lease = Lease(
+            id=lease_id, worker=worker, run=run, jobs=batch,
+            expires=now + self.lease_ttl_s, local=local,
+        )
+        self.leases[lease_id] = lease
+        self._seen_workers.add(worker)
+        self._m_leases_granted.inc(worker=worker)
+        for job in batch:
+            run.states[job.key] = "running" if local else "leased"
+        if entries:
+            self.events.notify(run.id, events_module.LEASE_GRANTED)
+        self._ensure_workers()  # the sweeper must be alive from now on
+        return lease
 
     def heartbeat(self, lease_id: int) -> Optional[float]:
         """Extend a live lease's TTL; ``None`` if it is gone (expired)."""
         lease = self.leases.get(lease_id)
         if lease is None:
             return None
-        expires = self.store.heartbeat_lease(lease_id, self.lease_ttl_s)
+        expires = self.store.heartbeat_lease(
+            lease_id, self.lease_ttl_s, now=self.clock()
+        )
         if expires is None:
             return None
         lease.expires = expires
@@ -733,54 +653,65 @@ class Scheduler:
     def complete_lease(
         self, lease_id: int, outcomes: Sequence[Dict[str, Any]],
     ) -> Dict[str, Any]:
-        """Settle a worker's posted outcomes.
+        """Settle a holder's outcomes (a local slot's or a worker's post).
 
-        Idempotent and loss-proof by construction: results for a lease
-        that already expired (the sweeper requeued its jobs) or for an
-        unknown lease (the scheduler restarted) are still written to the
-        store — ``put_result`` is first-write-wins over deterministic
-        rows, so a duplicated, late, or orphaned post can never corrupt or
-        lose a result.  Only a *live* lease settles run accounting.
-        """
-        lease = self.leases.pop(lease_id, None)
-        stored = 0
-        for outcome in outcomes:
-            if outcome.get("error") is None and outcome.get("rows") is not None:
-                self.store.put_result(
-                    str(outcome["key"]), str(outcome["job_id"]),
-                    lease.run.campaign.experiment if lease is not None
-                    else str(outcome.get("experiment", "unknown")),
-                    str(outcome["workload"]), outcome["rows"],
-                )
-                stored += 1
+        Idempotent and loss-proof: the results of an expired lease or of
+        one this process never granted (a restart) are stored all the same,
+        first-write-wins over deterministic rows; only a *live* lease
+        settles run accounting.  The ``scheduler.store_result`` fault site
+        fires per stored result before the settle's one transaction."""
+        stored = [
+            outcome for outcome in outcomes
+            if outcome.get("error") is None and outcome.get("rows") is not None
+        ]
+        for outcome in stored:
+            faults.fire("scheduler.store_result", context=str(outcome["key"]))
+        lease = self.leases.get(lease_id)
+        results = [(
+            str(outcome["key"]), str(outcome["job_id"]),
+            lease.run.campaign.experiment if lease is not None
+            else str(outcome.get("experiment", "unknown")),
+            str(outcome["workload"]), outcome["rows"],
+        ) for outcome in stored]
         if lease is None:
-            return {"ok": True, "stored": stored, "duplicate": True}
-        self.store.finish_lease(lease_id)
-        self._m_leases_done.inc(worker=lease.worker)
-        self.events.publish(lease.run.id, events_module.LEASE_DONE, {
-            "lease_id": lease_id, "worker": lease.worker,
-            "outcomes": len(outcomes), "stored": stored,
-        })
+            self.store.finish_lease(lease_id, results=results)
+            return {"ok": True, "stored": len(stored), "duplicate": True}
+        plane = "local" if lease.local else "fleet"
         jobs_by_key = {job.key: job for job in lease.jobs}
+        completed = [
+            (jobs_by_key.pop(str(outcome["key"])), outcome)
+            for outcome in stored if str(outcome["key"]) in jobs_by_key
+        ]
+        entries: List[Tuple[str, Dict[str, Any]]] = []
+        if self.events.enabled:
+            entries.append((events_module.LEASE_DONE, {
+                "worker": lease.worker, "outcomes": len(outcomes),
+                "stored": len(stored),
+            }))
+            for job, outcome in completed:
+                entries.append((events_module.JOB_COMPLETED, {
+                    **job.summary(), "plane": plane,
+                    "duration_s": outcome.get("duration_s"),
+                    "rows": outcome["rows"],
+                }))
+        self.store.finish_lease(
+            lease_id, results=results, campaign_id=lease.run.id, events=entries,
+        )
+        del self.leases[lease_id]
+        self._m_leases_done.inc(worker=lease.worker)
+        if entries:
+            self.events.notify(lease.run.id, events_module.LEASE_DONE)
+        for job, outcome in completed:
+            self._credit(lease.run, job, plane, outcome.get("duration_s"))
         for outcome in outcomes:
-            key = str(outcome["key"])
-            job = jobs_by_key.pop(key, None)
-            if job is None:
-                continue  # not part of this lease; stored above if valid
-            if outcome.get("error") is None and outcome.get("rows") is not None:
-                duration = outcome.get("duration_s")
-                self._settle_success(
-                    lease.run, job, plane="fleet",
-                    duration_s=float(duration) if duration is not None else None,
-                    rows=outcome["rows"],
-                )
-            else:
+            job = jobs_by_key.pop(str(outcome["key"]), None)
+            if job is not None:
                 self._handle_failure(
                     lease.run, job,
                     str(outcome.get("error") or "worker reported no rows"),
                     outcome.get("traceback"),
                 )
-        # Jobs the worker never reported (it abandoned the tail of the
+        # Jobs the holder never reported (it abandoned the tail of the
         # batch): requeue them right away instead of waiting out the TTL.
         for job in jobs_by_key.values():
             self._handle_failure(
@@ -788,58 +719,57 @@ class Scheduler:
                 f"LeaseIncomplete: worker {lease.worker!r} returned no "
                 f"outcome for this job", None,
             )
-        return {"ok": True, "stored": stored, "duplicate": False}
+        return {"ok": True, "stored": len(stored), "duplicate": False}
+
+    def sweep(self) -> None:
+        """One sweeper step: expire every remote lease past its TTL.
+
+        Each expired job counts one failed attempt (a job that reliably
+        kills its worker is poison and must quarantine eventually); one
+        whose result arrived late settles from the store instead.  Local
+        leases are skipped: their slot holds them until the batch returns."""
+        now = self.clock()
+        for lease_id, lease in list(self.leases.items()):
+            if lease.local or lease_id not in self.leases:
+                continue
+            directive = faults.fire("scheduler.sweep", context=str(lease_id))
+            if lease.expires > now and directive != "expire":
+                continue
+            del self.leases[lease_id]
+            self._m_leases_expired.inc(worker=lease.worker)
+            # A dead worker that comes back re-registers.
+            self._seen_workers.discard(lease.worker)
+            entries = [
+                (events_module.LEASE_EXPIRED,
+                 {"worker": lease.worker, "jobs": len(lease.jobs)}),
+                (events_module.WORKER_DEAD, {"worker": lease.worker}),
+            ] if self.events.enabled else []
+            self.store.finish_lease(
+                lease_id, status=LEASE_EXPIRED, campaign_id=lease.run.id,
+                events=entries,
+            )
+            if entries:
+                self.events.notify(lease.run.id, events_module.LEASE_EXPIRED)
+            present = self.store.present_keys([job.key for job in lease.jobs])
+            for job in lease.jobs:
+                if job.key not in present:
+                    self._handle_failure(
+                        lease.run, job,
+                        f"LeaseExpired: worker {lease.worker!r} "
+                        f"missed its TTL ({self.lease_ttl_s:.1f}s)", None,
+                    )
+                    continue
+                if self.events.enabled:
+                    self.events.publish(lease.run.id, events_module.JOB_COMPLETED, {
+                        **job.summary(), "plane": "store", "duration_s": None,
+                        "rows": self.store.get_result(job.key),
+                    })
+                self._credit(lease.run, job, "store")
 
     async def _sweep_leases(self) -> None:
-        """Expire dead workers' leases and requeue their jobs.
-
-        Each expired lease counts one failed attempt per job (a job that
-        reliably kills its worker is still poison and must quarantine
-        eventually); jobs whose results arrived late are settled from the
-        store instead of re-running — completed work is never recomputed.
-        """
-        try:
-            while True:
-                await asyncio.sleep(self.sweep_interval)
-                now = time.time()
-                for lease_id in list(self.leases):
-                    lease = self.leases.get(lease_id)
-                    if lease is None:
-                        continue
-                    directive = faults.fire(
-                        "scheduler.sweep", context=str(lease_id)
-                    )
-                    if lease.expires > now and directive != "expire":
-                        continue
-                    self.leases.pop(lease_id, None)
-                    self.store.finish_lease(lease_id, status=LEASE_EXPIRED)
-                    self._m_leases_expired.inc(worker=lease.worker)
-                    # A dead worker that comes back re-registers.
-                    self._seen_workers.discard(lease.worker)
-                    self.events.publish_many(lease.run.id, [
-                        (events_module.LEASE_EXPIRED, {
-                            "lease_id": lease_id, "worker": lease.worker,
-                            "jobs": len(lease.jobs),
-                        }),
-                        (events_module.WORKER_DEAD, {
-                            "worker": lease.worker, "lease_id": lease_id,
-                        }),
-                    ])
-                    present = self.store.present_keys(
-                        [job.key for job in lease.jobs]
-                    )
-                    for job in lease.jobs:
-                        if job.key in present:
-                            self._settle_success(lease.run, job, plane="store")
-                        else:
-                            self._handle_failure(
-                                lease.run, job,
-                                f"LeaseExpired: worker {lease.worker!r} "
-                                f"missed its TTL ({self.lease_ttl_s:.1f}s)",
-                                None,
-                            )
-        except asyncio.CancelledError:
-            return
+        while True:
+            await asyncio.sleep(self.sweep_interval)
+            self.sweep()
 
     # ------------------------------------------------------------- control
     async def wait(self, run: CampaignRun) -> CampaignRun:
@@ -847,8 +777,8 @@ class Scheduler:
         return run
 
     def cancel(self, run: CampaignRun) -> None:
-        """Cancel a run: queued batches are dropped when dequeued; batches
-        already executing complete (their results are still stored)."""
+        """Cancel a run: queued batches are dropped when dequeued; leased
+        batches still settle (their results are stored)."""
         run.cancelled = True
 
     def results(self, run: CampaignRun) -> List[Dict[str, object]]:
@@ -860,33 +790,31 @@ class Scheduler:
         return merged
 
     async def drain(self, deadline_s: float = 30.0) -> Dict[str, Any]:
-        """Graceful drain: stop granting leases and starting batches, then
-        wait (bounded by ``deadline_s``) for in-flight work to settle.
+        """Graceful drain: grant no more leases, then wait (bounded by
+        ``deadline_s``) for every live lease, local or remote, to settle.
 
-        "Settled" means no local batch is mid-execution and no remote
-        lease is live — a worker holding a lease gets the deadline to
-        finish and post; one that cannot simply loses the lease to the
-        TTL sweeper on the *next* serve (jobs requeue, nothing is lost).
-        Queued-but-unstarted batches stay parked with their campaigns
-        non-terminal in the store, which is exactly what ``resume()``
-        recomputes.  Returns a settlement report for the serve log.
+        A worker holding a lease gets the deadline to finish and post; one
+        that cannot simply loses the lease to the TTL sweeper on the
+        *next* serve (jobs requeue, nothing is lost).  Queued batches stay
+        queued with their campaigns non-terminal in the store, which is
+        exactly what ``resume()`` recomputes.  Returns a settlement report
+        for the serve log.
         """
         self.draining = True
-        deadline = time.time() + deadline_s
-        while (self._active_batches or self.leases) and time.time() < deadline:
+        deadline = time.monotonic() + deadline_s
+        while self.leases and time.monotonic() < deadline:
             await asyncio.sleep(0.05)
         return {
-            "settled": not self._active_batches and not self.leases,
-            "active_batches": self._active_batches,
+            "settled": not self.leases,
             "live_leases": len(self.leases),
-            "parked_batches": len(self._parked),
+            "queued_batches": self._queue.qsize(),
         }
 
     async def close(self) -> None:
         for timer in self._retry_timers.values():
             timer.cancel()
         self._retry_timers.clear()
-        tasks = list(self._workers)
+        tasks = list(self._slots.values())
         if self._sweeper is not None:
             tasks.append(self._sweeper)
             self._sweeper = None
@@ -895,14 +823,12 @@ class Scheduler:
         for task in tasks:
             try:
                 await task
-            except asyncio.CancelledError:
+            except (asyncio.CancelledError, Exception, faults.WorkerKilled):
+                # Cancelled here, or a slot that already died (e.g. of an
+                # injected WorkerKilled crash) re-raising it: shutdown must
+                # bury the corpse, not re-throw it.
                 pass
-            except BaseException:
-                # A worker task that already died of an exception (e.g. an
-                # injected WorkerKilled crash) re-raises it here; shutdown
-                # must bury the corpse, not re-throw it.
-                pass
-        self._workers = []
+        self._slots = {}
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None

@@ -212,27 +212,27 @@ class Service:
         return self._call(settle())
 
     def workers(self) -> List[Dict[str, Any]]:
-        """Per-worker lease statistics from the store."""
+        """Per-holder lease statistics (local slots too) from the store."""
         return self.store.workers()
 
     def worker_liveness(self) -> List[Dict[str, Any]]:
-        """Store-backed per-worker statistics plus *live* liveness: a
-        worker is alive while it holds an unexpired lease in this
-        scheduler (heartbeats keep extending it)."""
+        """Store-backed per-holder statistics plus *live* liveness: a
+        remote worker is alive while it holds an unexpired lease in this
+        scheduler (heartbeats keep extending it), a local slot while it
+        holds any lease."""
 
-        async def snap() -> Dict[str, float]:
+        async def snap() -> Dict[str, Any]:
             return {
-                lease.worker: lease.expires
-                for lease in self.scheduler.leases.values()
+                lease.worker: lease for lease in self.scheduler.leases.values()
             }
 
         active = self._call(snap())
-        now = time.time()
+        now = self.scheduler.clock()
         rows = self.store.workers()
         for row in rows:
-            expires = active.get(row["worker"])
-            row["alive"] = bool(expires is not None and expires > now)
-            row["lease_expires"] = expires
+            lease = active.get(row["worker"])
+            row["alive"] = lease is not None and (lease.local or lease.expires > now)
+            row["lease_expires"] = None if lease is None else lease.expires
         return rows
 
     # ------------------------------------------------------------- telemetry
@@ -307,9 +307,9 @@ class Service:
 
     def drain(self, deadline_s: float = 30.0) -> Dict[str, Any]:
         """Graceful drain (the serve SIGTERM path): stop granting leases,
-        let in-flight batches settle under ``deadline_s``, then checkpoint
-        the store's WAL so the file is self-contained on exit.  Call
-        :meth:`close` afterwards."""
+        let live leases (local and remote) settle under ``deadline_s``,
+        then checkpoint the store's WAL so the file is self-contained on
+        exit.  Call :meth:`close` afterwards."""
         report = self._call(
             self.scheduler.drain(deadline_s), timeout=deadline_s + 10
         )

@@ -12,9 +12,12 @@ the store trivially safe to use from the scheduler's event-loop thread, the
 HTTP server's handler threads, and pool worker processes at the same time;
 WAL journaling plus a busy timeout handles the cross-process writes, and
 every mutation runs through :meth:`ResultStore._write` — a retrying
-``BEGIN IMMEDIATE`` transaction — so two fleet workers posting results at
-the same instant never surface a raw ``sqlite3.OperationalError: database
-is locked`` to an HTTP client.
+``BEGIN IMMEDIATE`` transaction (:func:`repro.common.sqlitedb.write`) — so
+two fleet workers posting results at the same instant never surface a raw
+``sqlite3.OperationalError: database is locked`` to an HTTP client.  A
+lease's grant and its settle are one transaction each: the lease row with
+its events, and the result rows with the lease's terminal status and
+events.
 
 The fleet layer (PR 8) adds two tables: ``leases`` (worker batch leases
 with TTLs, so the expiry sweeper can requeue a dead worker's jobs) and
@@ -290,50 +293,49 @@ class ResultStore:
 
         return connect(self.path, row_factory=sqlite3.Row)
 
-    def _write(self, mutate, attempts: int = 6):
-        """Run ``mutate(conn)`` inside a retrying ``BEGIN IMMEDIATE``
-        transaction.
+    def _write(self, mutate):
+        """Run ``mutate(conn)`` in one retrying ``BEGIN IMMEDIATE``
+        transaction (:func:`repro.common.sqlitedb.write`)."""
+        from repro.common.sqlitedb import write
 
-        Immediate transactions take the write lock up front, so concurrent
-        writers (two fleet workers posting results, the sweeper expiring a
-        lease while a heartbeat lands) queue instead of failing mid-
-        transaction; the retry loop absorbs the residual ``database is
-        locked`` / ``database is busy`` errors a saturated WAL can still
-        surface, with linear backoff.  The final attempt propagates, so a
-        genuinely wedged store is loud, not silent.
-        """
-        from repro.common.sqlitedb import locked_error
-
-        for attempt in range(attempts):
-            try:
-                with self._connect() as conn:
-                    conn.execute("BEGIN IMMEDIATE")
-                    return mutate(conn)
-            except sqlite3.OperationalError as exc:
-                if attempt + 1 >= attempts or not locked_error(exc):
-                    raise
-                time.sleep(0.05 * (attempt + 1))
-        raise AssertionError("unreachable")  # pragma: no cover
+        return write(self._connect, mutate)
 
     # ------------------------------------------------------------- results
+    def _insert_results(
+        self, conn: sqlite3.Connection,
+        results: Sequence[Tuple[str, str, str, str, List[Dict[str, object]]]],
+    ) -> None:
+        """Insert ``(key, job_id, experiment, workload, rows)`` entries as
+        JSON payloads with their checksums, in the caller's transaction.
+
+        First-write-wins (``INSERT OR IGNORE``): results are deterministic,
+        so a key is written at most once and a duplicated or late fleet
+        results post is harmless.
+        """
+        now = time.time()
+        entries = []
+        for key, job_id, experiment, workload, rows in results:
+            rows_json = json.dumps(rows)
+            checksum = row_checksum(rows_json) if self.checksums else None
+            entries.append(
+                (key, job_id, experiment, workload, rows_json, now, checksum)
+            )
+        conn.executemany(
+            "INSERT OR IGNORE INTO results "
+            "(key, job_id, experiment, workload, rows_json, created, checksum) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?)", entries,
+        )
+
     def put_result(
         self, key: str, job_id: str, experiment: str, workload: str,
         rows: List[Dict[str, object]],
     ) -> None:
-        """Store one job's rows.  Idempotent: a key is written at most once
-        (results are deterministic, so first-write-wins loses nothing —
-        which is also why a duplicated or late fleet results post is
-        harmless)."""
+        """Store one job's rows (idempotent, see :meth:`_insert_results`)."""
         from repro.service import faults
 
         faults.fire("store.put_result", context=key)
-        rows_json = json.dumps(rows)
-        checksum = row_checksum(rows_json) if self.checksums else None
-        self._write(lambda conn: conn.execute(
-            "INSERT OR IGNORE INTO results "
-            "(key, job_id, experiment, workload, rows_json, created, checksum) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (key, job_id, experiment, workload, rows_json, time.time(), checksum),
+        self._write(lambda conn: self._insert_results(
+            conn, [(key, job_id, experiment, workload, rows)]
         ))
 
     def get_result(self, key: str) -> Optional[List[Dict[str, object]]]:
@@ -492,9 +494,25 @@ class ResultStore:
         return [dict(row) for row in rows]
 
     # -------------------------------------------------------------- leases
-    def create_lease(self, worker: str, keys: Sequence[str], ttl: float) -> int:
-        """Record a new active lease of ``keys`` held by ``worker``."""
-        now = time.time()
+    def _lease_events(
+        self, conn: sqlite3.Connection, lease_id: int,
+        campaign_id: Optional[int], events: Sequence[Tuple[str, Dict[str, Any]]],
+    ) -> None:
+        """Append a lease transition's events, each naming the lease."""
+        if events and campaign_id is not None:
+            self.event_log.insert(conn, campaign_id, [
+                (type, {**data, "lease_id": lease_id}) for type, data in events
+            ])
+
+    def create_lease(
+        self, worker: str, keys: Sequence[str], ttl: float,
+        now: Optional[float] = None, campaign_id: Optional[int] = None,
+        events: Sequence[Tuple[str, Dict[str, Any]]] = (),
+    ) -> int:
+        """Record a new active lease of ``keys`` held by ``worker``, expiring
+        ``ttl`` seconds after ``now``; ``events`` are appended to the
+        campaign's log in the same transaction."""
+        now = time.time() if now is None else now
 
         def mutate(conn: sqlite3.Connection) -> int:
             cursor = conn.execute(
@@ -502,13 +520,17 @@ class ResultStore:
                 "heartbeats, keys_json) VALUES (?, ?, ?, ?, 0, ?)",
                 (worker, LEASE_ACTIVE, now, now + ttl, json.dumps(list(keys))),
             )
-            return int(cursor.lastrowid)
+            lease_id = int(cursor.lastrowid)
+            self._lease_events(conn, lease_id, campaign_id, events)
+            return lease_id
 
         return self._write(mutate)
 
-    def heartbeat_lease(self, lease_id: int, ttl: float) -> Optional[float]:
+    def heartbeat_lease(
+        self, lease_id: int, ttl: float, now: Optional[float] = None,
+    ) -> Optional[float]:
         """Extend an active lease's expiry; ``None`` if it is not active."""
-        expires = time.time() + ttl
+        expires = (time.time() if now is None else now) + ttl
 
         def mutate(conn: sqlite3.Connection) -> Optional[float]:
             updated = conn.execute(
@@ -520,15 +542,29 @@ class ResultStore:
 
         return self._write(mutate)
 
-    def finish_lease(self, lease_id: int, status: str = LEASE_DONE) -> bool:
-        """Terminal transition; ``False`` if the lease was not active (the
-        caller lost a race with the sweeper or posted a duplicate)."""
+    def finish_lease(
+        self, lease_id: int, status: str = LEASE_DONE,
+        results: Sequence[Tuple[str, str, str, str, List[Dict[str, object]]]] = (),
+        campaign_id: Optional[int] = None,
+        events: Sequence[Tuple[str, Dict[str, Any]]] = (),
+    ) -> bool:
+        """Settle a lease in one transaction: its ``results`` (see
+        :meth:`_insert_results`), its terminal ``status`` and its events.
+
+        Returns ``False`` if the lease was not active (the caller lost a
+        race with the sweeper or posted a duplicate); its results are
+        stored all the same.
+        """
 
         def mutate(conn: sqlite3.Connection) -> bool:
-            return bool(conn.execute(
+            if results:
+                self._insert_results(conn, results)
+            active = bool(conn.execute(
                 "UPDATE leases SET status = ? WHERE id = ? AND status = ?",
                 (status, lease_id, LEASE_ACTIVE),
             ).rowcount)
+            self._lease_events(conn, lease_id, campaign_id, events)
+            return active
 
         return self._write(mutate)
 

@@ -57,13 +57,13 @@ import signal
 import socket
 import threading
 import time
-import traceback as traceback_module
 from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeout
 from typing import Any, Dict, List, Optional
 
 from repro.common.config import job_timeout, worker_id_override
 from repro.common.rng import DeterministicRNG
 from repro.service import faults
+from repro.service.scheduler import job_outcome
 from repro.service.spec import Job
 from repro.service.transport import HttpTransport, StatusError, TransportError
 
@@ -154,6 +154,10 @@ class Worker:
                 f"JobTimeout: exceeded {self.job_timeout_s:.1f}s"
             ) from None
 
+    def _compute(self, job: Job) -> List[Dict[str, object]]:
+        faults.fire("worker.job", context=f"{self.worker_id}:{job.key}")
+        return self._run_job(job)
+
     def _heartbeat(self, lease_id: int) -> None:
         try:
             self._post(f"/leases/{lease_id}/heartbeat", {})
@@ -187,27 +191,15 @@ class Worker:
                 # abandon the lease, the sweeper requeues it.  Completed
                 # outcomes are lost-but-recomputable, like a crash.
                 return
-            outcome: Dict[str, Any] = {
-                "key": job.key, "job_id": job.job_id,
-                "workload": job.workload, "experiment": job.experiment,
-            }
-            started = time.time()
-            try:
-                # Inside the per-job isolation on purpose: an injected
-                # ``raise`` is a job failure (reported, retried server-side)
-                # while ``kill`` (BaseException) still takes the worker down.
-                faults.fire("worker.job", context=f"{self.worker_id}:{job.key}")
-                outcome["rows"] = self._run_job(job)
-                outcome["error"] = None
+            # The fault fires inside the per-job isolation on purpose: an
+            # injected ``raise`` is a job failure (reported, retried
+            # server-side) while ``kill`` (BaseException) still takes the
+            # worker down.
+            outcome = job_outcome(job, lambda: self._compute(job))
+            if outcome["error"] is None:
                 self.jobs_done += 1
-            except Exception as exc:
-                outcome["rows"] = None
-                outcome["error"] = f"{type(exc).__name__}: {exc}"
-                outcome["traceback"] = traceback_module.format_exc()
+            else:
                 self.jobs_failed += 1
-            # Telemetry only: the server's latency histogram and completion
-            # events attribute this duration to the fleet plane.
-            outcome["duration_s"] = time.time() - started
             outcomes.append(outcome)
         directive = faults.fire("worker.post_results", context=self.worker_id)
         if directive == "drop":

@@ -17,14 +17,12 @@ Components (Section 3 of the paper):
   forwards streams, allocates queues, consumes SVB hits, serves refills and
   delivers fetched blocks into the SVBs.
 * :mod:`repro.tse.simulator` — functional trace-driven simulation of a whole
-  DSM with TSE, producing coverage / discard / traffic statistics, and
-  :func:`~repro.tse.simulator.warm_tse_run`, which measures a window after
-  a replayed warm-up ramp.
+  DSM with TSE, producing coverage / discard / traffic statistics.
 """
 
 from repro.tse.cmob import CMOB
 from repro.tse.engine import NodeTSE, TemporalStreamingSystem
-from repro.tse.simulator import TSESimulator, TSEStats, warm_tse_run
+from repro.tse.simulator import TSESimulator, TSEStats
 from repro.tse.stream_engine import StreamEngine
 from repro.tse.stream_queue import StreamQueue
 from repro.tse.svb import StreamedValueBuffer, SVBEntry
@@ -39,5 +37,4 @@ __all__ = [
     "TemporalStreamingSystem",
     "TSESimulator",
     "TSEStats",
-    "warm_tse_run",
 ]

@@ -754,30 +754,3 @@ def run_tse_on_trace(
     )
     return simulator.run(trace, warmup_fraction=warmup_fraction)
 
-
-def warm_tse_run(
-    workload: str,
-    tse_config: Optional[TSEConfig] = None,
-    *,
-    warm_accesses: int,
-    measure_accesses: int,
-    seed: int = 42,
-    num_nodes: int = 16,
-    mode: Optional[str] = None,
-) -> TSEStats:
-    """Run ``measure_accesses`` of a workload after a ``warm_accesses`` ramp.
-
-    The paper warms caches, CMOBs and directory state before it measures
-    (Section 4).  Here the ramp is the first ``warm_accesses`` of one
-    ``warm_accesses + measure_accesses`` trace
-    (:func:`~repro.experiments.runner.trace_for`), replayed on the same
-    simulator as the window: statistics reset at exactly the boundary and
-    the state carries over, as with ``run_chunks``'s ``warmup_accesses``.
-    """
-    if warm_accesses < 0 or measure_accesses <= 0:
-        raise ValueError("warm_accesses must be >= 0 and measure_accesses > 0")
-    from repro.experiments.runner import trace_for
-
-    trace = trace_for(workload, warm_accesses + measure_accesses, seed, num_nodes)
-    simulator = TSESimulator(num_nodes, tse_config, mode=mode)
-    return simulator._run(zip(trace.chunks(), trace_codes(trace)), workload, warm_accesses)

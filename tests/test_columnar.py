@@ -44,7 +44,6 @@ from repro.common.types import (
     TYPE_WRITE,
     Consumption,
 )
-from repro.tse import warm_tse_run
 from repro.tse.simulator import Outcome, TSESimulator
 from repro.workloads import available_workloads, get_workload
 from repro.workloads.base import WorkloadParams
@@ -401,9 +400,10 @@ class TestTraceConsumptions:
 
 
 class TestWarmRun:
-    """``warm_tse_run`` measures a window after a replayed ramp: it equals
-    ``run_chunks`` over the same trace with the statistics reset at the
-    ramp's end, wherever that boundary falls."""
+    """A window measured after a replayed ramp (the warm-state study's
+    ``run_chunks`` with ``warmup_accesses``) equals a replay of the same
+    trace against its memoized code columns with the statistics reset at
+    the ramp's end, wherever that boundary falls."""
 
     @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FAST])
     @pytest.mark.parametrize("boundary", ["zero", "inside_chunk", "chunk_boundary"])
@@ -413,7 +413,7 @@ class TestWarmRun:
         warm, measure = {
             "zero": (0, 5_000),
             "inside_chunk": (3_000, 3_000),
-            "chunk_boundary": (stream_chunk_size(), 2_000),
+            "chunk_boundary": (stream_chunk_size(), stream_chunk_size()),
         }[boundary]
         # db2 streams from its first accesses, so the ramp leaves CMOB and
         # queue state that the window reads; a short em3d ramp is all cold
@@ -425,25 +425,30 @@ class TestWarmRun:
         straight = TSESimulator(16, config, mode=mode).run_chunks(
             trace.chunks(), name="db2", warmup_accesses=warm
         )
-        stats = warm_tse_run(
-            "db2", config, warm_accesses=warm, measure_accesses=measure, mode=mode,
+        fraction = warm / len(trace)
+        assert int(len(trace) * fraction) == warm
+        stats = TSESimulator(16, config, mode=mode).run(
+            ChunkedTrace.from_payload(trace.to_payload()), warmup_fraction=fraction,
         )
         assert stats.accesses == len(trace) - warm
         assert stats.as_dict() == straight.as_dict()
         assert stats.stream_length_hist.buckets() == straight.stream_length_hist.buckets()
 
-    def test_same_seed_same_warm_run(self):
-        config = TSEConfig.paper_default(lookahead=8)
-        first = warm_tse_run("db2", config, warm_accesses=3_000, measure_accesses=3_000)
-        second = warm_tse_run("db2", config, warm_accesses=3_000, measure_accesses=3_000)
-        assert first.as_dict() == second.as_dict()
+    def test_warm_state_point_is_deterministic(self):
+        from repro.experiments.warm_state import _point
+
+        def point():
+            return _point("db2", None, target_accesses=3_000, seed=42, warm_accesses=3_000)
+
+        assert point() == point()
 
     def test_negative_ramp_and_empty_window_rejected(self):
-        config = TSEConfig.paper_default()
+        from repro.experiments.warm_state import _point
+
         with pytest.raises(ValueError):
-            warm_tse_run("db2", config, warm_accesses=-1, measure_accesses=1_000)
+            _point("db2", None, target_accesses=1_000, seed=42, warm_accesses=-1)
         with pytest.raises(ValueError):
-            warm_tse_run("db2", config, warm_accesses=1_000, measure_accesses=0)
+            _point("db2", None, target_accesses=0, seed=42, warm_accesses=1_000)
 
     def test_import_loads_neither_sqlite3_nor_pickle(self):
         """Warm state lives only in the replay, so importing the TSE package
@@ -488,13 +493,14 @@ class TestPackedCMOBDeterminism:
         config = TSEConfig(cmob_capacity=97, svb_entries=8, stream_lookahead=8)
         trace = trace_for("db2", 12_000, 11, 4)
         straight = TSESimulator(4, config)
-        expected = straight.run_chunks(trace.chunks(), name="db2", warmup_accesses=8_000)
+        expected = straight.run_chunks(
+            trace.chunks(), name="db2", warmup_accesses=int(len(trace) * 0.75)
+        )
         # Every consumption appends one CMOB entry, so a ramp with more
         # consumptions than the four rings hold has overwritten ring slots.
         assert straight.warmup_stats.total_consumptions > 4 * config.cmob_capacity
-        stats = warm_tse_run(
-            "db2", config, warm_accesses=8_000, measure_accesses=4_000,
-            seed=11, num_nodes=4,
+        stats = TSESimulator(4, config).run(
+            ChunkedTrace.from_payload(trace.to_payload()), warmup_fraction=0.75,
         )
         assert stats.as_dict() == expected.as_dict()
         assert stats.stream_length_hist.buckets() == expected.stream_length_hist.buckets()

@@ -666,6 +666,60 @@ class TestDrain:
             job.key for job in run.jobs
         }
 
+    def test_drain_waits_for_a_local_lease_and_leaves_the_queue(
+        self, tmp_path, monkeypatch,
+    ):
+        """A local slot mid-batch holds a lease: drain() waits for it to
+        settle, grants nothing more, and leaves the other batches queued;
+        a later resume() finishes the campaign without recomputing the
+        stored job."""
+        import repro.service.scheduler as scheduler_module
+
+        real_execute = scheduler_module.execute_batch
+        started, release = threading.Event(), threading.Event()
+
+        def gated_execute(batch):
+            started.set()
+            assert release.wait(30)
+            return real_execute(batch)
+
+        monkeypatch.setattr(scheduler_module, "execute_batch", gated_execute)
+        store_path = tmp_path / "drain-local.sqlite"
+        keys = [job.key for job in tiny_campaign().jobs()]
+        service = Service(store_path=store_path, max_workers=1, batch_size=1)
+        try:
+            service.submit(tiny_campaign(), wait=False)
+            assert started.wait(30)
+            report = {}
+            drainer = threading.Thread(
+                target=lambda: report.update(service.drain(deadline_s=30.0))
+            )
+            drainer.start()
+            time.sleep(0.3)
+            assert drainer.is_alive(), "drain returned while a local lease ran"
+            release.set()
+            drainer.join(30)
+            assert not drainer.is_alive()
+            assert report["settled"] is True and report["live_leases"] == 0
+            assert report["queued_batches"] == len(keys) - 1
+        finally:
+            service.close()
+        stored = ResultStore(store_path).present_keys(keys)
+        assert len(stored) == 1
+
+        executed = []
+
+        def counting_execute(batch):
+            executed.extend(job.key for job in batch)
+            return real_execute(batch)
+
+        monkeypatch.setattr(scheduler_module, "execute_batch", counting_execute)
+        with Service(store_path=store_path, max_workers=1, resume=True) as fresh:
+            resumed = list(fresh.scheduler.runs.values())
+            assert len(resumed) == 1
+            assert fresh.wait(resumed[0], timeout=120).status == "done"
+        assert sorted(executed) == sorted(set(keys) - stored)
+
     def test_stop_requested_worker_exits_zero_without_polling(self):
         worker = Worker(f"http://127.0.0.1:{_dead_port()}", worker_id="wd",
                         poll_interval=0.01)

@@ -354,6 +354,33 @@ class TestLocalRetry:
             assert run.status == "done"
             assert run.computed == run.total and run.failed == 0
 
+    def test_local_lease_outliving_its_ttl_is_not_expired(
+        self, tmp_path, monkeypatch,
+    ):
+        """A local slot's lease is bounded by the job timeout, not the TTL:
+        a batch that runs four TTLs is neither requeued by the sweeper nor
+        charged an attempt."""
+        import repro.service.scheduler as scheduler_module
+
+        real_execute = scheduler_module.execute_batch
+
+        def slow_execute(batch):
+            time.sleep(1.0)
+            return real_execute(batch)
+
+        monkeypatch.setattr(scheduler_module, "execute_batch", slow_execute)
+        with Service(
+            store_path=tmp_path / "s.sqlite", max_workers=1, lease_ttl_s=0.25,
+        ) as service:
+            run = service.submit(tiny_campaign(), wait=True, timeout=60)
+            assert run.status == "done" and run.computed == run.total
+            for job in run.jobs:
+                assert service.store.attempt_record(job.key) is None
+            types = {e.type for e in service.store.event_log.after(run.id, 0, 10_000)}
+            assert "lease.expired" not in types and "job.retried" not in types
+            stats = {row["worker"]: row for row in service.workers()}
+            assert stats["local-1"]["done"] >= 1 and stats["local-1"]["expired"] == 0
+
     def test_job_timeout_counts_as_attempt(self, tmp_path, monkeypatch):
         """A stuck batch trips the per-job timeout and, with a budget of 1
         attempt, quarantines instead of hanging the campaign."""

@@ -4,7 +4,7 @@ A small replay matrix runs under :func:`sys.setprofile`: exact bare,
 outcome-recording and traffic-accounted replays of em3d and db2 under three
 of the reference battery's configurations, one fast-plane replay, one
 ``run_chunks`` over streamed chunks, one traffic-accounted
-``run_tse_on_trace`` on the default interconnect, one ``warm_tse_run``, one
+``run_tse_on_trace`` on the default interconnect, one
 ``TimingSimulator.compare`` and one ``trace_consumptions``.  The test fails
 on any function defined in the modules below that never ran, naming its
 qualified name, so a method that only tests reach (a second copy of code
@@ -81,7 +81,7 @@ def _fresh(workload: str) -> ChunkedTrace:
 def _replay_matrix(configs) -> None:
     from repro.common.config import MODE_FAST, InterconnectConfig, TSEConfig
     from repro.system.timing import TimingSimulator
-    from repro.tse.simulator import TSESimulator, run_tse_on_trace, warm_tse_run
+    from repro.tse.simulator import TSESimulator, run_tse_on_trace
     from repro.workloads import get_workload
     from repro.workloads.base import WorkloadParams
 
@@ -102,11 +102,8 @@ def _replay_matrix(configs) -> None:
     TSESimulator(NUM_NODES, paper).run_chunks(
         get_workload("db2", params).stream_chunks(chunk_size=4096),
         name="db2", warmup_accesses=6_000,
-    )
-    run_tse_on_trace(_fresh("em3d"), paper, account_traffic=True)
-    warm_tse_run(
-        "db2", paper, warm_accesses=6_000, measure_accesses=8_000,
     ).as_dict()
+    run_tse_on_trace(_fresh("em3d"), paper, account_traffic=True)
     TimingSimulator().compare(_fresh("em3d"))
     protocol.trace_consumptions(_fresh("db2"))
 

@@ -525,6 +525,35 @@ class TestFastModeKeySeparation:
         assert waiter.computed == waiter.total  # it took over the jobs
         assert ResultStore(tmp_path / "s.sqlite").stats()["results"] == waiter.total
 
+    def test_cancelled_run_hands_a_failed_leased_job_to_its_waiter(self, tmp_path):
+        """A job of a cancelled run that fails under a live lease is not
+        quarantined on its first attempt: the waiting run retries it."""
+        import asyncio
+
+        from repro.service.scheduler import Scheduler, execute_batch
+
+        async def scenario():
+            store = ResultStore(tmp_path / "s.sqlite")
+            scheduler = Scheduler(store, max_workers=1, local_compute=False,
+                                  retry_base=0.0)
+            owner = await scheduler.submit(tiny_campaign())
+            waiter = await scheduler.submit(tiny_campaign())
+            lease = scheduler.lease_next("w1")
+            scheduler.cancel(owner)
+            scheduler.complete_lease(lease.id, [
+                {"key": job.key, "error": "RuntimeError: flaky"} for job in lease.jobs
+            ])
+            while (retry := scheduler.lease_next("w2")) is not None:
+                scheduler.complete_lease(retry.id, execute_batch(retry.jobs))
+            await scheduler.wait(owner)
+            await scheduler.wait(waiter)
+            await scheduler.close()
+            return owner, waiter
+
+        owner, waiter = asyncio.run(asyncio.wait_for(scenario(), 120))
+        assert owner.status == "cancelled"
+        assert waiter.status == "done" and waiter.computed == waiter.total
+
     def test_resume_isolates_unloadable_campaign_specs(self, tmp_path):
         """A corrupt stored spec is marked failed and does not block the
         resume of later campaigns."""
@@ -703,6 +732,27 @@ class TestCacheCLI:
         stats = json.loads(capsys.readouterr().out)
         assert "no store" in stats["store"]
         assert not path.exists()
+
+    def test_module_entry_point_runs_one_copy(self, tmp_path):
+        """``python -m repro.experiments.cache`` must not execute a second
+        copy of the module (runpy warns when the package already imported
+        it, and the CLI would read that copy's in-process cache)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro.experiments.cache as cache_module
+
+        src = Path(cache_module.__file__).parents[2]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.experiments.cache", "--stats", "--store",
+             str(tmp_path / "s.sqlite")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestWarmStatePreset:
