@@ -12,7 +12,8 @@ makes them *durable and submittable*.  Four parts:
   nothing;
 * :mod:`repro.service.scheduler` — an ``asyncio`` scheduler with priority
   queues, per-trace job batching, progress, cancellation, crash-resume
-  from the store, per-job retry/backoff with poison-job quarantine, and
+  from the store (a crashed campaign re-opens under its own id), per-job
+  retry/backoff with poison-job quarantine, and
   one execution path: local slots (running batches on the process pool)
   and remote workers take batches as leases through the same grant and
   settle through the same ``complete_lease`` (TTL leases + expiry sweeper
@@ -23,11 +24,10 @@ makes them *durable and submittable*.  Four parts:
 * :mod:`repro.service.faults` — deterministic fault injection
   (seeded :class:`~repro.service.faults.FaultPlan` schedules fired at
   named sites) driving the chaos suite and ``benchmarks/chaos_battery.py``;
-* :mod:`repro.service.events` / :mod:`repro.service.metrics` /
-  :mod:`repro.service.dashboard` — the telemetry plane (PR 9): a durable
-  per-campaign event log with SSE streaming and ``Last-Event-ID`` resume,
-  a ``GET /metrics`` registry, and the single-page live dashboard with
-  incremental figure tables.  Observational only — results stay
+* :mod:`repro.service.events` / :mod:`repro.service.metrics` — the
+  telemetry plane (PR 9): a durable per-campaign event log with SSE
+  streaming and ``Last-Event-ID`` resume (``status --follow`` tails it),
+  and a ``GET /metrics`` registry.  Observational only — results stay
   byte-identical with events on or off;
 * :mod:`repro.service.transport` — the resilient HTTP client (PR 10)
   every worker and CLI call rides: per-attempt timeouts, deterministic
@@ -37,15 +37,16 @@ makes them *durable and submittable*.  Four parts:
 * :mod:`repro.service.api` / :mod:`repro.service.cli` — a stdlib
   ``http.server`` JSON API and the ``python -m repro.service`` command line
   (``submit`` / ``status`` / ``results`` / ``serve`` / ``work`` /
-  ``watch`` / ``presets``, plus the durability verbs ``fsck`` /
-  ``backup`` / ``restore`` / ``export`` / ``import``).  The store schema
-  is versioned (``PRAGMA user_version``) with in-place migrations,
-  per-row SHA-256 payload checksums, and online backup via sqlite's
-  backup API; ``serve`` drains gracefully on SIGTERM.
+  ``presets``, plus the durability verbs ``fsck`` / ``backup`` /
+  ``restore``).  The store schema is versioned (``PRAGMA user_version``)
+  with in-place migrations, per-row SHA-256 payload checksums, and online
+  backup via sqlite's backup API; ``serve`` drains gracefully on SIGTERM.
 
 Every paper figure is available as a campaign preset
-(:mod:`repro.service.presets`); the rendered preset tables are bit-identical
-to the fig modules' direct CLI output (locked in by ``tests/test_service.py``).
+(:mod:`repro.service.presets`); every table the service prints is
+:meth:`Campaign.render` over :meth:`ResultStore.merged_rows`, and the
+preset tables are bit-identical to the fig modules' direct CLI output
+(locked in by ``tests/test_service.py``).
 """
 
 from repro.service.events import Event, EventBus, EventLog

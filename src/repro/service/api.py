@@ -8,9 +8,10 @@ Routes (all JSON):
 * ``GET  /campaigns/<id>``           — one campaign's progress.
 * ``POST /campaigns``                — submit; body is either
   ``{"preset": "fig12", ...overrides}`` or ``{"campaign": {...spec...}}``.
-  Optional ``"wait": true`` blocks until done and includes the rendered
-  table; ``"workloads"``, ``"target_accesses"``, ``"seed"``, ``"priority"``
-  override preset defaults.
+  Optional ``"wait": true`` blocks until done and includes the finalized
+  rows and the table ``Campaign.render`` makes of them; ``"workloads"``,
+  ``"target_accesses"``, ``"seed"``, ``"priority"`` override preset
+  defaults.
 * ``POST /campaigns/<id>/cancel``    — drop the campaign's queued jobs.
 * ``GET  /jobs/<id>``                — one job by short id (status + rows).
 * ``GET  /results?experiment=&workload=&limit=`` — filterable results.
@@ -23,10 +24,7 @@ Telemetry routes (PR 9, observational only):
   ``?follow=0`` replays the log and closes without tailing.  The stream
   ends itself after ``campaign.finished``.
 * ``GET  /metrics``                  — Prometheus text exposition
-  (``?format=json`` for the dashboard's JSON form).
-* ``GET  /campaigns/<id>/table``     — the campaign's figure table
-  rendered from partial results, with its completeness fraction.
-* ``GET  /dashboard``                — the single-page live dashboard.
+  (``?format=json`` for the same registry as JSON).
 
 Fleet routes (the remote-worker lease protocol, driven by
 ``python -m repro.service work``):
@@ -65,7 +63,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.common.config import events_poll_interval
-from repro.service import dashboard, presets
+from repro.service import presets
 from repro.service import events as events_module
 from repro.service.service import Service
 from repro.service.spec import Campaign
@@ -176,18 +174,8 @@ class _Handler(BaseHTTPRequestHandler):
             return self._reply(200, {"workers": service.worker_liveness()})
         if url.path == "/metrics":
             return self._reply_metrics(service, _first(query, "format"))
-        if url.path == "/dashboard":
-            return self._reply_html(dashboard.DASHBOARD_HTML)
         if len(parts) == 3 and parts[0] == "campaigns" and parts[2] == "events":
             return self._stream_events(service, _int_or(-1, parts[1]), query)
-        if len(parts) == 3 and parts[0] == "campaigns" and parts[2] == "table":
-            try:
-                payload = dashboard.partial_table(
-                    service.store, _int_or(-1, parts[1])
-                )
-            except KeyError as exc:
-                raise _HTTPError(404, str(exc)) from exc
-            return self._reply(200, payload)
         if len(parts) == 2 and parts[0] == "campaigns":
             progress = service.progress(_int_or(-1, parts[1]))
             if progress is None:
@@ -257,7 +245,8 @@ class _Handler(BaseHTTPRequestHandler):
         run = service.submit(campaign, wait=wait)
         payload = run.progress()
         if wait:
-            payload["rows"], payload["table"] = service.rows_and_table(run)
+            payload["rows"] = service.results(run)
+            payload["table"] = run.campaign.render(payload["rows"])
         return self._reply(200, payload)
 
     # ------------------------------------------------------------- telemetry
@@ -267,14 +256,6 @@ class _Handler(BaseHTTPRequestHandler):
         body = service.metrics_snapshot("text").encode()
         self.send_response(200)
         self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_html(self, html: str) -> None:
-        body = html.encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -290,7 +271,7 @@ class _Handler(BaseHTTPRequestHandler):
         fault site) cost at most one poll interval of latency and can
         never lose or duplicate a frame.  The stream terminates after
         ``campaign.finished`` (or immediately once the log is drained for
-        a campaign that is already terminal in the store), and on
+        a campaign whose stored status is no longer ``running``), and on
         ``?follow=0`` as soon as the replay is done.
         """
         if service.store.campaign(campaign_id) is None:
@@ -315,9 +296,7 @@ class _Handler(BaseHTTPRequestHandler):
                 # terminal status read holds every event the log will ever
                 # carry (none more for a pre-events store or disabled events).
                 record = service.store.campaign(campaign_id)
-                terminal = record is not None and record["status"] in (
-                    "done", "failed", "cancelled", "superseded"
-                )
+                terminal = record is not None and record["status"] != "running"
                 finished = False
                 while True:
                     batch = log.after(campaign_id, cursor, limit=500)

@@ -4,25 +4,24 @@ Subcommands::
 
     submit PRESET   submit a campaign; in-process runs always complete
                     before exit (use serve + --url for fire-and-forget queueing)
-    status [ID]     campaign listing / one campaign's progress;
+    status [ID]     campaign listing / one campaign's progress (the view
+                    ``GET /campaigns/<id>`` serves);
                     ``--follow`` tails the campaign's SSE event stream
                     (one line per event, resumable with ``--after``)
-    results ID      re-render a stored campaign's table (no recompute)
+    results ID      render a stored campaign's table, partial or whole
+                    (no recompute; ``status ID`` gives its completeness)
     serve           run the HTTP JSON API (``--remote-only`` parks all
                     compute until workers lease it); SIGTERM drains
                     gracefully: stop granting leases, settle in-flight
                     batches under ``--drain-deadline``, checkpoint, exit
     work            run one lease-protocol worker against a serve instance
                     (SIGTERM: finish the current job, post, exit 0)
-    watch ID        print the live dashboard URL for a campaign
     presets         list available presets
     fsck            verify store integrity (checksums + payload JSON +
                     sqlite integrity_check); ``--repair`` deletes exactly
                     the corrupt rows so resubmission recomputes them
     backup DEST     online store backup via sqlite's backup API
     restore SRC     validate a backup and install it as the store
-    export ID       write one campaign as a portable checksummed archive
-    import PATH     install an exported campaign archive into the store
 
 ``submit`` / ``status`` run against the local store by default; pass
 ``--url http://host:port`` to drive a running ``serve`` instance instead.
@@ -43,7 +42,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro.service import presets
-from repro.service.service import Service
+from repro.service.service import Service, render_stored_campaign, stored_progress
 from repro.service.store import ResultStore, default_store_path
 
 
@@ -91,13 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     status.add_argument("--after", type=int, default=0,
                         help="with --follow: resume from this event "
                         "sequence number (Last-Event-ID)")
-
-    watch = commands.add_parser(
-        "watch", help="print the live dashboard URL for a campaign"
-    )
-    watch.add_argument("campaign", nargs="?", type=int, default=None)
-    watch.add_argument("--url", required=True,
-                       help="base URL of the serve instance")
 
     results = commands.add_parser("results", help="render a stored campaign")
     results.add_argument("campaign", type=int)
@@ -163,20 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(run offline — not against a live serve)"
     )
     restore.add_argument("backup", metavar="SRC", help="backup file to restore")
-
-    export = commands.add_parser(
-        "export", help="write one campaign (spec, key order, checksummed "
-        "results) as a portable JSON archive"
-    )
-    export.add_argument("campaign", type=int)
-    export.add_argument("--out", default=None, metavar="PATH",
-                        help="archive file (default: stdout)")
-
-    imp = commands.add_parser(
-        "import", help="install an exported campaign archive (checksum-"
-        "verified before anything is written)"
-    )
-    imp.add_argument("archive", metavar="PATH", help="archive file to import")
     return parser
 
 
@@ -286,21 +264,15 @@ def _cmd_status(args: argparse.Namespace) -> int:
     if args.campaign is None:
         print(json.dumps({"campaigns": store.campaigns()}, indent=2, default=str))
         return 0
-    record = store.campaign(args.campaign)
-    if record is None:
+    progress = stored_progress(store, args.campaign)
+    if progress is None:
         print(f"no campaign {args.campaign}", file=sys.stderr)
         return 1
-    keys = store.campaign_keys(args.campaign)
-    stored = len(store.present_keys(keys))
-    record.pop("spec_json", None)
-    record.update(total=len(keys), stored=stored, remaining=len(keys) - stored)
-    print(json.dumps(record, indent=2, default=str))
+    print(json.dumps(progress, indent=2))
     return 0
 
 
 def _cmd_results(args: argparse.Namespace) -> int:
-    from repro.service.service import render_stored_campaign
-
     store = _open_store_readonly(args.store)
     if store is None:
         return 1
@@ -309,16 +281,6 @@ def _cmd_results(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_watch(args: argparse.Namespace) -> int:
-    """Print the live dashboard URL (open it in any browser)."""
-    base = args.url.rstrip("/")
-    if args.campaign is not None:
-        print(f"{base}/dashboard?campaign={args.campaign}")
-    else:
-        print(f"{base}/dashboard")
     return 0
 
 
@@ -413,41 +375,6 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
-    store = _open_store_readonly(args.store)
-    if store is None:
-        return 1
-    try:
-        archive = store.export_campaign(args.campaign)
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(archive, handle)
-        print(f"exported campaign {args.campaign} "
-              f"({len(archive['results'])}/{len(archive['keys'])} results) "
-              f"to {args.out}", file=sys.stderr)
-    else:
-        json.dump(archive, sys.stdout)
-        print()
-    return 0
-
-
-def _cmd_import(args: argparse.Namespace) -> int:
-    from repro.service.store import StoreIntegrityError
-
-    with open(args.archive, encoding="utf-8") as handle:
-        archive = json.load(handle)
-    store = ResultStore(args.store)
-    try:
-        print(json.dumps(store.import_campaign(archive), indent=2))
-    except StoreIntegrityError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "presets":
@@ -459,11 +386,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "results": _cmd_results,
         "serve": _cmd_serve,
         "work": _cmd_work,
-        "watch": _cmd_watch,
         "fsck": _cmd_fsck,
         "backup": _cmd_backup,
         "restore": _cmd_restore,
-        "export": _cmd_export,
-        "import": _cmd_import,
     }[args.command]
     return handler(args)

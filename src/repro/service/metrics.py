@@ -2,7 +2,7 @@
 
 Thread-safe counters, gauges, and latency histograms over plain dicts —
 no dependencies, Prometheus text exposition by default and JSON with
-``?format=json`` (the dashboard's tiles read the JSON form).  Metrics are
+``?format=json`` (CI's events smoke uploads both forms).  Metrics are
 observational telemetry for the service plane only; nothing here touches
 a determinism key or a result row.
 

@@ -29,11 +29,13 @@ back without the job) bumps the job's ``job_attempts`` row; a failed job
 is requeued after a deterministic jittered backoff (:func:`backoff_delay`,
 seeded from the job key); after ``job_retries`` attempts it is
 **quarantined** with its traceback and the campaign completes degraded.
-A fresh submission resets the attempt budget.
+A failure whose row landed anyway (a late post of an expired lease)
+settles from the store instead.  A fresh submission resets the attempt
+budget.
 
 Results are stored the moment a lease settles, so a crash loses at most
-in-flight work: :meth:`Scheduler.resume` re-submits every campaign that
-never reached a terminal status, and only the missing points run.  Lease
+in-flight work: :meth:`Scheduler.resume` re-opens every campaign still
+``running`` under its own id, and only the missing points run.  Lease
 time comes from one injected ``clock``, so ``tests/test_scheduler_model.py``
 drives expiry without sleeping.
 """
@@ -293,70 +295,22 @@ class Scheduler:
 
     # ----------------------------------------------------------- submission
     async def submit(self, campaign: Campaign) -> CampaignRun:
-        """Compile, dedupe against the store AND in-flight work, enqueue.
-
-        A job already queued or executing for another campaign is not
-        queued again: this run registers as a *waiter* and is credited (as
-        ``cached``) the moment the owning run stores the result — so
-        concurrently submitted overlapping campaigns compute each shared
-        point exactly once.
-        """
+        """Record a new campaign and open it (:meth:`_open`)."""
         jobs = campaign.jobs()
-        keys = [job.key for job in jobs]
-        present = self.store.present_keys(keys)
         campaign_id = self.store.create_campaign(
-            json.dumps(campaign.to_dict()), campaign.name, keys
+            json.dumps(campaign.to_dict()), campaign.name, [job.key for job in jobs]
         )
-        run = CampaignRun(id=campaign_id, campaign=campaign, jobs=jobs)
-        pending = []
-        job_events: List[Tuple[str, Dict[str, Any]]] = [(
-            events_module.CAMPAIGN_SUBMITTED,
-            {"name": campaign.name, "experiment": campaign.experiment,
-             "total": len(jobs), "cached": len(present)},
-        )]
-        for job in jobs:
-            if job.key in present:
-                run.cached += 1
-                run.states[job.key] = "completed"
-                job_events.append(
-                    (events_module.JOB_CACHED, job.summary())
-                )
-            elif job.key in self._inflight:
-                self._waiters.setdefault(job.key, []).append(run)
-                run.remaining += 1
-                run.states[job.key] = "queued"
-                job_events.append(
-                    (events_module.JOB_QUEUED, job.summary())
-                )
-            else:
-                self._inflight[job.key] = run
-                pending.append(job)
-                run.remaining += 1
-                run.states[job.key] = "queued"
-                job_events.append(
-                    (events_module.JOB_QUEUED, job.summary())
-                )
-        self.runs[campaign_id] = run
-        self.events.publish_many(campaign_id, job_events)
-        if run.remaining == 0:
-            self._finish(run)
-            return run
-        # A fresh submission grants a fresh retry budget: quarantine is a
-        # per-submission verdict, not a permanent ban on the key.
-        self.store.reset_attempts([job.key for job in pending])
-        for batch in _batch_jobs(pending, self.batch_size):
-            self._enqueue(run, batch)
-        self._ensure_workers()
-        return run
+        return self._open(campaign_id, campaign, jobs)
 
     async def resume(self) -> List[CampaignRun]:
-        """Crash-resume: re-submit every campaign with a non-terminal status.
+        """Crash-resume: re-open every ``running`` campaign under its own id.
 
-        Stored points are never recomputed — a resumed campaign only runs
-        the jobs its crashed predecessor had not finished.  The original
-        record is marked ``superseded`` only once its replacement is
-        submitted; a record whose spec can no longer be loaded (corrupt
-        JSON, renamed experiment) is marked ``failed`` and skipped, never
+        A resume continues the crashed submission: its retry budget, and
+        its event stream, where each key keeps at most one verdict.  Stored
+        points are credited (and never recomputed), a key already out of
+        attempts stays failed, and the rest run.  A record whose spec can
+        no longer be loaded (corrupt JSON, a renamed experiment, keys this
+        build no longer compiles) is marked ``failed`` and skipped, never
         blocking the campaigns after it.
         """
         resumed = []
@@ -365,13 +319,75 @@ class Scheduler:
                 continue  # still actively running in this process
             try:
                 campaign = Campaign.from_dict(json.loads(record["spec_json"]))
-                run = await self.submit(campaign)
+                jobs = campaign.jobs()
+                if [job.key for job in jobs] != self.store.campaign_keys(record["id"]):
+                    raise ValueError("spec no longer compiles to the stored keys")
             except Exception:
                 self.store.set_campaign_status(record["id"], "failed")
                 continue
-            self.store.set_campaign_status(record["id"], "superseded")
-            resumed.append(run)
+            resumed.append(self._open(record["id"], campaign, jobs, resumed=True))
         return resumed
+
+    def _open(
+        self, campaign_id: int, campaign: Campaign, jobs: List[Job],
+        resumed: bool = False,
+    ) -> CampaignRun:
+        """Register a run, dedupe its jobs against the store AND in-flight
+        work, and enqueue the rest.
+
+        A job already queued or executing for another campaign is not
+        queued again: this run registers as a *waiter* and is credited (as
+        ``cached``) the moment the owning run stores the result — so
+        concurrently submitted overlapping campaigns compute each shared
+        point exactly once.  A fresh submission announces every job and
+        grants the pending ones a fresh retry budget; a resumed one
+        publishes nothing for the jobs its stream already announced, and
+        fails a quarantined key without a second verdict.
+        """
+        present = self.store.present_keys([job.key for job in jobs])
+        spent = self.store.quarantined_keys(campaign_id) if resumed else {}
+        run = CampaignRun(id=campaign_id, campaign=campaign, jobs=jobs)
+        pending = []
+        job_events: List[Tuple[str, Dict[str, Any]]] = [] if resumed else [(
+            events_module.CAMPAIGN_SUBMITTED,
+            {"name": campaign.name, "experiment": campaign.experiment,
+             "total": len(jobs), "cached": len(present)},
+        )]
+        for job in jobs:
+            if job.key in present:
+                run.cached += 1
+                run.states[job.key] = "completed"
+                kind = events_module.JOB_CACHED
+            elif job.key in spent:
+                run.failed += 1
+                run.quarantined += 1
+                run.error = spent[job.key]
+                run.states[job.key] = "quarantined"
+                continue
+            else:
+                if job.key in self._inflight:
+                    self._waiters.setdefault(job.key, []).append(run)
+                else:
+                    self._inflight[job.key] = run
+                    pending.append(job)
+                run.remaining += 1
+                run.states[job.key] = "queued"
+                kind = events_module.JOB_QUEUED
+            if not resumed:
+                job_events.append((kind, job.summary()))
+        self.runs[campaign_id] = run
+        self.events.publish_many(campaign_id, job_events)
+        if run.remaining == 0:
+            self._finish(run)
+            return run
+        if not resumed:
+            # A fresh submission grants a fresh retry budget: quarantine is
+            # a per-submission verdict, not a permanent ban on the key.
+            self.store.reset_attempts([job.key for job in pending])
+        for batch in _batch_jobs(pending, self.batch_size):
+            self._enqueue(run, batch)
+        self._ensure_workers()
+        return run
 
     def _enqueue(self, run: CampaignRun, batch: List[Job]) -> None:
         self._seq += 1
@@ -477,7 +493,18 @@ class Scheduler:
         traceback_text: Optional[str],
     ) -> None:
         """One failed attempt: retry with backoff, or quarantine.  A
-        cancelled run retries nothing itself: its waiters take the job over."""
+        cancelled run retries nothing itself: its waiters take the job over.
+        A job whose row is stored anyway (an expired lease's late post)
+        settles from the store instead, so no stored key is quarantined."""
+        rows = self.store.get_result(job.key)
+        if rows is not None:
+            if self.events.enabled:
+                self.events.publish(run.id, events_module.JOB_COMPLETED, {
+                    **job.summary(), "plane": "store", "duration_s": None,
+                    "rows": rows,
+                })
+            self._credit(run, job, "store")
+            return
         attempts = self.store.record_attempt(job.key, error, traceback_text)
         if attempts < self.max_attempts and run.cancelled:
             self._hand_over_cancelled_batch(run, [job])
@@ -725,9 +752,9 @@ class Scheduler:
         """One sweeper step: expire every remote lease past its TTL.
 
         Each expired job counts one failed attempt (a job that reliably
-        kills its worker is poison and must quarantine eventually); one
-        whose result arrived late settles from the store instead.  Local
-        leases are skipped: their slot holds them until the batch returns."""
+        kills its worker is poison and must quarantine eventually), unless
+        its result arrived late (:meth:`_handle_failure`).  Local leases
+        are skipped: their slot holds them until the batch returns."""
         now = self.clock()
         for lease_id, lease in list(self.leases.items()):
             if lease.local or lease_id not in self.leases:
@@ -750,21 +777,12 @@ class Scheduler:
             )
             if entries:
                 self.events.notify(lease.run.id, events_module.LEASE_EXPIRED)
-            present = self.store.present_keys([job.key for job in lease.jobs])
             for job in lease.jobs:
-                if job.key not in present:
-                    self._handle_failure(
-                        lease.run, job,
-                        f"LeaseExpired: worker {lease.worker!r} "
-                        f"missed its TTL ({self.lease_ttl_s:.1f}s)", None,
-                    )
-                    continue
-                if self.events.enabled:
-                    self.events.publish(lease.run.id, events_module.JOB_COMPLETED, {
-                        **job.summary(), "plane": "store", "duration_s": None,
-                        "rows": self.store.get_result(job.key),
-                    })
-                self._credit(lease.run, job, "store")
+                self._handle_failure(
+                    lease.run, job,
+                    f"LeaseExpired: worker {lease.worker!r} "
+                    f"missed its TTL ({self.lease_ttl_s:.1f}s)", None,
+                )
 
     async def _sweep_leases(self) -> None:
         while True:
@@ -780,14 +798,6 @@ class Scheduler:
         """Cancel a run: queued batches are dropped when dequeued; leased
         batches still settle (their results are stored)."""
         run.cancelled = True
-
-    def results(self, run: CampaignRun) -> List[Dict[str, object]]:
-        """The campaign's merged rows in deterministic job order."""
-        merged: List[Dict[str, object]] = []
-        for rows in self.store.campaign_rows(run.id):
-            if rows:
-                merged.extend(rows)
-        return merged
 
     async def drain(self, deadline_s: float = 30.0) -> Dict[str, Any]:
         """Graceful drain: grant no more leases, then wait (bounded by

@@ -24,7 +24,7 @@ from repro.common.config import (
 )
 from repro.service.events import EventBus
 from repro.service.metrics import MetricsRegistry
-from repro.service.scheduler import CampaignRun, Scheduler
+from repro.service.scheduler import JOB_STATES, CampaignRun, Scheduler
 from repro.service.spec import Campaign
 from repro.service.store import ResultStore
 
@@ -46,7 +46,8 @@ def default_batch_size() -> int:
 
 
 def render_stored_campaign(store: ResultStore, campaign_id: int) -> str:
-    """Render a stored campaign's table straight from the store.
+    """Render a stored campaign's table, partial or whole, straight from the
+    store: :meth:`Campaign.render` over :meth:`ResultStore.merged_rows`.
 
     Read-only — no scheduler or event loop required (the ``results`` CLI
     subcommand uses this directly).
@@ -55,11 +56,31 @@ def render_stored_campaign(store: ResultStore, campaign_id: int) -> str:
     if record is None:
         raise KeyError(f"no campaign {campaign_id}")
     campaign = Campaign.from_dict(json.loads(record["spec_json"]))
-    rows: List[Dict[str, object]] = []
-    for job_rows in store.campaign_rows(campaign_id):
-        if job_rows:
-            rows.extend(job_rows)
-    return campaign.render(rows)
+    return campaign.render(store.merged_rows(campaign_id))
+
+
+def stored_progress(store: ResultStore, campaign_id: int) -> Optional[Dict[str, Any]]:
+    """A campaign's progress from the store alone (``None`` if unknown): what
+    ``GET /campaigns/<id>`` serves for a campaign not live in this process,
+    and what the CLI's local ``status <id>`` prints.  The breakdown derives
+    from stored rows alone (completed vs. queued)."""
+    record = store.campaign(campaign_id)
+    if record is None:
+        return None
+    keys = store.campaign_keys(campaign_id)
+    stored = len(store.present_keys(keys))
+    states = {state: 0 for state in JOB_STATES}
+    states["completed"] = stored
+    states["queued"] = len(keys) - stored
+    return {
+        "campaign_id": record["id"],
+        "name": record["name"],
+        "status": record["status"],
+        "total": len(keys),
+        "stored": stored,
+        "remaining": len(keys) - stored,
+        "states": states,
+    }
 
 
 class Service:
@@ -128,7 +149,8 @@ class Service:
         return self._call(self.scheduler.wait(run), timeout=timeout)
 
     def resume(self) -> List[CampaignRun]:
-        """Re-submit campaigns an earlier (crashed) process left unfinished."""
+        """Re-open, under their own ids, the campaigns an earlier (crashed)
+        process left running."""
         return self._call(self.scheduler.resume())
 
     def cancel(self, campaign_id: int) -> bool:
@@ -139,40 +161,22 @@ class Service:
         return True
 
     def progress(self, campaign_id: int) -> Optional[Dict[str, Any]]:
-        """Live progress when the campaign runs here, else the stored record.
+        """Live progress when the campaign runs here, else
+        :func:`stored_progress`.
 
         Both views share the stable core keys ``campaign_id`` / ``name`` /
-        ``status`` / ``total`` / ``stored`` / ``remaining`` and carry a
-        per-state ``states`` breakdown plus the ``workers`` liveness
-        listing; the live view adds the cached/computed/failed split
-        (unknowable after a restart), while the store-only view derives
-        its breakdown from stored rows alone (completed vs. queued).
+        ``status`` / ``total`` / ``stored`` / ``remaining`` / ``states`` and
+        carry the ``workers`` liveness listing; the live view adds the
+        cached/computed/failed split (unknowable after a restart).
         """
         run = self.scheduler.runs.get(campaign_id)
-        if run is not None:
-            payload = run.progress()
+        payload = (
+            run.progress() if run is not None
+            else stored_progress(self.store, campaign_id)
+        )
+        if payload is not None:
             payload["workers"] = self.worker_liveness()
-            return payload
-        record = self.store.campaign(campaign_id)
-        if record is None:
-            return None
-        keys = self.store.campaign_keys(campaign_id)
-        stored = len(self.store.present_keys(keys))
-        from repro.service.scheduler import JOB_STATES
-
-        states = {state: 0 for state in JOB_STATES}
-        states["completed"] = stored
-        states["queued"] = len(keys) - stored
-        return {
-            "campaign_id": record["id"],
-            "name": record["name"],
-            "status": record["status"],
-            "total": len(keys),
-            "stored": stored,
-            "remaining": len(keys) - stored,
-            "states": states,
-            "workers": self.worker_liveness(),
-        }
+        return payload
 
     # ---------------------------------------------------------- fleet plane
     def lease_next(
@@ -210,10 +214,6 @@ class Service:
             return self.scheduler.complete_lease(lease_id, outcomes)
 
         return self._call(settle())
-
-    def workers(self) -> List[Dict[str, Any]]:
-        """Per-holder lease statistics (local slots too) from the store."""
-        return self.store.workers()
 
     def worker_liveness(self) -> List[Dict[str, Any]]:
         """Store-backed per-holder statistics plus *live* liveness: a
@@ -284,22 +284,11 @@ class Service:
         """Merged rows in job order, with the spec's finalize hook applied —
         so machine-readable rows carry the same columns as the rendered
         table (e.g. fig10's ``fraction_of_peak``)."""
-        return run.campaign.finalize_rows(self.scheduler.results(run))
-
-    def rows_and_table(self, run: CampaignRun):
-        """Finalized rows plus the rendered table from a single store read
-        (the HTTP wait path returns both for the same campaign)."""
-        rows = self.results(run)
-        spec = run.campaign.spec()
-        from repro.experiments.runner import format_table
-
-        return rows, spec.title + "\n" + format_table(rows, spec.columns)
+        return run.campaign.finalize_rows(self.store.merged_rows(run.id))
 
     def render(self, run: CampaignRun) -> str:
         """The campaign's table, bit-identical to the experiment module CLI."""
-        # Raw scheduler rows: Campaign.render applies the finalize hook
-        # itself, exactly once.
-        return run.campaign.render(self.scheduler.results(run))
+        return run.campaign.render(self.store.merged_rows(run.id))
 
     def render_campaign(self, campaign_id: int) -> str:
         """Render a stored campaign (possibly from an earlier process)."""
@@ -315,10 +304,6 @@ class Service:
         )
         report["checkpoint"] = self.store.checkpoint()
         return report
-
-    def fsck(self, repair: bool = False) -> Dict[str, Any]:
-        """Store integrity report (see :meth:`ResultStore.fsck`)."""
-        return self.store.fsck(repair=repair)
 
     def close(self) -> None:
         try:

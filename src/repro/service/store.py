@@ -37,10 +37,8 @@ Result rows carry a **SHA-256 payload checksum** (v3), verified by
 the corrupt rows so resubmission recomputes exactly the damaged points
 (the same contract as ``gc``).  :meth:`ResultStore.backup` takes an
 online snapshot through sqlite's backup API (safe under concurrent
-writers), :meth:`ResultStore.restore` validates and installs one, and
-:meth:`ResultStore.export_campaign` / :meth:`ResultStore.import_campaign`
-move single campaigns between stores as portable checksummed JSON
-archives.
+writers), and :meth:`ResultStore.restore` validates and installs one: the
+store's one portability path.
 
 Garbage collection is routed through the cache-management entry point:
 ``python -m repro.experiments.cache --clear [--store PATH]`` wipes
@@ -73,9 +71,6 @@ DEFAULT_STORE = ".repro/service.sqlite"
 #: v3 = PR 10 per-row payload checksums (``results.checksum``).
 #: v4 drops the warm-state ``snapshots`` table (nothing reads it).
 SCHEMA_VERSION = 4
-
-#: Version tag of the campaign export archive format.
-EXPORT_FORMAT = 1
 
 # v1 tables (PR 4).  Fresh stores are created straight at
 # SCHEMA_VERSION, so ``results`` here already carries the v3 ``checksum``
@@ -139,7 +134,7 @@ class StoreSchemaError(RuntimeError):
 
 
 class StoreIntegrityError(RuntimeError):
-    """A backup/archive failed validation and was not installed."""
+    """A backup failed validation and was not installed."""
 
 
 def row_checksum(rows_json: str) -> str:
@@ -310,7 +305,9 @@ class ResultStore:
 
         First-write-wins (``INSERT OR IGNORE``): results are deterministic,
         so a key is written at most once and a duplicated or late fleet
-        results post is harmless.
+        results post is harmless.  A stored key is no longer quarantined
+        (a late post can land after its key ran out of attempts), so
+        ``job_attempts.quarantined`` means "no row and out of attempts".
         """
         now = time.time()
         entries = []
@@ -324,6 +321,10 @@ class ResultStore:
             "INSERT OR IGNORE INTO results "
             "(key, job_id, experiment, workload, rows_json, created, checksum) "
             "VALUES (?, ?, ?, ?, ?, ?, ?)", entries,
+        )
+        conn.executemany(
+            "UPDATE job_attempts SET quarantined = 0 "
+            "WHERE key = ? AND quarantined = 1", [(entry[0],) for entry in entries],
         )
 
     def put_result(
@@ -479,17 +480,21 @@ class ResultStore:
             for row in rows
         ]
 
-    def unfinished_campaigns(self) -> List[Dict[str, Any]]:
-        """Campaigns whose status never reached a terminal state (crash-resume).
+    def merged_rows(self, campaign_id: int) -> List[Dict[str, object]]:
+        """The campaign's stored rows merged in campaign order (a job not yet
+        run contributes none): the one read every campaign table renders."""
+        return [
+            row for rows in self.campaign_rows(campaign_id) if rows for row in rows
+        ]
 
-        ``superseded`` (a crashed record already replaced by a resumed one)
-        is terminal too — otherwise every restart would resubmit it again.
-        """
+    def unfinished_campaigns(self) -> List[Dict[str, Any]]:
+        """Campaigns still ``running`` (crash-resume).  Every other status is
+        terminal, ``superseded`` included: older builds marked a resumed
+        record so, and it is never resumed again."""
         with self._connect() as conn:
             rows = conn.execute(
                 "SELECT id, name, spec_json, status, created FROM campaigns "
-                "WHERE status NOT IN ('done', 'failed', 'cancelled', 'superseded') "
-                "ORDER BY id"
+                "WHERE status = 'running' ORDER BY id"
             ).fetchall()
         return [dict(row) for row in rows]
 
@@ -631,6 +636,17 @@ class ResultStore:
                 "updated FROM job_attempts WHERE key = ?", (key,)
             ).fetchone()
         return None if row is None else dict(row)
+
+    def quarantined_keys(self, campaign_id: int) -> Dict[str, str]:
+        """``key -> last error`` for the campaign's keys that are quarantined
+        (no row and out of attempts)."""
+        with self._connect() as conn:
+            rows = conn.execute(
+                "SELECT a.key, a.last_error FROM campaign_jobs j "
+                "JOIN job_attempts a ON a.key = j.key "
+                "WHERE j.campaign_id = ? AND a.quarantined = 1", (campaign_id,)
+            ).fetchall()
+        return {row["key"]: row["last_error"] for row in rows}
 
     def reset_attempts(self, keys: Sequence[str]) -> None:
         """Clear failure history for ``keys`` (a fresh submission grants a
@@ -792,105 +808,6 @@ class ResultStore:
         finally:
             source.close()
         return cls(store_path)
-
-    def export_campaign(self, campaign_id: int) -> Dict[str, Any]:
-        """Portable archive of one campaign: spec, key order, and every
-        stored (checksummed) result row.  Pending keys export as keys
-        only — importing them recomputes on resubmission."""
-        record = self.campaign(campaign_id)
-        if record is None:
-            raise KeyError(f"campaign {campaign_id} not found")
-        keys = self.campaign_keys(campaign_id)
-        results: List[Dict[str, Any]] = []
-        with self._connect() as conn:
-            chunk = 500
-            for start in range(0, len(keys), chunk):
-                part = keys[start:start + chunk]
-                marks = ",".join("?" * len(part))
-                for row in conn.execute(
-                    "SELECT key, job_id, experiment, workload, rows_json, "
-                    f"checksum FROM results WHERE key IN ({marks})", part,
-                ):
-                    results.append(dict(row))
-        order = {key: position for position, key in enumerate(keys)}
-        results.sort(key=lambda entry: order[entry["key"]])
-        return {
-            "format": EXPORT_FORMAT,
-            "schema_version": SCHEMA_VERSION,
-            "campaign": {
-                "name": record["name"],
-                "spec_json": record["spec_json"],
-                "status": record["status"],
-            },
-            "keys": keys,
-            "results": results,
-        }
-
-    def import_campaign(self, archive: Dict[str, Any]) -> Dict[str, Any]:
-        """Install an exported campaign archive into this store.
-
-        Every archived row is checksum-verified *before* anything is
-        written — a tampered or truncated archive is rejected whole.
-        Result inserts are first-write-wins (``INSERT OR IGNORE``), so
-        importing into a store that already holds some of the keys is
-        idempotent, exactly like a duplicated fleet post.
-        """
-        if archive.get("format") != EXPORT_FORMAT:
-            raise StoreIntegrityError(
-                f"unsupported archive format {archive.get('format')!r} "
-                f"(this build reads format {EXPORT_FORMAT})"
-            )
-        keys = list(archive.get("keys", ()))
-        results = list(archive.get("results", ()))
-        known = set(keys)
-        for entry in results:
-            if entry["key"] not in known:
-                raise StoreIntegrityError(
-                    f"archive result {entry['key']!r} is not in the "
-                    f"campaign's key list"
-                )
-            checksum = entry.get("checksum")
-            if checksum is not None and checksum != row_checksum(entry["rows_json"]):
-                raise StoreIntegrityError(
-                    f"archive row {entry['key']!r} fails its checksum — "
-                    f"refusing to import a corrupt archive"
-                )
-            try:
-                payload = json.loads(entry["rows_json"])
-            except (json.JSONDecodeError, TypeError):
-                payload = None
-            if not isinstance(payload, list):
-                raise StoreIntegrityError(
-                    f"archive row {entry['key']!r} payload is not a row list"
-                )
-        spec = archive.get("campaign", {})
-        campaign_id = self.create_campaign(
-            spec.get("spec_json", "{}"), spec.get("name", "imported"), keys
-        )
-        if spec.get("status"):
-            self.set_campaign_status(campaign_id, spec["status"])
-        now = time.time()
-
-        def mutate(conn: sqlite3.Connection) -> int:
-            imported = 0
-            for entry in results:
-                imported += conn.execute(
-                    "INSERT OR IGNORE INTO results (key, job_id, experiment, "
-                    "workload, rows_json, created, checksum) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (entry["key"], entry["job_id"], entry["experiment"],
-                     entry["workload"], entry["rows_json"], now,
-                     entry.get("checksum")),
-                ).rowcount
-            return imported
-
-        imported = self._write(mutate)
-        return {
-            "campaign_id": campaign_id,
-            "keys": len(keys),
-            "results_imported": imported,
-            "results_existing": len(results) - imported,
-        }
 
     # ----------------------------------------------------------- lifecycle
     def stats(self) -> Dict[str, Any]:

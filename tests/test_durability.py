@@ -13,8 +13,8 @@ Four planes of coverage:
 * **Integrity & disaster recovery** — flip one byte of a stored payload
   and ``fsck`` reports exactly that key; ``--repair`` deletes exactly the
   corrupt rows so resubmission recomputes exactly those; backup/restore
-  and export/import round-trip bit-identically and reject tampered input
-  before writing anything.
+  round-trips bit-identically and rejects invalid input before writing
+  anything.
 * **Restart & drain** — the headline regression: the server is stopped
   *between* a worker's lease and its results post and restarted on the
   same port; the retrying transport rides it out and the post lands via
@@ -37,6 +37,7 @@ from repro.common.rng import backoff_delay as rng_backoff_delay
 from repro.service import faults
 from repro.service.api import make_server
 from repro.service.cli import main as cli_main
+from repro.service.events import CAMPAIGN_FINISHED, EventBus
 from repro.service.faults import Fault, FaultPlan
 from repro.service.presets import campaign as preset_campaign
 from repro.service.scheduler import backoff_delay as scheduler_backoff_delay
@@ -467,7 +468,7 @@ class TestFsck:
 
 
 # --------------------------------------------------------------------------
-# Backup/restore and export/import round-trips.
+# Backup/restore round-trips.
 # --------------------------------------------------------------------------
 
 
@@ -495,6 +496,34 @@ class TestBackupRestore:
         assert restored.get_result("late") is None
         assert _results_dump(restored.path) == _results_dump(backup_path)
 
+    def test_round_trip_carries_campaign_records(self, tmp_path):
+        """A backup is the whole store: campaign records with their key
+        lists and statuses, attempt flags and event streams restore with
+        the results, so a restored campaign renders and resumes as before."""
+        store = _seeded_store(tmp_path)
+        keys = ["k0", "k1", "pending"]
+        campaign_id = store.create_campaign('{"name": "arch"}', "arch", keys)
+        store.set_campaign_status(campaign_id, "failed")
+        store.record_attempt("pending", "RuntimeError: boom")
+        store.quarantine("pending")
+        EventBus(store.event_log).publish(
+            campaign_id, CAMPAIGN_FINISHED, {"status": "failed"}
+        )
+        backup_path = tmp_path / "backup.sqlite"
+        store.backup(backup_path)
+        restored = ResultStore.restore(backup_path, tmp_path / "restored.sqlite")
+        assert restored.campaigns() == store.campaigns()
+        assert restored.campaign(campaign_id)["status"] == "failed"
+        assert restored.campaign_keys(campaign_id) == keys
+        assert restored.merged_rows(campaign_id) == [{"i": 0}, {"i": 1}]
+        assert restored.quarantined_keys(campaign_id) == {
+            "pending": "RuntimeError: boom"
+        }
+        assert [
+            (event.seq, event.type, event.data)
+            for event in restored.event_log.after(campaign_id, 0)
+        ] == [(1, CAMPAIGN_FINISHED, {"status": "failed"})]
+
     def test_restore_missing_backup_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ResultStore.restore(tmp_path / "nope.sqlite", tmp_path / "t.sqlite")
@@ -519,64 +548,6 @@ class TestBackupRestore:
         with pytest.raises(StoreSchemaError):
             ResultStore.restore(backup_path, target)
         assert not target.exists()
-
-
-def _campaign_store(tmp_path):
-    store = ResultStore(tmp_path / "source.sqlite")
-    keys = ["c-k0", "c-k1", "c-k2"]
-    campaign_id = store.create_campaign('{"name": "arch"}', "arch", keys)
-    for index, key in enumerate(keys[:2]):  # c-k2 stays pending
-        store.put_result(key, f"j{index}", "fig09", "db2", [{"i": index}])
-    store.set_campaign_status(campaign_id, "done")
-    return store, campaign_id, keys
-
-
-class TestExportImport:
-    def test_round_trip_is_bit_identical(self, tmp_path):
-        store, campaign_id, keys = _campaign_store(tmp_path)
-        archive = store.export_campaign(campaign_id)
-        assert archive["keys"] == keys
-        assert [entry["key"] for entry in archive["results"]] == keys[:2]
-        target = ResultStore(tmp_path / "target.sqlite")
-        report = target.import_campaign(archive)
-        assert report["results_imported"] == 2 and report["results_existing"] == 0
-        imported = target.campaign(report["campaign_id"])
-        assert imported["name"] == "arch" and imported["status"] == "done"
-        assert target.campaign_keys(report["campaign_id"]) == keys
-        assert _results_dump(target.path) == [
-            row for row in _results_dump(store.path) if row[0] in keys[:2]
-        ]
-
-    def test_import_is_idempotent(self, tmp_path):
-        store, campaign_id, _ = _campaign_store(tmp_path)
-        archive = store.export_campaign(campaign_id)
-        target = ResultStore(tmp_path / "target.sqlite")
-        target.import_campaign(archive)
-        again = target.import_campaign(archive)
-        assert again["results_imported"] == 0 and again["results_existing"] == 2
-
-    def test_tampered_archive_rejected_before_any_write(self, tmp_path):
-        store, campaign_id, _ = _campaign_store(tmp_path)
-        archive = store.export_campaign(campaign_id)
-        archive["results"][0]["rows_json"] = json.dumps([{"forged": True}])
-        target = ResultStore(tmp_path / "target.sqlite")
-        with pytest.raises(StoreIntegrityError):
-            target.import_campaign(archive)
-        assert target.stats()["results"] == 0
-        assert target.campaigns() == []
-
-    def test_foreign_key_and_format_rejected(self, tmp_path):
-        store, campaign_id, _ = _campaign_store(tmp_path)
-        archive = store.export_campaign(campaign_id)
-        target = ResultStore(tmp_path / "target.sqlite")
-        with pytest.raises(StoreIntegrityError):
-            target.import_campaign(dict(archive, format=99))
-        smuggled = json.loads(json.dumps(archive))
-        smuggled["results"][0]["key"] = "not-in-campaign"
-        with pytest.raises(StoreIntegrityError):
-            target.import_campaign(smuggled)
-        with pytest.raises(KeyError):
-            store.export_campaign(999)
 
 
 # --------------------------------------------------------------------------
@@ -605,26 +576,6 @@ class TestDurabilityCli:
             ["--store", str(restored_path), "restore", str(tmp_path / "no")]
         ) == 1
         capsys.readouterr()  # drain the reports; content asserted store-side
-
-    def test_export_import_round_trip(self, tmp_path, capsys):
-        store, campaign_id, keys = _campaign_store(tmp_path)
-        archive_path = tmp_path / "campaign.json"
-        assert cli_main([
-            "--store", str(store.path), "export", str(campaign_id),
-            "--out", str(archive_path),
-        ]) == 0
-        target_path = tmp_path / "cli-target.sqlite"
-        assert cli_main(
-            ["--store", str(target_path), "import", str(archive_path)]
-        ) == 0
-        assert ResultStore(target_path).get_result(keys[0]) == [{"i": 0}]
-        archive = json.loads(archive_path.read_text())
-        archive["results"][0]["rows_json"] = "[]"
-        archive_path.write_text(json.dumps(archive))
-        assert cli_main(
-            ["--store", str(target_path), "import", str(archive_path)]
-        ) == 1
-        capsys.readouterr()
 
 
 # --------------------------------------------------------------------------

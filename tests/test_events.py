@@ -8,8 +8,8 @@ reconnects with its cursor sees exactly the store's event rows, zero lost
 and zero duplicated, even under injected ``events.notify`` drop/duplicate
 fault plans.  Plus the metrics registry, the scheduler's event emission
 (exactly one ``job.completed`` per job, rows bit-identical to the store),
-dashboard partial tables with completeness fractions, the per-state
-campaign breakdown, worker liveness, and the CLI event formatter.
+partial tables with their completeness, the per-state campaign breakdown,
+worker liveness, and the CLI event formatter.
 """
 
 import json
@@ -23,7 +23,6 @@ from repro.common import sqlitedb
 from repro.service import faults
 from repro.service.api import make_server
 from repro.service.cli import format_event_line
-from repro.service.dashboard import DASHBOARD_HTML, partial_table
 from repro.service.events import (
     CAMPAIGN_FINISHED,
     CAMPAIGN_SUBMITTED,
@@ -40,7 +39,7 @@ from repro.service.events import (
 from repro.service.faults import Fault, FaultPlan
 from repro.service.metrics import MetricsRegistry
 from repro.service.presets import campaign as preset_campaign
-from repro.service.service import Service
+from repro.service.service import Service, render_stored_campaign, stored_progress
 from repro.service.store import ResultStore
 from repro.service.worker import Worker
 
@@ -420,7 +419,7 @@ class TestFleetEvents:
             worker.close()
 
 
-# -------------------------------------------------------- HTTP + dashboard
+# ------------------------------------------------------------- HTTP
 class TestTelemetryAPI:
     def _get(self, live, path):
         with urllib.request.urlopen(live.url + path, timeout=30) as reply:
@@ -441,17 +440,16 @@ class TestTelemetryAPI:
         _, body = self._get(live, "/metrics?format=json")
         assert "repro_queue_depth" in json.loads(body)
 
-    def test_dashboard_serves_html(self, live):
-        headers, body = self._get(live, "/dashboard")
-        assert headers["Content-Type"].startswith("text/html")
-        assert b"EventSource" in body
-
     def test_partial_table_reports_completeness(self, tmp_path):
+        """A campaign's table, partial or whole, and its completeness read
+        from the store alone: ``render_stored_campaign`` (``results <id>``)
+        and ``stored_progress`` (``GET /campaigns/<id>``, ``status <id>``)."""
         with Service(store_path=tmp_path / "a.sqlite", max_workers=1) as service:
             run = service.submit(tiny_campaign(), wait=True)
-            done = partial_table(service.store, run.id)
-            assert done["completeness"] == 1.0
+            done = stored_progress(service.store, run.id)
             assert done["stored"] == done["total"] == run.total
+            assert done["remaining"] == 0
+            assert render_stored_campaign(service.store, run.id) == service.render(run)
             full_store = service.store
             spec_json = json.dumps(tiny_campaign().to_dict(), sort_keys=True)
             keys = [job.key for job in run.jobs]
@@ -461,23 +459,20 @@ class TestTelemetryAPI:
                 spec_json, "partial", keys
             )
             first = run.jobs[0]
+            rows = full_store.get_result(first.key)
             partial_store.put_result(
-                first.key, first.job_id, first.experiment, first.workload,
-                full_store.get_result(first.key),
+                first.key, first.job_id, first.experiment, first.workload, rows,
             )
-            partial = partial_table(partial_store, campaign_id)
-            assert partial["stored"] == 1
-            assert partial["completeness"] == pytest.approx(1 / run.total)
-            assert first.workload in partial["table"]
+            partial = stored_progress(partial_store, campaign_id)
+            assert partial["stored"] == partial["states"]["completed"] == 1
+            assert partial["total"] == run.total
+            assert partial["remaining"] == run.total - 1
+            table = render_stored_campaign(partial_store, campaign_id)
+            assert table == tiny_campaign().render(rows)
+            assert first.workload in table
+            assert stored_progress(partial_store, 999) is None
             with pytest.raises(KeyError):
-                partial_table(partial_store, 999)
-
-    def test_dashboard_html_follows_palette_contract(self):
-        # Status colors never appear without text labels: the chips carry
-        # their state name in text, and series identity uses the accent.
-        for state in ("queued", "completed", "retrying", "quarantined"):
-            assert state in DASHBOARD_HTML
-        assert "prefers-color-scheme: dark" in DASHBOARD_HTML
+                render_stored_campaign(partial_store, 999)
 
 
 # ----------------------------------------------------------- chaos overlap

@@ -12,13 +12,19 @@ recovery invariants (not statistical ones):
   nothing (results are idempotent) and recomputes nothing on resubmit;
 * a poison job quarantines after its retry budget and the campaign
   completes degraded;
-* every completed job's rows are equal to a no-fault baseline run.
+* every completed job's rows are equal to a no-fault baseline run;
+* a lease that expires on a job's last attempt quarantines the job, a
+  late post of its rows clears the flag, and a crash-resume keeps the
+  exhausted key failed without a second verdict;
+* a crash-resume continues its campaign's event stream: nothing is
+  announced again and each key gets exactly one verdict.
 
 Plus unit coverage for the building blocks: FaultPlan determinism and
 round-tripping, deterministic retry backoff, store lease/attempt
 lifecycles, and lock-contention retry on concurrent store writers.
 """
 
+import asyncio
 import json
 import sqlite3
 import threading
@@ -28,9 +34,18 @@ import pytest
 
 from repro.service import faults
 from repro.service.api import make_server
+from repro.service.events import (
+    CAMPAIGN_FINISHED,
+    CAMPAIGN_SUBMITTED,
+    JOB_CACHED,
+    JOB_COMPLETED,
+    JOB_QUARANTINED,
+    JOB_QUEUED,
+    EventBus,
+)
 from repro.service.faults import Fault, FaultPlan, InjectedFault, WorkerKilled
 from repro.service.presets import campaign as preset_campaign
-from repro.service.scheduler import backoff_delay
+from repro.service.scheduler import Scheduler, backoff_delay
 from repro.service.service import Service
 from repro.service.store import LEASE_DONE, LEASE_EXPIRED, ResultStore
 from repro.service.worker import Worker
@@ -378,7 +393,7 @@ class TestLocalRetry:
                 assert service.store.attempt_record(job.key) is None
             types = {e.type for e in service.store.event_log.after(run.id, 0, 10_000)}
             assert "lease.expired" not in types and "job.retried" not in types
-            stats = {row["worker"]: row for row in service.workers()}
+            stats = {row["worker"]: row for row in service.store.workers()}
             assert stats["local-1"]["done"] >= 1 and stats["local-1"]["expired"] == 0
 
     def test_job_timeout_counts_as_attempt(self, tmp_path, monkeypatch):
@@ -399,3 +414,135 @@ class TestLocalRetry:
             assert run.status == "failed"
             assert run.failed == run.total
             assert "JobTimeout" in run.error
+
+
+class TestSteppedScheduler:
+    """A one-attempt scheduler on an injected clock, driven step by step
+    (no local slots; the sweeper runs only when called), so a lease the
+    sweeper expires spends the job's only attempt."""
+
+    TTL = 10.0
+
+    def _scheduler(self, store, clock):
+        return Scheduler(
+            store, max_workers=1, local_compute=False, max_attempts=1,
+            retry_base=0.0, lease_ttl_s=self.TTL, sweep_interval=1e9,
+            events=EventBus(store.event_log), clock=lambda: clock["now"],
+        )
+
+    @staticmethod
+    def _outcomes(jobs):
+        return [{
+            "key": job.key, "job_id": job.job_id, "workload": job.workload,
+            "experiment": job.experiment, "rows": job.execute(),
+            "error": None, "duration_s": 0.0,
+        } for job in jobs]
+
+    def _expire(self, scheduler, clock):
+        clock["now"] += self.TTL + 1
+        scheduler.sweep()
+
+    def test_late_row_clears_the_quarantine_flag(self, tmp_path):
+        store = ResultStore(tmp_path / "s.sqlite")
+        clock = {"now": 1_000.0}
+
+        async def scenario():
+            scheduler = self._scheduler(store, clock)
+            run = await scheduler.submit(tiny_campaign(target_accesses=1_000))
+            lease = scheduler.lease_next("w1")
+            self._expire(scheduler, clock)
+            assert run.status == "failed" and run.quarantined == run.total
+            assert store.stats()["quarantined"] == run.total
+            reply = scheduler.complete_lease(lease.id, self._outcomes(lease.jobs))
+            await scheduler.close()
+            return run, reply
+
+        run, reply = asyncio.run(asyncio.wait_for(scenario(), 120))
+        assert reply["duplicate"] is True and reply["stored"] == run.total
+        assert store.present_keys([job.key for job in run.jobs]) == {
+            job.key for job in run.jobs
+        }
+        # "Quarantined" means no row and out of attempts: the rows cleared it.
+        assert store.stats()["quarantined"] == 0
+        assert store.quarantined_keys(run.id) == {}
+
+    def test_resume_keeps_an_exhausted_key_failed(self, tmp_path):
+        store = ResultStore(tmp_path / "s.sqlite")
+        clock = {"now": 1_000.0}
+        camp = tiny_campaign(target_accesses=1_000)
+
+        async def crash_with_one_key_spent():
+            scheduler = self._scheduler(store, clock)
+            run = await scheduler.submit(camp)
+            lease = scheduler.lease_next("w1", 1)
+            self._expire(scheduler, clock)
+            assert run.status == "running" and run.quarantined == 1
+            await scheduler.close()
+            return run.id, lease.jobs[0].key
+
+        async def resume_to_the_end():
+            scheduler = self._scheduler(store, clock)
+            [run] = await scheduler.resume()
+            reopened = (run.quarantined, run.states[spent])
+            lease = scheduler.lease_next("w2")
+            scheduler.complete_lease(lease.id, self._outcomes(lease.jobs))
+            await scheduler.close()
+            return run, reopened, {job.key for job in lease.jobs}
+
+        campaign_id, spent = asyncio.run(
+            asyncio.wait_for(crash_with_one_key_spent(), 120)
+        )
+        run, reopened, ran = asyncio.run(asyncio.wait_for(resume_to_the_end(), 120))
+        # A resume continues its submission: same id, same retry budget.
+        assert run.id == campaign_id
+        assert reopened == (1, "quarantined")
+        assert spent not in ran and len(ran) == run.total - 1
+        assert run.status == "failed" and run.failed == 1
+        assert store.campaign(campaign_id)["status"] == "failed"
+        assert store.get_result(spent) is None
+        verdicts = [
+            event for event in store.event_log.after(campaign_id, 0, 10_000)
+            if event.type == JOB_QUARANTINED
+        ]
+        assert [event.data["key"] for event in verdicts] == [spent]
+
+    def test_resume_continues_the_event_stream(self, tmp_path):
+        store = ResultStore(tmp_path / "s.sqlite")
+        clock = {"now": 1_000.0}
+        camp = tiny_campaign(target_accesses=1_000)
+
+        async def crash_mid_campaign():
+            scheduler = self._scheduler(store, clock)
+            run = await scheduler.submit(camp)
+            first = scheduler.lease_next("w1", 1)
+            scheduler.complete_lease(first.id, self._outcomes(first.jobs))
+            scheduler.lease_next("w2", 1)  # live when the process dies
+            await scheduler.close()
+            return run.id
+
+        async def resume_to_the_end():
+            scheduler = self._scheduler(store, clock)
+            [run] = await scheduler.resume()
+            lease = scheduler.lease_next("w3")
+            scheduler.complete_lease(lease.id, self._outcomes(lease.jobs))
+            await scheduler.close()
+            return run
+
+        campaign_id = asyncio.run(asyncio.wait_for(crash_mid_campaign(), 120))
+        run = asyncio.run(asyncio.wait_for(resume_to_the_end(), 120))
+        assert run.id == campaign_id and run.status == "done"
+        assert run.cached == 1 and run.computed == run.total - 1
+        stream = store.event_log.after(campaign_id, 0, 10_000)
+        types = [event.type for event in stream]
+        keys = sorted(job.key for job in run.jobs)
+        assert types.count(CAMPAIGN_SUBMITTED) == 1
+        assert sorted(
+            event.data["key"] for event in stream if event.type == JOB_QUEUED
+        ) == keys
+        assert sorted(
+            event.data["key"] for event in stream
+            if event.type in (JOB_COMPLETED, JOB_CACHED, JOB_QUARANTINED)
+        ) == keys
+        assert JOB_CACHED not in types
+        assert types.count(CAMPAIGN_FINISHED) == 1 and types[-1] == CAMPAIGN_FINISHED
+        assert store.campaign(campaign_id)["status"] == "done"

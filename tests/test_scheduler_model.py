@@ -6,7 +6,8 @@ A :class:`hypothesis.stateful.RuleBasedStateMachine` drives one
 traces, through interleavings no hand-written scenario covers.  Its rules:
 
 * submit one of three small campaigns (two of them share keys, one has a
-  higher priority), starting with one;
+  higher priority), starting with one, under a retry budget of one or two
+  attempts per job;
 * grant the next batch, whole or split to one job, to one of three named
   remote workers or to a local slot;
 * complete a remote lease whole, partially, with a failed job, or twice;
@@ -24,11 +25,17 @@ After every step the invariants check the service's guarantees:
 * within one campaign each key gets at most one verdict (``job.completed``,
   ``job.cached`` or ``job.quarantined``), so no key is both quarantined and
   completed, and every completion event carries the reference rows;
+* no key is both stored and flagged quarantined in the store;
 * a finished ("done") campaign holds every key, and resubmitting it
   computes zero jobs;
 * a campaign's terminal event follows all of its job events;
 * a live run's accounting adds up, and a local lease is never expired by
   the sweeper.
+
+After ``run_to_completion`` (crashes and resumes included) every campaign
+id in the store is terminal, and one the model did not cancel is ``done``
+exactly when it holds all of its keys — unless it failed on a key that
+was out of attempts when it finished, whose row landed later.
 
 Retries back off by zero seconds and the sweeper loop never wakes on its
 own, so every step is synchronous and the machine is deterministic.
@@ -117,6 +124,7 @@ class SchedulerModel(RuleBasedStateMachine):
         self.store = ResultStore(os.path.join(self.tmp, "store.sqlite"))
         self.loop = asyncio.new_event_loop()
         self.now = 1_000.0
+        self.max_attempts = 2
         self.scheduler = self._scheduler()
         #: Runs of the live scheduler.
         self.runs = []
@@ -129,11 +137,14 @@ class SchedulerModel(RuleBasedStateMachine):
         self.local = set()
         #: Ids of finished runs already resubmitted.
         self.resubmitted = set()
+        #: Ids of the campaigns the model cancelled.
+        self.cancelled = set()
 
     def _scheduler(self):
         return Scheduler(
             self.store, max_workers=1, batch_size=2, local_compute=False,
-            max_attempts=2, retry_base=0.0, lease_ttl_s=TTL, sweep_interval=1e9,
+            max_attempts=self.max_attempts, retry_base=0.0, lease_ttl_s=TTL,
+            sweep_interval=1e9,
             events=EventBus(self.store.event_log), clock=lambda: self.now,
         )
 
@@ -171,8 +182,9 @@ class SchedulerModel(RuleBasedStateMachine):
             shutil.rmtree(self.tmp, ignore_errors=True)
 
     # ----------------------------------------------------------------- rules
-    @initialize(camp=st.sampled_from(CAMPAIGNS))
-    def first_submission(self, camp):
+    @initialize(camp=st.sampled_from(CAMPAIGNS), attempts=st.sampled_from([2, 1]))
+    def first_submission(self, camp, attempts):
+        self.max_attempts = self.scheduler.max_attempts = attempts
         self.submit(camp)
 
     @rule(camp=st.sampled_from(CAMPAIGNS))
@@ -241,7 +253,9 @@ class SchedulerModel(RuleBasedStateMachine):
     @precondition(lambda self: self.runs)
     @rule(pick=st.integers(0, 7))
     def cancel(self, pick):
-        self._call(self.scheduler.cancel, self.runs[pick % len(self.runs)])
+        run = self.runs[pick % len(self.runs)]
+        self._call(self.scheduler.cancel, run)
+        self.cancelled.add(run.id)
 
     @rule()
     def crash_and_resume(self):
@@ -268,6 +282,29 @@ class SchedulerModel(RuleBasedStateMachine):
                 break
         assert all(run.done.is_set() for run in self.runs)
         assert self.store.unfinished_campaigns() == []
+        self._every_campaign_ends_terminal()
+
+    def _every_campaign_ends_terminal(self):
+        finished = {}
+        with self.store._connect() as conn:
+            for row in conn.execute(
+                "SELECT campaign_id, data_json FROM events WHERE type = ?",
+                (CAMPAIGN_FINISHED,),
+            ):
+                finished[row["campaign_id"]] = json.loads(row["data_json"])
+        for record in self.store.campaigns():
+            status = record["status"]
+            assert status in ("done", "failed", "cancelled"), record
+            if status == "cancelled":
+                assert record["id"] in self.cancelled, record
+                continue
+            holds_every_key = record["stored"] == record["total"]
+            if status == "done":
+                assert holds_every_key, record
+            elif holds_every_key:
+                # Failed, then its missing row landed (a late post, or a
+                # later submission's fresh retry budget): the verdict stands.
+                assert finished[record["id"]]["failed"] >= 1, record
 
     # ------------------------------------------------------------ invariants
     @invariant()
@@ -283,6 +320,15 @@ class SchedulerModel(RuleBasedStateMachine):
                 assert state != "completed" or key in stored, key
             if run.status == "done":
                 assert {job.key for job in run.jobs} <= stored
+
+    @invariant()
+    def no_key_is_stored_and_quarantined(self):
+        with self.store._connect() as conn:
+            both = conn.execute(
+                "SELECT a.key FROM job_attempts a JOIN results r ON r.key = a.key "
+                "WHERE a.quarantined = 1"
+            ).fetchall()
+        assert not both, [row["key"] for row in both]
 
     @invariant()
     def finished_campaigns_resubmit_with_zero_computed_jobs(self):

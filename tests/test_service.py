@@ -330,18 +330,46 @@ class TestSchedulerAndService:
             assert rerun.cached == 1 and rerun.computed == 0 and rerun.failed == 1
 
     def test_second_restart_does_not_resubmit_superseded(self, tmp_path):
+        """Older builds resumed a crashed campaign as a new one and marked
+        the old record ``superseded``; now the record itself finishes, and
+        a second restart finds nothing to resubmit."""
         camp = tiny_campaign()
         store_path = tmp_path / "s.sqlite"
         store = ResultStore(store_path)
-        store.create_campaign(json.dumps(camp.to_dict()), camp.name,
-                              [job.key for job in camp.jobs()])
+        campaign_id = store.create_campaign(
+            json.dumps(camp.to_dict()), camp.name, [job.key for job in camp.jobs()]
+        )
         with Service(store_path=store_path, max_workers=1) as service:
             resumed = service.resume()
-            assert len(resumed) == 1
+            assert [run.id for run in resumed] == [campaign_id]
             service.wait(resumed[0])
+        # The crashed record itself finished: no second record appeared.
+        assert store.campaign(campaign_id)["status"] == "done"
+        assert [record["id"] for record in store.campaigns()] == [campaign_id]
         # A later restart finds only terminal records: nothing to resume.
         with Service(store_path=store_path, max_workers=1) as service:
             assert service.resume() == []
+
+    def test_resume_skips_a_legacy_superseded_record(self, tmp_path):
+        """Older builds resubmitted a crashed campaign under a new id and
+        marked the old record ``superseded``: such a record stays readable
+        and is never resumed."""
+        from repro.service.service import render_stored_campaign
+
+        camp = tiny_campaign()
+        store = ResultStore(tmp_path / "s.sqlite")
+        legacy = store.create_campaign(
+            json.dumps(camp.to_dict()), camp.name, [job.key for job in camp.jobs()]
+        )
+        store.set_campaign_status(legacy, "superseded")
+        assert store.unfinished_campaigns() == []
+        with Service(store_path=store.path, max_workers=1) as service:
+            assert service.resume() == []
+            progress = service.progress(legacy)
+        assert progress["status"] == "superseded"
+        assert progress["stored"] == 0 and progress["total"] == len(camp.jobs())
+        assert render_stored_campaign(store, legacy) == camp.render([])
+        assert store.stats()["results"] == 0
 
     def test_close_mid_campaign_stays_resumable(self, tmp_path, monkeypatch):
         """Shutting down mid-flight must NOT mark the campaign done: the
@@ -368,11 +396,11 @@ class TestSchedulerAndService:
         monkeypatch.setattr(scheduler_module, "execute_batch", real_execute)
         with Service(store_path=store_path, max_workers=1) as fresh:
             resumed = fresh.resume()
-            assert len(resumed) == 1
+            assert [again.id for again in resumed] == [run.id]
             done = fresh.wait(resumed[0])
             assert done.status == "done"
-        assert store.campaign(run.id)["status"] == "superseded"
-        assert store.campaign_rows(done.id).count(None) == 0
+        assert store.campaign(run.id)["status"] == "done"
+        assert store.campaign_rows(run.id).count(None) == 0
 
     def test_scheduler_death_between_compute_and_store_write(self, tmp_path):
         """Kill the scheduler after a batch's jobs computed but *before*
@@ -555,21 +583,26 @@ class TestFastModeKeySeparation:
         assert waiter.status == "done" and waiter.computed == waiter.total
 
     def test_resume_isolates_unloadable_campaign_specs(self, tmp_path):
-        """A corrupt stored spec is marked failed and does not block the
-        resume of later campaigns."""
+        """A corrupt stored spec, or one that no longer compiles to the
+        record's keys, is marked failed and does not block the resume of
+        later campaigns."""
         camp = tiny_campaign()
         store_path = tmp_path / "s.sqlite"
         store = ResultStore(store_path)
         bad_id = store.create_campaign("{not json", "broken", ["key-x"])
+        stale_id = store.create_campaign(
+            json.dumps(camp.to_dict()), camp.name, ["key-from-an-older-build"]
+        )
         good_id = store.create_campaign(
             json.dumps(camp.to_dict()), camp.name, [job.key for job in camp.jobs()]
         )
         with Service(store_path=store_path, max_workers=1) as service:
             resumed = service.resume()
-            assert len(resumed) == 1
+            assert [run.id for run in resumed] == [good_id]
             assert service.wait(resumed[0]).status == "done"
         assert store.campaign(bad_id)["status"] == "failed"
-        assert store.campaign(good_id)["status"] == "superseded"
+        assert store.campaign(stale_id)["status"] == "failed"
+        assert store.campaign(good_id)["status"] == "done"
 
     def test_cancel_drops_queued_jobs(self, tmp_path):
         """Cancelling before the loop runs the workers drops every batch."""
@@ -656,6 +689,86 @@ class TestHTTPSmoke:
             finally:
                 server.shutdown()
                 server.server_close()
+
+
+class TestCliVerbs:
+    """The CLI's local ``status <id>`` and ``results <id>`` print the views
+    the service serves: the store view of ``GET /campaigns/<id>``, and
+    ``Campaign.render`` over the stored rows, partial or whole."""
+
+    CORE = ("campaign_id", "name", "status", "total", "stored", "remaining", "states")
+
+    @pytest.fixture(scope="class")
+    def views(self, tmp_path_factory):
+        """One store holding a finished campaign and a second one with one
+        of its points stored."""
+        store_path = tmp_path_factory.mktemp("cli-verbs") / "s.sqlite"
+        whole = tiny_campaign()
+        with Service(store_path=store_path, max_workers=1) as service:
+            run = service.submit(whole, wait=True)
+            assert run.status == "done"
+            table = service.render(run)
+        part = tiny_campaign(seed=7)
+        store = ResultStore(store_path)
+        jobs = part.jobs()
+        part_id = store.create_campaign(
+            json.dumps(part.to_dict()), part.name, [job.key for job in jobs]
+        )
+        first = jobs[0]
+        rows = first.execute()
+        store.put_result(first.key, first.job_id, first.experiment, first.workload, rows)
+        return {
+            "store_path": store_path, "whole_id": run.id, "whole_table": table,
+            "part_id": part_id, "part_table": part.render(rows),
+            "part_total": len(jobs), "first": first,
+        }
+
+    @staticmethod
+    def _cli(views, capsys, *args):
+        from repro.service.cli import main as cli_main
+
+        code = cli_main(["--store", str(views["store_path"]), *map(str, args)])
+        return code, capsys.readouterr().out
+
+    def test_status_matches_the_served_campaign_view(self, views, capsys):
+        from repro.service.api import make_server
+
+        with Service(store_path=views["store_path"], max_workers=1) as fresh:
+            server = make_server(fresh, port=0)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            try:
+                for campaign_id in (views["whole_id"], views["part_id"]):
+                    with urllib.request.urlopen(
+                        f"{base}/campaigns/{campaign_id}", timeout=30
+                    ) as reply:
+                        served = json.loads(reply.read())
+                    code, out = self._cli(views, capsys, "status", campaign_id)
+                    assert code == 0
+                    printed = json.loads(out)
+                    assert {key: printed[key] for key in self.CORE} == {
+                        key: served[key] for key in self.CORE
+                    }
+            finally:
+                server.shutdown()
+                server.server_close()
+        _, out = self._cli(views, capsys, "status", views["part_id"])
+        partial = json.loads(out)
+        assert partial["stored"] == 1 and partial["total"] == views["part_total"]
+        assert partial["remaining"] == views["part_total"] - 1
+
+    def test_results_renders_the_stored_rows(self, views, capsys):
+        assert self._cli(views, capsys, "results", views["whole_id"]) == (
+            0, views["whole_table"] + "\n"
+        )
+        code, out = self._cli(views, capsys, "results", views["part_id"])
+        assert code == 0 and out == views["part_table"] + "\n"
+        assert views["first"].workload in out
+
+    def test_unknown_campaign_exits_1(self, views, capsys):
+        assert self._cli(views, capsys, "results", 999)[0] == 1
+        assert self._cli(views, capsys, "status", 999)[0] == 1
 
 
 class TestPresetBitIdentity:
