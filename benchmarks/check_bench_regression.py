@@ -28,7 +28,7 @@ def throughputs(artifact: dict) -> Dict[str, float]:
     """Extract {series: rate} from either artifact schema.
 
     Functional-simulator series are keyed by workload name, with the
-    REPRO_FAST_MODE plane (when present) as ``<workload>.fast``, the
+    fast plane (when present) as ``<workload>.fast``, the
     traffic-accounted exact replay (when present) as ``<workload>.traffic``,
     the timing model's cold base-vs-TSE compare (when present) as
     ``<workload>.timing`` and the once-per-trace coherence classification

@@ -32,7 +32,7 @@ seconds of wall clock):
                             on a fresh copy of the trace, so each pays
                             the trace's coherence classification>,
             "accesses_per_s": <n / wallclock_s>,
-            "fast_mode": {            # same point through REPRO_FAST_MODE
+            "fast_mode": {            # same point, bare fast plane (mode="fast")
               "wallclock_s": <s>, "accesses_per_s": <n / s>,
               "speedup_vs_exact": <exact wallclock / fast wallclock>
             },
@@ -176,12 +176,12 @@ def _functional_throughput():
     replayed through the columnar fast path at its paper lookahead.  db2's
     numbers are duplicated at the top level for continuity with the
     db2-only series PR 1 started.  Each class is then replayed once more
-    through REPRO_FAST_MODE, and once more through the exact plane with
-    traffic accounting on (Figure 11's configuration; that replay is the
-    trace's replay record, so it records outcomes too), and the timing
-    model compares base and TSE on it (Figure 14), so the fast plane's,
-    the traffic plane's and the timing model's throughputs are tracked
-    (and regression-gated) alongside the exact plane's.  Every sample runs
+    through the bare fast plane (``mode="fast"``), and once more through
+    the exact plane with traffic accounting on (Figure 11's configuration;
+    that replay is the trace's replay record, so it records outcomes too),
+    and the timing model compares base and TSE on it (Figure 14), so the
+    fast plane's, the traffic plane's and the timing model's throughputs
+    are tracked (and regression-gated) alongside the exact plane's.  Every sample runs
     on a fresh copy of the trace, so it pays the trace's coherence
     classification itself (the no-sharing case); the classification pass
     alone is the ``classify`` series.

@@ -16,11 +16,13 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_hotpath.py db2 --traffic
     PYTHONPATH=src python benchmarks/profile_hotpath.py db2 --timing
 
-``--mode fast`` profiles the REPRO_FAST_MODE batched plane instead of the
-exact pipeline; ``--mode both`` profiles each plane once and prints a
+``--mode fast`` profiles the batched fast plane (``mode="fast"``) instead
+of the exact pipeline; ``--mode both`` profiles each plane once and prints a
 side-by-side top-N table (ranked by the fast plane's self time), so the
-residual fast-mode bottleneck is visible at a glance.  ``--traffic``
-attaches the traffic accountant (Figure 11's configuration), so the traffic
+residual fast-mode bottleneck is visible at a glance.  The fast plane runs
+bare replays only, so it takes no ``--traffic``.  ``--traffic``
+attaches the traffic accountant (Figure 11's configuration) to the exact
+replay, so the traffic
 plane is profiled together with the replay plane it rides on: the trace's
 one fold pass (``trace_traffic``, which counts the base system's messages
 and classifies the trace in the same pass), then a replay that takes back
@@ -145,6 +147,9 @@ def main() -> int:
     if args.timing and (args.mode != "exact" or args.traffic):
         parser.error("--timing profiles the exact-plane timing model; "
                      "it takes neither --mode nor --traffic")
+    if args.traffic and args.mode != "exact":
+        parser.error("--traffic accounts the exact plane only; the fast "
+                     "plane runs bare replays")
 
     from repro.common.config import PAPER_LOOKAHEAD, TSEConfig
     from repro.experiments.runner import trace_for

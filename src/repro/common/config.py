@@ -1,7 +1,8 @@
 """Configuration dataclasses encoding the paper's system parameters.
 
-``SystemConfig.isca2005()`` reproduces Table 1 of the paper (the 16-node DSM
-used for all timing results); ``TSEConfig.paper_default()`` reproduces the TSE
+``SystemConfig.isca2005()`` carries the Table 1 parameters of the paper's
+16-node DSM that the timing and traffic models read (README.md lists the
+whole table); ``TSEConfig.paper_default()`` reproduces the TSE
 configuration selected in Section 5 (two compared streams, 32-entry SVB,
 1.5 MB CMOB for commercial workloads, per-workload lookahead from Table 3).
 """
@@ -9,9 +10,8 @@ configuration selected in Section 5 (two compared streams, 32-entry SVB,
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional
 
 #: Fallback chunk size when ``REPRO_STREAM_CHUNK`` is unset: large enough to
 #: amortize the replay loop's per-segment local binding, small enough that a
@@ -25,29 +25,17 @@ DEFAULT_STREAM_CHUNK = 16384
 #: This is the machine-checked source of truth for RL005 (``repro.lint``):
 #: every ``os.environ`` read of a ``REPRO_*`` variable anywhere in the tree
 #: must (a) happen inside this module, through the named accessor, and
-#: (b) appear both here and in README.md's knob table.  ``result_affecting``
-#: feeds RL001: accessors of result-affecting knobs may only be called from
-#: the result plane (``tse/``, ``workloads/``) if their value is folded into
-#: the determinism keys (see :func:`mode_key` /
-#: ``repro.experiments.cache.KEY_FIELDS``); result-neutral knobs only steer
-#: *how* a result is computed (worker counts, batching, storage paths) and
-#: are locked as such by the bit-identity tests.
+#: (b) appear both here and in README.md's knob table.  Every knob is
+#: result-neutral: it only steers *how* a result is computed (worker
+#: counts, batching, storage paths), as the bit-identity tests lock.  A
+#: value that changes results belongs in a keyed field such as
+#: :class:`TSEConfig`, so RL001 flags any entry marked ``result_affecting``.
 ENV_REGISTRY: Dict[str, Dict[str, Any]] = {
     "REPRO_STREAM_CHUNK": {
         "accessor": "stream_chunk_size",
         "result_affecting": False,
         "description": "accesses per packed TraceChunk (replay batching; "
                        "bit-identical by construction)",
-    },
-    "REPRO_FAST_MODE": {
-        "accessor": "_env_mode",
-        "result_affecting": True,
-        "description": "selects the batched non-bit-identical replay plane",
-    },
-    "REPRO_FAST_REFILL_FACTOR": {
-        "accessor": "fast_refill_factor",
-        "result_affecting": True,
-        "description": "deep-window amortization factor of the fast plane",
     },
     "REPRO_PARALLEL_WORKERS": {
         "accessor": "parallel_workers_override",
@@ -326,150 +314,17 @@ def stream_chunk_size() -> int:
     return DEFAULT_STREAM_CHUNK
 
 
-# --------------------------------------------------------------------- modes
-#: The bit-exact replay pipeline (the default; every reference artifact and
-#: the timing model run here).
-MODE_EXACT = "exact"
-#: The batched-orchestration replay pipeline: statistically validated
-#: against tolerance bands, never bit-identical to exact.
-MODE_FAST = "fast"
-
-#: Every valid simulation mode, in preference order.
-SIM_MODES = (MODE_EXACT, MODE_FAST)
-
-#: Default deep-window amortization factor of the fast engine: candidate
-#: streams and refills read ``queue_depth * factor`` addresses per CMOB
-#: window, trading address-stream volume for ~4-8x fewer refill events.
-#: Traffic-accounting runs ignore it (they use ``queue_depth`` windows so
-#: the modelled address-stream bytes stay inside the declared ±5% band).
-DEFAULT_FAST_REFILL_FACTOR = 4
-
-
-def fast_refill_factor() -> int:
-    """Deep-window factor for the fast engine (``REPRO_FAST_REFILL_FACTOR``).
-
-    Invalid or non-positive values fall back to
-    :data:`DEFAULT_FAST_REFILL_FACTOR`.
-    """
-    env = os.environ.get("REPRO_FAST_REFILL_FACTOR")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            return DEFAULT_FAST_REFILL_FACTOR
-        if value > 0:
-            return value
-    return DEFAULT_FAST_REFILL_FACTOR
-
-
-def _env_mode() -> str:
-    """Mode selected by the ``REPRO_FAST_MODE`` environment variable."""
-    env = os.environ.get("REPRO_FAST_MODE", "").strip().lower()
-    return MODE_FAST if env in ("1", "true", "yes", "on", "fast") else MODE_EXACT
-
-
-#: Process-ambient mode override (installed by :func:`sim_mode_context`);
-#: ``None`` defers to the environment.
-_AMBIENT_MODE: Optional[str] = None
-
-
-def _validate_mode(mode: str) -> str:
-    if mode not in SIM_MODES:
-        raise ValueError(f"unknown simulation mode {mode!r}; valid: {SIM_MODES}")
-    return mode
-
-
-def resolve_mode(mode: Optional[str] = None) -> str:
-    """Resolve an explicit, ambient, or environment-selected simulation mode.
-
-    Precedence: an explicit ``mode`` argument, then the process-ambient mode
-    installed by :func:`sim_mode_context` (the service layer wraps job
-    execution in it), then ``REPRO_FAST_MODE``.  Every keyed consumer
-    (result cache, service store) resolves the mode *before* building its
-    key, so fast and exact results can never collide.
-    """
-    if mode is not None:
-        return _validate_mode(mode)
-    if _AMBIENT_MODE is not None:
-        return _AMBIENT_MODE
-    return _env_mode()
-
-
-def mode_key(mode: Optional[str] = None) -> Tuple[Any, ...]:
-    """Determinism-key component naming the resolved simulation mode.
-
-    Exact mode renders as ``("mode", "exact")`` — byte-identical to the
-    historical key layout, so persisted exact-mode results survive.  Fast
-    mode additionally folds in every result-affecting fast-plane knob
-    (currently the ``REPRO_FAST_REFILL_FACTOR`` deep-window factor): the
-    factor changes the plane's CMOB window depth and therefore its
-    aggregates, so two fast runs under different factors must never share a
-    cache row or store key.  RL001 (``repro.lint``) verifies statically that
-    every result-affecting env accessor called from the result plane is
-    referenced by a key builder like this one.
-    """
-    resolved = resolve_mode(mode)
-    if resolved == MODE_FAST:
-        return ("mode", resolved, ("fast_refill_factor", fast_refill_factor()))
-    return ("mode", resolved)
-
-
-@contextmanager
-def sim_mode_context(mode: Optional[str]) -> Iterator[str]:
-    """Install the process-ambient simulation mode for a scope.
-
-    ``None`` clears it (the environment decides); the previous ambient mode
-    is restored on exit.  This is how the mode reaches experiment point
-    functions without signature changes: ``Job.execute`` wraps the point
-    call, and ``cached_tse_run`` / ``run_tse_on_trace`` resolve the ambient
-    mode when no explicit one is passed.
-    """
-    global _AMBIENT_MODE
-    previous = _AMBIENT_MODE
-    _AMBIENT_MODE = None if mode is None else _validate_mode(mode)
-    try:
-        yield resolve_mode()
-    finally:
-        _AMBIENT_MODE = previous
-
-
 @dataclass(frozen=True)
 class CacheConfig:
-    """Geometry and timing of one cache level.
+    """Timing of one cache level (its geometry is in README's Table 1).
 
     Attributes:
-        size_bytes: Total capacity in bytes.
-        associativity: Number of ways per set.
-        block_size: Coherence unit in bytes (64 B in the paper).
         hit_latency: Access latency in cycles.
         mshrs: Number of outstanding-miss registers.
     """
 
-    size_bytes: int
-    associativity: int
-    block_size: int = 64
     hit_latency: int = 2
     mshrs: int = 32
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError("cache size must be positive")
-        if self.associativity <= 0:
-            raise ValueError("associativity must be positive")
-        if self.block_size <= 0 or self.block_size & (self.block_size - 1):
-            raise ValueError("block_size must be a positive power of two")
-        if self.size_bytes % (self.block_size * self.associativity):
-            raise ValueError(
-                "cache size must be a multiple of block_size * associativity"
-            )
-
-    @property
-    def num_blocks(self) -> int:
-        return self.size_bytes // self.block_size
-
-    @property
-    def num_sets(self) -> int:
-        return self.num_blocks // self.associativity
 
 
 @dataclass(frozen=True)
@@ -482,10 +337,7 @@ class ProcessorConfig:
     """
 
     clock_ghz: float = 4.0
-    dispatch_width: int = 8
     rob_entries: int = 256
-    lsq_entries: int = 256
-    store_buffer_entries: int = 256
     #: Base IPC assumed for non-memory work in the timing model.
     base_ipc: float = 2.0
 
@@ -495,8 +347,6 @@ class MemoryConfig:
     """Main memory parameters (Table 1)."""
 
     access_latency_ns: float = 60.0
-    banks_per_node: int = 64
-    block_size: int = 64
 
 
 @dataclass(frozen=True)
@@ -639,26 +489,16 @@ PAPER_LOOKAHEAD: Dict[str, int] = {
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full DSM system configuration (Table 1 of the paper)."""
+    """DSM system configuration: the Table 1 parameters the models read."""
 
     num_nodes: int = 16
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
-    l1: CacheConfig = field(
-        default_factory=lambda: CacheConfig(
-            size_bytes=64 * 1024, associativity=2, hit_latency=2, mshrs=32
-        )
-    )
-    l2: CacheConfig = field(
-        default_factory=lambda: CacheConfig(
-            size_bytes=8 * 1024 * 1024, associativity=8, hit_latency=25, mshrs=32
-        )
-    )
+    l2: CacheConfig = field(default_factory=lambda: CacheConfig(hit_latency=25, mshrs=32))
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     interconnect: InterconnectConfig = field(default_factory=InterconnectConfig)
     #: Protocol controller occupancy per message, in ns (1 GHz microcoded
     #: controller in the paper; a handful of microcode cycles per message).
     protocol_controller_occupancy_ns: float = 10.0
-    block_size: int = 64
 
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
@@ -681,14 +521,6 @@ class SystemConfig:
         """Convert processor clock cycles to nanoseconds."""
         return cycles / self.clock_ghz
 
-    @property
-    def memory_latency_cycles(self) -> float:
-        return self.ns_to_cycles(self.memory.access_latency_ns)
-
-    @property
-    def hop_latency_cycles(self) -> float:
-        return self.ns_to_cycles(self.interconnect.hop_latency_ns)
-
     @classmethod
     def isca2005(cls) -> "SystemConfig":
         """The exact Table 1 configuration: 16 nodes, 4x4 torus, 4 GHz cores."""
@@ -705,9 +537,6 @@ class SystemConfig:
         height = num_nodes // width
         return cls(
             num_nodes=num_nodes,
-            l1=CacheConfig(size_bytes=16 * 1024, associativity=2, hit_latency=2, mshrs=16),
-            l2=CacheConfig(
-                size_bytes=256 * 1024, associativity=8, hit_latency=25, mshrs=16
-            ),
+            l2=CacheConfig(hit_latency=25, mshrs=16),
             interconnect=InterconnectConfig(width=width, height=height),
         )

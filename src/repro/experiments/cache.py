@@ -10,18 +10,13 @@ exactly once per process.
 The cache key is the full determinism domain of a run:
 
     (workload, target_accesses, seed, num_nodes, tse_config,
-     warmup_fraction, account_traffic, interconnect_config,
-     <mode component>)
+     warmup_fraction, account_traffic, interconnect_config)
 
 (:data:`KEY_FIELDS` is the canonical list, cross-checked statically by
-``repro.lint`` rule RL001.)  The simulation mode (exact vs
-``REPRO_FAST_MODE``) is resolved *before* the key is built, so a fast-mode
-result can never be returned to an exact-mode caller or vice versa — the
-two pipelines are deliberately not bit-identical (see
-:mod:`repro.tse.fast_engine`).  The mode component
-(:func:`repro.common.config.mode_key`) also folds in the fast plane's
-result-affecting env knobs, so e.g. two ``REPRO_FAST_REFILL_FACTOR``
-settings occupy disjoint key spaces.
+``repro.lint`` rule RL001), followed by the literal ``("mode", "exact")``.
+Every cached run replays the exact plane: the fast plane is reachable only
+through an explicit ``mode="fast"``
+:func:`~repro.tse.simulator.run_tse_on_trace`, which no key names.
 
 Traces are deterministic in the first four components (see
 :func:`repro.experiments.runner.trace_for`) and the simulator is
@@ -40,13 +35,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro.common.config import (
-    DEFAULT_WARMUP_FRACTION,
-    InterconnectConfig,
-    TSEConfig,
-    mode_key,
-    resolve_mode,
-)
+from repro.common.config import DEFAULT_WARMUP_FRACTION, InterconnectConfig, TSEConfig
 from repro.experiments.runner import trace_for
 from repro.tse.simulator import TSEStats, run_tse_on_trace
 
@@ -58,9 +47,7 @@ from repro.tse.simulator import TSEStats, run_tse_on_trace
 #: (deleting an entry while the parameter still exists is a lint error, as
 #: is a stale entry with no matching parameter).  ``tse_config`` covers the
 #: whole frozen ``TSEConfig`` dataclass — its ``repr`` canonicalizes every
-#: hardware knob — and ``mode`` covers the simulation pipeline plus any
-#: result-affecting fast-plane env knobs via
-#: :func:`repro.common.config.mode_key`.
+#: hardware knob.
 KEY_FIELDS: Tuple[str, ...] = (
     "workload",
     "target_accesses",
@@ -70,7 +57,6 @@ KEY_FIELDS: Tuple[str, ...] = (
     "warmup_fraction",
     "account_traffic",
     "interconnect_config",
-    "mode",
 )
 
 
@@ -126,7 +112,6 @@ def determinism_key(
     warmup_fraction: float,
     account_traffic: bool = False,
     interconnect_config: Optional[InterconnectConfig] = None,
-    mode: Optional[str] = None,
 ) -> Tuple:
     """The full determinism domain of one functional run, as a tuple.
 
@@ -135,16 +120,12 @@ def determinism_key(
     point (experiment, workload, config cell, trace size, seed, nodes,
     shared kwargs) rather than one functional run — but both are rendered
     to persistent text through the same :func:`key_text` canonicalization.
-
-    ``mode`` is resolved here (explicit > ambient > environment), so keys
-    built while a :func:`repro.common.config.sim_mode_context` is active
-    name the mode that will actually simulate — fast- and exact-mode
-    results occupy disjoint key spaces by construction.
+    Both end with the literal ``("mode", "exact")``, which keeps every key
+    persisted since the fast plane existed byte-identical.
     """
     config = tse_config if tse_config is not None else TSEConfig.paper_default()
     return (workload, target_accesses, seed, num_nodes, config,
-            warmup_fraction, account_traffic, interconnect_config,
-            mode_key(mode))
+            warmup_fraction, account_traffic, interconnect_config, ("mode", "exact"))
 
 
 def key_text(key: Tuple) -> str:
@@ -167,23 +148,16 @@ def cached_tse_run(
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     account_traffic: bool = False,
     interconnect_config: Optional[InterconnectConfig] = None,
-    mode: Optional[str] = None,
 ) -> TSEStats:
-    """Run (or reuse) the functional TSE simulation for one sweep point.
+    """Run (or reuse) the exact-plane TSE simulation for one sweep point.
 
     Returns the same :class:`TSEStats` the uncached
     :func:`~repro.tse.simulator.run_tse_on_trace` would produce for these
     parameters.  The result object is shared — treat it as read-only.
-
-    The simulation mode is resolved *once*, before the key is built, and
-    the resolved mode is what actually runs — an ambient-mode change
-    between the key probe and the simulation cannot desynchronize them.
     """
     config = tse_config if tse_config is not None else TSEConfig.paper_default()
-    resolved_mode = resolve_mode(mode)
     key = determinism_key(workload, target_accesses, seed, num_nodes, config,
-                          warmup_fraction, account_traffic, interconnect_config,
-                          mode=resolved_mode)
+                          warmup_fraction, account_traffic, interconnect_config)
     stats = _CACHE.get(key)
     if stats is None:
         trace = trace_for(workload, target_accesses, seed, num_nodes)
@@ -193,7 +167,6 @@ def cached_tse_run(
             account_traffic=account_traffic,
             interconnect_config=interconnect_config,
             warmup_fraction=warmup_fraction,
-            mode=resolved_mode,
         )
         _CACHE.put(key, stats)
     return stats

@@ -13,11 +13,8 @@ Rules
 
 ========  ==============================================================
 RL001     Key completeness: ``KEY_FIELDS`` / ``JOB_KEY_FIELDS`` must
-          match their key constructors field-for-field, and every
-          result-affecting env knob must be folded into the keys.
-RL002     Mode before key: determinism keys may only be built by
-          constructors that resolve the simulation mode first;
-          ``REPRO_FAST_MODE`` is read nowhere else.
+          match their key constructors field-for-field, and no env knob
+          may be registered ``result_affecting`` (no key carries one).
 RL003     Nondeterminism sources: bare ``random``, wall-clock reads,
           ``id()``-keyed state and set-order iteration are banned from
           the result plane (seeded :mod:`repro.common.rng` is the one

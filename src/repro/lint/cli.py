@@ -32,7 +32,7 @@ def detect_root(start: Path) -> Path:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Determinism-invariant static analyzer (rules RL001-RL005).",
+        description="Determinism-invariant static analyzer (rules RL001, RL003-RL005).",
     )
     parser.add_argument(
         "paths", nargs="*", default=None,

@@ -5,12 +5,9 @@ against *actual* code, so this module parses the declaration sites once
 per run:
 
 * ``src/repro/common/config.py`` — ``ENV_REGISTRY`` (every ``REPRO_*``
-  knob with its accessor and ``result_affecting`` bit), the ``TSEConfig``
-  field list, every module-level function, which of them read
-  ``os.environ`` (directly or through a name-taking helper), and the set
-  of functions reachable from the key constructors ``mode_key`` /
-  ``resolve_mode`` (a result-affecting knob is "key-wired" iff its
-  accessor is in that set).
+  knob with its accessor and ``result_affecting`` bit), every module-level
+  function, and which of them read ``os.environ`` (directly or through a
+  name-taking helper).
 * ``src/repro/experiments/cache.py`` — ``KEY_FIELDS`` and the parameter
   list of ``determinism_key``.
 * ``src/repro/service/spec.py`` — ``JOB_KEY_FIELDS`` /
@@ -84,15 +81,6 @@ def environ_reads(tree: ast.AST) -> List[EnvRead]:
     return reads
 
 
-def called_names(tree: ast.AST) -> Set[str]:
-    """Bare names called anywhere under ``tree`` (``f(...)``, not ``m.f``)."""
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            names.add(node.func.id)
-    return names
-
-
 def _module_functions(tree: ast.Module) -> Dict[str, ast.FunctionDef]:
     return {
         node.name: node
@@ -146,17 +134,6 @@ def _dict_assignment(
     return None, None
 
 
-def _class_fields(tree: ast.Module, class_name: str) -> Tuple[str, ...]:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            return tuple(
-                stmt.target.id
-                for stmt in node.body
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-            )
-    return ()
-
-
 class ProjectModel:
     """Parsed contract declarations for one analyzer run."""
 
@@ -199,10 +176,7 @@ class ProjectModel:
         self.env_registry: Dict[str, Dict[str, Any]] = {}
         self.env_registry_line: int = 1
         self.config_functions: Dict[str, ast.FunctionDef] = {}
-        self.tse_config_fields: FrozenSet[str] = frozenset()
-        self.env_proxy_functions: FrozenSet[str] = frozenset()
         self.config_env_reads: List[EnvRead] = []
-        self.key_wired_functions: FrozenSet[str] = frozenset()
 
         tree = self._tree(CONFIG_PATH)
         if tree is None:
@@ -218,7 +192,6 @@ class ProjectModel:
             self.env_registry_line = line or 1
 
         self.config_functions = _module_functions(tree)
-        self.tse_config_fields = frozenset(_class_fields(tree, "TSEConfig"))
 
         # Direct environ reads, plus which functions proxy a caller-supplied
         # variable name (``_env_positive_int(name)`` style).
@@ -229,7 +202,6 @@ class ProjectModel:
                     proxies.add(name)
                 else:
                     self.config_env_reads.append(read)
-        self.env_proxy_functions = frozenset(proxies)
 
         # Calls into a proxy with a literal name count as reads of that name.
         for node in ast.walk(tree):
@@ -244,22 +216,6 @@ class ProjectModel:
                 self.config_env_reads.append(
                     EnvRead(node.args[0].value, node.lineno, node.col_offset)
                 )
-
-        # Key wiring: functions transitively reachable (within config.py)
-        # from the mode-key constructors.  A result-affecting knob is folded
-        # into determinism keys iff its accessor is in this closure.
-        reachable: Set[str] = set()
-        frontier = [name for name in ("mode_key", "resolve_mode")
-                    if name in self.config_functions]
-        while frontier:
-            name = frontier.pop()
-            if name in reachable:
-                continue
-            reachable.add(name)
-            for callee in called_names(self.config_functions[name]):
-                if callee in self.config_functions and callee not in reachable:
-                    frontier.append(callee)
-        self.key_wired_functions = frozenset(reachable)
 
     # -- cache.py --------------------------------------------------------
 
@@ -358,11 +314,3 @@ class ProjectModel:
 
     def registered_env_vars(self) -> FrozenSet[str]:
         return frozenset(self.env_registry)
-
-    def result_affecting_accessors(self) -> Dict[str, str]:
-        """accessor name -> env var, for knobs that change results."""
-        return {
-            str(entry.get("accessor")): name
-            for name, entry in self.env_registry.items()
-            if isinstance(entry, dict) and entry.get("result_affecting")
-        }

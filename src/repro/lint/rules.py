@@ -1,4 +1,4 @@
-"""The five determinism-invariant rules (RL001-RL005).
+"""The four determinism-invariant rules (RL001, RL003-RL005).
 
 Each rule is a small object with two hooks: ``check_file`` (one parsed
 :class:`~repro.lint.core.SourceFile` at a time, scoped by path parts so
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Type
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Type
 
 from repro.lint.project import (
     CACHE_PATH,
@@ -47,40 +47,9 @@ class Rule:
         return []
 
 
-def _parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-def _enclosing_function(
-    node: ast.AST, parents: Dict[ast.AST, ast.AST]
-) -> Optional[ast.FunctionDef]:
-    current = parents.get(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return current
-        current = parents.get(current)
-    return None
-
-
-def _calls_any(tree: ast.AST, names: Sequence[str]) -> bool:
-    wanted = set(names)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in wanted:
-                return True
-            if isinstance(func, ast.Attribute) and func.attr in wanted:
-                return True
-    return False
-
-
 class KeyCompleteness(Rule):
-    """RL001: declared key-field lists match the key constructors, and
-    every result-affecting knob is folded into the determinism keys."""
+    """RL001: declared key-field lists match the key constructors, and no
+    env knob changes results (such a value belongs in a keyed field)."""
 
     id = "RL001"
     title = "determinism-key completeness"
@@ -138,114 +107,14 @@ class KeyCompleteness(Rule):
                         f"persistent key",
                     ))
 
-        for accessor, env_name in sorted(project.result_affecting_accessors().items()):
-            if accessor not in project.key_wired_functions:
+        for name, entry in sorted(project.env_registry.items()):
+            if isinstance(entry, dict) and entry.get("result_affecting"):
                 findings.append(_finding(
                     CONFIG_PATH, project.env_registry_line, 0, self.id,
-                    f"{env_name} is registered result_affecting but its "
-                    f"accessor {accessor}() is not reachable from mode_key()/"
-                    f"resolve_mode() — the knob would not be keyed",
+                    f"{name} is registered result_affecting — no key carries "
+                    f"an env knob, so a value that changes results belongs "
+                    f"in a keyed field such as TSEConfig",
                 ))
-        return findings
-
-    def check_file(self, source: "SourceFile", project: ProjectModel) -> List:
-        if not source.in_package("tse", "workloads") or source.tree is None:
-            return []
-        findings = []
-        accessors = project.result_affecting_accessors()
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name in accessors and name not in project.key_wired_functions:
-                findings.append(_finding(
-                    source.path, node.lineno, node.col_offset, self.id,
-                    f"{name}() reads result-affecting knob {accessors[name]} "
-                    f"in the result plane but is not folded into the "
-                    f"determinism keys (wire it through mode_key())",
-                ))
-        return findings
-
-
-class ModeResolveBeforeKey(Rule):
-    """RL002: determinism keys are only built by constructors that resolve
-    the simulation mode; REPRO_FAST_MODE is read nowhere but config."""
-
-    id = "RL002"
-    title = "mode resolved before keying"
-
-    _CONSTRUCTORS = ("determinism_key", "snapshot_key")
-    _RESOLVERS = ("resolve_mode", "mode_key")
-
-    def check_file(self, source: "SourceFile", project: ProjectModel) -> List:
-        if source.tree is None:
-            return []
-        findings = []
-        in_config = source.is_module("common", "config.py")
-
-        if not in_config:
-            for read in environ_reads(source.tree):
-                if read.name == "REPRO_FAST_MODE":
-                    findings.append(_finding(
-                        source.path, read.line, read.col, self.id,
-                        "REPRO_FAST_MODE read outside repro.common.config — "
-                        "mode must flow through resolve_mode()",
-                    ))
-
-        parents = _parent_map(source.tree)
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.FunctionDef):
-                if node.name in self._CONSTRUCTORS and not _calls_any(
-                    node, self._RESOLVERS
-                ):
-                    findings.append(_finding(
-                        source.path, node.lineno, node.col_offset, self.id,
-                        f"key constructor {node.name}() never resolves the "
-                        f"simulation mode (call mode_key()/resolve_mode())",
-                    ))
-                elif node.name == "mode_key" and not _calls_any(
-                    node, ("resolve_mode",)
-                ):
-                    findings.append(_finding(
-                        source.path, node.lineno, node.col_offset, self.id,
-                        "mode_key() never calls resolve_mode() — ambient/"
-                        "environment mode would be ignored",
-                    ))
-                elif (
-                    node.name == "key"
-                    and _calls_any(node, ("key_text",))
-                    and not _calls_any(node, self._RESOLVERS)
-                ):
-                    findings.append(_finding(
-                        source.path, node.lineno, node.col_offset, self.id,
-                        "key property renders a persistent key without "
-                        "resolving the simulation mode",
-                    ))
-            elif isinstance(node, ast.Call):
-                func = node.func
-                callee = func.id if isinstance(func, ast.Name) else (
-                    func.attr if isinstance(func, ast.Attribute) else None
-                )
-                if (
-                    callee == "key_text"
-                    and node.args
-                    and isinstance(node.args[0], (ast.Tuple, ast.List))
-                ):
-                    enclosing = _enclosing_function(node, parents)
-                    if enclosing is None or not _calls_any(
-                        enclosing, self._RESOLVERS
-                    ):
-                        findings.append(_finding(
-                            source.path, node.lineno, node.col_offset, self.id,
-                            "hand-rolled key_text(tuple) without resolving "
-                            "the simulation mode — use a declared key "
-                            "constructor",
-                        ))
         return findings
 
 
@@ -548,7 +417,6 @@ class EnvRegistry(Rule):
 
 ALL_RULES: Sequence[Type[Rule]] = (
     KeyCompleteness,
-    ModeResolveBeforeKey,
     NondeterminismSources,
     PackedLayoutConsistency,
     EnvRegistry,

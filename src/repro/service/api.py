@@ -66,7 +66,7 @@ from repro.common.config import events_poll_interval
 from repro.service import presets
 from repro.service import events as events_module
 from repro.service.service import Service
-from repro.service.spec import Campaign
+from repro.service.spec import Campaign, check_mode
 
 logger = logging.getLogger("repro.service.api")
 
@@ -337,13 +337,13 @@ def _campaign_from_body(body: Dict[str, Any]) -> Campaign:
         return Campaign.from_dict(body["campaign"])
     if "preset" not in body:
         raise ValueError("body needs either 'preset' or 'campaign'")
+    check_mode(body)
     return presets.campaign(
         str(body["preset"]),
         workloads=body.get("workloads"),
         target_accesses=body.get("target_accesses"),
         seed=int(body.get("seed", 42)),
         priority=int(body.get("priority", 0)),
-        mode=str(body.get("mode", "exact")),
     )
 
 

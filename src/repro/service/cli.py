@@ -66,11 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="trace size (target accesses) override")
     submit.add_argument("--seed", type=int, default=42)
     submit.add_argument("--priority", type=int, default=0)
-    submit.add_argument("--mode", choices=("exact", "fast"), default="exact",
-                        help="simulation mode: 'exact' (bit-reproducible, "
-                        "default) or 'fast' (REPRO_FAST_MODE batched plane; "
-                        "results keyed separately, validated by tolerance "
-                        "bands)")
     submit.add_argument("--workers", type=int, default=None,
                         help="scheduler workers (default: REPRO_SERVICE_WORKERS)")
     submit.add_argument("--no-wait", action="store_true",
@@ -185,7 +180,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             "preset": args.preset,
             "seed": args.seed,
             "priority": args.priority,
-            "mode": args.mode,
             "wait": not args.no_wait,
         }
         if workloads:
@@ -200,7 +194,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 0
     campaign = presets.campaign(
         args.preset, workloads=workloads, target_accesses=args.accesses,
-        seed=args.seed, priority=args.priority, mode=args.mode,
+        seed=args.seed, priority=args.priority,
     )
     with Service(store_path=args.store, max_workers=args.workers) as service:
         # In-process submission always completes before exit: closing the

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.common.config import MODE_EXACT
 from repro.experiments.runner import DEFAULT_TARGET_ACCESSES, WORKLOADS
 from repro.service.spec import DEFAULT_SEED, Campaign
 
@@ -43,14 +42,8 @@ def campaign(
     seed: int = DEFAULT_SEED,
     priority: int = 0,
     shared: Tuple[Tuple[str, Any], ...] = (),
-    mode: str = MODE_EXACT,
 ) -> Campaign:
-    """Build the campaign for a named preset, with optional overrides.
-
-    ``mode="fast"`` submits the whole preset under ``REPRO_FAST_MODE`` —
-    every job key carries the mode, so a fast sweep never collides with
-    (or reuses) the exact sweep's persisted rows.
-    """
+    """Build the campaign for a named preset, with optional overrides."""
     if preset not in _PRESETS:
         raise KeyError(
             f"unknown preset {preset!r}; available: {', '.join(preset_names())}"
@@ -75,5 +68,4 @@ def campaign(
         ),
         shared=tuple(sorted(merged_shared.items())),
         priority=priority,
-        mode=mode,
     )

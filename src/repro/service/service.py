@@ -63,15 +63,18 @@ def stored_progress(store: ResultStore, campaign_id: int) -> Optional[Dict[str, 
     """A campaign's progress from the store alone (``None`` if unknown): what
     ``GET /campaigns/<id>`` serves for a campaign not live in this process,
     and what the CLI's local ``status <id>`` prints.  The breakdown derives
-    from stored rows alone (completed vs. queued)."""
+    from the store alone: a key with a row is completed, one flagged
+    quarantined (no row, out of attempts) is quarantined, the rest queued."""
     record = store.campaign(campaign_id)
     if record is None:
         return None
     keys = store.campaign_keys(campaign_id)
     stored = len(store.present_keys(keys))
+    quarantined = len(store.quarantined_keys(campaign_id))
     states = {state: 0 for state in JOB_STATES}
     states["completed"] = stored
-    states["queued"] = len(keys) - stored
+    states["quarantined"] = quarantined
+    states["queued"] = len(keys) - stored - quarantined
     return {
         "campaign_id": record["id"],
         "name": record["name"],
@@ -289,10 +292,6 @@ class Service:
     def render(self, run: CampaignRun) -> str:
         """The campaign's table, bit-identical to the experiment module CLI."""
         return run.campaign.render(self.store.merged_rows(run.id))
-
-    def render_campaign(self, campaign_id: int) -> str:
-        """Render a stored campaign (possibly from an earlier process)."""
-        return render_stored_campaign(self.store, campaign_id)
 
     def drain(self, deadline_s: float = 30.0) -> Dict[str, Any]:
         """Graceful drain (the serve SIGTERM path): stop granting leases,

@@ -16,6 +16,10 @@ Campaigns round-trip through JSON (:meth:`Campaign.to_dict` /
 and the HTTP API can accept them; the round trip is normalizing (lists
 become tuples, ``TSEConfig`` cells are tagged dicts), so a reloaded
 campaign compiles to byte-identical job keys.
+
+Every job runs the exact replay plane.  Records written by earlier builds
+carry a ``"mode"`` field; :func:`check_mode` accepts ``"exact"`` there and
+refuses anything else.
 """
 
 from __future__ import annotations
@@ -25,14 +29,7 @@ import importlib
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.common.config import (
-    DEFAULT_WARMUP_FRACTION,
-    MODE_EXACT,
-    SIM_MODES,
-    TSEConfig,
-    mode_key,
-    sim_mode_context,
-)
+from repro.common.config import DEFAULT_WARMUP_FRACTION, TSEConfig
 from repro.experiments.cache import key_text
 from repro.experiments.runner import DEFAULT_TARGET_ACCESSES, SweepSpec
 
@@ -53,12 +50,23 @@ JOB_KEY_FIELDS: Tuple[str, ...] = (
     "seed",
     "num_nodes",
     "shared",
-    "mode",
 )
 
 #: Job fields deliberately *excluded* from the key (none: every field of a
 #: job can affect its result).
 JOB_NON_KEY_FIELDS: Tuple[str, ...] = ()
+
+
+def check_mode(data: Dict[str, Any]) -> None:
+    """Refuse a campaign spec, preset body or stored record whose ``"mode"``
+    names anything but the exact plane (an absent mode is exact)."""
+    mode = data.get("mode", "exact")
+    if mode != "exact":
+        raise ValueError(
+            f"campaign mode {mode!r} is not supported: campaigns run the exact "
+            f"plane only, because the fast plane leaves its validation bands "
+            f"on held-out seeds"
+        )
 
 
 def _freeze(value: Any) -> Any:
@@ -118,7 +126,6 @@ class Job:
     seed: int
     num_nodes: int = 16
     shared: Tuple[Tuple[str, Any], ...] = ()
-    mode: str = MODE_EXACT
 
     @property
     def key(self) -> str:
@@ -127,15 +134,14 @@ class Job:
         The shared warm-up fraction is included explicitly: the point
         functions bake it in implicitly via ``DEFAULT_WARMUP_FRACTION``, and
         persisted results must not survive a change to it as false cache
-        hits.  The simulation mode is likewise explicit — fast- and
-        exact-mode campaigns over the same grid persist disjoint store
-        rows, never sharing (or clobbering) each other's results.
+        hits.  The literal ``("mode", "exact")`` tail keeps every key
+        persisted since the fast plane existed byte-identical.
         """
         return key_text((
             self.experiment, self.workload, self.config, self.target_accesses,
             self.seed, self.num_nodes, self.shared,
             ("warmup", DEFAULT_WARMUP_FRACTION),
-            mode_key(self.mode),
+            ("mode", "exact"),
         ))
 
     @property
@@ -166,7 +172,6 @@ class Job:
             "seed": self.seed,
             "num_nodes": self.num_nodes,
             "shared": _thaw([list(pair) for pair in self.shared]),
-            "mode": self.mode,
         }
 
     @classmethod
@@ -185,24 +190,15 @@ class Job:
             shared=tuple(
                 (str(name), _freeze(value)) for name, value in data["shared"]
             ),
-            mode=str(data.get("mode", MODE_EXACT)),
         )
 
     def execute(self) -> List[Dict[str, object]]:
-        """Run this point through its experiment's ``SPEC.point`` function.
-
-        The job's simulation mode is installed as the process-ambient mode
-        for the duration of the point call, so every ``cached_tse_run`` /
-        ``run_tse_on_trace`` the experiment performs resolves to — and is
-        keyed under — exactly the mode this job's key declares.
-        """
-        spec = spec_for(self.experiment)
-        with sim_mode_context(self.mode):
-            result = spec.point(
-                self.workload, self.config,
-                target_accesses=self.target_accesses, seed=self.seed,
-                **dict(self.shared),
-            )
+        """Run this point through its experiment's ``SPEC.point`` function."""
+        result = spec_for(self.experiment).point(
+            self.workload, self.config,
+            target_accesses=self.target_accesses, seed=self.seed,
+            **dict(self.shared),
+        )
         return result if isinstance(result, list) else [result]
 
 
@@ -221,10 +217,6 @@ class Campaign:
         num_nodes: Machine size (the experiments are calibrated for 16).
         shared: Extra fixed point kwargs, overriding the spec's defaults.
         priority: Scheduler priority; higher runs first.
-        mode: Simulation mode for every job — ``"exact"`` (default,
-            bit-reproducible) or ``"fast"`` (the batched
-            ``REPRO_FAST_MODE`` plane, validated against tolerance bands).
-            Part of every job key, so the two modes never share store rows.
     """
 
     name: str
@@ -236,7 +228,6 @@ class Campaign:
     num_nodes: int = 16
     shared: Tuple[Tuple[str, Any], ...] = ()
     priority: int = 0
-    mode: str = MODE_EXACT
 
     def __post_init__(self) -> None:
         # Normalize to the canonical hashable forms at construction, so a
@@ -266,10 +257,6 @@ class Campaign:
             )
         if not self.seeds or not self.trace_sizes:
             raise ValueError("campaign needs at least one seed and trace size")
-        if self.mode not in SIM_MODES:
-            raise ValueError(
-                f"unknown campaign mode {self.mode!r}; valid: {SIM_MODES}"
-            )
         if self.num_nodes != 16:
             # The experiment point functions run the paper's 16-node machine
             # unconditionally; accepting another value here would persist
@@ -305,7 +292,6 @@ class Campaign:
                 seed=seed,
                 num_nodes=self.num_nodes,
                 shared=shared,
-                mode=self.mode,
             )
             for target_accesses in self.trace_sizes
             for seed in self.seeds
@@ -324,15 +310,14 @@ class Campaign:
             "num_nodes": self.num_nodes,
             "shared": _thaw([list(pair) for pair in self.shared]),
             "priority": self.priority,
-            "mode": self.mode,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Campaign":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)} - {"mode"}
         if unknown:
             raise ValueError(f"unknown campaign fields: {sorted(unknown)}")
+        check_mode(data)
         configs = data.get("configs")
         return cls(
             name=str(data["name"]),
@@ -347,7 +332,6 @@ class Campaign:
                 for name, value in data.get("shared", ())
             ),
             priority=int(data.get("priority", 0)),
-            mode=str(data.get("mode", MODE_EXACT)),
         )
 
     def finalize_rows(self, rows: List[Dict[str, object]]) -> List[Dict[str, object]]:

@@ -67,11 +67,6 @@ class TimingResult:
     def total_cycles(self) -> float:
         return sum(n.total_cycles for n in self.per_node)
 
-    @property
-    def execution_cycles(self) -> float:
-        """Wall-clock execution time: the slowest node determines the interval."""
-        return max((n.total_cycles for n in self.per_node), default=0.0)
-
     def breakdown(self) -> Dict[str, float]:
         """Normalized execution-time breakdown (Figure 14 left)."""
         total = self.total_cycles

@@ -1,13 +1,14 @@
-"""REPRO_FAST_MODE: the batched-orchestration TSE replay plane.
+"""The batched-orchestration TSE replay plane (``mode="fast"``).
 
 ``FastTemporalStreamingSystem`` is a second, deliberately *non-bit-identical*
 implementation of the Temporal Streaming Engine over the same packed
-CMOB/FIFO layout as :mod:`repro.tse.engine`.  The paper's trace-driven
-results are statistical aggregates (coverage, discards, traffic ratios,
-stream-length distributions), so this plane trades per-event exactness for
-throughput and is validated against per-metric tolerance bands instead
-(``benchmarks/validate_fast_mode.py``; coverage within ±0.02 absolute,
-traffic within ±5% relative — locked by ``tests/test_fast_mode.py``).
+CMOB/FIFO layout as :mod:`repro.tse.engine`.  It trades per-event exactness
+for throughput and is validated against per-metric tolerance bands on
+coverage, discards and stream length instead
+(``benchmarks/validate_fast_mode.py``; coverage within ±0.02 absolute —
+locked by ``tests/test_fast_mode.py``).  Only an explicit ``mode="fast"``
+bare replay reaches it (:class:`repro.tse.simulator.TSESimulator`): it
+records no outcomes and accounts no traffic, and no figure runs it.
 
 What is batched or hoisted relative to the exact plane:
 
@@ -18,14 +19,12 @@ What is batched or hoisted relative to the exact plane:
   ``(queue, queue_id)`` pairs built once per pump, so hit crediting is one
   identity check instead of a queue-table lookup.
 * **Deep windows + refill-on-empty**: candidate streams are read
-  ``queue_depth * REPRO_FAST_REFILL_FACTOR`` addresses at a time and a FIFO
-  is refilled (inline, inside the pump) only when it runs dry — replacing
-  the exact plane's half-empty threshold, refill-dirty set and per-event
+  ``queue_depth * REFILL_FACTOR`` addresses at a time and a FIFO is
+  refilled (inline, inside the pump) only when it runs dry — replacing the
+  exact plane's half-empty threshold, refill-dirty set and per-event
   refill service with ~4-8x fewer, larger CMOB window reads.  Streams are
   *continued* (monotonic source offsets), so realized stream lengths are
-  preserved rather than truncated.  Traffic-accounting runs fall back to
-  ``queue_depth`` windows: the modelled address-stream volume then matches
-  the exact plane's refill cadence within the declared band.
+  preserved rather than truncated.
 * **Slot-table queues**: per-node queues live in a flat list bounded by
   ``stream_queues`` whose :class:`~repro.tse.stream_queue.StreamQueue`
   objects are reused in place forever — no queue-id dict, no scan-set or
@@ -46,18 +45,11 @@ recording (the timing model's input) intentionally requires it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.coherence.directory import Directory, DirectoryEntry
-from repro.coherence.messages import (
-    CMOB_POINTER_UPDATE,
-    STREAM_REQUEST,
-    STREAMED_DATA_REPLY,
-    STREAMED_DATA_REQUEST,
-)
-from repro.common.config import TSEConfig, fast_refill_factor
+from repro.common.config import TSEConfig
 from repro.common.types import BlockAddress, NodeId
-from repro.interconnect.network import TrafficAccountant
 from repro.tse.cmob import CMOB
 from repro.tse.layout import SLOT_BYTEORDER, SLOT_BYTES, SLOT_SHIFT
 from repro.tse.stream_engine import _lcp, _window_unpacker
@@ -70,6 +62,11 @@ _ORDER = SLOT_BYTEORDER
 _MASK = SLOT_BYTES - 1
 
 __all__ = ["FastTemporalStreamingSystem"]
+
+#: Deep-window amortization factor: candidate streams and refills read
+#: ``queue_depth * REFILL_FACTOR`` addresses per CMOB window, trading
+#: address-stream volume for ~4-8x fewer refill events.
+REFILL_FACTOR = 4
 
 #: What the fused event handlers return: blocks delivered into the SVB and
 #: blocks discarded (evicted unconsumed) during the event.
@@ -86,23 +83,10 @@ class FastTemporalStreamingSystem:
     (``TSESimulator._replay_chunk_fast``) is its only intended driver.
     """
 
-    def __init__(
-        self,
-        num_nodes: int,
-        config: TSEConfig,
-        directory: Directory,
-        traffic: Optional[TrafficAccountant] = None,
-        last_writer: Optional[Dict[BlockAddress, NodeId]] = None,
-    ) -> None:
+    def __init__(self, num_nodes: int, config: TSEConfig, directory: Directory) -> None:
         self.num_nodes = num_nodes
         self.config = config
         self.directory = directory
-        self._traffic = traffic
-        #: Last writer of each block written so far, kept by the replay loop
-        #: and read only on the traffic path to name the streamed-data
-        #: producer (the exact plane does the same lookup in
-        #: ``deliver_all``).
-        self._last_writer = last_writer if last_writer is not None else {}
         self.cmobs = [CMOB(config.cmob_capacity) for _ in range(num_nodes)]
         #: Per-node SVB: address -> (owner queue object, queue id at fetch).
         #: Plain insertion-ordered dicts double as the LRU order, exactly as
@@ -131,15 +115,8 @@ class FastTemporalStreamingSystem:
         #: Realignment probe window (the lookahead), in packed bytes —
         #: mirrors ``StreamQueue.skip_address``'s search bound.
         self._probe_window8 = max(config.stream_lookahead, 1) << _SHIFT
-        #: CMOB window depth per stream read: deep on the message-free path,
-        #: the exact plane's ``queue_depth`` when traffic is accounted.
-        if traffic is None:
-            self._depth = config.queue_depth * fast_refill_factor()
-        else:
-            self._depth = config.queue_depth
-        #: Exact-plane refill threshold in packed bytes, used only by the
-        #: traffic-accounting top-up pass (:meth:`_topup_refills`).
-        self._refill_threshold8 = config.refill_threshold << _SHIFT
+        #: CMOB window depth per stream read.
+        self._depth = config.queue_depth * REFILL_FACTOR
         #: Hit-side pump batching: a hit frees one lookahead credit, but the
         #: pump only runs once the full lookahead budget has accumulated, so
         #: the delivery machinery is set up once per ``lookahead`` hits and
@@ -169,11 +146,6 @@ class FastTemporalStreamingSystem:
             pos[i] = 0
         nxt = queue._src_next[i]
         count = self.cmobs[src].extend_into(fifo, nxt, self._depth)
-        traffic = self._traffic
-        if traffic is not None:
-            traffic.emit(STREAM_REQUEST, node, src)
-            if count:
-                traffic.emit_addresses(src, node, count)
         if count:
             queue._src_next[i] = nxt + count
             return True
@@ -193,41 +165,6 @@ class FastTemporalStreamingSystem:
             if pos[i] >= len(data[i]) and self._refill_one(node, queue, i):
                 revived = True
         return revived
-
-    def _topup_refills(self, node: NodeId, slots: List[StreamQueue]) -> None:
-        """Traffic-mode refill cadence: top up every below-threshold FIFO.
-
-        The message-free plane refills only when a FIFO runs dry — fewer,
-        larger CMOB window reads, which is the point of the deep-window
-        batching — but that cadence under-reports the modeled hardware's
-        refill control traffic (``STREAM_REQUEST``/``ADDRESS_STREAM``) by
-        20-70% on the commercial workloads.  When a traffic accountant is
-        attached this per-event pass reproduces the exact plane's
-        half-empty top-up (including its standing requests against
-        exhausted recording frontiers), keeping Figure 11's overhead
-        accounting inside the declared tolerance band.
-        """
-        threshold8 = self._refill_threshold8
-        for queue in slots:
-            if queue.state_code == 2:  # drained: the exact plane skips these
-                continue
-            data = queue._fifo_data
-            pos = queue._fifo_pos
-            src_nodes = queue._src_nodes
-            selected = queue._selected
-            if selected is not None:
-                indices: Tuple[int, ...] = (selected,)
-            else:
-                indices = tuple(range(len(data)))
-            for i in indices:
-                if src_nodes[i] < 0:
-                    continue
-                if len(data[i]) - pos[i] > threshold8:
-                    continue
-                was_dry = pos[i] >= len(data[i])
-                if self._refill_one(node, queue, i) and was_dry:
-                    # A revived FIFO invalidates the cached stall heads.
-                    queue._stall_heads = None
 
     # -------------------------------------------------------------------- pump
     def _pump(self, node: NodeId, queue: StreamQueue, svb: Dict) -> Delivery:
@@ -250,7 +187,6 @@ class FastTemporalStreamingSystem:
         selected = queue._selected
         capacity = self._svb_capacity
         residency = self._svb_residency
-        traffic = self._traffic
         entry = (queue, queue.queue_id)
         delivered = 0
         discarded = 0
@@ -303,8 +239,6 @@ class FastTemporalStreamingSystem:
                 for address in window:
                     if address in svb:
                         continue
-                    if traffic is not None:
-                        self._count_delivery(traffic, node, address)
                     svb[address] = entry
                     residency[address] = residency.get(address, 0) + 1
                     delivered += 1
@@ -328,8 +262,6 @@ class FastTemporalStreamingSystem:
                     for address in window:
                         if address in svb:
                             continue
-                        if traffic is not None:
-                            self._count_delivery(traffic, node, address)
                         svb[address] = entry
                         residency[address] = residency.get(address, 0) + 1
                         delivered += 1
@@ -386,8 +318,6 @@ class FastTemporalStreamingSystem:
                 for address in window:
                     if address in svb:
                         continue
-                    if traffic is not None:
-                        self._count_delivery(traffic, node, address)
                     svb[address] = entry
                     residency[address] = residency.get(address, 0) + 1
                     delivered += 1
@@ -438,8 +368,6 @@ class FastTemporalStreamingSystem:
                 for address in window:
                     if address in svb:
                         continue
-                    if traffic is not None:
-                        self._count_delivery(traffic, node, address)
                     svb[address] = entry
                     residency[address] = residency.get(address, 0) + 1
                     delivered += 1
@@ -497,14 +425,6 @@ class FastTemporalStreamingSystem:
             if c > 1:
                 residency[lru] = c - 1
         return over
-
-    def _count_delivery(
-        self, traffic: TrafficAccountant, node: NodeId, address: BlockAddress
-    ) -> None:
-        """Count the streamed-data request/reply pair of one delivered block."""
-        home = self.directory.home_of(address)
-        traffic.emit(STREAMED_DATA_REQUEST, node, home)
-        traffic.emit(STREAMED_DATA_REPLY, self._last_writer.get(address, home), node)
 
     # ------------------------------------------------------------------ events
     def _miss_scan(
@@ -662,15 +582,13 @@ class FastTemporalStreamingSystem:
         self._clocks[node] = clock
         slots = self._slots[node]
         svb = self._svbs[node]
-        traffic = self._traffic
 
         # (0) The miss may confirm a stalled stream or realign an active one.
         delivered, discarded = self._miss_scan(node, address, clock, slots, svb)
 
         # (1) Locate candidate streams via the directory's CMOB pointers,
         # building the queue's FIFO columns directly (no intermediate
-        # window tuples).  The accounting-free loop is kept free of per-
-        # pointer traffic checks.
+        # window tuples).
         directory = self.directory
         entries = directory._entries
         entry = entries.get(address)
@@ -683,40 +601,22 @@ class FastTemporalStreamingSystem:
                     pointers = pointers[:compared]
                 cmobs = self.cmobs
                 depth = self._depth
-                if traffic is None:
-                    for pnode, poff in pointers:
-                        # The stream starts after the head (its data already
-                        # came via the baseline coherence reply); one deep
-                        # packed read.
-                        start = poff + 1
-                        window = bytearray()
-                        count = cmobs[pnode].extend_into(window, start, depth)
-                        if count:
-                            if fifo_data is None:
-                                fifo_data = [window]
-                                src_nodes = [pnode]
-                                src_next = [start + count]
-                            else:
-                                fifo_data.append(window)
-                                src_nodes.append(pnode)
-                                src_next.append(start + count)
-                else:
-                    home = directory.home_of(address)
-                    for pnode, poff in pointers:
-                        start = poff + 1
-                        window = bytearray()
-                        count = cmobs[pnode].extend_into(window, start, depth)
-                        traffic.emit(STREAM_REQUEST, home, pnode)
-                        if count:
-                            traffic.emit_addresses(pnode, node, count)
-                            if fifo_data is None:
-                                fifo_data = [window]
-                                src_nodes = [pnode]
-                                src_next = [start + count]
-                            else:
-                                fifo_data.append(window)
-                                src_nodes.append(pnode)
-                                src_next.append(start + count)
+                for pnode, poff in pointers:
+                    # The stream starts after the head (its data already
+                    # came via the baseline coherence reply); one deep
+                    # packed read.
+                    start = poff + 1
+                    window = bytearray()
+                    count = cmobs[pnode].extend_into(window, start, depth)
+                    if count:
+                        if fifo_data is None:
+                            fifo_data = [window]
+                            src_nodes = [pnode]
+                            src_next = [start + count]
+                        else:
+                            fifo_data.append(window)
+                            src_nodes.append(pnode)
+                            src_next.append(start + count)
 
         # (2) Allocate a queue slot and pump the agreed prefix.  Reclaimed
         # slots are rebound field-by-field and the FIFO columns are
@@ -798,9 +698,6 @@ class FastTemporalStreamingSystem:
             keep = directory.cmob_pointers_per_block
             if len(pointers) > keep:
                 del pointers[keep:]
-        if traffic is not None:
-            traffic.emit(CMOB_POINTER_UPDATE, node, directory.home_of(address))
-            self._topup_refills(node, slots)
         return delivered, discarded
 
     def hit(self, node: NodeId, address: BlockAddress) -> Delivery:
@@ -869,9 +766,6 @@ class FastTemporalStreamingSystem:
             keep = directory.cmob_pointers_per_block
             if len(pointers) > keep:
                 del pointers[keep:]
-        if self._traffic is not None:
-            self._traffic.emit(CMOB_POINTER_UPDATE, node, directory.home_of(address))
-            self._topup_refills(node, self._slots[node])
         return delivered, discarded
 
     def invalidate(self, address: BlockAddress) -> int:

@@ -37,10 +37,20 @@ For the same reason the base system's messages are a property of the trace:
 a traffic-accounted :meth:`TSESimulator.run` adds the trace's memoized
 count table (:func:`~repro.coherence.protocol.trace_traffic`) to its
 accountant, and ``run_chunks`` counts each chunk's messages as it classifies
-it.  The loops then take back the messages of each coherent read an SVB hit
-served, and the TSE planes count their own messages at their sink sites.
-With accounting on, a loop keeps one last-writer dict, which names the
-producer of a served read and of each streamed block; it steps no protocol.
+it.  The exact loop then takes back the messages of each coherent read an
+SVB hit served, and the exact plane counts its own messages at its sink
+sites.  With accounting on, the loop keeps one last-writer dict, which names
+the producer of a served read and of each streamed block; it steps no
+protocol.
+
+Two planes replay a trace, and the ``mode`` argument of
+:class:`TSESimulator` / :func:`run_tse_on_trace` is the only way to choose
+one.  ``"exact"``, the default, is the bit-reproducible plane every figure,
+the timing model and the service run.  ``"fast"`` is the batched plane of
+:mod:`repro.tse.fast_engine`, checked only against tolerance bands
+(``benchmarks/validate_fast_mode.py``), and it runs bare replays only: it
+records no outcomes and accounts no traffic.  No determinism key names a
+plane, so no cached or stored result can come from the fast one.
 
 Figure 11's traffic-accounted replay and the timing model's outcome labels
 (Figure 14, Table 3) replay the same trace under the same configuration.
@@ -71,19 +81,15 @@ from repro.coherence.protocol import (
     trace_traffic,
 )
 from repro.common.chunk import ChunkedTrace, TraceChunk
-from repro.common.config import (
-    DEFAULT_WARMUP_FRACTION,
-    MODE_EXACT,
-    MODE_FAST,
-    InterconnectConfig,
-    TSEConfig,
-    resolve_mode,
-)
+from repro.common.config import DEFAULT_WARMUP_FRACTION, InterconnectConfig, TSEConfig
 from repro.common.stats import Histogram, ratio
 from repro.common.types import TYPE_SPIN_READ
 from repro.interconnect.network import TrafficAccountant
 from repro.tse.engine import TemporalStreamingSystem
 from repro.tse.fast_engine import FastTemporalStreamingSystem
+
+#: The replay planes a ``mode`` argument may name.
+MODES = ("exact", "fast")
 
 
 class Outcome(enum.IntEnum):
@@ -180,7 +186,8 @@ class TSESimulator:
     (:meth:`reset_stats`) restarts the :class:`TSEStats` counters but not
     the accountant, so ``stats.traffic`` covers the whole trace, warm-up
     window included, while every other counter covers only the measured
-    window.
+    window.  ``mode`` picks the replay plane, ``"exact"`` or ``"fast"``;
+    the fast plane takes neither ``record_outcomes`` nor ``account_traffic``.
     """
 
     def __init__(
@@ -190,19 +197,16 @@ class TSESimulator:
         account_traffic: bool = False,
         interconnect_config: Optional[InterconnectConfig] = None,
         record_outcomes: bool = False,
-        mode: Optional[str] = None,
+        mode: str = "exact",
     ) -> None:
-        self.num_nodes = num_nodes
-        #: Resolved replay pipeline: :data:`~repro.common.config.MODE_EXACT`
-        #: (bit-exact, the default) or :data:`~repro.common.config.MODE_FAST`
-        #: (batched orchestration, tolerance-band validated).  ``None``
-        #: resolves through the ambient mode / ``REPRO_FAST_MODE``.
-        self.mode = resolve_mode(mode)
-        if self.mode == MODE_FAST and record_outcomes:
+        if mode not in MODES:
+            raise ValueError(f"unknown replay mode {mode!r}; valid: {MODES}")
+        if mode == "fast" and (record_outcomes or account_traffic):
             raise ValueError(
-                "record_outcomes requires exact mode: the fast plane fuses "
-                "fetch and delivery and keeps no per-access fill times"
+                "the fast plane runs bare replays only: record outcomes and "
+                "account traffic on the exact plane"
             )
+        self.num_nodes = num_nodes
         #: When enabled, one (Outcome, lead) pair per access is recorded into
         #: the parallel ``outcome_codes`` / ``outcome_leads`` arrays for the
         #: timing model; lead is meaningful only for SVB hits and counts the
@@ -222,19 +226,16 @@ class TSESimulator:
                 self._default_interconnect(num_nodes)
             )
             self.traffic = TrafficAccountant(icfg)
-        #: Last writer of each block written so far, kept by the replay
-        #: loops only when traffic is accounted: it names the producer of a
+        #: Last writer of each block written so far, kept by the exact loop
+        #: only when traffic is accounted: it names the producer of a
         #: served coherent read and of each streamed block.
         self._last_writer: Dict[int, int] = {}
         #: Exactly one replay plane is built; ``tse`` is the exact plane,
         #: ``fast`` the batched one (the unused plane is None).
         self.tse: Optional[TemporalStreamingSystem] = None
         self.fast: Optional[FastTemporalStreamingSystem] = None
-        if self.mode == MODE_FAST:
-            self.fast = FastTemporalStreamingSystem(
-                num_nodes, self.tse_config, self.directory,
-                traffic=self.traffic, last_writer=self._last_writer,
-            )
+        if mode == "fast":
+            self.fast = FastTemporalStreamingSystem(num_nodes, self.tse_config, self.directory)
         else:
             self.tse = TemporalStreamingSystem(
                 num_nodes, self.tse_config, self.directory, traffic=self.traffic
@@ -541,12 +542,12 @@ class TSESimulator:
         stats.discarded_blocks += n_discards
 
     def _replay_chunk_fast(self, chunk: TraceChunk, codes: bytes) -> None:
-        """Fast-plane replay of one packed chunk (``REPRO_FAST_MODE``).
+        """Fast-plane replay of one packed chunk (``mode="fast"``).
 
         Shaped like :meth:`_replay_chunk_exact`, but every TSE event goes
         through the fast engine's fused handlers — delivery happens inside
-        the event, so there is no fetch-batch plumbing and no outcome
-        recording (rejected at construction).
+        the event, so there is no fetch-batch plumbing, and no outcome
+        recording or traffic take-back (both rejected at construction).
         """
         n = len(codes)
         if n == 0:
@@ -556,11 +557,6 @@ class TSESimulator:
         types_col = chunk.types.tolist()
 
         fast = self.fast
-        traffic = self.traffic
-        last_writer = self._last_writer if traffic is not None else None
-        retract = traffic.retract if traffic is not None else None
-        take_back = coherent_read_messages
-        num_nodes = self.num_nodes
         consume = fast.consume
         hit = fast.hit
         invalidate = fast.invalidate
@@ -587,14 +583,10 @@ class TSESimulator:
                 n_writes += 1
                 if address in residency:
                     n_discards += invalidate(address)
-                if last_writer is not None:
-                    last_writer[address] = node
                 continue
 
             if type_code != spin_code and address in svbs[node]:
                 n_svb_hits += 1
-                if last_writer is not None and code == read_coherent:
-                    take_back(retract, node, address % num_nodes, last_writer[address])
                 d, x = hit(node, address)
                 n_fetched += d
                 n_discards += x
@@ -703,7 +695,7 @@ def replay_record(
     ):
         simulator = TSESimulator(
             trace.num_nodes, tse_config, account_traffic=interconnect is not None,
-            interconnect_config=interconnect, record_outcomes=True, mode=MODE_EXACT,
+            interconnect_config=interconnect, record_outcomes=True,
         )
         measured = simulator.run(trace, warmup_fraction)
         warm = simulator.warmup_stats
@@ -724,15 +716,14 @@ def run_tse_on_trace(
     account_traffic: bool = False,
     interconnect_config: Optional[InterconnectConfig] = None,
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-    mode: Optional[str] = None,
+    mode: str = "exact",
 ) -> TSEStats:
     """Convenience wrapper: build a simulator for the trace and run it.
 
     Defaults to the experiment harness's shared
     :data:`~repro.common.config.DEFAULT_WARMUP_FRACTION` warm-up window; pass
     ``warmup_fraction=0.0`` to measure from the first access.  ``mode``
-    selects the replay plane (``None`` resolves the ambient mode /
-    ``REPRO_FAST_MODE``, as everywhere).
+    selects the replay plane (see :class:`TSESimulator`).
 
     A traffic-accounted exact run is the measured window of the trace's
     :func:`replay_record`, so a later ``TimingSimulator.compare`` under the
@@ -740,7 +731,7 @@ def run_tse_on_trace(
     Every other run replays afresh.
     """
     config = tse_config if tse_config is not None else TSEConfig.paper_default()
-    if account_traffic and resolve_mode(mode) == MODE_EXACT:
+    if account_traffic and mode == "exact":
         interconnect = interconnect_config if interconnect_config is not None else (
             TSESimulator._default_interconnect(trace.num_nodes)
         )

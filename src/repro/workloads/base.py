@@ -79,13 +79,6 @@ class AddressSpace:
     def total_blocks(self) -> int:
         return self._next_block - 1
 
-    def owner_of(self, region_name: str, block: BlockAddress) -> int:
-        """Relative index of a block within its region (for partitioning)."""
-        region = self._regions[region_name]
-        if block not in region:
-            raise ValueError(f"block {block} not in region {region_name!r}")
-        return block - region.start
-
 
 def interleave(per_node: List[list], quantum: int) -> Iterator:
     """Round-robin interleave per-node access lists, ``quantum`` at a time.

@@ -415,10 +415,6 @@ class PartitionedSweep:
             for sequence in self._sequences:
                 rng.shuffle(sequence)
 
-    def sequence_length(self, node: int) -> int:
-        """Number of remote blocks node ``node`` consumes per iteration."""
-        return len(self._sequences[node])
-
     def drift(self, rng: DeterministicRNG, fraction: float) -> None:
         """Re-permute a fraction of every consumer's read order (list rebuild)."""
         for sequence in self._sequences:

@@ -1,4 +1,4 @@
-"""RL005 / RL002 fixture: environment reads outside repro.common.config.
+"""RL005 fixture: environment reads outside repro.common.config.
 
 Linted by ``tests/test_lint.py``; never imported.  Line numbers matter —
 append only.
@@ -15,5 +15,5 @@ def non_repro_read() -> str:
     return os.environ.get("HOME", "")  # line 15: RL005
 
 
-def mode_sniff() -> bool:
-    return "REPRO_FAST_MODE" in os.environ  # line 19: RL002 + RL005
+def knob_sniff() -> bool:
+    return "REPRO_PARALLEL_WORKERS" in os.environ  # line 19: RL005

@@ -6,10 +6,11 @@ Locks in the contracts the columnar replay rests on:
    ``ChunkedTrace.accesses`` view decodes every column exactly;
 2. chunk boundaries are invisible to the replay;
 3. a trace's coherence classification and base-system messages do not
-   depend on TSE: a traffic-accounted replay, on either plane, ends with
-   the base-system counts a one-access-at-a-time protocol walk sends
-   without the reads its SVB hits served, and the per-node consumption
-   orders read off the code column equal such a walk too;
+   depend on TSE: a traffic-accounted replay, of a trace object or of
+   column-less chunks, ends with the base-system counts a
+   one-access-at-a-time protocol walk sends without the reads its SVB hits
+   served, and the per-node consumption orders read off the code column
+   equal such a walk too;
 4. a warm-state run is the measured window of one replay of ramp plus
    window, wherever the ramp ends.
 """
@@ -34,7 +35,7 @@ from repro.coherence.protocol import (
     transaction_messages,
 )
 from repro.common.chunk import ChunkedTrace, TraceChunk, stream_chunk_size
-from repro.common.config import DEFAULT_STREAM_CHUNK, MODE_EXACT, MODE_FAST, TSEConfig
+from repro.common.config import DEFAULT_STREAM_CHUNK, TSEConfig
 from repro.common.types import (
     ACCESS_TYPE_FROM_CODE,
     TYPE_ATOMIC,
@@ -136,53 +137,23 @@ def baseline_counts(simulator: TSESimulator):
     return counts
 
 
-def exact_served_reads(trace, config):
-    """A traffic-accounted exact replay and the positions of its SVB hits,
-    read off its outcome column."""
+def served_reads(trace, config, entry):
+    """A traffic-accounted replay through ``entry`` and the positions of
+    its SVB hits, read off its outcome column.  ``run`` starts from the
+    trace's memoized count table (``trace_traffic``); ``run_chunks`` gets
+    column-less chunks and counts each one's messages as it classifies it."""
     simulator = TSESimulator(
-        trace.num_nodes, config, account_traffic=True, record_outcomes=True, mode="exact"
+        trace.num_nodes, config, account_traffic=True, record_outcomes=True
     )
-    simulator.run(trace, warmup_fraction=0.3)
+    if entry == "run":
+        simulator.run(trace, warmup_fraction=0.3)
+    else:
+        simulator.run_chunks(trace.chunks(), trace.name, int(len(trace) * 0.3))
     served = {
         position for position, outcome in enumerate(simulator.outcome_codes)
         if outcome == Outcome.SVB_HIT
     }
     return simulator, served
-
-
-def fast_served_reads(trace, config):
-    """A traffic-accounted fast replay and the positions of its SVB hits.
-
-    The fast plane records no outcomes, so its hit handler is wrapped, and
-    the trace is fed one access per chunk: the counters sync at each
-    chunk's end, so at a hit they count the accesses before it.  Asserts
-    that this replays what the trace's own chunks replay."""
-    single = ChunkedTrace(num_nodes=trace.num_nodes, name=trace.name)
-    for row in records(trace):
-        chunk = TraceChunk()
-        chunk.extend_packed([row])
-        single.append_chunk(chunk)
-    simulator = TSESimulator(trace.num_nodes, config, account_traffic=True, mode="fast")
-    served = set()
-    fast_hit = simulator.fast.hit
-
-    def hit(node, address):
-        served.add(simulator.warmup_stats.accesses + simulator.stats.accesses)
-        return fast_hit(node, address)
-
-    simulator.fast.hit = hit
-    simulator.run(single, warmup_fraction=0.3)
-    chunked = TSESimulator(trace.num_nodes, config, account_traffic=True, mode="fast")
-    assert chunked.run(trace, warmup_fraction=0.3).as_dict() == simulator.stats.as_dict()
-    return simulator, served
-
-
-def served_reads(trace, config, mode):
-    """A traffic-accounted replay on ``mode``'s plane and the positions of
-    the reads its SVB hits served."""
-    if mode == "exact":
-        return exact_served_reads(trace, config)
-    return fast_served_reads(trace, config)
 
 
 class TestChunkedEmission:
@@ -283,18 +254,20 @@ def shared_sequences(draw):
 
 
 class TestTrafficFold:
-    """A traffic-accounted replay starts from the trace's message count
-    table (``trace_traffic``) and takes back the messages of the coherent
-    reads its SVB hits served.  Its base-system counts must equal a live
-    protocol stepped one access at a time that skips those reads."""
+    """A traffic-accounted replay starts from the base system's messages,
+    the trace's count table (``trace_traffic``) for ``run`` or each chunk's
+    count as it is classified for ``run_chunks``, and takes back the
+    messages of the coherent reads its SVB hits served.  Its base-system
+    counts must equal a live protocol stepped one access at a time that
+    skips those reads."""
 
-    @pytest.mark.parametrize("mode", ("exact", "fast"))
+    @pytest.mark.parametrize("entry", ("run", "run_chunks"))
     @pytest.mark.parametrize("label, config", reference_battery.CONFIGS,
                              ids=[label for label, _ in reference_battery.CONFIGS])
     @pytest.mark.parametrize("name", available_workloads())
-    def test_replay_baseline_equals_a_live_protocol_count(self, name, label, config, mode):
+    def test_replay_baseline_equals_a_live_protocol_count(self, name, label, config, entry):
         trace = small_trace(name)
-        simulator, served = served_reads(trace, config, mode)
+        simulator, served = served_reads(trace, config, entry)
         assert baseline_counts(simulator) == live_protocol_counts(trace, served)
 
     @given(
@@ -304,12 +277,12 @@ class TestTrafficFold:
         svb_entries=st.integers(min_value=1, max_value=4),
         lookahead=st.integers(min_value=1, max_value=8),
         compared_streams=st.integers(min_value=1, max_value=2),
-        mode=st.sampled_from(("exact", "fast")),
+        entry=st.sampled_from(("run", "run_chunks")),
     )
     @settings(max_examples=60, deadline=None)
     def test_random_sharing_baseline_equals_a_live_protocol_count(
         self, case, chunk_size, cmob_capacity, svb_entries, lookahead,
-        compared_streams, mode,
+        compared_streams, entry,
     ):
         """CMOBs that wrap, 1-4-entry SVBs, streams that form and hit."""
         num_nodes, steps = case
@@ -319,7 +292,7 @@ class TestTrafficFold:
             stream_lookahead=lookahead, compared_streams=compared_streams,
             cmob_pointers_per_block=2,
         )
-        simulator, served = served_reads(trace, config, mode)
+        simulator, served = served_reads(trace, config, entry)
         assert baseline_counts(simulator) == live_protocol_counts(trace, served)
 
     def test_fold_is_memoized_until_the_trace_grows(self):
@@ -333,8 +306,7 @@ class TestTrafficFold:
         assert grown is not first
         assert sum(grown) == sum(first) + 2
 
-    @pytest.mark.parametrize("mode", ("exact", "fast"))
-    def test_cold_traffic_replay_steps_the_state_machine_once(self, mode, monkeypatch):
+    def test_cold_traffic_replay_steps_the_state_machine_once(self, monkeypatch):
         """The fold's pass also memoizes the code columns, so a traffic
         replay of a fresh trace classifies each read exactly once."""
         trace = get_workload("db2", SMALL).generate_chunked(chunk_size=512)
@@ -350,7 +322,7 @@ class TestTrafficFold:
             return read_ints(self, node, address, is_spin)
 
         monkeypatch.setattr(CoherenceProtocol, "read_ints", counted)
-        TSESimulator(4, TSEConfig.paper_default(), account_traffic=True, mode=mode).run(
+        TSESimulator(4, TSEConfig.paper_default(), account_traffic=True).run(
             trace, warmup_fraction=0.3
         )
         assert len(classified) == reads
@@ -405,7 +377,7 @@ class TestWarmRun:
     trace against its memoized code columns with the statistics reset at
     the ramp's end, wherever that boundary falls."""
 
-    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FAST])
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
     @pytest.mark.parametrize("boundary", ["zero", "inside_chunk", "chunk_boundary"])
     def test_warm_run_matches_run_chunks(self, mode, boundary):
         from repro.experiments.runner import trace_for

@@ -1,10 +1,11 @@
 """Unit tests for the configuration dataclasses (Table 1 / TSE parameters)."""
 
+import pathlib
+
 import pytest
 
 from repro.common.config import (
     PAPER_LOOKAHEAD,
-    CacheConfig,
     InterconnectConfig,
     SystemConfig,
     TSEConfig,
@@ -12,25 +13,11 @@ from repro.common.config import (
 
 
 class TestCacheConfig:
-    def test_paper_l2_geometry(self):
+    def test_paper_l2_timing(self):
+        """The Table 1 L2 parameters the timing model reads."""
         l2 = SystemConfig.isca2005().l2
-        assert l2.size_bytes == 8 * 1024 * 1024
-        assert l2.associativity == 8
-        assert l2.num_blocks == 131072
-        assert l2.num_sets == 16384
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"size_bytes": 0, "associativity": 2},
-            {"size_bytes": 1024, "associativity": 0},
-            {"size_bytes": 1024, "associativity": 2, "block_size": 48},
-            {"size_bytes": 1000, "associativity": 2},
-        ],
-    )
-    def test_invalid_geometry_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            CacheConfig(**kwargs)
+        assert l2.hit_latency == 25
+        assert l2.mshrs == 32
 
 
 class TestTSEConfig:
@@ -86,6 +73,27 @@ class TestSystemConfig:
     def test_mismatched_interconnect_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig(num_nodes=8, interconnect=InterconnectConfig(width=4, height=4))
+
+    def test_readme_table_1_lists_the_modelled_values(self):
+        """README's Table 1 shows the values ``isca2005()`` carries."""
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("## Simulated system (Table 1)")[1].split("\n## ")[0]
+        rows = {
+            cells[1].strip(): cells[2]
+            for cells in (line.split("|") for line in table.splitlines())
+            if len(cells) > 3
+        }
+        system = SystemConfig.isca2005()
+        processor, l2, net = system.processor, system.l2, system.interconnect
+        assert rows["Nodes"].strip() == str(system.num_nodes)
+        assert f"{processor.clock_ghz:g} GHz" in rows["Processor"]
+        assert f"{processor.rob_entries}-entry ROB" in rows["Processor"]
+        assert f"{l2.hit_latency}-cycle hit, {l2.mshrs} MSHRs" in rows["L2 cache"]
+        assert f"{system.memory.access_latency_ns:g} ns access" in rows["Memory"]
+        assert (f"{net.width}×{net.height} 2D torus, {net.hop_latency_ns:g} ns per hop, "
+                f"{net.bisection_bandwidth_gbps:g} GB/s") in rows["Interconnect"]
+        assert (f"{system.protocol_controller_occupancy_ns:g} ns occupancy"
+                in rows["Protocol controller"])
 
     def test_small_config_builds_valid_torus(self):
         for nodes in (2, 4, 8, 16):

@@ -474,6 +474,28 @@ class TestTelemetryAPI:
             with pytest.raises(KeyError):
                 render_stored_campaign(partial_store, 999)
 
+    def test_stored_progress_counts_quarantined_keys(self, tmp_path):
+        """After a restart, the store-only view reports a key that ran out of
+        attempts as quarantined, as the live view did, not as queued."""
+        from repro.service import Campaign
+
+        campaign = Campaign(
+            name="poisoned", experiment="repro.experiments.fig09_svb",
+            workloads=("db2",), configs=(("2k", 32), ("bogus", "not-an-int")),
+            trace_sizes=(1000,),
+        )
+        path = tmp_path / "s.sqlite"
+        with Service(store_path=path, max_workers=1, max_attempts=1) as service:
+            run = service.submit(campaign, wait=True)
+            live = run.progress()["states"]
+        assert run.status == "failed"
+        store = ResultStore(path)
+        stored = stored_progress(store, run.id)
+        assert {k: v for k, v in stored["states"].items() if v} == {
+            k: v for k, v in live.items() if v
+        } == {"completed": 1, "quarantined": 1}
+        assert store.stats()["quarantined"] == 1
+
 
 # ----------------------------------------------------------- chaos overlap
 class TestEventsUnderChaos:

@@ -1,11 +1,12 @@
-"""Tolerance-band lock for REPRO_FAST_MODE (the batched replay plane).
+"""Tolerance-band lock for the fast replay plane (``mode="fast"``).
 
 The fast plane is contractually non-bit-identical; what it ships under is
 the set of per-metric tolerance bands declared in
 ``benchmarks/validate_fast_mode.py``.  These tests import those bands (one
 source of truth) and enforce them for every registered workload, so any
 fast-engine change that drifts an aggregate out of band fails CI with the
-per-metric deltas spelled out.
+per-metric deltas spelled out.  They also lock that the plane is reachable
+only as an explicit, bare replay.
 
 Trace size follows ``REPRO_BENCH_ACCESSES`` (default 20k here: large
 enough for streams to form and the aggregates to stabilise, small enough
@@ -16,6 +17,7 @@ for the tier-1 suite).  The full-size sweep is
 import functools
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -65,16 +67,10 @@ class TestToleranceBands:
         )
 
     def test_bands_cover_the_headline_metrics(self):
-        """The contract must at least bound coverage, discards, stream
-        length, and both traffic totals — removing one silently would
-        un-gate a paper figure."""
-        assert {
-            "coverage",
-            "discard_rate",
-            "mean_stream_length",
-            "traffic.baseline.total_bytes",
-            "traffic.overhead.total_bytes",
-        } <= set(BANDS)
+        """The contract bounds coverage, discards and stream length, the
+        aggregates a bare replay reports — removing one silently would
+        un-gate the plane."""
+        assert set(BANDS) == {"coverage", "discard_rate", "mean_stream_length"}
 
 
 class TestFastModeDeterminism:
@@ -85,25 +81,58 @@ class TestFastModeDeterminism:
         again = validate_fast_mode._metrics("db2", ACCESSES, SEED, NODES, "fast")
         assert again == first
 
-    def test_timing_model_pins_exact_under_ambient_fast(self):
-        """The timing plane needs per-access fill times, which only the
-        exact engine records — an ambient REPRO_FAST_MODE must not reach
-        it (it pins mode='exact'), and its results must not change."""
-        from repro.common.config import SystemConfig, TSEConfig, sim_mode_context
+    @pytest.mark.parametrize("options", [
+        {"account_traffic": True},
+        {"record_outcomes": True},
+    ])
+    def test_fast_plane_runs_bare_replays_only(self, options):
+        from repro.tse.simulator import TSESimulator
+
+        with pytest.raises(ValueError, match="bare replays only"):
+            TSESimulator(NODES, mode="fast", **options)
+
+    def test_fast_traffic_run_is_refused_before_replaying(self):
         from repro.experiments.runner import trace_for
-        from repro.system.timing import TimingSimulator
+        from repro.tse.simulator import run_tse_on_trace
 
+        trace = trace_for("db2", 1_000, SEED, NODES)
+        with pytest.raises(ValueError, match="bare replays only"):
+            run_tse_on_trace(trace, account_traffic=True, mode="fast")
+        assert not hasattr(trace, "_replay_records")
+
+    @pytest.mark.parametrize("mode", [None, "FAST", "bogus"])
+    def test_unknown_mode_is_refused(self, mode):
+        from repro.tse.simulator import TSESimulator
+
+        with pytest.raises(ValueError, match="unknown replay mode"):
+            TSESimulator(NODES, mode=mode)
+
+    def test_exact_is_the_default_plane(self):
+        from repro.experiments.runner import trace_for
+        from repro.tse.simulator import TSESimulator, run_tse_on_trace
+
+        simulator = TSESimulator(NODES)
+        assert simulator.tse is not None and simulator.fast is None
         trace = trace_for("db2", 5_000, SEED, NODES)
+        assert (run_tse_on_trace(trace).as_dict()
+                == run_tse_on_trace(trace, mode="exact").as_dict())
 
-        def speedup():
-            sim = TimingSimulator(
-                SystemConfig.isca2005(), TSEConfig.paper_default(lookahead=8)
-            )
-            return sim.compare(trace).speedup
-
-        baseline = speedup()
-        with sim_mode_context("fast"):
-            assert speedup() == baseline
+    @pytest.mark.parametrize("mode", ["fast", "both"])
+    def test_profiler_accounts_traffic_on_the_exact_plane_only(
+        self, mode, monkeypatch, capsys
+    ):
+        spec = importlib.util.spec_from_file_location(
+            "profile_hotpath", _HARNESS.with_name("profile_hotpath.py")
+        )
+        profiler = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(profiler)
+        monkeypatch.setattr(
+            sys, "argv", ["profile_hotpath.py", "db2", "--mode", mode, "--traffic"]
+        )
+        with pytest.raises(SystemExit) as exited:
+            profiler.main()
+        assert exited.value.code == 2
+        assert "--traffic accounts the exact plane only" in capsys.readouterr().err
 
     def test_check_metric_zero_exact_demands_zero_fast(self):
         delta, within = check_metric("rel", 0.05, 0.0, 0.0)

@@ -21,10 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import (
-    MODE_EXACT,
-    MODE_FAST,
     bench_accesses,
-    mode_key,
     parallel_workers_override,
     service_batch_size,
     service_store_override,
@@ -54,21 +51,12 @@ def lines_and_rules(findings):
 
 
 class TestFixtureCorpus:
-    def test_rl002_key_constructors(self):
-        found = findings_for(FIXTURES / "bad_keys.py")
-        assert lines_and_rules(found) == [
-            (12, "RL002"),  # determinism_key without resolve_mode
-            (16, "RL002"),  # snapshot_key without resolve_mode
-            (21, "RL002"),  # hand-rolled key_text(tuple)
-        ]
-
-    def test_rl002_rl005_env_reads(self):
+    def test_rl005_env_reads(self):
         found = findings_for(FIXTURES / "bad_env.py")
         assert lines_and_rules(found) == [
             (11, "RL005"),  # unregistered REPRO_* read
             (15, "RL005"),  # non-REPRO ambient read
-            (19, "RL002"),  # REPRO_FAST_MODE sniffed outside config
-            (19, "RL005"),
+            (19, "RL005"),  # a registered knob sniffed outside config
         ]
 
     def test_rl003_nondeterminism_sources(self):
@@ -104,10 +92,8 @@ class TestFixtureCorpus:
         assert findings_for(FIXTURES / "clean.py") == []
 
     def test_rule_subset_restricts_output(self):
-        found = findings_for(
-            FIXTURES / "bad_env.py", rules=rules_by_id(["RL002"])
-        )
-        assert {f.rule for f in found} == {"RL002"}
+        found = findings_for(FIXTURES, rules=rules_by_id(["RL004"]))
+        assert {f.rule for f in found} == {"RL004"}
 
     def test_unknown_rule_id_rejected(self):
         with pytest.raises(ValueError):
@@ -152,17 +138,6 @@ class TestMutationLocks:
             f.rule == "RL001" and "tse_config" in f.message for f in found
         )
 
-    def test_unkeyed_mode_constructor_trips_rl002(self):
-        original = self._text(CACHE)
-        assert "mode_key(mode))" in original
-        mutated = original.replace("mode_key(mode))", "mode)")
-        found = findings_for(
-            REPO_ROOT / CACHE, overrides={CACHE: mutated}
-        )
-        assert any(
-            f.rule == "RL002" and "determinism_key" in f.message for f in found
-        )
-
     def test_unseeded_random_in_tse_trips_rl003(self):
         target = "src/repro/tse/stream_queue.py"
         mutated = self._text(target) + (
@@ -196,21 +171,27 @@ class TestMutationLocks:
         )
 
     def test_unwired_result_affecting_accessor_trips_rl001(self):
+        """No key carries an env knob, so a knob registered as changing
+        results is a finding in itself."""
         original = self._text(CONFIG)
-        wired = '("fast_refill_factor", fast_refill_factor())'
-        assert wired in original
-        mutated = original.replace(wired, '("fast_refill_factor", 4)')
+        entry = (
+            '"accessor": "stream_chunk_size",\n'
+            '        "result_affecting": False,'
+        )
+        assert entry in original
+        mutated = original.replace(entry, entry.replace("False", "True"))
         found = findings_for(
             REPO_ROOT / CONFIG, overrides={CONFIG: mutated}
         )
-        assert any(
-            f.rule == "RL001" and "fast_refill_factor" in f.message
-            for f in found
-        )
+        assert [f.message for f in found if f.rule == "RL001"] == [
+            "REPRO_STREAM_CHUNK is registered result_affecting — no key "
+            "carries an env knob, so a value that changes results belongs "
+            "in a keyed field such as TSEConfig"
+        ]
 
     def test_undocumented_registry_entry_trips_rl005(self):
         readme = (REPO_ROOT / "README.md").read_text()
-        row = "| `REPRO_FAST_REFILL_FACTOR`"
+        row = "| `REPRO_STREAM_CHUNK`"
         assert row in readme
         start = readme.index(row)
         end = readme.index("\n", start) + 1
@@ -220,17 +201,17 @@ class TestMutationLocks:
         )
         assert any(
             f.rule == "RL005"
-            and "REPRO_FAST_REFILL_FACTOR" in f.message
+            and "REPRO_STREAM_CHUNK" in f.message
             and "README" in f.message
             for f in found
         )
 
     def test_job_field_outside_contract_trips_rl001(self):
         original = self._text(SPEC)
-        anchor = "    mode: str = MODE_EXACT"
-        assert anchor in original
+        anchor = "    seed: int\n"
+        assert original.count(anchor) == 1
         mutated = original.replace(
-            anchor, anchor + "\n    flavor: str = \"plain\""
+            anchor, anchor + "    flavor: str = \"plain\"\n"
         )
         found = findings_for(
             REPO_ROOT / SPEC, overrides={SPEC: mutated}
@@ -279,62 +260,6 @@ class TestEnvAccessors:
         assert bench_accesses(default=1234) == 5000
 
 
-class TestModeKeying:
-    """Regression lock for the RL001 true positive this PR fixed: the
-    fast plane's REPRO_FAST_REFILL_FACTOR changes results, so it must be
-    part of fast-mode determinism keys — and must NOT perturb exact-mode
-    keys (persisted exact results stay valid)."""
-
-    def test_exact_mode_key_is_factor_free(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST_REFILL_FACTOR", raising=False)
-        baseline = mode_key(MODE_EXACT)
-        assert baseline == ("mode", "exact")
-        monkeypatch.setenv("REPRO_FAST_REFILL_FACTOR", "9")
-        assert mode_key(MODE_EXACT) == baseline
-
-    def test_fast_mode_key_folds_in_the_factor(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST_REFILL_FACTOR", raising=False)
-        default_key = mode_key(MODE_FAST)
-        assert default_key[0:2] == ("mode", "fast")
-        assert ("fast_refill_factor", 4) in default_key
-        monkeypatch.setenv("REPRO_FAST_REFILL_FACTOR", "9")
-        assert mode_key(MODE_FAST) != default_key
-        assert ("fast_refill_factor", 9) in mode_key(MODE_FAST)
-
-    def test_determinism_key_separates_factor_spaces(self, monkeypatch):
-        from repro.experiments.cache import determinism_key, key_text
-
-        def key():
-            return key_text(determinism_key(
-                "db2", 1000, 42, 16, None, 0.5, mode="fast"
-            ))
-
-        monkeypatch.delenv("REPRO_FAST_REFILL_FACTOR", raising=False)
-        first = key()
-        monkeypatch.setenv("REPRO_FAST_REFILL_FACTOR", "9")
-        assert key() != first
-        exact = key_text(determinism_key(
-            "db2", 1000, 42, 16, None, 0.5, mode="exact"
-        ))
-        monkeypatch.delenv("REPRO_FAST_REFILL_FACTOR", raising=False)
-        assert key_text(determinism_key(
-            "db2", 1000, 42, 16, None, 0.5, mode="exact"
-        )) == exact
-
-    def test_job_key_separates_factor_spaces(self, monkeypatch):
-        from repro.service.spec import Job
-
-        job = Job("repro.experiments.baseline", "db2", None, 1000, 42, mode="fast")
-        monkeypatch.delenv("REPRO_FAST_REFILL_FACTOR", raising=False)
-        first = job.key
-        monkeypatch.setenv("REPRO_FAST_REFILL_FACTOR", "9")
-        assert job.key != first
-        exact_job = Job("repro.experiments.baseline", "db2", None, 1000, 42)
-        exact_key = exact_job.key
-        monkeypatch.delenv("REPRO_FAST_REFILL_FACTOR", raising=False)
-        assert exact_job.key == exact_key
-
-
 class TestCLI:
     def test_clean_path_exits_zero(self, capsys):
         status = lint_main([str(FIXTURES / "clean.py"), "--root", str(REPO_ROOT)])
@@ -352,8 +277,7 @@ class TestCLI:
         payload = json.loads(out.read_text())
         assert payload["clean"] is False
         assert payload["counts"]["RL005"] == 3
-        assert payload["counts"]["RL002"] == 1
-        assert {f["rule"] for f in payload["findings"]} == {"RL002", "RL005"}
+        assert {f["rule"] for f in payload["findings"]} == {"RL005"}
 
     def test_usage_errors_exit_two(self, capsys):
         assert lint_main(["--rules", "RL999", "src"]) == 2
@@ -362,8 +286,8 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005"):
-            assert rule_id in out
+        listed = [line.split()[0] for line in out.splitlines() if line.strip()]
+        assert listed == ["RL001", "RL003", "RL004", "RL005"]
 
     def test_json_report_is_deterministic(self):
         first = run_lint(REPO_ROOT, [FIXTURES])

@@ -2,7 +2,7 @@
 
 A small replay matrix runs under :func:`sys.setprofile`: exact bare,
 outcome-recording and traffic-accounted replays of em3d and db2 under three
-of the reference battery's configurations, one fast-plane replay, one
+of the reference battery's configurations, one bare fast-plane replay, one
 ``run_chunks`` over streamed chunks, one traffic-accounted
 ``run_tse_on_trace`` on the default interconnect, one
 ``TimingSimulator.compare`` and one ``trace_consumptions``.  The test fails
@@ -28,10 +28,10 @@ from repro.coherence import directory, protocol
 from repro.common.chunk import ChunkedTrace
 from repro.experiments.runner import trace_for
 from repro.interconnect import network
-from repro.tse import cmob, engine, simulator, stream_engine, stream_queue, svb
+from repro.tse import cmob, engine, fast_engine, simulator, stream_engine, stream_queue, svb
 
 MODULES = (
-    cmob, svb, stream_queue, stream_engine, engine, simulator,
+    cmob, svb, stream_queue, stream_engine, engine, fast_engine, simulator,
     directory, protocol, network,
 )
 
@@ -79,7 +79,7 @@ def _fresh(workload: str) -> ChunkedTrace:
 
 
 def _replay_matrix(configs) -> None:
-    from repro.common.config import MODE_FAST, InterconnectConfig, TSEConfig
+    from repro.common.config import InterconnectConfig, TSEConfig
     from repro.system.timing import TimingSimulator
     from repro.tse.simulator import TSESimulator, run_tse_on_trace
     from repro.workloads import get_workload
@@ -97,7 +97,7 @@ def _replay_matrix(configs) -> None:
                 replay.run(_fresh(workload), warmup_fraction=0.3)
                 replay.tse.stats.snapshot()
     paper = TSEConfig.paper_default()
-    TSESimulator(NUM_NODES, paper, mode=MODE_FAST).run(_fresh("db2"), warmup_fraction=0.3)
+    TSESimulator(NUM_NODES, paper, mode="fast").run(_fresh("db2"), warmup_fraction=0.3)
     params = WorkloadParams(num_nodes=NUM_NODES, seed=42, target_accesses=ACCESSES)
     TSESimulator(NUM_NODES, paper).run_chunks(
         get_workload("db2", params).stream_chunks(chunk_size=4096),

@@ -152,7 +152,7 @@ class TestReuse:
         config = TSEConfig.paper_default()
         run_tse_on_trace(trace, config, mode="exact")
         run_tse_on_trace(trace, config, warmup_fraction=0.0, mode="exact")
-        run_tse_on_trace(trace, config, account_traffic=True, mode="fast")
+        run_tse_on_trace(trace, config, mode="fast")
         assert not hasattr(trace, "_replay_records")
         traffic_run(trace)
         run_tse_on_trace(trace, config, mode="exact")

@@ -21,6 +21,7 @@ from repro.experiments.runner import format_table
 from repro.service import Campaign, ResultStore, Service
 from repro.service.presets import campaign as preset_campaign
 from repro.service.presets import preset_names
+from repro.service.service import render_stored_campaign
 from repro.service.spec import Job
 
 #: Small but non-trivial trace size (streams actually form).
@@ -227,7 +228,6 @@ class TestCampaignSpec:
             "seed": 43,
             "num_nodes": 4,
             "shared": (("lookahead", 8),),
-            "mode": "fast",
         }
         assert set(changed) == {field.name for field in dataclasses.fields(Job)}
         for name, value in changed.items():
@@ -502,34 +502,126 @@ class TestSchedulerAndService:
         assert ResultStore(tmp_path / "s.sqlite").stats()["results"] == first.total
 
 
-class TestFastModeKeySeparation:
-    """REPRO_FAST_MODE results must never collide with exact results: the
-    mode is part of every determinism key, so the two planes occupy
-    disjoint store rows and cache against themselves only."""
+class TestPersistentKeys:
+    """Key texts pinned as literals: stored rows, the result cache and the
+    perfbench digests all assume these never move.  Both keep the
+    ``("mode", "exact")`` tail they have carried since the fast plane was
+    keyed, and a campaign that asks for any other plane is refused."""
 
-    def test_job_keys_disjoint_across_modes(self):
-        exact_keys = {job.key for job in tiny_campaign().jobs()}
-        fast_keys = {job.key for job in tiny_campaign(mode="fast").jobs()}
-        assert len(exact_keys) == len(fast_keys)
-        assert exact_keys.isdisjoint(fast_keys)
+    @pytest.fixture()
+    def post(self, tmp_path):
+        """``post(body) -> (status, reply)`` against a loopback API."""
+        from repro.service.api import make_server
 
-    def test_planes_store_disjoint_rows_and_cache_separately(self, tmp_path):
-        """The same campaign in both modes: the second mode computes every
-        point (no cross-mode cache hits), the store holds both result
-        sets, and resubmitting either mode recomputes zero jobs."""
-        exact, fast = tiny_campaign(), tiny_campaign(mode="fast")
+        service = Service(store_path=tmp_path / "api.sqlite", max_workers=1)
+        server = make_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+
+        def post(body):
+            request = urllib.request.Request(
+                f"http://{host}:{port}/campaigns", data=json.dumps(body).encode(),
+                headers={"Content-Type": "application/json"}, method="POST",
+            )
+            try:
+                with urllib.request.urlopen(request, timeout=120) as reply:
+                    return reply.status, json.loads(reply.read())
+            except urllib.error.HTTPError as refused:
+                return refused.code, json.loads(refused.read())
+
+        post.service = service
+        yield post
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+    def test_job_key_text_and_id(self):
+        jobs = preset_campaign("fig09", workloads=("db2",), target_accesses=1000,
+                               seed=1234).jobs()
+        job = next(job for job in jobs if job.config[0] == "512B")
+        assert job.key == (
+            "('repro.experiments.fig09_svb', 'db2', ('512B', 8), 1000, 1234, 16, "
+            "(('lookahead', 8),), ('warmup', 0.3), ('mode', 'exact'))"
+        )
+        assert job.job_id == "afc343e7fc03bec5"
+
+    @pytest.mark.parametrize("traffic, tail", [
+        (False, "0.3, False, None, ('mode', 'exact'))"),
+        # Fig. 11's cache key also carries the interconnect's ``repr``.
+        (True, "0.3, True, InterconnectConfig(width=4, height=4, "
+               "hop_latency_ns=25.0, bisection_bandwidth_gbps=128.0, "
+               "header_bytes=16), ('mode', 'exact'))"),
+    ])
+    def test_determinism_key_text(self, traffic, tail):
+        from repro.common.config import SystemConfig
+        from repro.experiments.cache import determinism_key, key_text
+
+        interconnect = SystemConfig.isca2005().interconnect if traffic else None
+        key = determinism_key("db2", 1000, 42, 16, None, 0.3, traffic, interconnect)
+        assert key_text(key) == (
+            "('db2', 1000, 42, 16, TSEConfig(cmob_capacity=262144, "
+            "cmob_entry_bytes=6, cmob_pointers_per_block=2, compared_streams=2, "
+            "stream_lookahead=8, svb_entries=32, stream_queues=8, "
+            "refill_threshold=8, queue_depth=16), " + tail
+        )
+
+    def test_stored_exact_mode_still_loads(self):
+        """Records written by earlier builds carry ``"mode": "exact"``."""
+        spec = tiny_campaign().to_dict()
+        assert "mode" not in spec
+        legacy = Campaign.from_dict({**spec, "mode": "exact"})
+        assert [job.key for job in legacy.jobs()] == [
+            job.key for job in Campaign.from_dict(spec).jobs()
+        ]
+
+    @pytest.mark.parametrize("form", ["campaign", "preset"])
+    def test_exact_mode_body_is_accepted(self, post, form):
+        """Clients of earlier builds send ``"mode": "exact"`` (the CLI's
+        ``submit --url`` always did)."""
+        camp = tiny_campaign()
+        body = ({"campaign": {**camp.to_dict(), "mode": "exact"}} if form == "campaign"
+                else {"preset": "fig09", "workloads": ["db2"],
+                      "target_accesses": ACCESSES, "mode": "exact"})
+        status, reply = post({**body, "wait": True})
+        assert status == 200 and reply["status"] == "done"
+        assert post.service.store.campaign_keys(reply["campaign_id"]) == [
+            job.key for job in camp.jobs()
+        ]
+
+    def test_fast_mode_is_refused(self, post):
+        spec = {**tiny_campaign().to_dict(), "mode": "fast"}
+        with pytest.raises(ValueError, match="exact plane only"):
+            Campaign.from_dict(spec)
+        for body in ({"campaign": spec},
+                     {"preset": "fig09", "workloads": ["db2"], "mode": "fast"}):
+            status, reply = post(body)
+            assert status == 400 and "exact plane only" in reply["error"]
+        assert post.service.store.stats()["campaigns"] == 0
+
+    def test_resume_fails_a_stored_fast_campaign(self, tmp_path):
+        """Resume runs a record an earlier build stored with ``"mode":
+        "exact"`` and marks one stored with ``"fast"`` failed."""
+        camp = tiny_campaign()
+        keys = [job.key for job in camp.jobs()]
+        fast_keys = [key.replace("('mode', 'exact')",
+                                 "('mode', 'fast', ('fast_refill_factor', 4))")
+                     for key in keys]
+        store = ResultStore(tmp_path / "s.sqlite")
+        fast_id = store.create_campaign(
+            json.dumps({**camp.to_dict(), "mode": "fast"}), camp.name, fast_keys
+        )
+        exact_id = store.create_campaign(
+            json.dumps({**camp.to_dict(), "mode": "exact"}), camp.name, keys
+        )
         with Service(store_path=tmp_path / "s.sqlite", max_workers=1) as service:
-            exact_run = service.submit(exact, wait=True)
-            fast_run = service.submit(fast, wait=True)
-            assert exact_run.status == fast_run.status == "done"
-            # No sharing: the fast plane found nothing cached.
-            assert fast_run.computed == fast_run.total and fast_run.cached == 0
-            assert (service.store.stats()["results"]
-                    == exact_run.total + fast_run.total)
-            # Each plane resubmits against its own rows with zero recompute.
-            assert service.submit(exact, wait=True).computed == 0
-            assert service.submit(fast, wait=True).computed == 0
+            resumed = service.resume()
+            assert [run.id for run in resumed] == [exact_id]
+            assert service.wait(resumed[0]).status == "done"
+        assert store.campaign(fast_id)["status"] == "failed"
 
+
+class TestCancelAndResume:
     def test_cancelled_run_hands_in_flight_jobs_to_waiters(self, tmp_path):
         """Cancelling the owning run must not strand a concurrent waiter."""
         import asyncio
@@ -797,7 +889,7 @@ class TestPresetBitIdentity:
             assert run.status == "done"
             assert service.render(run) == direct
             # Re-render from the persisted store (JSON round trip included).
-            assert service.render_campaign(run.id) == direct
+            assert render_stored_campaign(service.store, run.id) == direct
 
 
 class TestWarmupConstant:

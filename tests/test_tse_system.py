@@ -9,7 +9,6 @@ from repro.coherence.messages import MESSAGE_TYPES, MessageType
 from repro.common.config import TSEConfig
 from repro.common.types import TYPE_READ, TYPE_WRITE
 from repro.experiments.runner import trace_for
-from repro.interconnect import TrafficAccountant
 from repro.tse.engine import TemporalStreamingSystem
 from repro.tse.simulator import Outcome, TSESimulator
 
@@ -217,39 +216,26 @@ def _observed(stats):
 
 
 class TestTrafficAccounting:
-    @pytest.mark.parametrize("mode", ["exact", "fast"])
     @pytest.mark.parametrize("label", OBSERVED_CONFIGS)
-    def test_traffic_accounting_only_observes(self, label, mode, battery_configs, monkeypatch):
-        """Counting messages never changes what the replay does.
-
-        An exact run is identical with and without an accountant.  The fast
-        plane switches to the exact plane's refill cadence whenever an
-        accountant is attached (``queue_depth`` windows plus the half-empty
-        top-up, which keep its traffic inside the ±5% band), so its
-        reference is a traffic-on run whose accountant counts nothing.
-        """
+    def test_traffic_accounting_only_observes(self, label, battery_configs):
+        """Counting messages never changes what the replay does: a run is
+        identical with and without an accountant."""
         config = battery_configs[label]
         trace = _db2_trace()
-        counted = TSESimulator(16, config, account_traffic=True, mode=mode).run(
+        counted = TSESimulator(16, config, account_traffic=True).run(
             trace, warmup_fraction=0.3
         )
         assert counted.traffic["overhead.total_bytes"] > 0
-        if mode == "fast":
-            monkeypatch.setattr(TrafficAccountant, "emit", lambda *message: None)
-            monkeypatch.setattr(TrafficAccountant, "emit_addresses", lambda *packet: None)
-        reference = TSESimulator(
-            16, config, account_traffic=mode == "fast", mode=mode
-        ).run(trace, warmup_fraction=0.3)
+        reference = TSESimulator(16, config).run(trace, warmup_fraction=0.3)
         assert _observed(counted) == _observed(reference)
 
-    @pytest.mark.parametrize("mode", ["exact", "fast"])
-    def test_traffic_volumes_include_the_warmup_window(self, mode):
+    def test_traffic_volumes_include_the_warmup_window(self):
         trace = _db2_trace()
         config = TSEConfig.paper_default()
-        whole = TSESimulator(16, config, account_traffic=True, mode=mode).run(
+        whole = TSESimulator(16, config, account_traffic=True).run(
             trace, warmup_fraction=0.0
         )
-        measured = TSESimulator(16, config, account_traffic=True, mode=mode).run(
+        measured = TSESimulator(16, config, account_traffic=True).run(
             trace, warmup_fraction=0.3
         )
         # The warm-up reset restarts the TSE counters but not the accountant.
