@@ -49,6 +49,12 @@ seconds of wall clock):
                               fresh copy of the trace>,
               "accesses_per_s": <n / s>
             },
+            "generate": {             # the workload layer: trace generation
+              "wallclock_s": <best of two generate_chunked() calls, each
+                              on a fresh get_workload(...) generator,
+                              seed 42, 16 nodes>,
+              "accesses_per_s": <generated accesses / s>
+            },
             "timing": {               # Figure 14's base-vs-TSE compare
               "wallclock_s": <best of two cold TimingSimulator.compare
                               calls, each on a fresh copy of the trace
@@ -184,7 +190,8 @@ def _functional_throughput():
     are tracked (and regression-gated) alongside the exact plane's.  Every sample runs
     on a fresh copy of the trace, so it pays the trace's coherence
     classification itself (the no-sharing case); the classification pass
-    alone is the ``classify`` series.
+    alone is the ``classify`` series.  The ``generate`` series times the
+    layer before all of them: a fresh generator producing the trace.
     """
     from repro.coherence.protocol import trace_codes
     from repro.common.chunk import ChunkedTrace, stream_chunk_size
@@ -197,6 +204,8 @@ def _functional_throughput():
     from repro.experiments.runner import trace_for
     from repro.system.timing import TimingSimulator
     from repro.tse.simulator import run_tse_on_trace
+    from repro.workloads import get_workload
+    from repro.workloads.base import WorkloadParams
 
     accesses = min(BENCH_ACCESSES, 80_000)
     system = SystemConfig.isca2005()
@@ -234,6 +243,14 @@ def _functional_throughput():
                 measure(fresh)
                 samples.append(time.perf_counter() - start)
             timings[series] = min(samples)
+        # Trace generation: best of two, a fresh generator each time.
+        params = WorkloadParams(num_nodes=16, seed=42, target_accesses=accesses)
+        samples = []
+        for _ in range(2):
+            start = time.perf_counter()
+            generated = len(get_workload(workload, params).generate_chunked())
+            samples.append(time.perf_counter() - start)
+        generate_elapsed = min(samples)
         elapsed, fast_elapsed = timings["exact"], timings["fast"]
         traffic_elapsed = timings["traffic"]
         timing_elapsed = timings["timing"]
@@ -271,6 +288,12 @@ def _functional_throughput():
                 "wallclock_s": round(classify_elapsed, 3),
                 "accesses_per_s": (
                     round(accesses / classify_elapsed) if classify_elapsed > 0 else 0
+                ),
+            },
+            "generate": {
+                "wallclock_s": round(generate_elapsed, 3),
+                "accesses_per_s": (
+                    round(generated / generate_elapsed) if generate_elapsed > 0 else 0
                 ),
             },
         }

@@ -2,13 +2,19 @@
 
 Every stochastic component (workload generators, replacement tie-breaking)
 draws from a :class:`DeterministicRNG` seeded explicitly, so experiment
-results are reproducible bit-for-bit.
+results are reproducible bit-for-bit.  The Zipf inverse CDF is a pure
+function of ``(n, alpha)``, so one read-only table per pair serves every
+generator in the process (:func:`_zipf_cdf`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import random
+from array import array
+from bisect import bisect_left
 from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -33,6 +39,21 @@ def backoff_delay(
     salt = int(hashlib.sha256(key.encode()).hexdigest()[:8], 16)
     rng = DeterministicRNG(salt).fork(attempt)
     return min(cap, base * (2 ** (attempt - 1))) * (0.5 + 0.5 * rng.random())
+
+
+@functools.lru_cache(maxsize=None)
+def _zipf_cdf(n: int, alpha: float) -> array:
+    """The truncated Zipf inverse CDF over ``n`` items: entry ``i`` is the
+    running sum of the normalised harmonic weights ``1 / (j + 1) ** alpha``
+    for ``j <= i``, added in index order (so the floats, the last one's
+    rounding below 1.0 included, are the same wherever it is built).
+
+    Built once per ``(n, alpha)`` per process and shared by every
+    :class:`DeterministicRNG`; callers only read it.
+    """
+    weights = [1.0 / ((i + 1) ** alpha) for i in range(n)]
+    total = sum(weights)
+    return array("d", itertools.accumulate(w / total for w in weights))
 
 
 class DeterministicRNG:
@@ -87,33 +108,14 @@ class DeterministicRNG:
 
         OLTP and web-server workloads exhibit highly skewed access frequency
         to warehouses / pages / files; a truncated Zipf captures that skew.
-        Uses inverse-CDF over the harmonic weights, computed lazily and cached
-        per (n, alpha).
+        One uniform draw is inverted through the process-wide table of
+        :func:`_zipf_cdf`: the first index whose entry reaches it, clamped
+        to ``n - 1`` (the last entry can round below a draw).
         """
         if n <= 0:
             raise ValueError("n must be positive")
-        key = (n, alpha)
-        cdf = self._zipf_cache.get(key) if hasattr(self, "_zipf_cache") else None
-        if cdf is None:
-            if not hasattr(self, "_zipf_cache"):
-                self._zipf_cache = {}
-            weights = [1.0 / ((i + 1) ** alpha) for i in range(n)]
-            total = sum(weights)
-            cumulative = 0.0
-            cdf = []
-            for w in weights:
-                cumulative += w / total
-                cdf.append(cumulative)
-            self._zipf_cache[key] = cdf
-        u = self._rng.random()
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        cdf = _zipf_cdf(n, alpha)
+        return bisect_left(cdf, self._rng.random(), 0, n - 1)
 
     def geometric(self, p: float) -> int:
         """Number of Bernoulli(p) failures before the first success (>= 0)."""

@@ -38,7 +38,9 @@ import time
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.common.sqlitedb import ConnectionPool, write
 
 # --------------------------------------------------------------- event types
 #: Job lifecycle (per sweep point, within one campaign's stream).
@@ -129,20 +131,27 @@ class EventLog:
 
     Owns the ``events`` DDL (the pattern every table in the shared file
     follows: exactly one owner class), instantiated from
-    ``ResultStore.__init__``.  Sequence numbers are allocated inside the
+    ``ResultStore.__init__``, which passes its connection ``pool`` so the
+    store and its log borrow from one :class:`ConnectionPool`; a log
+    opened on a bare path gets a pool of its own, whose connections close
+    when the log is dropped.  Sequence numbers are allocated inside the
     same immediate transaction as the insert, so they are gapless and
     strictly monotone per campaign no matter how many threads publish.
     """
 
-    def __init__(self, path: "Path | str") -> None:
+    def __init__(
+        self, path: "Path | str", pool: Optional[ConnectionPool] = None,
+    ) -> None:
         self.path = Path(path)
+        self._pool = (
+            pool if pool is not None
+            else ConnectionPool(self.path, row_factory=sqlite3.Row)
+        )
         with self._connect() as conn:
             conn.executescript(_SCHEMA)
 
-    def _connect(self) -> sqlite3.Connection:
-        from repro.common.sqlitedb import connect
-
-        return connect(self.path, row_factory=sqlite3.Row)
+    def _connect(self) -> ContextManager[sqlite3.Connection]:
+        return self._pool.connection()
 
     # ------------------------------------------------------------- appending
     def append(
@@ -155,8 +164,6 @@ class EventLog:
         self, campaign_id: int, entries: Sequence[Tuple[str, Dict[str, Any]]],
     ) -> List[Event]:
         """Append a batch of events in one transaction (one seq range)."""
-        from repro.common.sqlitedb import write
-
         if not entries:
             return []
         return write(self._connect, lambda conn: self.insert(conn, campaign_id, entries))

@@ -59,9 +59,11 @@ from repro.service.metrics import MetricsRegistry
 from repro.service.spec import Campaign, Job
 from repro.service.store import LEASE_EXPIRED, ResultStore
 
-#: Per-job states the breakdown in ``GET /campaigns/<id>`` reports.
+#: Per-job states the breakdown in ``GET /campaigns/<id>`` reports;
+#: ``cancelled`` is a job its campaign's cancel dropped from the queue.
 JOB_STATES: Tuple[str, ...] = (
     "queued", "leased", "running", "completed", "retrying", "quarantined",
+    "cancelled",
 )
 
 
@@ -570,10 +572,11 @@ class Scheduler:
                     self._finish(waiter)
 
     def _hand_over_cancelled_batch(self, run: CampaignRun, batch: List[Job]) -> None:
-        """A cancelled run's batch is dropped — but any job other runs are
-        waiting on is re-queued under its first waiter, so cancellation
-        never strands a concurrent campaign."""
+        """A cancelled run's batch is dropped (its jobs read ``cancelled``)
+        — but any job other runs are waiting on is re-queued under its
+        first waiter, so cancellation never strands a concurrent campaign."""
         for job in batch:
+            run.states[job.key] = "cancelled"
             self._inflight.pop(job.key, None)
             waiters = self._waiters.pop(job.key, None)
             if waiters:

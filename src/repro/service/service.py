@@ -64,7 +64,8 @@ def stored_progress(store: ResultStore, campaign_id: int) -> Optional[Dict[str, 
     ``GET /campaigns/<id>`` serves for a campaign not live in this process,
     and what the CLI's local ``status <id>`` prints.  The breakdown derives
     from the store alone: a key with a row is completed, one flagged
-    quarantined (no row, out of attempts) is quarantined, the rest queued."""
+    quarantined (no row, out of attempts) is quarantined, the rest queued,
+    or cancelled when the campaign was (its cancel dropped them)."""
     record = store.campaign(campaign_id)
     if record is None:
         return None
@@ -74,7 +75,8 @@ def stored_progress(store: ResultStore, campaign_id: int) -> Optional[Dict[str, 
     states = {state: 0 for state in JOB_STATES}
     states["completed"] = stored
     states["quarantined"] = quarantined
-    states["queued"] = len(keys) - stored - quarantined
+    rest = "cancelled" if record["status"] == "cancelled" else "queued"
+    states[rest] = len(keys) - stored - quarantined
     return {
         "campaign_id": record["id"],
         "name": record["name"],
@@ -305,12 +307,15 @@ class Service:
         return report
 
     def close(self) -> None:
+        """Stop the scheduler and its loop, then close the store's
+        connections."""
         try:
             self._call(self.scheduler.close(), timeout=30)
         finally:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=10)
             self._loop.close()
+            self.store.close()
 
     def __enter__(self) -> "Service":
         return self

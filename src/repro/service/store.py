@@ -7,9 +7,13 @@ recompute nothing, and any number of campaigns share one copy of each
 point.  Campaign membership (ordering included) is stored separately, so a
 campaign's table can always be reassembled row-for-row.
 
-Connections are opened per operation (cheap for this workload) which makes
-the store trivially safe to use from the scheduler's event-loop thread, the
-HTTP server's handler threads, and pool worker processes at the same time;
+Each operation borrows a connection from the store's
+:class:`~repro.common.sqlitedb.ConnectionPool` (shared with the
+:class:`~repro.service.events.EventLog` it owns) and gives it back when its
+transaction ends, so the store is safe to use from the scheduler's
+event-loop thread and the HTTP server's handler threads at once, and opens
+no more connections than it runs operations at once.
+:meth:`ResultStore.close` (which ``Service.close`` calls) closes them.
 WAL journaling plus a busy timeout handles the cross-process writes, and
 every mutation runs through :meth:`ResultStore._write` — a retrying
 ``BEGIN IMMEDIATE`` transaction (:func:`repro.common.sqlitedb.write`) — so
@@ -55,9 +59,10 @@ import os
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, ContextManager, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import service_store_override
+from repro.common.sqlitedb import ConnectionPool, close_pools, write
 
 #: Environment variable naming the default store location.
 STORE_ENV = "REPRO_SERVICE_STORE"
@@ -238,9 +243,11 @@ class ResultStore:
         self.path = Path(path) if path is not None else default_store_path()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.checksums = checksums
+        self._pool = ConnectionPool(self.path, row_factory=sqlite3.Row)
         self._ensure_schema()
-        # The events table shares this file; its DDL's one owner is EventLog.
-        self.event_log = EventLog(self.path)
+        # The events table shares this file (and its connections); its
+        # DDL's one owner is EventLog.
+        self.event_log = EventLog(self.path, pool=self._pool)
 
     # ------------------------------------------------------ schema versioning
     def _ensure_schema(self) -> None:
@@ -283,17 +290,20 @@ class ResultStore:
         """Whether a store file already exists (without creating one)."""
         return Path(path if path is not None else default_store_path()).is_file()
 
-    def _connect(self) -> sqlite3.Connection:
-        from repro.common.sqlitedb import connect
-
-        return connect(self.path, row_factory=sqlite3.Row)
+    def _connect(self) -> ContextManager[sqlite3.Connection]:
+        """Borrow a pooled connection for one ``with`` block: committed
+        when it ends, rolled back if it raises."""
+        return self._pool.connection()
 
     def _write(self, mutate):
         """Run ``mutate(conn)`` in one retrying ``BEGIN IMMEDIATE``
         transaction (:func:`repro.common.sqlitedb.write`)."""
-        from repro.common.sqlitedb import write
-
         return write(self._connect, mutate)
+
+    def close(self) -> None:
+        """Close the store's connections (its event log's included); an
+        operation after this opens a fresh one."""
+        self._pool.close()
 
     # ------------------------------------------------------------- results
     def _insert_results(
@@ -773,8 +783,12 @@ class ResultStore:
         The backup must open, pass ``PRAGMA integrity_check``, and not
         come from a newer build; otherwise nothing is written.  Run this
         offline — restoring under a live service on the same path is a
-        concurrent-writer corruption hazard by sqlite's own rules.
-        Returns the opened (and, if needed, migrated) store.
+        concurrent-writer corruption hazard by sqlite's own rules.  This
+        process's idle connections to the path are closed first, so the
+        restore's own connection is the file's last and checkpoints the
+        restored image into it; a store that held them reopens the
+        restored file on its next operation.  Returns the opened (and, if
+        needed, migrated) store.
         """
         source_path = Path(backup_path)
         if not source_path.is_file():
@@ -794,6 +808,7 @@ class ResultStore:
                 )
             target = Path(store_path)
             target.parent.mkdir(parents=True, exist_ok=True)
+            close_pools(target)
             out = sqlite3.connect(target)
             try:
                 source.backup(out)

@@ -96,6 +96,35 @@ class TestDeterministicRNG:
         # uniform distribution would produce.
         assert draws.count(0) > 2000 / 100 * 2
 
+    # Literal draws, taken from the per-instance table the shared one
+    # replaced: the workloads' (n, alpha) shapes, apache/zeus's 32,758-item
+    # pool included.
+    @pytest.mark.parametrize("n, alpha, draws", [
+        (80, 0.6, [1, 19, 19, 57, 1, 4, 27, 23, 47, 22, 40, 45]),
+        (256, 0.4, [9, 84, 86, 200, 7, 23, 112, 99, 172, 96, 153, 166]),
+        (32758, 0.8, [15, 1767, 1902, 16852, 10, 92, 3664, 2671, 11240, 2504,
+                      8329, 10326]),
+    ])
+    def test_zipf_draws_are_pinned(self, n, alpha, draws):
+        rng = DeterministicRNG(2026)
+        assert [rng.zipf(n, alpha) for _ in range(len(draws))] == draws
+
+    def test_zipf_draw_above_the_last_entry_is_the_last_item(self):
+        # The (80, 0.6) table's last entry rounds to 0.9999999999999997.
+        rng = DeterministicRNG(1)
+        rng._rng.random = lambda: 1.0 - 2.0 ** -53
+        assert rng.zipf(80, 0.6) == 79
+
+    def test_zipf_of_one_item_still_draws(self):
+        rng = DeterministicRNG(2026)
+        assert [rng.zipf(1, 0.5) for _ in range(3)] == [0, 0, 0]
+        assert rng.random() == 0.8600005876492754  # the stream's 4th draw
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_zipf_rejects_an_empty_range(self, n):
+        with pytest.raises(ValueError):
+            DeterministicRNG(1).zipf(n, 0.5)
+
     def test_bernoulli_extremes(self):
         rng = DeterministicRNG(1)
         assert not any(rng.bernoulli(0.0) for _ in range(100))

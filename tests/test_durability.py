@@ -524,6 +524,25 @@ class TestBackupRestore:
             for event in restored.event_log.after(campaign_id, 0)
         ] == [(1, CAMPAIGN_FINISHED, {"status": "failed"})]
 
+    def test_restore_onto_a_store_this_process_opened(self, tmp_path):
+        """Restoring over a path this process has open and has written
+        installs the backup: the store reopens, reads the backup's rows
+        (not the rows written after it) and passes fsck."""
+        backup_path = tmp_path / "backup.sqlite"
+        _seeded_store(tmp_path).backup(backup_path)
+        target = tmp_path / "live.sqlite"
+        live = ResultStore(target)
+        live.put_result("written", "j-w", "fig09", "db2", [{"i": 7}])
+        restored = ResultStore.restore(backup_path, target)
+        reopened = ResultStore(target)
+        for store in (restored, reopened, live):
+            assert [store.get_result(f"k{i}") for i in range(3)] == [
+                [{"i": 0}], [{"i": 1}], [{"i": 2}]
+            ]
+            assert store.get_result("written") is None
+        report = reopened.fsck()
+        assert report["ok"] and report["results"] == 3
+
     def test_restore_missing_backup_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ResultStore.restore(tmp_path / "nope.sqlite", tmp_path / "t.sqlite")

@@ -3,8 +3,13 @@
 The fast paths added for the sensitivity sweeps — the shared result cache,
 the parallel experiment runner, and the timing model's replay record — must be
 invisible in the results: parallel == serial, cached == uncached, bit for
-bit.  These tests lock that in on small traces.
+bit.  These tests lock that in on small traces.  The BENCH gate's series
+reader (``benchmarks/check_bench_regression.py``) is checked here too.
 """
+
+import importlib.util
+import json
+import pathlib
 
 from repro.common.config import SystemConfig, TSEConfig
 from repro.experiments import fig07_compared_streams, fig08_lookahead
@@ -146,3 +151,41 @@ class TestStreamingIngestionDeterminism:
             streamed.stream_length_hist.buckets()
             == direct.stream_length_hist.buckets()
         )
+
+
+def _load_bench_gate():
+    path = (pathlib.Path(__file__).resolve().parent.parent
+            / "benchmarks" / "check_bench_regression.py")
+    spec = importlib.util.spec_from_file_location("check_bench_regression", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _artifact(generate=None):
+    entry = {"accesses_per_s": 100_000,
+             "classify": {"wallclock_s": 0.1, "accesses_per_s": 800_000}}
+    if generate is not None:
+        entry["generate"] = {"wallclock_s": 0.5, "accesses_per_s": generate}
+    return {"functional_sim": {"per_class": {"db2": entry}}}
+
+
+class TestBenchGateSeries:
+    def test_generate_series_is_read(self):
+        gate = _load_bench_gate()
+        assert gate.throughputs(_artifact(generate=160_000)) == {
+            "db2": 100_000.0, "db2.classify": 800_000.0,
+            "db2.generate": 160_000.0,
+        }
+
+    def test_committed_file_without_the_series_skips_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        gate = _load_bench_gate()
+        fresh, committed = tmp_path / "fresh.json", tmp_path / "committed.json"
+        # A fresh generate rate far below anything: nothing to gate it on.
+        fresh.write_text(json.dumps(_artifact(generate=1)))
+        committed.write_text(json.dumps(_artifact()))
+        monkeypatch.setattr("sys.argv", ["check", str(fresh), str(committed)])
+        assert gate.main() == 0
+        assert "generate" not in capsys.readouterr().out

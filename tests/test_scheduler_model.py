@@ -30,7 +30,9 @@ After every step the invariants check the service's guarantees:
   computes zero jobs;
 * a campaign's terminal event follows all of its job events;
 * a live run's accounting adds up, and a local lease is never expired by
-  the sweeper.
+  the sweeper;
+* a cancelled run whose batches have left the queue reports no ``queued``
+  key, except one it waits on another run to compute.
 
 After ``run_to_completion`` (crashes and resumes included) every campaign
 id in the store is terminal, and one the model did not cancel is ``done``
@@ -179,6 +181,7 @@ class SchedulerModel(RuleBasedStateMachine):
             self._run(self.scheduler.close())
         finally:
             self.loop.close()
+            self.store.close()
             shutil.rmtree(self.tmp, ignore_errors=True)
 
     # ----------------------------------------------------------------- rules
@@ -349,6 +352,21 @@ class SchedulerModel(RuleBasedStateMachine):
                 assert settled + run.remaining <= run.total
             else:
                 assert settled + run.remaining == run.total
+
+    @invariant()
+    def a_cancelled_run_drops_its_queued_keys(self):
+        scheduler = self.scheduler
+        for run in self.runs:
+            if not run.cancelled or any(
+                entry[2] is run for entry in scheduler._queue._queue
+            ):
+                continue
+            waited = {
+                key for key, waiters in scheduler._waiters.items()
+                if any(waiter is run for waiter in waiters)
+            }
+            queued = {key for key, state in run.states.items() if state == "queued"}
+            assert queued <= waited, queued - waited
 
     @invariant()
     def one_verdict_per_key_and_the_terminal_event_last(self):

@@ -10,6 +10,7 @@ output, and the shared warm-up constant.
 
 import inspect
 import json
+import sqlite3
 import threading
 import urllib.error
 import urllib.request
@@ -715,6 +716,107 @@ class TestCancelAndResume:
         assert run.status == "cancelled"
         assert run.computed == 0
         assert ResultStore(tmp_path / "s.sqlite").stats()["results"] == 0
+
+    def test_dropped_jobs_read_cancelled_live_and_stored(self, tmp_path):
+        """A campaign cancelled before it runs reports its four dropped
+        jobs as cancelled, not queued, in the live and the stored view."""
+        import asyncio
+
+        from repro.service.scheduler import Scheduler
+        from repro.service.service import stored_progress
+
+        store = ResultStore(tmp_path / "s.sqlite")
+
+        async def scenario():
+            scheduler = Scheduler(store, max_workers=1, batch_size=1)
+            run = await scheduler.submit(tiny_campaign())
+            scheduler.cancel(run)
+            await scheduler.wait(run)
+            await scheduler.close()
+            return run
+
+        run = asyncio.run(scenario())
+        assert run.status == "cancelled" and run.total == 4
+        stored = stored_progress(store, run.id)
+        assert stored["status"] == "cancelled"
+        for states in (run.progress()["states"], stored["states"]):
+            assert states.get("cancelled") == 4 and states["queued"] == 0
+
+
+@pytest.fixture()
+def connections(monkeypatch):
+    """Counts every ``sqlite3.connect`` call (``opened``) and the
+    connections so opened that nobody has closed yet (``open``)."""
+    tally = {"opened": 0, "open": 0}
+    lock = threading.Lock()
+    real_connect = sqlite3.connect
+
+    class Counted(sqlite3.Connection):
+        closed = False
+
+        def close(self):
+            with lock:
+                if not self.closed:
+                    self.closed = True
+                    tally["open"] -= 1
+            super().close()
+
+    def counting_connect(*args, **kwargs):
+        conn = real_connect(*args, factory=Counted, **kwargs)
+        with lock:
+            tally["opened"] += 1
+            tally["open"] += 1
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    return tally
+
+
+class TestConnectionBound:
+    """The store keeps its connections open across operations, so their
+    count follows the operations running at once, not the operations run."""
+
+    def test_a_campaign_opens_a_handful_of_connections(self, tmp_path, connections):
+        campaign = Campaign(
+            name="bound", experiment="repro.experiments.fig09_svb",
+            workloads=("db2",), seeds=(1, 2, 3, 4, 5), trace_sizes=(1_000,),
+        )
+        with Service(store_path=tmp_path / "s.sqlite", max_workers=1,
+                     batch_size=1) as service:
+            run = service.submit(campaign, wait=True)
+            assert run.status == "done" and run.computed == run.total >= 20
+            assert len(service.results(run)) == run.total
+            leases = sum(row["leases"] for row in service.store.workers())
+            assert leases == run.total  # one batch, one lease, per job
+        assert connections["opened"] <= 4
+        assert connections["open"] == 0
+
+    def test_served_requests_reuse_connections(self, tmp_path, connections):
+        from repro.service.api import make_server
+
+        service = Service(store_path=tmp_path / "s.sqlite", max_workers=1)
+        server = make_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        paths = ("/campaigns", "/results?limit=5", "/workers", "/metrics",
+                 "/jobs/none", "/campaigns/1")
+        try:
+            for index in range(200):
+                try:
+                    with urllib.request.urlopen(
+                        base + paths[index % len(paths)], timeout=30
+                    ) as reply:
+                        reply.read()
+                except urllib.error.HTTPError as exc:
+                    assert exc.code == 404
+            assert connections["open"] <= 4
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert connections["opened"] <= 4
+        assert connections["open"] == 0
 
 
 class TestHTTPSmoke:

@@ -1,5 +1,8 @@
 """Workload generator tests: determinism, structure, and sharing behaviour."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.coherence.protocol import trace_consumptions
@@ -53,6 +56,35 @@ class TestAddressSpace:
     def test_zero_size_region_rejected(self):
         with pytest.raises(ValueError):
             AddressSpace().allocate("a", 0)
+
+
+#: Each registered workload's trace at 16 nodes, seed 42 and a 1,000-access
+#: target: (digest of its columns, accesses).  Any drift in generation, the
+#: shared Zipf table included, fails here before it reaches a figure.
+TRACE_PINS = {
+    "em3d": ("180c420702c83846", 13312),
+    "moldyn": ("780af3e8a0c8ca37", 6432),
+    "ocean": ("82af03837f8eb9e2", 10240),
+    "sparse": ("4ea400875dba6d53", 13824),
+    "apache": ("d2ee66c3f40e8ae0", 1046),
+    "db2": ("b7fb02648bac38ef", 1018),
+    "oracle": ("4121c49c05baf386", 1023),
+    "zeus": ("54f3ab1cdd774446", 1000),
+    "jbb": ("733a316c212e96a3", 1015),
+}
+
+
+def test_every_registered_workload_is_pinned():
+    assert sorted(TRACE_PINS) == sorted(available_workloads())
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_PINS))
+def test_trace_payload_is_pinned(name):
+    params = WorkloadParams(num_nodes=16, seed=42, target_accesses=1000)
+    trace = get_workload(name, params).generate_chunked()
+    columns = [list(column) for column in zip(*records(trace))]
+    digest = hashlib.sha256(json.dumps(columns).encode()).hexdigest()[:16]
+    assert (digest, len(trace)) == TRACE_PINS[name]
 
 
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
