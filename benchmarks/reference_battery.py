@@ -4,6 +4,8 @@ Runs a fixed matrix of simulations — every workload under several TSE
 configurations (including wraparound-heavy tiny CMOBs, single/many compared
 streams, tiny SVBs), outcome-recording runs, bare runs (no recording, no
 traffic: the loop every sweep runs), column-less streamed input,
+Fig. 9 and Fig. 10 size ladders requested through ``run_tse_on_trace`` on
+one trace object (which a bare record may answer without a replay),
 traffic-accounting runs (over a trace and over streamed input, under
 evicting and wrapping configurations, and for an 8-node trace on its own
 torus and on a larger one), a warm-state run (measured after a replayed
@@ -84,6 +86,39 @@ def bare_cell(workload: str, config: TSEConfig) -> dict:
     trace = trace_for(workload, ACCESSES, SEED, NUM_NODES)
     simulator = TSESimulator(NUM_NODES, tse_config=config)
     return _stats_row(simulator, simulator.run(trace, warmup_fraction=0.3))
+
+
+#: Fig. 9's SVB sizes plus a 4-entry rung, and Fig. 10's CMOB sizes, in entries.
+LADDER_SVB = (4, 8, 32, 128, 1 << 20)
+LADDER_CMOB = (32, 128, 512, 2048, 8192, 32768, 131072, 524288)
+
+
+def ladder_cell(workload: str) -> dict:
+    """Bare exact requests through ``run_tse_on_trace``, as Figs. 9 and 10
+    make them: the SVB and CMOB ladders ascending on one trace object, and
+    the SVB ladder descending on a fresh copy."""
+    from repro.common.chunk import ChunkedTrace
+    from repro.tse.simulator import run_tse_on_trace
+
+    source = trace_for(workload, ACCESSES, SEED, NUM_NODES)
+    base = TSEConfig.paper_default()
+
+    def rows(trace, configs) -> list:
+        out = []
+        for config in configs:
+            stats = run_tse_on_trace(trace, config)
+            out.append({**stats.as_dict(), "stream_length_hist":
+                        sorted(stats.stream_length_hist.buckets().items())})
+        return out
+
+    svb = [base.with_(svb_entries=entries) for entries in LADDER_SVB]
+    trace = ChunkedTrace.from_payload(source.to_payload())
+    return {
+        "svb_ascending": rows(trace, svb),
+        "cmob_ascending": rows(trace, [base.with_(cmob_capacity=capacity)
+                                       for capacity in LADDER_CMOB]),
+        "svb_descending": rows(ChunkedTrace.from_payload(source.to_payload()), svb[::-1]),
+    }
 
 
 def streamed_cell(workload: str) -> dict:
@@ -242,6 +277,8 @@ def main() -> int:
                 cells[f"{label}_bare"] = bare_cell(workload, config)
         battery[workload] = cells
         print(f"{workload}: functional done", flush=True)
+    battery["ladders"] = {w: ladder_cell(w) for w in WORKLOADS}
+    print("ladders done", flush=True)
     battery["streamed"] = {w: streamed_cell(w) for w in ("em3d", "db2")}
     print("streamed done", flush=True)
     battery["traffic"] = {w: traffic_cell(w) for w in ("em3d", "db2", "apache")}

@@ -24,6 +24,12 @@ deterministic given a trace and a configuration, so a cache hit is
 bit-identical to a fresh run — the determinism regression test in
 ``tests/test_perf_infra.py`` locks this in.
 
+A miss is not always a replay.  Below this cache, the trace object keeps
+its bare exact replays (:func:`~repro.tse.simulator.run_tse_on_trace`), and
+one whose SVB never evicted and whose CMOBs never wrapped answers the same
+point with a larger SVB or CMOB.  Figure 9's and Figure 10's ladders miss
+here once per size but replay only the sizes that bind.
+
 Cached :class:`~repro.tse.simulator.TSEStats` objects are shared between
 callers and must be treated as read-only.  Call :func:`clear_cache` to
 invalidate everything (for example after mutating simulator code in a

@@ -127,6 +127,11 @@ class Job:
     num_nodes: int = 16
     shared: Tuple[Tuple[str, Any], ...] = ()
 
+    def __post_init__(self) -> None:
+        # The key text, built on the first read of ``key``.  A plain
+        # attribute, not a field: it joins no comparison, hash or wire form.
+        object.__setattr__(self, "_key", None)
+
     @property
     def key(self) -> str:
         """Canonical determinism-key text (the persistent store's primary key).
@@ -135,14 +140,19 @@ class Job:
         functions bake it in implicitly via ``DEFAULT_WARMUP_FRACTION``, and
         persisted results must not survive a change to it as false cache
         hits.  The literal ``("mode", "exact")`` tail keeps every key
-        persisted since the fast plane existed byte-identical.
+        persisted since the fast plane existed byte-identical.  The text is
+        built once per job: the scheduler reads it many times.
         """
-        return key_text((
-            self.experiment, self.workload, self.config, self.target_accesses,
-            self.seed, self.num_nodes, self.shared,
-            ("warmup", DEFAULT_WARMUP_FRACTION),
-            ("mode", "exact"),
-        ))
+        text: Optional[str] = getattr(self, "_key")
+        if text is None:
+            text = key_text((
+                self.experiment, self.workload, self.config, self.target_accesses,
+                self.seed, self.num_nodes, self.shared,
+                ("warmup", DEFAULT_WARMUP_FRACTION),
+                ("mode", "exact"),
+            ))
+            object.__setattr__(self, "_key", text)
+        return text
 
     @property
     def job_id(self) -> str:

@@ -842,7 +842,13 @@ class ResultStore:
             "leases": leases,
             "quarantined": quarantined,
             "events": events,
-            "bytes": self.path.stat().st_size if self.path.exists() else 0,
+            # Kept connections leave recent pages in the WAL until a
+            # checkpoint, so the store's size is both files'.
+            "bytes": sum(
+                path.stat().st_size
+                for path in (self.path, Path(str(self.path) + "-wal"))
+                if path.exists()
+            ),
         }
 
     def clear(self) -> Dict[str, int]:

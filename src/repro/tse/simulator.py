@@ -57,7 +57,27 @@ Figure 11's traffic-accounted replay and the timing model's outcome labels
 :func:`replay_record` memoizes one exact-plane replay per trace and
 configuration that serves both: the measured window with its traffic, the
 warm-up-0 window, and the outcome columns.  Bare replays (no traffic, no
-outcomes), the loop every sweep runs, never read or write it.
+outcomes), the loop every sweep runs, never read or write it: perfbench
+checks a traffic run against an independent bare replay, and a record
+serving the bare side would check the record against itself.
+
+Bare exact replays have their own memo on the trace object, which lets a
+Fig. 9 or Fig. 10 size ladder replay only where the size binds.  The exact
+plane reads the SVB capacity only at :meth:`TemporalStreamingSystem.deliver_all
+<repro.tse.engine.TemporalStreamingSystem.deliver_all>`'s eviction check,
+and the CMOB capacity only once an offset wraps (``_record``'s slot and
+:meth:`CMOB.extend_into <repro.tse.cmob.CMOB.extend_into>`'s staleness test
+and slot).  So a replay whose SVB never evicted takes the same steps with
+any larger SVB, and a replay whose CMOBs never wrapped takes the same steps
+with any CMOB of at least its high-water mark (the largest append count of
+any node).  Each :class:`BareRecord` keeps a replay's statistics with those
+two facts, and a bare ``run_tse_on_trace`` returns a record's statistics
+when its configuration differs from the record's in those capacities alone,
+within those limits (:meth:`BareRecord.serves`); otherwise it replays and
+adds a record.  A smaller SVB is never answered: no record tracks peak
+occupancy.  A capacity read added anywhere else in the exact plane breaks
+this; ``tests/test_bare_replays.py`` checks the answers against fresh
+replays under sizes that evict and wrap.
 """
 
 from __future__ import annotations
@@ -242,6 +262,9 @@ class TSESimulator:
             )
         self.stats = TSEStats()
         self.warmup_stats = TSEStats()
+        #: Blocks the SVB evicted for lack of room over the whole replay,
+        #: warm-up included (a write's invalidation is not an eviction).
+        self.svb_evictions = 0
 
     @staticmethod
     def _default_interconnect(num_nodes: int) -> InterconnectConfig:
@@ -262,6 +285,7 @@ class TSESimulator:
         )
         self.stats.blocks_fetched += fetched
         self.stats.discarded_blocks += discarded
+        self.svb_evictions += discarded
 
     # --------------------------------------------------------------------- run
     def run(self, trace: ChunkedTrace, warmup_fraction: float = 0.0) -> TSEStats:
@@ -710,6 +734,62 @@ def replay_record(
     return record
 
 
+@dataclass(frozen=True)
+class BareRecord:
+    """One bare exact-plane replay of a trace, and whether its sizes bound it.
+
+    ``evicted`` says whether the SVB ever evicted a block for lack of room,
+    and ``high_water`` is the largest CMOB append count of any node: a CMOB
+    of at least that capacity never wraps.
+    """
+
+    stats: TSEStats
+    svb_entries: int
+    evicted: bool
+    cmob_capacity: int
+    high_water: int
+
+    def serves(self, svb_entries: int, cmob_capacity: int) -> bool:
+        """True when a replay with these sizes takes every step this one took."""
+        return (
+            svb_entries == self.svb_entries
+            or not self.evicted and svb_entries > self.svb_entries
+        ) and (
+            cmob_capacity == self.cmob_capacity
+            or self.high_water <= self.cmob_capacity and cmob_capacity >= self.high_water
+        )
+
+
+def _bare_replay(trace: ChunkedTrace, config: TSEConfig, warmup_fraction: float) -> TSEStats:
+    """A bare exact replay's statistics, replaying only where the sizes bind.
+
+    Memoized on the trace object and keyed by the trace's length, the
+    warm-up access count and every configuration field but the SVB and
+    CMOB capacities.  A record serves the request when :meth:`BareRecord.serves`
+    holds; otherwise one replay adds a record (see the module docstring).
+    """
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError("warmup_fraction must be in [0, 1)")
+    memo = getattr(trace, "_bare_replays", None)
+    if memo is None or memo[0] != len(trace):
+        memo = trace._bare_replays = (len(trace), {})  # type: ignore[attr-defined]
+    warmup = int(len(trace) * warmup_fraction)
+    records = memo[1].setdefault(
+        (warmup, replace(config, svb_entries=1, cmob_capacity=1)), []
+    )
+    svb_entries, cmob_capacity = config.svb_entries, config.cmob_capacity
+    for record in records:
+        if record.serves(svb_entries, cmob_capacity):
+            return record.stats
+    simulator = TSESimulator(trace.num_nodes, tse_config=config)
+    stats = simulator.run(trace, warmup_fraction=warmup_fraction)
+    records.append(BareRecord(
+        stats, svb_entries, simulator.svb_evictions > 0, cmob_capacity,
+        max(node.cmob._appended for node in simulator.tse.nodes),
+    ))
+    return stats
+
+
 def run_tse_on_trace(
     trace: ChunkedTrace,
     tse_config: Optional[TSEConfig] = None,
@@ -727,11 +807,16 @@ def run_tse_on_trace(
 
     A traffic-accounted exact run is the measured window of the trace's
     :func:`replay_record`, so a later ``TimingSimulator.compare`` under the
-    same configuration replays nothing; the result is shared, read-only.
-    Every other run replays afresh.
+    same configuration replays nothing.  A bare exact run is served by the
+    trace's bare records (:func:`_bare_replay`), so a Fig. 9 or Fig. 10
+    ladder replays only the sizes that bind; a replay record never serves
+    it.  Both results are shared, read-only.  A fast-plane run replays
+    afresh.
     """
     config = tse_config if tse_config is not None else TSEConfig.paper_default()
-    if account_traffic and mode == "exact":
+    if mode == "exact":
+        if not account_traffic:
+            return _bare_replay(trace, config, warmup_fraction)
         interconnect = interconnect_config if interconnect_config is not None else (
             TSESimulator._default_interconnect(trace.num_nodes)
         )

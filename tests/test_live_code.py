@@ -4,7 +4,8 @@ A small replay matrix runs under :func:`sys.setprofile`: exact bare,
 outcome-recording and traffic-accounted replays of em3d and db2 under three
 of the reference battery's configurations, one bare fast-plane replay, one
 ``run_chunks`` over streamed chunks, one traffic-accounted
-``run_tse_on_trace`` on the default interconnect, one
+``run_tse_on_trace`` on the default interconnect, one bare
+``run_tse_on_trace`` ladder of SVB sizes on one trace object, one
 ``TimingSimulator.compare`` and one ``trace_consumptions``.  The test fails
 on any function defined in the modules below that never ran, naming its
 qualified name, so a method that only tests reach (a second copy of code
@@ -104,6 +105,9 @@ def _replay_matrix(configs) -> None:
         name="db2", warmup_accesses=6_000,
     ).as_dict()
     run_tse_on_trace(_fresh("em3d"), paper, account_traffic=True)
+    ladder = _fresh("db2")
+    for entries in (8, 32, 128):
+        run_tse_on_trace(ladder, paper.with_(svb_entries=entries))
     TimingSimulator().compare(_fresh("em3d"))
     protocol.trace_consumptions(_fresh("db2"))
 

@@ -150,13 +150,21 @@ class TestReuse:
 
     def test_bare_and_fast_requests_never_touch_the_record(self, trace, replays):
         config = TSEConfig.paper_default()
-        run_tse_on_trace(trace, config, mode="exact")
-        run_tse_on_trace(trace, config, warmup_fraction=0.0, mode="exact")
+        bare = run_tse_on_trace(trace, config, mode="exact")
+        whole = run_tse_on_trace(trace, config, warmup_fraction=0.0, mode="exact")
         run_tse_on_trace(trace, config, mode="fast")
         assert not hasattr(trace, "_replay_records")
         traffic_run(trace)
-        run_tse_on_trace(trace, config, mode="exact")
-        run_tse_on_trace(trace, config, warmup_fraction=0.0, mode="exact")
+        # The repeated bare requests are answered by the trace's bare
+        # records of the first two replays, not by the traffic run's
+        # replay record: 4 replays in all.
+        assert run_tse_on_trace(trace, config, mode="exact") is bare
+        assert run_tse_on_trace(trace, config, warmup_fraction=0.0, mode="exact") is whole
+        assert len(replays) == 4
+        # A bare request after only a traffic run replays.
+        other = rechunked(trace)
+        traffic_run(other)
+        run_tse_on_trace(other, config, mode="exact")
         assert len(replays) == 6
 
     def test_rejects_bad_warmup_fraction(self, trace):

@@ -74,6 +74,16 @@ class TestResultStore:
         assert counts["results"] == 1 and counts["campaigns"] == 1
         assert store.stats()["results"] == 0
 
+    def test_stats_bytes_count_the_wal(self, store):
+        """The store keeps its connections open, so recent pages sit in the
+        WAL until a checkpoint: the reported size counts both files."""
+        rows = [{"workload": "db2", "coverage": 0.375, "svb": "2k"}] * 50
+        for i in range(12):
+            store.put_result(f"key-{i}", f"job-{i}", "exp", "db2", rows)
+        wal = store.path.parent / (store.path.name + "-wal")
+        assert wal.stat().st_size > 0
+        assert store.stats()["bytes"] == store.path.stat().st_size + wal.stat().st_size
+
 
 def _backdate(store, keys, days=30.0):
     """Rewrite ``created`` for the given result keys ``days`` into the past."""
