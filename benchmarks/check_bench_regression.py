@@ -14,6 +14,10 @@ PR 1 db2-only schema (flat ``functional_sim.accesses_per_s``) are accepted
 on either side: workloads are matched by name, with the flat field treated
 as ``db2``.  Benchmarks run on heterogeneous CI machines, so the threshold
 is intentionally loose — it catches structural regressions, not noise.
+
+When both files carry ``src_lines`` (physical source lines per
+``src/repro`` package), the per-package change is printed too; line
+counts never fail the check.
 """
 
 from __future__ import annotations
@@ -76,6 +80,19 @@ def throughputs(artifact: dict) -> Dict[str, float]:
     return series
 
 
+def report_src_lines(new: dict, committed: dict) -> None:
+    """Print each package's source-line change when both artifacts carry
+    ``src_lines``; reported only, never gated."""
+    after, before = new.get("src_lines"), committed.get("src_lines")
+    if not (after and before):
+        return
+    for package in sorted(set(after) | set(before)):
+        old, now = before.get(package, 0), after.get(package, 0)
+        print(f"src/repro/{package}: {old:,} -> {now:,} lines ({now - old:+,})")
+    old, now = sum(before.values()), sum(after.values())
+    print(f"src/repro: {old:,} -> {now:,} lines ({now - old:+,})")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("new", help="freshly produced BENCH_core.json")
@@ -87,9 +104,12 @@ def main() -> int:
     args = parser.parse_args()
 
     with open(args.new) as handle:
-        new = throughputs(json.load(handle))
+        new_artifact = json.load(handle)
     with open(args.committed) as handle:
-        committed = throughputs(json.load(handle))
+        committed_artifact = json.load(handle)
+    report_src_lines(new_artifact, committed_artifact)
+    new = throughputs(new_artifact)
+    committed = throughputs(committed_artifact)
 
     if not new:
         print("ERROR: no functional_sim throughput in the fresh artifact")

@@ -24,7 +24,7 @@ seconds of wall clock):
       "total_wallclock_s": <sum of per-benchmark call durations>,
       "benchmarks": {"<pytest nodeid>": <call duration>, ...},
       "functional_sim": {
-        "chunk_size": <packed-chunk size used (REPRO_STREAM_CHUNK)>,
+        "chunk_size": <packed-chunk size used (DEFAULT_STREAM_CHUNK)>,
         "per_class": {
           "<workload>": {             # one per class: em3d / db2 / apache
             "accesses": <n>, "lookahead": <paper lookahead>,
@@ -92,7 +92,10 @@ seconds of wall clock):
         "checksums_off_jobs_per_s": <jobs / that>,
         "overhead_fraction": <(on - off) / off wallclock, negative = noise>
       },
-      "pr1_reference": {... seed vs. PR 1 wall-clock numbers ...}
+      "pr1_reference": {... seed vs. PR 1 wall-clock numbers ...},
+      "src_lines": {                # reported by the gate, never gated
+        "<package>": <physical lines of src/repro/<package>/**/*.py>, ...
+      }
     }
 """
 
@@ -194,7 +197,7 @@ def _functional_throughput():
     layer before all of them: a fresh generator producing the trace.
     """
     from repro.coherence.protocol import trace_codes
-    from repro.common.chunk import ChunkedTrace, stream_chunk_size
+    from repro.common.chunk import DEFAULT_STREAM_CHUNK, ChunkedTrace
     from repro.common.config import (
         DEFAULT_WARMUP_FRACTION,
         PAPER_LOOKAHEAD,
@@ -299,12 +302,25 @@ def _functional_throughput():
         }
     headline = per_class["db2"]
     return {
-        "chunk_size": stream_chunk_size(),
+        "chunk_size": DEFAULT_STREAM_CHUNK,
         "per_class": per_class,
         "workload": "db2",
         "accesses": headline["accesses"],
         "wallclock_s": headline["wallclock_s"],
         "accesses_per_s": headline["accesses_per_s"],
+    }
+
+
+def _src_lines():
+    """Physical lines of each ``src/repro`` package's ``*.py`` files, counted
+    the way ``wc -l`` counts them."""
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    return {
+        package.name: sum(
+            path.read_bytes().count(b"\n") for path in package.rglob("*.py")
+        )
+        for package in sorted(root.iterdir())
+        if (package / "__init__.py").is_file()
     }
 
 
@@ -343,6 +359,7 @@ def pytest_sessionfinish(session, exitstatus):
         "events_overhead": dict(_events_metrics) or None,
         "store_integrity": dict(_integrity_metrics) or None,
         "pr1_reference": PR1_REFERENCE,
+        "src_lines": _src_lines(),
     }
     out_path = Path(__file__).resolve().parent.parent / ".benchmarks" / "BENCH_core.json"
     out_path.parent.mkdir(exist_ok=True)

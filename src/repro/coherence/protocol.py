@@ -175,15 +175,16 @@ def coherence_codes(
 def trace_codes(trace: ChunkedTrace) -> List[bytes]:
     """A trace's code columns, one per chunk, classified once.
 
-    Memoized on the trace object and keyed by its length, so a trace that
-    grows after a classification is classified afresh.
+    Memoized in ``trace.memo``, so a trace that grows after a
+    classification is classified afresh.
     """
-    memo = getattr(trace, "_coherence_codes", None)
-    if memo is None or memo[0] != len(trace):
+    codes = trace.memo.get("coherence_codes")
+    if codes is None:
         protocol = CoherenceProtocol(trace.num_nodes)
-        memo = (len(trace), list(coherence_codes(protocol, trace.chunks())))
-        trace._coherence_codes = memo
-    return memo[1]
+        codes = trace.memo["coherence_codes"] = list(
+            coherence_codes(protocol, trace.chunks())
+        )
+    return codes
 
 
 def trace_traffic(trace: ChunkedTrace) -> List[int]:
@@ -192,25 +193,23 @@ def trace_traffic(trace: ChunkedTrace) -> List[int]:
     One classification pass feeds every transaction's messages
     (:func:`transaction_messages`) into a
     :func:`~repro.interconnect.network.count_table` for
-    ``trace.num_nodes`` nodes.  Memoized on the trace object and keyed by
-    its length, like :func:`trace_codes`; when the trace has no code
-    columns yet, the same pass memoizes them too, so a cold
-    traffic-accounted replay steps the state machine once.
+    ``trace.num_nodes`` nodes.  Memoized in ``trace.memo``, like
+    :func:`trace_codes`; when the trace has no code columns yet, the same
+    pass memoizes them too, so a cold traffic-accounted replay steps the
+    state machine once.
     """
     # Imported here: repro.interconnect.network imports this package.
     from repro.interconnect.network import count_table
 
-    memo = getattr(trace, "_traffic_counts", None)
-    if memo is None or memo[0] != len(trace):
+    counts = trace.memo.get("traffic_counts")
+    if counts is None:
         counts, count = count_table(trace.num_nodes)
         columns = list(coherence_codes(
             CoherenceProtocol(trace.num_nodes), trace.chunks(), count
         ))
-        codes = getattr(trace, "_coherence_codes", None)
-        if codes is None or codes[0] != len(trace):
-            trace._coherence_codes = (len(trace), columns)
-        memo = trace._traffic_counts = (len(trace), counts)
-    return memo[1]
+        trace.memo.setdefault("coherence_codes", columns)
+        trace.memo["traffic_counts"] = counts
+    return counts
 
 
 def trace_consumptions(trace: ChunkedTrace) -> List[List[Consumption]]:

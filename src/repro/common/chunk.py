@@ -26,19 +26,28 @@ bandwidth estimate and the prefetcher harness.
 :attr:`ChunkedTrace.accesses` decodes the columns into ``MemoryAccess``
 objects on demand; nothing in the package reads it.
 
-Chunk size comes from :func:`repro.common.config.stream_chunk_size`
-(``REPRO_STREAM_CHUNK``).
+The workload engine emits :data:`DEFAULT_STREAM_CHUNK` accesses per chunk
+unless a caller passes ``chunk_size``; the size never changes a result.
+
+Consumers memoize what they derive from a trace in
+:attr:`ChunkedTrace.memo`, which :meth:`ChunkedTrace.append_chunk` clears:
+a trace grows only through that method, so every memo describes the trace
+as it stands.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.common.config import stream_chunk_size
 from repro.common.types import ACCESS_TYPE_FROM_CODE, MemoryAccess
 
-__all__ = ["TraceChunk", "ChunkedTrace", "PackedAccess", "stream_chunk_size"]
+__all__ = ["TraceChunk", "ChunkedTrace", "PackedAccess", "DEFAULT_STREAM_CHUNK"]
+
+#: Accesses per emitted chunk: large enough to amortize the replay loop's
+#: per-segment local binding, small enough that a chunk's six packed
+#: columns stay cache-resident.
+DEFAULT_STREAM_CHUNK = 16384
 
 #: The packed access record emitted by workload primitives.
 PackedAccess = Tuple[int, int, int, int, int, int]
@@ -131,7 +140,11 @@ class ChunkedTrace:
         self.name = name
         self._chunks: List[TraceChunk] = []
         self._length = 0
-        self._accesses: Optional[List[MemoryAccess]] = None
+        #: Data derived from the trace by its consumers, by name
+        #: (``accesses``, ``coherence_codes``, ``traffic_counts``,
+        #: ``replay_records``, ``bare_replays``); :meth:`append_chunk`
+        #: clears it.
+        self.memo: Dict[str, Any] = {}
 
     # ---------------------------------------------------------------- building
     def append_chunk(self, chunk: TraceChunk) -> None:
@@ -145,7 +158,7 @@ class ChunkedTrace:
                 )
         self._chunks.append(chunk)
         self._length += len(chunk)
-        self._accesses = None
+        self.memo.clear()
 
     # -------------------------------------------------------------- consumption
     def chunks(self) -> Sequence[TraceChunk]:
@@ -157,13 +170,14 @@ class ChunkedTrace:
     # waits for a change that redefines that benchmark.
     @property
     def accesses(self) -> List[MemoryAccess]:
-        """Materialized object view (cached after the first request)."""
-        if self._accesses is None:
-            out: List[MemoryAccess] = []
+        """Materialized object view (memoized after the first request)."""
+        view = self.memo.get("accesses")
+        if view is None:
+            view = []
             for chunk in self._chunks:
-                out.extend(chunk.iter_accesses())
-            self._accesses = out
-        return self._accesses
+                view.extend(chunk.iter_accesses())
+            self.memo["accesses"] = view
+        return view
 
     def __len__(self) -> int:
         return self._length

@@ -13,12 +13,6 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
-#: Fallback chunk size when ``REPRO_STREAM_CHUNK`` is unset: large enough to
-#: amortize the replay loop's per-segment local binding, small enough that a
-#: chunk's six packed columns stay cache-resident.
-DEFAULT_STREAM_CHUNK = 16384
-
-
 # ----------------------------------------------------------------- env knobs
 #: Registry of every ``REPRO_*`` environment knob the code base reads.
 #:
@@ -26,27 +20,11 @@ DEFAULT_STREAM_CHUNK = 16384
 #: every ``os.environ`` read of a ``REPRO_*`` variable anywhere in the tree
 #: must (a) happen inside this module, through the named accessor, and
 #: (b) appear both here and in README.md's knob table.  Every knob is
-#: result-neutral: it only steers *how* a result is computed (worker
-#: counts, batching, storage paths), as the bit-identity tests lock.  A
+#: result-neutral: it only steers *how* a result is computed (batching,
+#: storage paths, benchmark sizes), as the bit-identity tests lock.  A
 #: value that changes results belongs in a keyed field such as
 #: :class:`TSEConfig`, so RL001 flags any entry marked ``result_affecting``.
 ENV_REGISTRY: Dict[str, Dict[str, Any]] = {
-    "REPRO_STREAM_CHUNK": {
-        "accessor": "stream_chunk_size",
-        "result_affecting": False,
-        "description": "accesses per packed TraceChunk (replay batching; "
-                       "bit-identical by construction)",
-    },
-    "REPRO_PARALLEL_WORKERS": {
-        "accessor": "parallel_workers_override",
-        "result_affecting": False,
-        "description": "run_parallel worker-process count",
-    },
-    "REPRO_SERVICE_WORKERS": {
-        "accessor": "service_workers_override",
-        "result_affecting": False,
-        "description": "service scheduler worker slots",
-    },
     "REPRO_SERVICE_BATCH": {
         "accessor": "service_batch_size",
         "result_affecting": False,
@@ -57,220 +35,31 @@ ENV_REGISTRY: Dict[str, Dict[str, Any]] = {
         "result_affecting": False,
         "description": "persistent result-store path",
     },
-    "REPRO_JOB_TIMEOUT": {
-        "accessor": "job_timeout",
-        "result_affecting": False,
-        "description": "per-job execution timeout in seconds (unset = no "
-                       "timeout); timed-out jobs count as failed attempts",
-    },
-    "REPRO_JOB_RETRIES": {
-        "accessor": "job_retries",
-        "result_affecting": False,
-        "description": "attempts per job before poison-quarantine (failed "
-                       "with captured traceback; campaign completes degraded)",
-    },
-    "REPRO_LEASE_TTL": {
-        "accessor": "lease_ttl",
-        "result_affecting": False,
-        "description": "worker lease time-to-live in seconds; expired "
-                       "leases requeue their jobs",
-    },
-    "REPRO_WORKER_ID": {
-        "accessor": "worker_id_override",
-        "result_affecting": False,
-        "description": "stable identity a fleet worker registers leases "
-                       "under (default: host-pid derived)",
-    },
-    "REPRO_HTTP_TIMEOUT": {
-        "accessor": "http_timeout",
-        "result_affecting": False,
-        "description": "per-attempt HTTP timeout in seconds for CLI/worker "
-                       "calls through the retrying transport",
-    },
-    "REPRO_HTTP_RETRIES": {
-        "accessor": "http_retries",
-        "result_affecting": False,
-        "description": "attempts per HTTP call before the transport gives "
-                       "up (retryable faults only; 4xx never retries)",
-    },
     "REPRO_BENCH_ACCESSES": {
         "accessor": "bench_accesses",
         "result_affecting": False,
         "description": "benchmark trace size (the size itself is keyed)",
     },
-    "REPRO_EVENTS_ENABLED": {
-        "accessor": "events_enabled",
-        "result_affecting": False,
-        "description": "campaign telemetry event emission (observational "
-                       "only; results are byte-identical either way)",
-    },
-    "REPRO_EVENTS_POLL": {
-        "accessor": "events_poll_interval",
-        "result_affecting": False,
-        "description": "SSE tail poll-fallback/keepalive interval in "
-                       "seconds (liveness of the stream, never its content)",
-    },
 }
 
 
-def _env_positive_int(name: str) -> Optional[int]:
-    """Parse an optional positive-integer knob; invalid values read as unset.
+def service_batch_size(default: int) -> int:
+    """``REPRO_SERVICE_BATCH``: max jobs per scheduler batch, else ``default``.
 
-    ``max(1, value)`` mirrors the historical per-site parsers: explicit
-    non-positive values clamp to 1 rather than silently selecting a default
-    that may differ between call sites.
+    A non-positive value clamps to 1; an unparsable one reads as unset.
     """
-    raw = os.environ.get(name)
+    raw = os.environ.get("REPRO_SERVICE_BATCH")
     if raw:
         try:
             return max(1, int(raw))
         except ValueError:
-            return None
-    return None
-
-
-def parallel_workers_override() -> Optional[int]:
-    """``REPRO_PARALLEL_WORKERS``: worker count for ``run_parallel``.
-
-    ``None`` (unset or unparsable) lets the caller fall back to the CPU
-    count; the knob never changes results — parallel and serial sweeps merge
-    rows in identical order (locked by ``tests/test_perf_infra.py``).
-    """
-    return _env_positive_int("REPRO_PARALLEL_WORKERS")
-
-
-def service_workers_override() -> Optional[int]:
-    """``REPRO_SERVICE_WORKERS``: scheduler worker slots (``None`` = default)."""
-    return _env_positive_int("REPRO_SERVICE_WORKERS")
-
-
-def service_batch_size(default: int = 64) -> int:
-    """``REPRO_SERVICE_BATCH``: max jobs per scheduler batch."""
-    value = _env_positive_int("REPRO_SERVICE_BATCH")
-    return value if value is not None else default
+            pass
+    return default
 
 
 def service_store_override() -> Optional[str]:
     """``REPRO_SERVICE_STORE``: result-store path override (``None`` = default)."""
     return os.environ.get("REPRO_SERVICE_STORE") or None
-
-
-def job_timeout() -> Optional[float]:
-    """``REPRO_JOB_TIMEOUT``: per-job execution timeout in seconds.
-
-    ``None`` (unset, unparsable, or non-positive) disables the timeout.
-    The knob never changes results — a timed-out job is retried or
-    quarantined, never recorded with partial rows.
-    """
-    raw = os.environ.get("REPRO_JOB_TIMEOUT")
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            return None
-        if value > 0:
-            return value
-    return None
-
-
-def job_retries(default: int = 3) -> int:
-    """``REPRO_JOB_RETRIES``: attempts per job before poison-quarantine.
-
-    A job that fails this many times is marked ``failed`` with its captured
-    traceback and the campaign completes degraded instead of hanging.
-    """
-    value = _env_positive_int("REPRO_JOB_RETRIES")
-    return value if value is not None else default
-
-
-def lease_ttl(default: float = 60.0) -> float:
-    """``REPRO_LEASE_TTL``: worker lease time-to-live in seconds.
-
-    A worker that neither heartbeats nor posts results within the TTL is
-    presumed dead; the expiry sweeper requeues its leased jobs.
-    """
-    raw = os.environ.get("REPRO_LEASE_TTL")
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            return default
-        if value > 0:
-            return value
-    return default
-
-
-def worker_id_override() -> Optional[str]:
-    """``REPRO_WORKER_ID``: stable fleet-worker identity (``None`` = derived)."""
-    return os.environ.get("REPRO_WORKER_ID") or None
-
-
-def http_timeout(default: float = 600.0) -> float:
-    """``REPRO_HTTP_TIMEOUT``: per-attempt HTTP timeout in seconds.
-
-    Applies to every CLI/worker call routed through
-    :class:`repro.service.transport.HttpTransport`.  The default matches
-    the historical CLI timeout (``submit --wait`` blocks server-side until
-    the campaign settles, so the budget must cover whole-campaign
-    latency); workers pass a tighter explicit value.
-    """
-    raw = os.environ.get("REPRO_HTTP_TIMEOUT")
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            return default
-        if value > 0:
-            return value
-    return default
-
-
-def http_retries(default: int = 5) -> int:
-    """``REPRO_HTTP_RETRIES``: attempts per HTTP call before giving up.
-
-    Only retryable transport faults (connection refused/reset, mid-body
-    disconnect, 502/503/504) consume the budget; terminal HTTP statuses
-    (other 4xx, 410 lease-gone) fail immediately.  Exhausting the budget
-    raises ``TransportError`` so a dead server fails workers cleanly
-    instead of hanging them.
-    """
-    value = _env_positive_int("REPRO_HTTP_RETRIES")
-    return value if value is not None else default
-
-
-def events_enabled(default: bool = True) -> bool:
-    """``REPRO_EVENTS_ENABLED``: campaign telemetry event emission.
-
-    Events are observational — they never enter a determinism key and the
-    stored result rows are byte-identical with emission on or off (the
-    ``events_overhead`` benchmark series measures exactly that).  Any of
-    ``0/false/no/off`` disables emission; everything else (including unset)
-    leaves it on.
-    """
-    raw = os.environ.get("REPRO_EVENTS_ENABLED")
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
-
-def events_poll_interval(default: float = 2.0) -> float:
-    """``REPRO_EVENTS_POLL``: SSE tail poll-fallback interval in seconds.
-
-    A server-sent-events tail wakes on the in-process hub's notifications
-    and additionally polls the durable log at this interval, so a dropped
-    or delayed notification (including an injected ``events.notify`` fault)
-    delays the stream by at most this long and never loses an event.
-    Invalid or non-positive values fall back to the default.
-    """
-    raw = os.environ.get("REPRO_EVENTS_POLL")
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            return default
-        if value > 0:
-            return value
-    return default
 
 
 def bench_accesses(default: int = 80000) -> int:
@@ -284,6 +73,7 @@ def bench_accesses(default: int = 80000) -> int:
     raw = os.environ.get("REPRO_BENCH_ACCESSES")
     return int(raw) if raw else default
 
+
 #: Fraction of each trace treated as warm-up (caches, CMOBs, directory
 #: pointers), mirroring the paper's warming methodology (Section 4).  This is
 #: the **single** source of the warm-up fraction: the experiment harness
@@ -292,26 +82,6 @@ def bench_accesses(default: int = 80000) -> int:
 #: reference this constant rather than repeating a per-module literal
 #: (locked in by ``tests/test_service.py::TestWarmupConstant``).
 DEFAULT_WARMUP_FRACTION = 0.3
-
-
-def stream_chunk_size() -> int:
-    """Accesses per packed :class:`~repro.common.chunk.TraceChunk`.
-
-    The columnar trace backbone emits, stores, and replays traces in
-    fixed-size chunks of this many accesses.  Controlled by the
-    ``REPRO_STREAM_CHUNK`` environment variable (documented in README.md
-    alongside ``REPRO_BENCH_ACCESSES`` / ``REPRO_PARALLEL_WORKERS``);
-    invalid or non-positive values fall back to the default.
-    """
-    env = os.environ.get("REPRO_STREAM_CHUNK")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            return DEFAULT_STREAM_CHUNK
-        if value > 0:
-            return value
-    return DEFAULT_STREAM_CHUNK
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.common.chunk import ChunkedTrace
 from repro.common.config import (
     DEFAULT_WARMUP_FRACTION,  # noqa: F401  (re-exported; fig modules import it here)
-    parallel_workers_override,
 )
 from repro.workloads import ALL_WORKLOADS, get_workload
 from repro.workloads.base import WorkloadParams
@@ -82,18 +81,17 @@ def _seed_preloaded_traces(payloads: Dict[Tuple[str, int, int, int], object]) ->
 
 
 def default_parallel_workers() -> int:
-    """Worker count for :func:`run_parallel`.
+    """Worker count for :func:`run_parallel` and the service's local slots.
 
-    Controlled by the ``REPRO_PARALLEL_WORKERS`` environment variable (read
-    through :func:`repro.common.config.parallel_workers_override` — RL005
-    keeps every ``REPRO_*`` read inside ``common/config.py``); defaults to
-    the machine's CPU count.  A value of 1 (e.g. on a single-core
-    container) selects the serial path with zero overhead.
+    The number of CPUs this process may run on (its affinity set), or the
+    machine's CPU count where the platform has no affinity API.  One CPU
+    (a single-core container, or a process pinned to one core) selects
+    the serial path with zero overhead.
     """
-    override = parallel_workers_override()
-    if override is not None:
-        return override
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def run_parallel(

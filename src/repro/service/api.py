@@ -62,13 +62,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.common.config import events_poll_interval
 from repro.service import presets
 from repro.service import events as events_module
 from repro.service.service import Service
 from repro.service.spec import Campaign, check_mode
 
 logger = logging.getLogger("repro.service.api")
+
+#: Seconds an SSE tail waits on the hub before it polls the durable log
+#: (and sends a keepalive): a dropped or delayed notification delays the
+#: stream by at most this long and never loses an event.
+EVENTS_POLL_S = 2.0
 
 
 class _HTTPError(Exception):
@@ -281,7 +285,6 @@ class _Handler(BaseHTTPRequestHandler):
         follow = _first(query, "follow") != "0"
         log = service.store.event_log
         bus = service.events
-        poll = events_poll_interval()
         self.close_connection = True  # no Content-Length: EOF ends the stream
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
@@ -311,7 +314,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if finished or terminal or not follow:
                     return
                 try:
-                    subscription.get(timeout=poll)
+                    subscription.get(timeout=EVENTS_POLL_S)
                 except queue.Empty:
                     # Poll fallback doubles as the keepalive heartbeat.
                     self.wfile.write(b": keepalive\n\n")

@@ -26,8 +26,8 @@ Subcommands::
 ``submit`` / ``status`` run against the local store by default; pass
 ``--url http://host:port`` to drive a running ``serve`` instance instead.
 Remote calls go through the retrying transport
-(:mod:`repro.service.transport`): per-attempt timeouts and retry budget
-come from ``REPRO_HTTP_TIMEOUT`` / ``REPRO_HTTP_RETRIES``.
+(:mod:`repro.service.transport`) with its default per-attempt timeout and
+retry budget.
 A preset submitted with ``--wait`` (the default) prints a table
 bit-identical to the experiment module's own CLI — e.g. ``submit fig12``
 matches ``python -m repro.experiments.fig12_comparison`` — while completed
@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--seed", type=int, default=42)
     submit.add_argument("--priority", type=int, default=0)
     submit.add_argument("--workers", type=int, default=None,
-                        help="scheduler workers (default: REPRO_SERVICE_WORKERS)")
+                        help="scheduler workers (default: the CPUs this "
+                        "process may run on)")
     submit.add_argument("--no-wait", action="store_true",
                         help="with --url: return after queueing on the server; "
                         "locally: run to completion but print progress JSON "
@@ -92,15 +93,16 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser("serve", help="run the HTTP JSON API")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8765)
-    serve.add_argument("--workers", type=int, default=None)
+    serve.add_argument("--workers", type=int, default=None,
+                       help="local slots (default: the CPUs this process "
+                       "may run on)")
     serve.add_argument("--no-resume", action="store_true",
                        help="do not resume unfinished campaigns on startup")
     serve.add_argument("--remote-only", action="store_true",
                        help="disable local compute: queued batches wait for "
                        "remote workers (the 'work' subcommand) to lease them")
     serve.add_argument("--lease-ttl", type=float, default=None,
-                       help="worker lease TTL seconds (default: "
-                       "REPRO_LEASE_TTL or 60)")
+                       help="worker lease TTL seconds (default: 60)")
     serve.add_argument("--drain-deadline", type=float, default=30.0,
                        help="SIGTERM graceful-drain deadline seconds: stop "
                        "granting leases, wait this long for in-flight "
@@ -112,15 +114,14 @@ def _build_parser() -> argparse.ArgumentParser:
     work.add_argument("--url", required=True,
                       help="base URL of the serve instance to lease from")
     work.add_argument("--id", default=None,
-                      help="worker id (default: REPRO_WORKER_ID or "
-                      "<hostname>-<pid>)")
+                      help="worker id (default: <hostname>-<pid>)")
     work.add_argument("--max-jobs", type=int, default=None,
                       help="cap jobs per lease (server splits bigger batches)")
     work.add_argument("--poll-interval", type=float, default=1.0,
                       help="seconds between polls when the queue is empty")
     work.add_argument("--job-timeout", type=float, default=None,
                       help="per-job execution timeout seconds (default: "
-                      "REPRO_JOB_TIMEOUT, unset = none)")
+                      "none)")
     work.add_argument("--max-idle-polls", type=int, default=None,
                       help="exit 0 after N consecutive empty polls "
                       "(drain-and-stop mode for CI); default: poll forever")
@@ -154,14 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _http(url: str, path: str, payload: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """One CLI call through the retrying transport.
-
-    Timeout and retry budget come from ``REPRO_HTTP_TIMEOUT`` /
-    ``REPRO_HTTP_RETRIES`` (the transport reads them via the typed
-    ``config.py`` accessors), replacing the old hardcoded one-shot
-    ``timeout=600`` — a server restart mid-call now retries instead of
-    killing the command.
-    """
+    """One CLI call through the retrying transport, with its default
+    timeout and retry budget: a server restart mid-call retries instead of
+    killing the command."""
     from repro.service.transport import HttpTransport
 
     transport = HttpTransport(url)

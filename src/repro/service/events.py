@@ -19,7 +19,7 @@ invariant that makes the whole plane loss-proof:
 
 Events are **observational only**.  Nothing here participates in any
 determinism key, and results are byte-identical with the plane enabled or
-disabled (``REPRO_EVENTS_ENABLED=0``); the chaos battery runs with events
+disabled (``Service(events_enabled=False)``); the chaos battery runs with events
 on to prove it.  The remote-worker plane never posts events itself —
 fleet activity (leases, heartbeats, results posts) is turned into events
 server-side, so a worker crash can never half-write the log.

@@ -27,7 +27,7 @@ Failure handling is per job, with persistent accounting: every failed
 attempt (raised error, pool death, timeout, a lease that expired or came
 back without the job) bumps the job's ``job_attempts`` row; a failed job
 is requeued after a deterministic jittered backoff (:func:`backoff_delay`,
-seeded from the job key); after ``job_retries`` attempts it is
+seeded from the job key); after ``max_attempts`` attempts it is
 **quarantined** with its traceback and the campaign completes degraded.
 A failure whose row landed anyway (a late post of an expired lease)
 settles from the store instead.  A fresh submission resets the attempt
@@ -49,7 +49,7 @@ import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.config import job_retries, job_timeout, lease_ttl
+from repro.common.config import service_batch_size
 from repro.common.rng import backoff_delay
 from repro.experiments.runner import default_parallel_workers
 from repro.service import events as events_module
@@ -65,6 +65,18 @@ JOB_STATES: Tuple[str, ...] = (
     "queued", "leased", "running", "completed", "retrying", "quarantined",
     "cancelled",
 )
+
+#: Max jobs per batch unless ``REPRO_SERVICE_BATCH`` says otherwise.
+BATCH_SIZE = 64
+
+#: Attempts per job before it is quarantined (the campaign completes
+#: degraded instead of hanging).
+MAX_ATTEMPTS = 3
+
+#: Remote-worker lease time-to-live in seconds: a worker that neither
+#: heartbeats nor posts within it is presumed dead, and the sweeper
+#: requeues its jobs.
+LEASE_TTL_S = 60.0
 
 
 def job_outcome(
@@ -202,7 +214,7 @@ class Scheduler:
         self,
         store: ResultStore,
         max_workers: Optional[int] = None,
-        batch_size: int = 64,
+        batch_size: Optional[int] = None,
         local_compute: bool = True,
         job_timeout_s: Optional[float] = None,
         max_attempts: Optional[int] = None,
@@ -254,18 +266,19 @@ class Scheduler:
         self.max_workers = (
             max_workers if max_workers is not None else default_parallel_workers()
         )
-        self.batch_size = max(1, batch_size)
+        self.batch_size = max(
+            1, batch_size if batch_size is not None else service_batch_size(BATCH_SIZE)
+        )
         #: ``False`` = fleet-only: batches wait for remote leases
         #: (``serve --remote-only``); reads and submissions still work.
         self.local_compute = local_compute
-        self.job_timeout_s = (
-            job_timeout_s if job_timeout_s is not None else job_timeout()
-        )
+        #: Per-job execution budget in seconds; ``None`` = no timeout.
+        self.job_timeout_s = job_timeout_s
         self.max_attempts = (
-            max_attempts if max_attempts is not None else job_retries()
+            max_attempts if max_attempts is not None else MAX_ATTEMPTS
         )
         self.retry_base = retry_base
-        self.lease_ttl_s = lease_ttl_s if lease_ttl_s is not None else lease_ttl()
+        self.lease_ttl_s = lease_ttl_s if lease_ttl_s is not None else LEASE_TTL_S
         self.sweep_interval = (
             sweep_interval
             if sweep_interval is not None

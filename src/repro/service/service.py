@@ -17,32 +17,11 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.common.config import (
-    events_enabled as events_enabled_default,
-    service_batch_size,
-    service_workers_override,
-)
 from repro.service.events import EventBus
 from repro.service.metrics import MetricsRegistry
 from repro.service.scheduler import JOB_STATES, CampaignRun, Scheduler
 from repro.service.spec import Campaign
 from repro.service.store import ResultStore
-
-
-def default_service_workers() -> int:
-    """Scheduler worker count: ``REPRO_SERVICE_WORKERS``, else the parallel
-    runner's default (``REPRO_PARALLEL_WORKERS`` / CPU count)."""
-    override = service_workers_override()
-    if override is not None:
-        return override
-    from repro.experiments.runner import default_parallel_workers
-
-    return default_parallel_workers()
-
-
-def default_batch_size() -> int:
-    """Jobs per scheduler batch: ``REPRO_SERVICE_BATCH`` (default 64)."""
-    return service_batch_size(default=64)
 
 
 def render_stored_campaign(store: ResultStore, campaign_id: int) -> str:
@@ -101,13 +80,11 @@ class Service:
         lease_ttl_s: Optional[float] = None,
         job_timeout_s: Optional[float] = None,
         max_attempts: Optional[int] = None,
-        events_enabled: Optional[bool] = None,
+        events_enabled: bool = True,
         checksums: bool = True,
     ) -> None:
         self.store = ResultStore(store_path, checksums=checksums)
         self._started = time.time()
-        if events_enabled is None:
-            events_enabled = events_enabled_default()
         #: Telemetry plane: durable event log + fan-out bus + metrics.
         #: Observational only — results are byte-identical either way.
         self.events = EventBus(self.store.event_log, enabled=events_enabled)
@@ -115,10 +92,8 @@ class Service:
         self.metrics.add_collect_hook(self._refresh_gauges)
         self.scheduler = Scheduler(
             self.store,
-            max_workers=(
-                max_workers if max_workers is not None else default_service_workers()
-            ),
-            batch_size=batch_size if batch_size is not None else default_batch_size(),
+            max_workers=max_workers,
+            batch_size=batch_size,
             local_compute=local_compute,
             lease_ttl_s=lease_ttl_s,
             job_timeout_s=job_timeout_s,

@@ -6,14 +6,14 @@ reset mid-call killed the caller (only the worker's idle poll loop caught
 transport errors).  :class:`HttpTransport` wraps the same stdlib plumbing
 with the fleet's retry discipline:
 
-* **per-attempt timeouts** (``REPRO_HTTP_TIMEOUT``) so a hung server
-  can't wedge a worker forever;
+* **per-attempt timeouts** (:data:`TIMEOUT_S` unless the caller passes
+  one) so a hung server can't wedge a worker forever;
 * **deterministic seeded backoff + jitter** between attempts, reusing
   PR 8's :func:`repro.common.rng.backoff_delay` — the retry schedule of
   any call is a pure function of ``(method, path, attempt)``, so chaos
   runs replay identically;
-* a **retry budget** (``REPRO_HTTP_RETRIES``) that distinguishes
-  *retryable* transport faults — connection refused/reset, timeouts,
+* a **retry budget** (:data:`RETRIES` unless the caller passes one) that
+  distinguishes *retryable* transport faults — connection refused/reset, timeouts,
   mid-body disconnects (``IncompleteRead`` / truncated JSON), and the
   gateway statuses 502/503/504 — from *terminal* ones: any other HTTP
   error status (404 unknown campaign, 400 bad request, 410 lease-gone)
@@ -45,13 +45,22 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, Optional
 
-from repro.common.config import http_retries, http_timeout
 from repro.common.rng import backoff_delay
 from repro.service import faults
 
 #: HTTP statuses worth retrying: the gateway/overload family.  Everything
 #: else in 4xx/5xx is terminal — the server answered, and it said no.
 RETRYABLE_STATUSES = (502, 503, 504)
+
+#: Default per-attempt timeout in seconds.  ``submit --wait`` blocks
+#: server-side until the campaign settles, so the budget covers
+#: whole-campaign latency; workers pass a tighter one.
+TIMEOUT_S = 600.0
+
+#: Default attempts per call.  Only retryable faults spend them; once they
+#: are spent the call raises :class:`TransportError`, so a dead server
+#: fails its callers instead of hanging them.
+RETRIES = 5
 
 
 class TransportError(Exception):
@@ -116,8 +125,8 @@ class HttpTransport:
                  backoff_base: float = 0.2,
                  backoff_cap: float = 5.0) -> None:
         self.base_url = base_url.rstrip("/")
-        self.timeout = http_timeout() if timeout is None else timeout
-        self.retries = max(1, http_retries() if retries is None else retries)
+        self.timeout = TIMEOUT_S if timeout is None else timeout
+        self.retries = max(1, RETRIES if retries is None else retries)
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
 

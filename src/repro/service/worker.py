@@ -60,7 +60,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeout
 from typing import Any, Dict, List, Optional
 
-from repro.common.config import job_timeout, worker_id_override
 from repro.common.rng import DeterministicRNG
 from repro.service import faults
 from repro.service.scheduler import job_outcome
@@ -70,14 +69,6 @@ from repro.service.transport import HttpTransport, StatusError, TransportError
 #: Consecutive poll-loop transport give-ups (each one a full retry budget)
 #: before the worker concludes the server is gone for good and exits 1.
 MAX_POLL_GIVEUPS = 5
-
-
-def default_worker_id() -> str:
-    """``REPRO_WORKER_ID`` override, else ``<hostname>-<pid>``."""
-    override = worker_id_override()
-    if override is not None:
-        return override
-    return f"{socket.gethostname()}-{os.getpid()}"
 
 
 class LeaseGone(Exception):
@@ -100,12 +91,11 @@ class Worker:
         backoff_base: float = 0.2,
     ) -> None:
         self.url = url.rstrip("/")
-        self.worker_id = worker_id or default_worker_id()
+        self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.max_jobs = max_jobs
         self.poll_interval = poll_interval
-        self.job_timeout_s = (
-            job_timeout_s if job_timeout_s is not None else job_timeout()
-        )
+        #: Per-job execution budget in seconds; ``None`` = no timeout.
+        self.job_timeout_s = job_timeout_s
         #: Exit cleanly after this many consecutive empty polls (CI / tests
         #: drain-and-stop mode); ``None`` = poll forever.
         self.max_idle_polls = max_idle_polls

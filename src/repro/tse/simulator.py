@@ -698,22 +698,19 @@ def replay_record(
 ) -> ReplayRecord:
     """The trace's replay record for ``tse_config``, replaying only when needed.
 
-    Memoized on the trace object and keyed by the configuration and the
-    trace's length (a trace grown by ``append_chunk`` replays afresh), the
-    way :func:`trace_codes` is.  Any record serves a request without
-    ``interconnect`` (outcomes and the warm-up-0 window).  A traffic request
-    is served only by a record that accounted traffic on the same
-    interconnect with the same warm-up boundary.  Otherwise one exact
-    replay records outcomes, accounts traffic if asked, keeps both windows
-    and replaces the record.
+    Memoized in ``trace.memo`` and keyed by the configuration (a trace
+    grown by ``append_chunk`` replays afresh), the way :func:`trace_codes`
+    is.  Any record serves a request without ``interconnect`` (outcomes
+    and the warm-up-0 window).  A traffic request is served only by a
+    record that accounted traffic on the same interconnect with the same
+    warm-up boundary.  Otherwise one exact replay records outcomes,
+    accounts traffic if asked, keeps both windows and replaces the record.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
-    memo = getattr(trace, "_replay_records", None)
-    if memo is None or memo[0] != len(trace):
-        memo = trace._replay_records = (len(trace), {})  # type: ignore[attr-defined]
+    memo = trace.memo.setdefault("replay_records", {})
     warmup = int(len(trace) * warmup_fraction)
-    record = memo[1].get(tse_config)
+    record = memo.get(tse_config)
     if record is None or interconnect is not None and (
         record.interconnect != interconnect or record.warmup_accesses != warmup
     ):
@@ -727,7 +724,7 @@ def replay_record(
             name: getattr(warm, name) + getattr(measured, name)
             for name in _COUNTERS
         })
-        record = memo[1][tse_config] = ReplayRecord(
+        record = memo[tse_config] = ReplayRecord(
             measured, whole, interconnect, warmup,
             simulator.outcome_codes, simulator.outcome_leads,
         )
@@ -763,18 +760,16 @@ class BareRecord:
 def _bare_replay(trace: ChunkedTrace, config: TSEConfig, warmup_fraction: float) -> TSEStats:
     """A bare exact replay's statistics, replaying only where the sizes bind.
 
-    Memoized on the trace object and keyed by the trace's length, the
-    warm-up access count and every configuration field but the SVB and
-    CMOB capacities.  A record serves the request when :meth:`BareRecord.serves`
-    holds; otherwise one replay adds a record (see the module docstring).
+    Memoized in ``trace.memo`` and keyed by the warm-up access count and
+    every configuration field but the SVB and CMOB capacities.  A record
+    serves the request when :meth:`BareRecord.serves` holds; otherwise one
+    replay adds a record (see the module docstring).
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
-    memo = getattr(trace, "_bare_replays", None)
-    if memo is None or memo[0] != len(trace):
-        memo = trace._bare_replays = (len(trace), {})  # type: ignore[attr-defined]
+    memo = trace.memo.setdefault("bare_replays", {})
     warmup = int(len(trace) * warmup_fraction)
-    records = memo[1].setdefault(
+    records = memo.setdefault(
         (warmup, replace(config, svb_entries=1, cmob_capacity=1)), []
     )
     svb_entries, cmob_capacity = config.svb_entries, config.cmob_capacity

@@ -27,7 +27,7 @@ from __future__ import annotations
 import abc
 from typing import Iterator, List, Optional
 
-from repro.common.chunk import ChunkedTrace, TraceChunk, stream_chunk_size
+from repro.common.chunk import DEFAULT_STREAM_CHUNK, ChunkedTrace, TraceChunk
 from repro.workloads.base import Workload, WorkloadParams, interleave
 
 __all__ = [
@@ -74,7 +74,7 @@ class MixtureWorkload(Workload):
         transaction you are in").
         """
         target = target_accesses if target_accesses is not None else self.params.target_accesses
-        size = chunk_size if chunk_size is not None else stream_chunk_size()
+        size = chunk_size if chunk_size is not None else DEFAULT_STREAM_CHUNK
         emitted = 0
         chunk = TraceChunk()
         for batch in self.batches():

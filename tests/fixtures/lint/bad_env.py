@@ -16,4 +16,4 @@ def non_repro_read() -> str:
 
 
 def knob_sniff() -> bool:
-    return "REPRO_PARALLEL_WORKERS" in os.environ  # line 19: RL005
+    return "REPRO_SERVICE_BATCH" in os.environ  # line 19: RL005

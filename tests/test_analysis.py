@@ -136,7 +136,7 @@ class TestBandwidth:
         trace = get_workload("db2", params).generate_chunked(chunk_size=3000)
         assert [len(chunk) for chunk in trace.chunks()[-3:]] == [3000, 3000, 2023]
         elapsed = estimate_elapsed_ns(trace, system)
-        assert trace._accesses is None
+        assert "accesses" not in trace.memo
         assert elapsed == self._flat_elapsed(self._timestamps(trace), system)
 
     def test_elapsed_time_falls_back_to_the_whole_trace(self):
@@ -156,4 +156,4 @@ class TestBandwidth:
         trace = ChunkedTrace.from_payload(trace_for("db2", 8_000, 42).to_payload())
         stats = self._traffic_stats(trace)
         bandwidth_overhead(stats, trace, SystemConfig.isca2005())
-        assert trace._accesses is None
+        assert "accesses" not in trace.memo

@@ -34,8 +34,8 @@ from repro.coherence.protocol import (
     trace_traffic,
     transaction_messages,
 )
-from repro.common.chunk import ChunkedTrace, TraceChunk, stream_chunk_size
-from repro.common.config import DEFAULT_STREAM_CHUNK, TSEConfig
+from repro.common.chunk import DEFAULT_STREAM_CHUNK, ChunkedTrace, TraceChunk
+from repro.common.config import TSEConfig
 from repro.common.types import (
     ACCESS_TYPE_FROM_CODE,
     TYPE_ATOMIC,
@@ -198,14 +198,6 @@ class TestChunkedEmission:
         chunk.extend_packed([(5, 10, 0, 0, 1, 0)])
         with pytest.raises(ValueError):
             trace.append_chunk(chunk)
-
-    def test_stream_chunk_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_CHUNK", "1234")
-        assert stream_chunk_size() == 1234
-        monkeypatch.setenv("REPRO_STREAM_CHUNK", "not-a-number")
-        assert stream_chunk_size() == DEFAULT_STREAM_CHUNK
-        monkeypatch.delenv("REPRO_STREAM_CHUNK")
-        assert stream_chunk_size() == DEFAULT_STREAM_CHUNK
 
 
 class TestChunkedReplay:
@@ -385,7 +377,7 @@ class TestWarmRun:
         warm, measure = {
             "zero": (0, 5_000),
             "inside_chunk": (3_000, 3_000),
-            "chunk_boundary": (stream_chunk_size(), stream_chunk_size()),
+            "chunk_boundary": (DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_CHUNK),
         }[boundary]
         # db2 streams from its first accesses, so the ramp leaves CMOB and
         # queue state that the window reads; a short em3d ramp is all cold

@@ -32,7 +32,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.common.config import http_retries, http_timeout
 from repro.common.rng import backoff_delay as rng_backoff_delay
 from repro.service import faults
 from repro.service.api import make_server
@@ -50,7 +49,13 @@ from repro.service.store import (
     StoreSchemaError,
     row_checksum,
 )
-from repro.service.transport import HttpTransport, StatusError, TransportError
+from repro.service.transport import (
+    RETRIES,
+    TIMEOUT_S,
+    HttpTransport,
+    StatusError,
+    TransportError,
+)
 from repro.service.worker import Worker
 
 ACCESSES = 5_000
@@ -149,17 +154,16 @@ class TestTransport:
         assert rng_backoff_delay("GET /x", 2) == rng_backoff_delay("GET /x", 2)
         assert rng_backoff_delay("GET /x", 0) == 0.0
 
-    def test_round_trip_and_knob_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HTTP_TIMEOUT", "2.5")
-        monkeypatch.setenv("REPRO_HTTP_RETRIES", "3")
-        assert http_timeout() == 2.5
-        assert http_retries() == 3
+    def test_round_trip_and_knob_defaults(self):
+        assert (TIMEOUT_S, RETRIES) == (600.0, 5)
         with stub_server({"/ok": _json_route(200, {"ok": True})}) as (_, url):
             transport = HttpTransport(url)
-            assert transport.timeout == 2.5
-            assert transport.retries == 3
+            assert transport.timeout == TIMEOUT_S
+            assert transport.retries == RETRIES
             assert transport.get("/ok") == {"ok": True}
             assert transport.post("/ok", {"x": 1}) == {"ok": True}
+            given = HttpTransport(url, timeout=2.5, retries=3)
+            assert (given.timeout, given.retries) == (2.5, 3)
 
     def test_terminal_status_never_retries(self):
         routes = {"/gone": _json_route(410, {"error": "lease gone"})}

@@ -20,7 +20,7 @@ import urllib.request
 import pytest
 
 from repro.common import sqlitedb
-from repro.service import faults
+from repro.service import api, faults
 from repro.service.api import make_server
 from repro.service.cli import format_event_line
 from repro.service.events import (
@@ -332,7 +332,7 @@ class TestSSEStream:
         self, tmp_path, monkeypatch, action
     ):
         # A short keepalive poll so dropped wakeups cost milliseconds.
-        monkeypatch.setenv("REPRO_EVENTS_POLL", "0.1")
+        monkeypatch.setattr(api, "EVENTS_POLL_S", 0.1)
         faults.install(FaultPlan([
             Fault(site="events.notify", action=action, after=1, count=0)
         ]))
@@ -356,7 +356,7 @@ class TestSSEStream:
         """A stream that reads the terminal status still delivers
         ``campaign.finished``, however slowly the event's insert lands."""
         poll = 0.05
-        monkeypatch.setenv("REPRO_EVENTS_POLL", str(poll))
+        monkeypatch.setattr(api, "EVENTS_POLL_S", poll)
         connect = sqlitedb.connect
 
         def slow_connect(path, row_factory=None):

@@ -98,7 +98,7 @@ class TestFastModeDeterminism:
         trace = trace_for("db2", 1_000, SEED, NODES)
         with pytest.raises(ValueError, match="bare replays only"):
             run_tse_on_trace(trace, account_traffic=True, mode="fast")
-        assert not hasattr(trace, "_replay_records")
+        assert "replay_records" not in trace.memo
 
     @pytest.mark.parametrize("mode", [None, "FAST", "bogus"])
     def test_unknown_mode_is_refused(self, mode):

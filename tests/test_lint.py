@@ -21,11 +21,10 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import (
+    ENV_REGISTRY,
     bench_accesses,
-    parallel_workers_override,
     service_batch_size,
     service_store_override,
-    service_workers_override,
 )
 from repro.lint import ProjectModel, run_lint
 from repro.lint.cli import main as lint_main
@@ -170,12 +169,26 @@ class TestMutationLocks:
             f.rule == "RL005" and "REPRO_TURBO" in f.message for f in found
         )
 
+    def test_unregistered_read_through_a_config_helper_trips_rl005(self):
+        """A helper that takes the variable name hides it from the direct
+        read check; its literal-name call sites still count as reads."""
+        mutated = self._text(CONFIG) + (
+            "\n\ndef _env(name: str) -> Optional[str]:\n"
+            "    return os.environ.get(name)\n"
+            "\n\ndef turbo() -> Optional[str]:\n"
+            '    return _env("REPRO_TURBO")\n'
+        )
+        found = findings_for(REPO_ROOT / CONFIG, overrides={CONFIG: mutated})
+        assert any(
+            f.rule == "RL005" and "REPRO_TURBO" in f.message for f in found
+        )
+
     def test_unwired_result_affecting_accessor_trips_rl001(self):
         """No key carries an env knob, so a knob registered as changing
         results is a finding in itself."""
         original = self._text(CONFIG)
         entry = (
-            '"accessor": "stream_chunk_size",\n'
+            '"accessor": "service_batch_size",\n'
             '        "result_affecting": False,'
         )
         assert entry in original
@@ -184,14 +197,14 @@ class TestMutationLocks:
             REPO_ROOT / CONFIG, overrides={CONFIG: mutated}
         )
         assert [f.message for f in found if f.rule == "RL001"] == [
-            "REPRO_STREAM_CHUNK is registered result_affecting — no key "
+            "REPRO_SERVICE_BATCH is registered result_affecting — no key "
             "carries an env knob, so a value that changes results belongs "
             "in a keyed field such as TSEConfig"
         ]
 
     def test_undocumented_registry_entry_trips_rl005(self):
         readme = (REPO_ROOT / "README.md").read_text()
-        row = "| `REPRO_STREAM_CHUNK`"
+        row = "| `REPRO_SERVICE_BATCH`"
         assert row in readme
         start = readme.index(row)
         end = readme.index("\n", start) + 1
@@ -201,7 +214,7 @@ class TestMutationLocks:
         )
         assert any(
             f.rule == "RL005"
-            and "REPRO_STREAM_CHUNK" in f.message
+            and "REPRO_SERVICE_BATCH" in f.message
             and "README" in f.message
             for f in found
         )
@@ -225,25 +238,25 @@ class TestEnvAccessors:
     """Behavior locks for the config accessors the RL005 sweep introduced
     (they replaced direct os.environ reads; semantics must be identical)."""
 
-    def test_parallel_workers_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_WORKERS", raising=False)
-        assert parallel_workers_override() is None
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
-        assert parallel_workers_override() == 3
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "0")
-        assert parallel_workers_override() == 1
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "not-a-number")
-        assert parallel_workers_override() is None
+    def test_registry_and_readme_hold_the_kept_knobs(self):
+        kept = {"REPRO_SERVICE_BATCH", "REPRO_SERVICE_STORE", "REPRO_BENCH_ACCESSES"}
+        assert set(ENV_REGISTRY) == kept
+        assert set(ProjectModel(REPO_ROOT).readme_knobs) == kept
 
-    def test_service_worker_and_batch_knobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVICE_WORKERS", raising=False)
+    def test_service_batch_knob(self, tmp_path, monkeypatch):
+        """``Service`` and a directly built ``Scheduler`` resolve the batch
+        size through one chain: the knob, else ``scheduler.BATCH_SIZE``."""
+        from repro.service import ResultStore, Scheduler, Service
+        from repro.service.scheduler import BATCH_SIZE
+
         monkeypatch.delenv("REPRO_SERVICE_BATCH", raising=False)
-        assert service_workers_override() is None
         assert service_batch_size(default=64) == 64
-        monkeypatch.setenv("REPRO_SERVICE_WORKERS", "2")
+        assert Scheduler(ResultStore(tmp_path / "a.sqlite")).batch_size == BATCH_SIZE
         monkeypatch.setenv("REPRO_SERVICE_BATCH", "17")
-        assert service_workers_override() == 2
         assert service_batch_size(default=64) == 17
+        assert Scheduler(ResultStore(tmp_path / "b.sqlite")).batch_size == 17
+        with Service(store_path=tmp_path / "c.sqlite", max_workers=1) as service:
+            assert service.scheduler.batch_size == 17
 
     def test_service_store_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVICE_STORE", raising=False)

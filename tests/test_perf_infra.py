@@ -9,12 +9,15 @@ reader (``benchmarks/check_bench_regression.py``) is checked here too.
 
 import importlib.util
 import json
+import os
 import pathlib
+
+import pytest
 
 from repro.common.config import SystemConfig, TSEConfig
 from repro.experiments import fig07_compared_streams, fig08_lookahead
 from repro.experiments.cache import cache_info, cached_tse_run, clear_cache
-from repro.experiments.runner import run_parallel, trace_for
+from repro.experiments.runner import default_parallel_workers, run_parallel, trace_for
 from repro.system.timing import TimingSimulator
 from repro.tse.simulator import TSESimulator, run_tse_on_trace
 from repro.workloads import get_workload
@@ -55,6 +58,37 @@ class TestParallelRunnerDeterminism:
             max_workers=1, target_accesses=ACCESSES, seed=42,
         )
         assert len(rows) == 1 and rows[0]["workload"] == "db2"
+
+
+class TestDefaultWorkers:
+    """The worker count is the size of the process's CPU affinity set."""
+
+    def test_one_allowed_cpu_runs_serially(self, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert default_parallel_workers() == 1
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_parallel built a process pool on one CPU")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        rows = run_parallel(
+            fig08_lookahead._point, ("db2", "em3d"), (2, 4),
+            target_accesses=ACCESSES, seed=42,
+        )
+        assert len(rows) == 4
+
+    def test_affinity_set_size(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert default_parallel_workers() == 3
+
+    def test_cpu_count_without_the_affinity_api(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert default_parallel_workers() == 7
 
 
 class TestResultCacheDeterminism:
@@ -112,7 +146,7 @@ class TestTimingRecordDeterminism:
 
         params = WorkloadParams(num_nodes=16, seed=42, target_accesses=ACCESSES)
         fresh_trace = get_workload("db2", params).generate_chunked()  # no record
-        assert not hasattr(fresh_trace, "_replay_records")
+        assert "replay_records" not in fresh_trace.memo
         uncached = TimingSimulator(system, config).compare(fresh_trace)
         assert len(replays) == replayed + 1
 
@@ -162,12 +196,15 @@ def _load_bench_gate():
     return module
 
 
-def _artifact(generate=None):
+def _artifact(generate=None, src_lines=None):
     entry = {"accesses_per_s": 100_000,
              "classify": {"wallclock_s": 0.1, "accesses_per_s": 800_000}}
     if generate is not None:
         entry["generate"] = {"wallclock_s": 0.5, "accesses_per_s": generate}
-    return {"functional_sim": {"per_class": {"db2": entry}}}
+    artifact = {"functional_sim": {"per_class": {"db2": entry}}}
+    if src_lines is not None:
+        artifact["src_lines"] = src_lines
+    return artifact
 
 
 class TestBenchGateSeries:
@@ -189,3 +226,27 @@ class TestBenchGateSeries:
         monkeypatch.setattr("sys.argv", ["check", str(fresh), str(committed)])
         assert gate.main() == 0
         assert "generate" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fresh_lines, committed_lines", [
+        ({"tse": 6_000, "lint": 900}, {"tse": 3_000, "service": 4_000}),
+        ({"tse": 6_000}, None),
+        (None, {"tse": 3_000}),
+        (None, None),
+    ])
+    def test_src_lines_are_reported_and_never_gated(
+        self, tmp_path, monkeypatch, capsys, fresh_lines, committed_lines
+    ):
+        gate = _load_bench_gate()
+        fresh, committed = tmp_path / "fresh.json", tmp_path / "committed.json"
+        fresh.write_text(json.dumps(_artifact(src_lines=fresh_lines)))
+        committed.write_text(json.dumps(_artifact(src_lines=committed_lines)))
+        monkeypatch.setattr("sys.argv", ["check", str(fresh), str(committed)])
+        assert gate.main() == 0
+        out = capsys.readouterr().out
+        if fresh_lines and committed_lines:
+            assert "src/repro/tse: 3,000 -> 6,000 lines (+3,000)" in out
+            assert "src/repro/service: 4,000 -> 0 lines (-4,000)" in out
+            assert "src/repro/lint: 0 -> 900 lines (+900)" in out
+            assert "src/repro: 7,000 -> 6,900 lines (-100)" in out
+        else:
+            assert "lines" not in out

@@ -144,6 +144,6 @@ class TestEvaluationHarness:
         one_chunk = db2_trace(chunk_size=1 << 30)
         factory = lambda: GHBPrefetcher(mode="G/DC", degree=8)  # noqa: E731
         packed = evaluate_prefetcher(one_chunk, factory, warmup_fraction=warmup_fraction)
-        assert one_chunk._accesses is None  # the harness reads the columns
+        assert "accesses" not in one_chunk.memo  # the harness reads the columns
         fine = db2_trace(chunk_size=512)
         assert evaluate_prefetcher(fine, factory, warmup_fraction=warmup_fraction) == packed

@@ -12,6 +12,7 @@ import functools
 
 import pytest
 
+from repro.coherence.protocol import trace_codes, trace_traffic
 from repro.common.chunk import ChunkedTrace, TraceChunk
 from repro.common.config import InterconnectConfig, SystemConfig, TSEConfig
 from repro.experiments.runner import trace_for
@@ -141,19 +142,40 @@ class TestReuse:
         assert len(replays) == 1
 
     def test_grown_trace_replays_afresh(self, trace, replays):
+        """``append_chunk`` clears all five memos, and each one the grown
+        trace derives again equals a fresh copy's."""
+        config = TSEConfig.paper_default()
         traffic_run(trace)
+        run_tse_on_trace(trace, config, mode="exact")
+        trace.accesses
+        assert set(trace.memo) == {
+            "accesses", "coherence_codes", "traffic_counts", "replay_records",
+            "bare_replays",
+        }
         extra = trace_for("db2", 6_000, 43, 16).chunks()[0].slice(0, 500)
         trace.append_chunk(extra)
+        assert trace.memo == {}
         comparison = compare(trace)
-        assert len(replays) == 2
+        assert len(replays) == 3
         assert comparison.functional.accesses == len(trace)
+
+        fresh = ChunkedTrace.from_payload(trace.to_payload())
+        assert trace.accesses == fresh.accesses
+        assert trace_codes(trace) == trace_codes(fresh)
+        assert trace_traffic(trace) == trace_traffic(fresh)
+        assert traffic_run(trace).as_dict() == traffic_run(fresh).as_dict()
+        grown, cold = replay_record(trace, config), replay_record(fresh, config)
+        assert grown.outcome_codes == cold.outcome_codes
+        assert grown.outcome_leads == cold.outcome_leads
+        assert (run_tse_on_trace(trace, config, mode="exact").as_dict()
+                == run_tse_on_trace(fresh, config, mode="exact").as_dict())
 
     def test_bare_and_fast_requests_never_touch_the_record(self, trace, replays):
         config = TSEConfig.paper_default()
         bare = run_tse_on_trace(trace, config, mode="exact")
         whole = run_tse_on_trace(trace, config, warmup_fraction=0.0, mode="exact")
         run_tse_on_trace(trace, config, mode="fast")
-        assert not hasattr(trace, "_replay_records")
+        assert "replay_records" not in trace.memo
         traffic_run(trace)
         # The repeated bare requests are answered by the trace's bare
         # records of the first two replays, not by the traffic run's

@@ -247,7 +247,7 @@ class TestColumnarInputs:
         trace = db2_trace(chunk_size=1 << 30)
         config = TSEConfig.paper_default().with_(svb_entries=4)
         packed = TimingSimulator(tse_config=config).compare(trace)
-        assert trace._accesses is None  # labels and walks read the columns
+        assert "accesses" not in trace.memo  # labels and walks read the columns
         fine = TimingSimulator(tse_config=config).compare(db2_trace(chunk_size=512))
         assert fine.base.per_node == packed.base.per_node
         assert fine.tse.per_node == packed.tse.per_node
