@@ -43,18 +43,24 @@ ENV_REGISTRY: Dict[str, Dict[str, Any]] = {
 }
 
 
-def service_batch_size(default: int) -> int:
-    """``REPRO_SERVICE_BATCH``: max jobs per scheduler batch, else ``default``.
+def _positive_int(name: str, default: int) -> int:
+    """The integer knob ``name``, or ``default`` when it is unset or empty;
+    any other value but a positive integer raises ``ValueError`` naming it."""
+    raw = os.environ.get(name, "")
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return value
 
-    A non-positive value clamps to 1; an unparsable one reads as unset.
-    """
-    raw = os.environ.get("REPRO_SERVICE_BATCH")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return default
+
+def service_batch_size(default: int) -> int:
+    """``REPRO_SERVICE_BATCH``: max jobs per scheduler batch, else ``default``."""
+    return _positive_int("REPRO_SERVICE_BATCH", default)
 
 
 def service_store_override() -> Optional[str]:
@@ -66,12 +72,9 @@ def bench_accesses(default: int = 80000) -> int:
     """``REPRO_BENCH_ACCESSES``: per-workload trace size for benchmarks/tests.
 
     The value is part of every determinism key (it selects
-    ``target_accesses``), so the knob itself is result-neutral.  A present
-    but non-integer value raises ``ValueError`` — benchmarks should fail
-    loudly, not silently run at a different size.
+    ``target_accesses``), so the knob itself is result-neutral.
     """
-    raw = os.environ.get("REPRO_BENCH_ACCESSES")
-    return int(raw) if raw else default
+    return _positive_int("REPRO_BENCH_ACCESSES", default)
 
 
 #: Fraction of each trace treated as warm-up (caches, CMOBs, directory

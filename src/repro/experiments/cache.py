@@ -42,7 +42,7 @@ from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.common.config import DEFAULT_WARMUP_FRACTION, InterconnectConfig, TSEConfig
-from repro.experiments.runner import trace_for
+from repro.experiments.runner import reset_pool, trace_for
 from repro.tse.simulator import TSEStats, run_tse_on_trace
 
 #: Canonical determinism-key field order — the full determinism domain of
@@ -179,9 +179,10 @@ def cached_tse_run(
 
 
 def clear_cache() -> None:
-    """Invalidate every cached result and trace."""
+    """Invalidate every cached result and trace, pool workers' included."""
     _CACHE.clear()
     trace_for.cache_clear()
+    reset_pool()
 
 
 def cache_info() -> Dict[str, int]:

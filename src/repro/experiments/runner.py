@@ -3,15 +3,18 @@
 Besides trace generation/caching, this module provides the experiment
 harness's :func:`run_parallel`: every fig06–fig14 module expresses its sweep
 as a module-level *point function* evaluated over ``workloads x configs``,
-and ``run_parallel`` executes the points either serially or on a process
-pool.  Results are always merged in job-submission order, so the parallel
-path is row-for-row identical to the serial one (locked in by the
+and ``run_parallel`` executes the points either serially or on the
+process's one shared pool (:func:`pool_map`, which the service's local
+slots use too).  Results are always merged in job-submission order, so the
+parallel path is row-for-row identical to the serial one (locked in by the
 determinism test in ``tests/test_perf_infra.py``).
 """
 
 from __future__ import annotations
 
+import atexit
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -36,12 +39,6 @@ DEFAULT_TARGET_ACCESSES = 150_000
 # imported it from the runner.
 
 
-#: Packed trace payloads delivered to worker processes by the parallel
-#: runner's initializer; consulted (and consumed) by :func:`trace_for`
-#: before falling back to generation.
-_PRELOADED: Dict[Tuple[str, int, int, int], object] = {}
-
-
 @lru_cache(maxsize=32)
 def trace_for(
     workload: str,
@@ -60,24 +57,10 @@ def trace_for(
     the Figure 6 correlation analysis all read its packed chunks and their
     code columns.
     """
-    payload = _PRELOADED.pop((workload, target_accesses, seed, num_nodes), None)
-    if payload is not None:
-        return ChunkedTrace.from_payload(payload)
     params = WorkloadParams(
         num_nodes=num_nodes, seed=seed, target_accesses=target_accesses
     )
     return get_workload(workload, params).generate_chunked()
-
-
-def _seed_preloaded_traces(payloads: Dict[Tuple[str, int, int, int], object]) -> None:
-    """Process-pool initializer: hand workers pre-generated trace payloads.
-
-    The payloads are flat packed buffers (the chunk columns), so pickling
-    them into the worker is far cheaper than regenerating the workload — and
-    on fork-based platforms the parent's warm ``trace_for`` cache is
-    inherited outright, making this a no-op fallback.
-    """
-    _PRELOADED.update(payloads)
 
 
 def default_parallel_workers() -> int:
@@ -92,6 +75,80 @@ def default_parallel_workers() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+#: The process's one worker pool and its size, built by :func:`pool_map`.
+_POOL: Any = None
+_POOL_WORKERS = 0
+_POOL_LOCK = threading.Lock()
+
+
+def reset_pool(pool: Any = None, wait: bool = False) -> None:
+    """Shut down the shared pool (or ``pool``, if still shared) and forget
+    it, so the next :func:`pool_map` builds afresh; no future is cancelled."""
+    global _POOL
+    with _POOL_LOCK:
+        pool = _POOL if pool is None else pool
+        if pool is _POOL:
+            _POOL = None
+    if pool is not None:
+        pool.shutdown(wait=wait)
+
+
+atexit.register(reset_pool, wait=True)
+
+
+def pool_map(
+    fn: Callable[..., Any], tasks: Sequence[Tuple[Any, ...]], workers: int,
+) -> List[Any]:
+    """``[fn(*task) for task in tasks]``, in-process at ``workers <= 1``,
+    else on the process's one pool of ``workers`` processes: built on first
+    use (or for another ``workers``), kept across calls with its workers'
+    caches until :func:`~repro.experiments.cache.clear_cache`, and shut
+    down at exit.  The call that finds the pool broken (a worker died)
+    finishes in-process and drops it, so the next call builds a fresh one.
+    """
+    global _POOL, _POOL_WORKERS
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with _POOL_LOCK:  # no replacement shuts the pool before these submissions
+        if _POOL is not None and _POOL_WORKERS != workers:
+            _POOL.shutdown(wait=False)
+            _POOL = None
+        pool = _POOL
+        try:
+            if pool is None:
+                pool = _POOL = ProcessPoolExecutor(max_workers=workers)
+                _POOL_WORKERS = workers
+            futures = [pool.submit(fn, *task) for task in tasks]
+        except (ImportError, OSError, BrokenProcessPool):
+            futures = None  # no process pool on this platform, or a broken one
+    if futures is None:
+        reset_pool(pool)
+        return [fn(*task) for task in tasks]
+    results = []
+    for task, future in zip(tasks, futures):
+        try:
+            results.append(future.result())
+        except BrokenProcessPool:
+            reset_pool(pool)
+            results.append(fn(*task))
+    return results
+
+
+def _run_points(
+    point: Callable[..., Any], workload: str, configs: Sequence[Any],
+    shared: Dict[str, Any],
+) -> List[Dict[str, object]]:
+    """One pool task: ``workload``'s points' rows, in config order."""
+    rows: List[Dict[str, object]] = []
+    for config in configs:
+        result = point(workload, config, **shared)
+        rows.extend(result if isinstance(result, list) else [result])
+    return rows
 
 
 def run_parallel(
@@ -112,74 +169,26 @@ def run_parallel(
         configs: Per-workload configuration values (inner dimension).  The
             default single ``None`` entry yields one point per workload.
         max_workers: Process count; ``None`` uses
-            :func:`default_parallel_workers`.  ``1`` runs serially in-process
-            (sharing the result cache), which is also the fallback when no
-            process pool can be created.
+            :func:`default_parallel_workers`.  ``1``, like a grid of one
+            point, runs in-process (sharing the result cache).
         shared: Extra keyword arguments forwarded to every point (must be
             picklable when the pool is used).
+
+    A pool task runs one workload's configs in order, in one process, where
+    they share the trace; a grid with fewer workloads than workers goes out
+    one point per task instead.
 
     Returns:
         The flattened rows in deterministic job order — ``workloads`` major,
         ``configs`` minor — regardless of worker scheduling, so parallel and
         serial runs produce identical tables.
     """
-    jobs = [(workload, config) for workload in workloads for config in configs]
     workers = max_workers if max_workers is not None else default_parallel_workers()
-    workers = min(workers, len(jobs)) if jobs else 1
-
-    def run_serial() -> List[Any]:
-        return [point(workload, config, **shared) for workload, config in jobs]
-
-    results: List[Any]
-    if workers <= 1:
-        results = run_serial()
-    else:
-        # Pre-generate each workload's packed trace once in the parent and
-        # hand the flat chunk buffers to the workers: cheap to pickle, and
-        # fork-based pools additionally inherit the parent's warm cache.
-        # Points run with non-default trace parameters simply regenerate.
-        payloads = {}
-        target_accesses = shared.get("target_accesses")
-        seed = shared.get("seed", 42)
-        num_nodes = shared.get("num_nodes", 16)
-        if isinstance(target_accesses, int) and isinstance(seed, int):
-            for workload in dict.fromkeys(workloads):
-                trace = trace_for(workload, target_accesses, seed, num_nodes)
-                key = (workload, target_accesses, seed, num_nodes)
-                payloads[key] = trace.to_payload()
-        pool = None
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_seed_preloaded_traces if payloads else None,
-                initargs=(payloads,) if payloads else (),
-            )
-        except (ImportError, OSError, PermissionError):
-            # No usable process pool on this platform: fall back to serial.
-            results = run_serial()
-        else:
-            try:
-                with pool:
-                    futures = [
-                        pool.submit(point, workload, config, **shared)
-                        for workload, config in jobs
-                    ]
-                    # Exceptions raised by a point propagate to the caller;
-                    # only an environmentally killed pool falls back.
-                    results = [future.result() for future in futures]
-            except BrokenProcessPool:
-                results = run_serial()
-
-    rows: List[Dict[str, object]] = []
-    for result in results:
-        if isinstance(result, list):
-            rows.extend(result)
-        else:
-            rows.append(result)
-    return rows
+    configs = tuple(configs)
+    groups = [configs] if len(workloads) >= workers else [(config,) for config in configs]
+    tasks = [(point, workload, group, shared) for workload in workloads for group in groups]
+    results = pool_map(_run_points, tasks, workers if len(tasks) > 1 else 1)
+    return [row for rows in results for row in rows]
 
 
 @dataclass(frozen=True)

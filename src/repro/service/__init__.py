@@ -14,7 +14,8 @@ makes them *durable and submittable*.  Four parts:
   queues, per-trace job batching, progress, cancellation, crash-resume
   from the store (a crashed campaign re-opens under its own id), per-job
   retry/backoff with poison-job quarantine, and
-  one execution path: local slots (running batches on the process pool)
+  one execution path: local slots (running batches on the process pool
+  that ``run_parallel`` uses)
   and remote workers take batches as leases through the same grant and
   settle through the same ``complete_lease`` (TTL leases + expiry sweeper
   for the remote ones);

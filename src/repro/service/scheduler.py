@@ -2,19 +2,22 @@
 
 Campaigns compile to job lists; jobs already in the persistent store are
 skipped (resubmission is near-free), and the rest are **batched by trace
-identity** — every job that replays the same ``(workload,
-target_accesses, seed, num_nodes)`` trace shares one batch, so its holder
-generates that packed trace once, exactly like ``run_parallel``.
+identity** — jobs that replay the same ``(workload, target_accesses, seed,
+num_nodes)`` trace share batches of up to ``batch_size``, so a batch's
+holder generates that packed trace once, as a ``run_parallel`` pool task
+does for one workload's points.
 
 Batches wait in one priority queue (campaign priority, then submission
 order) and leave it only as **leases** (:meth:`Scheduler.lease_next`), to a
-*local slot* — one task per ``max_workers``, running its batch on the
-process pool (a thread at ``max_workers <= 1``) under a ``job_timeout ×
-len(batch)`` budget — or to a *remote worker* that leases over HTTP and
-heartbeats.  Both settle through :meth:`Scheduler.complete_lease` with the
-same outcome dicts (:func:`job_outcome`).  A grant commits the lease row
-with its events in one store transaction; a settle commits the result
-rows, the lease's terminal status and its ``job.completed`` /
+*local slot* — one task per ``max_workers``, running its batch as one task
+on the process's shared pool (``runner.pool_map``, which ``run_parallel``
+uses too; in process on a thread at ``max_workers <= 1``) under a
+``job_timeout × len(batch)`` budget — or to a *remote worker* that leases
+over HTTP and heartbeats.  Both settle through
+:meth:`Scheduler.complete_lease` with the same outcome dicts
+(:func:`job_outcome`).  A grant commits the lease row with its events in
+one store transaction; a settle commits the result rows, the lease's
+terminal status and its ``job.completed`` /
 ``lease.done`` events in one.  The holder kind is only a telemetry tag
 (``job.started`` for local grants, ``job.leased`` for remote ones).  The
 sweeper (:meth:`Scheduler.sweep`) requeues a remote lease whose TTL passed,
@@ -24,9 +27,9 @@ batch runs (only the timeout budget, when set, cuts it short).
 the fleet; the store-backed read API answers either way.
 
 Failure handling is per job, with persistent accounting: every failed
-attempt (raised error, pool death, timeout, a lease that expired or came
-back without the job) bumps the job's ``job_attempts`` row; a failed job
-is requeued after a deterministic jittered backoff (:func:`backoff_delay`,
+attempt (raised error, timeout, a lease that expired or came back without
+the job) bumps the job's ``job_attempts`` row; a failed job is requeued
+after a deterministic jittered backoff (:func:`backoff_delay`,
 seeded from the job key); after ``max_attempts`` attempts it is
 **quarantined** with its traceback and the campaign completes degraded.
 A failure whose row landed anyway (a late post of an expired lease)
@@ -51,7 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import service_batch_size
 from repro.common.rng import backoff_delay
-from repro.experiments.runner import default_parallel_workers
+from repro.experiments.runner import default_parallel_workers, pool_map
 from repro.service import events as events_module
 from repro.service import faults
 from repro.service.events import EventBus
@@ -105,9 +108,10 @@ def job_outcome(
 
 
 def execute_batch(jobs: Sequence[Job]) -> List[Dict[str, Any]]:
-    """Run one local batch (in a pool process or a thread).  Its jobs share
-    a trace, which the first generates and the rest reuse (``trace_for``'s
-    lru_cache); failures are isolated per job."""
+    """Run one local batch (a task on the shared pool, or in process on a
+    thread).  Its jobs share a trace, which the first generates and the rest
+    reuse (``trace_for``'s lru_cache, which a pool worker keeps across
+    batches until ``clear_cache()``); failures are isolated per job."""
     return [job_outcome(job, job.execute) for job in jobs]
 
 
@@ -296,8 +300,6 @@ class Scheduler:
         self._sweeper: Optional[asyncio.Task] = None
         self._retry_timers: Dict[int, asyncio.TimerHandle] = {}
         self._timer_seq = 0
-        self._executor = None
-        self._executor_broken = False
         #: lease id -> live lease (jobs + owning run for settlement).
         self.leases: Dict[int, Lease] = {}
         #: key -> run whose queued batch will compute it (compute dedupe).
@@ -432,44 +434,27 @@ class Scheduler:
             else:
                 await self._run_local(lease)
 
-    def _pool(self):
-        if self._executor is None and not self._executor_broken:
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-            except (ImportError, OSError, PermissionError):
-                self._executor_broken = True
-        return self._executor
-
-    async def _execute(self, batch: List[Job]) -> List[Dict[str, Any]]:
-        # At max_workers <= 1 (or once the pool broke) the batch runs on
-        # the default thread pool: in process, but the event loop (and
-        # with it the HTTP front-end) stays responsive while it computes.
-        from concurrent.futures.process import BrokenProcessPool
-
-        loop = asyncio.get_running_loop()
-        pool = self._pool() if self.max_workers > 1 else None
-        try:
-            return await loop.run_in_executor(pool, execute_batch, batch)
-        except BrokenProcessPool:
-            self._executor = None
-            self._executor_broken = True
-            return await loop.run_in_executor(None, execute_batch, batch)
-
     async def _run_local(self, lease: Lease) -> None:
         """Run a local lease's batch and settle it like a worker's post.
 
         A pool slot cannot be interrupted between jobs, so the timeout
-        budget, ``job_timeout × len(batch)``, covers the batch; a timeout, a
-        dead pool or a failed settle costs each job one attempt.  ``close()``
+        budget, ``job_timeout × len(batch)``, covers the batch; a timeout
+        or a failed settle costs each job one attempt (a dead pool costs
+        none: ``pool_map`` finishes the batch in process).  ``close()``
         cancels it unsettled, leaving the campaign to ``resume()``."""
         budget = (
             None if self.job_timeout_s is None
             else self.job_timeout_s * len(lease.jobs)
         )
         try:
-            outcomes = await asyncio.wait_for(self._execute(lease.jobs), budget)
+            # Waited for on a thread, so the event loop (and with it the
+            # HTTP front-end) stays responsive while the batch computes.
+            [outcomes] = await asyncio.wait_for(
+                asyncio.get_running_loop().run_in_executor(
+                    None, pool_map, execute_batch, [(lease.jobs,)], self.max_workers,
+                ),
+                budget,
+            )
             self.complete_lease(lease.id, outcomes)
             return
         except asyncio.TimeoutError:
@@ -855,6 +840,3 @@ class Scheduler:
                 # bury the corpse, not re-throw it.
                 pass
         self._slots = {}
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None

@@ -482,16 +482,3 @@ class TestPackedCMOBDeterminism:
         for address in range(10, 40):
             tse.on_consumption(0, address)
         assert len(cmob._data) == 16 * 8  # capped at capacity entries
-
-
-class TestParallelPreload:
-    def test_preloaded_payload_feeds_trace_for(self):
-        from repro.experiments import runner
-
-        trace = runner.trace_for("db2", 4_000, 7, 4)
-        payload = trace.to_payload()
-        runner.trace_for.cache_clear()
-        runner._seed_preloaded_traces({("db2", 4_000, 7, 4): payload})
-        rebuilt = runner.trace_for("db2", 4_000, 7, 4)
-        assert records(rebuilt) == records(trace)
-        runner.trace_for.cache_clear()

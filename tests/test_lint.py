@@ -272,6 +272,20 @@ class TestEnvAccessors:
         monkeypatch.setenv("REPRO_BENCH_ACCESSES", "5000")
         assert bench_accesses(default=1234) == 5000
 
+    @pytest.mark.parametrize("knob, read", [
+        ("REPRO_SERVICE_BATCH", service_batch_size),
+        ("REPRO_BENCH_ACCESSES", bench_accesses),
+    ])
+    @pytest.mark.parametrize("raw", ["sixteen", "0", "-5", "1.5"])
+    def test_bad_integer_knob_is_refused_by_name(self, monkeypatch, knob, read, raw):
+        """A value that is not a positive integer raises, naming the knob;
+        an empty one reads as unset."""
+        monkeypatch.setenv(knob, raw)
+        with pytest.raises(ValueError, match=knob):
+            read(default=64)
+        monkeypatch.setenv(knob, "")
+        assert read(default=64) == 64
+
 
 class TestCLI:
     def test_clean_path_exits_zero(self, capsys):

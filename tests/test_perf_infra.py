@@ -7,17 +7,29 @@ bit.  These tests lock that in on small traces.  The BENCH gate's series
 reader (``benchmarks/check_bench_regression.py``) is checked here too.
 """
 
+import asyncio
+import concurrent.futures
 import importlib.util
 import json
 import os
 import pathlib
+import time
 
 import pytest
 
 from repro.common.config import SystemConfig, TSEConfig
 from repro.experiments import fig07_compared_streams, fig08_lookahead
 from repro.experiments.cache import cache_info, cached_tse_run, clear_cache
-from repro.experiments.runner import default_parallel_workers, run_parallel, trace_for
+from repro.experiments.runner import (
+    default_parallel_workers,
+    pool_map,
+    reset_pool,
+    run_parallel,
+    trace_for,
+)
+from repro.service import ResultStore, Scheduler
+from repro.service.presets import campaign as preset_campaign
+from repro.service.scheduler import execute_batch
 from repro.system.timing import TimingSimulator
 from repro.tse.simulator import TSESimulator, run_tse_on_trace
 from repro.workloads import get_workload
@@ -27,18 +39,74 @@ from repro.workloads.base import WorkloadParams
 ACCESSES = 6_000
 
 
+#: The test process; any other process running a point is a pool worker.
+_TEST_PID = os.getpid()
+
+
+def _point_dies_in_a_worker(workload, config, **shared):
+    """Figure 8's point, except that a pool worker running it dies."""
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+    return fig08_lookahead._point(workload, config, **shared)
+
+
+def _batch_dies_in_a_worker(jobs):
+    """The scheduler's batch runner, except that a pool worker running it
+    dies."""
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+    return execute_batch(jobs)
+
+
+@pytest.fixture()
+def pools_built(monkeypatch):
+    """Start from no shared pool and count the pools built from here on:
+    the fixture's value is a one-element list holding the count."""
+    built = [0]
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built[0] += 1
+            super().__init__(*args, **kwargs)
+
+    reset_pool(wait=True)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    yield built
+    reset_pool(wait=True)
+
+
+def _scheduler_batch(tmp_path, max_workers):
+    """One fig09 campaign on db2 (one batch: its points share a trace) run
+    by a ``Scheduler(max_workers=...)``; returns the run and its stored
+    rows, in job order."""
+    async def scenario():
+        store = ResultStore(tmp_path / "s.sqlite")
+        scheduler = Scheduler(store, max_workers=max_workers, batch_size=64)
+        run = await scheduler.submit(
+            preset_campaign("fig09", workloads=("db2",), target_accesses=ACCESSES)
+        )
+        await asyncio.wait_for(scheduler.wait(run), 120)
+        await scheduler.close()
+        stored = [store.get_result(job.key) for job in run.jobs]
+        store.close()
+        return run, stored
+
+    return asyncio.run(scenario())
+
+
 class TestParallelRunnerDeterminism:
-    def test_parallel_rows_identical_to_serial(self):
-        """run_parallel over >=2 workloads and >=3 configs == the serial path."""
-        workloads = ("db2", "em3d")
+    @pytest.mark.parametrize("workloads", [("db2", "em3d"), ("db2",)])
+    def test_parallel_rows_identical_to_serial(self, workloads):
+        """run_parallel over >=3 configs == the serial path: one task per
+        workload (two workloads), and one per point (one workload, fewer
+        than the workers)."""
         configs = (1, 2, 3)  # compared streams, the Figure 7 sweep axis
-        serial = fig07_compared_streams.run(
-            workloads=workloads, stream_counts=configs,
-            target_accesses=ACCESSES, seed=42,
+        grid = dict(target_accesses=ACCESSES, seed=42, lookahead=8)
+        serial = run_parallel(
+            fig07_compared_streams._point, workloads, configs, max_workers=1, **grid
         )
         parallel = run_parallel(
-            fig07_compared_streams._point, workloads, configs,
-            max_workers=2, target_accesses=ACCESSES, seed=42, lookahead=8,
+            fig07_compared_streams._point, workloads, configs, max_workers=2, **grid
         )
         assert parallel == serial
         assert len(parallel) == len(workloads) * len(configs)
@@ -60,18 +128,73 @@ class TestParallelRunnerDeterminism:
         assert len(rows) == 1 and rows[0]["workload"] == "db2"
 
 
+class TestSharedPool:
+    """run_parallel and the scheduler's local slots share one process pool."""
+
+    def test_one_pool_for_sweeps_and_scheduler_batches(self, pools_built, tmp_path):
+        grid = dict(max_workers=2, target_accesses=ACCESSES, seed=42)
+        run_parallel(fig08_lookahead._point, ("db2", "em3d"), (2, 4), **grid)
+        run_parallel(fig08_lookahead._point, ("db2",), (4, 8), **grid)
+        run, _ = _scheduler_batch(tmp_path, max_workers=2)
+        assert run.status == "done" and run.computed == run.total
+        assert pools_built == [1]
+        clear_cache()  # invalidates the workers' caches too: a fresh pool
+        run_parallel(fig08_lookahead._point, ("db2",), (4, 8), **grid)
+        assert pools_built == [2]
+
+    def test_replacing_the_pool_cancels_no_future(self, pools_built):
+        """Callers asking for different pool sizes replace the pool while
+        the other's tasks are in flight; every call still gets all its
+        results."""
+        def caller(workers):
+            for _ in range(5):
+                assert pool_map(time.sleep, [(0.01,)] * 12, workers) == [None] * 12
+
+        with concurrent.futures.ThreadPoolExecutor(4) as callers:
+            calls = [callers.submit(caller, workers) for workers in (2, 3, 2, 3)]
+            for call in calls:
+                call.result(timeout=120)
+        assert pools_built[0] >= 2
+
+    def test_a_broken_pool_finishes_in_process(
+        self, pools_built, tmp_path, monkeypatch
+    ):
+        """A worker's death breaks the pool: the call that sees it returns
+        the serial rows, and the next call builds a fresh pool."""
+        grid = dict(target_accesses=ACCESSES, seed=42)
+        serial = run_parallel(
+            fig08_lookahead._point, ("db2", "em3d"), (2, 4), max_workers=1, **grid
+        )
+        assert run_parallel(
+            _point_dies_in_a_worker, ("db2", "em3d"), (2, 4), max_workers=2, **grid
+        ) == serial
+        assert pools_built == [1]
+        assert run_parallel(
+            fig08_lookahead._point, ("db2", "em3d"), (2, 4), max_workers=2, **grid
+        ) == serial
+        assert pools_built == [2]
+
+        monkeypatch.setattr(
+            "repro.service.scheduler.execute_batch", _batch_dies_in_a_worker
+        )
+        run, stored = _scheduler_batch(tmp_path, max_workers=2)
+        assert run.status == "done" and run.computed == run.total
+        assert stored == [json.loads(json.dumps(job.execute())) for job in run.jobs]
+        run_parallel(fig08_lookahead._point, ("db2",), (4, 8), max_workers=2, **grid)
+        assert pools_built == [3]  # the batch broke the pool the last call built
+
+
 class TestDefaultWorkers:
     """The worker count is the size of the process's CPU affinity set."""
 
     def test_one_allowed_cpu_runs_serially(self, monkeypatch):
-        import concurrent.futures
-
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
         assert default_parallel_workers() == 1
 
         def no_pool(*args, **kwargs):
             raise AssertionError("run_parallel built a process pool on one CPU")
 
+        reset_pool(wait=True)  # so that any use of a pool must build one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         rows = run_parallel(
             fig08_lookahead._point, ("db2", "em3d"), (2, 4),
