@@ -22,7 +22,8 @@ The PR 10 durability headliners extend the battery past fault *plans* to
 whole-deployment failures:
 
 * **server_restart_mid_campaign** — the server (HTTP listener + scheduler)
-  is hard-killed mid-campaign and restarted on the same port; the workers'
+  is hard-killed mid-campaign (a delay on every job after the first keeps
+  rows unstored at the kill) and restarted on the same port; the workers'
   retrying transport rides the outage out, the campaign finishes with zero
   lost results, bit-identical to no-fault, and no worker dies;
 * **row_corruption_fsck** — stored payloads are silently corrupted (a byte
@@ -220,9 +221,9 @@ def scenario_server_restart(tmp_dir, baseline):
     """PR 10 headline: the server is hard-killed mid-campaign and restarted
     on the same port; the workers' retrying transport rides it out with
     zero lost results and the finished table bit-identical to no-fault."""
+    from repro.experiments.cache import clear_cache
+
     del baseline  # this scenario runs a bigger campaign with its own
-    # 4x the work per job so the kill reliably lands *mid*-campaign (the
-    # standard battery campaign can finish between two poll ticks).
     restart_campaign = preset_campaign(
         "fig09", workloads=("db2",), target_accesses=4 * ACCESSES
     )
@@ -232,9 +233,19 @@ def scenario_server_restart(tmp_dir, baseline):
     assert base_run.status == "done"
     restart_baseline = {job.key: canonical(base_store.get_result(job.key))
                         for job in base_run.jobs}
+    # The worker threads share this process's result cache: empty it so
+    # the fleet computes its jobs instead of settling them from the
+    # baseline's entries.
+    clear_cache()
 
     store_path = tmp_dir / "server_restart_mid_campaign.sqlite"
     started = time.time()
+    # Every job after the first waits 1-2 s before it computes, so the
+    # kill, which follows the first stored row, lands while the other
+    # jobs are still unstored.
+    plan = FaultPlan([Fault(site="worker.job", action="delay", after=2,
+                            count=0, delay=2.0)], seed=5)
+    faults.install(plan)
     # Generous per-worker retry budget: the outage must cost a worker a
     # few retried calls, never its life.
     fleet = Fleet(store_path, lease_ttl=30.0,
@@ -247,6 +258,7 @@ def scenario_server_restart(tmp_dir, baseline):
         while not probe.present_keys(keys) and time.time() < deadline:
             time.sleep(0.01)
         stored_at_kill = len(probe.present_keys(keys))
+        killed_mid_campaign = stored_at_kill < len(keys)
         fleet.kill_server()
         time.sleep(0.5)  # dead-port window the workers must survive
         fleet.restart_server()
@@ -255,6 +267,7 @@ def scenario_server_restart(tmp_dir, baseline):
         run2 = resumed[0]
         fleet.service.wait(run2, timeout=300)
     finally:
+        faults.install(None)
         fleet.close()
     elapsed = time.time() - started
 
@@ -271,14 +284,15 @@ def scenario_server_restart(tmp_dir, baseline):
         "elapsed_s": round(elapsed, 3),
         "total": run2.total,
         "stored_at_kill": stored_at_kill,
-        "killed_mid_campaign": stored_at_kill < run2.total,
+        "killed_mid_campaign": killed_mid_campaign,
         "rows_bit_identical": not mismatched,
         "lost_results": len(missing),
         "recomputed_on_resubmit": rerun.computed,
         "worker_exit_codes": fleet.exit_codes,
-        "fired_faults": [],
+        "fired_faults": list(plan.fired),
         "ok": (
             run2.status == "done"
+            and killed_mid_campaign
             and not mismatched and not missing
             and rerun.computed == 0
             and workers_rode_through

@@ -15,10 +15,12 @@ from repro.tse.simulator import run_tse_on_trace
 from repro.workloads import get_workload
 from repro.workloads.base import WorkloadParams
 
+TARGET_ACCESSES = 100_000
+
 
 def main() -> None:
     workload = sys.argv[1] if len(sys.argv) > 1 else "oracle"
-    params = WorkloadParams(num_nodes=16, seed=42, target_accesses=100_000)
+    params = WorkloadParams(num_nodes=16, seed=42, target_accesses=TARGET_ACCESSES)
     trace = get_workload(workload, params).generate_chunked()
 
     print(f"Comparing forwarding techniques on {workload} "

@@ -9,12 +9,14 @@ Run with:  python examples/quickstart.py
 
 from repro.system import DSMSystem
 
+TARGET_ACCESSES = 120_000
+
 
 def main() -> None:
     dsm = DSMSystem()  # Table 1 configuration: 16 nodes, 4x4 torus, 4 GHz cores
 
     print("Running TPC-C on DB2 through the Temporal Streaming Engine ...")
-    result = dsm.run_workload("db2", target_accesses=120_000, seed=42, with_timing=True)
+    result = dsm.run_workload("db2", target_accesses=TARGET_ACCESSES, seed=42, with_timing=True)
 
     stats = result.tse_stats
     print(f"\nConsumptions (coherent read misses): {stats.total_consumptions}")

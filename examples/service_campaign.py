@@ -19,6 +19,8 @@ from pathlib import Path
 from repro.service import Service
 from repro.service.presets import campaign, preset_names
 
+TARGET_ACCESSES = 40_000
+
 
 def main() -> None:
     store_path = Path(
@@ -28,7 +30,7 @@ def main() -> None:
     print(f"store: {store_path}")
     print(f"presets: {', '.join(preset_names())}\n")
 
-    spec = campaign("fig09", workloads=("db2", "em3d"), target_accesses=40_000)
+    spec = campaign("fig09", workloads=("db2", "em3d"), target_accesses=TARGET_ACCESSES)
     with Service(store_path=store_path) as service:
         run = service.submit(spec, wait=True)
         print(f"first submission:  computed {run.computed}, cached {run.cached}")

@@ -21,8 +21,6 @@ from repro.common.types import (
     BlockAddress,
     MemoryAccess,
     NodeId,
-    block_of,
-    block_to_address,
 )
 
 __all__ = [
@@ -31,8 +29,6 @@ __all__ = [
     "BlockAddress",
     "MemoryAccess",
     "NodeId",
-    "block_of",
-    "block_to_address",
     "CacheConfig",
     "InterconnectConfig",
     "MemoryConfig",

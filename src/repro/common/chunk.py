@@ -125,9 +125,6 @@ class TraceChunk:
     def from_payload(cls, payload: Sequence[array]) -> "TraceChunk":
         return cls(*payload)
 
-    def __repr__(self) -> str:
-        return f"TraceChunk({len(self)} accesses)"
-
 
 class ChunkedTrace:
     """An ordered, interleaved multi-node trace stored as packed chunks.
@@ -196,9 +193,3 @@ class ChunkedTrace:
             trace._chunks.append(chunk)
             trace._length += len(chunk)
         return trace
-
-    def __repr__(self) -> str:
-        return (
-            f"ChunkedTrace(name={self.name!r}, accesses={self._length}, "
-            f"chunks={len(self._chunks)}, num_nodes={self.num_nodes})"
-        )

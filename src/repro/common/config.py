@@ -195,16 +195,6 @@ class TSEConfig:
         if self.refill_threshold == 0:
             object.__setattr__(self, "refill_threshold", max(self.queue_depth // 2, 1))
 
-    @property
-    def cmob_capacity_bytes(self) -> int:
-        """CMOB storage footprint per node in bytes."""
-        return self.cmob_capacity * self.cmob_entry_bytes
-
-    @property
-    def svb_bytes(self) -> int:
-        """SVB data capacity in bytes (64-byte blocks)."""
-        return self.svb_entries * 64
-
     @classmethod
     def paper_default(cls, lookahead: int = 8) -> "TSEConfig":
         """TSE configuration selected by the paper's sensitivity study.
@@ -290,26 +280,7 @@ class SystemConfig:
         """Convert nanoseconds to processor clock cycles."""
         return ns * self.clock_ghz
 
-    def cycles_to_ns(self, cycles: float) -> float:
-        """Convert processor clock cycles to nanoseconds."""
-        return cycles / self.clock_ghz
-
     @classmethod
     def isca2005(cls) -> "SystemConfig":
         """The exact Table 1 configuration: 16 nodes, 4x4 torus, 4 GHz cores."""
         return cls()
-
-    @classmethod
-    def small(cls, num_nodes: int = 4) -> "SystemConfig":
-        """A scaled-down configuration for tests and quick examples."""
-        import math
-
-        width = int(math.isqrt(num_nodes))
-        while num_nodes % width:
-            width -= 1
-        height = num_nodes // width
-        return cls(
-            num_nodes=num_nodes,
-            l2=CacheConfig(hit_latency=25, mshrs=16),
-            interconnect=InterconnectConfig(width=width, height=height),
-        )

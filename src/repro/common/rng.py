@@ -84,23 +84,11 @@ class DeterministicRNG:
     def randrange(self, stop: int) -> int:
         return self._rng.randrange(stop)
 
-    def uniform(self, low: float, high: float) -> float:
-        return self._rng.uniform(low, high)
-
-    def choice(self, seq: Sequence[T]) -> T:
-        return self._rng.choice(seq)
-
     def sample(self, seq: Sequence[T], k: int) -> List[T]:
         return self._rng.sample(seq, k)
 
     def shuffle(self, seq: list) -> None:
         self._rng.shuffle(seq)
-
-    def expovariate(self, rate: float) -> float:
-        return self._rng.expovariate(rate)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._rng.gauss(mu, sigma)
 
     # -- distributions used by workload generators --------------------------
     def zipf(self, n: int, alpha: float = 0.99) -> int:
@@ -116,17 +104,6 @@ class DeterministicRNG:
             raise ValueError("n must be positive")
         cdf = _zipf_cdf(n, alpha)
         return bisect_left(cdf, self._rng.random(), 0, n - 1)
-
-    def geometric(self, p: float) -> int:
-        """Number of Bernoulli(p) failures before the first success (>= 0)."""
-        if not 0.0 < p <= 1.0:
-            raise ValueError("p must be in (0, 1]")
-        count = 0
-        while self._rng.random() > p:
-            count += 1
-            if count > 1_000_000:  # pathological p guard
-                break
-        return count
 
     def bernoulli(self, p: float) -> bool:
         """True with probability p."""

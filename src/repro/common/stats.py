@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 
 class Counter:
@@ -26,22 +26,13 @@ class Counter:
             raise ValueError("Counter can only increase; use a plain attribute otherwise")
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
-
 
 class Histogram:
     """A sparse integer-keyed histogram with summary statistics.
 
-    Cumulative queries (:meth:`cumulative_fraction`, :meth:`percentile`,
-    :meth:`cdf`) are served from a sorted prefix-sum cache built lazily on
-    first query and invalidated by :meth:`record`, so evaluating a full CDF
+    Cumulative queries (:meth:`cumulative_fraction`, :meth:`percentile`)
+    are served from a sorted prefix-sum cache built lazily on first query
+    and invalidated by :meth:`record`, so evaluating a CDF at many points
     is ``O(n log n + points)`` instead of the naive ``O(n * points)``.
     """
 
@@ -75,24 +66,8 @@ class Histogram:
         return cache
 
     @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def total(self) -> int:
-        return self._total
-
-    @property
     def mean(self) -> float:
         return self._total / self._count if self._count else 0.0
-
-    @property
-    def max(self) -> int:
-        return max(self._buckets) if self._buckets else 0
-
-    @property
-    def min(self) -> int:
-        return min(self._buckets) if self._buckets else 0
 
     def buckets(self) -> Dict[int, int]:
         """Return a copy of the raw bucket counts."""
@@ -116,26 +91,17 @@ class Histogram:
         index = bisect_right(values, upper)
         return cumulative[index - 1] / self._count if index else 0.0
 
-    def cdf(self, points: Iterable[int]) -> List[Tuple[int, float]]:
-        """Evaluate the cumulative distribution at the given points."""
-        return [(p, self.cumulative_fraction(p)) for p in points]
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name}, n={self._count}, mean={self.mean:.2f})"
-
 
 @dataclass
 class StatsRegistry:
-    """Named collection of counters/histograms owned by a component.
+    """Named collection of counters owned by a component.
 
-    Components create their statistics through the registry so that the
+    Components create their counters through the registry so that the
     experiment harness can collect every value with :meth:`snapshot`.
     """
 
     prefix: str = ""
     counters: Dict[str, Counter] = field(default_factory=dict)
-    histograms: Dict[str, Histogram] = field(default_factory=dict)
-    scalars: Dict[str, float] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
         """Get or create a counter."""
@@ -143,45 +109,12 @@ class StatsRegistry:
             self.counters[name] = Counter(self._qualify(name))
         return self.counters[name]
 
-    def histogram(self, name: str) -> Histogram:
-        """Get or create a histogram."""
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(self._qualify(name))
-        return self.histograms[name]
-
-    def set_scalar(self, name: str, value: float) -> None:
-        """Record an arbitrary scalar result (ratios, latencies, ...)."""
-        self.scalars[name] = value
-
     def _qualify(self, name: str) -> str:
         return f"{self.prefix}.{name}" if self.prefix else name
 
     def snapshot(self) -> Dict[str, float]:
-        """Flatten every statistic into a plain dictionary."""
-        out: Dict[str, float] = {}
-        for name, counter in self.counters.items():
-            out[self._qualify(name)] = counter.value
-        for name, hist in self.histograms.items():
-            out[f"{self._qualify(name)}.count"] = hist.count
-            out[f"{self._qualify(name)}.mean"] = hist.mean
-        for name, value in self.scalars.items():
-            out[self._qualify(name)] = value
-        return out
-
-    def merge_from(self, other: "StatsRegistry") -> None:
-        """Accumulate counters from another registry (e.g. per-node stats)."""
-        for name, counter in other.counters.items():
-            self.counter(name).increment(counter.value)
-        for name, hist in other.histograms.items():
-            mine = self.histogram(name)
-            for value, count in hist.buckets().items():
-                mine.record(value, count)
-
-    def reset(self) -> None:
-        for counter in self.counters.values():
-            counter.reset()
-        self.histograms.clear()
-        self.scalars.clear()
+        """Flatten every counter into a plain dictionary."""
+        return {self._qualify(name): counter.value for name, counter in self.counters.items()}
 
 
 def ratio(numerator: float, denominator: float, default: float = 0.0) -> float:

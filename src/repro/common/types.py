@@ -20,9 +20,6 @@ BlockAddress = int
 #: Index of a DSM node (0 .. num_nodes - 1).
 NodeId = int
 
-#: Default coherence unit used throughout the paper (Table 1).
-DEFAULT_BLOCK_SIZE = 64
-
 
 class AccessType(enum.Enum):
     """Kind of memory access issued by a processor."""
@@ -35,21 +32,6 @@ class AccessType(enum.Enum):
     SPIN_READ = "spin_read"
     #: Atomic read-modify-write (lock acquire/release, barrier arrival).
     ATOMIC = "atomic"
-
-    @property
-    def is_read(self) -> bool:
-        """True for any access that only observes data."""
-        return self is AccessType.READ or self is AccessType.SPIN_READ
-
-    @property
-    def is_write(self) -> bool:
-        """True for accesses that modify the block (writes and atomics)."""
-        return self is AccessType.WRITE or self is AccessType.ATOMIC
-
-    @property
-    def is_spin(self) -> bool:
-        """True for spin reads, which never count as consumptions."""
-        return self is AccessType.SPIN_READ
 
 
 #: Small-int encoding of :class:`AccessType` used by the columnar trace
@@ -69,30 +51,9 @@ ACCESS_TYPE_FROM_CODE = (
     AccessType.ATOMIC,
 )
 
-#: Indexed by type code: mirrors AccessType.is_write.
+#: Indexed by type code: whether the access modifies the block (writes
+#: and atomics).
 TYPE_IS_WRITE = (False, True, False, True)
-
-
-def block_of(address: Address, block_size: int = DEFAULT_BLOCK_SIZE) -> BlockAddress:
-    """Return the block address containing ``address``.
-
-    >>> block_of(0x1000, 64)
-    64
-    >>> block_of(0x103f, 64)
-    64
-    >>> block_of(0x1040, 64)
-    65
-    """
-    if block_size <= 0 or block_size & (block_size - 1):
-        raise ValueError(f"block_size must be a positive power of two, got {block_size}")
-    return address // block_size
-
-
-def block_to_address(block: BlockAddress, block_size: int = DEFAULT_BLOCK_SIZE) -> Address:
-    """Return the first byte address of ``block``."""
-    if block_size <= 0 or block_size & (block_size - 1):
-        raise ValueError(f"block_size must be a positive power of two, got {block_size}")
-    return block * block_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,18 +84,6 @@ class MemoryAccess:
     pc: int = 0
     timestamp: int = 0
     dependent: bool = False
-
-    @property
-    def is_read(self) -> bool:
-        return self.access_type.is_read
-
-    @property
-    def is_write(self) -> bool:
-        return self.access_type.is_write
-
-    @property
-    def is_spin(self) -> bool:
-        return self.access_type.is_spin
 
 
 @dataclass(slots=True)

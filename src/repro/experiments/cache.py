@@ -77,9 +77,6 @@ class ResultCache:
         self.misses = 0
         self._store: "OrderedDict[Tuple, TSEStats]" = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._store)
-
     def get(self, key: Tuple) -> Optional[TSEStats]:
         value = self._store.get(key)
         if value is None:

@@ -26,7 +26,8 @@ from repro.common.config import (
 from repro.workloads import ALL_WORKLOADS, get_workload
 from repro.workloads.base import WorkloadParams
 
-#: The paper's seven workloads, in paper order.
+#: Every registered workload: the paper's seven plus this repository's
+#: sparse and jbb extensions, scientific first.
 WORKLOADS: Sequence[str] = ALL_WORKLOADS
 
 #: Default per-workload trace size for experiments.  Large enough that the

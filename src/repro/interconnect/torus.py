@@ -1,4 +1,4 @@
-"""2D torus topology and dimension-order routing.
+"""2D torus topology: hop counts and bisection crossings.
 
 The paper's system is a 4x4 2D torus with 25 ns per-hop latency and 128 GB/s
 peak bisection bandwidth (Table 1).  The topology module answers two
@@ -9,7 +9,6 @@ does its route cross the bisection (needed for Figure 11).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
 
 from repro.common.config import InterconnectConfig
 from repro.common.types import NodeId
@@ -46,21 +45,10 @@ class TorusTopology:
             raise ValueError(f"node {node} outside torus of {self.num_nodes} nodes")
         return Coordinate(x=node % self.width, y=node // self.width)
 
-    def node_at(self, coord: Coordinate) -> NodeId:
-        return (coord.y % self.height) * self.width + (coord.x % self.width)
-
     def _ring_distance(self, a: int, b: int, size: int) -> int:
         """Shortest distance between two positions on a ring of ``size``."""
         direct = abs(a - b)
         return min(direct, size - direct)
-
-    def _ring_step(self, a: int, b: int, size: int) -> int:
-        """Direction (+1/-1/0) of the first shortest-path hop from a to b."""
-        if a == b:
-            return 0
-        direct = (b - a) % size
-        wrap = (a - b) % size
-        return 1 if direct <= wrap else -1
 
     def hop_count(self, src: NodeId, dst: NodeId) -> int:
         """Minimal hop count between two nodes (0 when src == dst)."""
@@ -70,21 +58,6 @@ class TorusTopology:
         return self._ring_distance(a.x, b.x, self.width) + self._ring_distance(
             a.y, b.y, self.height
         )
-
-    def route(self, src: NodeId, dst: NodeId) -> List[NodeId]:
-        """Dimension-order (X then Y) route from src to dst, inclusive."""
-        path = [src]
-        current = self.coordinate_of(src)
-        target = self.coordinate_of(dst)
-        while current.x != target.x:
-            step = self._ring_step(current.x, target.x, self.width)
-            current = Coordinate((current.x + step) % self.width, current.y)
-            path.append(self.node_at(current))
-        while current.y != target.y:
-            step = self._ring_step(current.y, target.y, self.height)
-            current = Coordinate(current.x, (current.y + step) % self.height)
-            path.append(self.node_at(current))
-        return path
 
     def crosses_bisection(self, src: NodeId, dst: NodeId) -> bool:
         """Does the dimension-order route cross the machine's X-axis bisection?
@@ -111,11 +84,3 @@ class TorusTopology:
                 total += self.hop_count(src, dst)
                 pairs += 1
         return total / pairs if pairs else 0.0
-
-    def neighbors(self, node: NodeId) -> Iterator[NodeId]:
-        """The four torus neighbours of a node."""
-        coord = self.coordinate_of(node)
-        yield self.node_at(Coordinate((coord.x + 1) % self.width, coord.y))
-        yield self.node_at(Coordinate((coord.x - 1) % self.width, coord.y))
-        yield self.node_at(Coordinate(coord.x, (coord.y + 1) % self.height))
-        yield self.node_at(Coordinate(coord.x, (coord.y - 1) % self.height))

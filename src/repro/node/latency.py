@@ -31,16 +31,6 @@ class LatencyModel:
 
     # ------------------------------------------------------------------ values
     @property
-    def l2_hit_cycles(self) -> float:
-        """L1 miss that hits in the local L2."""
-        return float(self._l2_hit)
-
-    @property
-    def local_memory_cycles(self) -> float:
-        """Miss satisfied from the node's own memory (no network traversal)."""
-        return self._l2_hit + self._controller_cycles + self._memory_cycles
-
-    @property
     def remote_memory_cycles(self) -> float:
         """2-hop miss: request to the home node, data from the home's memory."""
         return (

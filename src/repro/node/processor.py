@@ -25,7 +25,6 @@ from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
-from repro.common.stats import ratio
 from repro.node.latency import LatencyModel
 from repro.tse.simulator import Outcome
 
@@ -73,11 +72,6 @@ class NodeTimingResult:
     @property
     def total_cycles(self) -> float:
         return self.busy_cycles + self.coherent_read_stall_cycles + self.other_stall_cycles
-
-    @property
-    def consumption_mlp(self) -> float:
-        """Average outstanding coherent read misses while at least one is outstanding."""
-        return ratio(self.mlp_area, self.mlp_busy_time, default=1.0)
 
 
 class ProcessorModel:

@@ -29,12 +29,6 @@ class PrefetchBuffer:
         #: Number of blocks ever inserted.
         self.fills = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, address: BlockAddress) -> bool:
-        return address in self._entries
-
     def insert(self, address: BlockAddress) -> None:
         """Insert a prefetched block, evicting LRU (a discard) when full."""
         if address in self._entries:

@@ -116,15 +116,6 @@ class Event:
         payload = json.dumps(self.data, sort_keys=True)
         return f"id: {self.seq}\nevent: {self.type}\ndata: {payload}\n\n"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "campaign_id": self.campaign_id,
-            "seq": self.seq,
-            "type": self.type,
-            "data": self.data,
-            "created": self.created,
-        }
-
 
 class EventLog:
     """Append-only event storage sharing the service's sqlite file.
@@ -154,12 +145,6 @@ class EventLog:
         return self._pool.connection()
 
     # ------------------------------------------------------------- appending
-    def append(
-        self, campaign_id: int, type: str, data: Dict[str, Any],
-    ) -> Event:
-        """Append one event, allocating the next per-campaign seq."""
-        return self.append_many(campaign_id, [(type, data)])[0]
-
     def append_many(
         self, campaign_id: int, entries: Sequence[Tuple[str, Dict[str, Any]]],
     ) -> List[Event]:
@@ -211,14 +196,6 @@ class EventLog:
             )
             for row in rows
         ]
-
-    def last_seq(self, campaign_id: int) -> int:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT COALESCE(MAX(seq), 0) AS top FROM events "
-                "WHERE campaign_id = ?", (campaign_id,)
-            ).fetchone()
-        return int(row["top"])
 
     def count(self, campaign_id: Optional[int] = None) -> int:
         where = "" if campaign_id is None else "WHERE campaign_id = ?"

@@ -1,10 +1,10 @@
 """Deterministic fault injection for the distributed execution plane.
 
 A :class:`FaultPlan` is a seeded, serializable schedule of failures injected
-at *named sites* in the scheduler, worker, and store.  Call sites invoke
-:func:`fire` with their site name (and an optional context string such as a
-job key or worker id); when no plan is installed the call is a single
-``None`` check, so production paths pay nothing.
+at *named sites* in the scheduler, worker, event bus and HTTP transport.
+Call sites invoke :func:`fire` with their site name (and an optional
+context string such as a job key or worker id); when no plan is installed
+the call is a single ``None`` check, so production paths pay nothing.
 
 Faults trigger by occurrence count: ``Fault(site="worker.job",
 action="raise", after=3)`` fires on the third matching hit of that site.
@@ -33,7 +33,7 @@ Actions:
 
 Named sites currently wired: ``worker.lease``, ``worker.job``,
 ``worker.post_results`` (worker loop), ``scheduler.sweep``,
-``scheduler.store_result`` (scheduler), ``store.put_result`` (store),
+``scheduler.store_result`` (scheduler),
 ``events.notify`` (event bus — fires *after* the durable append, on the
 subscriber wakeup only, so drop/duplicate/delay there can never corrupt
 the log or a resumed SSE stream), and the HTTP transport pair
@@ -50,7 +50,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.common.rng import DeterministicRNG
@@ -166,13 +166,6 @@ class FaultPlan:
         return triggered.action  # drop / duplicate / expire
 
     # --------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "hard": self.hard,
-            "faults": [asdict(fault) for fault in self.faults],
-        }
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
         return cls(
@@ -197,10 +190,6 @@ def install(plan: Optional[FaultPlan]) -> None:
     """Install (or with ``None`` clear) the process-active fault plan."""
     global _ACTIVE
     _ACTIVE = plan
-
-
-def active() -> Optional[FaultPlan]:
-    return _ACTIVE
 
 
 def fire(site: str, context: str = "") -> Optional[str]:

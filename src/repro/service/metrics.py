@@ -16,7 +16,7 @@ background thread.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 #: Latency buckets (seconds) sized for simulation jobs: sub-second cache
 #: settles up through multi-minute full-size trace replays.
@@ -53,14 +53,6 @@ class Counter:
         key = _label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + value
-
-    def value(self, **labels: str) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
-
-    def total(self) -> float:
-        with self._lock:
-            return sum(self._values.values())
 
     def sum_where(self, **labels: str) -> float:
         """Sum over every labelset containing all the given pairs."""
@@ -199,10 +191,6 @@ class MetricsRegistry:
         return self._get_or_create(
             name, lambda: Histogram(name, help, buckets=buckets)
         )
-
-    def get(self, name: str) -> Optional[Any]:
-        with self._lock:
-            return self._metrics.get(name)
 
     def add_collect_hook(
         self, hook: Callable[["MetricsRegistry"], None],

@@ -337,18 +337,6 @@ class ResultStore:
             "WHERE key = ? AND quarantined = 1", [(entry[0],) for entry in entries],
         )
 
-    def put_result(
-        self, key: str, job_id: str, experiment: str, workload: str,
-        rows: List[Dict[str, object]],
-    ) -> None:
-        """Store one job's rows (idempotent, see :meth:`_insert_results`)."""
-        from repro.service import faults
-
-        faults.fire("store.put_result", context=key)
-        self._write(lambda conn: self._insert_results(
-            conn, [(key, job_id, experiment, workload, rows)]
-        ))
-
     def get_result(self, key: str) -> Optional[List[Dict[str, object]]]:
         with self._connect() as conn:
             row = conn.execute(
@@ -582,18 +570,6 @@ class ResultStore:
             return active
 
         return self._write(mutate)
-
-    def lease(self, lease_id: int) -> Optional[Dict[str, Any]]:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT id, worker, status, created, expires, heartbeats, "
-                "keys_json FROM leases WHERE id = ?", (lease_id,)
-            ).fetchone()
-        if row is None:
-            return None
-        record = dict(row)
-        record["keys"] = json.loads(record.pop("keys_json"))
-        return record
 
     def workers(self) -> List[Dict[str, Any]]:
         """Fleet view: per-worker lease counts and last activity

@@ -10,7 +10,7 @@ on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.common.chunk import ChunkedTrace
 from repro.common.config import (
@@ -32,36 +32,6 @@ class SystemComparison:
     workload: str
     tse_stats: TSEStats
     timing: Optional[TimingComparison] = None
-
-    @property
-    def coverage(self) -> float:
-        return self.tse_stats.coverage
-
-    @property
-    def discard_rate(self) -> float:
-        return self.tse_stats.discard_rate
-
-    @property
-    def speedup(self) -> float:
-        return self.timing.speedup if self.timing is not None else 1.0
-
-    def summary(self) -> Dict[str, float]:
-        out = {
-            "workload": self.workload,
-            "coverage": self.coverage,
-            "discard_rate": self.discard_rate,
-            "total_consumptions": self.tse_stats.total_consumptions,
-        }
-        if self.timing is not None:
-            out.update(
-                {
-                    "speedup": self.speedup,
-                    "base_mlp": self.timing.base.consumption_mlp,
-                    "full_coverage": self.timing.tse.full_coverage,
-                    "partial_coverage": self.timing.tse.partial_coverage,
-                }
-            )
-        return out
 
 
 class DSMSystem:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Type
 
 from repro.common.rng import DeterministicRNG
@@ -44,9 +44,6 @@ class WorkloadParams:
         """Scale an integral size parameter by ``scale``."""
         return max(minimum, int(round(value * self.scale)))
 
-    def with_(self, **kwargs) -> "WorkloadParams":
-        return replace(self, **kwargs)
-
 
 class AddressSpace:
     """Allocates disjoint block-address regions to named data structures.
@@ -71,13 +68,6 @@ class AddressSpace:
         self._regions[name] = region
         self._next_block += num_blocks
         return region
-
-    def region(self, name: str) -> range:
-        return self._regions[name]
-
-    @property
-    def total_blocks(self) -> int:
-        return self._next_block - 1
 
 
 def interleave(per_node: List[list], quantum: int) -> Iterator:

@@ -214,12 +214,8 @@ class StridedSweep:
     logs).  Scans read a contiguous run of blocks and write half of them
     back, so a later scan of the same run by another node consumes in scan
     order — long correlated streams (the commercial CDF's upper tail).
-
-    ``permute`` replaces the unit stride with a fixed coprime-stride
-    permutation of the run, which preserves the repeatable *order* (TSE is
-    indifferent) while denying stride prefetchers the pattern; leave it off
-    for structures that genuinely are unit-stride (Figure 12's stride
-    prefetcher earns its few percent there).
+    The scan is unit-stride, which is where Figure 12's stride prefetcher
+    earns its few percent.
     """
 
     def __init__(
@@ -232,7 +228,6 @@ class StridedSweep:
         write_fraction: float = 0.5,
         read_work: int = 450,
         write_work: int = 450,
-        permute: bool = False,
         pc_base: int = 140,
     ) -> None:
         self.name = name
@@ -242,7 +237,6 @@ class StridedSweep:
         self.write_work = write_work
         self.pc_base = pc_base
         self.region = space.allocate(name, blocks)
-        self._stride = _coprime_stride(scan_blocks) if permute else 1
 
     def scan(
         self,
@@ -255,10 +249,7 @@ class StridedSweep:
         runs = len(self.region) // self.scan_blocks
         base = self.region.start + rng.randrange(runs) * self.scan_blocks
         pc = self.pc_base
-        stride = self._stride
-        count = self.scan_blocks
-        for i in range(count):
-            block = base + (i * stride) % count
+        for block in range(base, base + self.scan_blocks):
             out.append(emitter.read(node, block, pc=pc, work=self.read_work))
             if rng.bernoulli(self.write_fraction):
                 out.append(emitter.write(node, block, pc=pc + 1, work=self.write_work))
@@ -333,7 +324,7 @@ class PartitionedSweep:
     A region is partitioned per owner node.  At construction, every owner's
     partition is sliced among its *reader* nodes so that each block has
     exactly one remote consumer, and each consumer's read sequence is a
-    fixed (optionally permuted) order over its slices.  Per iteration:
+    fixed shuffled order over its slices.  Per iteration:
 
     * **read phase** — every consumer re-reads its remote sequence in the
       same order (plus interleaved local compute reads of its own blocks);
@@ -366,7 +357,6 @@ class PartitionedSweep:
         local_reads_per_remote: int = 1,
         local_read_work: int = 20,
         interior_rewrite_stride: int = 1,
-        permute: bool = True,
         pc_base: int = 180,
     ) -> None:
         self.name = name
@@ -411,9 +401,8 @@ class PartitionedSweep:
                 hi = (r + 1) * slice_size if r < len(offsets) - 1 else len(shared)
                 self._sequences[reader].extend(shared[lo:hi])
         # Fixed per-consumer permutation: repeatable order, no strides.
-        if permute:
-            for sequence in self._sequences:
-                rng.shuffle(sequence)
+        for sequence in self._sequences:
+            rng.shuffle(sequence)
 
     def drift(self, rng: DeterministicRNG, fraction: float) -> None:
         """Re-permute a fraction of every consumer's read order (list rebuild)."""
@@ -594,13 +583,3 @@ class LockSite:
 
     def release(self, emitter, node: int, out: List[PackedAccess], index: int = 0) -> None:
         out.append(emitter.atomic(node, self.locks[index % len(self.locks)], pc=self.pc_base + 2))
-
-
-def _coprime_stride(length: int, minimum: int = 5) -> int:
-    """Smallest stride >= minimum coprime with ``length`` (full permutation)."""
-    import math
-
-    for candidate in range(minimum, length):
-        if math.gcd(candidate, length) == 1:
-            return candidate
-    return 1

@@ -69,14 +69,33 @@ def cmob_window():
     return _cmob_window
 
 
+def _put_result(store, key, job_id, experiment, workload, rows):
+    lease_id = store.create_lease("seeder", [key], ttl=60.0)
+    store.finish_lease(lease_id, results=[(key, job_id, experiment, workload, rows)])
+
+
 @pytest.fixture(scope="session")
-def battery_configs():
-    """The reference battery's TSE configurations, by label, read from
-    ``benchmarks/reference_battery.py`` (which lives outside any package)."""
+def put_result():
+    """Storer ``put_result(store, key, job_id, experiment, workload, rows)``:
+    one job's rows through the settle path a lease holder takes
+    (``create_lease`` then ``finish_lease``)."""
+    return _put_result
+
+
+@pytest.fixture(scope="session")
+def battery():
+    """The ``benchmarks/reference_battery.py`` module (which lives outside
+    any package): its configurations and cell functions."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "reference_battery.py"
     spec = importlib.util.spec_from_file_location("reference_battery", path)
-    battery = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(battery)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def battery_configs(battery):
+    """The reference battery's TSE configurations, by label."""
     return dict(battery.CONFIGS)
 
 

@@ -6,13 +6,20 @@ from repro.analysis.bandwidth import bandwidth_overhead, estimate_elapsed_ns
 from repro.analysis.correlation import cumulative_correlation, temporal_correlation
 from repro.analysis.streams import fraction_of_hits_from_short_streams, stream_length_cdf
 from repro.common.chunk import ChunkedTrace, TraceChunk
-from repro.common.config import SystemConfig, TSEConfig
+from repro.common.config import CacheConfig, InterconnectConfig, SystemConfig, TSEConfig
 from repro.common.stats import Histogram
 from repro.common.types import TYPE_READ, Consumption
 from repro.experiments.runner import trace_for
 from repro.tse.simulator import TSESimulator
 from repro.workloads import get_workload
 from repro.workloads.base import WorkloadParams
+
+#: A 4-node machine on a 2x2 torus.
+FOUR_NODES = SystemConfig(
+    num_nodes=4,
+    l2=CacheConfig(hit_latency=25, mshrs=16),
+    interconnect=InterconnectConfig(width=2, height=2),
+)
 
 
 def consumption_sequences(sequences):
@@ -99,19 +106,19 @@ class TestBandwidth:
     def test_requires_traffic_accounting(self, small_traces):
         stats = TSESimulator(4, TSEConfig.paper_default()).run(small_traces["db2"])
         with pytest.raises(ValueError):
-            bandwidth_overhead(stats, small_traces["db2"], SystemConfig.small(4))
+            bandwidth_overhead(stats, small_traces["db2"], FOUR_NODES)
 
     def test_overhead_result_fields_sane(self, small_traces):
         trace = small_traces["db2"]
         stats = self._traffic_stats(trace)
-        result = bandwidth_overhead(stats, trace, SystemConfig.small(4))
+        result = bandwidth_overhead(stats, trace, FOUR_NODES)
         assert result.elapsed_ns > 0
         assert result.overhead_bandwidth_gbps >= 0
         assert 0 <= result.pin_overhead_ratio < 0.5
         assert result.overhead_ratio >= 0
 
     def test_elapsed_time_scales_with_trace_length(self, column_trace):
-        system = SystemConfig.small(4)
+        system = FOUR_NODES
         short = column_trace([(0, i, TYPE_READ, 0, i * 10, 0) for i in range(10)], 4)
         long = column_trace([(0, i, TYPE_READ, 0, i * 10, 0) for i in range(100)], 4)
         assert estimate_elapsed_ns(long, system) > estimate_elapsed_ns(short, system)
@@ -140,7 +147,7 @@ class TestBandwidth:
         assert elapsed == self._flat_elapsed(self._timestamps(trace), system)
 
     def test_elapsed_time_falls_back_to_the_whole_trace(self):
-        system = SystemConfig.small(4)
+        system = FOUR_NODES
         trace = ChunkedTrace(num_nodes=4)
         early = TraceChunk()
         early.extend_packed((0, block, 0, 0, 10 * block, 0) for block in range(100))

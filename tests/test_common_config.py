@@ -24,9 +24,8 @@ class TestTSEConfig:
     def test_paper_default_matches_section5(self):
         config = TSEConfig.paper_default()
         assert config.compared_streams == 2
-        assert config.svb_entries == 32
-        assert config.svb_bytes == 2048
-        assert config.cmob_capacity_bytes == pytest.approx(1.5 * 1024 * 1024)
+        assert config.svb_entries * 64 == 2048  # 2 KB of 64-byte blocks
+        assert config.cmob_capacity * config.cmob_entry_bytes == 1.5 * 1024 * 1024
 
     def test_auto_queue_depth_and_refill(self):
         config = TSEConfig(stream_lookahead=8)
@@ -68,7 +67,7 @@ class TestSystemConfig:
     def test_cycle_conversions_round_trip(self):
         system = SystemConfig.isca2005()
         assert system.ns_to_cycles(25.0) == pytest.approx(100.0)
-        assert system.cycles_to_ns(system.ns_to_cycles(60.0)) == pytest.approx(60.0)
+        assert system.ns_to_cycles(60.0) == pytest.approx(240.0)
 
     def test_mismatched_interconnect_rejected(self):
         with pytest.raises(ValueError):
@@ -94,9 +93,3 @@ class TestSystemConfig:
                 f"{net.bisection_bandwidth_gbps:g} GB/s") in rows["Interconnect"]
         assert (f"{system.protocol_controller_occupancy_ns:g} ns occupancy"
                 in rows["Protocol controller"])
-
-    def test_small_config_builds_valid_torus(self):
-        for nodes in (2, 4, 8, 16):
-            system = SystemConfig.small(nodes)
-            assert system.num_nodes == nodes
-            assert system.interconnect.num_nodes == nodes

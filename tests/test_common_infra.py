@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.rng import DeterministicRNG
-from repro.common.stats import Counter, Histogram, StatsRegistry, ratio
+from repro.common.stats import Counter, Histogram, StatsRegistry, publish_counters, ratio
 
 
 class TestCounter:
@@ -23,14 +23,15 @@ class TestHistogram:
         hist = Histogram("h")
         for value in (1, 2, 3, 4):
             hist.record(value)
-        assert hist.count == 4
+        assert sum(hist.buckets().values()) == 4
         assert hist.mean == pytest.approx(2.5)
 
     def test_weighted_record(self):
         hist = Histogram("h")
         hist.record(10, weight=3)
-        assert hist.count == 3
-        assert hist.total == 30
+        hist.record(2)
+        assert hist.buckets() == {10: 3, 2: 1}
+        assert hist.mean == pytest.approx(8.0)
 
     def test_cumulative_fraction(self):
         hist = Histogram("h")
@@ -51,28 +52,46 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("h").percentile(1.5)
 
+    @pytest.mark.parametrize("weight", [0, -1])
+    def test_non_positive_weight_rejected(self, weight):
+        with pytest.raises(ValueError):
+            Histogram("h").record(5, weight=weight)
+
+    def test_empty_histogram_reads_zero(self):
+        hist = Histogram("h")
+        assert (hist.mean, hist.percentile(0.5), hist.cumulative_fraction(10)) == (0.0, 0, 0.0)
+
+    def test_record_after_a_query_refreshes_the_prefix_sums(self):
+        hist = Histogram("h")
+        hist.record(1)
+        hist.record(3)
+        assert hist.cumulative_fraction(1) == pytest.approx(0.5)
+        assert hist.percentile(0.75) == 3
+        hist.record(1, weight=2)
+        assert hist.cumulative_fraction(1) == pytest.approx(0.75)
+        assert hist.percentile(0.75) == 1
+
 
 class TestStatsRegistry:
     def test_counter_reuse_and_snapshot(self):
         stats = StatsRegistry(prefix="x")
         stats.counter("hits").increment(2)
         stats.counter("hits").increment(1)
-        stats.set_scalar("rate", 0.5)
-        snap = stats.snapshot()
-        assert snap["x.hits"] == 3
-        assert snap["x.rate"] == 0.5
-
-    def test_merge_from(self):
-        a, b = StatsRegistry(), StatsRegistry()
-        a.counter("n").increment(1)
-        b.counter("n").increment(2)
-        a.merge_from(b)
-        assert a.counter("n").value == 3
+        stats.counter("misses")
+        assert stats.snapshot() == {"x.hits": 3, "x.misses": 0}
 
     def test_ratio_safe_division(self):
         assert ratio(1, 2) == 0.5
         assert ratio(1, 0) == 0.0
         assert ratio(1, 0, default=1.0) == 1.0
+
+    def test_publish_counters_overwrites_instead_of_adding(self):
+        """The TSE system republishes its running totals on every read of
+        ``stats``, so a second publish must replace the first."""
+        stats = StatsRegistry(prefix="tse")
+        assert publish_counters(stats, {"hits": 4, "misses": 1}) is stats
+        publish_counters(stats, {"hits": 6})
+        assert stats.snapshot() == {"tse.hits": 6, "tse.misses": 1}
 
 
 class TestDeterministicRNG:
@@ -87,6 +106,27 @@ class TestDeterministicRNG:
         b.random()  # extra draw in the parent must not change the child
         b_child = b.fork(1)
         assert [a_child.randint(0, 9) for _ in range(5)] == [b_child.randint(0, 9) for _ in range(5)]
+
+    def test_forks_with_distinct_salts_differ(self):
+        parent = DeterministicRNG(3)
+        draws = [[child.random() for _ in range(4)] for child in (parent.fork(1), parent.fork(2))]
+        assert draws[0] != draws[1]
+
+    def test_randint_bounds_are_inclusive(self):
+        rng = DeterministicRNG(7)
+        assert {rng.randint(0, 1) for _ in range(200)} == {0, 1}
+        assert rng.randint(5, 5) == 5
+
+    def test_sample_and_shuffle_follow_the_seed(self):
+        a, b = DeterministicRNG(11), DeterministicRNG(11)
+        population = list(range(20))
+        picked = a.sample(population, 5)
+        assert picked == b.sample(population, 5)
+        assert len(set(picked)) == 5 and set(picked) <= set(population)
+        left, right = list(population), list(population)
+        a.shuffle(left)
+        b.shuffle(right)
+        assert left == right and sorted(left) == population
 
     def test_zipf_within_range_and_skewed(self):
         rng = DeterministicRNG(5)
@@ -129,7 +169,3 @@ class TestDeterministicRNG:
         rng = DeterministicRNG(1)
         assert not any(rng.bernoulli(0.0) for _ in range(100))
         assert all(rng.bernoulli(1.0) for _ in range(100))
-
-    def test_geometric_rejects_bad_p(self):
-        with pytest.raises(ValueError):
-            DeterministicRNG(1).geometric(0.0)

@@ -392,9 +392,9 @@ class TestStoreSchema:
         with pytest.raises(StoreSchemaError):
             ResultStore(path)
 
-    def test_checksums_off_rows_are_unverifiable_not_corrupt(self, tmp_path):
+    def test_checksums_off_rows_are_unverifiable_not_corrupt(self, put_result, tmp_path):
         store = ResultStore(tmp_path / "nochk.sqlite", checksums=False)
-        store.put_result("k", "j", "fig09", "db2", [{"i": 1}])
+        put_result(store, "k", "j", "fig09", "db2", [{"i": 1}])
         report = store.fsck()
         assert report["ok"] and report["unverifiable"] == 1
 
@@ -404,16 +404,16 @@ class TestStoreSchema:
 # --------------------------------------------------------------------------
 
 
-def _seeded_store(tmp_path, n=3):
+def _seeded_store(put_result, tmp_path, n=3):
     store = ResultStore(tmp_path / "seeded.sqlite")
     for index in range(n):
-        store.put_result(f"k{index}", f"j{index}", "fig09", "db2",
+        put_result(store, f"k{index}", f"j{index}", "fig09", "db2",
                          [{"i": index}])
     return store
 
 
 def _corrupt_row(store, key, rows_json):
-    """Overwrite one row's payload directly, bypassing put_result (which
+    """Overwrite one row's payload directly, bypassing the store (which
     would recompute the checksum) — simulated silent bit corruption."""
     conn = sqlite3.connect(store.path)
     conn.execute("UPDATE results SET rows_json = ? WHERE key = ?",
@@ -423,28 +423,28 @@ def _corrupt_row(store, key, rows_json):
 
 
 class TestFsck:
-    def test_clean_store_is_ok(self, tmp_path):
-        report = _seeded_store(tmp_path).fsck()
+    def test_clean_store_is_ok(self, put_result, tmp_path):
+        report = _seeded_store(put_result, tmp_path).fsck()
         assert report["ok"] and report["results"] == 3
         assert report["corrupt"] == [] and report["integrity_check"] == "ok"
 
-    def test_flipped_byte_reported_exactly(self, tmp_path):
-        store = _seeded_store(tmp_path)
+    def test_flipped_byte_reported_exactly(self, put_result, tmp_path):
+        store = _seeded_store(put_result, tmp_path)
         # One byte differs, JSON still valid: only the checksum catches it.
         _corrupt_row(store, "k1", json.dumps([{"i": 9}]))
         report = store.fsck()
         assert not report["ok"]
         assert report["corrupt"] == [{"key": "k1", "reason": "checksum mismatch"}]
 
-    def test_truncated_payload_reported_exactly(self, tmp_path):
-        store = _seeded_store(tmp_path)
+    def test_truncated_payload_reported_exactly(self, put_result, tmp_path):
+        store = _seeded_store(put_result, tmp_path)
         _corrupt_row(store, "k2", '[{"i": 2')  # write died mid-payload
         report = store.fsck()
         assert [entry["key"] for entry in report["corrupt"]] == ["k2"]
         assert report["corrupt"][0]["reason"] == "payload is not valid JSON"
 
-    def test_repair_deletes_exactly_the_corrupt_rows(self, tmp_path):
-        store = _seeded_store(tmp_path)
+    def test_repair_deletes_exactly_the_corrupt_rows(self, put_result, tmp_path):
+        store = _seeded_store(put_result, tmp_path)
         _corrupt_row(store, "k0", json.dumps([{"i": 99}]))
         report = store.fsck(repair=True)
         assert report["repaired"] == 1
@@ -488,23 +488,23 @@ def _results_dump(path):
 
 
 class TestBackupRestore:
-    def test_round_trip_is_bit_identical(self, tmp_path):
-        store = _seeded_store(tmp_path)
+    def test_round_trip_is_bit_identical(self, put_result, tmp_path):
+        store = _seeded_store(put_result, tmp_path)
         backup_path = tmp_path / "out" / "backup.sqlite"
         report = store.backup(backup_path)
         assert report["results"] == 3 and backup_path.is_file()
         # A row landing *after* the snapshot misses the backup by design.
-        store.put_result("late", "j-late", "fig09", "db2", [{"i": 9}])
+        put_result(store, "late", "j-late", "fig09", "db2", [{"i": 9}])
         restored = ResultStore.restore(backup_path, tmp_path / "restored.sqlite")
         assert restored.fsck()["ok"]
         assert restored.get_result("late") is None
         assert _results_dump(restored.path) == _results_dump(backup_path)
 
-    def test_round_trip_carries_campaign_records(self, tmp_path):
+    def test_round_trip_carries_campaign_records(self, put_result, tmp_path):
         """A backup is the whole store: campaign records with their key
         lists and statuses, attempt flags and event streams restore with
         the results, so a restored campaign renders and resumes as before."""
-        store = _seeded_store(tmp_path)
+        store = _seeded_store(put_result, tmp_path)
         keys = ["k0", "k1", "pending"]
         campaign_id = store.create_campaign('{"name": "arch"}', "arch", keys)
         store.set_campaign_status(campaign_id, "failed")
@@ -528,15 +528,15 @@ class TestBackupRestore:
             for event in restored.event_log.after(campaign_id, 0)
         ] == [(1, CAMPAIGN_FINISHED, {"status": "failed"})]
 
-    def test_restore_onto_a_store_this_process_opened(self, tmp_path):
+    def test_restore_onto_a_store_this_process_opened(self, put_result, tmp_path):
         """Restoring over a path this process has open and has written
         installs the backup: the store reopens, reads the backup's rows
         (not the rows written after it) and passes fsck."""
         backup_path = tmp_path / "backup.sqlite"
-        _seeded_store(tmp_path).backup(backup_path)
+        _seeded_store(put_result, tmp_path).backup(backup_path)
         target = tmp_path / "live.sqlite"
         live = ResultStore(target)
-        live.put_result("written", "j-w", "fig09", "db2", [{"i": 7}])
+        put_result(live, "written", "j-w", "fig09", "db2", [{"i": 7}])
         restored = ResultStore.restore(backup_path, target)
         reopened = ResultStore(target)
         for store in (restored, reopened, live):
@@ -559,8 +559,8 @@ class TestBackupRestore:
             ResultStore.restore(bad, target)
         assert not target.exists()
 
-    def test_restore_rejects_newer_backup(self, tmp_path):
-        store = _seeded_store(tmp_path)
+    def test_restore_rejects_newer_backup(self, put_result, tmp_path):
+        store = _seeded_store(put_result, tmp_path)
         backup_path = tmp_path / "backup.sqlite"
         store.backup(backup_path)
         conn = sqlite3.connect(backup_path)
@@ -579,10 +579,10 @@ class TestBackupRestore:
 
 
 class TestDurabilityCli:
-    def test_fsck_detect_repair_and_backup_restore(self, tmp_path, capsys):
+    def test_fsck_detect_repair_and_backup_restore(self, put_result, tmp_path, capsys):
         store_path = tmp_path / "cli.sqlite"
         store = ResultStore(store_path)
-        store.put_result("k", "j", "fig09", "db2", [{"i": 1}])
+        put_result(store, "k", "j", "fig09", "db2", [{"i": 1}])
         base = ["--store", str(store_path)]
         assert cli_main(base + ["fsck"]) == 0
         _corrupt_row(store, "k", json.dumps([{"i": 2}]))

@@ -104,10 +104,10 @@ def _expect_exact_stream(events, log, campaign_id):
 class TestEventLog:
     def test_seq_is_gapless_and_per_campaign(self, log):
         for n in range(3):
-            event = log.append(1, "job.queued", {"n": n})
+            (event,) = log.append_many(1, [("job.queued", {"n": n})])
             assert event.seq == n + 1
-        assert log.append(2, "job.queued", {}).seq == 1  # independent stream
-        assert log.last_seq(1) == 3
+        assert log.append_many(2, [("job.queued", {})])[0].seq == 1  # independent stream
+        assert log.after(1, 0)[-1].seq == 3
         assert log.count() == 4
         assert log.count(1) == 3
 
@@ -125,7 +125,7 @@ class TestEventLog:
     def test_concurrent_publishers_stay_gapless(self, log):
         def publish():
             for _ in range(25):
-                log.append(1, "t", {})
+                log.append_many(1, [("t", {})])
 
         threads = [threading.Thread(target=publish) for _ in range(4)]
         for thread in threads:
@@ -137,7 +137,7 @@ class TestEventLog:
 
     def test_data_round_trips_exactly(self, log):
         data = {"rows": [{"coverage": 0.1 + 0.2}], "error": None}
-        log.append(1, "job.completed", data)
+        log.append_many(1, [("job.completed", data)])
         assert log.after(1, 0)[0].data == data
 
 
@@ -198,7 +198,7 @@ class TestSSEParsing:
         ]
 
     def test_event_to_sse_round_trips(self, log):
-        event = log.append(1, JOB_COMPLETED, {"key": "k", "rows": [{"x": 1}]})
+        (event,) = log.append_many(1, [(JOB_COMPLETED, {"key": "k", "rows": [{"x": 1}]})])
         frames = event.to_sse().encode().splitlines(keepends=True)
         parsed = list(parse_sse(iter(frames)))
         assert parsed == [
@@ -317,7 +317,7 @@ class TestSSEStream:
     def test_after_query_parameter_resumes_too(self, live):
         run = live.service.submit(tiny_campaign(), wait=True)
         log = live.service.store.event_log
-        last = log.last_seq(run.id)
+        last = log.after(run.id, 0, limit=100_000)[-1].seq
         url = f"{live.url}/campaigns/{run.id}/events?after={last - 2}"
         tail = list(sse_events(url))
         assert [e["id"] for e in tail] == [last - 1, last]
@@ -440,7 +440,7 @@ class TestTelemetryAPI:
         _, body = self._get(live, "/metrics?format=json")
         assert "repro_queue_depth" in json.loads(body)
 
-    def test_partial_table_reports_completeness(self, tmp_path):
+    def test_partial_table_reports_completeness(self, put_result, tmp_path):
         """A campaign's table, partial or whole, and its completeness read
         from the store alone: ``render_stored_campaign`` (``results <id>``)
         and ``stored_progress`` (``GET /campaigns/<id>``, ``status <id>``)."""
@@ -460,8 +460,9 @@ class TestTelemetryAPI:
             )
             first = run.jobs[0]
             rows = full_store.get_result(first.key)
-            partial_store.put_result(
-                first.key, first.job_id, first.experiment, first.workload, rows,
+            put_result(
+                partial_store, first.key, first.job_id, first.experiment,
+                first.workload, rows,
             )
             partial = stored_progress(partial_store, campaign_id)
             assert partial["stored"] == partial["states"]["completed"] == 1
@@ -536,11 +537,15 @@ class TestMetricsRegistry:
         counter.inc(plane="local", workload="db2")
         counter.inc(2, plane="fleet", workload="db2")
         counter.inc(plane="fleet", workload="em3d")
-        assert counter.total() == 4
+        assert counter.sum_where() == 4
         assert counter.sum_where(plane="fleet") == 3
         assert counter.sum_where(workload="db2") == 3
-        assert counter.value(plane="local", workload="db2") == 1
-        assert counter.value(plane="none") == 0
+        assert counter.items() == [
+            ({"plane": "fleet", "workload": "db2"}, 2.0),
+            ({"plane": "fleet", "workload": "em3d"}, 1.0),
+            ({"plane": "local", "workload": "db2"}, 1.0),
+        ]
+        assert counter.sum_where(plane="none") == 0
 
     def test_histogram_buckets_are_cumulative(self):
         registry = MetricsRegistry()

@@ -170,13 +170,14 @@ class TestFaultPlan:
         assert isinstance(err.value, WorkerKilled)
         assert not isinstance(err.value, Exception)  # survives except Exception
 
-    def test_round_trips_through_json(self):
-        plan = FaultPlan(
-            [Fault(site="worker.job", action="kill", after=3, match="w1:")],
-            seed=7, hard=True,
-        )
-        clone = FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
-        assert clone.to_dict() == plan.to_dict()
+    def test_round_trips_through_json(self, tmp_path):
+        """A plan file, as ``work --fault-plan`` reads it."""
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"seed": 7, "hard": True, "faults": [
+            {"site": "worker.job", "action": "kill", "after": 3, "match": "w1:"}]}))
+        plan = FaultPlan.load(path)
+        assert plan.faults == [Fault(site="worker.job", action="kill", after=3, match="w1:")]
+        assert (plan.seed, plan.hard) == (7, True)
 
     def test_no_plan_is_a_noop(self):
         faults.install(None)
@@ -197,11 +198,23 @@ class TestBackoff:
         assert backoff_delay("key", 0) == 0.0
 
 
+def _lease_row(store, lease_id):
+    """One ``leases`` row, read straight from the file."""
+    with sqlite3.connect(store.path) as conn:
+        worker, status, expires, keys = conn.execute(
+            "SELECT worker, status, expires, keys_json FROM leases WHERE id = ?",
+            (lease_id,),
+        ).fetchone()
+    conn.close()
+    return {"worker": worker, "status": status, "expires": expires,
+            "keys": json.loads(keys)}
+
+
 class TestStoreLeases:
     def test_lease_lifecycle(self, tmp_path):
         store = ResultStore(tmp_path / "s.sqlite")
         lease_id = store.create_lease("w1", ["key-a", "key-b"], ttl=30.0)
-        record = store.lease(lease_id)
+        record = _lease_row(store, lease_id)
         assert record["worker"] == "w1" and record["keys"] == ["key-a", "key-b"]
         first_expiry = record["expires"]
         time.sleep(0.02)
@@ -209,7 +222,7 @@ class TestStoreLeases:
         assert store.finish_lease(lease_id) is True
         assert store.finish_lease(lease_id) is False  # already terminal
         assert store.heartbeat_lease(lease_id, ttl=30.0) is None
-        assert store.lease(lease_id)["status"] == LEASE_DONE
+        assert _lease_row(store, lease_id)["status"] == LEASE_DONE
 
     def test_expired_lease_shows_in_worker_stats(self, tmp_path):
         store = ResultStore(tmp_path / "s.sqlite")
@@ -233,7 +246,7 @@ class TestStoreLeases:
         store.reset_attempts(["k"])
         assert store.attempt_record("k") is None
 
-    def test_concurrent_writers_never_see_locked_errors(self, tmp_path):
+    def test_concurrent_writers_never_see_locked_errors(self, put_result, tmp_path):
         """Satellite: retrying immediate transactions absorb contention —
         hammering one store file from many threads leaks no
         ``sqlite3.OperationalError: database is locked``."""
@@ -245,8 +258,8 @@ class TestStoreLeases:
             try:
                 store = ResultStore(path)
                 for i in range(25):
-                    store.put_result(
-                        f"key-{worker_index}-{i}", f"job-{worker_index}-{i}",
+                    put_result(
+                        store, f"key-{worker_index}-{i}", f"job-{worker_index}-{i}",
                         "exp", "db2", [{"x": i}],
                     )
                     store.record_attempt(f"shared-{i % 5}", "err")

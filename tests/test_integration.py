@@ -90,11 +90,9 @@ class TestDSMSystemFacade:
     def test_run_workload_end_to_end(self):
         dsm = DSMSystem()
         result = dsm.run_workload("apache", target_accesses=30_000, seed=9, with_timing=True)
-        assert 0.0 < result.coverage < 1.0
-        assert result.speedup > 0.9
-        summary = result.summary()
-        assert summary["workload"] == "apache"
-        assert "speedup" in summary
+        assert result.workload == "apache"
+        assert 0.0 < result.tse_stats.coverage < 1.0
+        assert result.timing.speedup > 0.9
 
     def test_tse_config_for_uses_paper_lookahead(self):
         dsm = DSMSystem()
@@ -102,9 +100,11 @@ class TestDSMSystemFacade:
         assert dsm.tse_config_for("zeus").stream_lookahead == 8
 
     def test_generate_trace_respects_node_count(self):
-        from repro.common.config import SystemConfig
+        from repro.common.config import InterconnectConfig, SystemConfig
 
-        dsm = DSMSystem(system=SystemConfig.small(4))
+        four_nodes = SystemConfig(
+            num_nodes=4, interconnect=InterconnectConfig(width=2, height=2))
+        dsm = DSMSystem(system=four_nodes)
         trace = dsm.generate_trace("zeus", target_accesses=5_000)
         assert trace.num_nodes == 4
 

@@ -28,17 +28,25 @@ class TestTorusTopology:
             for dst in range(16):
                 assert torus.hop_count(src, dst) == torus.hop_count(dst, src)
 
-    def test_route_endpoints_and_length(self):
-        torus = TorusTopology(4, 4)
-        route = torus.route(0, 10)
-        assert route[0] == 0 and route[-1] == 10
-        assert len(route) == torus.hop_count(0, 10) + 1
-
-    def test_route_steps_are_adjacent(self):
-        torus = TorusTopology(4, 4)
-        route = torus.route(1, 14)
-        for a, b in zip(route, route[1:]):
-            assert b in set(torus.neighbors(a))
+    @pytest.mark.parametrize("width,height", [(4, 4), (2, 4), (3, 5), (1, 6)])
+    def test_hop_count_matches_a_breadth_first_search(self, width, height):
+        """Shortest paths over the wrap-around grid, found by BFS."""
+        torus = TorusTopology(width, height)
+        for src in range(torus.num_nodes):
+            distance = {src: 0}
+            frontier = [src]
+            while frontier:
+                next_frontier = []
+                for node in frontier:
+                    x, y = node % width, node // width
+                    for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                        neighbour = (ny % height) * width + nx % width
+                        if neighbour not in distance:
+                            distance[neighbour] = distance[node] + 1
+                            next_frontier.append(neighbour)
+                frontier = next_frontier
+            assert [torus.hop_count(src, dst) for dst in range(torus.num_nodes)] == [
+                distance[dst] for dst in range(torus.num_nodes)]
 
     def test_max_hop_count_in_4x4_is_4(self):
         torus = TorusTopology(4, 4)
@@ -47,12 +55,29 @@ class TestTorusTopology:
     def test_every_node_has_four_neighbors(self):
         torus = TorusTopology(4, 4)
         for node in range(16):
-            assert len(set(torus.neighbors(node))) == 4
+            assert sum(torus.hop_count(node, other) == 1 for other in range(16)) == 4
+
+    @pytest.mark.parametrize("width,height,expected", [
+        (4, 4, 32 / 15),  # each ring of 4 adds 0+1+2+1 per row/column
+        (2, 2, 4 / 3),
+        (1, 6, 9 / 5),
+        (1, 1, 0.0),      # no pair of distinct nodes
+    ])
+    def test_average_hop_count_over_distinct_pairs(self, width, height, expected):
+        assert TorusTopology(width, height).average_hop_count() == pytest.approx(expected)
+
+    def test_bisection_cut_splits_the_columns_in_half(self):
+        torus = TorusTopology(4, 4)
+        crossing = {(s, d) for s in range(16) for d in range(16) if torus.crosses_bisection(s, d)}
+        assert len(crossing) == 2 * 8 * 8  # ordered pairs with one node in each half
+        assert all((d, s) in crossing for s, d in crossing)
+        assert not any(s % 4 == d % 4 for s, d in crossing)  # a column stays on one side
 
     def test_coordinate_round_trip(self):
         torus = TorusTopology(4, 4)
         for node in range(16):
-            assert torus.node_at(torus.coordinate_of(node)) == node
+            coord = torus.coordinate_of(node)
+            assert coord.y * torus.width + coord.x == node
 
     def test_bisection_detection(self):
         torus = TorusTopology(4, 4)

@@ -41,45 +41,45 @@ def tiny_campaign(**overrides):
 
 
 class TestResultStore:
-    def test_round_trip(self, store):
+    def test_round_trip(self, put_result, store):
         rows = [{"workload": "db2", "coverage": 0.375, "svb": "2k"}]
-        store.put_result("key-1", "job-1", "exp", "db2", rows)
+        put_result(store, "key-1", "job-1", "exp", "db2", rows)
         assert store.get_result("key-1") == rows
         assert store.get_result("missing") is None
         assert store.present_keys(["key-1", "missing"]) == {"key-1"}
 
-    def test_put_is_idempotent_first_write_wins(self, store):
-        store.put_result("key-1", "job-1", "exp", "db2", [{"coverage": 0.1}])
-        store.put_result("key-1", "job-1", "exp", "db2", [{"coverage": 0.9}])
+    def test_put_is_idempotent_first_write_wins(self, put_result, store):
+        put_result(store, "key-1", "job-1", "exp", "db2", [{"coverage": 0.1}])
+        put_result(store, "key-1", "job-1", "exp", "db2", [{"coverage": 0.9}])
         assert store.get_result("key-1") == [{"coverage": 0.1}]
         assert store.stats()["results"] == 1
 
-    def test_floats_round_trip_exactly(self, store):
+    def test_floats_round_trip_exactly(self, put_result, store):
         value = 0.1 + 0.2  # not representable prettily; repr round-trips
-        store.put_result("key-f", "job-f", "exp", "db2", [{"x": value}])
+        put_result(store, "key-f", "job-f", "exp", "db2", [{"x": value}])
         assert store.get_result("key-f")[0]["x"] == value
 
-    def test_campaign_rows_preserve_job_order(self, store):
+    def test_campaign_rows_preserve_job_order(self, put_result, store):
         keys = ["key-b", "key-a", "key-c"]
         campaign_id = store.create_campaign("{}", "test", keys)
-        store.put_result("key-a", "ja", "exp", "db2", [{"row": "a"}])
-        store.put_result("key-b", "jb", "exp", "db2", [{"row": "b"}])
+        put_result(store, "key-a", "ja", "exp", "db2", [{"row": "a"}])
+        put_result(store, "key-b", "jb", "exp", "db2", [{"row": "b"}])
         rows = store.campaign_rows(campaign_id)
         assert rows == [[{"row": "b"}], [{"row": "a"}], None]
 
-    def test_clear_routes_gc(self, store):
-        store.put_result("key-1", "job-1", "exp", "db2", [{}])
+    def test_clear_routes_gc(self, put_result, store):
+        put_result(store, "key-1", "job-1", "exp", "db2", [{}])
         store.create_campaign("{}", "test", ["key-1"])
         counts = store.clear()
         assert counts["results"] == 1 and counts["campaigns"] == 1
         assert store.stats()["results"] == 0
 
-    def test_stats_bytes_count_the_wal(self, store):
+    def test_stats_bytes_count_the_wal(self, put_result, store):
         """The store keeps its connections open, so recent pages sit in the
         WAL until a checkpoint: the reported size counts both files."""
         rows = [{"workload": "db2", "coverage": 0.375, "svb": "2k"}] * 50
         for i in range(12):
-            store.put_result(f"key-{i}", f"job-{i}", "exp", "db2", rows)
+            put_result(store, f"key-{i}", f"job-{i}", "exp", "db2", rows)
         wal = store.path.parent / (store.path.name + "-wal")
         assert wal.stat().st_size > 0
         assert store.stats()["bytes"] == store.path.stat().st_size + wal.stat().st_size
@@ -97,9 +97,9 @@ def _backdate(store, keys, days=30.0):
 
 
 class TestStoreGC:
-    def test_gc_evicts_only_stale_rows(self, store):
-        store.put_result("old", "j-old", "exp", "db2", [{"row": "old"}])
-        store.put_result("new", "j-new", "exp", "db2", [{"row": "new"}])
+    def test_gc_evicts_only_stale_rows(self, put_result, store):
+        put_result(store, "old", "j-old", "exp", "db2", [{"row": "old"}])
+        put_result(store, "new", "j-new", "exp", "db2", [{"row": "new"}])
         store.create_campaign("{}", "camp", ["old", "new"])
         _backdate(store, ["old"])
         counts = store.gc(keep_days=7)
@@ -137,12 +137,12 @@ class TestStoreGC:
             assert second.cached == second.total - len(evicted)
             assert service.render(second) == table
 
-    def test_cache_cli_gc_flag(self, tmp_path, capsys):
+    def test_cache_cli_gc_flag(self, put_result, tmp_path, capsys):
         from repro.experiments.cache import main as cache_main
 
         store = ResultStore(tmp_path / "s.sqlite")
-        store.put_result("old", "j-old", "exp", "db2", [{}])
-        store.put_result("new", "j-new", "exp", "db2", [{}])
+        put_result(store, "old", "j-old", "exp", "db2", [{}])
+        put_result(store, "new", "j-new", "exp", "db2", [{}])
         _backdate(store, ["old"])
         assert cache_main(["--gc", "--keep-days", "7",
                            "--store", str(store.path)]) == 0
@@ -287,7 +287,7 @@ class TestSchedulerAndService:
                 tables.append(service.render(service.submit(camp, wait=True)))
         assert tables[0] == tables[1] == tables[2]
 
-    def test_crash_resume_skips_stored_points(self, tmp_path, monkeypatch):
+    def test_crash_resume_skips_stored_points(self, put_result, tmp_path, monkeypatch):
         """Kill mid-campaign, restart, and only the missing points run."""
         camp = tiny_campaign()
         jobs = camp.jobs()
@@ -297,8 +297,8 @@ class TestSchedulerAndService:
         # first two points stored, the rest never finished.
         done, missing = jobs[:2], jobs[2:]
         for job in done:
-            store.put_result(job.key, job.job_id, job.experiment,
-                             job.workload, job.execute())
+            put_result(store, job.key, job.job_id, job.experiment,
+                       job.workload, job.execute())
         store.create_campaign(
             json.dumps(camp.to_dict()), camp.name, [job.key for job in jobs]
         )
@@ -903,7 +903,7 @@ class TestCliVerbs:
     CORE = ("campaign_id", "name", "status", "total", "stored", "remaining", "states")
 
     @pytest.fixture(scope="class")
-    def views(self, tmp_path_factory):
+    def views(self, put_result, tmp_path_factory):
         """One store holding a finished campaign and a second one with one
         of its points stored."""
         store_path = tmp_path_factory.mktemp("cli-verbs") / "s.sqlite"
@@ -920,7 +920,7 @@ class TestCliVerbs:
         )
         first = jobs[0]
         rows = first.execute()
-        store.put_result(first.key, first.job_id, first.experiment, first.workload, rows)
+        put_result(store, first.key, first.job_id, first.experiment, first.workload, rows)
         return {
             "store_path": store_path, "whole_id": run.id, "whole_table": table,
             "part_id": part_id, "part_table": part.render(rows),
@@ -1025,11 +1025,11 @@ class TestWarmupConstant:
 
 
 class TestCacheCLI:
-    def test_stats_and_clear(self, tmp_path, capsys):
+    def test_stats_and_clear(self, put_result, tmp_path, capsys):
         from repro.experiments.cache import main as cache_main
 
         store = ResultStore(tmp_path / "s.sqlite")
-        store.put_result("key-1", "job-1", "exp", "db2", [{}])
+        put_result(store, "key-1", "job-1", "exp", "db2", [{}])
 
         assert cache_main(["--stats", "--store", str(store.path)]) == 0
         stats = json.loads(capsys.readouterr().out)

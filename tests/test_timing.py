@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.config import SystemConfig, TSEConfig
+from repro.common.config import InterconnectConfig, SystemConfig, TSEConfig
 from repro.experiments.runner import trace_for
 from repro.node.latency import LatencyModel
 from repro.node.processor import ProcessorModel
@@ -19,9 +19,12 @@ def latency():
 
 class TestLatencyModel:
     def test_latencies_ordered_by_distance(self, latency):
-        assert latency.l2_hit_cycles < latency.local_memory_cycles
-        assert latency.local_memory_cycles < latency.remote_memory_cycles
-        assert latency.coherent_read_cycles > latency.l2_hit_cycles
+        system = latency.system
+        l2_hit = system.l2.hit_latency
+        local_memory = l2_hit + system.ns_to_cycles(
+            system.protocol_controller_occupancy_ns + system.memory.access_latency_ns)
+        assert l2_hit < local_memory < latency.remote_memory_cycles
+        assert latency.coherent_read_cycles > l2_hit
 
     def test_stream_fetch_matches_coherent_read(self, latency):
         # Section 5.6: stream retrieval latency ~= consumption miss latency.
@@ -29,6 +32,26 @@ class TestLatencyModel:
 
     def test_coherent_read_is_hundreds_of_cycles(self, latency):
         assert 300 < latency.coherent_read_cycles < 2000
+
+    @pytest.mark.parametrize("width,height,hops", [
+        (1, 1, 1.0),  # a lone node still pays one hop each way
+        (2, 2, 4 / 3),
+        (4, 2, 12 / 7),
+        (4, 4, 32 / 15),
+    ])
+    def test_misses_cross_the_average_hop_count(self, width, height, hops):
+        system = SystemConfig(
+            num_nodes=width * height,
+            interconnect=InterconnectConfig(width=width, height=height))
+        latency = LatencyModel(system)
+        hop = system.ns_to_cycles(system.interconnect.hop_latency_ns)
+        controller = system.ns_to_cycles(system.protocol_controller_occupancy_ns)
+        memory = system.ns_to_cycles(system.memory.access_latency_ns)
+        l2_hit = system.l2.hit_latency
+        assert latency.remote_memory_cycles == pytest.approx(
+            l2_hit + 2 * hops * hop + 2 * controller + memory)
+        assert latency.coherent_read_cycles == pytest.approx(
+            2 * l2_hit + 3 * hops * hop + 3 * controller)
 
 
 def _columns(specs):
@@ -62,7 +85,7 @@ class TestProcessorModel:
         result = model.run_node(0, *_columns(specs))
         latency = LatencyModel(SystemConfig.isca2005()).coherent_read_cycles
         assert result.coherent_read_stall_cycles == pytest.approx(5 * latency, rel=0.05)
-        assert result.consumption_mlp == pytest.approx(1.0, abs=0.05)
+        assert result.mlp_area / result.mlp_busy_time == pytest.approx(1.0, abs=0.05)
 
     def test_independent_consumptions_overlap(self):
         model = self._model()
@@ -70,7 +93,7 @@ class TestProcessorModel:
         result = model.run_node(0, *_columns(specs))
         latency = LatencyModel(SystemConfig.isca2005()).coherent_read_cycles
         assert result.coherent_read_stall_cycles < 8 * latency * 0.5
-        assert result.consumption_mlp > 2.0
+        assert result.mlp_area / result.mlp_busy_time > 2.0
 
     def test_svb_hit_with_large_lead_is_fully_covered(self):
         model = self._model()

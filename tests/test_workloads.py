@@ -14,7 +14,7 @@ from repro.workloads import (
     available_workloads,
     get_workload,
 )
-from repro.workloads.base import AddressSpace, WorkloadParams
+from repro.workloads.base import AddressSpace, WorkloadParams, interleave
 
 
 def records(trace):
@@ -45,7 +45,8 @@ class TestAddressSpace:
         a = space.allocate("a", 100)
         b = space.allocate("b", 50)
         assert set(a).isdisjoint(set(b))
-        assert space.total_blocks == 150
+        # Regions are packed from block 1 up: 150 blocks in all.
+        assert (a.start, a.stop, b.start, b.stop) == (1, 101, 101, 151)
 
     def test_duplicate_region_rejected(self):
         space = AddressSpace()
@@ -56,6 +57,31 @@ class TestAddressSpace:
     def test_zero_size_region_rejected(self):
         with pytest.raises(ValueError):
             AddressSpace().allocate("a", 0)
+
+
+class TestInterleave:
+    def test_nodes_take_turns_a_quantum_at_a_time(self):
+        per_node = [["a1", "a2", "a3", "a4"], ["b1", "b2", "b3", "b4"]]
+        assert list(interleave(per_node, 2)) == [
+            "a1", "a2", "b1", "b2", "a3", "a4", "b3", "b4"]
+
+    def test_drained_nodes_drop_out_of_the_rotation(self):
+        assert list(interleave([[1, 2, 3], [4], []], 1)) == [1, 4, 2, 3]
+
+    def test_quantum_below_one_interleaves_singly(self):
+        per_node = [[1, 2], [3, 4]]
+        assert list(interleave(per_node, 0)) == list(interleave(per_node, 1)) == [1, 3, 2, 4]
+
+
+class TestWorkloadParams:
+    @pytest.mark.parametrize("value,scale,minimum,expected", [
+        (100, 1.0, 1, 100),
+        (100, 0.25, 1, 25),
+        (100, 0.01, 8, 8),  # the minimum bounds a shrunken size
+        (10, 0.04, 1, 1),   # rounds to zero, still at least one
+    ])
+    def test_scaled(self, value, scale, minimum, expected):
+        assert WorkloadParams(scale=scale).scaled(value, minimum=minimum) == expected
 
 
 #: Each registered workload's trace at 16 nodes, seed 42 and a 1,000-access
