@@ -16,7 +16,11 @@ Invariants checked per scenario (the battery exits 1 if any fails):
   to a no-fault baseline run of the same campaign;
 * resubmitting the campaign afterwards recomputes **zero** completed jobs;
 * the poison job is quarantined after exactly its retry budget, with the
-  failure's traceback captured in the store.
+  failure's traceback captured in the store;
+* no worker thread ends with an escaped exception (one is recorded as a
+  failing exit code).
+
+The stores live in a temporary directory that is removed at the end.
 
 The PR 10 durability headliners extend the battery past fault *plans* to
 whole-deployment failures:
@@ -42,8 +46,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import threading
 import time
+import traceback
+from pathlib import Path
 
 from repro.service import faults
 from repro.service.api import make_server
@@ -104,6 +111,11 @@ class Fleet:
             self.exit_codes[worker_id] = worker.run()
         except WorkerKilled:
             self.exit_codes[worker_id] = 17
+        except Exception as exc:
+            # A worker ends with an exit code, never an escaped exception:
+            # record one as a failing exit that every check sees.
+            traceback.print_exc()
+            self.exit_codes[worker_id] = f"raised {type(exc).__name__}: {exc}"
         finally:
             worker.close()
 
@@ -189,6 +201,8 @@ def run_scenario(name, tmp_dir, baseline, plan=None, expect_status="done",
             # Resubmission (faults cleared) recomputes exactly the
             # quarantined jobs — zero completed jobs recomputed.
             and rerun.computed == run.quarantined
+            # Every worker that ended did so with an exit code.
+            and all(isinstance(code, int) for code in fleet.exit_codes.values())
         ),
     }
     if name == "poison_quarantine":
@@ -420,12 +434,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the JSON report here")
     args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="chaos-battery-") as tmp:
+        return run_battery(Path(tmp), args.out)
 
-    import tempfile
-    from pathlib import Path
 
-    tmp_dir = Path(tempfile.mkdtemp(prefix="chaos-battery-"))
-
+def run_battery(tmp_dir: Path, out) -> int:
+    """Every scenario, with its stores under ``tmp_dir``; 0 when all pass."""
     # No-fault baseline: the bit-identity reference for every scenario.
     baseline_store = tmp_dir / "baseline.sqlite"
     with Service(store_path=baseline_store, max_workers=1) as service:
@@ -481,10 +495,10 @@ def main(argv=None) -> int:
         "scenarios": reports,
         "ok": all(report["ok"] for report in reports),
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
-        print(f"report -> {args.out}")
+        print(f"report -> {out}")
     if not payload["ok"]:
         print("chaos battery FAILED", file=sys.stderr)
         return 1

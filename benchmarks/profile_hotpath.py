@@ -121,7 +121,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("workload", help="workload name (e.g. db2, apache, em3d)")
     parser.add_argument("--accesses", type=int, default=80_000,
-                        help="trace size (default: the benchmark size, 80000)")
+                        help="trace size target (default: the benchmark size, "
+                        "80000); a generator stops at the end of the "
+                        "iteration that reaches it, so rates use the "
+                        "trace's own length")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--nodes", type=int, default=16)
     parser.add_argument("--lookahead", type=int, default=None,
@@ -161,6 +164,7 @@ def main() -> int:
     config = TSEConfig.paper_default(lookahead=lookahead)
     trace = trace_for(args.workload, args.accesses, args.seed, args.nodes)
 
+    accesses = len(trace)
     modes = ("exact", "fast") if args.mode == "both" else (args.mode,)
     # One unprofiled run per mode first: wall clock without instrumentation
     # overhead (and a throughput comparison when profiling both planes).
@@ -171,8 +175,8 @@ def main() -> int:
             f"{mode}, traffic" if args.traffic else mode
         )
         print(
-            f"{args.workload} [{label}]: {args.accesses} accesses in "
-            f"{elapsed[mode]:.3f}s ({args.accesses / elapsed[mode]:,.0f} "
+            f"{args.workload} [{label}]: {accesses} accesses in "
+            f"{elapsed[mode]:.3f}s ({accesses / elapsed[mode]:,.0f} "
             f"accesses/s, lookahead {lookahead})"
         )
     if len(modes) == 2:

@@ -10,6 +10,8 @@ campaigns can be driven from the command line::
     python -m repro.service serve          # then POST /campaigns over HTTP
 
 Run with:  python examples/service_campaign.py [store.sqlite]
+(without a path, the store lives in a temporary directory that is removed
+at the end).
 """
 
 import sys
@@ -23,10 +25,14 @@ TARGET_ACCESSES = 40_000
 
 
 def main() -> None:
-    store_path = Path(
-        sys.argv[1] if len(sys.argv) > 1
-        else Path(tempfile.mkdtemp(prefix="repro-service-")) / "store.sqlite"
-    )
+    if len(sys.argv) > 1:
+        demo(Path(sys.argv[1]))
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-service-") as tmp:
+        demo(Path(tmp) / "store.sqlite")
+
+
+def demo(store_path: Path) -> None:
     print(f"store: {store_path}")
     print(f"presets: {', '.join(preset_names())}\n")
 

@@ -43,10 +43,11 @@ Fleet routes (the remote-worker lease protocol, driven by
 
 Error contract: every non-2xx reply is a JSON body with an ``"error"``
 message (plus ``"type"`` for unexpected 500s).  Client mistakes —
-malformed JSON, unknown paths/presets, bad specs — are 4xx; unexpected
-server-side exceptions are 500 with the traceback logged via the
-``repro.service.api`` logger, never leaked to the client and never a
-silently dropped socket.
+malformed JSON, unknown paths/presets, bad specs — are 4xx.  A request
+that reaches a service that is closing or closed is 503, which clients
+retry.  Unexpected server-side exceptions are 500 with the traceback
+logged via the ``repro.service.api`` logger, never leaked to the client
+and never a silently dropped socket.
 
 Built on ``http.server.ThreadingHTTPServer``: handler threads block on the
 thread-safe :class:`~repro.service.service.Service` facade, so a waiting
@@ -64,7 +65,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.service import presets
 from repro.service import events as events_module
-from repro.service.service import Service
+from repro.service.service import Service, ServiceClosed
 from repro.service.spec import Campaign, check_mode
 
 logger = logging.getLogger("repro.service.api")
@@ -141,6 +142,8 @@ class _Handler(BaseHTTPRequestHandler):
             handler()
         except _HTTPError as exc:
             self._error(exc.status, str(exc))
+        except ServiceClosed as exc:
+            self._error(503, str(exc))  # clients retry 503
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-reply; nothing to answer
         except Exception as exc:

@@ -67,6 +67,13 @@ def stored_progress(store: ResultStore, campaign_id: int) -> Optional[Dict[str, 
     }
 
 
+class ServiceClosed(RuntimeError):
+    """The service is closing or closed: the request cannot be served.
+
+    The HTTP API answers it with 503, which clients retry.
+    """
+
+
 class Service:
     """Thread-safe facade over the async scheduler (used by HTTP and CLI)."""
 
@@ -101,6 +108,10 @@ class Service:
             events=self.events,
             metrics=self.metrics,
         )
+        #: Set once by :meth:`close`, under ``_gate``: every coroutine
+        #: :meth:`_call` schedules before it runs ahead of the shutdown.
+        self._closing = False
+        self._gate = threading.Lock()
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="repro-service-loop", daemon=True
@@ -111,7 +122,17 @@ class Service:
 
     # ------------------------------------------------------------- plumbing
     def _call(self, coroutine, timeout: Optional[float] = None):
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result(timeout)
+        """Run ``coroutine`` on the service loop and wait for its result.
+
+        Once :meth:`close` has begun, the coroutine is closed unrun and
+        :class:`ServiceClosed` is raised.
+        """
+        with self._gate:
+            if self._closing:
+                coroutine.close()
+                raise ServiceClosed("the service is closing")
+            future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
+        return future.result(timeout)
 
     # ------------------------------------------------------------------ API
     def submit(
@@ -137,7 +158,11 @@ class Service:
         run = self.scheduler.runs.get(campaign_id)
         if run is None:
             return False
-        self._loop.call_soon_threadsafe(self.scheduler.cancel, run)
+
+        async def stop():
+            self.scheduler.cancel(run)
+
+        self._call(stop())
         return True
 
     def progress(self, campaign_id: int) -> Optional[Dict[str, Any]]:
@@ -283,9 +308,14 @@ class Service:
 
     def close(self) -> None:
         """Stop the scheduler and its loop, then close the store's
-        connections."""
+        connections.  Requests made from here on raise
+        :class:`ServiceClosed`; a second call does nothing."""
+        with self._gate:
+            if self._closing:
+                return
+            self._closing = True
         try:
-            self._call(self.scheduler.close(), timeout=30)
+            asyncio.run_coroutine_threadsafe(self.scheduler.close(), self._loop).result(30)
         finally:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=10)

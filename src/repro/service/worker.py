@@ -23,7 +23,8 @@ bounce mid-campaign costs a worker nothing but the wait.  Only when the
 transport's whole retry budget is spent (``TransportError``) does the
 worker treat the server as gone: a handful of consecutive give-ups on the
 poll loop exits 1, and a give-up mid-batch abandons the lease (the TTL
-sweeper requeues the jobs server-side).
+sweeper requeues the jobs server-side).  A terminal status (one the
+transport does not retry, other than a heartbeat's 410) also exits 1.
 
 Graceful drain: :meth:`Worker.request_stop` (wired to SIGTERM by
 :func:`run_worker`) lets the worker finish the job it is executing, post
@@ -206,7 +207,8 @@ class Worker:
     # ----------------------------------------------------------------- loop
     def run(self) -> int:
         """Poll-execute-post until idle-exit or drain (0), or the server is
-        gone past every retry budget (1)."""
+        gone past every retry budget or refuses a call with a terminal
+        status (1)."""
         idle = 0
         giveups = 0
         while True:
@@ -227,6 +229,8 @@ class Worker:
                     return 1  # server gone for good
                 time.sleep(self.poll_interval)
                 continue
+            except StatusError:
+                return 1  # the server said no: asking again cannot help
             if lease.get("lease_id") is None:
                 idle += 1
                 if self.max_idle_polls is not None and idle >= self.max_idle_polls:
@@ -238,6 +242,8 @@ class Worker:
             idle = 0
             try:
                 self._process_lease(lease)
+            except StatusError:
+                return 1  # the lease's jobs requeue when it expires
             except TransportError:
                 # Results post failed past the retry budget: the batch is
                 # recomputable via lease expiry; count it like a poll

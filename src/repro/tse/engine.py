@@ -21,9 +21,15 @@ window arrays forwarded as-is, fetch requests travel as per-queue batches
 :meth:`TemporalStreamingSystem.deliver_all`, and the refill service appends
 CMOB windows straight onto the stream-queue FIFOs (one
 :meth:`~repro.tse.cmob.CMOB.extend_into` per refill instead of per-address
-reads).  Refills are driven by the engine's *eligibility* set — only queues
-with a FIFO actually at or below the refill threshold are visited, so the
-common consumption pays a single empty-set check.
+reads).  Refills are event-driven: the engine's *eligibility* set holds only
+queues with a FIFO actually at or below the refill threshold, so the common
+consumption pays a single empty-set check, and a queue whose low FIFOs'
+sources have nothing new is *parked* out of that set until its source CMOB
+grows or something else changes what a refill would do (see
+:meth:`TemporalStreamingSystem._service_refills`).  The refills it skips
+meanwhile are still counted, in ``refills_serviced`` and as
+``STREAM_REQUEST`` messages, so every counter and traffic byte is what
+serving them at every event would give.
 
 Every step runs inline on the replay's hot path: the system layer works on
 the engines' queues, FIFOs and SVB dicts directly, and both recording events
@@ -106,6 +112,9 @@ class TemporalStreamingSystem:
         #: on_write / drain) so writes to blocks no SVB holds — the vast
         #: majority — skip the per-node invalidate loop entirely.
         self._svb_residency: Dict[BlockAddress, int] = {}
+        #: Parked queues waiting on each source node's CMOB to grow, mapped
+        #: to their consumer engine's refill-dirty set (one entry per queue).
+        self._watches: List[Dict[StreamQueue, set]] = [{} for _ in range(num_nodes)]
         # Hot-path activity counters, published lazily via ``stats``.
         self._n_cmob_appends = 0
         self._n_streams_forwarded = 0
@@ -118,6 +127,7 @@ class TemporalStreamingSystem:
     @property
     def stats(self) -> StatsRegistry:
         """Statistics registry, synchronized with the plain-int counters on read."""
+        self._count_all_parked()
         return publish_counters(self._stats, {
             "cmob_appends": self._n_cmob_appends,
             "streams_forwarded": self._n_streams_forwarded,
@@ -149,6 +159,12 @@ class TemporalStreamingSystem:
         directory entry when the caller already looked it up, or None when
         the block has none yet.
         """
+        watch = self._watches[node_id]
+        if watch:
+            # The CMOB grows: every queue parked on it can read again.
+            for queue, dirty in watch.items():
+                dirty.add(queue.queue_id)
+            watch.clear()
         cmob = self._cmobs[node_id]
         offset = cmob._appended
         data = cmob._data
@@ -249,6 +265,8 @@ class TemporalStreamingSystem:
                         victim_id = qid
                         victim_active = active
                 queue = queues.pop(victim_id)
+                if queue._parked_at >= 0:
+                    self._unpark(node_id, queue, cmobs[node_id]._appended)
                 engine.retired_queue_hits.append(queue.total_hits)
                 engine._scan_queues.pop(victim_id, None)
                 engine._refill_dirty.discard(victim_id)
@@ -396,6 +414,21 @@ class TemporalStreamingSystem:
         per-address reads, no intermediate request plumbing.  The dirty set
         arrives pre-filtered: the engine only queues *eligible* queues, so
         this runs exactly when there is work.
+
+        Refills are event-driven.  A served queue that stays low would be
+        served again at every later event of the node, and when none of its
+        low FIFOs' sources has anything past the FIFO's next offset (idle,
+        or wrapped past it for good) each such service reads nothing and
+        fetches nothing.  Such a queue is *parked* instead: it leaves the
+        dirty set, remembers the node's CMOB append count (one append per
+        consumption or SVB hit, so the count of service points) and watches
+        its idle sources.  It comes back to the dirty set when a watched
+        CMOB appends (:meth:`_record`), when it loses an SVB block, when
+        the miss scan resolves its stall or skips one of its addresses, or
+        when a hit pops from it.  Its next visit here, a reclaim,
+        :meth:`drain` and a ``stats`` read count each skipped service's
+        refills, in ``refills_serviced`` and as ``STREAM_REQUEST`` messages,
+        so every counter stays what serving them would have made it.
         """
         engine = self.nodes[node_id].engine
         dirty = engine._refill_dirty
@@ -409,6 +442,9 @@ class TemporalStreamingSystem:
         threshold8 = threshold << _SHIFT
         depth = config.queue_depth
         queues = engine._queues
+        # This event's own append has happened: the service point it
+        # stands for is this one, not a skipped one.
+        clock = cmobs[node_id]._appended
         if len(dirty) == 1:
             # The common shape: exactly the queue the event touched.
             order = tuple(dirty)
@@ -418,7 +454,11 @@ class TemporalStreamingSystem:
         fetch_from = engine._fetch_from
         for queue_id in order:
             queue = queues.get(queue_id)
-            if queue is None or queue.state_code == 2:  # STATE_DRAINED
+            if queue is None:
+                continue
+            if queue._parked_at >= 0:
+                self._unpark(node_id, queue, clock - 1)
+            if queue.state_code == 2:  # STATE_DRAINED
                 continue
             selected = queue._selected
             if selected is not None:
@@ -481,7 +521,69 @@ class TemporalStreamingSystem:
                 if len(fifo) - pos[i] <= threshold8:
                     dirty.add(queue_id)
                 self._n_refills_serviced += 1
+            if queue_id not in dirty or queue.state_code == 2:
+                continue
+            # Re-queued: park it when the next service would read nothing.
+            # ``fetch_from`` just ran to its lookahead or the end of the
+            # agreed stream, so only a source with new entries can change
+            # what that service does.
+            sources = []
+            idle = []
+            for i in indices:
+                source_node = src_nodes[i]
+                if source_node < 0 or len(data[i]) - pos[i] > threshold8:
+                    continue
+                source = cmobs[source_node]
+                end = source._appended
+                if src_next[i] < end:
+                    if src_next[i] >= end - source.capacity:
+                        break  # this source has new entries: keep serving
+                    # Wrapped past the next offset: reads nothing forever.
+                else:
+                    idle.append(source_node)
+                sources.append(source_node)
+            else:
+                dirty.discard(queue_id)
+                queue._parked_at = clock
+                queue._parked_sources = tuple(sources)
+                watches = self._watches
+                for source_node in idle:
+                    watches[source_node][queue] = dirty
         return fetches
+
+    def _count_parked(self, node_id: NodeId, queue: StreamQueue, clock: int) -> None:
+        """Count the refills ``queue`` skipped while parked, up to ``clock``.
+
+        ``clock`` is the consumer's CMOB append count after the last skipped
+        service point; each one served every FIFO in ``_parked_sources``.
+        The queue stays parked, counted up to ``clock``.
+        """
+        skipped = clock - queue._parked_at
+        if skipped > 0:
+            sources = queue._parked_sources
+            self._n_refills_serviced += skipped * len(sources)
+            traffic = self._traffic
+            if traffic is not None:
+                for source_node in sources:
+                    for _ in range(skipped):
+                        traffic.emit(STREAM_REQUEST, node_id, source_node)
+        queue._parked_at = clock
+
+    def _unpark(self, node_id: NodeId, queue: StreamQueue, clock: int) -> None:
+        """Count a parked queue's skipped refills and stop its watches."""
+        self._count_parked(node_id, queue, clock)
+        queue._parked_at = -1
+        watches = self._watches
+        for source_node in queue._parked_sources:
+            watches[source_node].pop(queue, None)
+
+    def _count_all_parked(self) -> None:
+        """Count every parked queue's skipped refills so far (between events)."""
+        for node in self.nodes:
+            clock = node.cmob._appended
+            for queue in node.engine._queues.values():
+                if queue._parked_at >= 0:
+                    self._count_parked(node.node_id, queue, clock)
 
     # ----------------------------------------------------------- data streaming
     def deliver_all(
@@ -530,6 +632,9 @@ class TemporalStreamingSystem:
                     owner = queues.get(victim[1])
                     if owner is not None:
                         owner.on_block_lost()
+                        if owner._parked_at >= 0:
+                            # A freed lookahead slot: the next service may fetch.
+                            engine._refill_dirty.add(owner.queue_id)
                     victim_address = victim[0]
                     count = residency.get(victim_address, 0)
                     if count <= 1:
@@ -559,7 +664,12 @@ class TemporalStreamingSystem:
 
     # -------------------------------------------------------------- end of run
     def drain(self) -> Dict[NodeId, int]:
-        """Flush every SVB; returns per-node counts of unconsumed (discarded) blocks."""
+        """Flush every SVB; returns per-node counts of unconsumed (discarded) blocks.
+
+        Also counts the refills parked queues skipped so far, so the
+        traffic accountant holds every ``STREAM_REQUEST`` of the run.
+        """
+        self._count_all_parked()
         leftovers: Dict[NodeId, int] = {}
         for node in self.nodes:
             leftovers[node.node_id] = len(node.engine.drain())

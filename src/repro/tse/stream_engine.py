@@ -39,7 +39,10 @@ pruned from the scan set the first time a pass visits them.  The full
 census.  The refill-dirty set holds only queues whose FIFOs are actually
 *eligible* for a refill (``StreamQueue.needs_refill`` checked at each
 mutation site), so the system layer's refill service runs only when there is
-real work.
+real work.  A queue the service parked (its low FIFOs' sources have nothing
+new) waits outside the set; the engine puts it back when a resolved stall,
+a skipped address or a lost SVB block (a write's invalidation here, an
+eviction in the system layer) can change what its next refill does.
 """
 
 from __future__ import annotations
@@ -412,8 +415,9 @@ class StreamEngine:
                     if batch:
                         batches.append((queue.queue_id, batch))
                     # Selecting one FIFO (and dropping the matched head) can
-                    # leave it refill-eligible even when nothing was popped.
-                    if queue.needs_refill(threshold):
+                    # leave it refill-eligible even when nothing was popped;
+                    # a parked queue is served again either way.
+                    if queue._parked_at >= 0 or queue.needs_refill(threshold):
                         dirty.add(queue.queue_id)
             elif state == STATE_ACTIVE:
                 # Allocation-light reject: a ``memmem``-class substring probe
@@ -439,7 +443,8 @@ class StreamEngine:
                     batch = self._fetch_from(queue)
                     if batch:
                         batches.append((queue.queue_id, batch))
-                    # The skip-delete lowered a FIFO level by one.
+                    # The skip-delete lowered a FIFO level by one (a parked
+                    # queue's low FIFO stays low, so this also wakes it).
                     if queue.needs_refill(threshold):
                         dirty.add(queue.queue_id)
             else:
@@ -466,6 +471,9 @@ class StreamEngine:
             queue = self._queues.get(entry[1])
             if queue is not None:
                 queue.on_block_lost()
+                if queue._parked_at >= 0:
+                    # A freed lookahead slot: the next service may fetch.
+                    self._refill_dirty.add(queue.queue_id)
         return entry
 
     # ---------------------------------------------------------------- cleanup

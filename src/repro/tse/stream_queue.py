@@ -29,7 +29,8 @@ and off-chip miss consults it), so the layout is flat and packed:
   queue);
 * refill *eligibility* is checked at mutation sites (:meth:`needs_refill`)
   rather than by rescanning every changed queue on every event — the
-  engine's refill service only ever visits queues that are actually low.
+  engine's refill service only ever visits queues that are actually low,
+  and parks (``_parked_at``) a low queue whose sources have nothing new.
 
 The system layer and the engine populate, pop and refill the FIFOs in place
 (``TemporalStreamingSystem.on_consumption``, ``StreamEngine._fetch_from``,
@@ -97,6 +98,8 @@ class StreamQueue:
         "last_active",
         "state_code",
         "_stall_heads",
+        "_parked_at",
+        "_parked_sources",
     )
 
     def __init__(self, queue_id: int, head: BlockAddress, lookahead: int) -> None:
@@ -132,6 +135,11 @@ class StreamQueue:
         #: the engine's miss scan as an O(1) pre-check before attempting
         #: stall resolution.  Invalidated whenever ``state_code`` changes.
         self._stall_heads = None
+        #: Refill parking (``TemporalStreamingSystem._service_refills``): the
+        #: consumer's CMOB append count when the queue was parked, or -1,
+        #: and the source node of each refill one skipped service counts.
+        self._parked_at = -1
+        self._parked_sources: Tuple[int, ...] = ()
 
     def reset(self, queue_id: int, head: BlockAddress, lookahead: int) -> None:
         """Re-initialize a reclaimed queue in place (allocation pooling)."""

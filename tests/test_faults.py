@@ -29,6 +29,9 @@ import json
 import sqlite3
 import threading
 import time
+import urllib.error
+import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -359,6 +362,57 @@ class TestFleetChaos:
         assert record["quarantined"] and record["attempts"] >= 2
         assert "InjectedFault" in record["last_error"]
         assert store.get_result(poison_key) is None
+
+
+class TestClosingService:
+    def test_a_request_after_close_gets_503(self, tmp_path):
+        """A closed service answers 503, which the transport retries,
+        instead of a 500 from its closed event loop."""
+        service = Service(store_path=tmp_path / "s.sqlite", max_workers=1,
+                          local_compute=False)
+        server = make_server(service, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address[:2]
+        try:
+            service.close()
+            service.close()  # a second close does nothing
+            request = urllib.request.Request(
+                f"http://{host}:{port}/leases", method="POST",
+                data=json.dumps({"worker": "w1"}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                urllib.request.urlopen(request, timeout=10)
+            assert refused.value.code == 503
+            assert "closing" in json.loads(refused.value.read())["error"]
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_worker_refused_by_its_server_returns_1(self):
+        """A terminal status on the poll ends the worker with exit 1; the
+        exception does not escape its thread."""
+
+        class Refuse(BaseHTTPRequestHandler):
+            def do_POST(self):  # noqa: N802 (http.server API)
+                self.send_response(500)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            def log_message(self, format, *args):  # noqa: A002
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Refuse)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address[:2]
+        worker = Worker(f"http://{host}:{port}", worker_id="w1",
+                        poll_interval=0.01, max_idle_polls=1)
+        try:
+            assert worker.run() == 1
+        finally:
+            worker.close()
+            server.shutdown()
+            server.server_close()
 
 
 class TestLocalRetry:

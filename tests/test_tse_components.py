@@ -9,6 +9,8 @@ stream-queue comparison that stalls on disagreement, the lookahead-bounded
 fetch, refills, queue reclamation and the SVB.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from repro.coherence.messages import (
     ADDRESS_STREAM,
     CMOB_POINTER_UPDATE,
     MESSAGE_TYPES,
+    STREAM_REQUEST,
 )
 from repro.tse.cmob import CMOB
 from repro.tse.layout import SLOT_BYTES
@@ -57,6 +60,11 @@ def hit(tse, node, address):
     entry, fetches = tse.on_svb_hit(node, address)
     tse.deliver_all(node, fetches, 0.0, {})
     return entry, batches(fetches)
+
+
+def write(tse, node, address):
+    """A write at ``node``: it invalidates the block in every SVB."""
+    tse.on_write(node, address)
 
 
 def of_queue(fetched, queue_id):
@@ -388,6 +396,189 @@ class TestLookaheadAndRefill:
         queue_id, fetched = consume(tse, 1, 10)
         # 11 is new; 12..15 are resident and use no lookahead; 16..18 fill it.
         assert of_queue(fetched, queue_id) == [11, 16, 17, 18]
+
+
+    # A FIFO whose source has nothing past its next offset stays low, so it
+    # is refilled (and counted) at every later event of its node.  Each test
+    # below drives one way such a queue gets something new to do, and pins
+    # ``refills_serviced`` after the setup and after every event, and the
+    # STREAM_REQUEST messages (home -> pointer node for a forwarded stream,
+    # consumer -> source for a refill) of a second run that reads no counter
+    # before ``drain()``.
+
+    def _refill_counts(self, tse_system, setup, events, **fields):
+        seen = []
+        requests = []
+        for read_each_event in (True, False):
+            messages = Messages()
+            tse = tse_system(traffic=messages, **fields)
+            for node, addresses in setup:
+                for address in addresses:
+                    consume(tse, node, address)
+            if read_each_event:
+                seen.append(tse.stats.snapshot()["tse.refills_serviced"])
+            for event, node, address in events:
+                event(tse, node, address)
+                if read_each_event:
+                    seen.append(tse.stats.snapshot()["tse.refills_serviced"])
+            tse.drain()
+            requests.append(Counter(
+                (src, dst) for kind, src, dst in messages.sent if kind == STREAM_REQUEST
+            ))
+            assert tse.stats.snapshot()["tse.refills_serviced"] == seen[-1]
+        assert requests[0] == requests[1]
+        return seen, requests[0]
+
+    def test_idle_source_refills_count_until_the_source_grows(self, tse_system):
+        seen, requests = self._refill_counts(
+            tse_system,
+            setup=[(0, range(10, 16))],
+            events=[
+                (consume, 1, 10),   # window 11..15: 11..14 fetched, 15 left
+                (consume, 1, 100),  # the source has nothing new: read, count
+                (consume, 1, 101),
+                (consume, 0, 16),   # the source grows ...
+                (consume, 0, 17),   # ... on events of its own node only
+                (consume, 1, 102),  # reads 16, 17; the FIFO stays low
+                (consume, 1, 103),
+                (hit, 1, 11),       # fetches 15
+                (hit, 1, 12),       # fetches 16
+            ],
+        )
+        assert seen == [0, 1, 2, 3, 3, 3, 4, 5, 6, 7]
+        assert requests == {(0, 0): 1, (1, 0): 7}
+
+    def test_an_evicted_block_lets_the_next_refill_fetch(self, tse_system):
+        seen, requests = self._refill_counts(
+            tse_system,
+            setup=[(0, range(10, 16)), (2, range(50, 61))],
+            events=[
+                (consume, 1, 10),   # 11..14 fill the 4-entry SVB, 15 left
+                (consume, 1, 100),
+                (consume, 1, 50),   # a second queue: 51..54 evict 11..14
+                (consume, 1, 101),  # the first queue fetches 15 and drains
+                (consume, 1, 102),
+            ],
+            num_nodes=3, svb_entries=4,
+        )
+        assert seen == [0, 1, 2, 4, 5, 5]
+        # Blocks 10 and 50 have homes 1 and 2.
+        assert requests == {(1, 0): 5, (2, 2): 1, (1, 2): 1}
+
+    def test_an_invalidated_block_lets_the_next_refill_fetch(self, tse_system):
+        seen, requests = self._refill_counts(
+            tse_system,
+            setup=[(0, range(10, 16))],
+            events=[
+                (consume, 1, 10),
+                (consume, 1, 100),
+                (write, 0, 12),     # frees one lookahead slot
+                (consume, 1, 101),  # fetches 15 and drains
+                (consume, 1, 102),
+            ],
+        )
+        assert seen == [0, 1, 2, 2, 3, 3]
+        assert requests == {(0, 0): 1, (1, 0): 3}
+
+    def test_a_resolved_stall_stops_refilling_the_dropped_fifo(self, tse_system):
+        seen, requests = self._refill_counts(
+            tse_system,
+            # Node 0's window after 10 is 13..16, node 1's 20..23; node 0's
+            # own queue on node 1's stream drains at once.
+            setup=[(1, [10, 20, 21, 22, 23]), (0, [10, 13, 14, 15, 16])],
+            events=[
+                (consume, 2, 10),   # heads 13 and 20 disagree: stalled, both low
+                (consume, 2, 100),  # both sources idle: two refills per event
+                *[(consume, 1, a) for a in range(24, 32)],
+                (consume, 1, 20),   # its pointer now forwards nothing to node 2
+                (consume, 2, 101),  # node 1's FIFO reads 24..31
+                (consume, 2, 102),  # only node 0's FIFO is still low
+                (consume, 2, 20),   # selects node 1's FIFO, fetches 21..24
+                (consume, 2, 103),  # no followed FIFO is low any more
+            ],
+            num_nodes=3,
+        )
+        # Node 1's second 20 forwards its own 21..28 to itself: one refill.
+        assert seen == [0, 2, 4, *[4] * 8, 5, 7, 8, 8, 8]
+        assert requests == {(1, 0): 1, (1, 1): 3, (2, 0): 4, (2, 1): 5}
+
+    def test_a_skipped_address_refills_the_fifo_it_lowers(self, tse_system):
+        shared = range(10, 17)
+        seen, requests = self._refill_counts(
+            tse_system,
+            # Nodes 1 and 0 record 10..16 in turn (so neither forwards a
+            # stream to the other); node 1 goes on to 30, then 23 again,
+            # which forwards its own 24..30 to itself.
+            setup=[pair for a in shared for pair in ((1, [a]), (0, [a]))]
+            + [(1, [*range(17, 31), 23])],
+            events=[
+                (consume, 2, 10),   # both agree on 11..14; node 0's FIFO idles
+                *[(hit, 2, a) for a in range(11, 18)],
+                (consume, 2, 100),
+                (consume, 2, 23),   # skips 23: node 1's FIFO drops to four
+                (consume, 2, 101),
+            ],
+            num_nodes=3,
+        )
+        assert seen == [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14]
+        assert requests == {(0, 1): 2, (1, 0): 1, (1, 1): 5, (2, 0): 11, (2, 1): 6}
+
+    def test_a_reclaimed_queue_stops_counting_refills(self, tse_system):
+        seen, requests = self._refill_counts(
+            tse_system,
+            setup=[(0, range(10, 16)), (2, range(50, 61))],
+            events=[
+                (consume, 1, 10),
+                (consume, 1, 100),
+                (consume, 1, 101),
+                (consume, 1, 50),   # the one queue is reclaimed
+                (consume, 1, 102),
+            ],
+            num_nodes=3, stream_queues=1,
+        )
+        assert seen == [0, 1, 2, 3, 4, 4]
+        assert requests == {(1, 0): 4, (2, 2): 1, (1, 2): 1}
+
+    def _counted_source(self, tse_system, **fields):
+        """A system whose node 0 CMOB counts its window reads."""
+
+        class CountingCMOB(CMOB):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                self.reads = 0
+
+            def extend_into(self, dest, start_offset, count):
+                self.reads += 1
+                return super().extend_into(dest, start_offset, count)
+
+        tse = tse_system(**fields)
+        source = CountingCMOB(tse.config.cmob_capacity)
+        tse.nodes[0].cmob = tse._cmobs[0] = source
+        return tse, source
+
+    def test_an_idle_source_is_not_read_while_it_stays_idle(self, tse_system):
+        tse, source = self._counted_source(tse_system)
+        record(tse, 0, range(10, 16))
+        consume(tse, 1, 10)  # window 11..15, then a refill that reads nothing
+        reads = source.reads
+        for address in range(100, 120):
+            consume(tse, 1, address)
+        assert source.reads == reads
+        assert tse.stats.snapshot()["tse.refills_serviced"] == 21
+
+    def test_a_source_wrapped_past_the_fifo_is_not_read_again(self, tse_system):
+        tse, source = self._counted_source(tse_system, cmob_capacity=8)
+        record(tse, 0, range(10, 16))
+        consume(tse, 1, 10)  # the next refill would start at offset 6
+        record(tse, 0, range(16, 30))  # offsets 6..13 are overwritten
+        consume(tse, 1, 100)  # one refill: the start is stale, it reads nothing
+        reads = source.reads
+        for address in range(101, 111):
+            consume(tse, 1, address)
+        record(tse, 0, range(30, 40))
+        consume(tse, 1, 111)
+        assert source.reads == reads
+        assert tse.stats.snapshot()["tse.refills_serviced"] == 13
 
 
 class TestQueueReclaim:
